@@ -29,6 +29,7 @@ __all__ = [
     "choi_from_kraus",
     "apply_map",
     "apply_dual",
+    "congruence",
     "scale_choi",
     "random_density",
     "random_choi",
@@ -169,11 +170,39 @@ def apply_dual(choi: ChoiMatrix, y: np.ndarray) -> np.ndarray:
     return np.einsum("ab,jbia->ij", y, choi.blocks())
 
 
+def congruence(
+    mat: np.ndarray, n: int, m: int, left: np.ndarray | None = None, right: np.ndarray | None = None
+) -> np.ndarray:
+    """(R kron L) M (R kron L) for an ``mn x mn`` array M, exactly Hermitian.
+
+    The factors act on the (n, m, n, m) block view, so the dense
+    ``mn x mn`` Kronecker factor is never formed: L (m x m) multiplies the
+    inner row and column indices of every block, at n^2 m^3 work per side,
+    and R (n x n) contracts the outer indices, at n^3 m^2 per side, against
+    (nm)^3 for a dense product.  ``None`` stands for an identity factor.
+
+    Nothing is validated here: callers check M and the factors at their
+    boundary (``scale_choi``, ``scaling.operator_sinkhorn``).  For Hermitian
+    factors and Hermitian PSD M the result is the congruence, PSD by
+    construction; the closing symmetrization keeps it exactly Hermitian.
+    """
+    d = n * m
+    if left is not None:
+        mat = np.matmul(left, mat.reshape(n, m, d)).reshape(d * n, m) @ left
+    if right is not None:
+        mat = (right @ mat.reshape(n, m * d)).reshape(d, n, m)
+        mat = np.matmul(right.T, mat)
+    return linalg.hermitian_part(mat.reshape(d, d))
+
+
 def scale_choi(choi: ChoiMatrix, left: np.ndarray, right: np.ndarray) -> ChoiMatrix:
     """Choi matrix of the scaled map X -> L Phi(R^dagger X R) L^dagger.
 
     For Hermitian L (m x m) and R (n x n) this is the congruence
-    (R kron L) CH(Phi) (R kron L).
+    (R kron L) CH(Phi) (R kron L), applied blockwise by :func:`congruence`.
+    The factors are checked Hermitian and of the right shapes here, and the
+    result is validated as a :class:`ChoiMatrix`; the Sinkhorn loop calls the
+    kernel on plain arrays instead and validates only its final iterate.
     """
     left = linalg.as_hermitian(left, what="left scaling factor")
     right = linalg.as_hermitian(right, what="right scaling factor")
@@ -181,8 +210,7 @@ def scale_choi(choi: ChoiMatrix, left: np.ndarray, right: np.ndarray) -> ChoiMat
         raise InvalidInputError(
             f"scaling factors must be {choi.m} x {choi.m} and {choi.n} x {choi.n}"
         )
-    f = linalg.kron(right, left)
-    scaled = linalg.hermitian_part(f @ choi.matrix @ f)
+    scaled = congruence(choi.matrix, choi.n, choi.m, left, right)
     return ChoiMatrix(n=choi.n, m=choi.m, matrix=scaled)
 
 

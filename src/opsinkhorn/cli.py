@@ -131,6 +131,13 @@ def cmd_scale(args) -> int:
     if loaded is not None and loaded[0] == "matrix":
         if args.method != "sld":
             raise UnsupportedError("matrix payloads support the sld (Sinkhorn) method only")
+        flags = [flag for flag, path in (("--target-p", args.target_p), ("--target-q", args.target_q))
+                 if path is not None]
+        if flags:
+            raise UnsupportedError(
+                f"{' and '.join(flags)} not supported for matrix payloads: "
+                "classical scaling targets uniform row and column sums"
+            )
         trace = scaling.matrix_sinkhorn(loaded[1].real, cfg)
         payload = serialization.matrix_to_payload("matrix", trace.final)
     else:
@@ -153,9 +160,19 @@ def cmd_scale(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _config(args)
     choi = _load_input_choi(args)
-    finals = {}
-    for method in _METHODS:
-        finals[method] = scaling.alternating_projections(method, choi, cfg).final
+    traces = {method: scaling.alternating_projections(method, choi, cfg) for method in _METHODS}
+    finals = {method: trace.final for method, trace in traces.items()}
+    status = {
+        method: {"converged": t.converged, "sweeps": t.sweeps, "residual": t.residuals[-1]}
+        for method, t in traces.items()
+    }
+    for method, s in status.items():
+        if not s["converged"]:
+            print(
+                f"warning: {method} did not converge: {s['sweeps']} sweeps, "
+                f"final residual {s['residual']:.3e}",
+                file=sys.stderr,
+            )
     lines = ["method," + ",".join(_METHODS)]
     for a in _METHODS:
         gaps = [float(np.abs(finals[a].matrix - finals[b].matrix).max()) for b in _METHODS]
@@ -167,6 +184,7 @@ def cmd_compare(args) -> int:
         for method, choi_star in finals.items():
             serialization.save_choi(out / f"{method}.json", choi_star)
         (out / "distances.csv").write_text(table)
+        (out / "summary.json").write_text(json.dumps(status, sort_keys=True) + "\n")
     return 0
 
 

@@ -2,8 +2,12 @@
 
 Everything is built on a single primitive, the Hermitian eigendecomposition:
 matrix functions, the Lyapunov solver and geometric means all go through
-``herm_eig``.  Dimensions in this package are small (tens at most), so
-uniformity of the numerical pathway matters more than speed.
+``herm_eig``.  They act on the small ``m x m`` and ``n x n`` marginals and
+factors and validate their arguments on every call.  The ``mn x mn``
+iterates of the Sinkhorn loop meet only ``partial_trace`` and
+``hermitian_part`` here: the congruence is ``channels.congruence``, applied
+blockwise on the (n, m, n, m) view without checks, and the loop validates
+its input once at entry and its final iterate once before returning.
 
 Conventions for partitioned matrices: an ``mn x mn`` matrix is read as an
 ``n x n`` grid of ``m x m`` blocks (outer index of dimension ``n``).
@@ -49,8 +53,13 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^dagger) / 2."""
-    return (a + a.conj().T) / 2
+    """(A + A^dagger) / 2 of a float or complex matrix."""
+    # conjugating the transpose into a contiguous array first keeps the sum
+    # a contiguous pass; the result is bit-identical to (A + A^dagger) / 2
+    out = np.conjugate(a.T, order="C")
+    out += a
+    out *= 0.5
+    return out
 
 
 def as_hermitian(a: np.ndarray, *, atol: float | None = None, what: str = "matrix") -> np.ndarray:

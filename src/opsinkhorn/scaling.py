@@ -34,7 +34,7 @@ import numpy as np
 from scipy import optimize
 
 from . import linalg
-from .channels import ChoiMatrix, apply_map, as_density, scale_choi
+from .channels import ChoiMatrix, apply_map, as_density, congruence
 from .errors import ConvergenceError, DomainError, InvalidInputError, UnsupportedError
 from .geometry import ConstraintSet, dexp_frechet
 from .policy import get_policy
@@ -184,12 +184,34 @@ def matrix_sinkhorn(a0: np.ndarray, cfg: ScalingConfig = ScalingConfig()) -> Mat
     return trace
 
 
+def _residual(mat: np.ndarray, n: int, m: int, p: np.ndarray, q: np.ndarray) -> float:
+    return float(
+        np.linalg.norm(linalg.partial_trace(mat, n, m, "first") - p) ** 2
+        + np.linalg.norm(linalg.partial_trace(mat, n, m, "second") - q) ** 2
+    )
+
+
 def choi_residual(choi: ChoiMatrix, p: np.ndarray, q: np.ndarray) -> float:
     """Squared-Frobenius marginal mismatch used as the stopping criterion."""
-    return float(
-        np.linalg.norm(choi.trace_first() - p) ** 2
-        + np.linalg.norm(choi.trace_second() - q) ** 2
+    return _residual(choi.matrix, choi.n, choi.m, p, q)
+
+
+def _sld_step(
+    mat: np.ndarray, n: int, m: int, side: str, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One SLD e-projection on a plain Hermitian PSD array; returns the new
+    iterate and the factor.  The marginal must be positive definite, and
+    ``geometric_mean`` checks both of its arguments; the congruence by the
+    positive definite factor keeps the iterate PSD."""
+    if side not in ("first", "second"):
+        raise InvalidInputError(f"side must be 'first' or 'second', got {side!r}")
+    marginal = linalg.assert_positive_definite(
+        linalg.partial_trace(mat, n, m, side), f"{side} marginal"
     )
+    factor = linalg.geometric_mean(linalg.invm(marginal), target)
+    if side == "first":
+        return congruence(mat, n, m, left=factor), factor
+    return congruence(mat, n, m, right=factor), factor
 
 
 def operator_sinkhorn_step(
@@ -203,15 +225,8 @@ def operator_sinkhorn_step(
     rounding), by the Riccati property of the geometric mean.
     """
     target = as_density(target, "step target")
-    if side == "first":
-        marginal = linalg.assert_positive_definite(choi.trace_first(), "first marginal")
-        factor = linalg.geometric_mean(linalg.invm(marginal), target)
-        return scale_choi(choi, factor, np.eye(choi.n)), factor
-    if side == "second":
-        marginal = linalg.assert_positive_definite(choi.trace_second(), "second marginal")
-        factor = linalg.geometric_mean(linalg.invm(marginal), target)
-        return scale_choi(choi, np.eye(choi.m), factor), factor
-    raise InvalidInputError(f"side must be 'first' or 'second', got {side!r}")
+    mat, factor = _sld_step(choi.matrix, choi.n, choi.m, side, target)
+    return ChoiMatrix(n=choi.n, m=choi.m, matrix=mat), factor
 
 
 def _logdet(a: np.ndarray) -> float:
@@ -219,7 +234,9 @@ def _logdet(a: np.ndarray) -> float:
 
 
 def _new_trace(method: str, choi0: ChoiMatrix, cfg: ScalingConfig) -> tuple[ScalingTrace, np.ndarray, np.ndarray]:
-    as_density(choi0.matrix, "initial Choi matrix")
+    tr = float(np.trace(choi0.matrix).real)
+    if abs(tr - 1.0) > get_policy().trace_atol:
+        raise InvalidInputError(f"initial Choi matrix has trace {tr!r}, expected 1")
     p, q = cfg.targets(choi0.n, choi0.m)
     trace = ScalingTrace(
         method=method, n=choi0.n, m=choi0.m, tol=cfg.tol, target_p=p, target_q=q
@@ -229,14 +246,6 @@ def _new_trace(method: str, choi0: ChoiMatrix, cfg: ScalingConfig) -> tuple[Scal
     return trace, p, q
 
 
-def _record_step(trace: ScalingTrace, side: str, factor: np.ndarray, choi: ChoiMatrix) -> None:
-    trace.factors.append((side, factor))
-    trace.iterates.append(choi.matrix)
-    if trace.n == trace.m:
-        # the congruence multiplies the encoded map by factor twice
-        trace.capacity_log += 2.0 * _logdet(factor) / trace.n
-
-
 def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -> ScalingTrace:
     """Operator Sinkhorn iteration, doubly stochastic or general marginals.
 
@@ -244,24 +253,37 @@ def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -
     with R = (tr_second rho)^{-1} # Q, after which left and right steps
     alternate, left first.  Each recorded step is an SLD e-projection onto
     its constraint set.
+
+    The input needs unit trace and positive definite marginals, but may be
+    rank-deficient.  The loop runs on plain arrays: each step checks its
+    marginal and factor (both small), and only the final iterate is
+    validated as a :class:`ChoiMatrix`.
     """
     trace, p, q = _new_trace("sld", choi0, cfg)
-    choi = choi0
+    n, m = choi0.n, choi0.m
+    mat = choi0.matrix
     if trace.residuals[0] < cfg.tol:
         trace.converged = True
         return trace
-    if not cfg.doubly_stochastic(choi0.n, choi0.m):
-        choi, factor = operator_sinkhorn_step(choi, "second", q)
-        _record_step(trace, "second", factor, choi)
-        trace.preprocessed = True
-    while trace.residuals[-1] >= cfg.tol and trace.sweeps < cfg.max_iters:
-        choi, factor = operator_sinkhorn_step(choi, "first", p)
-        _record_step(trace, "first", factor, choi)
-        choi, factor = operator_sinkhorn_step(choi, "second", q)
-        _record_step(trace, "second", factor, choi)
-        trace.sweeps += 1
-        trace.residuals.append(choi_residual(choi, p, q))
+    sweep = (("first", p), ("second", q))
+    steps = () if cfg.doubly_stochastic(n, m) else (("second", q),)
+    trace.preprocessed = bool(steps)
+    while True:
+        for side, target in steps:
+            mat, factor = _sld_step(mat, n, m, side, target)
+            trace.factors.append((side, factor))
+            trace.iterates.append(mat)
+            if n == m:
+                # the congruence multiplies the encoded map by factor twice
+                trace.capacity_log += 2.0 * _logdet(factor) / n
+        if steps is sweep:
+            trace.sweeps += 1
+            trace.residuals.append(_residual(mat, n, m, p, q))
+        if trace.residuals[-1] < cfg.tol or trace.sweeps >= cfg.max_iters:
+            break
+        steps = sweep
     trace.converged = trace.residuals[-1] < cfg.tol
+    ChoiMatrix(n=n, m=m, matrix=mat)  # validates the returned final iterate
     return trace
 
 
@@ -430,6 +452,9 @@ def alternating_projections(
     if method not in METHODS:
         raise UnsupportedError(f"unknown method {method!r}; expected one of {METHODS}")
     project = bkm_e_projection if method == "bkm" else burg_e_projection
+    # both divergences need log rho and rho^{-1}, so a rank-deficient input
+    # is out of their domain
+    linalg.assert_positive_definite(choi0.matrix, "initial Choi matrix")
     trace, p, q = _new_trace(method, choi0, cfg)
     if trace.residuals[0] < cfg.tol:
         trace.converged = True

@@ -202,6 +202,34 @@ class TestScaleChoi:
             channels.scale_choi(choi, np.eye(2), np.eye(2))
 
 
+class TestCongruence:
+    """The blockwise kernel against the dense Kronecker congruence."""
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (4, 5), (5, 4)])
+    @pytest.mark.parametrize("sides", ["left", "right", "both"])
+    def test_matches_dense_kron(self, n, m, sides):
+        rng = np.random.default_rng(100 + 10 * n + m)
+        mat = channels.random_choi(n, m, rng).matrix
+        left = random_pd_factor(rng, m) if sides != "right" else None
+        right = random_pd_factor(rng, n) if sides != "left" else None
+        f = linalg.kron(np.eye(n) if right is None else right, np.eye(m) if left is None else left)
+        dense = f @ mat @ f
+        out = channels.congruence(mat, n, m, left, right)
+        assert np.abs(out - dense).max() <= 1e-12 * np.abs(dense).max()
+        np.testing.assert_array_equal(out, out.conj().T)
+
+    def test_no_factor_is_identity(self):
+        mat = channels.random_choi(3, 2, np.random.default_rng(11)).matrix
+        np.testing.assert_array_equal(channels.congruence(mat, 3, 2), mat)
+
+    def test_does_not_modify_input(self):
+        rng = np.random.default_rng(12)
+        mat = channels.random_choi(2, 3, rng).matrix
+        before = mat.copy()
+        channels.congruence(mat, 2, 3, random_pd_factor(rng, 3), random_pd_factor(rng, 2))
+        np.testing.assert_array_equal(mat, before)
+
+
 def oracle_hermitian(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2

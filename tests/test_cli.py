@@ -95,6 +95,16 @@ class TestScale:
         code, _, _ = run_cli(capsys, "scale", str(path), "--method", "bkm")
         assert code == 4
 
+    @pytest.mark.parametrize("flag", ["--target-p", "--target-q"])
+    def test_matrix_payload_rejects_targets(self, capsys, tmp_path, flag):
+        path = tmp_path / "m.json"
+        run_cli(capsys, "gen", "--dims", "2", "3", "--kind", "matrix", "--seed", "1", "--out", str(path))
+        target = tmp_path / "p.json"
+        serialization.save_matrix(target, "density", np.diag([0.7, 0.3]).astype(complex))
+        code, out, err = run_cli(capsys, "scale", str(path), flag, str(target))
+        assert code == 4 and out == ""
+        assert flag in err
+
     def test_parse_failure_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{")
@@ -194,6 +204,21 @@ class TestCompare:
         for name in ("sld", "bkm", "burg"):
             assert (out_dir / f"{name}.json").exists()
         assert (out_dir / "distances.csv").read_text() == out
+
+    def test_reports_unconverged_methods(self, capsys, tmp_path):
+        out_dir = tmp_path / "cmp"
+        code, out, err = run_cli(capsys, "compare", "--paper-rho0", "--out", str(out_dir))
+        assert code == 0
+        assert (out_dir / "distances.csv").read_text() == out
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert set(summary) == {"sld", "bkm", "burg"}
+        assert summary["sld"]["converged"] is True and summary["bkm"]["converged"] is True
+        burg = summary["burg"]
+        assert burg["converged"] is False and burg["sweeps"] == 200 and burg["residual"] >= 1e-8
+        warnings = err.strip().splitlines()
+        assert len(warnings) == 1
+        assert "burg" in warnings[0] and "200 sweeps" in warnings[0]
+        assert f"{burg['residual']:.3e}" in warnings[0]
 
 
 class TestDiffquot:

@@ -3,7 +3,7 @@ import pytest
 
 from opsinkhorn import channels, divergences, geometry, linalg, policy, scaling
 from opsinkhorn.channels import ChoiMatrix
-from opsinkhorn.errors import ConvergenceError, DomainError, UnsupportedError
+from opsinkhorn.errors import ConvergenceError, DomainError, SingularityError, UnsupportedError
 from opsinkhorn.geometry import ConstraintSet
 
 import oracles
@@ -177,6 +177,93 @@ class TestOperatorSinkhorn:
         fixed, _ = scaling.operator_sinkhorn_step(wrong, "first", p)
         res = geometry.orthogonality_residual("sld", choi, fixed, ConstraintSet("first", p))
         assert res > 1e-5
+
+
+def reference_sinkhorn(choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> dict:
+    """Operator Sinkhorn written out from the public, validating step: every
+    iterate is a ChoiMatrix, and every step is checked against the dense
+    Kronecker congruence by its factor."""
+    n, m = choi.n, choi.m
+    p, q = cfg.targets(n, m)
+    run = {"iterates": [choi.matrix], "factors": [], "capacity_log": 0.0, "sweeps": 0,
+           "preprocessed": False, "residuals": [scaling.choi_residual(choi, p, q)]}
+
+    def step(current, side, target):
+        stepped, factor = scaling.operator_sinkhorn_step(current, side, target)
+        f = linalg.kron(np.eye(n), factor) if side == "first" else linalg.kron(factor, np.eye(m))
+        dense = f @ current.matrix @ f
+        assert np.abs(stepped.matrix - dense).max() <= 1e-12 * np.abs(dense).max()
+        run["iterates"].append(stepped.matrix)
+        run["factors"].append((side, factor))
+        if n == m:
+            run["capacity_log"] += 2.0 * np.sum(np.log(np.linalg.eigvalsh(factor))) / n
+        return stepped
+
+    if run["residuals"][0] < cfg.tol:
+        return run
+    if not cfg.doubly_stochastic(n, m):
+        choi = step(choi, "second", q)
+        run["preprocessed"] = True
+    while run["residuals"][-1] >= cfg.tol and run["sweeps"] < cfg.max_iters:
+        choi = step(step(choi, "first", p), "second", q)
+        run["sweeps"] += 1
+        run["residuals"].append(scaling.choi_residual(choi, p, q))
+    return run
+
+
+class TestLeanLoopAgainstReference:
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (4, 4), (3, 5)])
+    @pytest.mark.parametrize("general", [False, True])
+    def test_matches_public_step_loop(self, n, m, general):
+        rng = np.random.default_rng(40 + 10 * n + m + general)
+        choi = channels.random_choi(n, m, rng)
+        p = channels.random_density(m, rng) if general else None
+        q = channels.random_density(n, rng) if general else None
+        cfg = scaling.ScalingConfig(max_iters=300, tol=1e-10, target_p=p, target_q=q)
+        trace = scaling.operator_sinkhorn(choi, cfg)
+        ref = reference_sinkhorn(choi, cfg)
+        assert trace.converged
+        assert trace.sweeps == ref["sweeps"] and trace.sweeps > 0
+        assert trace.preprocessed == ref["preprocessed"] == general
+        assert trace.capacity_log == pytest.approx(ref["capacity_log"], rel=1e-12, abs=1e-14)
+        assert len(trace.iterates) == len(ref["iterates"])
+        for got, want in zip(trace.iterates, ref["iterates"]):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            ChoiMatrix(n=n, m=m, matrix=got)
+        for (side, got), (ref_side, want) in zip(trace.factors, ref["factors"]):
+            assert side == ref_side
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        np.testing.assert_allclose(trace.residuals, ref["residuals"], rtol=1e-9, atol=1e-20)
+
+
+def rank_two_choi() -> ChoiMatrix:
+    """Trace-one Choi matrix of a 2 x 2 map with two Gaussian Kraus
+    operators: rank 2 of 4, with positive definite marginals."""
+    rng = np.random.default_rng(0)
+    kraus = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    mat = channels.choi_from_kraus(channels.KrausMap(tuple(kraus))).matrix
+    return ChoiMatrix(n=2, m=2, matrix=mat / np.trace(mat).real)
+
+
+class TestRankDeficientInput:
+    def test_input_is_rank_deficient_with_definite_marginals(self):
+        choi = rank_two_choi()
+        w = np.linalg.eigvalsh(choi.matrix)
+        assert abs(w[1]) <= 1e-14 and w[2] > 0.1
+        assert np.linalg.eigvalsh(choi.trace_first())[0] > 0.1
+        assert np.linalg.eigvalsh(choi.trace_second())[0] > 0.1
+
+    def test_sld_converges_and_capacity_matches_oracle(self):
+        choi = rank_two_choi()
+        trace = scaling.operator_sinkhorn(choi)
+        assert trace.converged and trace.sweeps == 4
+        oracle = scaling.capacity_bruteforce(choi)
+        assert abs(scaling.capacity_from_trace(trace) - oracle) <= 1e-6
+
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    def test_dual_methods_still_need_definite_input(self, method):
+        with pytest.raises(SingularityError):
+            scaling.alternating_projections(method, rank_two_choi())
 
 
 class TestResidualCharacterization:

@@ -26,7 +26,7 @@ class NumericPolicy:
     constraint_atol: float = 1e-6
     # dual solver tolerances (gradient / residual Frobenius norms)
     bkm_gradient_tol: float = 1e-9
-    bkm_max_iters: int = 10_000
+    bkm_max_iters: int = 200
     burg_residual_tol: float = 1e-10
     burg_max_iters: int = 200
     # traces deviating from one by more than this trigger a warning in

@@ -13,8 +13,10 @@ and is the e-projection onto it in the SLD geometry.
 
 Two further alternating projection schemes minimize the Umegaki relative
 entropy (``bkm``) and the Burg divergence (``burg``) over the same constraint
-sets; they are dually-flat e-projections with closed dual characterizations
-solved here by first-order (Barzilai-Borwein) and damped Newton methods.
+sets; they are dually-flat e-projections with closed dual characterizations,
+each solved here by damped Newton with a closed-form Jacobian: the
+Daleckii-Krein form of the matrix exponential for BKM and the resolvent
+identity, written blockwise, for Burg.
 
 A run is summarized by a :class:`ScalingTrace` which records the iterates,
 the scaling factors, the per-sweep stopping-criterion residuals
@@ -35,14 +37,21 @@ from scipy import optimize
 
 from . import linalg
 from .channels import ChoiMatrix, apply_map, as_density, congruence
-from .errors import ConvergenceError, DomainError, InvalidInputError, UnsupportedError
-from .geometry import ConstraintSet, dexp_frechet
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    InvalidInputError,
+    SingularityError,
+    UnsupportedError,
+)
+from .geometry import ConstraintSet, _divided_differences, dexp_frechet
 from .policy import get_policy
 
 __all__ = [
     "ScalingConfig",
     "ScalingTrace",
     "MatrixScalingTrace",
+    "doubly_stochastic",
     "matrix_sinkhorn",
     "operator_sinkhorn_step",
     "operator_sinkhorn",
@@ -84,17 +93,23 @@ class ScalingConfig:
             raise InvalidInputError(f"targets must be {m} x {m} and {n} x {n}")
         return p, q
 
-    def doubly_stochastic(self, n: int, m: int) -> bool:
-        p, q = self.targets(n, m)
-        return (
-            np.abs(p - np.eye(m) / m).max() <= 1e-12
-            and np.abs(q - np.eye(n) / n).max() <= 1e-12
-        )
+
+def doubly_stochastic(p: np.ndarray, q: np.ndarray) -> bool:
+    """Whether the targets are the doubly stochastic ones, P = I/m and Q = I/n."""
+    m, n = len(p), len(q)
+    return (
+        np.abs(p - np.eye(m) / m).max() <= 1e-12
+        and np.abs(q - np.eye(n) / n).max() <= 1e-12
+    )
 
 
 @dataclass
 class ScalingTrace:
-    """Record of an alternating projection run on a Choi matrix."""
+    """Record of an alternating projection run on a Choi matrix.
+
+    ``final`` is the last iterate as a validated :class:`ChoiMatrix`; the
+    solvers store the one they validated, so reading it costs nothing.
+    """
 
     method: str
     n: int
@@ -109,16 +124,13 @@ class ScalingTrace:
     converged: bool = False
     sweeps: int = 0
     preprocessed: bool = False
+    _final: ChoiMatrix | None = field(default=None, repr=False)
 
     @property
     def final(self) -> ChoiMatrix:
-        return ChoiMatrix(n=self.n, m=self.m, matrix=self.iterates[-1])
-
-    def doubly_stochastic(self) -> bool:
-        return (
-            np.abs(self.target_p - np.eye(self.m) / self.m).max() <= 1e-12
-            and np.abs(self.target_q - np.eye(self.n) / self.n).max() <= 1e-12
-        )
+        if self._final is None:
+            self._final = ChoiMatrix(n=self.n, m=self.m, matrix=self.iterates[-1])
+        return self._final
 
 
 @dataclass
@@ -239,7 +251,7 @@ def _new_trace(method: str, choi0: ChoiMatrix, cfg: ScalingConfig) -> tuple[Scal
         raise InvalidInputError(f"initial Choi matrix has trace {tr!r}, expected 1")
     p, q = cfg.targets(choi0.n, choi0.m)
     trace = ScalingTrace(
-        method=method, n=choi0.n, m=choi0.m, tol=cfg.tol, target_p=p, target_q=q
+        method=method, n=choi0.n, m=choi0.m, tol=cfg.tol, target_p=p, target_q=q, _final=choi0
     )
     trace.iterates.append(choi0.matrix)
     trace.residuals.append(choi_residual(choi0, p, q))
@@ -266,7 +278,7 @@ def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -
         trace.converged = True
         return trace
     sweep = (("first", p), ("second", q))
-    steps = () if cfg.doubly_stochastic(n, m) else (("second", q),)
+    steps = () if doubly_stochastic(p, q) else (("second", q),)
     trace.preprocessed = bool(steps)
     while True:
         for side, target in steps:
@@ -283,16 +295,66 @@ def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -
             break
         steps = sweep
     trace.converged = trace.residuals[-1] < cfg.tol
-    ChoiMatrix(n=n, m=m, matrix=mat)  # validates the returned final iterate
+    trace._final = ChoiMatrix(n=n, m=m, matrix=mat)
+    # the validated copy has the same entries (the congruence keeps the
+    # iterate exactly Hermitian); keep one array, not two
+    trace.iterates[-1] = trace._final.matrix
     return trace
 
 
-def _lift(a: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
-    return linalg.kron(np.eye(n), a) if side == "first" else linalg.kron(a, np.eye(m))
+def _plus_lift(base: np.ndarray, a: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
+    """base + I_n kron a (side "first") or base + a kron I_m (side "second"),
+    added on the (n, m, n, m) block view instead of through a Kronecker
+    product."""
+    out = base.copy()
+    blocks = out.reshape(n, m, n, m)
+    if side == "first":
+        diag = np.arange(n)
+        blocks[diag, :, diag, :] += a
+    else:
+        diag = np.arange(m)
+        blocks[:, diag, :, diag] += a
+    return out
 
 
-def _marginal(mat: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
-    return linalg.partial_trace(mat, n, m, side)
+# d tr_side(R lift(B) R) / dB on the (n, m, n, m) block view of R, indexed
+# (row of the marginal, column of the marginal, row of B, column of B)
+_BURG_JACOBIAN = {"first": "icja,jbid->cdab", "second": "iajb,lbka->ikjl"}
+
+
+def _burg_jacobian(r: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
+    """Jacobian of B -> tr_side(R lift(B) R) as a d^2 x d^2 complex matrix
+    acting on row-major vec(B)."""
+    d = m if side == "first" else n
+    blocks = r.reshape(n, m, n, m)
+    return np.einsum(_BURG_JACOBIAN[side], blocks, blocks).reshape(d * d, d * d)
+
+
+def _bkm_jacobian(
+    w: np.ndarray, v: np.ndarray, marginal: np.ndarray, n: int, m: int, side: str
+) -> np.ndarray:
+    """Jacobian of A -> tr_side exp(H(A)) / tr exp(H(A)), H(A) = log rho0 +
+    lift(A), at the point with spectrum H = v diag(w) v^dagger and marginal
+    ``marginal``, as a d^2 x d^2 complex matrix acting on row-major vec(A).
+
+    Daleckii-Krein: d exp(H)[X] = v (Phi o (v^dagger X v)) v^dagger, with
+    Phi the divided differences of exp on w.  With C[x, pq] = (v^dagger
+    lift(E_x) v)[p, q] for the matrix units E_x, entry x of
+    tr_side d exp(H)[lift(E_y)] is sum_pq conj(C[x, pq]) Phi[p, q] C[y, pq].
+    Dividing by Z = tr exp(H) and subtracting vec(marginal)
+    vec(marginal)^dagger, the derivative of the normalization, gives the
+    Jacobian.  It is the Hessian of the BKM dual."""
+    d = m if side == "first" else n
+    vb = v.reshape(n, m, n * m)
+    if side == "first":
+        c = np.einsum("iap,ibq->abpq", vb.conj(), vb)
+    else:
+        c = np.einsum("iap,jaq->ijpq", vb.conj(), vb)
+    c = c.reshape(d * d, -1)
+    shifted = w - w.max()
+    phi = _divided_differences(shifted, np.exp, np.exp) / np.exp(shifted).sum()
+    flat = marginal.reshape(-1)
+    return (c.conj() * phi.reshape(-1)) @ c.T - np.outer(flat, flat.conj())
 
 
 def bkm_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[ChoiMatrix, np.ndarray]:
@@ -304,10 +366,17 @@ def bkm_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Choi
 
         F(A) = log tr exp(log rho0 + lift(A)) - tr(target A)
 
-    whose exact gradient is the marginal mismatch tr_side rho(A) - target.
-    Barzilai-Borwein steps with a nonmonotone Armijo backtracking drive the
-    gradient below the policy tolerance.  Returns the projected state and
-    the dual variable.
+    whose exact gradient is the marginal mismatch tr_side rho(A) - target,
+    by damped Newton.  The Hessian is the Daleckii-Krein form in the
+    eigenbasis of log rho0 + lift(A) minus the normalization term (see
+    :func:`_bkm_jacobian`).  F is flat along A -> A + cI, so the Hessian
+    is singular in that direction; adding vec(I) vec(I)^T / d fixes the
+    gauge, and since the gradient is traceless every step (hence A) stays
+    traceless.  A step is halved until it passes Armijo on F or halves the
+    gradient norm: near the solution the decrease of F falls below its
+    rounding while the gradient still shrinks.  The iteration stops when
+    the gradient norm reaches the policy tolerance.  Returns the projected
+    state and the dual variable.
     """
     pol = get_policy()
     n, m = choi0.n, choi0.m
@@ -315,54 +384,46 @@ def bkm_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Choi
     target = constraint.target
     side = constraint.side
     d = m if side == "first" else n
+    gauge = np.outer(np.eye(d).reshape(-1), np.eye(d).reshape(-1)) / d
 
-    def state_of(a: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh(linalg.hermitian_part(log_rho0 + _lift(a, n, m, side)))
-        ew = np.exp(w - w.max())
-        s = linalg.hermitian_part((v * ew) @ v.conj().T)
-        return s / np.trace(s).real
-
-    def dual_value(a: np.ndarray) -> float:
-        w = np.linalg.eigvalsh(linalg.hermitian_part(log_rho0 + _lift(a, n, m, side)))
+    def evaluate(a: np.ndarray):
+        """Dual value, state, marginal and the spectrum of log rho0 + lift(a)."""
+        w, v = np.linalg.eigh(_plus_lift(log_rho0, a, n, m, side))
         shift = w.max()
-        return float(np.log(np.sum(np.exp(w - shift))) + shift - np.trace(target @ a).real)
-
-    def gradient(a: np.ndarray) -> np.ndarray:
-        return linalg.hermitian_part(_marginal(state_of(a), n, m, side) - target)
+        ew = np.exp(w - shift)
+        z = ew.sum()
+        state = linalg.hermitian_part((v * (ew / z)) @ v.conj().T)
+        value = float(np.log(z) + shift - np.trace(target @ a).real)
+        return value, state, linalg.partial_trace(state, n, m, side), w, v
 
     a = np.zeros((d, d), dtype=complex)
-    g = gradient(a)
-    step = 1.0
-    values = [dual_value(a)]
-    grad_norm = linalg.frobenius(g)
+    value, state, marginal, w, v = evaluate(a)
+    g = linalg.hermitian_part(marginal - target)
     for _ in range(pol.bkm_max_iters):
+        grad_norm = linalg.frobenius(g)
         if grad_norm <= pol.bkm_gradient_tol:
             break
-        step = min(max(step, 1e-12), 1e12)
-        reference = max(values[-10:])
-        while step > 1e-12:
-            candidate = a - step * g
-            value = dual_value(candidate)
-            if value <= reference - 1e-4 * step * grad_norm**2:
+        hess = _bkm_jacobian(w, v, marginal, n, m, side) + gauge
+        step = linalg.hermitian_part(np.linalg.solve(hess, -g.reshape(-1)).reshape(d, d))
+        slope = np.vdot(g, step).real
+        t = 1.0
+        while t > 1e-14:
+            candidate = a + t * step
+            point = evaluate(candidate)
+            g_cand = linalg.hermitian_part(point[2] - target)
+            if point[0] <= value + 1e-4 * t * slope or linalg.frobenius(g_cand) <= 0.5 * grad_norm:
+                a, g = candidate, g_cand
+                value, state, marginal, w, v = point
                 break
-            step /= 2.0
+            t /= 2.0
         else:
-            candidate = a - 1e-12 * g
-            value = dual_value(candidate)
-        g_new = gradient(candidate)
-        da = candidate - a
-        dg = g_new - g
-        curvature = np.vdot(da, dg).real
-        step = float(np.vdot(da, da).real / curvature) if curvature > 1e-300 else 1.0
-        a, g = candidate, g_new
-        values.append(value)
-        grad_norm = linalg.frobenius(g)
+            raise ConvergenceError(f"BKM Newton stalled at gradient norm {grad_norm:.3e}")
     else:
         raise ConvergenceError(
             f"BKM dual solver exhausted {pol.bkm_max_iters} iterations "
-            f"(gradient norm {grad_norm:.3e})"
+            f"(gradient norm {linalg.frobenius(g):.3e})"
         )
-    return ChoiMatrix(n=n, m=m, matrix=state_of(a)), a
+    return ChoiMatrix(n=n, m=m, matrix=state), a
 
 
 def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[ChoiMatrix, np.ndarray]:
@@ -370,9 +431,14 @@ def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Cho
 
     The minimizer is the resolvent rho = (rho0^{-1} - lift(A))^{-1} with the
     Hermitian dual variable A determined by tr_side rho = target.  A damped
-    Newton method solves that condition, with the Jacobian assembled exactly
-    from d(R^{-1}) = -R^{-1} dR R^{-1} and step halving to keep the resolvent
-    argument positive definite.  Returns the projected state and A.
+    Newton method solves that condition.  By d(R^{-1}) = -R^{-1} dR R^{-1}
+    its Jacobian is B -> tr_side(R lift(B) R), one ``einsum`` on the
+    (n, m, n, m) block view of R (see :func:`_burg_jacobian`); the d^2 x d^2
+    complex system is solved at once and the Hermitian part of the solution
+    taken as the step.  Steps are halved until the resolvent argument stays
+    positive definite (relative to its largest eigenvalue, by the policy
+    floor) and the residual norm decreases; one eigendecomposition gives
+    both that test and the resolvent.  Returns the projected state and A.
     """
     pol = get_policy()
     n, m = choi0.n, choi0.m
@@ -380,20 +446,20 @@ def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Cho
     target = constraint.target
     side = constraint.side
     d = m if side == "first" else n
-    basis = linalg.hermitian_basis(d)
 
-    def resolvent(a: np.ndarray) -> np.ndarray:
-        return linalg.invm(linalg.hermitian_part(rho0_inv - _lift(a, n, m, side)))
-
-    def in_cone(a: np.ndarray) -> bool:
-        w = np.linalg.eigvalsh(linalg.hermitian_part(rho0_inv - _lift(a, n, m, side)))
-        return bool(w[0] > pol.pd_rel_floor * max(abs(w[-1]), np.finfo(float).tiny))
-
-    def residual_of(a: np.ndarray) -> np.ndarray:
-        return linalg.hermitian_part(_marginal(resolvent(a), n, m, side) - target)
+    def evaluate(a: np.ndarray):
+        """Resolvent and residual at ``a``, or None outside the cone."""
+        w, v = np.linalg.eigh(_plus_lift(rho0_inv, -a, n, m, side))
+        if not w[0] > pol.pd_rel_floor * max(abs(w[-1]), np.finfo(float).tiny):
+            return None
+        r = linalg.hermitian_part((v / w) @ v.conj().T)
+        return r, linalg.hermitian_part(linalg.partial_trace(r, n, m, side) - target)
 
     a = np.zeros((d, d), dtype=complex)
-    g = residual_of(a)
+    state = evaluate(a)
+    if state is None:
+        raise SingularityError("Burg projection source is too ill-conditioned to invert")
+    r, g = state
     polish = False
     for _ in range(pol.burg_max_iters):
         g_norm = linalg.frobenius(g)
@@ -404,27 +470,17 @@ def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Cho
             # this drives the residual (hence the iterate's trace defect) to
             # rounding level
             polish = True
-        r = resolvent(a)
-        columns = []
-        for b in basis:
-            dr = r @ _lift(b, n, m, side) @ r
-            columns.append(_marginal(dr, n, m, side))
-        jac = np.array([[np.vdot(bi, col).real for col in columns] for bi in basis])
-        rhs = np.array([-np.vdot(bi, g).real for bi in basis])
-        coeffs = np.linalg.solve(jac, rhs)
-        newton = sum(c * b for c, b in zip(coeffs, basis))
+        jac = _burg_jacobian(r, n, m, side)
+        newton = linalg.hermitian_part(np.linalg.solve(jac, -g.reshape(-1)).reshape(d, d))
         alpha = 1.0
-        accepted = False
         while alpha > 1e-14:
             candidate = a + alpha * newton
-            if in_cone(candidate):
-                g_cand = residual_of(candidate)
-                if linalg.frobenius(g_cand) < g_norm:
-                    a, g = candidate, g_cand
-                    accepted = True
-                    break
+            state = evaluate(candidate)
+            if state is not None and linalg.frobenius(state[1]) < g_norm:
+                a, (r, g) = candidate, state
+                break
             alpha /= 2.0
-        if not accepted:
+        else:
             if polish:
                 break  # already below tolerance, at the rounding floor
             raise ConvergenceError(
@@ -435,7 +491,7 @@ def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Cho
             f"Burg Newton exhausted {pol.burg_max_iters} iterations "
             f"(residual norm {linalg.frobenius(g):.3e})"
         )
-    return ChoiMatrix(n=n, m=m, matrix=resolvent(a)), a
+    return ChoiMatrix(n=n, m=m, matrix=r), a
 
 
 def alternating_projections(
@@ -472,6 +528,7 @@ def alternating_projections(
         trace.sweeps += 1
         trace.residuals.append(choi_residual(choi, p, q))
     trace.converged = trace.residuals[-1] < cfg.tol
+    trace._final = choi
     return trace
 
 
@@ -494,7 +551,7 @@ def capacity_from_trace(trace: ScalingTrace | MatrixScalingTrace) -> float:
             raise UnsupportedError("capacity is defined for m = n only")
         if trace.method != "sld":
             raise UnsupportedError("capacity tracking requires a Sinkhorn (sld) trace")
-        if not trace.doubly_stochastic():
+        if not doubly_stochastic(trace.target_p, trace.target_q):
             raise UnsupportedError("capacity is defined for doubly stochastic targets")
     if not trace.converged:
         raise ConvergenceError(

@@ -37,8 +37,6 @@ EXIT_DOMAIN = 3
 EXIT_UNSUPPORTED = 4
 EXIT_NO_CONVERGENCE = 5
 
-_METHODS = ("sld", "bkm", "burg")
-
 # h = 2^-k for k = 5..40, descending in h
 _DEFAULT_H_GRID = tuple(2.0 ** (-k) for k in range(5, 41))
 
@@ -123,8 +121,8 @@ def _ensure_dir(path: str) -> Path:
 
 def cmd_scale(args) -> int:
     cfg = _config(args)
-    if args.method not in _METHODS:
-        raise UnsupportedError(f"unknown method {args.method!r}; expected one of {_METHODS}")
+    if args.method not in scaling.METHODS:
+        raise UnsupportedError(f"unknown method {args.method!r}; expected one of {scaling.METHODS}")
     loaded = None
     if args.input is not None and not args.paper_rho0:
         loaded = serialization.load_matrix(args.input)
@@ -160,7 +158,7 @@ def cmd_scale(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _config(args)
     choi = _load_input_choi(args)
-    traces = {method: scaling.alternating_projections(method, choi, cfg) for method in _METHODS}
+    traces = {method: scaling.alternating_projections(method, choi, cfg) for method in scaling.METHODS}
     finals = {method: trace.final for method, trace in traces.items()}
     status = {
         method: {"converged": t.converged, "sweeps": t.sweeps, "residual": t.residuals[-1]}
@@ -173,9 +171,9 @@ def cmd_compare(args) -> int:
                 f"final residual {s['residual']:.3e}",
                 file=sys.stderr,
             )
-    lines = ["method," + ",".join(_METHODS)]
-    for a in _METHODS:
-        gaps = [float(np.abs(finals[a].matrix - finals[b].matrix).max()) for b in _METHODS]
+    lines = ["method," + ",".join(scaling.METHODS)]
+    for a in scaling.METHODS:
+        gaps = [float(np.abs(finals[a].matrix - finals[b].matrix).max()) for b in scaling.METHODS]
         lines.append(csv_line(a, *gaps))
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)

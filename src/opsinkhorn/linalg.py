@@ -7,7 +7,12 @@ factors and validate their arguments on every call.  The ``mn x mn``
 iterates of the Sinkhorn loop meet only ``partial_trace`` and
 ``hermitian_part`` here: the congruence is ``channels.congruence``, applied
 blockwise on the (n, m, n, m) view without checks, and the loop validates
-its input once at entry and its final iterate once before returning.
+its input once at entry and its final iterate once before returning.  The
+BKM and Burg alternations likewise check their input once
+(``assert_positive_definite``) and take one ``logm`` or ``invm`` of it at
+entry; from there they carry that e-coordinate and its ``numpy.linalg.eigh``
+spectrum through the projections, so no matrix function of an iterate is
+taken in the loop.
 
 Conventions for partitioned matrices: an ``mn x mn`` matrix is read as an
 ``n x n`` grid of ``m x m`` blocks (outer index of dimension ``n``).

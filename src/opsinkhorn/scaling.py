@@ -16,7 +16,17 @@ entropy (``bkm``) and the Burg divergence (``burg``) over the same constraint
 sets; they are dually-flat e-projections with closed dual characterizations,
 each solved here by damped Newton with a closed-form Jacobian: the
 Daleckii-Krein form of the matrix exponential for BKM and the resolvent
-identity, written blockwise, for Burg.
+identity, written blockwise, for Burg.  Each projection is a straight move
+in that geometry's e-coordinate (the normalized log rho for BKM, rho^{-1}
+for Burg), so the alternation carries the coordinate and its spectrum from
+one projection to the next instead of re-deriving it from every iterate.
+
+Every driver validates at its boundary only: the input once at entry (a
+Choi matrix with unit trace; positive definite for ``bkm`` and ``burg``)
+and the final iterate once, as a :class:`ChoiMatrix`.  In between the loops
+run on plain arrays through the array-level steps ``_sld_step``,
+``_bkm_project`` and ``_burg_project``; the public single-step functions
+wrap those steps with their own checks.
 
 A run is summarized by a :class:`ScalingTrace` which records the iterates,
 the scaling factors, the per-sweep stopping-criterion residuals
@@ -31,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
@@ -357,6 +368,89 @@ def _bkm_jacobian(
     return (c.conj() * phi.reshape(-1)) @ c.T - np.outer(flat, flat.conj())
 
 
+class _Point(NamedTuple):
+    """A positive definite state with its e-coordinate ``coord`` = v diag(w)
+    v^dagger: the normalized log rho (tr exp(coord) = 1) for BKM, K = rho^{-1}
+    for Burg.  Each projection is a straight move in this coordinate,
+    coord +- lift(A), so the alternation carries it from one projection to
+    the next instead of taking log rho or rho^{-1} of every iterate."""
+
+    coord: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    state: np.ndarray
+
+
+def _bkm_point(coord: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[_Point, float]:
+    """The state exp(coord) / Z from the spectrum of ``coord``, and log Z.
+    The returned coordinate and spectrum are shifted by -log Z, so they are
+    the normalized log of the state."""
+    shift = w.max()
+    ew = np.exp(w - shift)
+    z = ew.sum()
+    log_z = float(np.log(z) + shift)
+    state = linalg.hermitian_part((v * (ew / z)) @ v.conj().T)
+    normalized = coord.copy()
+    normalized.flat[:: len(w) + 1] -= log_z
+    return _Point(normalized, w - log_z, v, state), log_z
+
+
+def _bkm_start(rho: np.ndarray) -> _Point:
+    """BKM point of a positive definite, trace-one ``rho``: one ``logm``
+    (which checks the domain) and one ``eigh`` of the logarithm."""
+    h = linalg.logm(rho)
+    return _bkm_point(h, *np.linalg.eigh(h))[0]
+
+
+def _bkm_project(
+    start: _Point, n: int, m: int, side: str, target: np.ndarray
+) -> tuple[_Point, np.ndarray]:
+    """BKM e-projection of ``start`` onto {tr_side rho = target} on plain
+    arrays (see :func:`bkm_e_projection`); returns the projected point, read
+    off the last accepted Newton evaluation, and the dual variable A."""
+    pol = get_policy()
+    d = m if side == "first" else n
+    gauge = np.outer(np.eye(d).reshape(-1), np.eye(d).reshape(-1)) / d
+
+    def evaluate(a: np.ndarray):
+        """Point at start.coord + lift(a), its dual value and its marginal."""
+        coord = _plus_lift(start.coord, a, n, m, side)
+        point, log_z = _bkm_point(coord, *np.linalg.eigh(coord))
+        value = log_z - float(np.trace(target @ a).real)
+        return point, value, linalg.partial_trace(point.state, n, m, side)
+
+    a = np.zeros((d, d), dtype=complex)
+    # at A = 0 the dual value is log tr exp(start.coord), zero up to rounding
+    point, value = start, float(np.logaddexp.reduce(start.w))
+    marginal = linalg.partial_trace(start.state, n, m, side)
+    g = linalg.hermitian_part(marginal - target)
+    for _ in range(pol.bkm_max_iters):
+        grad_norm = linalg.frobenius(g)
+        if grad_norm <= pol.bkm_gradient_tol:
+            break
+        hess = _bkm_jacobian(point.w, point.v, marginal, n, m, side) + gauge
+        step = linalg.hermitian_part(np.linalg.solve(hess, -g.reshape(-1)).reshape(d, d))
+        slope = np.vdot(g, step).real
+        t = 1.0
+        while t > 1e-14:
+            candidate = a + t * step
+            cand = evaluate(candidate)
+            g_cand = linalg.hermitian_part(cand[2] - target)
+            if cand[1] <= value + 1e-4 * t * slope or linalg.frobenius(g_cand) <= 0.5 * grad_norm:
+                a, g = candidate, g_cand
+                point, value, marginal = cand
+                break
+            t /= 2.0
+        else:
+            raise ConvergenceError(f"BKM Newton stalled at gradient norm {grad_norm:.3e}")
+    else:
+        raise ConvergenceError(
+            f"BKM dual solver exhausted {pol.bkm_max_iters} iterations "
+            f"(gradient norm {linalg.frobenius(g):.3e})"
+        )
+    return point, a
+
+
 def bkm_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[ChoiMatrix, np.ndarray]:
     """Umegaki relative entropy minimizer over a partial-trace constraint set.
 
@@ -377,53 +471,89 @@ def bkm_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Choi
     rounding while the gradient still shrinks.  The iteration stops when
     the gradient norm reaches the policy tolerance.  Returns the projected
     state and the dual variable.
+
+    This wrapper checks the source (positive definite, unit trace), takes
+    its logarithm and validates the result as a :class:`ChoiMatrix`; the
+    Newton iteration itself runs on plain arrays in :func:`_bkm_project`,
+    which :func:`alternating_projections` calls directly.
     """
-    pol = get_policy()
     n, m = choi0.n, choi0.m
-    log_rho0 = linalg.logm(as_density(choi0.matrix, "projection source"))
-    target = constraint.target
-    side = constraint.side
+    start = _bkm_start(as_density(choi0.matrix, "projection source"))
+    point, a = _bkm_project(start, n, m, constraint.side, constraint.target)
+    return ChoiMatrix(n=n, m=m, matrix=point.state), a
+
+
+def _burg_point(coord: np.ndarray, w: np.ndarray, v: np.ndarray) -> _Point:
+    """The state coord^{-1} from the spectrum of ``coord``."""
+    return _Point(coord, w, v, linalg.hermitian_part((v / w) @ v.conj().T))
+
+
+def _burg_start(rho: np.ndarray) -> _Point:
+    """Burg point of a positive definite ``rho``: one ``invm`` (which
+    checks the domain) and one ``eigh`` of the inverse."""
+    k = linalg.invm(rho)
+    return _burg_point(k, *np.linalg.eigh(k))
+
+
+def _burg_project(
+    start: _Point, n: int, m: int, side: str, target: np.ndarray
+) -> tuple[_Point, np.ndarray]:
+    """Burg e-projection of ``start`` onto {tr_side rho = target} on plain
+    arrays (see :func:`burg_e_projection`); returns the projected point, read
+    off the last accepted Newton evaluation, and the dual variable A."""
+    pol = get_policy()
     d = m if side == "first" else n
-    gauge = np.outer(np.eye(d).reshape(-1), np.eye(d).reshape(-1)) / d
+
+    def in_cone(w: np.ndarray) -> bool:
+        return bool(w[0] > pol.pd_rel_floor * max(abs(w[-1]), np.finfo(float).tiny))
 
     def evaluate(a: np.ndarray):
-        """Dual value, state, marginal and the spectrum of log rho0 + lift(a)."""
-        w, v = np.linalg.eigh(_plus_lift(log_rho0, a, n, m, side))
-        shift = w.max()
-        ew = np.exp(w - shift)
-        z = ew.sum()
-        state = linalg.hermitian_part((v * (ew / z)) @ v.conj().T)
-        value = float(np.log(z) + shift - np.trace(target @ a).real)
-        return value, state, linalg.partial_trace(state, n, m, side), w, v
+        """Point at start.coord - lift(a) and its residual, or None outside
+        the cone."""
+        coord = _plus_lift(start.coord, -a, n, m, side)
+        w, v = np.linalg.eigh(coord)
+        if not in_cone(w):
+            return None
+        point = _burg_point(coord, w, v)
+        return point, linalg.hermitian_part(linalg.partial_trace(point.state, n, m, side) - target)
 
+    if not in_cone(start.w):
+        raise SingularityError("Burg projection source is too ill-conditioned to invert")
     a = np.zeros((d, d), dtype=complex)
-    value, state, marginal, w, v = evaluate(a)
-    g = linalg.hermitian_part(marginal - target)
-    for _ in range(pol.bkm_max_iters):
-        grad_norm = linalg.frobenius(g)
-        if grad_norm <= pol.bkm_gradient_tol:
-            break
-        hess = _bkm_jacobian(w, v, marginal, n, m, side) + gauge
-        step = linalg.hermitian_part(np.linalg.solve(hess, -g.reshape(-1)).reshape(d, d))
-        slope = np.vdot(g, step).real
-        t = 1.0
-        while t > 1e-14:
-            candidate = a + t * step
-            point = evaluate(candidate)
-            g_cand = linalg.hermitian_part(point[2] - target)
-            if point[0] <= value + 1e-4 * t * slope or linalg.frobenius(g_cand) <= 0.5 * grad_norm:
-                a, g = candidate, g_cand
-                value, state, marginal, w, v = point
+    point = start
+    g = linalg.hermitian_part(linalg.partial_trace(start.state, n, m, side) - target)
+    polish = False
+    for _ in range(pol.burg_max_iters):
+        g_norm = linalg.frobenius(g)
+        if g_norm <= pol.burg_residual_tol:
+            if polish:
                 break
-            t /= 2.0
+            # one extra full step: Newton is quadratic near the solution, so
+            # this drives the residual (hence the iterate's trace defect) to
+            # rounding level
+            polish = True
+        jac = _burg_jacobian(point.state, n, m, side)
+        newton = linalg.hermitian_part(np.linalg.solve(jac, -g.reshape(-1)).reshape(d, d))
+        alpha = 1.0
+        while alpha > 1e-14:
+            candidate = a + alpha * newton
+            cand = evaluate(candidate)
+            if cand is not None and linalg.frobenius(cand[1]) < g_norm:
+                a, (point, g) = candidate, cand
+                break
+            alpha /= 2.0
         else:
-            raise ConvergenceError(f"BKM Newton stalled at gradient norm {grad_norm:.3e}")
+            if polish:
+                break  # already below tolerance, at the rounding floor
+            raise ConvergenceError(
+                f"Burg Newton stalled at residual norm {g_norm:.3e}"
+            )
     else:
         raise ConvergenceError(
-            f"BKM dual solver exhausted {pol.bkm_max_iters} iterations "
-            f"(gradient norm {linalg.frobenius(g):.3e})"
+            f"Burg Newton exhausted {pol.burg_max_iters} iterations "
+            f"(residual norm {linalg.frobenius(g):.3e})"
         )
-    return ChoiMatrix(n=n, m=m, matrix=state), a
+    return point, a
 
 
 def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[ChoiMatrix, np.ndarray]:
@@ -439,59 +569,16 @@ def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Cho
     positive definite (relative to its largest eigenvalue, by the policy
     floor) and the residual norm decreases; one eigendecomposition gives
     both that test and the resolvent.  Returns the projected state and A.
+
+    This wrapper checks the source (positive definite, unit trace), inverts
+    it and validates the result as a :class:`ChoiMatrix`; the Newton
+    iteration itself runs on plain arrays in :func:`_burg_project`, which
+    :func:`alternating_projections` calls directly.
     """
-    pol = get_policy()
     n, m = choi0.n, choi0.m
-    rho0_inv = linalg.invm(as_density(choi0.matrix, "projection source"))
-    target = constraint.target
-    side = constraint.side
-    d = m if side == "first" else n
-
-    def evaluate(a: np.ndarray):
-        """Resolvent and residual at ``a``, or None outside the cone."""
-        w, v = np.linalg.eigh(_plus_lift(rho0_inv, -a, n, m, side))
-        if not w[0] > pol.pd_rel_floor * max(abs(w[-1]), np.finfo(float).tiny):
-            return None
-        r = linalg.hermitian_part((v / w) @ v.conj().T)
-        return r, linalg.hermitian_part(linalg.partial_trace(r, n, m, side) - target)
-
-    a = np.zeros((d, d), dtype=complex)
-    state = evaluate(a)
-    if state is None:
-        raise SingularityError("Burg projection source is too ill-conditioned to invert")
-    r, g = state
-    polish = False
-    for _ in range(pol.burg_max_iters):
-        g_norm = linalg.frobenius(g)
-        if g_norm <= pol.burg_residual_tol:
-            if polish:
-                break
-            # one extra full step: Newton is quadratic near the solution, so
-            # this drives the residual (hence the iterate's trace defect) to
-            # rounding level
-            polish = True
-        jac = _burg_jacobian(r, n, m, side)
-        newton = linalg.hermitian_part(np.linalg.solve(jac, -g.reshape(-1)).reshape(d, d))
-        alpha = 1.0
-        while alpha > 1e-14:
-            candidate = a + alpha * newton
-            state = evaluate(candidate)
-            if state is not None and linalg.frobenius(state[1]) < g_norm:
-                a, (r, g) = candidate, state
-                break
-            alpha /= 2.0
-        else:
-            if polish:
-                break  # already below tolerance, at the rounding floor
-            raise ConvergenceError(
-                f"Burg Newton stalled at residual norm {g_norm:.3e}"
-            )
-    else:
-        raise ConvergenceError(
-            f"Burg Newton exhausted {pol.burg_max_iters} iterations "
-            f"(residual norm {linalg.frobenius(g):.3e})"
-        )
-    return ChoiMatrix(n=n, m=m, matrix=r), a
+    start = _burg_start(as_density(choi0.matrix, "projection source"))
+    point, a = _burg_project(start, n, m, constraint.side, constraint.target)
+    return ChoiMatrix(n=n, m=m, matrix=point.state), a
 
 
 def alternating_projections(
@@ -502,12 +589,23 @@ def alternating_projections(
     ``method`` selects the geometry: ``sld`` dispatches to the operator
     Sinkhorn iteration; ``bkm`` and ``burg`` alternate the corresponding
     divergence minimizers, left constraint first.
+
+    For ``bkm`` and ``burg`` the input is checked once at entry (unit
+    trace, positive definite) and taken to its e-coordinate once: log rho
+    or rho^{-1}.  The loop then carries that coordinate with its spectrum
+    from one projection to the next on plain arrays, since each projection
+    moves it by lift(A) and its last Newton evaluation already holds the
+    projected point's spectrum.  Only the final iterate is validated as a
+    :class:`ChoiMatrix`.
     """
     if method == "sld":
         return operator_sinkhorn(choi0, cfg)
     if method not in METHODS:
         raise UnsupportedError(f"unknown method {method!r}; expected one of {METHODS}")
-    project = bkm_e_projection if method == "bkm" else burg_e_projection
+    if method == "bkm":
+        start, project = _bkm_start, _bkm_project
+    else:
+        start, project = _burg_start, _burg_project
     # both divergences need log rho and rho^{-1}, so a rank-deficient input
     # is out of their domain
     linalg.assert_positive_definite(choi0.matrix, "initial Choi matrix")
@@ -515,20 +613,21 @@ def alternating_projections(
     if trace.residuals[0] < cfg.tol:
         trace.converged = True
         return trace
-    first = ConstraintSet("first", p)
-    second = ConstraintSet("second", q)
-    choi = choi0
+    n, m = choi0.n, choi0.m
+    point = start(choi0.matrix)
     while trace.residuals[-1] >= cfg.tol and trace.sweeps < cfg.max_iters:
-        choi, dual = project(choi, first)
-        trace.factors.append(("first", dual))
-        trace.iterates.append(choi.matrix)
-        choi, dual = project(choi, second)
-        trace.factors.append(("second", dual))
-        trace.iterates.append(choi.matrix)
+        for side, target in (("first", p), ("second", q)):
+            point, dual = project(point, n, m, side, target)
+            trace.factors.append((side, dual))
+            trace.iterates.append(point.state)
         trace.sweeps += 1
-        trace.residuals.append(choi_residual(choi, p, q))
+        trace.residuals.append(_residual(point.state, n, m, p, q))
     trace.converged = trace.residuals[-1] < cfg.tol
-    trace._final = choi
+    if trace.sweeps:  # else the final iterate is the validated input
+        trace._final = ChoiMatrix(n=n, m=m, matrix=point.state)
+        # the states are exactly Hermitian, so the validated copy has the
+        # same entries; keep one array, not two
+        trace.iterates[-1] = trace._final.matrix
     return trace
 
 

@@ -549,6 +549,94 @@ class TestDualSolversAgainstOracles:
         assert np.abs(trace.final.matrix - mat).max() <= rtol * np.abs(mat).max()
 
 
+def reference_dual_alternation(method: str, choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> dict:
+    """BKM or Burg alternation written out from the public, validating
+    projections: every projection takes log rho or rho^{-1} of its source
+    afresh, and every iterate is a ChoiMatrix."""
+    project = scaling.bkm_e_projection if method == "bkm" else scaling.burg_e_projection
+    p, q = cfg.targets(choi.n, choi.m)
+    run = {"iterates": [choi.matrix], "factors": [], "sweeps": 0,
+           "residuals": [scaling.choi_residual(choi, p, q)]}
+    while run["residuals"][-1] >= cfg.tol and run["sweeps"] < cfg.max_iters:
+        for side, target in (("first", p), ("second", q)):
+            choi, dual = project(choi, ConstraintSet(side, target))
+            run["iterates"].append(choi.matrix)
+            run["factors"].append((side, dual))
+        run["sweeps"] += 1
+        run["residuals"].append(scaling.choi_residual(choi, p, q))
+    return run
+
+
+class TestDualLoopAgainstReference:
+    """The alternation that carries the e-coordinate against the public
+    projections.  The reference re-takes log rho (rho^{-1}) of every iterate,
+    which costs it about cond(rho) * eps; the iterates here stay below
+    condition 2e9, so 1e-10 bounds both the reference's round trip and the
+    differences in rounding."""
+
+    @pytest.mark.parametrize("n, m", JACOBIAN_CASES)
+    @pytest.mark.parametrize("general", [False, True])
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    def test_matches_public_projection_loop(self, n, m, general, method):
+        rng = np.random.default_rng(100 + 10 * n + m + general)
+        choi = channels.random_choi(n, m, rng)
+        p = channels.random_density(m, rng) if general else None
+        q = channels.random_density(n, rng) if general else None
+        cfg = scaling.ScalingConfig(target_p=p, target_q=q)
+        trace = scaling.alternating_projections(method, choi, cfg)
+        ref = reference_dual_alternation(method, choi, cfg)
+        assert trace.converged
+        assert trace.sweeps == ref["sweeps"] > 0
+        assert len(trace.iterates) == len(ref["iterates"])
+        for got, want in zip(trace.iterates, ref["iterates"]):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            ChoiMatrix(n=n, m=m, matrix=got)
+        # a dual shrinks as the alternation converges, so the duals are
+        # compared on the scale of the run's largest one
+        scale = max(np.abs(want).max() for _, want in ref["factors"])
+        for (side, got), (ref_side, want) in zip(trace.factors, ref["factors"]):
+            assert side == ref_side
+            assert np.abs(got - want).max() <= 1e-10 * scale
+        np.testing.assert_allclose(trace.residuals, ref["residuals"], rtol=1e-8, atol=1e-20)
+
+    def test_ill_conditioned_bkm_alternation_converges(self):
+        # the exact BKM projection onto tr_first = P has three eigenvalues far
+        # below rounding, so the computed state has tiny negative ones; taking
+        # log rho of it again, as the per-iterate path did, raised
+        # SingularityError on the second projection
+        rng = np.random.default_rng(744)
+        choi = channels.random_choi(4, 4, rng)
+        p = channels.random_density(4, rng)
+        q = channels.random_density(4, rng)
+        cfg = scaling.ScalingConfig(target_p=p, target_q=q)
+        with pytest.raises(SingularityError):
+            reference_dual_alternation("bkm", choi, cfg)
+        trace = scaling.alternating_projections("bkm", choi, cfg)
+        assert trace.converged
+        final = ChoiMatrix(n=4, m=4, matrix=trace.iterates[-1])
+        assert np.linalg.norm(final.trace_first() - p) ** 2 < cfg.tol
+        assert np.linalg.norm(final.trace_second() - q) ** 2 < cfg.tol
+        assert np.array_equal(trace.final.matrix, final.matrix)
+
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    @pytest.mark.parametrize("sweeps", [1, 4, 12])
+    def test_solve_checks_only_entry_and_final(self, method, sweeps, monkeypatch):
+        # one eigvalsh for the entry check, one for the final validation,
+        # however many sweeps run
+        choi = channels.random_choi(3, 3, np.random.default_rng(36))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs)
+        )
+        trace = scaling.alternating_projections(
+            method, choi, scaling.ScalingConfig(max_iters=sweeps, tol=0.0)
+        )
+        assert trace.final.matrix is trace.iterates[-1]
+        assert trace.sweeps == sweeps
+        assert len(calls) <= 2
+
+
 class TestAlternatingProjections:
     @pytest.mark.parametrize("method", scaling.METHODS)
     def test_feasible_start_is_immediate_fixed_point(self, method):

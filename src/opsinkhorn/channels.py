@@ -83,7 +83,12 @@ class ChoiMatrix:
     """Choi matrix with its block dimensions (n outer blocks of size m).
 
     The matrix is validated to be Hermitian and positive semidefinite at
-    construction and stored exactly Hermitian.
+    construction and stored exactly Hermitian.  PSD means lambda_min >=
+    -psd_rtol * |lambda|_max.  A Cholesky factorization of M + s I with
+    s = psd_rtol/2 * ||M||_F / sqrt(dim) <= psd_rtol/2 * |lambda|_max accepts
+    PSD inputs, rank-deficient ones included; the other half of psd_rtol
+    covers its rounding.  Only when it fails are the eigenvalues computed,
+    and they decide, so every decision and message is the eigenvalue rule's.
     """
 
     n: int
@@ -98,9 +103,18 @@ class ChoiMatrix:
             raise InvalidInputError(
                 f"Choi matrix of shape {mat.shape} inconsistent with n={self.n}, m={self.m}"
             )
-        w = np.linalg.eigvalsh(mat)
-        if w[0] < -get_policy().psd_rtol * max(abs(w[-1]), np.finfo(float).tiny):
-            raise InvalidInputError(f"Choi matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
+        rtol = get_policy().psd_rtol
+        dim = len(mat)
+        shifted = mat.copy()
+        shifted.flat[:: dim + 1] += 0.5 * rtol * np.sqrt(np.vdot(mat, mat).real / dim)
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            w = np.linalg.eigvalsh(mat)
+            if w[0] < -rtol * max(abs(w[-1]), np.finfo(float).tiny):
+                raise InvalidInputError(
+                    f"Choi matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})"
+                ) from None
         object.__setattr__(self, "matrix", mat)
 
     @property

@@ -1,18 +1,22 @@
 """Dense complex Hermitian linear algebra.
 
-Everything is built on a single primitive, the Hermitian eigendecomposition:
-matrix functions, the Lyapunov solver and geometric means all go through
-``herm_eig``.  They act on the small ``m x m`` and ``n x n`` marginals and
-factors and validate their arguments on every call.  The ``mn x mn``
-iterates of the Sinkhorn loop meet only ``partial_trace`` and
-``hermitian_part`` here: the congruence is ``channels.congruence``, applied
-blockwise on the (n, m, n, m) view without checks, and the loop validates
-its input once at entry and its final iterate once before returning.  The
-BKM and Burg alternations likewise check their input once
-(``assert_positive_definite``) and take one ``logm`` or ``invm`` of it at
-entry; from there they carry that e-coordinate and its ``numpy.linalg.eigh``
-spectrum through the projections, so no matrix function of an iterate is
-taken in the loop.
+Matrix functions and the Lyapunov solver are built on one primitive, the
+Hermitian eigendecomposition ``herm_eig``.  Geometric means share one core,
+``_mean_from_spectrum``, which takes A # B from the spectrum of A and one
+more ``numpy.linalg.eigh``: ``geometric_mean`` feeds it ``eigh(A)``, also
+A's positive definiteness check, and ``inverse_mean`` (the SLD factor
+M^{-1} # T) the reciprocal spectrum of ``eigh(M)``.  These functions act on the
+small ``m x m`` and ``n x n`` marginals and factors and validate their
+arguments on every call, except that ``inverse_mean`` leaves the target to
+its caller.  The ``mn x mn`` iterates of the Sinkhorn loop meet only
+``partial_trace`` and ``hermitian_part`` here: the congruence is
+``channels.congruence``, applied blockwise on the (n, m, n, m) view without
+checks, and the loop validates its input once at entry and its final iterate
+once before returning.  The BKM and Burg alternations likewise check their
+input once (``assert_positive_definite``) and take one ``logm`` or ``invm``
+of it at entry; from there they carry that e-coordinate and its
+``numpy.linalg.eigh`` spectrum through the projections, so no matrix
+function of an iterate is taken in the loop.
 
 Conventions for partitioned matrices: an ``mn x mn`` matrix is read as an
 ``n x n`` grid of ``m x m`` blocks (outer index of dimension ``n``).
@@ -45,6 +49,7 @@ __all__ = [
     "assert_positive_definite",
     "solve_lyapunov",
     "geometric_mean",
+    "inverse_mean",
     "kron",
     "partial_trace",
     "hermitian_basis",
@@ -179,6 +184,13 @@ def invm(a: np.ndarray) -> np.ndarray:
     return matrix_function(a, "inverse")
 
 
+def _check_positive_definite(w: np.ndarray, what: str) -> None:
+    """Raise ``SingularityError`` unless the ascending spectrum ``w`` is
+    positive definite under the policy floor: min eig > floor * max eig."""
+    if not w[0] > get_policy().pd_rel_floor * max(w[-1], np.finfo(float).tiny):
+        raise SingularityError(f"{what} is not positive definite (min eigenvalue {w[0]:.3e})")
+
+
 def is_positive_definite(a: np.ndarray) -> bool:
     """Positive definite under the policy floor: min eig > floor * max eig."""
     w = np.linalg.eigvalsh(as_hermitian(a))
@@ -192,9 +204,7 @@ def assert_positive_definite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     silently floored, so that reference comparisons stay meaningful.
     """
     a = as_hermitian(a, what=what)
-    w = np.linalg.eigvalsh(a)
-    if w[0] <= get_policy().pd_rel_floor * max(w[-1], np.finfo(float).tiny):
-        raise SingularityError(f"{what} is not positive definite (min eigenvalue {w[0]:.3e})")
+    _check_positive_definite(np.linalg.eigvalsh(a), what)
     return a
 
 
@@ -214,22 +224,57 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return hermitian_part(v @ xt @ v.conj().T)
 
 
+def _mean_from_spectrum(w: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A # B for A = v diag(w) v^dagger with w > 0 and B positive definite,
+    worked in the eigenbasis of A: with X = w^{-1/2} (v^dagger B v) w^{-1/2},
+    which is A^{-1/2} B A^{-1/2} in that basis,
+
+        A # B = v w^{1/2} X^{1/2} w^{1/2} v^dagger.
+
+    One ``eigh``, of X, and no checks: the callers validate A and B."""
+    half = np.sqrt(w)
+    scale = np.outer(half, half)
+    # X is Hermitian in exact arithmetic; symmetrize so rounding from
+    # ill-conditioned inputs cannot tilt its spectrum
+    s, u = np.linalg.eigh(hermitian_part((v.conj().T @ b @ v) / scale))
+    root = (u * np.sqrt(np.clip(s, 0.0, None))) @ u.conj().T
+    return hermitian_part(v @ (root * scale) @ v.conj().T)
+
+
 def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix geometric mean A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2}.
 
     The result is the unique positive definite solution X of the Riccati
-    equation X A^{-1} X = B, and is symmetric in its arguments.
+    equation X A^{-1} X = B, and is symmetric in its arguments.  Both
+    arguments are checked Hermitian and positive definite; the check of A
+    is its ``eigh``, whose spectrum the mean then uses, so a call costs two
+    ``eigh`` (A and the middle factor) and one ``eigvalsh`` (B).
     """
-    a = assert_positive_definite(a, "geometric mean left argument")
+    what = "geometric mean left argument"
+    a = as_hermitian(a, what=what)
+    w, v = np.linalg.eigh(a)
+    _check_positive_definite(w, what)
     b = assert_positive_definite(b, "geometric mean right argument")
     if a.shape != b.shape:
         raise InvalidInputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    r = powm(a, 0.5)
-    ri = powm(a, -0.5)
-    # the conjugated middle factor is Hermitian in exact arithmetic; symmetrize
-    # so rounding from ill-conditioned inputs cannot trip the constructor
-    middle = hermitian_part(ri @ b @ ri)
-    return hermitian_part(r @ powm(middle, 0.5) @ r)
+    return _mean_from_spectrum(w, v, b)
+
+
+def inverse_mean(a: np.ndarray, b: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, float]:
+    """A^{-1} # B for Hermitian A and positive definite B, with log det A.
+
+    This is the SLD step's factor: the unique positive definite F with
+    F A F = B.  One ``eigh`` of A is both its positive definiteness check
+    (``SingularityError`` naming ``what``) and, through the reciprocal
+    eigenvalues, the spectrum of A^{-1}; one more ``eigh`` takes the middle
+    factor's square root.  log det A = sum log w comes from the same
+    spectrum, so log det F = (log det B - log det A) / 2 needs no further
+    decomposition.  A must be exactly Hermitian (``eigh`` reads its lower
+    triangle) and B is not checked: the caller validates both.
+    """
+    w, v = np.linalg.eigh(a)
+    _check_positive_definite(w, what)
+    return _mean_from_spectrum(1.0 / w, v, b), float(np.sum(np.log(w)))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

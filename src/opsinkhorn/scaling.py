@@ -221,20 +221,21 @@ def choi_residual(choi: ChoiMatrix, p: np.ndarray, q: np.ndarray) -> float:
 
 def _sld_step(
     mat: np.ndarray, n: int, m: int, side: str, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """One SLD e-projection on a plain Hermitian PSD array; returns the new
-    iterate and the factor.  The marginal must be positive definite, and
-    ``geometric_mean`` checks both of its arguments; the congruence by the
+    iterate, the factor F = marginal^{-1} # target and log det of the
+    marginal.  ``linalg.inverse_mean`` checks that the marginal is positive
+    definite from its ``eigh``, which also gives the factor with one more
+    ``eigh``; the target is validated by the caller.  The congruence by the
     positive definite factor keeps the iterate PSD."""
     if side not in ("first", "second"):
         raise InvalidInputError(f"side must be 'first' or 'second', got {side!r}")
-    marginal = linalg.assert_positive_definite(
-        linalg.partial_trace(mat, n, m, side), f"{side} marginal"
+    factor, marginal_logdet = linalg.inverse_mean(
+        linalg.partial_trace(mat, n, m, side), target, f"{side} marginal"
     )
-    factor = linalg.geometric_mean(linalg.invm(marginal), target)
     if side == "first":
-        return congruence(mat, n, m, left=factor), factor
-    return congruence(mat, n, m, right=factor), factor
+        return congruence(mat, n, m, left=factor), factor, marginal_logdet
+    return congruence(mat, n, m, right=factor), factor, marginal_logdet
 
 
 def operator_sinkhorn_step(
@@ -248,12 +249,8 @@ def operator_sinkhorn_step(
     rounding), by the Riccati property of the geometric mean.
     """
     target = as_density(target, "step target")
-    mat, factor = _sld_step(choi.matrix, choi.n, choi.m, side, target)
+    mat, factor, _ = _sld_step(choi.matrix, choi.n, choi.m, side, target)
     return ChoiMatrix(n=choi.n, m=choi.m, matrix=mat), factor
-
-
-def _logdet(a: np.ndarray) -> float:
-    return float(np.sum(np.log(np.linalg.eigvalsh(a))))
 
 
 def _new_trace(method: str, choi0: ChoiMatrix, cfg: ScalingConfig) -> tuple[ScalingTrace, np.ndarray, np.ndarray]:
@@ -279,8 +276,10 @@ def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -
 
     The input needs unit trace and positive definite marginals, but may be
     rank-deficient.  The loop runs on plain arrays: each step checks its
-    marginal and factor (both small), and only the final iterate is
-    validated as a :class:`ChoiMatrix`.
+    marginal from the ``eigh`` that also gives the factor (two small
+    ``eigh`` per step, no ``eigvalsh``), the capacity bookkeeping reuses
+    that spectrum, and only the final iterate is validated as a
+    :class:`ChoiMatrix`.
     """
     trace, p, q = _new_trace("sld", choi0, cfg)
     n, m = choi0.n, choi0.m
@@ -288,17 +287,20 @@ def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -
     if trace.residuals[0] < cfg.tol:
         trace.converged = True
         return trace
-    sweep = (("first", p), ("second", q))
-    steps = () if doubly_stochastic(p, q) else (("second", q),)
+    # F marginal F = target, so log det F = (log det target - log det
+    # marginal) / 2, read off the step's own spectrum of the marginal
+    sweep = (("first", p, np.linalg.slogdet(p)[1]), ("second", q, np.linalg.slogdet(q)[1]))
+    steps = () if doubly_stochastic(p, q) else sweep[1:]
     trace.preprocessed = bool(steps)
     while True:
-        for side, target in steps:
-            mat, factor = _sld_step(mat, n, m, side, target)
+        for side, target, target_logdet in steps:
+            mat, factor, marginal_logdet = _sld_step(mat, n, m, side, target)
             trace.factors.append((side, factor))
             trace.iterates.append(mat)
             if n == m:
-                # the congruence multiplies the encoded map by factor twice
-                trace.capacity_log += 2.0 * _logdet(factor) / n
+                # the congruence multiplies the encoded map by factor twice,
+                # so its capacity by det(factor)^{2/n}
+                trace.capacity_log += float(target_logdet - marginal_logdet) / n
         if steps is sweep:
             trace.sweeps += 1
             trace.residuals.append(_residual(mat, n, m, p, q))
@@ -541,10 +543,12 @@ def _burg_project(
             if cand is not None and linalg.frobenius(cand[1]) < g_norm:
                 a, (point, g) = candidate, cand
                 break
+            if polish:
+                # the residual is already below tolerance: a rejected full
+                # step ends the polish instead of a search over shorter ones
+                break
             alpha /= 2.0
         else:
-            if polish:
-                break  # already below tolerance, at the rounding floor
             raise ConvergenceError(
                 f"Burg Newton stalled at residual norm {g_norm:.3e}"
             )
@@ -568,7 +572,10 @@ def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Cho
     taken as the step.  Steps are halved until the resolvent argument stays
     positive definite (relative to its largest eigenvalue, by the policy
     floor) and the residual norm decreases; one eigendecomposition gives
-    both that test and the resolvent.  Returns the projected state and A.
+    both that test and the resolvent.  Once the residual norm is below the
+    policy tolerance, one more full step polishes it to rounding level; if
+    that step does not lower it, the point is kept as it is.  Returns the
+    projected state and A.
 
     This wrapper checks the source (positive definite, unit trace), inverts
     it and validates the result as a :class:`ChoiMatrix`; the Newton

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: the Lyapunov
 oracles use quadrature and a vectorized linear solve, the KL minimizers use
 a null-space Newton method on explicit affine parameterizations, and
-derivative checks use central finite differences.  The dual-solver oracles
+derivative checks use central finite differences.  The geometric mean
+reference takes the textbook formula with three separate spectral powers.  The dual-solver oracles
 build the Burg Newton Jacobian one Hermitian basis matrix at a time from
 dense Kronecker lifts, and solve the BKM dual by Barzilai-Borwein gradient
 steps, so neither shares the closed-form Jacobians in ``scaling``.
@@ -19,6 +20,17 @@ from opsinkhorn import linalg
 
 def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
+
+
+def geometric_mean_ref(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2}, each power taken
+    by its own eigendecomposition, after checking both arguments."""
+    a = linalg.assert_positive_definite(a, "geometric mean left argument")
+    b = linalg.assert_positive_definite(b, "geometric mean right argument")
+    r = linalg.powm(a, 0.5)
+    ri = linalg.powm(a, -0.5)
+    middle = linalg.hermitian_part(ri @ b @ ri)
+    return linalg.hermitian_part(r @ linalg.powm(middle, 0.5) @ r)
 
 
 def lyapunov_vectorized(a: np.ndarray, q: np.ndarray) -> np.ndarray:

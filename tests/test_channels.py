@@ -4,6 +4,7 @@ import pytest
 from opsinkhorn import channels, linalg
 from opsinkhorn.channels import ChoiMatrix, KrausMap
 from opsinkhorn.errors import InvalidInputError
+from opsinkhorn.policy import get_policy
 
 
 def random_kraus(n, m, k, rng):
@@ -285,3 +286,68 @@ class TestChoiMatrixValidation:
     def test_as_density_trace_check(self):
         with pytest.raises(InvalidInputError):
             channels.as_density(np.eye(2))
+
+
+def eigenvalue_rule(mat: np.ndarray) -> str | None:
+    """The PSD rule decided from the full spectrum: the error message for a
+    rejected matrix, None for an accepted one."""
+    w = np.linalg.eigvalsh(linalg.hermitian_part(np.asarray(mat, dtype=complex)))
+    if w[0] < -get_policy().psd_rtol * max(abs(w[-1]), np.finfo(float).tiny):
+        return f"Choi matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})"
+    return None
+
+
+def with_spectrum(w: np.ndarray, rng) -> np.ndarray:
+    d = len(w)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return linalg.hermitian_part((q * w) @ q.conj().T)
+
+
+class TestCholeskyPsdCheck:
+    """ChoiMatrix decides PSD by a shifted Cholesky and falls back to the
+    eigenvalue rule on failure; decisions and messages must be the rule's."""
+
+    @staticmethod
+    def assert_same_as_rule(mat, n, m):
+        message = eigenvalue_rule(mat)
+        if message is None:
+            ChoiMatrix(n=n, m=m, matrix=mat)
+        else:
+            with pytest.raises(InvalidInputError) as err:
+                ChoiMatrix(n=n, m=m, matrix=mat)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (6, 6), (16, 16)])
+    @pytest.mark.parametrize("c", [-0.4, -0.9, -1.1, -2.0])
+    @pytest.mark.parametrize("bulk", ["flat", "spread"])
+    def test_boundary_decisions_match_eigenvalue_rule(self, n, m, c, bulk):
+        # lambda_min = c * psd_rtol * lambda_max; a flat bulk makes
+        # ||M||_F / sqrt(d) close to lambda_max, so the Cholesky accepts the
+        # c = -0.4 case itself, and a spread bulk sends every case to the
+        # eigenvalue fallback
+        d = n * m
+        rng = np.random.default_rng(d + int(10 * -c) + 100 * (bulk == "flat"))
+        w = rng.uniform(0.9, 1.0, d) if bulk == "flat" else np.geomspace(1e-3, 1.0, d)
+        w[-1] = 1.0
+        w[0] = c * get_policy().psd_rtol
+        mat = with_spectrum(w, rng)
+        assert (eigenvalue_rule(mat) is None) == (c > -1.0)
+        self.assert_same_as_rule(mat, n, m)
+
+    @pytest.mark.parametrize("n, m, k", [(2, 2, 1), (3, 4, 2), (16, 16, 3)])
+    def test_rank_deficient_kraus_choi(self, n, m, k):
+        mat = channels.choi_from_kraus(random_kraus(n, m, k, np.random.default_rng(n + k))).matrix
+        assert np.linalg.matrix_rank(mat) == k
+        self.assert_same_as_rule(mat, n, m)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (16, 16)])
+    def test_zero_matrix(self, n, m):
+        self.assert_same_as_rule(np.zeros((n * m, n * m)), n, m)
+
+    @pytest.mark.parametrize("rank", [3, 256])
+    def test_psd_input_makes_no_eigvalsh_call(self, rank, eig_calls):
+        rng = np.random.default_rng(rank)
+        g = rng.standard_normal((256, rank)) + 1j * rng.standard_normal((256, rank))
+        mat = g @ g.conj().T
+        ChoiMatrix(n=16, m=16, matrix=mat / np.trace(mat).real)
+        assert eig_calls == []

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsinkhorn import linalg
+from opsinkhorn import channels, linalg
 from opsinkhorn.errors import DomainError, InvalidInputError, SingularityError
 
 import oracles
@@ -160,6 +160,84 @@ class TestGeometricMean:
     def test_rejects_indefinite(self):
         with pytest.raises(SingularityError):
             linalg.geometric_mean(np.diag([1.0, -1.0]), np.eye(2))
+
+
+def conditioned_marginal(d, cond, rng):
+    """Trace-one positive definite d x d matrix with condition number
+    ``cond``: a geometric spectrum in a random unitary basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    w = np.geomspace(1.0, 1.0 / cond, d)
+    return linalg.hermitian_part((q * (w / w.sum())) @ q.conj().T)
+
+
+def mean_rtol(cond):
+    """Agreement bound for means of a condition-``cond`` marginal.  The
+    marginal determines its smallest eigenvalue only to eps * ||M||, so any
+    two stable computations of M^{-1} # T (this one, the reference, or a
+    40-digit evaluation) differ by up to a few eps * cond relative; 1e-12
+    holds to condition 100."""
+    return 1e-12 * max(1.0, cond / 100.0)
+
+
+class TestInverseMean:
+    """The SLD factor M^{-1} # T from eigh(M) and eigh of the middle factor,
+    against the three-power reference formula applied to invm(M)."""
+
+    CONDS = [1.0, 1e2, 1e4, 1e6, 1e8]
+
+    @staticmethod
+    def target(d, kind, rng):
+        return np.eye(d) / d if kind == "uniform" else channels.random_density(d, rng)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("cond", CONDS)
+    @pytest.mark.parametrize("kind", ["uniform", "density"])
+    def test_matches_reference_formula(self, d, cond, kind):
+        rng = np.random.default_rng(int(100 * d + np.log10(cond) + 10 * (kind == "density")))
+        for _ in range(3):
+            m = conditioned_marginal(d, cond, rng)
+            t = self.target(d, kind, rng)
+            got, logdet = linalg.inverse_mean(m, t)
+            want = oracles.geometric_mean_ref(linalg.invm(m), t)
+            assert np.abs(got - want).max() <= mean_rtol(cond) * np.abs(want).max()
+            assert abs(logdet - np.linalg.slogdet(m)[1]) <= mean_rtol(cond)
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    @pytest.mark.parametrize("cond", CONDS)
+    def test_riccati_identity(self, d, cond):
+        rng = np.random.default_rng(int(200 * d + np.log10(cond)))
+        m = conditioned_marginal(d, cond, rng)
+        t = channels.random_density(d, rng)
+        f, _ = linalg.inverse_mean(m, t)
+        assert np.abs(f - f.conj().T).max() == 0.0
+        assert np.linalg.eigvalsh(f)[0] > 0.0
+        assert np.abs(f @ m @ f - t).max() <= mean_rtol(cond) * np.abs(t).max()
+
+    def test_geometric_mean_uses_same_core(self):
+        rng = np.random.default_rng(8)
+        for d in (2, 5, 9):
+            a, b = random_pd(d, rng), random_pd(d, rng)
+            want = oracles.geometric_mean_ref(a, b)
+            got = linalg.geometric_mean(a, b)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            inv, _ = linalg.inverse_mean(linalg.invm(a), b)
+            assert np.abs(inv - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("w", [[1.0, -1.0], [1.0, 0.0], [1.0, 1e-14]])
+    def test_rejects_indefinite_with_assert_message(self, w):
+        m = np.diag(w).astype(complex)
+        with pytest.raises(SingularityError) as want:
+            linalg.assert_positive_definite(m, "first marginal")
+        with pytest.raises(SingularityError) as got:
+            linalg.inverse_mean(m, np.eye(2) / 2, "first marginal")
+        assert str(got.value) == str(want.value)
+
+    def test_geometric_mean_calls(self, eig_calls):
+        rng = np.random.default_rng(9)
+        a, b = random_pd(3, rng), random_pd(3, rng)
+        eig_calls.clear()
+        linalg.geometric_mean(a, b)
+        assert sorted(name for name, _ in eig_calls) == ["eigh", "eigh", "eigvalsh"]
 
 
 class TestKronAndPartialTrace:

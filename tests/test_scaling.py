@@ -256,6 +256,54 @@ class TestLeanLoopAgainstReference:
         np.testing.assert_allclose(trace.residuals, ref["residuals"], rtol=1e-9, atol=1e-20)
 
 
+class TestFusedSldStep:
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_step_makes_two_small_eigh(self, side, eig_calls):
+        rng = np.random.default_rng(52)
+        choi = channels.random_choi(3, 4, rng)
+        target = channels.random_density(4 if side == "first" else 3, rng)
+        eig_calls.clear()
+        scaling._sld_step(choi.matrix, 3, 4, side, target)
+        d = len(target)
+        assert eig_calls == [("eigh", (d, d)), ("eigh", (d, d))]
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_solve_makes_no_big_eigvalsh(self, general, eig_calls):
+        rng = np.random.default_rng(53 + general)
+        choi = channels.random_choi(3, 4, rng)
+        p = channels.random_density(4, rng) if general else None
+        q = channels.random_density(3, rng) if general else None
+        eig_calls.clear()
+        trace = scaling.operator_sinkhorn(choi, scaling.ScalingConfig(target_p=p, target_q=q))
+        assert trace.converged and trace.final.matrix is trace.iterates[-1]
+        assert all(shape[0] <= 4 for _, shape in eig_calls)
+        # the targets are checked once each at entry; the steps add none
+        assert sum(name == "eigvalsh" for name, _ in eig_calls) == (2 if general else 0)
+        steps = len(trace.factors)
+        assert sum(name == "eigh" for name, _ in eig_calls) == 2 * steps
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("general", [False, True])
+    def test_capacity_log_from_factor_products(self, n, general):
+        # log det of every factor is (log det target - log det marginal) / 2
+        # from the step's spectrum; the products of the recorded factors
+        # give it independently
+        rng = np.random.default_rng(60 + n + 10 * general)
+        choi = channels.random_choi(n, n, rng)
+        p = channels.random_density(n, rng) if general else None
+        q = channels.random_density(n, rng) if general else None
+        trace = scaling.operator_sinkhorn(choi, scaling.ScalingConfig(target_p=p, target_q=q))
+        assert trace.converged
+        products = {"first": np.eye(n), "second": np.eye(n)}
+        for side, factor in trace.factors:
+            products[side] = products[side] @ factor
+        sign_l, logdet_l = np.linalg.slogdet(products["first"])
+        sign_r, logdet_r = np.linalg.slogdet(products["second"])
+        assert sign_l.real > 0 and sign_r.real > 0
+        want = 2.0 * (logdet_l + logdet_r) / n
+        assert trace.capacity_log == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def rank_two_choi() -> ChoiMatrix:
     """Trace-one Choi matrix of a 2 x 2 map with two Gaussian Kraus
     operators: rank 2 of 4, with positive definite marginals."""
@@ -635,6 +683,60 @@ class TestDualLoopAgainstReference:
         assert trace.final.matrix is trace.iterates[-1]
         assert trace.sweeps == sweeps
         assert len(calls) <= 2
+
+
+class TestBurgPolish:
+    """Once the residual is below tolerance, one full polishing step is
+    tried; a rejected one ends the projection instead of a line search down
+    to step 1e-14 (47 evaluations).  On these inputs polishing steps are
+    rejected.  The finals and sweep counts match an alternation of the
+    reference solver, whose polish still searches."""
+
+    CASES = [(2, 3, 8, True), (3, 2, 0, True), (2, 3, 1, False)]
+
+    @staticmethod
+    def problem(n, m, seed, general):
+        rng = np.random.default_rng(seed)
+        choi = channels.random_choi(n, m, rng)
+        p = channels.random_density(m, rng) if general else None
+        q = channels.random_density(n, rng) if general else None
+        return choi, scaling.ScalingConfig(target_p=p, target_q=q)
+
+    @pytest.mark.parametrize("n, m, seed, general", CASES)
+    def test_polish_line_search_makes_one_evaluation(self, n, m, seed, general, monkeypatch):
+        choi, cfg = self.problem(n, m, seed, general)
+        events = []
+        jacobian, project, eigh = scaling._burg_jacobian, scaling._burg_project, np.linalg.eigh
+        monkeypatch.setattr(
+            scaling, "_burg_project", lambda *a, **k: events.append("P") or project(*a, **k)
+        )
+        monkeypatch.setattr(
+            scaling, "_burg_jacobian", lambda *a, **k: events.append("J") or jacobian(*a, **k)
+        )
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: events.append("e") or eigh(*a, **k))
+        trace = scaling.alternating_projections("burg", choi, cfg)
+        assert trace.converged
+        projections = "".join(events).split("P")[1:]
+        assert len(projections) == 2 * trace.sweeps
+        # every projection ends with its polishing Newton step: the
+        # evaluations after its last Jacobian are that step's line search
+        for events_of_one in projections:
+            assert events_of_one[events_of_one.rindex("J") + 1:] == "e"
+
+    @pytest.mark.parametrize("n, m, seed, general", CASES)
+    def test_finals_match_searching_reference(self, n, m, seed, general):
+        choi, cfg = self.problem(n, m, seed, general)
+        trace = scaling.alternating_projections("burg", choi, cfg)
+        p, q = cfg.targets(n, m)
+        mat, sweeps = choi.matrix, 0
+        residual = scaling.choi_residual(choi, p, q)
+        while residual >= cfg.tol and sweeps < cfg.max_iters:
+            mat, _ = oracles.burg_projection_per_basis(mat, n, m, "first", p)
+            mat, _ = oracles.burg_projection_per_basis(mat, n, m, "second", q)
+            sweeps += 1
+            residual = scaling.choi_residual(ChoiMatrix(n=n, m=m, matrix=mat), p, q)
+        assert trace.converged and trace.sweeps == sweeps > 0
+        assert np.abs(trace.final.matrix - mat).max() <= 1e-12 * np.abs(mat).max()
 
 
 class TestAlternatingProjections:

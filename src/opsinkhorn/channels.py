@@ -187,25 +187,28 @@ def apply_dual(choi: ChoiMatrix, y: np.ndarray) -> np.ndarray:
 def congruence(
     mat: np.ndarray, n: int, m: int, left: np.ndarray | None = None, right: np.ndarray | None = None
 ) -> np.ndarray:
-    """(R kron L) M (R kron L) for an ``mn x mn`` array M, exactly Hermitian.
+    """(R kron L) M (R kron L)^dagger for an ``mn x mn`` array M, exactly
+    Hermitian.
 
     The factors act on the (n, m, n, m) block view, so the dense
     ``mn x mn`` Kronecker factor is never formed: L (m x m) multiplies the
     inner row and column indices of every block, at n^2 m^3 work per side,
     and R (n x n) contracts the outer indices, at n^3 m^2 per side, against
     (nm)^3 for a dense product.  ``None`` stands for an identity factor.
+    The factors need not be Hermitian: the operator Sinkhorn loop passes
+    the products of its factors and forms its final iterate with one call.
 
     Nothing is validated here: callers check M and the factors at their
     boundary (``scale_choi``, ``scaling.operator_sinkhorn``).  For Hermitian
-    factors and Hermitian PSD M the result is the congruence, PSD by
-    construction; the closing symmetrization keeps it exactly Hermitian.
+    PSD M the result is a congruence, PSD by construction; the closing
+    symmetrization keeps it exactly Hermitian.
     """
     d = n * m
     if left is not None:
-        mat = np.matmul(left, mat.reshape(n, m, d)).reshape(d * n, m) @ left
+        mat = np.matmul(left, mat.reshape(n, m, d)).reshape(d * n, m) @ left.conj().T
     if right is not None:
         mat = (right @ mat.reshape(n, m * d)).reshape(d, n, m)
-        mat = np.matmul(right.T, mat)
+        mat = np.matmul(right.conj(), mat)
     return linalg.hermitian_part(mat.reshape(d, d))
 
 

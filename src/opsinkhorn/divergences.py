@@ -92,8 +92,9 @@ def divergence(tag: str, rho: np.ndarray, sigma: np.ndarray) -> float:
         sq = linalg.powm(sigma, 0.5)
         w = np.linalg.eigvalsh(linalg.hermitian_part(sq @ rho @ sq))
         return float(-4.0 * np.log(np.sum(np.sqrt(np.clip(w, 0.0, None)))))
-    # nagaoka
-    mean = linalg.geometric_mean(rho, linalg.invm(sigma))
+    # nagaoka: rho # sigma^{-1} = sigma^{-1} # rho, the SLD factor of
+    # sigma towards rho, from two eigh (both arguments are checked above)
+    mean, _ = linalg.inverse_mean(sigma, rho, "divergence second argument")
     return float(2.0 * np.trace(rho @ linalg.logm(mean)).real)
 
 

@@ -8,11 +8,12 @@ A's positive definiteness check, and ``inverse_mean`` (the SLD factor
 M^{-1} # T) the reciprocal spectrum of ``eigh(M)``.  These functions act on the
 small ``m x m`` and ``n x n`` marginals and factors and validate their
 arguments on every call, except that ``inverse_mean`` leaves the target to
-its caller.  The ``mn x mn`` iterates of the Sinkhorn loop meet only
-``partial_trace`` and ``hermitian_part`` here: the congruence is
+its caller.  The operator Sinkhorn loop forms no ``mn x mn`` iterate while it
+iterates: it takes each marginal from a permuted copy of the input and
+the factor products, and forms the final iterate once by
 ``channels.congruence``, applied blockwise on the (n, m, n, m) view without
-checks, and the loop validates its input once at entry and its final iterate
-once before returning.  The BKM and Burg alternations likewise check their
+checks; it validates its input once at entry and that final iterate once
+before returning.  The BKM and Burg alternations likewise check their
 input once (``assert_positive_definite``) and take one ``logm`` or ``invm``
 of it at entry; from there they carry that e-coordinate and its
 ``numpy.linalg.eigh`` spectrum through the projections, so no matrix
@@ -264,7 +265,8 @@ def inverse_mean(a: np.ndarray, b: np.ndarray, what: str = "matrix") -> tuple[np
     """A^{-1} # B for Hermitian A and positive definite B, with log det A.
 
     This is the SLD step's factor: the unique positive definite F with
-    F A F = B.  One ``eigh`` of A is both its positive definiteness check
+    F A F = B (and, as sigma^{-1} # rho, the mean in the Nagaoka
+    divergence).  One ``eigh`` of A is both its positive definiteness check
     (``SingularityError`` naming ``what``) and, through the reciprocal
     eigenvalues, the spectrum of A^{-1}; one more ``eigh`` takes the middle
     factor's square root.  log det A = sum log w comes from the same

@@ -21,12 +21,22 @@ in that geometry's e-coordinate (the normalized log rho for BKM, rho^{-1}
 for Burg), so the alternation carries the coordinate and its spectrum from
 one projection to the next instead of re-deriving it from every iterate.
 
+Operator Sinkhorn runs on the factors instead of the iterate: after k steps
+the iterate is (R kron L) rho0 (R kron L)^dagger, the Choi matrix of the
+scaled map X -> L Phi(R^dagger X R) L^dagger, with L and R the ordered
+products of the left and right factors so far.  Its marginals,
+L Phi((R^dagger R)^T) L^dagger and its counterpart, come from one
+permuted copy of rho0 by one matrix-vector product each (O(n^2 m^2) work
+at any Kraus rank), so the loop carries the m x m and n x n products and
+forms the ``mn x mn`` iterate once, at the end.
+
 Every driver validates at its boundary only: the input once at entry (a
 Choi matrix with unit trace; positive definite for ``bkm`` and ``burg``)
 and the final iterate once, as a :class:`ChoiMatrix`.  In between the loops
-run on plain arrays through the array-level steps ``_sld_step``,
-``_bkm_project`` and ``_burg_project``; the public single-step functions
-wrap those steps with their own checks.
+run on plain arrays: operator Sinkhorn on the marginals and factors, the
+other two through the array-level projections ``_bkm_project`` and
+``_burg_project``.  The public single-step functions (``_sld_step`` behind
+:func:`operator_sinkhorn_step`) carry their own checks.
 
 A run is summarized by a :class:`ScalingTrace` which records the iterates,
 the scaling factors, the per-sweep stopping-criterion residuals
@@ -40,6 +50,7 @@ product that determines the capacity of the input map.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -61,6 +72,7 @@ from .policy import get_policy
 __all__ = [
     "ScalingConfig",
     "ScalingTrace",
+    "SinkhornIterates",
     "MatrixScalingTrace",
     "doubly_stochastic",
     "matrix_sinkhorn",
@@ -114,10 +126,66 @@ def doubly_stochastic(p: np.ndarray, q: np.ndarray) -> bool:
     )
 
 
+class SinkhornIterates(Sequence):
+    """The iterates of an operator Sinkhorn run, held as factor products.
+
+    Entry k is (R_k kron L_k) rho0 (R_k kron L_k)^dagger, with L_k and R_k
+    the ordered products of the left and right factors of the first k
+    steps.  The sequence stores rho0, the products after every step and the
+    final iterate, so a run holds two ``mn x mn`` arrays whatever its
+    length.  Entry 0 is rho0 and the last entry the final iterate; reading
+    an entry in between rebuilds it with one :func:`channels.congruence`.
+    Slices are lazy views, and only the last entry can be replaced.
+    """
+
+    def __init__(self, rho0: np.ndarray, n: int, m: int):
+        self._rho0, self._n, self._m = rho0, n, m
+        self._products: list[tuple[np.ndarray | None, np.ndarray | None]] = [(None, None)]
+        self._final = rho0
+
+    def _append(self, left: np.ndarray, right: np.ndarray) -> None:
+        self._products.append((left, right))
+
+    def __len__(self) -> int:
+        return len(self._products)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _IterateView(self, range(len(self))[index])
+        k = range(len(self))[index]
+        if k == len(self) - 1:
+            return self._final
+        if k == 0:
+            return self._rho0
+        return congruence(self._rho0, self._n, self._m, *self._products[k])
+
+    def __setitem__(self, index, value: np.ndarray) -> None:
+        if range(len(self))[index] != len(self) - 1:
+            raise IndexError("only the final iterate can be replaced")
+        self._final = value
+
+
+class _IterateView(Sequence):
+    """Lazy slice of a :class:`SinkhornIterates`: entries are rebuilt on read."""
+
+    def __init__(self, iterates: SinkhornIterates, rows: range):
+        self._iterates, self._rows = iterates, rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        rows = self._rows[index]
+        return _IterateView(self._iterates, rows) if isinstance(index, slice) else self._iterates[rows]
+
+
 @dataclass
 class ScalingTrace:
     """Record of an alternating projection run on a Choi matrix.
 
+    ``iterates`` starts with the input and ends with the final iterate: a
+    list of arrays for ``bkm`` and ``burg``, a :class:`SinkhornIterates` for
+    ``sld``, where reading an intermediate iterate costs one congruence.
     ``final`` is the last iterate as a validated :class:`ChoiMatrix`; the
     solvers store the one they validated, so reading it costs nothing.
     """
@@ -128,7 +196,7 @@ class ScalingTrace:
     tol: float
     target_p: np.ndarray
     target_q: np.ndarray
-    iterates: list[np.ndarray] = field(default_factory=list)
+    iterates: Sequence[np.ndarray] = field(default_factory=list)
     factors: list[tuple[str, np.ndarray]] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     capacity_log: float = 0.0
@@ -258,12 +326,28 @@ def _new_trace(method: str, choi0: ChoiMatrix, cfg: ScalingConfig) -> tuple[Scal
     if abs(tr - 1.0) > get_policy().trace_atol:
         raise InvalidInputError(f"initial Choi matrix has trace {tr!r}, expected 1")
     p, q = cfg.targets(choi0.n, choi0.m)
+    if method == "sld":
+        iterates = SinkhornIterates(choi0.matrix, choi0.n, choi0.m)
+    else:
+        iterates = [choi0.matrix]
     trace = ScalingTrace(
-        method=method, n=choi0.n, m=choi0.m, tol=cfg.tol, target_p=p, target_q=q, _final=choi0
+        method=method, n=choi0.n, m=choi0.m, tol=cfg.tol, target_p=p, target_q=q,
+        iterates=iterates, _final=choi0,
     )
-    trace.iterates.append(choi0.matrix)
     trace.residuals.append(choi_residual(choi0, p, q))
     return trace, p, q
+
+
+def _scaled_marginal(cross: np.ndarray, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """A marginal of (R kron L) rho0 (R kron L)^dagger from the factor
+    products alone.  With ``cross`` the (a b, i j) -> rho0[i a, j b] copy of
+    rho0, ``outer`` = R and ``inner`` = L this is tr_first, L X L^dagger with
+    vec X = cross vec((R^dagger R)^T); with ``cross.T``, ``outer`` = L and
+    ``inner`` = R it is tr_second.  One matrix-vector product with the
+    (d^2 x d'^2) ``cross`` and three small matmuls; exactly Hermitian."""
+    d = len(inner)
+    x = (cross @ (outer.T @ outer.conj()).reshape(-1)).reshape(d, d)
+    return linalg.hermitian_part(inner @ x @ inner.conj().T)
 
 
 def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -> ScalingTrace:
@@ -275,43 +359,65 @@ def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -
     its constraint set.
 
     The input needs unit trace and positive definite marginals, but may be
-    rank-deficient.  The loop runs on plain arrays: each step checks its
-    marginal from the ``eigh`` that also gives the factor (two small
-    ``eigh`` per step, no ``eigvalsh``), the capacity bookkeeping reuses
-    that spectrum, and only the final iterate is validated as a
-    :class:`ChoiMatrix`.
+    rank-deficient.  The loop carries the factor products L (m x m) and
+    R (n x n) instead of the iterate: each step's marginal comes from one
+    permuted copy of rho0 by one matrix-vector product (see
+    :func:`_scaled_marginal`), and ``linalg.inverse_mean`` checks it and
+    gives the factor from two small ``eigh``.  The capacity bookkeeping
+    reuses that spectrum, and a sweep's residual reuses the marginals the
+    loop holds: the next left step's, and F M F after the right step.  The
+    final iterate (R kron L) rho0 (R kron L)^dagger is formed once, by one
+    congruence, and validated as a :class:`ChoiMatrix`; ``trace.iterates``
+    rebuilds the ones in between on read (:class:`SinkhornIterates`).
     """
     trace, p, q = _new_trace("sld", choi0, cfg)
-    n, m = choi0.n, choi0.m
-    mat = choi0.matrix
     if trace.residuals[0] < cfg.tol:
         trace.converged = True
         return trace
+    n, m = choi0.n, choi0.m
+    iterates = trace.iterates
+    # one permuted copy of rho0, (a b, i j) -> rho0[i a, j b]; its transpose
+    # is the (i j, a b) view the right marginals need
+    cross = choi0.matrix.reshape(n, m, n, m).transpose(1, 3, 0, 2).reshape(m * m, n * n)
+    left, right = np.eye(m, dtype=complex), np.eye(n, dtype=complex)
     # F marginal F = target, so log det F = (log det target - log det
     # marginal) / 2, read off the step's own spectrum of the marginal
-    sweep = (("first", p, np.linalg.slogdet(p)[1]), ("second", q, np.linalg.slogdet(q)[1]))
-    steps = () if doubly_stochastic(p, q) else sweep[1:]
-    trace.preprocessed = bool(steps)
-    while True:
-        for side, target, target_logdet in steps:
-            mat, factor, marginal_logdet = _sld_step(mat, n, m, side, target)
-            trace.factors.append((side, factor))
-            trace.iterates.append(mat)
-            if n == m:
-                # the congruence multiplies the encoded map by factor twice,
-                # so its capacity by det(factor)^{2/n}
-                trace.capacity_log += float(target_logdet - marginal_logdet) / n
-        if steps is sweep:
-            trace.sweeps += 1
-            trace.residuals.append(_residual(mat, n, m, p, q))
-        if trace.residuals[-1] < cfg.tol or trace.sweeps >= cfg.max_iters:
+    logdet_p, logdet_q = np.linalg.slogdet(p)[1], np.linalg.slogdet(q)[1]
+
+    def factor_of(side: str, marginal: np.ndarray, target: np.ndarray, target_logdet: float):
+        factor, marginal_logdet = linalg.inverse_mean(marginal, target, f"{side} marginal")
+        trace.factors.append((side, factor))
+        if n == m:
+            # the congruence multiplies the encoded map by factor twice,
+            # so its capacity by det(factor)^{2/n}
+            trace.capacity_log += float(target_logdet - marginal_logdet) / n
+        return factor
+
+    trace.preprocessed = not doubly_stochastic(p, q)
+    if trace.preprocessed:
+        right = factor_of("second", _scaled_marginal(cross.T, left, right), q, logdet_q)
+        iterates._append(left, right)
+    first = _scaled_marginal(cross, right, left)
+    while trace.sweeps < cfg.max_iters:
+        left = factor_of("first", first, p, logdet_p) @ left
+        iterates._append(left, right)
+        second = _scaled_marginal(cross.T, left, right)
+        factor = factor_of("second", second, q, logdet_q)
+        right = factor @ right
+        iterates._append(left, right)
+        first = _scaled_marginal(cross, right, left)
+        trace.sweeps += 1
+        trace.residuals.append(
+            float(linalg.frobenius(first - p) ** 2 + linalg.frobenius(factor @ second @ factor - q) ** 2)
+        )
+        if trace.residuals[-1] < cfg.tol:
             break
-        steps = sweep
     trace.converged = trace.residuals[-1] < cfg.tol
-    trace._final = ChoiMatrix(n=n, m=m, matrix=mat)
-    # the validated copy has the same entries (the congruence keeps the
-    # iterate exactly Hermitian); keep one array, not two
-    trace.iterates[-1] = trace._final.matrix
+    if trace.factors:  # else the final iterate is the validated input
+        trace._final = ChoiMatrix(n=n, m=m, matrix=congruence(choi0.matrix, n, m, left, right))
+        # the validated copy has the same entries (the congruence returns
+        # an exactly Hermitian array); keep one array, not two
+        iterates[-1] = trace._final.matrix
     return trace
 
 

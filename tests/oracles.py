@@ -7,7 +7,9 @@ derivative checks use central finite differences.  The geometric mean
 reference takes the textbook formula with three separate spectral powers.  The dual-solver oracles
 build the Burg Newton Jacobian one Hermitian basis matrix at a time from
 dense Kronecker lifts, and solve the BKM dual by Barzilai-Borwein gradient
-steps, so neither shares the closed-form Jacobians in ``scaling``.
+steps, so neither shares the closed-form Jacobians in ``scaling``.  The
+operator Sinkhorn reference forms every ``mn x mn`` iterate and takes its
+marginals by partial traces, where the package carries factor products.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate
 
-from opsinkhorn import linalg
+from opsinkhorn import linalg, scaling
+from opsinkhorn.channels import ChoiMatrix
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -239,3 +242,38 @@ def bkm_projection_barzilai_borwein(rho0: np.ndarray, n: int, m: int, side: str,
     else:
         raise RuntimeError("Barzilai-Borwein BKM exhausted its budget")
     return state_of(a), a
+
+
+def operator_sinkhorn_ref(choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> dict:
+    """Operator Sinkhorn with a materialized iterate per step: every step
+    takes the partial trace of the current ``mn x mn`` iterate, its factor
+    from ``linalg.inverse_mean`` and the next iterate by one congruence
+    (``scaling._sld_step``), and every sweep's residual from the partial
+    traces of its last iterate.  Returns the iterates, factors, residuals,
+    capacity_log, sweeps, preprocessed and converged of the run."""
+    n, m = choi.n, choi.m
+    p, q = cfg.targets(n, m)
+    mat = choi.matrix
+    run = {"iterates": [mat], "factors": [], "residuals": [scaling.choi_residual(choi, p, q)],
+           "capacity_log": 0.0, "sweeps": 0, "preprocessed": False, "converged": False}
+    if run["residuals"][0] < cfg.tol:
+        run["converged"] = True
+        return run
+    sweep = (("first", p, np.linalg.slogdet(p)[1]), ("second", q, np.linalg.slogdet(q)[1]))
+    steps = () if scaling.doubly_stochastic(p, q) else sweep[1:]
+    run["preprocessed"] = bool(steps)
+    while True:
+        for side, target, target_logdet in steps:
+            mat, factor, marginal_logdet = scaling._sld_step(mat, n, m, side, target)
+            run["factors"].append((side, factor))
+            run["iterates"].append(mat)
+            if n == m:
+                run["capacity_log"] += float(target_logdet - marginal_logdet) / n
+        if steps is sweep:
+            run["sweeps"] += 1
+            run["residuals"].append(scaling._residual(mat, n, m, p, q))
+        if run["residuals"][-1] < cfg.tol or run["sweeps"] >= cfg.max_iters:
+            break
+        steps = sweep
+    run["converged"] = run["residuals"][-1] < cfg.tol
+    return run

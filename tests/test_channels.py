@@ -203,6 +203,15 @@ class TestScaleChoi:
             channels.scale_choi(choi, np.eye(2), np.eye(2))
 
 
+    def test_rejects_non_hermitian_factors(self):
+        rng = np.random.default_rng(13)
+        choi = channels.random_choi(2, 3, rng)
+        with pytest.raises(InvalidInputError, match="left scaling factor"):
+            channels.scale_choi(choi, ginibre(rng, 3), np.eye(2))
+        with pytest.raises(InvalidInputError, match="right scaling factor"):
+            channels.scale_choi(choi, np.eye(3), ginibre(rng, 2))
+
+
 class TestCongruence:
     """The blockwise kernel against the dense Kronecker congruence."""
 
@@ -215,6 +224,21 @@ class TestCongruence:
         right = random_pd_factor(rng, n) if sides != "left" else None
         f = linalg.kron(np.eye(n) if right is None else right, np.eye(m) if left is None else left)
         dense = f @ mat @ f
+        out = channels.congruence(mat, n, m, left, right)
+        assert np.abs(out - dense).max() <= 1e-12 * np.abs(dense).max()
+        np.testing.assert_array_equal(out, out.conj().T)
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (4, 5), (5, 4)])
+    @pytest.mark.parametrize("sides", ["left", "right", "both"])
+    def test_non_hermitian_factors_match_dense_kron(self, n, m, sides):
+        # the operator Sinkhorn loop forms its final iterate from products
+        # of factors, which are not Hermitian
+        rng = np.random.default_rng(200 + 10 * n + m)
+        mat = channels.random_choi(n, m, rng).matrix
+        left = ginibre(rng, m) if sides != "right" else None
+        right = ginibre(rng, n) if sides != "left" else None
+        f = linalg.kron(np.eye(n) if right is None else right, np.eye(m) if left is None else left)
+        dense = f @ mat @ f.conj().T
         out = channels.congruence(mat, n, m, left, right)
         assert np.abs(out - dense).max() <= 1e-12 * np.abs(dense).max()
         np.testing.assert_array_equal(out, out.conj().T)
@@ -234,6 +258,10 @@ class TestCongruence:
 def oracle_hermitian(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2
+
+
+def ginibre(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
 def random_pd_factor(rng, d):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opsinkhorn import channels, scaling
+from opsinkhorn import channels, linalg, scaling
 from opsinkhorn.divergences import central_difference_quotient, divergence
 from opsinkhorn.errors import DomainError, InvalidInputError, UnsupportedError
 
@@ -89,6 +89,50 @@ class TestDivergenceValues:
     def test_kl_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             divergence("kl", np.array([[0.5, 0.0], [0.2, 0.3]]), np.full((2, 2), 0.25))
+
+
+def conditioned_density(d, cond, rng):
+    """Density matrix with eigenvalues spaced geometrically over ``cond``,
+    in a random unitary basis."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    u, _ = np.linalg.qr(g)
+    w = np.geomspace(1.0, 1.0 / cond, d)
+    return linalg.hermitian_part((u * (w / w.sum())) @ u.conj().T)
+
+
+def nagaoka_ref(rho, sigma):
+    """2 tr[rho log(rho # sigma^{-1})] with the textbook mean of rho and
+    the inverse of sigma."""
+    mean = oracles.geometric_mean_ref(rho, linalg.invm(sigma))
+    return float(2.0 * np.trace(rho @ linalg.logm(mean)).real)
+
+
+class TestNagaoka:
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    @pytest.mark.parametrize("cond", [None, 1e1, 1e2, 1e3])
+    def test_matches_textbook_mean(self, d, cond):
+        rng = np.random.default_rng(300 + 7 * d + (0 if cond is None else int(np.log10(cond))))
+        for _ in range(8):
+            if cond is None:
+                rho, sigma = channels.random_density(d, rng), channels.random_density(d, rng)
+            else:
+                rho, sigma = conditioned_density(d, cond, rng), conditioned_density(d, cond, rng)
+            want = nagaoka_ref(rho, sigma)
+            # condition of the middle factor rho^{-1/2} sigma^{-1} rho^{-1/2},
+            # whose square root both means take
+            root = linalg.sqrtm(sigma)
+            kappa = np.linalg.cond(root @ rho @ root)
+            allowed = 1e-12 * max(1.0, kappa / 100) * max(1.0, abs(want))
+            assert abs(divergence("nagaoka", rho, sigma) - want) <= allowed
+
+    def test_eig_calls(self, eig_calls):
+        rng = np.random.default_rng(310)
+        rho, sigma = channels.random_density(4, rng), channels.random_density(4, rng)
+        eig_calls.clear()
+        divergence("nagaoka", rho, sigma)
+        # the two argument checks, then sigma^{-1} # rho from two eigh and
+        # the logarithm from one
+        assert sorted(eig_calls) == [("eigh", (4, 4))] * 3 + [("eigvalsh", (4, 4))] * 2
 
 
 class TestKlRowProjection:

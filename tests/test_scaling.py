@@ -1,3 +1,6 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -332,6 +335,204 @@ class TestRankDeficientInput:
     def test_dual_methods_still_need_definite_input(self, method):
         with pytest.raises(SingularityError):
             scaling.alternating_projections(method, rank_two_choi())
+
+
+def low_rank_choi(n: int, m: int, rank: int, eps: float, rng: np.random.Generator) -> ChoiMatrix:
+    """Trace-one Choi matrix of a map with ``rank`` Gaussian Kraus
+    operators, mixed with eps * I/(nm)."""
+    kraus = rng.standard_normal((rank, m, n)) + 1j * rng.standard_normal((rank, m, n))
+    mat = channels.choi_from_kraus(channels.KrausMap(tuple(kraus))).matrix
+    mat = (1.0 - eps) * mat / np.trace(mat).real + eps * np.eye(n * m) / (n * m)
+    return ChoiMatrix(n=n, m=m, matrix=mat)
+
+
+def factor_products(factors, n: int, m: int):
+    """(L_k, R_k) after every step k = 0, 1, ..., the ordered products of
+    the recorded left and right factors."""
+    left, right = np.eye(m), np.eye(n)
+    out = [(left, right)]
+    for side, factor in factors:
+        if side == "first":
+            left = factor @ left
+        else:
+            right = factor @ right
+        out.append((left, right))
+    return out
+
+
+def assert_matches_materialized_loop(choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> scaling.ScalingTrace:
+    """The factor loop against the loop that forms every iterate: equal
+    sweeps, factors within 1e-12 relative, residuals within 1e-9 relative,
+    and every iterate (rebuilt on read) and the final within the bound of
+    the benchmark's factor check, 1e2 (k + 1) n m eps cond(L_k) cond(R_k).
+
+    The two loops round their marginals differently, and the factor
+    M^{-1} # T amplifies that by up to cond(T): a 5 x 5 target of condition
+    1.8e4 moves the factors by 1.9e-12 relative.  So the factor bound grows
+    with cond(T) beyond 1e3."""
+    n, m = choi.n, choi.m
+    trace = scaling.operator_sinkhorn(choi, cfg)
+    ref = oracles.operator_sinkhorn_ref(choi, cfg)
+    assert trace.sweeps == ref["sweeps"]
+    assert trace.converged == ref["converged"] and trace.preprocessed == ref["preprocessed"]
+    assert trace.capacity_log == pytest.approx(ref["capacity_log"], rel=1e-12, abs=1e-12)
+    assert len(trace.factors) == len(ref["factors"])
+    cond = {"first": np.linalg.cond(trace.target_p), "second": np.linalg.cond(trace.target_q)}
+    for (side, got), (ref_side, want) in zip(trace.factors, ref["factors"]):
+        assert side == ref_side
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, cond[side] / 1e3) * np.abs(want).max()
+    np.testing.assert_allclose(trace.residuals, ref["residuals"], rtol=1e-9, atol=1e-20)
+    assert len(trace.iterates) == len(ref["iterates"])
+    products = factor_products(trace.factors, n, m)
+    for k, (got, want, (left, right)) in enumerate(zip(trace.iterates, ref["iterates"], products)):
+        kappa = np.linalg.cond(left) * np.linalg.cond(right)
+        allowed = 1e2 * (k + 1) * n * m * np.finfo(float).eps * kappa * np.abs(want).max()
+        assert np.abs(got - want).max() <= allowed
+    assert trace.final.matrix is trace.iterates[-1]
+    return trace
+
+
+class TestFactorLoopAgainstMaterializedLoop:
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (4, 4), (3, 5)])
+    @pytest.mark.parametrize("general", [False, True])
+    def test_small_shapes(self, n, m, general):
+        rng = np.random.default_rng(400 + 10 * n + m + general)
+        choi = channels.random_choi(n, m, rng)
+        p = channels.random_density(m, rng) if general else None
+        q = channels.random_density(n, rng) if general else None
+        trace = assert_matches_materialized_loop(
+            choi, scaling.ScalingConfig(max_iters=300, tol=1e-10, target_p=p, target_q=q)
+        )
+        assert trace.converged and trace.sweeps > 0
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    @pytest.mark.parametrize("general", [False, True])
+    def test_low_kraus_rank(self, n, eps, general):
+        rng = np.random.default_rng(420 + n + general)
+        choi = low_rank_choi(n, n, 2, eps, rng)
+        # marginal targets like the benchmark's: half Ginibre, half mixed
+        p = (channels.random_density(n, rng) + np.eye(n) / n) / 2 if general else None
+        q = (channels.random_density(n, rng) + np.eye(n) / n) / 2 if general else None
+        trace = assert_matches_materialized_loop(
+            choi, scaling.ScalingConfig(max_iters=200, tol=1e-8, target_p=p, target_q=q)
+        )
+        assert trace.converged and trace.sweeps > 2
+
+    def test_rank_deficient_two_kraus(self):
+        trace = assert_matches_materialized_loop(rank_two_choi(), scaling.ScalingConfig())
+        assert trace.converged and trace.sweeps == 4
+
+    def test_budget_cut_runs(self):
+        # max_iters = 0 still takes the preprocessing step for general targets
+        rng = np.random.default_rng(430)
+        choi = channels.random_choi(2, 3, rng)
+        q = channels.random_density(2, rng)
+        for max_iters in (0, 1, 3):
+            for target_q in (None, q):
+                trace = assert_matches_materialized_loop(
+                    choi, scaling.ScalingConfig(max_iters=max_iters, tol=0.0, target_q=target_q)
+                )
+                assert trace.sweeps == max_iters and not trace.converged
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that records the shape of its
+    first argument."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestFactorLoopWork:
+    @pytest.mark.parametrize("sweeps", [1, 5, 40])
+    @pytest.mark.parametrize("general", [False, True])
+    def test_one_congruence_per_solve(self, sweeps, general, monkeypatch):
+        rng = np.random.default_rng(440 + general)
+        choi = channels.random_choi(3, 4, rng)
+        p = channels.random_density(4, rng) if general else None
+        calls = count_calls(monkeypatch, scaling, "congruence")
+        trace = scaling.operator_sinkhorn(choi, scaling.ScalingConfig(max_iters=sweeps, tol=0.0, target_p=p))
+        assert trace.sweeps == sweeps and calls == [(12, 12)]
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_small_eigh_per_step_and_one_big_cholesky(self, general, eig_calls, monkeypatch):
+        rng = np.random.default_rng(450 + general)
+        choi = channels.random_choi(3, 4, rng)
+        p = channels.random_density(4, rng) if general else None
+        q = channels.random_density(3, rng) if general else None
+        cfg = scaling.ScalingConfig(max_iters=20, tol=0.0, target_p=p, target_q=q)
+        cholesky = count_calls(monkeypatch, np.linalg, "cholesky")
+        eig_calls.clear()
+        trace = scaling.operator_sinkhorn(choi, cfg)
+        assert sum(name == "eigh" for name, _ in eig_calls) == 2 * len(trace.factors)
+        assert all(shape[0] <= 4 for _, shape in eig_calls)
+        # the final ChoiMatrix check; the targets' checks run at most 4 x 4
+        assert [shape for shape in cholesky if shape[0] > 4] == [(12, 12)]
+
+    def test_memory_does_not_grow_with_sweeps(self):
+        choi = channels.random_choi(12, 12, np.random.default_rng(460))
+
+        def peak(sweeps: int) -> int:
+            tracemalloc.start()
+            try:
+                trace = scaling.operator_sinkhorn(choi, scaling.ScalingConfig(max_iters=sweeps, tol=0.0))
+                assert trace.sweeps == sweeps
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(4), peak(40)
+        assert long <= 1.5 * short
+
+
+class TestSinkhornIterates:
+    def run(self):
+        choi = channels.random_choi(2, 3, np.random.default_rng(470))
+        return choi, scaling.operator_sinkhorn(choi, scaling.ScalingConfig(max_iters=3, tol=0.0))
+
+    def test_sequence_protocol(self, monkeypatch):
+        choi, trace = self.run()
+        its = trace.iterates
+        assert len(its) == 7 == len(trace.factors) + 1
+        assert its[0] is choi.matrix and its[-1] is trace.final.matrix and its[6] is its[-1]
+        calls = count_calls(monkeypatch, scaling, "congruence")
+        middle = its[3]
+        assert len(calls) == 1
+        np.testing.assert_array_equal(its[-4], middle)
+        listed = list(its)
+        assert len(listed) == 7 and listed[0] is its[0] and listed[-1] is its[-1]
+        calls.clear()
+        view = its[1:]
+        assert calls == [] and len(view) == 6 and len(its[::2]) == 4
+        np.testing.assert_array_equal(view[2], middle)
+        np.testing.assert_array_equal(view[1:][1], middle)
+        assert view[-1] is its[-1] and its[::-1][0] is its[-1]
+        assert len(calls) == 2
+        for index in (7, -8):
+            with pytest.raises(IndexError):
+                its[index]
+
+    def test_only_the_final_entry_is_replaced(self):
+        _, trace = self.run()
+        bumped = trace.iterates[-1] + 1e-6
+        trace.iterates[-1] = bumped
+        assert trace.iterates[6] is bumped
+        with pytest.raises(IndexError):
+            trace.iterates[2] = bumped
+
+    def test_deepcopy_is_independent(self):
+        _, trace = self.run()
+        copied = copy.deepcopy(trace)
+        copied.iterates[-1] = np.zeros((6, 6))
+        assert np.abs(trace.iterates[-1]).max() > 0
+        np.testing.assert_array_equal(copied.iterates[2], trace.iterates[2])
 
 
 class TestResidualCharacterization:

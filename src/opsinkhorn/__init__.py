@@ -48,6 +48,7 @@ from .scaling import (
     burg_e_projection,
     capacity_bruteforce,
     capacity_from_trace,
+    joint_limit,
     matrix_sinkhorn,
     operator_sinkhorn,
     operator_sinkhorn_step,
@@ -95,6 +96,7 @@ __all__ = [
     "burg_e_projection",
     "capacity_bruteforce",
     "capacity_from_trace",
+    "joint_limit",
     "matrix_sinkhorn",
     "operator_sinkhorn",
     "operator_sinkhorn_step",

@@ -166,7 +166,7 @@ def e_geodesic(tag: str, rho1: np.ndarray, rho2: np.ndarray, t: float) -> np.nda
     if rho1.shape != rho2.shape:
         raise InvalidInputError("geodesic endpoints have different dimensions")
     if tag == "sld":
-        k = linalg.geometric_mean(linalg.invm(rho1), rho2)
+        k, _ = linalg.inverse_mean(rho1, rho2, "geodesic endpoint rho1")
         kt = linalg.powm(k, t)
         curve = kt @ rho1 @ kt
     elif tag == "bkm":
@@ -237,7 +237,8 @@ def _geodesic_tail(tag: str, rho_from: np.ndarray, rho_to: np.ndarray) -> tuple[
     dim = rho_to.shape[0]
     eye = np.eye(dim)
     if tag == "sld":
-        k = linalg.geometric_mean(linalg.invm(rho_from), rho_to)
+        # K = rho_from^{-1} # rho_to from two eigh, its logarithm from a third
+        k, _ = linalg.inverse_mean(rho_from, rho_to, "geodesic start")
         e = 2.0 * linalg.logm(k)
         e = e - np.trace(rho_to @ e).real * eye
         m_rep = linalg.hermitian_part(e @ rho_to + rho_to @ e) / 2.0

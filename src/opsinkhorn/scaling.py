@@ -20,6 +20,10 @@ identity, written blockwise, for Burg.  Each projection is a straight move
 in that geometry's e-coordinate (the normalized log rho for BKM, rho^{-1}
 for Burg), so the alternation carries the coordinate and its spectrum from
 one projection to the next instead of re-deriving it from every iterate.
+Both geometries are dually flat, so the limit of either alternation is also
+the minimizer of one convex dual in both dual variables at once;
+:func:`joint_limit` finds it by damped Newton on that joint dual, in a few
+steps where the Burg alternation needs hundreds or thousands of sweeps.
 
 Operator Sinkhorn runs on the factors instead of the iterate: after k steps
 the iterate is (R kron L) rho0 (R kron L)^dagger, the Choi matrix of the
@@ -81,6 +85,7 @@ __all__ = [
     "bkm_e_projection",
     "burg_e_projection",
     "alternating_projections",
+    "joint_limit",
     "capacity_from_trace",
     "capacity_bruteforce",
 ]
@@ -449,6 +454,41 @@ def _burg_jacobian(r: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
     return np.einsum(_BURG_JACOBIAN[side], blocks, blocks).reshape(d * d, d * d)
 
 
+def _burg_hessian(r: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Hessian of the joint Burg dual (see :func:`joint_limit`) at the state
+    R, as an (m^2 + n^2)-square complex matrix acting on row-major
+    (vec A, vec B): the two :func:`_burg_jacobian` blocks on the diagonal,
+    the cross block d tr_first(R (B kron I) R) / dB from one more
+    ``einsum`` and, since R is Hermitian, its adjoint below."""
+    blocks = r.reshape(n, m, n, m)
+    hess = np.empty((m * m + n * n, m * m + n * n), dtype=complex)
+    hess[: m * m, : m * m] = _burg_jacobian(r, n, m, "first")
+    hess[m * m :, m * m :] = _burg_jacobian(r, n, m, "second")
+    hess[: m * m, m * m :] = np.einsum("iajb,kbid->adjk", blocks, blocks).reshape(m * m, n * n)
+    hess[m * m :, : m * m] = hess[: m * m, m * m :].conj().T
+    return hess
+
+
+def _bkm_contraction(v: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
+    """C[x, pq] = (v^dagger lift(E_x) v)[p, q] for the d x d matrix units E_x
+    of ``side``, as a d^2 x (mn)^2 array."""
+    d = m if side == "first" else n
+    vb = v.reshape(n, m, n * m)
+    if side == "first":
+        c = np.einsum("iap,ibq->abpq", vb.conj(), vb)
+    else:
+        c = np.einsum("iap,jaq->ijpq", vb.conj(), vb)
+    return c.reshape(d * d, -1)
+
+
+def _daleckii_krein(w: np.ndarray, c: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """(C^* o Phi) C^T / Z - flat flat^dagger, with Phi the divided
+    differences of exp on the spectrum ``w`` and Z = sum exp(w)."""
+    shifted = w - w.max()
+    phi = _divided_differences(shifted, np.exp, np.exp) / np.exp(shifted).sum()
+    return (c.conj() * phi.reshape(-1)) @ c.T - np.outer(flat, flat.conj())
+
+
 def _bkm_jacobian(
     w: np.ndarray, v: np.ndarray, marginal: np.ndarray, n: int, m: int, side: str
 ) -> np.ndarray:
@@ -463,17 +503,19 @@ def _bkm_jacobian(
     Dividing by Z = tr exp(H) and subtracting vec(marginal)
     vec(marginal)^dagger, the derivative of the normalization, gives the
     Jacobian.  It is the Hessian of the BKM dual."""
-    d = m if side == "first" else n
-    vb = v.reshape(n, m, n * m)
-    if side == "first":
-        c = np.einsum("iap,ibq->abpq", vb.conj(), vb)
-    else:
-        c = np.einsum("iap,jaq->ijpq", vb.conj(), vb)
-    c = c.reshape(d * d, -1)
-    shifted = w - w.max()
-    phi = _divided_differences(shifted, np.exp, np.exp) / np.exp(shifted).sum()
-    flat = marginal.reshape(-1)
-    return (c.conj() * phi.reshape(-1)) @ c.T - np.outer(flat, flat.conj())
+    return _daleckii_krein(w, _bkm_contraction(v, n, m, side), marginal.reshape(-1))
+
+
+def _bkm_hessian(
+    w: np.ndarray, v: np.ndarray, first: np.ndarray, second: np.ndarray, n: int, m: int
+) -> np.ndarray:
+    """Hessian of the joint BKM dual (see :func:`joint_limit`) at the point
+    with spectrum v diag(w) v^dagger and marginals ``first``, ``second``, as
+    an (m^2 + n^2)-square complex matrix acting on row-major (vec A, vec B):
+    :func:`_bkm_jacobian` with both sides' contractions stacked, so the
+    cross blocks come from the same product."""
+    c = np.vstack([_bkm_contraction(v, n, m, "first"), _bkm_contraction(v, n, m, "second")])
+    return _daleckii_krein(w, c, np.concatenate([first.reshape(-1), second.reshape(-1)]))
 
 
 class _Point(NamedTuple):
@@ -741,6 +783,168 @@ def alternating_projections(
         # the states are exactly Hermitian, so the validated copy has the
         # same entries; keep one array, not two
         trace.iterates[-1] = trace._final.matrix
+    return trace
+
+
+def _unit_trace_shift(w: np.ndarray) -> float:
+    """The c < w[0] with sum 1 / (w - c) = 1, for an ascending positive
+    spectrum ``w``: the shift that gives (K - cI)^{-1} unit trace.  Newton
+    on the concave, decreasing 1 / sum 1 / (w - c), started at w[0] - 1
+    where the sum is at least one, decreases c monotonically to the root;
+    it stops when rounding stalls it."""
+    c = w[0] - 1.0
+    for _ in range(100):
+        r = 1.0 / (w - c)
+        tau = r.sum()
+        nxt = c - tau * (tau - 1.0) / np.dot(r, r)
+        if not nxt < c:
+            break
+        c = nxt
+    return float(c)
+
+
+def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -> ScalingTrace:
+    """The limit of the ``bkm`` or ``burg`` alternation, by one Newton solve.
+
+    Alternating Bregman projections onto two affine sets converge to the
+    projection onto their intersection (Bregman 1967; Csiszar 1975), so the
+    limit of :func:`alternating_projections` is the state at the minimizer
+    of one convex dual in the pair (A, B) of Hermitian m x m and n x n
+    matrices:
+
+        bkm:   F = log tr exp(log rho0 + I kron A + B kron I) - tr PA - tr QB,
+        burg:  F = -log det(rho0^{-1} - I kron A - B kron I) - tr PA - tr QB,
+
+    with rho = exp(...) / Z or (...)^{-1}.  The gradient of F is the pair of
+    marginal mismatches (tr_first rho - P, tr_second rho - Q); its Hessian
+    has the one-sided Jacobians on the diagonal and one more contraction for
+    the cross blocks (:func:`_bkm_hessian`, :func:`_burg_hessian`).
+
+    Both duals are flat along (A + cI, B - cI), and the BKM dual along
+    (A + cI, B) and (A, B + cI) separately, since Z absorbs either shift.
+    Rank-one terms on those directions, (vec I_m, -vec I_n) for Burg and
+    (vec I_m, 0), (0, vec I_n) for BKM, fix the gauge; the gradient is
+    orthogonal to them, so every step is too.  The Burg dual is not flat
+    along (A + cI, B + cI), which shifts rho^{-1} by -2cI, but its minimum
+    along that line is explicit: the shift that gives rho unit trace, from
+    the spectrum at hand (:func:`_unit_trace_shift`).  Every Burg point is
+    taken there, the counterpart of the normalization by Z for BKM; without
+    it a Newton step can leave rho with trace in the hundreds, from where
+    damped Newton needs hundreds of steps to return.
+
+    Damped Newton, with a step halved until it passes Armijo on F or halves
+    the gradient norm, stops when the gradient norm reaches the policy
+    tolerance (``bkm_gradient_tol``, ``burg_residual_tol``).  A Burg
+    candidate must keep rho^{-1} positive definite under the policy floor,
+    and Burg then takes one more full step if it lowers the gradient norm,
+    as :func:`burg_e_projection` does.  The policy's ``bkm_max_iters`` or
+    ``burg_max_iters`` bounds the solve (``ConvergenceError`` past it);
+    ``cfg.max_iters`` does not.
+
+    ``sld`` raises ``UnsupportedError``: that geometry is not dually flat,
+    and operator Sinkhorn has no such joint dual.  The input is checked once
+    (positive definite, unit trace) and the limit validated once as a
+    :class:`ChoiMatrix`.  The returned trace has ``iterates`` [rho0, limit],
+    ``factors`` [("first", A), ("second", B)], ``residuals`` the initial and
+    final stopping criterion, ``sweeps`` the number of Newton steps taken,
+    and ``converged`` whether the final residual is below ``cfg.tol``.
+    """
+    if method == "sld":
+        raise UnsupportedError("the sld geometry is not dually flat: it has no joint limit solve")
+    if method not in METHODS:
+        raise UnsupportedError(f"unknown method {method!r}; expected one of {METHODS}")
+    linalg.assert_positive_definite(choi0.matrix, "initial Choi matrix")
+    trace, p, q = _new_trace(method, choi0, cfg)
+    n, m = choi0.n, choi0.m
+    pol = get_policy()
+    eye_m, eye_n = np.eye(m).reshape(-1), np.eye(n).reshape(-1)
+    if method == "bkm":
+        base, sign = linalg.logm(choi0.matrix), 1.0
+        tol, max_iters = pol.bkm_gradient_tol, pol.bkm_max_iters
+        gauge = np.zeros((m * m + n * n, m * m + n * n))
+        gauge[: m * m, : m * m] = np.outer(eye_m, eye_m) / m
+        gauge[m * m :, m * m :] = np.outer(eye_n, eye_n) / n
+    else:
+        base, sign = linalg.invm(choi0.matrix), -1.0
+        tol, max_iters = pol.burg_residual_tol, pol.burg_max_iters
+        u = np.concatenate([eye_m, -eye_n])
+        gauge = np.outer(u, u) / (m + n)
+
+    def evaluate(a: np.ndarray, b: np.ndarray):
+        """(a, b), the point at base +- (I kron a + b kron I), the dual value
+        there and the two marginals; for Burg (a, b) first moves along
+        (I, I) to the unit-trace point, and None means outside the cone."""
+        coord = _plus_lift(_plus_lift(base, sign * a, n, m, "first"), sign * b, n, m, "second")
+        w, v = np.linalg.eigh(coord)
+        if method == "bkm":
+            point, potential = _bkm_point(coord, w, v)
+        else:
+            if not w[0] > 0:
+                return None
+            c = _unit_trace_shift(w)
+            coord.flat[:: n * m + 1] -= c
+            w = w - c
+            a, b = a + 0.5 * c * np.eye(m), b + 0.5 * c * np.eye(n)
+            if not w[0] > pol.pd_rel_floor * w[-1]:
+                return None
+            point, potential = _burg_point(coord, w, v), -float(np.sum(np.log(w)))
+        value = potential - float(np.trace(p @ a).real + np.trace(q @ b).real)
+        first = linalg.partial_trace(point.state, n, m, "first")
+        return a, b, point, value, first, linalg.partial_trace(point.state, n, m, "second")
+
+    def gradient_of(first: np.ndarray, second: np.ndarray):
+        g_a, g_b = linalg.hermitian_part(first - p), linalg.hermitian_part(second - q)
+        return g_a, g_b, math.hypot(linalg.frobenius(g_a), linalg.frobenius(g_b))
+
+    current = evaluate(np.zeros((m, m), dtype=complex), np.zeros((n, n), dtype=complex))
+    if current is None:
+        raise SingularityError("Burg limit source is too ill-conditioned to invert")
+    a, b, point, value, first, second = current
+    g_a, g_b, g_norm = gradient_of(first, second)
+    polish = False
+    for _ in range(max_iters):
+        if g_norm <= tol:
+            if polish or method == "bkm":
+                break
+            # one extra full step drives the residual to rounding level
+            polish = True
+        if method == "bkm":
+            hess = _bkm_hessian(point.w, point.v, first, second, n, m)
+        else:
+            hess = _burg_hessian(point.state, n, m)
+        step = np.linalg.solve(hess + gauge, -np.concatenate([g_a.reshape(-1), g_b.reshape(-1)]))
+        d_a = linalg.hermitian_part(step[: m * m].reshape(m, m))
+        d_b = linalg.hermitian_part(step[m * m :].reshape(n, n))
+        slope = np.vdot(g_a, d_a).real + np.vdot(g_b, d_b).real
+        t = 1.0
+        while t > 1e-14:
+            cand = evaluate(a + t * d_a, b + t * d_b)
+            if cand is not None:
+                g_cand = gradient_of(*cand[4:])
+                if polish:
+                    accept = g_cand[2] < g_norm
+                else:
+                    accept = cand[3] <= value + 1e-4 * t * slope or g_cand[2] <= 0.5 * g_norm
+                if accept:
+                    a, b, point, value, first, second = cand
+                    g_a, g_b, g_norm = g_cand
+                    trace.sweeps += 1
+                    break
+            if polish:
+                # a rejected polish step keeps the point as it is
+                break
+            t /= 2.0
+        else:
+            raise ConvergenceError(f"joint {method} Newton stalled at gradient norm {g_norm:.3e}")
+    else:
+        raise ConvergenceError(
+            f"joint {method} Newton exhausted {max_iters} iterations (gradient norm {g_norm:.3e})"
+        )
+    trace.factors += [("first", a), ("second", b)]
+    trace.residuals.append(_residual(point.state, n, m, p, q))
+    trace.converged = trace.residuals[-1] < cfg.tol
+    trace._final = ChoiMatrix(n=n, m=m, matrix=point.state)
+    trace.iterates.append(trace._final.matrix)
     return trace
 
 

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from opsinkhorn import channels, linalg, policy, serialization
+from opsinkhorn import channels, cli, linalg, policy, scaling, serialization
 from opsinkhorn.channels import ChoiMatrix
 from opsinkhorn.cli import main
+from opsinkhorn.reference import reference_rho0
 
 
 def run_cli(capsys, *argv):
@@ -206,19 +207,42 @@ class TestCompare:
         assert (out_dir / "distances.csv").read_text() == out
 
     def test_reports_unconverged_methods(self, capsys, tmp_path):
+        # one sweep stops the sld and bkm alternations short of tol; the
+        # Burg column is its joint limit, which no sweep budget bounds
         out_dir = tmp_path / "cmp"
-        code, out, err = run_cli(capsys, "compare", "--paper-rho0", "--out", str(out_dir))
+        code, out, err = run_cli(
+            capsys, "compare", "--paper-rho0", "--max-iters", "1", "--out", str(out_dir)
+        )
         assert code == 0
         assert (out_dir / "distances.csv").read_text() == out
         summary = json.loads((out_dir / "summary.json").read_text())
         assert set(summary) == {"sld", "bkm", "burg"}
-        assert summary["sld"]["converged"] is True and summary["bkm"]["converged"] is True
-        burg = summary["burg"]
-        assert burg["converged"] is False and burg["sweeps"] == 200 and burg["residual"] >= 1e-8
+        assert summary["burg"]["converged"] is True
         warnings = err.strip().splitlines()
-        assert len(warnings) == 1
-        assert "burg" in warnings[0] and "200 sweeps" in warnings[0]
-        assert f"{burg['residual']:.3e}" in warnings[0]
+        assert len(warnings) == 2
+        for method, warning in zip(("sld", "bkm"), warnings):
+            entry = summary[method]
+            assert entry["converged"] is False and entry["sweeps"] == 1 and entry["residual"] >= 1e-8
+            assert entry["solver"] == "alternation"
+            assert warning.startswith(f"warning: {method} did not converge") and "1 sweeps" in warning
+            assert f"{entry['residual']:.3e}" in warning
+
+    def test_burg_column_is_the_joint_limit(self, capsys, tmp_path):
+        out_dir = tmp_path / "cmp"
+        code, _, err = run_cli(capsys, "compare", "--paper-rho0", "--out", str(out_dir))
+        assert code == 0 and err == ""
+        summary = json.loads((out_dir / "summary.json").read_text())
+        limit = scaling.joint_limit("burg", reference_rho0(), scaling.ScalingConfig())
+        assert summary["burg"] == {
+            "converged": True,
+            "sweeps": limit.sweeps,
+            "residual": limit.residuals[-1],
+            "solver": "joint",
+        }
+        assert summary["burg"]["residual"] < 1e-20
+        assert summary["sld"]["solver"] == summary["bkm"]["solver"] == "alternation"
+        written = serialization.load_choi(out_dir / "burg.json")
+        assert np.array_equal(written.matrix, limit.final.matrix)
 
 
 class TestDiffquot:
@@ -384,3 +408,28 @@ class TestGen:
         run_cli(capsys, "gen", "--dims", "2", "2", "--seed", "11", "--out", str(path))
         code, out, _ = run_cli(capsys, "scale", str(path))
         assert code == 0 and json.loads(out)["converged"] is True
+
+
+class TestParserReuse:
+    def test_one_parser_serves_independent_calls(self, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            code, out, _ = run_cli(capsys, "scale", "--paper-rho0", "--method", "bkm", "--max-iters", "1", "--tol", "0")
+            first = json.loads(out)
+            assert code == 0 and first["sweeps"] == 1 and first["converged"] is False
+            code, out, _ = run_cli(capsys, "gen", "--dims", "2", "3", "--seed", "4")
+            assert code == 0 and (json.loads(out)["n"], json.loads(out)["m"]) == (2, 3)
+            # nothing of the earlier calls carries over: default method,
+            # budget, tolerance and dims
+            code, out, _ = run_cli(capsys, "scale", "--paper-rho0")
+            second = json.loads(out)
+            assert code == 0 and second["converged"] is True and second["sweeps"] > 1
+            assert second["capacity"] is not None  # sld, the default method
+            code, out, _ = run_cli(capsys, "gen", "--seed", "4")
+            assert code == 0 and (json.loads(out)["n"], json.loads(out)["m"]) == (2, 2)
+            assert len(builds) == 1
+        finally:
+            cli._parser.cache_clear()

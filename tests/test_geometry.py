@@ -316,3 +316,31 @@ class TestOrthogonalityResidual:
         p, _ = uniform_targets(2, 2)
         with pytest.raises(InvalidInputError):
             geometry.orthogonality_residual("sld", choi, choi, ConstraintSet("first", p))
+
+
+class TestSldTailFromInverseMean:
+    """The SLD tail and geodesic take K = rho_from^{-1} # rho_to from
+    ``linalg.inverse_mean``: two ``eigh``, no argument checks."""
+
+    def test_tail_eig_calls(self, eig_calls):
+        rho_from, rho_to = random_density(6, 60), random_density(6, 61)
+        eig_calls.clear()
+        geometry._geodesic_tail("sld", rho_from, rho_to)
+        # inverse_mean (rho_from, then the middle factor), then logm of K
+        assert eig_calls == [("eigh", (6, 6))] * 3
+
+    def test_geodesic_eig_calls(self, eig_calls):
+        rho1, rho2 = random_density(6, 62), random_density(6, 63)
+        eig_calls.clear()
+        geometry.e_geodesic("sld", rho1, rho2, 0.3)
+        # the two endpoint checks, inverse_mean, then the power of K
+        assert sorted(eig_calls) == [("eigh", (6, 6))] * 3 + [("eigvalsh", (6, 6))] * 2
+
+    def test_tail_matches_reference_mean(self):
+        for seed in range(5):
+            rho_from, rho_to = random_density(6, 70 + 2 * seed), random_density(6, 71 + 2 * seed)
+            e, _ = geometry._geodesic_tail("sld", rho_from, rho_to)
+            k = oracles.geometric_mean_ref(linalg.invm(rho_from), rho_to)
+            want = 2.0 * linalg.logm(k)
+            want -= np.trace(rho_to @ want).real * np.eye(6)
+            assert np.abs(e - want).max() <= 1e-10 * max(1.0, np.abs(want).max())

@@ -1004,6 +1004,190 @@ class TestAlternatingProjections:
         assert np.linalg.norm(final.trace_second() - np.eye(2) / 2) <= 1e-6
 
 
+def joint_marginals(method: str, coord0: np.ndarray, a, b, n: int, m: int) -> np.ndarray:
+    """Both marginals, stacked as one vector, of the state the joint dual
+    assigns to (a, b): (rho0^{-1} - I kron a - b kron I)^{-1} for Burg,
+    exp(log rho0 + I kron a + b kron I) / Z for BKM, built from dense lifts."""
+    if method == "burg":
+        state = np.linalg.inv(coord0 - oracles.lift(a, n, m, "first") - oracles.lift(b, n, m, "second"))
+    else:
+        state = linalg.expm(coord0 + oracles.lift(a, n, m, "first") + oracles.lift(b, n, m, "second"))
+        state /= np.trace(state).real
+    return np.concatenate([
+        linalg.partial_trace(state, n, m, "first").reshape(-1),
+        linalg.partial_trace(state, n, m, "second").reshape(-1),
+    ])
+
+
+def joint_case(n: int, m: int, general: bool, seed: int):
+    rng = np.random.default_rng(seed)
+    choi = channels.random_choi(n, m, rng)
+    if not general:
+        return choi, scaling.ScalingConfig()
+    p, q = channels.random_density(m, rng), channels.random_density(n, rng)
+    return choi, scaling.ScalingConfig(target_p=p, target_q=q)
+
+
+class TestJointLimit:
+    """One Newton solve for the limit of the BKM and Burg alternations."""
+
+    @pytest.mark.parametrize("n, m", JACOBIAN_CASES)
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    def test_hessian_against_central_differences(self, method, n, m):
+        rng = np.random.default_rng(1300 + 10 * n + m + (method == "burg"))
+        rho0 = channels.random_choi(n, m, rng).matrix
+        a, b = random_hermitian(m, rng), random_hermitian(n, rng)
+        if method == "burg":
+            coord0 = linalg.invm(rho0)
+            # rho0^{-1} >= I, so lifts of norm at most 1/4 each keep it positive definite
+            a *= 0.25 / np.abs(np.linalg.eigvalsh(a)).max()
+            b *= 0.25 / np.abs(np.linalg.eigvalsh(b)).max()
+            state = np.linalg.inv(coord0 - oracles.lift(a, n, m, "first") - oracles.lift(b, n, m, "second"))
+            hess = scaling._burg_hessian(state, n, m)
+        else:
+            coord0 = linalg.logm(rho0)
+            marginals = joint_marginals(method, coord0, a, b, n, m)
+            w, v = np.linalg.eigh(coord0 + oracles.lift(a, n, m, "first") + oracles.lift(b, n, m, "second"))
+            hess = scaling._bkm_hessian(
+                w, v, marginals[: m * m].reshape(m, m), marginals[m * m :].reshape(n, n), n, m
+            )
+        assert hess.shape == (m * m + n * n, m * m + n * n)
+        for _ in range(3):
+            da, db = random_hermitian(m, rng), random_hermitian(n, rng)
+            fd = oracles.matrix_central_difference(
+                lambda t: joint_marginals(method, coord0, a + t * da, b + t * db, n, m), 0.0, 1e-5
+            )
+            got = hess @ np.concatenate([da.reshape(-1), db.reshape(-1)])
+            assert np.abs(got - fd).max() <= 1e-7 * np.abs(fd).max()
+            # the cross blocks alone, against moving the other side only
+            fd_cross = oracles.matrix_central_difference(
+                lambda t: joint_marginals(method, coord0, a, b + t * db, n, m), 0.0, 1e-5
+            )
+            assert np.abs(hess[: m * m, m * m :] @ db.reshape(-1) - fd_cross[: m * m]).max() <= (
+                1e-7 * np.abs(fd_cross).max()
+            )
+        eye_m, eye_n = np.eye(m).reshape(-1), np.eye(n).reshape(-1)
+        zero_m, zero_n = np.zeros(m * m), np.zeros(n * n)
+        # null vectors of the dual: (I, -I) for both, (I, 0) and (0, I) for BKM
+        null = [np.concatenate([eye_m, -eye_n])]
+        if method == "bkm":
+            null += [np.concatenate([eye_m, zero_n]), np.concatenate([zero_m, eye_n])]
+        else:
+            # the Burg dual is curved along (I, I): rho^{-1} shifts by a multiple of I
+            assert np.abs(hess @ np.concatenate([eye_m, eye_n])).max() > 1e-3 * np.abs(hess).max()
+        for vec in null:
+            assert np.abs(hess @ vec).max() <= 1e-12 * np.abs(hess).max()
+
+    @pytest.mark.parametrize("general", [False, True])
+    @pytest.mark.parametrize("n, m", JACOBIAN_CASES)
+    def test_burg_limit_matches_long_alternation(self, n, m, general):
+        choi, cfg = joint_case(n, m, general, 1400 + 10 * n + m + general)
+        joint = scaling.joint_limit("burg", choi, cfg)
+        assert joint.converged and joint.residuals[-1] < 1e-20
+        long_cfg = scaling.ScalingConfig(
+            max_iters=20_000, tol=1e-24, target_p=cfg.target_p, target_q=cfg.target_q
+        )
+        alternation = scaling.alternating_projections("burg", choi, long_cfg)
+        gap = np.abs(joint.final.matrix - alternation.final.matrix).max()
+        assert gap <= 1e-10 * np.abs(alternation.final.matrix).max()
+
+    def test_burg_limit_on_two_by_two_inputs(self):
+        # the 2 x 2 inputs the alternation leaves unconverged at its default budget
+        for seed in range(20):
+            choi = channels.random_choi(2, 2, np.random.default_rng(seed))
+            trace = scaling.joint_limit("burg", choi)
+            assert trace.converged and trace.residuals[-1] < 1e-20
+            # the dual form: limit^{-1} = rho0^{-1} - I kron A - B kron I
+            (_, a), (_, b) = trace.factors
+            coord = linalg.invm(choi.matrix) - oracles.lift(a, 2, 2, "first") - oracles.lift(b, 2, 2, "second")
+            assert np.abs(linalg.invm(trace.final.matrix) - coord).max() <= 1e-9 * np.abs(coord).max()
+
+    @pytest.mark.parametrize("general", [False, True])
+    @pytest.mark.parametrize("n, m", JACOBIAN_CASES)
+    def test_bkm_limit(self, n, m, general):
+        choi, cfg = joint_case(n, m, general, 1500 + 10 * n + m + general)
+        p, q = cfg.targets(n, m)
+        joint = scaling.joint_limit("bkm", choi, cfg)
+        tol = policy.get_policy().bkm_gradient_tol
+        assert joint.converged
+        assert np.linalg.norm(joint.final.trace_first() - p) <= tol
+        assert np.linalg.norm(joint.final.trace_second() - q) <= tol
+        # exponential family: rho = exp(log rho0 + I kron A + B kron I) / Z
+        (_, a), (_, b) = joint.factors
+        family = linalg.expm(
+            linalg.logm(choi.matrix) + oracles.lift(a, n, m, "first") + oracles.lift(b, n, m, "second")
+        )
+        assert np.abs(family / np.trace(family).real - joint.final.matrix).max() <= 1e-12
+        if general:
+            long_cfg = scaling.ScalingConfig(max_iters=5000, tol=0.0, target_p=p, target_q=q)
+            alternation = scaling.alternating_projections("bkm", choi, long_cfg)
+            assert np.abs(joint.final.matrix - alternation.final.matrix).max() <= 1e-9
+
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    def test_trace_layout(self, method):
+        choi = channels.random_choi(2, 3, np.random.default_rng(1600))
+        trace = scaling.joint_limit(method, choi)
+        assert trace.method == method and (trace.n, trace.m) == (2, 3)
+        assert len(trace.iterates) == 2 and trace.iterates[0] is choi.matrix
+        assert trace.final.matrix is trace.iterates[-1]
+        assert [side for side, _ in trace.factors] == ["first", "second"]
+        assert trace.factors[0][1].shape == (3, 3) and trace.factors[1][1].shape == (2, 2)
+        assert len(trace.residuals) == 2 and trace.residuals[0] == scaling.choi_residual(
+            choi, np.eye(3) / 3, np.eye(2) / 2
+        )
+        assert trace.converged and trace.residuals[-1] < 1e-16 and 0 < trace.sweeps <= 200
+
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    def test_sweep_budget_does_not_bound_the_solve(self, method):
+        choi = channels.random_choi(2, 2, np.random.default_rng(1601))
+        free = scaling.joint_limit(method, choi)
+        bounded = scaling.joint_limit(method, choi, scaling.ScalingConfig(max_iters=0))
+        assert free.sweeps > 0 and bounded.sweeps == free.sweeps
+        assert np.array_equal(bounded.final.matrix, free.final.matrix)
+        # tol only decides the converged flag
+        exact = scaling.joint_limit(method, choi, scaling.ScalingConfig(tol=0.0))
+        assert not exact.converged and np.array_equal(exact.final.matrix, free.final.matrix)
+
+    @pytest.mark.parametrize("method, field", [("bkm", "bkm_max_iters"), ("burg", "burg_max_iters")])
+    def test_policy_budget_bounds_the_solve(self, method, field):
+        choi = channels.random_choi(2, 2, np.random.default_rng(1602))
+        previous = policy.set_policy(policy.relaxed(**{field: 1}))
+        try:
+            with pytest.raises(ConvergenceError, match="exhausted 1 iterations"):
+                scaling.joint_limit(method, choi)
+        finally:
+            policy.set_policy(previous)
+
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    def test_feasible_start_is_the_limit(self, method):
+        choi = ChoiMatrix(n=2, m=2, matrix=np.eye(4) / 4)
+        trace = scaling.joint_limit(method, choi)
+        assert trace.converged and trace.sweeps == 0
+        assert np.abs(trace.final.matrix - choi.matrix).max() <= 1e-15
+
+    def test_sld_and_unknown_methods_unsupported(self):
+        choi = ChoiMatrix(n=2, m=2, matrix=np.eye(4) / 4)
+        with pytest.raises(UnsupportedError, match="not dually flat"):
+            scaling.joint_limit("sld", choi)
+        with pytest.raises(UnsupportedError):
+            scaling.joint_limit("euclidean", choi)
+
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    def test_rank_deficient_input_rejected(self, method):
+        with pytest.raises(SingularityError):
+            scaling.joint_limit(method, rank_two_choi())
+
+    def test_unit_trace_shift(self):
+        rng = np.random.default_rng(1603)
+        for spread in (1.0, 1e3, 1e8):
+            for size in (1, 4, 16):
+                w = np.sort(rng.uniform(1e-3, 1.0, size) ** 3) * spread
+                c = scaling._unit_trace_shift(w)
+                assert c < w[0]
+                # w - c loses the digits w[0] has above one
+                assert abs(np.sum(1.0 / (w - c)) - 1.0) <= 1e-15 * size * max(1.0, w[0])
+
+
 class TestCapacity:
     def test_fixed_point_has_unit_capacity(self):
         choi = ChoiMatrix(n=2, m=2, matrix=np.eye(4) / 4)

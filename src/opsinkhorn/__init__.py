@@ -40,7 +40,6 @@ from .geometry import (
 from .policy import NumericPolicy, get_policy, set_policy
 from .reference import reference_direction, reference_rho0
 from .scaling import (
-    MatrixScalingTrace,
     ScalingConfig,
     ScalingTrace,
     alternating_projections,
@@ -88,7 +87,6 @@ __all__ = [
     "set_policy",
     "reference_direction",
     "reference_rho0",
-    "MatrixScalingTrace",
     "ScalingConfig",
     "ScalingTrace",
     "alternating_projections",

@@ -95,7 +95,7 @@ def _load_input_choi(args, loaded=None) -> ChoiMatrix:
     raise ParseError("expected a choi or density payload")
 
 
-def _trace_summary(trace: scaling.ScalingTrace | scaling.MatrixScalingTrace) -> dict:
+def _trace_summary(trace: scaling.ScalingTrace) -> dict:
     try:
         capacity = scaling.capacity_from_trace(trace)
     except (UnsupportedError, ConvergenceError):

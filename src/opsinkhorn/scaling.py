@@ -25,6 +25,15 @@ the minimizer of one convex dual in both dual variables at once;
 :func:`joint_limit` finds it by damped Newton on that joint dual, in a few
 steps where the Burg alternation needs hundreds or thousands of sweeps.
 
+Every scheme is one alternation of e-projections onto the two marginal
+sets, and only the projection differs, so one sweep loop, :func:`_alternate`,
+runs them all: classical Sinkhorn (the diagonal case), operator Sinkhorn and
+the BKM and Burg alternations.  It holds the stop rule, the sweep count and
+the ``converged`` flag; each driver passes in its per-side step and its
+residual.  Likewise one damped-Newton loop, :func:`_newton`, runs the BKM
+and Burg projections and the joint limit solve, each with its own
+evaluation and Newton direction.
+
 Operator Sinkhorn runs on the factors instead of the iterate: after k steps
 the iterate is (R kron L) rho0 (R kron L)^dagger, the Choi matrix of the
 scaled map X -> L Phi(R^dagger X R) L^dagger, with L and R the ordered
@@ -54,7 +63,8 @@ product that determines the capacity of the input map.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import numbers
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -77,7 +87,6 @@ __all__ = [
     "ScalingConfig",
     "ScalingTrace",
     "SinkhornIterates",
-    "MatrixScalingTrace",
     "doubly_stochastic",
     "matrix_sinkhorn",
     "operator_sinkhorn_step",
@@ -100,7 +109,9 @@ class ScalingConfig:
     ``max_iters`` counts sweeps (one left plus one right step).  ``tol`` is
     compared against the squared-Frobenius stopping criterion; ``tol=0``
     disables early stopping so a run executes exactly ``max_iters`` sweeps.
-    ``target_p`` / ``target_q`` default to I/m and I/n.
+    A ``max_iters`` that is not an int, or a ``tol`` that is not finite, is
+    an ``InvalidInputError``.  ``target_p`` / ``target_q`` default to I/m
+    and I/n.
     """
 
     max_iters: int = 200
@@ -109,10 +120,11 @@ class ScalingConfig:
     target_q: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise InvalidInputError("max_iters must be nonnegative")
-        if self.tol < 0:
-            raise InvalidInputError("tol must be nonnegative")
+        count = self.max_iters
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+            raise InvalidInputError(f"max_iters must be a nonnegative int, got {count!r}")
+        if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol) and self.tol >= 0):
+            raise InvalidInputError(f"tol must be finite and nonnegative, got {self.tol!r}")
 
     def targets(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         p = np.eye(m) / m if self.target_p is None else as_density(self.target_p, "target P")
@@ -186,13 +198,17 @@ class _IterateView(Sequence):
 
 @dataclass
 class ScalingTrace:
-    """Record of an alternating projection run on a Choi matrix.
+    """Record of an alternating projection run.
 
     ``iterates`` starts with the input and ends with the final iterate: a
-    list of arrays for ``bkm`` and ``burg``, a :class:`SinkhornIterates` for
-    ``sld``, where reading an intermediate iterate costs one congruence.
-    ``final`` is the last iterate as a validated :class:`ChoiMatrix`; the
-    solvers store the one they validated, so reading it costs nothing.
+    list of arrays for ``bkm``, ``burg`` and ``classical``, a
+    :class:`SinkhornIterates` for ``sld``, where reading an intermediate
+    iterate costs one congruence.  ``final`` is the last iterate as a
+    validated :class:`ChoiMatrix`; the solvers store the one they
+    validated, so reading it costs nothing.  A ``classical`` trace (from
+    :func:`matrix_sinkhorn`) holds m x n arrays instead: ``n`` and ``m``
+    are their column and row counts, as in the diagonal Choi embedding,
+    the targets are I/m and I/n, and ``final`` is the scaled array.
     """
 
     method: str
@@ -208,83 +224,78 @@ class ScalingTrace:
     converged: bool = False
     sweeps: int = 0
     preprocessed: bool = False
-    _final: ChoiMatrix | None = field(default=None, repr=False)
+    _final: ChoiMatrix | np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def final(self) -> ChoiMatrix:
+    def final(self) -> ChoiMatrix | np.ndarray:
         if self._final is None:
             self._final = ChoiMatrix(n=self.n, m=self.m, matrix=self.iterates[-1])
         return self._final
 
 
-@dataclass
-class MatrixScalingTrace:
-    """Record of a classical Sinkhorn run on a positive matrix."""
-
-    shape: tuple[int, int]
-    tol: float
-    iterates: list[np.ndarray] = field(default_factory=list)
-    factors: list[tuple[str, np.ndarray]] = field(default_factory=list)
-    residuals: list[float] = field(default_factory=list)
-    capacity_log: float = 0.0
-    converged: bool = False
-    sweeps: int = 0
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.iterates[-1]
-
-
-def _matrix_residual(a: np.ndarray) -> float:
-    m, n = a.shape
-    return float(
-        np.linalg.norm(a.sum(axis=1) - 1.0 / m) ** 2
-        + np.linalg.norm(a.sum(axis=0) - 1.0 / n) ** 2
-    )
+def _alternate(
+    trace: ScalingTrace, cfg: ScalingConfig, step: Callable[[str, np.ndarray], np.ndarray], residual: Callable[[], float]
+) -> ScalingTrace:
+    """The sweep loop of every driver.  A sweep is ``step("first", P)``
+    then ``step("second", Q)``: each makes one e-projection onto
+    {tr_side rho = target}, records its iterate and returns its factor,
+    which the loop records.  Then ``residual()`` gives the stopping
+    criterion.  Sweeps run while the last residual is at least ``cfg.tol``
+    and fewer than ``cfg.max_iters`` have run; ``converged`` says whether
+    the last residual is below ``cfg.tol``."""
+    while trace.residuals[-1] >= cfg.tol and trace.sweeps < cfg.max_iters:
+        for side, target in (("first", trace.target_p), ("second", trace.target_q)):
+            trace.factors.append((side, step(side, target)))
+        trace.sweeps += 1
+        trace.residuals.append(residual())
+    trace.converged = trace.residuals[-1] < cfg.tol
+    return trace
 
 
-def matrix_sinkhorn(a0: np.ndarray, cfg: ScalingConfig = ScalingConfig()) -> MatrixScalingTrace:
+def matrix_sinkhorn(a0: np.ndarray, cfg: ScalingConfig = ScalingConfig()) -> ScalingTrace:
     """Classical Sinkhorn iteration on an entrywise-positive matrix.
 
     Alternates row normalization A <- (1/m) Diag(A 1)^{-1} A with column
     normalization A <- (1/n) A Diag(A^T 1)^{-1} until the stopping criterion
     falls below ``cfg.tol`` or the sweep budget runs out.  Row sums are exact
-    after every odd step, column sums after every even step.
+    after every odd step, column sums after every even step.  The targets
+    are the uniform ones: ``cfg.target_p`` or ``cfg.target_q`` set is an
+    ``UnsupportedError``.  Returns a ``classical`` :class:`ScalingTrace`.
     """
     a = np.asarray(a0, dtype=float)
     if a.ndim != 2:
         raise InvalidInputError(f"expected a matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)) or np.any(a <= 0):
         raise DomainError("matrix scaling requires strictly positive entries")
+    if cfg.target_p is not None or cfg.target_q is not None:
+        raise UnsupportedError("classical scaling targets uniform row and column sums")
     m, n = a.shape
-    trace = MatrixScalingTrace(shape=(m, n), tol=cfg.tol)
-    trace.iterates.append(a.copy())
-    trace.residuals.append(_matrix_residual(a))
-    square = m == n
-    while trace.residuals[-1] >= cfg.tol and trace.sweeps < cfg.max_iters:
-        row = 1.0 / (m * a.sum(axis=1))
-        a = a * row[:, None]
-        trace.factors.append(("first", np.diag(row)))
-        trace.iterates.append(a.copy())
-        if square:
-            trace.capacity_log += float(np.sum(np.log(row))) / n
-        col = 1.0 / (n * a.sum(axis=0))
-        a = a * col[None, :]
-        trace.factors.append(("second", np.diag(col)))
-        trace.iterates.append(a.copy())
-        if square:
-            trace.capacity_log += float(np.sum(np.log(col))) / n
-        trace.sweeps += 1
-        trace.residuals.append(_matrix_residual(a))
-    trace.converged = trace.residuals[-1] < cfg.tol
+
+    def residual() -> float:
+        return float(np.linalg.norm(a.sum(axis=1) - 1.0 / m) ** 2 + np.linalg.norm(a.sum(axis=0) - 1.0 / n) ** 2)
+
+    trace = ScalingTrace(
+        method="classical", n=n, m=m, tol=cfg.tol, target_p=np.eye(m) / m, target_q=np.eye(n) / n,
+        iterates=[a.copy()], residuals=[residual()],
+    )
+
+    def step(side: str, target: np.ndarray) -> np.ndarray:
+        nonlocal a
+        scale = 1.0 / (len(target) * a.sum(axis=1 if side == "first" else 0))
+        a = a * scale[:, None] if side == "first" else a * scale
+        trace.iterates.append(a)
+        if m == n:
+            trace.capacity_log += float(np.sum(np.log(scale))) / n
+        return np.diag(scale)
+
+    _alternate(trace, cfg, step, residual)
+    trace._final = trace.iterates[-1]
     return trace
 
 
 def _residual(mat: np.ndarray, n: int, m: int, p: np.ndarray, q: np.ndarray) -> float:
-    return float(
-        np.linalg.norm(linalg.partial_trace(mat, n, m, "first") - p) ** 2
-        + np.linalg.norm(linalg.partial_trace(mat, n, m, "second") - q) ** 2
-    )
+    first, second = linalg.partial_trace(mat, n, m, "first"), linalg.partial_trace(mat, n, m, "second")
+    return float(np.linalg.norm(first - p) ** 2 + np.linalg.norm(second - q) ** 2)
 
 
 def choi_residual(choi: ChoiMatrix, p: np.ndarray, q: np.ndarray) -> float:
@@ -327,19 +338,23 @@ def operator_sinkhorn_step(
 
 
 def _new_trace(method: str, choi0: ChoiMatrix, cfg: ScalingConfig) -> tuple[ScalingTrace, np.ndarray, np.ndarray]:
+    """Entry checks and the trace of a run: a unit-trace input and, for
+    ``bkm`` and ``burg``, a known method and a positive definite input (both
+    divergences need log rho and rho^{-1}, so a rank-deficient input is out
+    of their domain).  Returns the trace with its first residual, P and Q."""
+    if method != "sld":
+        if method not in METHODS:
+            raise UnsupportedError(f"unknown method {method!r}; expected one of {METHODS}")
+        linalg.assert_positive_definite(choi0.matrix, "initial Choi matrix")
     tr = float(np.trace(choi0.matrix).real)
     if abs(tr - 1.0) > get_policy().trace_atol:
         raise InvalidInputError(f"initial Choi matrix has trace {tr!r}, expected 1")
     p, q = cfg.targets(choi0.n, choi0.m)
-    if method == "sld":
-        iterates = SinkhornIterates(choi0.matrix, choi0.n, choi0.m)
-    else:
-        iterates = [choi0.matrix]
+    iterates = SinkhornIterates(choi0.matrix, choi0.n, choi0.m) if method == "sld" else [choi0.matrix]
     trace = ScalingTrace(
         method=method, n=choi0.n, m=choi0.m, tol=cfg.tol, target_p=p, target_q=q,
-        iterates=iterates, _final=choi0,
+        iterates=iterates, residuals=[choi_residual(choi0, p, q)], _final=choi0,
     )
-    trace.residuals.append(choi_residual(choi0, p, q))
     return trace, p, q
 
 
@@ -376,53 +391,49 @@ def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -
     rebuilds the ones in between on read (:class:`SinkhornIterates`).
     """
     trace, p, q = _new_trace("sld", choi0, cfg)
-    if trace.residuals[0] < cfg.tol:
-        trace.converged = True
-        return trace
     n, m = choi0.n, choi0.m
-    iterates = trace.iterates
     # one permuted copy of rho0, (a b, i j) -> rho0[i a, j b]; its transpose
     # is the (i j, a b) view the right marginals need
     cross = choi0.matrix.reshape(n, m, n, m).transpose(1, 3, 0, 2).reshape(m * m, n * n)
     left, right = np.eye(m, dtype=complex), np.eye(n, dtype=complex)
     # F marginal F = target, so log det F = (log det target - log det
     # marginal) / 2, read off the step's own spectrum of the marginal
-    logdet_p, logdet_q = np.linalg.slogdet(p)[1], np.linalg.slogdet(q)[1]
+    target_logdet = {"first": np.linalg.slogdet(p)[1], "second": np.linalg.slogdet(q)[1]}
+    first = second = None
 
-    def factor_of(side: str, marginal: np.ndarray, target: np.ndarray, target_logdet: float):
-        factor, marginal_logdet = linalg.inverse_mean(marginal, target, f"{side} marginal")
-        trace.factors.append((side, factor))
+    def step(side: str, target: np.ndarray) -> np.ndarray:
+        nonlocal left, right, first, second
+        if side == "second":
+            second = _scaled_marginal(cross.T, left, right)
+        factor, marginal_logdet = linalg.inverse_mean(first if side == "first" else second, target, f"{side} marginal")
         if n == m:
             # the congruence multiplies the encoded map by factor twice,
             # so its capacity by det(factor)^{2/n}
-            trace.capacity_log += float(target_logdet - marginal_logdet) / n
+            trace.capacity_log += float(target_logdet[side] - marginal_logdet) / n
+        if side == "first":
+            left = factor @ left
+        else:
+            right = factor @ right
+            first = _scaled_marginal(cross, right, left)
+        trace.iterates._append(left, right)
         return factor
 
-    trace.preprocessed = not doubly_stochastic(p, q)
+    def residual() -> float:
+        factor = trace.factors[-1][1]
+        return float(linalg.frobenius(first - p) ** 2 + linalg.frobenius(factor @ second @ factor - q) ** 2)
+
+    # a feasible start takes no step, not even the preprocessing one
+    trace.preprocessed = trace.residuals[0] >= cfg.tol and not doubly_stochastic(p, q)
     if trace.preprocessed:
-        right = factor_of("second", _scaled_marginal(cross.T, left, right), q, logdet_q)
-        iterates._append(left, right)
-    first = _scaled_marginal(cross, right, left)
-    while trace.sweeps < cfg.max_iters:
-        left = factor_of("first", first, p, logdet_p) @ left
-        iterates._append(left, right)
-        second = _scaled_marginal(cross.T, left, right)
-        factor = factor_of("second", second, q, logdet_q)
-        right = factor @ right
-        iterates._append(left, right)
+        trace.factors.append(("second", step("second", q)))
+    else:
         first = _scaled_marginal(cross, right, left)
-        trace.sweeps += 1
-        trace.residuals.append(
-            float(linalg.frobenius(first - p) ** 2 + linalg.frobenius(factor @ second @ factor - q) ** 2)
-        )
-        if trace.residuals[-1] < cfg.tol:
-            break
-    trace.converged = trace.residuals[-1] < cfg.tol
+    _alternate(trace, cfg, step, residual)
     if trace.factors:  # else the final iterate is the validated input
         trace._final = ChoiMatrix(n=n, m=m, matrix=congruence(choi0.matrix, n, m, left, right))
         # the validated copy has the same entries (the congruence returns
         # an exactly Hermitian array); keep one array, not two
-        iterates[-1] = trace._final.matrix
+        trace.iterates[-1] = trace._final.matrix
     return trace
 
 
@@ -531,6 +542,69 @@ class _Point(NamedTuple):
     state: np.ndarray
 
 
+def _newton(method: str, evaluate: Callable, direction: Callable, current, joint: bool = False):
+    """Damped Newton on a smooth convex dual: the loop of the ``bkm`` and
+    ``burg`` e-projections and of :func:`joint_limit`.
+
+    ``current`` and every ``evaluate(x)`` are tuples (x, value, gradient,
+    state): the dual variable (an evaluation may move it along a line on
+    which it minimizes the dual in closed form), the dual value as a
+    function of no arguments, called only for a step that fails the
+    gradient test below, its gradient, an array shaped like x, and whatever
+    ``direction(state, gradient)`` needs to return the Newton step.
+    ``None`` means outside the domain: a rejected candidate, or
+    ``SingularityError`` for ``current``.
+
+    A step is halved until it passes Armijo on the dual value or halves the
+    gradient norm: near the solution the decrease of the value falls below
+    its rounding while the gradient still shrinks.  The solve stops when
+    the gradient norm reaches the policy tolerance (``bkm_gradient_tol``,
+    ``burg_residual_tol``).  Burg then takes one more full step, kept if it
+    lowers the gradient norm: Newton is quadratic near the solution, so this
+    drives the gradient to rounding level.  A rejected polishing step ends
+    the solve instead of a search over shorter ones.  A step halved below
+    1e-14, or more steps than the policy's ``bkm_max_iters`` or
+    ``burg_max_iters``, is a ``ConvergenceError``.  Returns the final x,
+    its state and the number of steps taken.
+    """
+    pol = get_policy()
+    tol, max_iters = (
+        (pol.bkm_gradient_tol, pol.bkm_max_iters) if method == "bkm" else (pol.burg_residual_tol, pol.burg_max_iters)
+    )
+    what = f"joint {method}" if joint else f"{method} projection"
+    if current is None:
+        raise SingularityError(f"{what} source is too ill-conditioned to invert")
+    x, value, g, state = current
+    g_norm, steps, polish = linalg.frobenius(g), 0, False
+    for _ in range(max_iters):
+        if g_norm <= tol:
+            if polish or method == "bkm":
+                return x, state, steps
+            polish = True
+        step = direction(state, g)
+        slope = np.vdot(g, step).real
+        t = 1.0
+        while t > 1e-14:
+            cand = evaluate(x + t * step)
+            if cand is not None:
+                cand_norm = linalg.frobenius(cand[2])
+                if polish:
+                    accept = cand_norm < g_norm
+                else:
+                    accept = cand_norm <= 0.5 * g_norm or cand[1]() <= value() + 1e-4 * t * slope
+                if accept:
+                    (x, value, g, state), g_norm = cand, cand_norm
+                    steps += 1
+                    break
+            if polish:
+                # a rejected polishing step keeps the point as it is
+                break
+            t /= 2.0
+        else:
+            raise ConvergenceError(f"{what} Newton stalled at gradient norm {g_norm:.3e}")
+    raise ConvergenceError(f"{what} Newton exhausted {max_iters} iterations (gradient norm {g_norm:.3e})")
+
+
 def _bkm_point(coord: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[_Point, float]:
     """The state exp(coord) / Z from the spectrum of ``coord``, and log Z.
     The returned coordinate and spectrum are shifted by -log Z, so they are
@@ -558,46 +632,28 @@ def _bkm_project(
     """BKM e-projection of ``start`` onto {tr_side rho = target} on plain
     arrays (see :func:`bkm_e_projection`); returns the projected point, read
     off the last accepted Newton evaluation, and the dual variable A."""
-    pol = get_policy()
     d = m if side == "first" else n
     gauge = np.outer(np.eye(d).reshape(-1), np.eye(d).reshape(-1)) / d
 
     def evaluate(a: np.ndarray):
-        """Point at start.coord + lift(a), its dual value and its marginal."""
+        """a, the dual value and gradient at start.coord + lift(a), and the
+        point there with its marginal."""
         coord = _plus_lift(start.coord, a, n, m, side)
         point, log_z = _bkm_point(coord, *np.linalg.eigh(coord))
-        value = log_z - float(np.trace(target @ a).real)
-        return point, value, linalg.partial_trace(point.state, n, m, side)
+        marginal = linalg.partial_trace(point.state, n, m, side)
+        return (a, lambda: log_z - float(np.trace(target @ a).real),
+                linalg.hermitian_part(marginal - target), (point, marginal))
 
-    a = np.zeros((d, d), dtype=complex)
-    # at A = 0 the dual value is log tr exp(start.coord), zero up to rounding
-    point, value = start, float(np.logaddexp.reduce(start.w))
-    marginal = linalg.partial_trace(start.state, n, m, side)
-    g = linalg.hermitian_part(marginal - target)
-    for _ in range(pol.bkm_max_iters):
-        grad_norm = linalg.frobenius(g)
-        if grad_norm <= pol.bkm_gradient_tol:
-            break
+    def direction(state, g: np.ndarray) -> np.ndarray:
+        point, marginal = state
         hess = _bkm_jacobian(point.w, point.v, marginal, n, m, side) + gauge
-        step = linalg.hermitian_part(np.linalg.solve(hess, -g.reshape(-1)).reshape(d, d))
-        slope = np.vdot(g, step).real
-        t = 1.0
-        while t > 1e-14:
-            candidate = a + t * step
-            cand = evaluate(candidate)
-            g_cand = linalg.hermitian_part(cand[2] - target)
-            if cand[1] <= value + 1e-4 * t * slope or linalg.frobenius(g_cand) <= 0.5 * grad_norm:
-                a, g = candidate, g_cand
-                point, value, marginal = cand
-                break
-            t /= 2.0
-        else:
-            raise ConvergenceError(f"BKM Newton stalled at gradient norm {grad_norm:.3e}")
-    else:
-        raise ConvergenceError(
-            f"BKM dual solver exhausted {pol.bkm_max_iters} iterations "
-            f"(gradient norm {linalg.frobenius(g):.3e})"
-        )
+        return linalg.hermitian_part(np.linalg.solve(hess, -g.reshape(-1)).reshape(d, d))
+
+    marginal = linalg.partial_trace(start.state, n, m, side)
+    # at A = 0 the dual value is log tr exp(start.coord), zero up to rounding
+    current = (np.zeros((d, d), dtype=complex), lambda: float(np.logaddexp.reduce(start.w)),
+               linalg.hermitian_part(marginal - target), (start, marginal))
+    a, (point, _), _ = _newton("bkm", evaluate, direction, current)
     return point, a
 
 
@@ -616,11 +672,8 @@ def bkm_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Choi
     :func:`_bkm_jacobian`).  F is flat along A -> A + cI, so the Hessian
     is singular in that direction; adding vec(I) vec(I)^T / d fixes the
     gauge, and since the gradient is traceless every step (hence A) stays
-    traceless.  A step is halved until it passes Armijo on F or halves the
-    gradient norm: near the solution the decrease of F falls below its
-    rounding while the gradient still shrinks.  The iteration stops when
-    the gradient norm reaches the policy tolerance.  Returns the projected
-    state and the dual variable.
+    traceless.  The line search and stopping rule are those of
+    :func:`_newton`.  Returns the projected state and the dual variable.
 
     This wrapper checks the source (positive definite, unit trace), takes
     its logarithm and validates the result as a :class:`ChoiMatrix`; the
@@ -651,60 +704,31 @@ def _burg_project(
     """Burg e-projection of ``start`` onto {tr_side rho = target} on plain
     arrays (see :func:`burg_e_projection`); returns the projected point, read
     off the last accepted Newton evaluation, and the dual variable A."""
-    pol = get_policy()
+    floor, tiny = get_policy().pd_rel_floor, np.finfo(float).tiny
     d = m if side == "first" else n
 
     def in_cone(w: np.ndarray) -> bool:
-        return bool(w[0] > pol.pd_rel_floor * max(abs(w[-1]), np.finfo(float).tiny))
+        return bool(w[0] > floor * max(abs(w[-1]), tiny))
 
-    def evaluate(a: np.ndarray):
-        """Point at start.coord - lift(a) and its residual, or None outside
-        the cone."""
-        coord = _plus_lift(start.coord, -a, n, m, side)
-        w, v = np.linalg.eigh(coord)
-        if not in_cone(w):
-            return None
-        point = _burg_point(coord, w, v)
-        return point, linalg.hermitian_part(linalg.partial_trace(point.state, n, m, side) - target)
+    def evaluate(a: np.ndarray, point: _Point | None = None):
+        """a, the dual value and gradient at K = start.coord - lift(a), and
+        the point there (``point``, if given); None outside the cone.  The
+        value -log det K - tr(target A) comes from the spectrum of K."""
+        if point is None:
+            coord = _plus_lift(start.coord, -a, n, m, side)
+            w, v = np.linalg.eigh(coord)
+            if not in_cone(w):
+                return None
+            point = _burg_point(coord, w, v)
+        return (a, lambda: -float(np.log(point.w).sum()) - float(np.vdot(a, target).real),
+                linalg.hermitian_part(linalg.partial_trace(point.state, n, m, side) - target), point)
 
-    if not in_cone(start.w):
-        raise SingularityError("Burg projection source is too ill-conditioned to invert")
-    a = np.zeros((d, d), dtype=complex)
-    point = start
-    g = linalg.hermitian_part(linalg.partial_trace(start.state, n, m, side) - target)
-    polish = False
-    for _ in range(pol.burg_max_iters):
-        g_norm = linalg.frobenius(g)
-        if g_norm <= pol.burg_residual_tol:
-            if polish:
-                break
-            # one extra full step: Newton is quadratic near the solution, so
-            # this drives the residual (hence the iterate's trace defect) to
-            # rounding level
-            polish = True
+    def direction(point: _Point, g: np.ndarray) -> np.ndarray:
         jac = _burg_jacobian(point.state, n, m, side)
-        newton = linalg.hermitian_part(np.linalg.solve(jac, -g.reshape(-1)).reshape(d, d))
-        alpha = 1.0
-        while alpha > 1e-14:
-            candidate = a + alpha * newton
-            cand = evaluate(candidate)
-            if cand is not None and linalg.frobenius(cand[1]) < g_norm:
-                a, (point, g) = candidate, cand
-                break
-            if polish:
-                # the residual is already below tolerance: a rejected full
-                # step ends the polish instead of a search over shorter ones
-                break
-            alpha /= 2.0
-        else:
-            raise ConvergenceError(
-                f"Burg Newton stalled at residual norm {g_norm:.3e}"
-            )
-    else:
-        raise ConvergenceError(
-            f"Burg Newton exhausted {pol.burg_max_iters} iterations "
-            f"(residual norm {linalg.frobenius(g):.3e})"
-        )
+        return linalg.hermitian_part(np.linalg.solve(jac, -g.reshape(-1)).reshape(d, d))
+
+    current = evaluate(np.zeros((d, d), dtype=complex), start) if in_cone(start.w) else None
+    a, point, _ = _newton("burg", evaluate, direction, current)
     return point, a
 
 
@@ -712,18 +736,16 @@ def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Cho
     """Burg divergence minimizer over a partial-trace constraint set.
 
     The minimizer is the resolvent rho = (rho0^{-1} - lift(A))^{-1} with the
-    Hermitian dual variable A determined by tr_side rho = target.  A damped
-    Newton method solves that condition.  By d(R^{-1}) = -R^{-1} dR R^{-1}
-    its Jacobian is B -> tr_side(R lift(B) R), one ``einsum`` on the
-    (n, m, n, m) block view of R (see :func:`_burg_jacobian`); the d^2 x d^2
-    complex system is solved at once and the Hermitian part of the solution
-    taken as the step.  Steps are halved until the resolvent argument stays
-    positive definite (relative to its largest eigenvalue, by the policy
-    floor) and the residual norm decreases; one eigendecomposition gives
-    both that test and the resolvent.  Once the residual norm is below the
-    policy tolerance, one more full step polishes it to rounding level; if
-    that step does not lower it, the point is kept as it is.  Returns the
-    projected state and A.
+    Hermitian dual variable A minimizing the convex dual
+    F(A) = -log det(rho0^{-1} - lift(A)) - tr(target A), whose gradient is
+    tr_side rho - target.  Damped Newton (:func:`_newton`) minimizes it.
+    By d(R^{-1}) = -R^{-1} dR R^{-1} the Hessian is B -> tr_side(R lift(B) R),
+    one ``einsum`` on the (n, m, n, m) block view of R (see
+    :func:`_burg_jacobian`); the d^2 x d^2 complex system is solved at once
+    and the Hermitian part of the solution taken as the step.  A candidate
+    must keep the resolvent argument positive definite (relative to its
+    largest eigenvalue, by the policy floor); one eigendecomposition gives
+    that test, the resolvent and F.  Returns the projected state and A.
 
     This wrapper checks the source (positive definite, unit trace), inverts
     it and validates the result as a :class:`ChoiMatrix`; the Newton
@@ -755,29 +777,18 @@ def alternating_projections(
     """
     if method == "sld":
         return operator_sinkhorn(choi0, cfg)
-    if method not in METHODS:
-        raise UnsupportedError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method == "bkm":
-        start, project = _bkm_start, _bkm_project
-    else:
-        start, project = _burg_start, _burg_project
-    # both divergences need log rho and rho^{-1}, so a rank-deficient input
-    # is out of their domain
-    linalg.assert_positive_definite(choi0.matrix, "initial Choi matrix")
     trace, p, q = _new_trace(method, choi0, cfg)
-    if trace.residuals[0] < cfg.tol:
-        trace.converged = True
-        return trace
+    start, project = (_bkm_start, _bkm_project) if method == "bkm" else (_burg_start, _burg_project)
     n, m = choi0.n, choi0.m
     point = start(choi0.matrix)
-    while trace.residuals[-1] >= cfg.tol and trace.sweeps < cfg.max_iters:
-        for side, target in (("first", p), ("second", q)):
-            point, dual = project(point, n, m, side, target)
-            trace.factors.append((side, dual))
-            trace.iterates.append(point.state)
-        trace.sweeps += 1
-        trace.residuals.append(_residual(point.state, n, m, p, q))
-    trace.converged = trace.residuals[-1] < cfg.tol
+
+    def step(side: str, target: np.ndarray) -> np.ndarray:
+        nonlocal point
+        point, dual = project(point, n, m, side, target)
+        trace.iterates.append(point.state)
+        return dual
+
+    _alternate(trace, cfg, step, lambda: _residual(point.state, n, m, p, q))
     if trace.sweeps:  # else the final iterate is the validated input
         trace._final = ChoiMatrix(n=n, m=m, matrix=point.state)
         # the states are exactly Hermitian, so the validated copy has the
@@ -832,14 +843,10 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
     it a Newton step can leave rho with trace in the hundreds, from where
     damped Newton needs hundreds of steps to return.
 
-    Damped Newton, with a step halved until it passes Armijo on F or halves
-    the gradient norm, stops when the gradient norm reaches the policy
-    tolerance (``bkm_gradient_tol``, ``burg_residual_tol``).  A Burg
-    candidate must keep rho^{-1} positive definite under the policy floor,
-    and Burg then takes one more full step if it lowers the gradient norm,
-    as :func:`burg_e_projection` does.  The policy's ``bkm_max_iters`` or
-    ``burg_max_iters`` bounds the solve (``ConvergenceError`` past it);
-    ``cfg.max_iters`` does not.
+    :func:`_newton` minimizes F, with its line search, stopping rule, Burg
+    polish and policy budget (``ConvergenceError`` past it); a Burg
+    candidate must keep rho^{-1} positive definite under the policy floor.
+    ``cfg.max_iters`` does not bound the solve.
 
     ``sld`` raises ``UnsupportedError``: that geometry is not dually flat,
     and operator Sinkhorn has no such joint dual.  The input is checked once
@@ -851,29 +858,30 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
     """
     if method == "sld":
         raise UnsupportedError("the sld geometry is not dually flat: it has no joint limit solve")
-    if method not in METHODS:
-        raise UnsupportedError(f"unknown method {method!r}; expected one of {METHODS}")
-    linalg.assert_positive_definite(choi0.matrix, "initial Choi matrix")
     trace, p, q = _new_trace(method, choi0, cfg)
     n, m = choi0.n, choi0.m
-    pol = get_policy()
+    mm, floor = m * m, get_policy().pd_rel_floor
     eye_m, eye_n = np.eye(m).reshape(-1), np.eye(n).reshape(-1)
+    eye_ab = np.concatenate([eye_m, eye_n])
     if method == "bkm":
         base, sign = linalg.logm(choi0.matrix), 1.0
-        tol, max_iters = pol.bkm_gradient_tol, pol.bkm_max_iters
-        gauge = np.zeros((m * m + n * n, m * m + n * n))
-        gauge[: m * m, : m * m] = np.outer(eye_m, eye_m) / m
-        gauge[m * m :, m * m :] = np.outer(eye_n, eye_n) / n
+        gauge = np.zeros((mm + n * n, mm + n * n))
+        gauge[:mm, :mm] = np.outer(eye_m, eye_m) / m
+        gauge[mm:, mm:] = np.outer(eye_n, eye_n) / n
     else:
         base, sign = linalg.invm(choi0.matrix), -1.0
-        tol, max_iters = pol.burg_residual_tol, pol.burg_max_iters
         u = np.concatenate([eye_m, -eye_n])
         gauge = np.outer(u, u) / (m + n)
 
-    def evaluate(a: np.ndarray, b: np.ndarray):
-        """(a, b), the point at base +- (I kron a + b kron I), the dual value
-        there and the two marginals; for Burg (a, b) first moves along
-        (I, I) to the unit-trace point, and None means outside the cone."""
+    def split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return x[:mm].reshape(m, m), x[mm:].reshape(n, n)
+
+    def evaluate(x: np.ndarray):
+        """x = (vec a, vec b), the dual value and gradient at base +-
+        (I kron a + b kron I), and the point there with its marginals; for
+        Burg x first moves along (I, I) to the unit-trace point, and None
+        means outside the cone."""
+        a, b = split(x)
         coord = _plus_lift(_plus_lift(base, sign * a, n, m, "first"), sign * b, n, m, "second")
         w, v = np.linalg.eigh(coord)
         if method == "bkm":
@@ -883,64 +891,27 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
                 return None
             c = _unit_trace_shift(w)
             coord.flat[:: n * m + 1] -= c
-            w = w - c
-            a, b = a + 0.5 * c * np.eye(m), b + 0.5 * c * np.eye(n)
-            if not w[0] > pol.pd_rel_floor * w[-1]:
+            w, x = w - c, x + 0.5 * c * eye_ab
+            a, b = split(x)
+            if not w[0] > floor * w[-1]:
                 return None
             point, potential = _burg_point(coord, w, v), -float(np.sum(np.log(w)))
-        value = potential - float(np.trace(p @ a).real + np.trace(q @ b).real)
-        first = linalg.partial_trace(point.state, n, m, "first")
-        return a, b, point, value, first, linalg.partial_trace(point.state, n, m, "second")
+        first, second = (linalg.partial_trace(point.state, n, m, side) for side in ("first", "second"))
+        g = np.concatenate([linalg.hermitian_part(first - p).ravel(), linalg.hermitian_part(second - q).ravel()])
+        return x, lambda: potential - float(np.trace(p @ a).real + np.trace(q @ b).real), g, (point, first, second)
 
-    def gradient_of(first: np.ndarray, second: np.ndarray):
-        g_a, g_b = linalg.hermitian_part(first - p), linalg.hermitian_part(second - q)
-        return g_a, g_b, math.hypot(linalg.frobenius(g_a), linalg.frobenius(g_b))
-
-    current = evaluate(np.zeros((m, m), dtype=complex), np.zeros((n, n), dtype=complex))
-    if current is None:
-        raise SingularityError("Burg limit source is too ill-conditioned to invert")
-    a, b, point, value, first, second = current
-    g_a, g_b, g_norm = gradient_of(first, second)
-    polish = False
-    for _ in range(max_iters):
-        if g_norm <= tol:
-            if polish or method == "bkm":
-                break
-            # one extra full step drives the residual to rounding level
-            polish = True
+    def direction(state, g: np.ndarray) -> np.ndarray:
+        point, first, second = state
         if method == "bkm":
             hess = _bkm_hessian(point.w, point.v, first, second, n, m)
         else:
             hess = _burg_hessian(point.state, n, m)
-        step = np.linalg.solve(hess + gauge, -np.concatenate([g_a.reshape(-1), g_b.reshape(-1)]))
-        d_a = linalg.hermitian_part(step[: m * m].reshape(m, m))
-        d_b = linalg.hermitian_part(step[m * m :].reshape(n, n))
-        slope = np.vdot(g_a, d_a).real + np.vdot(g_b, d_b).real
-        t = 1.0
-        while t > 1e-14:
-            cand = evaluate(a + t * d_a, b + t * d_b)
-            if cand is not None:
-                g_cand = gradient_of(*cand[4:])
-                if polish:
-                    accept = g_cand[2] < g_norm
-                else:
-                    accept = cand[3] <= value + 1e-4 * t * slope or g_cand[2] <= 0.5 * g_norm
-                if accept:
-                    a, b, point, value, first, second = cand
-                    g_a, g_b, g_norm = g_cand
-                    trace.sweeps += 1
-                    break
-            if polish:
-                # a rejected polish step keeps the point as it is
-                break
-            t /= 2.0
-        else:
-            raise ConvergenceError(f"joint {method} Newton stalled at gradient norm {g_norm:.3e}")
-    else:
-        raise ConvergenceError(
-            f"joint {method} Newton exhausted {max_iters} iterations (gradient norm {g_norm:.3e})"
-        )
-    trace.factors += [("first", a), ("second", b)]
+        d_a, d_b = split(np.linalg.solve(hess + gauge, -g))
+        return np.concatenate([linalg.hermitian_part(d_a).ravel(), linalg.hermitian_part(d_b).ravel()])
+
+    current = evaluate(np.zeros(mm + n * n, dtype=complex))
+    x, (point, _, _), trace.sweeps = _newton(method, evaluate, direction, current, joint=True)
+    trace.factors += zip(("first", "second"), split(x))
     trace.residuals.append(_residual(point.state, n, m, p, q))
     trace.converged = trace.residuals[-1] < cfg.tol
     trace._final = ChoiMatrix(n=n, m=m, matrix=point.state)
@@ -948,7 +919,7 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
     return trace
 
 
-def capacity_from_trace(trace: ScalingTrace | MatrixScalingTrace) -> float:
+def capacity_from_trace(trace: ScalingTrace) -> float:
     """Capacity of the input map recovered from a converged Sinkhorn run.
 
     One congruence step multiplies the capacity by det(factor)^{2/n}, and a
@@ -958,17 +929,12 @@ def capacity_from_trace(trace: ScalingTrace | MatrixScalingTrace) -> float:
     Sinkhorn trace; its negative log equals the minimal Kullback-Leibler
     divergence from the input in the classical (diagonal) case.
     """
-    if isinstance(trace, MatrixScalingTrace):
-        m, n = trace.shape
-        if m != n:
-            raise UnsupportedError("capacity is defined for square problems only")
-    else:
-        if trace.n != trace.m:
-            raise UnsupportedError("capacity is defined for m = n only")
-        if trace.method != "sld":
-            raise UnsupportedError("capacity tracking requires a Sinkhorn (sld) trace")
-        if not doubly_stochastic(trace.target_p, trace.target_q):
-            raise UnsupportedError("capacity is defined for doubly stochastic targets")
+    if trace.n != trace.m:
+        raise UnsupportedError("capacity is defined for m = n only")
+    if trace.method not in ("sld", "classical"):
+        raise UnsupportedError("capacity tracking requires a Sinkhorn (sld or classical) trace")
+    if not doubly_stochastic(trace.target_p, trace.target_q):
+        raise UnsupportedError("capacity is defined for doubly stochastic targets")
     if not trace.converged:
         raise ConvergenceError(
             f"trace did not reach tolerance (final residual {trace.residuals[-1]:.3e})"

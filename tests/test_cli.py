@@ -124,6 +124,11 @@ class TestScale:
         code, _, _ = run_cli(capsys, "scale", str(path))
         assert code == 3
 
+    def test_non_finite_tol_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "scale", "--paper-rho0", "--tol", "nan")
+        assert code == 3 and out == ""
+        assert "tol" in err
+
     def test_density_payload_needs_dims(self, capsys, tmp_path):
         rho = channels.random_density(4, np.random.default_rng(1))
         path = tmp_path / "rho.json"

@@ -6,7 +6,13 @@ import pytest
 
 from opsinkhorn import channels, divergences, geometry, linalg, policy, scaling
 from opsinkhorn.channels import ChoiMatrix
-from opsinkhorn.errors import ConvergenceError, DomainError, SingularityError, UnsupportedError
+from opsinkhorn.errors import (
+    ConvergenceError,
+    DomainError,
+    InvalidInputError,
+    SingularityError,
+    UnsupportedError,
+)
 from opsinkhorn.geometry import ConstraintSet
 
 import oracles
@@ -34,6 +40,35 @@ def random_positive_matrix(m, n, seed):
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.1, 1.0, size=(m, n))
     return a / a.sum()
+
+
+# the four sweep drivers: the three Choi methods and classical Sinkhorn
+DRIVERS = [*scaling.METHODS, "classical"]
+
+
+def run_driver(driver: str, a: np.ndarray, cfg: scaling.ScalingConfig = scaling.ScalingConfig()):
+    """Classical Sinkhorn on the positive matrix ``a``, or a Choi method on
+    its diagonal embedding."""
+    if driver == "classical":
+        return scaling.matrix_sinkhorn(a, cfg)
+    return scaling.alternating_projections(driver, diagonal_choi(a), cfg)
+
+
+class TestScalingConfig:
+    @pytest.mark.parametrize("max_iters", [2.5, True, -1, "3", None])
+    def test_rejects_max_iters_that_is_not_a_nonnegative_int(self, max_iters):
+        with pytest.raises(InvalidInputError, match="max_iters"):
+            scaling.ScalingConfig(max_iters=max_iters)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-12, "1e-8", None])
+    def test_rejects_tol_that_is_not_finite_and_nonnegative(self, tol):
+        with pytest.raises(InvalidInputError, match="tol"):
+            scaling.ScalingConfig(tol=tol)
+
+    def test_accepts_integer_and_real_types(self):
+        cfg = scaling.ScalingConfig(max_iters=np.int64(3), tol=np.float64(0.0))
+        trace = scaling.matrix_sinkhorn(random_positive_matrix(2, 3, 3), cfg)
+        assert trace.sweeps == 3
 
 
 class TestMatrixSinkhorn:
@@ -69,6 +104,25 @@ class TestMatrixSinkhorn:
     def test_rejects_nonpositive_entries(self):
         with pytest.raises(DomainError):
             scaling.matrix_sinkhorn(np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("field", ["target_p", "target_q"])
+    def test_rejects_marginal_targets(self, field):
+        # classical scaling has uniform targets only; a target must not be
+        # dropped silently
+        cfg = scaling.ScalingConfig(**{field: np.diag([0.7, 0.3])})
+        with pytest.raises(UnsupportedError, match="uniform"):
+            scaling.matrix_sinkhorn(random_positive_matrix(2, 2, 4), cfg)
+
+    def test_trace_is_the_diagonal_choi_layout(self):
+        a = random_positive_matrix(2, 3, 5)
+        trace = scaling.matrix_sinkhorn(a, scaling.ScalingConfig(max_iters=4, tol=0.0))
+        assert isinstance(trace, scaling.ScalingTrace) and trace.method == "classical"
+        # n and m are the column and row counts, as in diagonal_choi(a)
+        assert (trace.n, trace.m) == (diagonal_choi(a).n, diagonal_choi(a).m) == (3, 2)
+        np.testing.assert_array_equal(trace.target_p, np.eye(2) / 2)
+        np.testing.assert_array_equal(trace.target_q, np.eye(3) / 3)
+        assert trace.final is trace.iterates[-1] and trace.final.shape == (2, 3)
+        assert not trace.preprocessed and trace.capacity_log == 0.0
 
 
 class TestOperatorSinkhornStep:
@@ -941,11 +995,34 @@ class TestBurgPolish:
 
 
 class TestAlternatingProjections:
-    @pytest.mark.parametrize("method", scaling.METHODS)
-    def test_feasible_start_is_immediate_fixed_point(self, method):
-        choi = ChoiMatrix(n=2, m=2, matrix=np.eye(4) / 4)
-        trace = scaling.alternating_projections(method, choi)
+    @pytest.mark.parametrize("driver, general", [(d, False) for d in DRIVERS] + [(d, True) for d in scaling.METHODS])
+    def test_feasible_start_is_immediate_fixed_point(self, driver, general):
+        # a product matrix has row sums p and column sums q, so its diagonal
+        # embedding is feasible for the targets diag(p), diag(q); the
+        # uniform case embeds as I/4.  A feasible start takes no step, not
+        # even the preprocessing one.
+        p, q = ([0.7, 0.3], [0.6, 0.4]) if general else ([0.5, 0.5], [0.5, 0.5])
+        cfg = scaling.ScalingConfig(target_p=np.diag(p), target_q=np.diag(q)) if general else scaling.ScalingConfig()
+        trace = run_driver(driver, np.outer(p, q), cfg)
         assert trace.converged and trace.sweeps == 0
+        assert len(trace.residuals) == 1 and trace.factors == [] and len(trace.iterates) == 1
+        assert not trace.preprocessed
+
+    @pytest.mark.parametrize("driver, general", [(d, False) for d in DRIVERS] + [(d, True) for d in scaling.METHODS])
+    @pytest.mark.parametrize("max_iters", [0, 1, 3])
+    def test_zero_tol_runs_the_whole_budget(self, driver, general, max_iters):
+        rng = np.random.default_rng(944)
+        a = random_positive_matrix(2, 3, 944)
+        targets = {"target_p": channels.random_density(2, rng), "target_q": channels.random_density(3, rng)}
+        cfg = scaling.ScalingConfig(max_iters=max_iters, tol=0.0, **(targets if general else {}))
+        trace = run_driver(driver, a, cfg)
+        assert trace.sweeps == max_iters and not trace.converged
+        assert len(trace.residuals) == max_iters + 1
+        # only sld preprocesses, and only for general targets
+        assert trace.preprocessed == (general and driver == "sld")
+        assert len(trace.factors) == 2 * max_iters + trace.preprocessed
+        assert [side for side, _ in trace.factors[trace.preprocessed:]] == ["first", "second"] * max_iters
+        assert len(trace.iterates) == len(trace.factors) + 1
 
     def test_unknown_method(self):
         choi = ChoiMatrix(n=2, m=2, matrix=np.eye(4) / 4)
@@ -1148,13 +1225,21 @@ class TestJointLimit:
         exact = scaling.joint_limit(method, choi, scaling.ScalingConfig(tol=0.0))
         assert not exact.converged and np.array_equal(exact.final.matrix, free.final.matrix)
 
+    @pytest.mark.parametrize("solve", ["joint", "projection"])
     @pytest.mark.parametrize("method, field", [("bkm", "bkm_max_iters"), ("burg", "burg_max_iters")])
-    def test_policy_budget_bounds_the_solve(self, method, field):
+    def test_policy_budget_bounds_the_solve(self, method, field, solve):
+        # every Newton solve shares one loop, so one message format
         choi = channels.random_choi(2, 2, np.random.default_rng(1602))
+        project = {"bkm": scaling.bkm_e_projection, "burg": scaling.burg_e_projection}[method]
+        what = f"joint {method}" if solve == "joint" else f"{method} projection"
+        message = rf"^{what} Newton exhausted 1 iterations \(gradient norm \d\.\d{{3}}e[+-]\d+\)$"
         previous = policy.set_policy(policy.relaxed(**{field: 1}))
         try:
-            with pytest.raises(ConvergenceError, match="exhausted 1 iterations"):
-                scaling.joint_limit(method, choi)
+            with pytest.raises(ConvergenceError, match=message):
+                if solve == "joint":
+                    scaling.joint_limit(method, choi)
+                else:
+                    project(choi, ConstraintSet("first", np.eye(2) / 2))
         finally:
             policy.set_policy(previous)
 
@@ -1220,6 +1305,10 @@ class TestCapacity:
             scaling.capacity_from_trace(trace)
         with pytest.raises(UnsupportedError):
             scaling.capacity_bruteforce(choi)
+        classical = scaling.matrix_sinkhorn(random_positive_matrix(2, 3, 27))
+        assert classical.converged
+        with pytest.raises(UnsupportedError):
+            scaling.capacity_from_trace(classical)
 
     def test_unconverged_trace_rejected(self):
         choi = channels.random_choi(2, 2, np.random.default_rng(28))

@@ -259,6 +259,10 @@ def _scatter_instance(n: int, rng: np.random.Generator, args) -> ChoiMatrix:
 
 
 def cmd_capacity_scatter(args) -> int:
+    if args.trials < 0:
+        raise ParseError(f"--trials must be nonnegative, got {args.trials}")
+    if len(args.dims) > 2:
+        raise ParseError(f"--dims takes one dimension (m = n), got {len(args.dims)} values")
     cfg = _config(args)
     n = args.dims[0]
     if len(args.dims) > 1 and args.dims[1] != n:

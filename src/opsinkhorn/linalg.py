@@ -5,15 +5,17 @@ Hermitian eigendecomposition ``herm_eig``.  Geometric means share one core,
 ``_mean_from_spectrum``, which takes A # B from the spectrum of A and one
 more ``numpy.linalg.eigh``: ``geometric_mean`` feeds it ``eigh(A)``, also
 A's positive definiteness check, and ``inverse_mean`` (the SLD factor
-M^{-1} # T) the reciprocal spectrum of ``eigh(M)``.  These functions act on the
-small ``m x m`` and ``n x n`` marginals and factors and validate their
-arguments on every call, except that ``inverse_mean`` leaves the target to
-its caller.  The operator Sinkhorn loop forms no ``mn x mn`` iterate while it
-iterates: it takes each marginal from a permuted copy of the input and
-the factor products, and forms the final iterate once by
-``channels.congruence``, applied blockwise on the (n, m, n, m) view without
-checks; it validates its input once at entry and that final iterate once
-before returning.  The BKM and Burg alternations likewise check their
+M^{-1} # T) the reciprocal spectrum of ``eigh(M)``.  For a uniform target
+T = c I, given to ``inverse_mean`` as the scalar c, the factor is
+(M / c)^{-1/2}, read off ``eigh(M)`` alone: one ``eigh`` instead of two.
+These functions act on the small ``m x m`` and ``n x n`` marginals and
+factors and validate their arguments on every call, except that
+``inverse_mean`` leaves the target to its caller.  The operator Sinkhorn
+loop forms no ``mn x mn`` iterate while it iterates: it takes each
+marginal from a permuted copy of the input and the factor products, and
+forms the final iterate once by ``channels.congruence``, applied blockwise
+on the (n, m, n, m) view without checks; it validates its input once at
+entry and that final iterate once before returning.  The BKM and Burg alternations likewise check their
 input once (``assert_positive_definite``) and take one ``logm`` or ``invm``
 of it at entry; from there they carry that e-coordinate and its
 ``numpy.linalg.eigh`` spectrum through the projections, so no matrix
@@ -261,7 +263,7 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _mean_from_spectrum(w, v, b)
 
 
-def inverse_mean(a: np.ndarray, b: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, float]:
+def inverse_mean(a: np.ndarray, b: np.ndarray | float, what: str = "matrix") -> tuple[np.ndarray, float]:
     """A^{-1} # B for Hermitian A and positive definite B, with log det A.
 
     This is the SLD step's factor: the unique positive definite F with
@@ -269,14 +271,20 @@ def inverse_mean(a: np.ndarray, b: np.ndarray, what: str = "matrix") -> tuple[np
     divergence).  One ``eigh`` of A is both its positive definiteness check
     (``SingularityError`` naming ``what``) and, through the reciprocal
     eigenvalues, the spectrum of A^{-1}; one more ``eigh`` takes the middle
-    factor's square root.  log det A = sum log w comes from the same
+    factor's square root.  A positive scalar ``b`` means b I: then
+    F = v diag(sqrt(b / w)) v^dagger comes from A = v diag(w) v^dagger
+    alone (the operator Sinkhorn normalization (A / b)^{-1/2}), so the call
+    makes one ``eigh``.  log det A = sum log w comes from the same
     spectrum, so log det F = (log det B - log det A) / 2 needs no further
     decomposition.  A must be exactly Hermitian (``eigh`` reads its lower
     triangle) and B is not checked: the caller validates both.
     """
     w, v = np.linalg.eigh(a)
     _check_positive_definite(w, what)
-    return _mean_from_spectrum(1.0 / w, v, b), float(np.sum(np.log(w)))
+    logdet = float(np.sum(np.log(w)))
+    if np.ndim(b) == 0:
+        return hermitian_part((v * np.sqrt(b / w)) @ v.conj().T), logdet
+    return _mean_from_spectrum(1.0 / w, v, b), logdet
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -134,13 +134,19 @@ class ScalingConfig:
         return p, q
 
 
+def _uniform_level(target: np.ndarray) -> float | None:
+    """1/d if the d x d ``target`` is I/d within 1e-12 in every entry, else
+    None.  The one test of a uniform target: :func:`doubly_stochastic` asks
+    it of both sides, and the SLD steps pass a uniform side's 1/d to
+    ``linalg.inverse_mean`` as a scalar, so capacity reporting and the
+    one-``eigh`` factor agree on which runs are doubly stochastic."""
+    d = len(target)
+    return 1.0 / d if np.abs(target - np.eye(d) / d).max() <= 1e-12 else None
+
+
 def doubly_stochastic(p: np.ndarray, q: np.ndarray) -> bool:
     """Whether the targets are the doubly stochastic ones, P = I/m and Q = I/n."""
-    m, n = len(p), len(q)
-    return (
-        np.abs(p - np.eye(m) / m).max() <= 1e-12
-        and np.abs(q - np.eye(n) / n).max() <= 1e-12
-    )
+    return _uniform_level(p) is not None and _uniform_level(q) is not None
 
 
 class SinkhornIterates(Sequence):
@@ -309,13 +315,16 @@ def _sld_step(
     """One SLD e-projection on a plain Hermitian PSD array; returns the new
     iterate, the factor F = marginal^{-1} # target and log det of the
     marginal.  ``linalg.inverse_mean`` checks that the marginal is positive
-    definite from its ``eigh``, which also gives the factor with one more
-    ``eigh``; the target is validated by the caller.  The congruence by the
-    positive definite factor keeps the iterate PSD."""
+    definite from its ``eigh``, which also gives the factor: on its own for
+    a uniform target I/d (passed as the scalar 1/d, see
+    :func:`_uniform_level`), with one more ``eigh`` otherwise.  The target
+    is validated by the caller.  The congruence by the positive definite
+    factor keeps the iterate PSD."""
     if side not in ("first", "second"):
         raise InvalidInputError(f"side must be 'first' or 'second', got {side!r}")
+    level = _uniform_level(target)
     factor, marginal_logdet = linalg.inverse_mean(
-        linalg.partial_trace(mat, n, m, side), target, f"{side} marginal"
+        linalg.partial_trace(mat, n, m, side), target if level is None else level, f"{side} marginal"
     )
     if side == "first":
         return congruence(mat, n, m, left=factor), factor, marginal_logdet
@@ -383,9 +392,13 @@ def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -
     R (n x n) instead of the iterate: each step's marginal comes from one
     permuted copy of rho0 by one matrix-vector product (see
     :func:`_scaled_marginal`), and ``linalg.inverse_mean`` checks it and
-    gives the factor from two small ``eigh``.  The capacity bookkeeping
-    reuses that spectrum, and a sweep's residual reuses the marginals the
-    loop holds: the next left step's, and F M F after the right step.  The
+    gives the factor from its ``eigh``: on a uniform side (target I/d,
+    decided once per run by :func:`_uniform_level`) the factor is
+    (d M)^{-1/2} from that one small ``eigh``, on a general side one more
+    ``eigh`` takes the middle factor's root.  The capacity bookkeeping
+    reuses the marginal's spectrum, and a sweep's residual reuses the
+    marginals the loop holds: the next left step's, and F M F after the
+    right step.  The
     final iterate (R kron L) rho0 (R kron L)^dagger is formed once, by one
     congruence, and validated as a :class:`ChoiMatrix`; ``trace.iterates``
     rebuilds the ones in between on read (:class:`SinkhornIterates`).
@@ -396,16 +409,25 @@ def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -
     # is the (i j, a b) view the right marginals need
     cross = choi0.matrix.reshape(n, m, n, m).transpose(1, 3, 0, 2).reshape(m * m, n * n)
     left, right = np.eye(m, dtype=complex), np.eye(n, dtype=complex)
-    # F marginal F = target, so log det F = (log det target - log det
-    # marginal) / 2, read off the step's own spectrum of the marginal
-    target_logdet = {"first": np.linalg.slogdet(p)[1], "second": np.linalg.slogdet(q)[1]}
+    # a uniform side goes to inverse_mean as its scalar level c, so its
+    # factor is (marginal / c)^{-1/2} and meets c I exactly, also when the
+    # target is only within 1e-12 of it.  F marginal F = that target, so
+    # log det F = (log det target - log det marginal) / 2, read off the
+    # step's own spectrum of the marginal
+    mean_target, target_logdet = {}, {}
+    for side, target in (("first", p), ("second", q)):
+        level = _uniform_level(target)
+        mean_target[side] = target if level is None else level
+        target_logdet[side] = np.linalg.slogdet(target)[1] if level is None else len(target) * math.log(level)
     first = second = None
 
-    def step(side: str, target: np.ndarray) -> np.ndarray:
+    def step(side: str, _target: np.ndarray) -> np.ndarray:
         nonlocal left, right, first, second
         if side == "second":
             second = _scaled_marginal(cross.T, left, right)
-        factor, marginal_logdet = linalg.inverse_mean(first if side == "first" else second, target, f"{side} marginal")
+        factor, marginal_logdet = linalg.inverse_mean(
+            first if side == "first" else second, mean_target[side], f"{side} marginal"
+        )
         if n == m:
             # the congruence multiplies the encoded map by factor twice,
             # so its capacity by det(factor)^{2/n}

@@ -344,6 +344,18 @@ class TestCapacityScatter:
         code, _, _ = run_cli(capsys, "capacity-scatter", "--dims", "2", "3")
         assert code == 4
 
+    @pytest.mark.parametrize("trials", ["-3", "-1"])
+    def test_negative_trials_is_parse_error(self, capsys, trials):
+        code, out, err = run_cli(capsys, "capacity-scatter", "--dims", "2", "--trials", trials)
+        assert code == 2
+        assert out == "" and "--trials" in err
+
+    @pytest.mark.parametrize("dims", [("2", "2", "2"), ("3", "3", "3", "3")])
+    def test_more_than_two_dims_is_parse_error(self, capsys, dims):
+        code, out, err = run_cli(capsys, "capacity-scatter", "--dims", *dims, "--trials", "1")
+        assert code == 2
+        assert out == "" and "--dims" in err
+
     def test_kl_tag_needs_diagonal_ensemble(self, capsys):
         code, _, _ = run_cli(capsys, "capacity-scatter", "--dims", "2", "--tags", "kl")
         assert code == 4

@@ -180,8 +180,9 @@ def mean_rtol(cond):
 
 
 class TestInverseMean:
-    """The SLD factor M^{-1} # T from eigh(M) and eigh of the middle factor,
-    against the three-power reference formula applied to invm(M)."""
+    """The SLD factor M^{-1} # T from eigh(M) and eigh of the middle factor
+    (from eigh(M) alone for a scalar target), against the three-power
+    reference formula applied to invm(M)."""
 
     CONDS = [1.0, 1e2, 1e4, 1e6, 1e8]
 
@@ -231,6 +232,42 @@ class TestInverseMean:
         with pytest.raises(SingularityError) as got:
             linalg.inverse_mean(m, np.eye(2) / 2, "first marginal")
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("cond", CONDS)
+    def test_scalar_target_matches_matrix_target(self, d, cond):
+        # a scalar c stands for c I: the factor (M / c)^{-1/2} from eigh(M)
+        # alone against the reference formula and the two-eigh path
+        rng = np.random.default_rng(int(300 * d + np.log10(cond)))
+        for c in (1.0 / d, 2.5):
+            m = conditioned_marginal(d, cond, rng)
+            got, logdet = linalg.inverse_mean(m, c)
+            want = oracles.geometric_mean_ref(linalg.invm(m), c * np.eye(d))
+            two_eigh, two_eigh_logdet = linalg.inverse_mean(m, c * np.eye(d))
+            bound = mean_rtol(cond) * np.abs(want).max()
+            assert np.abs(got - want).max() <= bound
+            assert np.abs(got - two_eigh).max() <= bound
+            assert logdet == two_eigh_logdet
+            assert abs(logdet - np.linalg.slogdet(m)[1]) <= mean_rtol(cond)
+            assert np.abs(got - got.conj().T).max() == 0.0
+            assert np.linalg.eigvalsh(got)[0] > 0.0
+            assert np.abs(got @ m @ got - c * np.eye(d)).max() <= mean_rtol(cond) * c
+
+    @pytest.mark.parametrize("w", [[1.0, -1.0], [1.0, 0.0], [1.0, 1e-14]])
+    def test_scalar_target_rejects_indefinite_with_assert_message(self, w):
+        m = np.diag(w).astype(complex)
+        with pytest.raises(SingularityError) as want:
+            linalg.assert_positive_definite(m, "second marginal")
+        with pytest.raises(SingularityError) as got:
+            linalg.inverse_mean(m, 0.5, "second marginal")
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("d", [2, 7])
+    def test_scalar_target_makes_one_eigh(self, d, eig_calls):
+        m = conditioned_marginal(d, 10.0, np.random.default_rng(10 + d))
+        eig_calls.clear()
+        linalg.inverse_mean(m, 1.0 / d)
+        assert eig_calls == [("eigh", (d, d))]
 
     def test_geometric_mean_calls(self, eig_calls):
         rng = np.random.default_rng(9)

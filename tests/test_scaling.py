@@ -315,14 +315,17 @@ class TestLeanLoopAgainstReference:
 
 class TestFusedSldStep:
     @pytest.mark.parametrize("side", ["first", "second"])
-    def test_step_makes_two_small_eigh(self, side, eig_calls):
+    @pytest.mark.parametrize("general", [False, True])
+    def test_step_small_eigh_count(self, side, general, eig_calls):
+        # the marginal's eigh alone for a uniform target, one more for the
+        # middle factor of a general one
         rng = np.random.default_rng(52)
         choi = channels.random_choi(3, 4, rng)
-        target = channels.random_density(4 if side == "first" else 3, rng)
+        d = 4 if side == "first" else 3
+        target = channels.random_density(d, rng) if general else np.eye(d) / d
         eig_calls.clear()
         scaling._sld_step(choi.matrix, 3, 4, side, target)
-        d = len(target)
-        assert eig_calls == [("eigh", (d, d)), ("eigh", (d, d))]
+        assert eig_calls == [("eigh", (d, d))] * (2 if general else 1)
 
     @pytest.mark.parametrize("general", [False, True])
     def test_solve_makes_no_big_eigvalsh(self, general, eig_calls):
@@ -337,7 +340,7 @@ class TestFusedSldStep:
         # the targets are checked once each at entry; the steps add none
         assert sum(name == "eigvalsh" for name, _ in eig_calls) == (2 if general else 0)
         steps = len(trace.factors)
-        assert sum(name == "eigh" for name, _ in eig_calls) == 2 * steps
+        assert sum(name == "eigh" for name, _ in eig_calls) == (2 if general else 1) * steps
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     @pytest.mark.parametrize("general", [False, True])
@@ -359,6 +362,47 @@ class TestFusedSldStep:
         assert sign_l.real > 0 and sign_r.real > 0
         want = 2.0 * (logdet_l + logdet_r) / n
         assert trace.capacity_log == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def near_uniform(d: int, rng: np.random.Generator) -> np.ndarray:
+    """A trace-one target within 5e-13 of I/d in every entry, but not I/d."""
+    e = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    e = (e + e.conj().T) / 2
+    e -= np.trace(e).real / d * np.eye(d)
+    return np.eye(d) / d + e * (5e-13 / np.abs(e).max())
+
+
+class TestUniformTarget:
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 4), (5, 5)])
+    def test_near_uniform_target_takes_one_eigh_path(self, n, m, eig_calls, monkeypatch):
+        # the one uniform-target test sends a target within 1e-12 of I/d to
+        # the one-eigh factor and to the doubly stochastic bookkeeping alike
+        rng = np.random.default_rng(70 + n + m)
+        choi = channels.random_choi(n, m, rng)
+        p, q = near_uniform(m, rng), near_uniform(n, rng)
+        assert np.abs(p - np.eye(m) / m).max() > 0.0 and np.abs(q - np.eye(n) / n).max() > 0.0
+        cfg = scaling.ScalingConfig(target_p=p, target_q=q)
+        eig_calls.clear()
+        fast = scaling.operator_sinkhorn(choi, cfg)
+        assert sum(name == "eigh" for name, _ in eig_calls) == len(fast.factors)
+        assert scaling.doubly_stochastic(p, q) and fast.converged and not fast.preprocessed
+        exact = scaling.operator_sinkhorn(choi, scaling.ScalingConfig())
+        assert fast.sweeps == exact.sweeps
+        np.testing.assert_array_equal(fast.final.matrix, exact.final.matrix)
+        if n == m:
+            assert scaling.capacity_from_trace(fast) == scaling.capacity_from_trace(exact)
+        # the two-eigh path on the same targets, preprocessing step included,
+        # reaches the same limit up to local unitaries: the spectrum of the
+        # final iterate and the capacity term agree within the tolerance
+        monkeypatch.setattr(scaling, "_uniform_level", lambda target: None)
+        eig_calls.clear()
+        slow = scaling.operator_sinkhorn(choi, cfg)
+        assert sum(name == "eigh" for name, _ in eig_calls) == 2 * len(slow.factors)
+        assert slow.converged and slow.preprocessed
+        bound = np.sqrt(cfg.tol)
+        got, want = np.linalg.eigvalsh(fast.final.matrix), np.linalg.eigvalsh(slow.final.matrix)
+        assert np.abs(got - want).max() <= bound
+        assert abs(fast.capacity_log - slow.capacity_log) <= bound
 
 
 def rank_two_choi() -> ChoiMatrix:
@@ -515,17 +559,20 @@ class TestFactorLoopWork:
         trace = scaling.operator_sinkhorn(choi, scaling.ScalingConfig(max_iters=sweeps, tol=0.0, target_p=p))
         assert trace.sweeps == sweeps and calls == [(12, 12)]
 
-    @pytest.mark.parametrize("general", [False, True])
+    @pytest.mark.parametrize("general", [(), ("first",), ("first", "second")], ids=["uniform", "mixed", "general"])
     def test_small_eigh_per_step_and_one_big_cholesky(self, general, eig_calls, monkeypatch):
-        rng = np.random.default_rng(450 + general)
+        # one small eigh per step on a uniform side, two on a general side
+        rng = np.random.default_rng(450 + len(general))
         choi = channels.random_choi(3, 4, rng)
-        p = channels.random_density(4, rng) if general else None
-        q = channels.random_density(3, rng) if general else None
+        p = channels.random_density(4, rng) if "first" in general else None
+        q = channels.random_density(3, rng) if "second" in general else None
         cfg = scaling.ScalingConfig(max_iters=20, tol=0.0, target_p=p, target_q=q)
         cholesky = count_calls(monkeypatch, np.linalg, "cholesky")
         eig_calls.clear()
         trace = scaling.operator_sinkhorn(choi, cfg)
-        assert sum(name == "eigh" for name, _ in eig_calls) == 2 * len(trace.factors)
+        assert trace.preprocessed == bool(general)
+        want = sum(2 if side in general else 1 for side, _ in trace.factors)
+        assert sum(name == "eigh" for name, _ in eig_calls) == want
         assert all(shape[0] <= 4 for _, shape in eig_calls)
         # the final ChoiMatrix check; the targets' checks run at most 4 x 4
         assert [shape for shape in cholesky if shape[0] > 4] == [(12, 12)]

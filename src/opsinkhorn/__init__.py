@@ -18,7 +18,7 @@ from .channels import (
     random_density,
     scale_choi,
 )
-from .divergences import DIVERGENCES, central_difference_quotient, divergence
+from .divergences import DIVERGENCES, central_difference_quotient, central_difference_quotients, divergence
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -50,6 +50,7 @@ from .scaling import (
     joint_limit,
     matrix_sinkhorn,
     operator_sinkhorn,
+    operator_sinkhorn_batch,
     operator_sinkhorn_step,
 )
 
@@ -67,6 +68,7 @@ __all__ = [
     "scale_choi",
     "DIVERGENCES",
     "central_difference_quotient",
+    "central_difference_quotients",
     "divergence",
     "ConvergenceError",
     "DomainError",
@@ -97,5 +99,6 @@ __all__ = [
     "joint_limit",
     "matrix_sinkhorn",
     "operator_sinkhorn",
+    "operator_sinkhorn_batch",
     "operator_sinkhorn_step",
 ]

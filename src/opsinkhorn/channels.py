@@ -137,6 +137,8 @@ class ChoiMatrix:
 def as_density(mat: np.ndarray, what: str = "density matrix") -> np.ndarray:
     """Validate a positive definite, trace-one Hermitian matrix."""
     mat = linalg.assert_positive_definite(mat, what)
+    if mat.ndim != 2:
+        raise InvalidInputError(f"{what} must be a matrix, got shape {mat.shape}")
     tr = float(np.trace(mat).real)
     if abs(tr - 1.0) > get_policy().trace_atol:
         raise InvalidInputError(f"{what} has trace {tr!r}, expected 1")

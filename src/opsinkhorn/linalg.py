@@ -1,25 +1,34 @@
-"""Dense complex Hermitian linear algebra.
+"""Dense complex Hermitian linear algebra, on single matrices and stacks.
 
-Matrix functions and the Lyapunov solver are built on one primitive, the
-Hermitian eigendecomposition ``herm_eig``.  Geometric means share one core,
-``_mean_from_spectrum``, which takes A # B from the spectrum of A and one
-more ``numpy.linalg.eigh``: ``geometric_mean`` feeds it ``eigh(A)``, also
-A's positive definiteness check, and ``inverse_mean`` (the SLD factor
-M^{-1} # T) the reciprocal spectrum of ``eigh(M)``.  For a uniform target
-T = c I, given to ``inverse_mean`` as the scalar c, the factor is
-(M / c)^{-1/2}, read off ``eigh(M)`` alone: one ``eigh`` instead of two.
-These functions act on the small ``m x m`` and ``n x n`` marginals and
-factors and validate their arguments on every call, except that
-``inverse_mean`` leaves the target to its caller.  The operator Sinkhorn
-loop forms no ``mn x mn`` iterate while it iterates: it takes each
-marginal from a permuted copy of the input and the factor products, and
-forms the final iterate once by ``channels.congruence``, applied blockwise
-on the (n, m, n, m) view without checks; it validates its input once at
-entry and that final iterate once before returning.  The BKM and Burg alternations likewise check their
-input once (``assert_positive_definite``) and take one ``logm`` or ``invm``
-of it at entry; from there they carry that e-coordinate and its
+Matrix functions take one ``numpy.linalg.eigh`` of their validated
+argument.  Geometric means share one core, ``_mean_from_spectrum``, which
+takes A # B from the spectrum of A and one more ``numpy.linalg.eigh``:
+``geometric_mean`` feeds it ``eigh(A)``, also A's positive definiteness
+check, and ``inverse_mean`` (the SLD factor M^{-1} # T) the reciprocal
+spectrum of ``eigh(M)``.  For a uniform target T = c I, given to
+``inverse_mean`` as the scalar c, the factor is (M / c)^{-1/2}, read off
+``eigh(M)`` alone: one ``eigh`` instead of two.  These functions act on the
+small ``m x m`` and ``n x n`` marginals and factors and validate their
+arguments on every call, except that ``inverse_mean`` leaves the target to
+its caller.  The operator Sinkhorn loop forms no ``mn x mn`` iterate while
+it iterates: it takes each marginal from a permuted copy of the input and
+the factor products, and forms the final iterate once by
+``channels.congruence``, applied blockwise on the (n, m, n, m) view without
+checks; it validates its input once at entry and that final iterate once
+before returning.  The BKM and Burg alternations likewise check their input
+once (``assert_positive_definite``) and take one ``logm`` or ``invm`` of it
+at entry; from there they carry that e-coordinate and its
 ``numpy.linalg.eigh`` spectrum through the projections, so no matrix
 function of an iterate is taken in the loop.
+
+Stacks: ``hermitian_part``, ``as_hermitian``, ``assert_positive_definite``,
+``matrix_function`` (and so ``sqrtm`` ... ``invm``), ``inverse_mean`` and
+``frobenius`` also take a (B, d, d) stack of matrices and work on each
+matrix of it, with stacked ``eigh`` and ``matmul``.  Each matrix's result
+equals that of the 2-D call on it, bit for bit.  A check that fails on a
+stack reports the first failing matrix.  This is what lets
+``scaling.operator_sinkhorn_batch`` and
+``divergences.central_difference_quotients`` run many small problems as one.
 
 Conventions for partitioned matrices: an ``mn x mn`` matrix is read as an
 ``n x n`` grid of ``m x m`` blocks (outer index of dimension ``n``).
@@ -30,18 +39,18 @@ block traces.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, SingularityError
 from .policy import get_policy
 
+_TINY = np.finfo(float).tiny
+
 __all__ = [
     "hermitian_part",
     "as_hermitian",
-    "herm_eig",
-    "SpectralDecomposition",
     "matrix_function",
     "sqrtm",
     "logm",
@@ -60,61 +69,56 @@ __all__ = [
 ]
 
 
-def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm as a plain float."""
-    return float(np.linalg.norm(a))
+def frobenius(a: np.ndarray) -> float | np.ndarray:
+    """Frobenius norm as a plain float; for a (B, d, d) complex stack, the B
+    norms.
+
+    A stack's norms come from the dot products ``np.linalg.norm`` takes of
+    each matrix's real and imaginary parts (strided views of its entries),
+    stacked in one ``vecdot``, so each equals the 2-D call's float."""
+    a = np.asarray(a)
+    if a.ndim <= 2:
+        return float(np.linalg.norm(a))
+    parts = np.ascontiguousarray(a, dtype=complex).reshape(a.shape[:-2] + (-1, 1)).view(float)
+    sq = np.vecdot(parts, parts, axis=-2)
+    return np.sqrt(sq[..., 0] + sq[..., 1])
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack: the
+    transposed view of the conjugate, as ``a.conj().T`` is for a matrix."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^dagger) / 2 of a float or complex matrix."""
+    """(A + A^dagger) / 2 of a float or complex matrix, or of each matrix
+    of a stack."""
     # conjugating the transpose into a contiguous array first keeps the sum
     # a contiguous pass; the result is bit-identical to (A + A^dagger) / 2
-    out = np.conjugate(a.T, order="C")
+    out = np.conjugate(a.swapaxes(-1, -2), order="C")
     out += a
     out *= 0.5
     return out
 
 
 def as_hermitian(a: np.ndarray, *, atol: float | None = None, what: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is Hermitian within ``atol`` and return it exactly
-    symmetrized.
+    """Validate that ``a`` (a matrix or a stack of them) is Hermitian within
+    ``atol`` and return it exactly symmetrized.
 
     Downstream code assumes exact Hermiticity, so every constructor funnels
     through here; the symmetrization prevents asymmetry from accumulating over
     long iterations.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidInputError(f"{what} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
         raise InvalidInputError(f"{what} contains non-finite entries")
     tol = get_policy().hermitian_atol if atol is None else atol
-    gap = np.abs(a - a.conj().T).max()
+    gap = np.abs(a - _adjoint(a)).max(initial=0.0)
     if gap > tol:
         raise InvalidInputError(f"{what} is not Hermitian: max |A - A^dagger| = {gap:.3e} > {tol:.1e}")
     return hermitian_part(a)
-
-
-class SpectralDecomposition(NamedTuple):
-    """Eigendecomposition A = P diag(eigenvalues) P^dagger, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return hermitian_part((self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T)
-
-
-def herm_eig(a: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    a = as_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    return SpectralDecomposition(w, v)
-
-
-def _spectral_apply(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    w, v = herm_eig(a)
-    return hermitian_part((v * f(w)) @ v.conj().T)
 
 
 def _check_domain(w: np.ndarray, predicate: Callable[[np.ndarray], np.ndarray], name: str) -> None:
@@ -124,16 +128,20 @@ def _check_domain(w: np.ndarray, predicate: Callable[[np.ndarray], np.ndarray], 
 
 
 def matrix_function(a: np.ndarray, name: str, t: float | None = None) -> np.ndarray:
-    """Spectral matrix function f(A) = P f(Lambda) P^dagger.
+    """Spectral matrix function f(A) = P f(Lambda) P^dagger of a Hermitian
+    matrix, or of each matrix of a stack.
 
     ``name`` is one of ``sqrt``, ``log``, ``exp``, ``inverse`` or ``power``
-    (the latter takes the exponent ``t``).  Eigenvalues are checked against
-    the function's domain; small negatives inside the domain tolerance are
-    clipped to zero for ``sqrt`` and nonnegative powers.
+    (the latter takes the exponent ``t``).  The argument is validated
+    (``as_hermitian``) and decomposed by one ``numpy.linalg.eigh``, its
+    eigenvalues ascending.  They are checked against the function's domain,
+    with a floor relative to each matrix's largest |eigenvalue|; small
+    negatives inside the domain tolerance are clipped to zero for ``sqrt``
+    and nonnegative powers.
     """
-    w, v = herm_eig(a)
+    w, v = np.linalg.eigh(as_hermitian(a))
     pol = get_policy()
-    floor = pol.pd_rel_floor * max(np.abs(w).max(), np.finfo(float).tiny)
+    floor = pol.pd_rel_floor * np.maximum(np.abs(w).max(axis=-1, keepdims=True), _TINY)
 
     if name == "sqrt":
         _check_domain(w, lambda x: x >= -pol.domain_atol, "sqrt")
@@ -159,7 +167,7 @@ def matrix_function(a: np.ndarray, name: str, t: float | None = None) -> np.ndar
         fw = np.power(w, t)
     else:
         raise InvalidInputError(f"unknown matrix function tag {name!r}")
-    return hermitian_part((v * fw) @ v.conj().T)
+    return hermitian_part((v * fw[..., None, :]) @ _adjoint(v))
 
 
 def sqrtm(a: np.ndarray) -> np.ndarray:
@@ -188,20 +196,25 @@ def invm(a: np.ndarray) -> np.ndarray:
 
 
 def _check_positive_definite(w: np.ndarray, what: str) -> None:
-    """Raise ``SingularityError`` unless the ascending spectrum ``w`` is
-    positive definite under the policy floor: min eig > floor * max eig."""
-    if not w[0] > get_policy().pd_rel_floor * max(w[-1], np.finfo(float).tiny):
-        raise SingularityError(f"{what} is not positive definite (min eigenvalue {w[0]:.3e})")
+    """Raise ``SingularityError`` unless the ascending spectrum ``w``, or
+    every row of a stack of them, is positive definite under the policy
+    floor: min eig > floor * max eig.  For a stack, the message gives the
+    first failing spectrum's minimum."""
+    floor = get_policy().pd_rel_floor
+    for low, high in w[..., [0, -1]].reshape(-1, 2).tolist():
+        if not low > floor * max(high, _TINY):
+            raise SingularityError(f"{what} is not positive definite (min eigenvalue {low:.3e})")
 
 
 def is_positive_definite(a: np.ndarray) -> bool:
     """Positive definite under the policy floor: min eig > floor * max eig."""
     w = np.linalg.eigvalsh(as_hermitian(a))
-    return bool(w[0] > get_policy().pd_rel_floor * max(w[-1], np.finfo(float).tiny))
+    return bool(w[0] > get_policy().pd_rel_floor * max(w[-1], _TINY))
 
 
 def assert_positive_definite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Return ``a`` symmetrized, raising ``SingularityError`` if not PD.
+    """Return ``a`` (a matrix or a stack) symmetrized, raising
+    ``SingularityError`` if it, or any matrix of the stack, is not PD.
 
     No regularization is applied: a near-singular input is an error, never
     silently floored, so that reference comparisons stay meaningful.
@@ -234,14 +247,15 @@ def _mean_from_spectrum(w: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarr
 
         A # B = v w^{1/2} X^{1/2} w^{1/2} v^dagger.
 
-    One ``eigh``, of X, and no checks: the callers validate A and B."""
+    One ``eigh``, of X, and no checks: the callers validate A and B.  A
+    stack of spectra, or a stack of B, gives the stack of means."""
     half = np.sqrt(w)
-    scale = np.outer(half, half)
+    scale = half[..., :, None] * half[..., None, :]
     # X is Hermitian in exact arithmetic; symmetrize so rounding from
     # ill-conditioned inputs cannot tilt its spectrum
-    s, u = np.linalg.eigh(hermitian_part((v.conj().T @ b @ v) / scale))
-    root = (u * np.sqrt(np.clip(s, 0.0, None))) @ u.conj().T
-    return hermitian_part(v @ (root * scale) @ v.conj().T)
+    s, u = np.linalg.eigh(hermitian_part((_adjoint(v) @ b @ v) / scale))
+    root = (u * np.sqrt(np.clip(s, 0.0, None))[..., None, :]) @ _adjoint(u)
+    return hermitian_part(v @ (root * scale) @ _adjoint(v))
 
 
 def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -263,7 +277,9 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _mean_from_spectrum(w, v, b)
 
 
-def inverse_mean(a: np.ndarray, b: np.ndarray | float, what: str = "matrix") -> tuple[np.ndarray, float]:
+def inverse_mean(
+    a: np.ndarray, b: np.ndarray | float, what: str = "matrix"
+) -> tuple[np.ndarray, float | np.ndarray]:
     """A^{-1} # B for Hermitian A and positive definite B, with log det A.
 
     This is the SLD step's factor: the unique positive definite F with
@@ -278,12 +294,17 @@ def inverse_mean(a: np.ndarray, b: np.ndarray | float, what: str = "matrix") -> 
     spectrum, so log det F = (log det B - log det A) / 2 needs no further
     decomposition.  A must be exactly Hermitian (``eigh`` reads its lower
     triangle) and B is not checked: the caller validates both.
+
+    A (B, d, d) stack A, or B, gives the stack of factors; log det A is then
+    an array of B values for a stacked A.
     """
     w, v = np.linalg.eigh(a)
     _check_positive_definite(w, what)
-    logdet = float(np.sum(np.log(w)))
+    logdet = np.add.reduce(np.log(w), axis=-1)
+    if w.ndim == 1:
+        logdet = float(logdet)
     if np.ndim(b) == 0:
-        return hermitian_part((v * np.sqrt(b / w)) @ v.conj().T), logdet
+        return hermitian_part((v * np.sqrt(b / w)[..., None, :]) @ _adjoint(v)), logdet
     return _mean_from_spectrum(1.0 / w, v, b), logdet
 
 

@@ -26,13 +26,14 @@ the minimizer of one convex dual in both dual variables at once;
 steps where the Burg alternation needs hundreds or thousands of sweeps.
 
 Every scheme is one alternation of e-projections onto the two marginal
-sets, and only the projection differs, so one sweep loop, :func:`_alternate`,
-runs them all: classical Sinkhorn (the diagonal case), operator Sinkhorn and
-the BKM and Burg alternations.  It holds the stop rule, the sweep count and
-the ``converged`` flag; each driver passes in its per-side step and its
-residual.  Likewise one damped-Newton loop, :func:`_newton`, runs the BKM
-and Burg projections and the joint limit solve, each with its own
-evaluation and Newton direction.
+sets, and only the projection differs, so one stop rule, :func:`_running`,
+ends them all: a run sweeps while its residual is at least ``tol`` and its
+budget lasts.  One sweep loop, :func:`_alternate`, runs classical Sinkhorn
+(the diagonal case) and the BKM and Burg alternations; each driver passes
+in its per-side step and its residual.  Operator Sinkhorn sweeps a stack of
+trials instead (below).  Likewise one damped-Newton loop, :func:`_newton`,
+runs the BKM and Burg projections and the joint limit solve, each with its
+own evaluation and Newton direction.
 
 Operator Sinkhorn runs on the factors instead of the iterate: after k steps
 the iterate is (R kron L) rho0 (R kron L)^dagger, the Choi matrix of the
@@ -43,9 +44,21 @@ permuted copy of rho0 by one matrix-vector product each (O(n^2 m^2) work
 at any Kraus rank), so the loop carries the m x m and n x n products and
 forms the ``mn x mn`` iterate once, at the end.
 
+Operator Sinkhorn also runs many inputs of one block shape at once:
+:func:`operator_sinkhorn_batch` stacks their permuted copies, products and
+marginals on a leading axis (:class:`_SinkhornStack`), so a step is one
+stacked ``eigh`` and a few stacked matmuls for every trial, and a trial
+leaves the stack when it stops.  Stacked ``eigh`` and ``matmul`` give each
+matrix the bits of the 2-D call, so each trial's trace is exactly the one
+it gets alone, and :func:`operator_sinkhorn` is the batch of one.  A trial
+whose step fails (a singular marginal, or factor products that overflow,
+which is a ``ConvergenceError``) leaves the stack with every later trial,
+and the batch raises the error of its lowest failing trial.
+
 Every driver validates at its boundary only: the input once at entry (a
 Choi matrix with unit trace; positive definite for ``bkm`` and ``burg``)
-and the final iterate once, as a :class:`ChoiMatrix`.  In between the loops
+and the final iterate once, as a :class:`ChoiMatrix`; a batch does both per
+trial.  In between the loops
 run on plain arrays: operator Sinkhorn on the marginals and factors, the
 other two through the array-level projections ``_bkm_project`` and
 ``_burg_project``.  The public single-step functions (``_sld_step`` behind
@@ -62,6 +75,7 @@ product that determines the capacity of the input map.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from collections.abc import Callable, Sequence
@@ -91,6 +105,7 @@ __all__ = [
     "matrix_sinkhorn",
     "operator_sinkhorn_step",
     "operator_sinkhorn",
+    "operator_sinkhorn_batch",
     "bkm_e_projection",
     "burg_e_projection",
     "alternating_projections",
@@ -239,17 +254,24 @@ class ScalingTrace:
         return self._final
 
 
+def _running(trace: ScalingTrace, cfg: ScalingConfig) -> bool:
+    """The stop rule of every sweep loop: a run takes another sweep while
+    its last residual is at least ``cfg.tol`` and fewer than
+    ``cfg.max_iters`` sweeps have run.  When it stops, ``converged`` says
+    whether the last residual is below ``cfg.tol``."""
+    return trace.residuals[-1] >= cfg.tol and trace.sweeps < cfg.max_iters
+
+
 def _alternate(
     trace: ScalingTrace, cfg: ScalingConfig, step: Callable[[str, np.ndarray], np.ndarray], residual: Callable[[], float]
 ) -> ScalingTrace:
-    """The sweep loop of every driver.  A sweep is ``step("first", P)``
-    then ``step("second", Q)``: each makes one e-projection onto
-    {tr_side rho = target}, records its iterate and returns its factor,
-    which the loop records.  Then ``residual()`` gives the stopping
-    criterion.  Sweeps run while the last residual is at least ``cfg.tol``
-    and fewer than ``cfg.max_iters`` have run; ``converged`` says whether
-    the last residual is below ``cfg.tol``."""
-    while trace.residuals[-1] >= cfg.tol and trace.sweeps < cfg.max_iters:
+    """The sweep loop of every driver but operator Sinkhorn, which runs the
+    same sweeps over a stack of trials (:class:`_SinkhornStack`).  A sweep
+    is ``step("first", P)`` then ``step("second", Q)``: each makes one
+    e-projection onto {tr_side rho = target}, records its iterate and
+    returns its factor, which the loop records.  Then ``residual()`` gives
+    the stopping criterion.  Sweeps run while :func:`_running`."""
+    while _running(trace, cfg):
         for side, target in (("first", trace.target_p), ("second", trace.target_q)):
             trace.factors.append((side, step(side, target)))
         trace.sweeps += 1
@@ -369,94 +391,252 @@ def _new_trace(method: str, choi0: ChoiMatrix, cfg: ScalingConfig) -> tuple[Scal
 
 def _scaled_marginal(cross: np.ndarray, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """A marginal of (R kron L) rho0 (R kron L)^dagger from the factor
-    products alone.  With ``cross`` the (a b, i j) -> rho0[i a, j b] copy of
-    rho0, ``outer`` = R and ``inner`` = L this is tr_first, L X L^dagger with
-    vec X = cross vec((R^dagger R)^T); with ``cross.T``, ``outer`` = L and
-    ``inner`` = R it is tr_second.  One matrix-vector product with the
-    (d^2 x d'^2) ``cross`` and three small matmuls; exactly Hermitian."""
-    d = len(inner)
-    x = (cross @ (outer.T @ outer.conj()).reshape(-1)).reshape(d, d)
-    return linalg.hermitian_part(inner @ x @ inner.conj().T)
+    products alone, for each trial of a stack.  With ``cross`` the
+    (a b, i j) -> rho0[i a, j b] copy of rho0, ``outer`` = R and ``inner``
+    = L this is tr_first, L X L^dagger with vec X = cross vec((R^dagger R)^T);
+    with ``cross`` transposed, ``outer`` = L and ``inner`` = R it is
+    tr_second.  One matrix-vector product with the (d^2 x d'^2) ``cross``
+    and three small matmuls per trial, stacked; exactly Hermitian."""
+    d = inner.shape[-1]
+    vec = (outer.swapaxes(-1, -2) @ outer.conj()).reshape(len(outer), -1, 1)
+    x = (cross @ vec).reshape(-1, d, d)
+    return linalg.hermitian_part(inner @ x @ linalg._adjoint(inner))
 
 
-def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -> ScalingTrace:
-    """Operator Sinkhorn iteration, doubly stochastic or general marginals.
+class _SinkhornStack:
+    """The running trials of :func:`operator_sinkhorn_batch`, stacked on a
+    leading axis: stack row i holds trial ``rows[i]``, in ascending trial
+    order, with its permuted copy of rho0 (``cross``), its factor products
+    ``left`` and ``right``, its marginals and its last factor.
 
-    For non-identity targets the run starts with one preprocessing right step
+    Every step runs on the whole stack.  The per-trial records (factors,
+    factor products, capacity, residuals, sweeps) go into each trial's
+    trace after the step.  A trial that stops (see :func:`_running`)
+    leaves the stack; :meth:`_select` copies the stacked arrays then, and
+    only then.  A trial whose step fails leaves with every later trial:
+    the batch raises the error of its lowest failing trial, so what later
+    trials would give is never read.  That keeps a failing trial's
+    marginal out of the stacked ``eigh`` of the others.
+    """
+
+    def __init__(self, traces: list[ScalingTrace], chois: list[ChoiMatrix], cfg: ScalingConfig):
+        self.traces, self.cfg, self.failure = traces, cfg, None
+        # a trial whose input is already feasible takes no step, not even
+        # the preprocessing one
+        self.rows = [k for k, trace in enumerate(traces) if trace.residuals[0] >= cfg.tol]
+        if not self.rows:
+            return
+        n, m = self.n, self.m = traces[0].n, traces[0].m
+        self.p, self.q = traces[0].target_p, traces[0].target_q
+        b = len(self.rows)
+        # one permuted copy of each rho0, (a b, i j) -> rho0[i a, j b]; its
+        # transpose is the (i j, a b) view the right marginals need
+        self.cross = np.empty((b, m * m, n * n), dtype=complex)
+        for row, k in enumerate(self.rows):
+            self.cross[row].reshape(m, m, n, n)[...] = chois[k].matrix.reshape(n, m, n, m).transpose(1, 3, 0, 2)
+        self.left = np.repeat(np.eye(m, dtype=complex)[None], b, axis=0)
+        self.right = np.repeat(np.eye(n, dtype=complex)[None], b, axis=0)
+        self.first = self.second = self.factor = None
+        # a uniform side goes to inverse_mean as its scalar level c, so its
+        # factor is (marginal / c)^{-1/2} and meets c I exactly, also when
+        # the target is only within 1e-12 of it.  F marginal F = that
+        # target, so log det F = (log det target - log det marginal) / 2,
+        # read off the step's own spectrum of the marginal
+        self.mean_target, self.target_logdet = {}, {}
+        for side, target in (("first", self.p), ("second", self.q)):
+            level = _uniform_level(target)
+            self.mean_target[side] = target if level is None else level
+            self.target_logdet[side] = (
+                np.linalg.slogdet(target)[1] if level is None else len(target) * math.log(level)
+            )
+
+    def run(self) -> None:
+        """Preprocess (general targets), then sweep until no trial runs."""
+        if not self.rows:
+            return
+        if doubly_stochastic(self.p, self.q):
+            self._marginal("first")
+        else:
+            for k in self.rows:
+                self.traces[k].preprocessed = True
+            self._step("second")
+        self._select([_running(self.traces[k], self.cfg) for k in self.rows])
+        while self.rows:
+            self._step("first")
+            self._step("second")
+            if not self.rows:
+                break
+            # a sweep's residual reuses the marginals the stack holds: the
+            # next left step's, and F M F after the right step
+            first_gap = linalg.frobenius(self.first - self.p).tolist()
+            second_gap = linalg.frobenius(self.factor @ self.second @ self.factor - self.q).tolist()
+            running = []
+            for k, gap, other in zip(self.rows, first_gap, second_gap):
+                trace = self.traces[k]
+                trace.sweeps += 1
+                trace.residuals.append(gap**2 + other**2)
+                running.append(_running(trace, self.cfg))
+            self._select(running)
+
+    def _select(self, keep: slice | list[bool]) -> None:
+        """Keep the stack rows ``keep`` (a slice, or one bool per row) and
+        drop the others.  A list of bools copies the stacked arrays, so it
+        is applied only when some row leaves; a slice keeps views."""
+        if isinstance(keep, list):
+            if all(keep):
+                return
+            self.rows = [k for k, kept in zip(self.rows, keep) if kept]
+            keep = np.array(keep, dtype=bool)
+        else:
+            self.rows = self.rows[keep]
+        self.cross, self.left, self.right = self.cross[keep], self.left[keep], self.right[keep]
+        self.first, self.second, self.factor = (
+            None if a is None else a[keep] for a in (self.first, self.second, self.factor)
+        )
+
+    def _fail(self, row: int, error: Exception) -> None:
+        """Trial ``rows[row]`` fails with ``error``: it leaves the stack
+        with every later trial."""
+        self.failure = (self.rows[row], error)
+        self._select(slice(row))
+
+    def _marginal(self, side: str) -> None:
+        """Set the ``side`` marginal of every trial from its factor
+        products.  A trial whose marginal is not finite (its products
+        overflowed, as on inputs that cannot be scaled) fails with
+        ``ConvergenceError``."""
+        if side == "first":
+            marginal = self.first = _scaled_marginal(self.cross, self.right, self.left)
+        else:
+            marginal = self.second = _scaled_marginal(self.cross.swapaxes(-1, -2), self.left, self.right)
+        # a non-finite entry makes the sum non-finite, so only then is each
+        # trial's marginal tested
+        if cmath.isfinite(np.add.reduce(marginal, axis=None)):
+            return
+        finite = np.isfinite(marginal).all(axis=(1, 2))
+        if not finite.all():
+            row = int(np.argmin(finite))
+            sweep = self.traces[self.rows[row]].sweeps + 1
+            self._fail(row, ConvergenceError(
+                f"operator Sinkhorn overflowed in sweep {sweep}: the {side} marginal is not finite"
+            ))
+
+    def _factors(self, side: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """``linalg.inverse_mean`` of every trial's ``side`` marginal: the
+        factors and the marginals' log determinants.  If a marginal is not
+        positive definite, the first such trial fails with the error its
+        own step raises, and the trials before it are solved again."""
+        what = f"{side} marginal"
+        while self.rows:
+            marginal = self.first if side == "first" else self.second
+            try:
+                return linalg.inverse_mean(marginal, self.mean_target[side], what)
+            except SingularityError:
+                for row, mat in enumerate(marginal):
+                    try:
+                        linalg.inverse_mean(mat, self.mean_target[side], what)
+                    except SingularityError as error:
+                        self._fail(row, error)
+                        break
+                else:
+                    raise
+        return None
+
+    def _step(self, side: str) -> None:
+        """One SLD e-projection of every trial onto {tr_side rho = target}:
+        the factor F = marginal^{-1} # target, the product update and, after
+        a right step, the next left marginal."""
+        if side == "second" and self.rows:
+            self._marginal("second")
+        solved = self._factors(side)
+        if solved is None:
+            return
+        self.factor, logdet = solved
+        if side == "first":
+            self.left = self.factor @ self.left
+        else:
+            self.right = self.factor @ self.right
+            self._marginal("first")
+        target_logdet, square = self.target_logdet[side], self.n == self.m
+        for row, (k, marginal_logdet) in enumerate(zip(self.rows, logdet.tolist())):
+            trace = self.traces[k]
+            trace.factors.append((side, self.factor[row]))
+            trace.iterates._append(self.left[row], self.right[row])
+            if square:
+                # the congruence multiplies the encoded map by F twice, so
+                # its capacity by det(F)^{2/n}
+                trace.capacity_log += float(target_logdet - marginal_logdet) / self.n
+
+
+def operator_sinkhorn_batch(
+    chois: Sequence[ChoiMatrix], cfg: ScalingConfig = ScalingConfig()
+) -> list[ScalingTrace]:
+    """Operator Sinkhorn on many inputs of one block shape (n, m) at once.
+
+    The result is exactly ``[operator_sinkhorn(c, cfg) for c in chois]``,
+    trace for trace and bit for bit, and so is the error raised: that of the
+    lowest-index failing trial.  The trials run as one stack (see
+    :class:`_SinkhornStack`), so each step is one stacked ``eigh`` and a few
+    stacked matmuls for all of them, not one set of calls per trial.
+
+    For non-identity targets a run starts with one preprocessing right step
     with R = (tr_second rho)^{-1} # Q, after which left and right steps
     alternate, left first.  Each recorded step is an SLD e-projection onto
     its constraint set.
 
-    The input needs unit trace and positive definite marginals, but may be
+    An input needs unit trace and positive definite marginals, but may be
     rank-deficient.  The loop carries the factor products L (m x m) and
     R (n x n) instead of the iterate: each step's marginal comes from one
     permuted copy of rho0 by one matrix-vector product (see
     :func:`_scaled_marginal`), and ``linalg.inverse_mean`` checks it and
     gives the factor from its ``eigh``: on a uniform side (target I/d,
-    decided once per run by :func:`_uniform_level`) the factor is
-    (d M)^{-1/2} from that one small ``eigh``, on a general side one more
-    ``eigh`` takes the middle factor's root.  The capacity bookkeeping
-    reuses the marginal's spectrum, and a sweep's residual reuses the
-    marginals the loop holds: the next left step's, and F M F after the
-    right step.  The
-    final iterate (R kron L) rho0 (R kron L)^dagger is formed once, by one
+    decided once by :func:`_uniform_level`) the factor is (d M)^{-1/2} from
+    that one small ``eigh``, on a general side one more ``eigh`` takes the
+    middle factor's root.  The capacity bookkeeping reuses the marginal's
+    spectrum.  A marginal that is not finite, because the factor products
+    overflowed, is a ``ConvergenceError`` naming the sweep.  Each final
+    iterate (R kron L) rho0 (R kron L)^dagger is formed once, by one
     congruence, and validated as a :class:`ChoiMatrix`; ``trace.iterates``
     rebuilds the ones in between on read (:class:`SinkhornIterates`).
     """
-    trace, p, q = _new_trace("sld", choi0, cfg)
-    n, m = choi0.n, choi0.m
-    # one permuted copy of rho0, (a b, i j) -> rho0[i a, j b]; its transpose
-    # is the (i j, a b) view the right marginals need
-    cross = choi0.matrix.reshape(n, m, n, m).transpose(1, 3, 0, 2).reshape(m * m, n * n)
-    left, right = np.eye(m, dtype=complex), np.eye(n, dtype=complex)
-    # a uniform side goes to inverse_mean as its scalar level c, so its
-    # factor is (marginal / c)^{-1/2} and meets c I exactly, also when the
-    # target is only within 1e-12 of it.  F marginal F = that target, so
-    # log det F = (log det target - log det marginal) / 2, read off the
-    # step's own spectrum of the marginal
-    mean_target, target_logdet = {}, {}
-    for side, target in (("first", p), ("second", q)):
-        level = _uniform_level(target)
-        mean_target[side] = target if level is None else level
-        target_logdet[side] = np.linalg.slogdet(target)[1] if level is None else len(target) * math.log(level)
-    first = second = None
+    chois = list(chois)
+    shapes = sorted({(choi.n, choi.m) for choi in chois})
+    if len(shapes) > 1:
+        raise InvalidInputError(f"a batch takes one block shape (n, m), got {shapes}")
+    if not chois:
+        return []
+    (n, m), traces, failure = shapes[0], [], None
+    for k, choi in enumerate(chois):
+        try:
+            traces.append(_new_trace("sld", choi, cfg)[0])
+        except (InvalidInputError, SingularityError) as error:
+            failure = (k, error)
+            break
+    stack = _SinkhornStack(traces, chois, cfg)
+    # an overflow ends its trial with a ConvergenceError; numpy's warnings
+    # on the way there say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack.run()
+    failure = stack.failure or failure
+    for k in range(len(traces) if failure is None else failure[0]):
+        trace = traces[k]
+        trace.converged = trace.residuals[-1] < cfg.tol
+        if trace.factors:  # else the final iterate is the validated input
+            left, right = trace.iterates._products[-1]
+            trace._final = ChoiMatrix(n=n, m=m, matrix=congruence(chois[k].matrix, n, m, left, right))
+            # the validated copy has the same entries (the congruence
+            # returns an exactly Hermitian array); keep one array, not two
+            trace.iterates[-1] = trace._final.matrix
+    if failure is not None:
+        raise failure[1]
+    return traces
 
-    def step(side: str, _target: np.ndarray) -> np.ndarray:
-        nonlocal left, right, first, second
-        if side == "second":
-            second = _scaled_marginal(cross.T, left, right)
-        factor, marginal_logdet = linalg.inverse_mean(
-            first if side == "first" else second, mean_target[side], f"{side} marginal"
-        )
-        if n == m:
-            # the congruence multiplies the encoded map by factor twice,
-            # so its capacity by det(factor)^{2/n}
-            trace.capacity_log += float(target_logdet[side] - marginal_logdet) / n
-        if side == "first":
-            left = factor @ left
-        else:
-            right = factor @ right
-            first = _scaled_marginal(cross, right, left)
-        trace.iterates._append(left, right)
-        return factor
 
-    def residual() -> float:
-        factor = trace.factors[-1][1]
-        return float(linalg.frobenius(first - p) ** 2 + linalg.frobenius(factor @ second @ factor - q) ** 2)
-
-    # a feasible start takes no step, not even the preprocessing one
-    trace.preprocessed = trace.residuals[0] >= cfg.tol and not doubly_stochastic(p, q)
-    if trace.preprocessed:
-        trace.factors.append(("second", step("second", q)))
-    else:
-        first = _scaled_marginal(cross, right, left)
-    _alternate(trace, cfg, step, residual)
-    if trace.factors:  # else the final iterate is the validated input
-        trace._final = ChoiMatrix(n=n, m=m, matrix=congruence(choi0.matrix, n, m, left, right))
-        # the validated copy has the same entries (the congruence returns
-        # an exactly Hermitian array); keep one array, not two
-        trace.iterates[-1] = trace._final.matrix
-    return trace
+def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -> ScalingTrace:
+    """Operator Sinkhorn iteration, doubly stochastic or general marginals:
+    the batch of one, ``operator_sinkhorn_batch([choi0], cfg)[0]`` (see
+    :func:`operator_sinkhorn_batch` for the iteration)."""
+    return operator_sinkhorn_batch([choi0], cfg)[0]
 
 
 def _plus_lift(base: np.ndarray, a: np.ndarray, n: int, m: int, side: str) -> np.ndarray:

@@ -10,15 +10,21 @@ dense Kronecker lifts, and solve the BKM dual by Barzilai-Borwein gradient
 steps, so neither shares the closed-form Jacobians in ``scaling``.  The
 operator Sinkhorn reference forms every ``mn x mn`` iterate and takes its
 marginals by partial traces, where the package carries factor products.
+The difference quotient reference validates and evaluates one h at a time,
+with one 2-D divergence call per probe, where the package evaluates every
+probe of a grid in one stacked call.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from scipy import integrate
 
-from opsinkhorn import linalg, scaling
+from opsinkhorn import divergences, linalg, scaling
 from opsinkhorn.channels import ChoiMatrix
+from opsinkhorn.errors import DomainError, InvalidInputError
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -277,3 +283,40 @@ def operator_sinkhorn_ref(choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> dict:
         steps = sweep
     run["converged"] = run["residuals"][-1] < cfg.tol
     return run
+
+
+def central_difference_quotient_ref(tag: str, rho_star: np.ndarray, rho_0: np.ndarray, direction: np.ndarray,
+                                    h: float, *, n: int | None = None, m: int | None = None) -> float:
+    """[D(rho* + hA || rho0) - D(rho* - hA || rho0)] / (2h) for one h: the
+    inputs checked for this h alone, the critical step computed again, and
+    the two probes evaluated by two 2-D divergence calls (two classical KL
+    sums of the diagonals for ``kl``).  ``DomainError`` when the probe
+    leaves the positive cone."""
+    if h <= 0:
+        raise InvalidInputError("step h must be positive")
+    rho_star = linalg.assert_positive_definite(rho_star, "expansion point")
+    direction = linalg.as_hermitian(direction, what="perturbation direction")
+    if abs(np.trace(direction)) > 1e-10:
+        raise InvalidInputError("perturbation direction must be traceless")
+    if n is not None and m is not None:
+        for which in ("first", "second"):
+            part = linalg.partial_trace(direction, n, m, which)
+            if np.abs(part).max() > 1e-10:
+                raise InvalidInputError(f"perturbation direction has nonzero {which} partial trace")
+    h_max = divergences._critical_step(rho_star, direction)
+    if h >= h_max:
+        raise DomainError(f"perturbation h={h:.3e} leaves the positive cone (critical h = {h_max:.3e})")
+    if tag == "kl":
+        for mat, what in ((rho_star, "expansion point"), (rho_0, "reference point")):
+            off = mat - np.diag(np.diag(mat))
+            if np.abs(off).max() > 1e-10:
+                raise DomainError(f"kl difference quotient requires a diagonal {what}")
+        base = np.diag(rho_0).real
+        d_plus = divergences._classical_kl(np.diag(rho_star + h * direction).real, base)
+        d_minus = divergences._classical_kl(np.diag(rho_star - h * direction).real, base)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            d_plus = divergences.divergence(tag, rho_star + h * direction, rho_0)
+            d_minus = divergences.divergence(tag, rho_star - h * direction, rho_0)
+    return (d_plus - d_minus) / (2.0 * h)

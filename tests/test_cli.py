@@ -314,6 +314,13 @@ class TestDiffquot:
         code, _, _ = run_cli(capsys, "diffquot", "--paper-rho0", "--tag", "measured")
         assert code == 4
 
+    def test_input_error_exits_3_not_nan_rows(self, capsys):
+        # the kl quotient needs a diagonal input whatever h is: an error,
+        # not 36 nan rows
+        code, out, err = run_cli(capsys, "diffquot", "--paper-rho0", "--tag", "kl")
+        assert code == 3 and out == ""
+        assert "requires a diagonal" in err
+
 
 class TestCapacityScatter:
     def test_columns_and_determinism(self, capsys):
@@ -339,6 +346,12 @@ class TestCapacityScatter:
             assert fields[1] == "0" and fields[2] == "nan"
         summary = json.loads(err.strip().splitlines()[-1])
         assert summary["mean_gap_umegaki"] is None
+
+    def test_zero_trials_prints_header_and_null_summary(self, capsys):
+        code, out, err = run_cli(capsys, "capacity-scatter", "--dims", "2", "--trials", "0", "--tags", "umegaki,nagaoka")
+        assert code == 0
+        assert out == "trial,converged,D_umegaki,D_nagaoka,neg_log_capacity\n"
+        assert json.loads(err.strip().splitlines()[-1]) == {"mean_gap_umegaki": None, "mean_gap_nagaoka": None}
 
     def test_rectangular_dims_unsupported(self, capsys):
         code, _, _ = run_cli(capsys, "capacity-scatter", "--dims", "2", "3")

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from opsinkhorn import channels, linalg, scaling
-from opsinkhorn.divergences import central_difference_quotient, divergence
-from opsinkhorn.errors import DomainError, InvalidInputError, UnsupportedError
+from opsinkhorn.divergences import central_difference_quotient, central_difference_quotients, divergence
+from opsinkhorn.errors import DomainError, InvalidInputError, SingularityError, UnsupportedError
+from opsinkhorn.reference import reference_direction, reference_rho0
 
 import oracles
 
@@ -205,3 +206,101 @@ class TestCentralDifferenceQuotient:
             bs = central_difference_quotient("bs", rho_star, rho_0, direction, h)
             kl = central_difference_quotient("kl", rho_star, rho_0, direction, h)
             assert abs(bs - kl) <= 1e-10
+
+
+class TestStackedDivergence:
+    @pytest.mark.parametrize("tag", QUANTUM_TAGS)
+    @pytest.mark.parametrize("d", [2, 4, 9])
+    def test_each_value_is_the_2d_call(self, tag, d):
+        rng = np.random.default_rng(700 + d)
+        rhos = np.stack([channels.random_density(d, rng) for _ in range(6)])
+        sigmas = np.stack([channels.random_density(d, rng) for _ in range(6)])
+        both = divergence(tag, rhos, sigmas)
+        against_one = divergence(tag, rhos, sigmas[0])
+        one_against = divergence(tag, rhos[0], sigmas)
+        assert both.shape == against_one.shape == one_against.shape == (6,)
+        for k in range(6):
+            assert both[k] == divergence(tag, rhos[k], sigmas[k])
+            assert against_one[k] == divergence(tag, rhos[k], sigmas[0])
+            assert one_against[k] == divergence(tag, rhos[0], sigmas[k])
+        assert isinstance(divergence(tag, rhos[0], sigmas[0]), float)
+
+    def test_stack_checks(self):
+        rng = np.random.default_rng(710)
+        rhos = np.stack([channels.random_density(3, rng) for _ in range(3)])
+        with pytest.raises(InvalidInputError, match="shape mismatch"):
+            divergence("bs", rhos, rhos[:2])
+        with pytest.raises(InvalidInputError, match="shape mismatch"):
+            divergence("bs", rhos, np.eye(2) / 2)
+        bad = rhos.copy()
+        bad[1] = np.diag([1.0, 0.0, 0.0])
+        with pytest.raises(SingularityError, match="first argument"):
+            divergence("umegaki", bad, rhos)
+        with pytest.warns(UserWarning, match="off the state manifold"):
+            divergence("umegaki", rhos * np.array([1.0, 1.0, 2.0])[:, None, None], rhos)
+
+
+def quotient_case(tag: str):
+    """(rho*, rho0, direction, n, m): the Sinkhorn limit of the paper's
+    input, or of a diagonal input for ``kl``."""
+    if tag == "kl":
+        a = np.array([[0.1, 0.3], [0.2, 0.4]])
+        choi = oracles_diagonal_choi(a)
+        direction = np.diag([1.0, -1.0, -1.0, 1.0])
+    else:
+        choi = reference_rho0()
+        direction = reference_direction()
+    trace = scaling.operator_sinkhorn(choi, scaling.ScalingConfig())
+    return trace.final.matrix, choi.matrix, direction, choi.n, choi.m
+
+
+def oracles_diagonal_choi(a: np.ndarray) -> channels.ChoiMatrix:
+    m, n = a.shape
+    mat = np.zeros((n * m, n * m), dtype=complex)
+    for j in range(n):
+        for i in range(m):
+            mat[j * m + i, j * m + i] = a[i, j]
+    return channels.ChoiMatrix(n=n, m=m, matrix=mat)
+
+
+# the CLI's default grid, h = 2^-5 .. 2^-40, behind four steps that leave
+# the positive cone on every case below
+GRID = (8.0, 4.0, 2.0, 1.0) + tuple(2.0 ** (-k) for k in range(5, 41))
+
+
+class TestCentralDifferenceQuotients:
+    @pytest.mark.parametrize("tag", ["bs", "nagaoka", "umegaki", "renyi_half", "burg", "kl"])
+    def test_equals_the_per_h_reference(self, tag):
+        rho_star, rho_0, direction, n, m = quotient_case(tag)
+        got = central_difference_quotients(tag, rho_star, rho_0, direction, GRID, n=n, m=m)
+        assert got.shape == (len(GRID),)
+        exits = 0
+        for h, value in zip(GRID, got):
+            try:
+                want = oracles.central_difference_quotient_ref(tag, rho_star, rho_0, direction, h, n=n, m=m)
+            except DomainError:
+                exits += 1
+                assert np.isnan(value)
+                continue
+            assert value == want
+            assert central_difference_quotient(tag, rho_star, rho_0, direction, h, n=n, m=m) == want
+        assert exits == 4
+
+    def test_input_errors_do_not_depend_on_h(self):
+        rho = random_density(4, 720)
+        direction = np.diag([1.0, -1.0, -1.0, 1.0])
+        # every h leaves the cone, yet the non-diagonal kl input is the error
+        with pytest.raises(DomainError, match="diagonal"):
+            central_difference_quotients("kl", rho, rho, direction, [100.0, 50.0])
+        with pytest.raises(InvalidInputError, match="positive"):
+            central_difference_quotients("bs", rho, rho, direction, [1e-3, 0.0])
+        with pytest.raises(InvalidInputError, match="unknown divergence tag"):
+            central_difference_quotients("nope", rho, rho, direction, [100.0])
+        with pytest.raises(UnsupportedError):
+            central_difference_quotient("measured", rho, rho, direction, 1e-3)
+
+    def test_all_cone_exits_and_empty_grid(self):
+        rho = np.diag([0.4, 0.3, 0.2, 0.1])
+        direction = np.diag([1.0, -1.0, -1.0, 1.0])
+        assert np.isnan(central_difference_quotients("bs", rho, rho, direction, [0.5, 0.2])).all()
+        assert central_difference_quotients("bs", rho, rho, direction, []).shape == (0,)

@@ -19,37 +19,98 @@ def random_pd(d, rng, shift=0.1):
     return g @ g.conj().T / d + shift * np.eye(d)
 
 
-class TestHermEig:
+class TestSpectrum:
+    """The spectral decomposition every matrix function starts from:
+    ``numpy.linalg.eigh`` of the argument ``as_hermitian`` validates, with
+    the eigenvalues ascending."""
+
     def test_diagonal_matrix(self):
-        w, v = linalg.herm_eig(np.diag([1.0, 2.0]))
+        w, v = np.linalg.eigh(linalg.as_hermitian(np.diag([1.0, 2.0])))
         np.testing.assert_allclose(w, [1.0, 2.0])
         np.testing.assert_allclose(np.abs(v), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(linalg.expm(np.diag([1.0, 2.0])), np.diag(np.exp([1.0, 2.0])), atol=1e-12)
 
     def test_symmetric_two_by_two(self):
-        w, _ = linalg.herm_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
+        w, _ = np.linalg.eigh(linalg.as_hermitian(a))
         np.testing.assert_allclose(w, [1.0, 3.0], atol=1e-12)
+        np.testing.assert_allclose(linalg.powm(a, 2), a @ a, atol=1e-12)
 
     def test_pauli_y(self):
-        w, _ = linalg.herm_eig(np.array([[0.0, 1j], [-1j, 0.0]]))
+        y = np.array([[0.0, 1j], [-1j, 0.0]])
+        w, _ = np.linalg.eigh(linalg.as_hermitian(y))
         np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(linalg.expm(y), np.cosh(1.0) * np.eye(2) + np.sinh(1.0) * y, atol=1e-12)
 
     def test_reconstruction_and_unitarity(self):
         rng = np.random.default_rng(0)
         a = random_hermitian(5, rng)
-        dec = linalg.herm_eig(a)
-        res = np.linalg.norm(dec.reconstruct() - a)
+        # the power 1 is the identity function: P Lambda P^dagger rebuilt
+        res = np.linalg.norm(linalg.matrix_function(a, "power", 1.0) - a)
         assert res <= 1e-10 * (1.0 + np.linalg.norm(a))
-        p = dec.eigenvectors
+        w, p = np.linalg.eigh(linalg.as_hermitian(a))
         assert np.linalg.norm(p.conj().T @ p - np.eye(5)) <= 1e-10
-        assert np.all(np.diff(dec.eigenvalues) >= 0)
+        assert np.all(np.diff(w) >= 0)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            linalg.herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    @pytest.mark.parametrize("name", ["exp", "sqrt", "log"])
+    def test_rejects_non_finite(self, name):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            linalg.matrix_function(np.array([[np.nan, 0.0], [0.0, 1.0]]), name)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InvalidInputError):
-            linalg.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    @pytest.mark.parametrize("name", ["exp", "sqrt", "log"])
+    def test_rejects_non_hermitian(self, name):
+        with pytest.raises(InvalidInputError, match="not Hermitian"):
+            linalg.matrix_function(np.array([[0.0, 1.0], [0.0, 0.0]]), name)
+
+
+class TestStacks:
+    """A (B, d, d) stack gives each matrix's 2-D result, bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 9, 16])
+    def test_matrix_functions(self, d):
+        rng = np.random.default_rng(600 + d)
+        stack = np.stack([random_pd(d, rng) for _ in range(6)])
+        for name, t in (("sqrt", None), ("log", None), ("exp", None), ("inverse", None), ("power", -0.5)):
+            got = linalg.matrix_function(stack, name, t)
+            for mat, one in zip(stack, got):
+                assert np.array_equal(one, linalg.matrix_function(mat, name, t))
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    def test_inverse_mean_and_frobenius(self, d):
+        rng = np.random.default_rng(610 + d)
+        stack = np.stack([linalg.hermitian_part(random_pd(d, rng)) for _ in range(5)])
+        target = linalg.hermitian_part(random_pd(d, rng))
+        for b in (1.0 / d, target, stack[::-1]):
+            factors, logdets = linalg.inverse_mean(stack, b)
+            assert logdets.shape == (5,)
+            for k in range(5):
+                one, logdet = linalg.inverse_mean(stack[k], b if np.ndim(b) < 3 else b[k])
+                assert np.array_equal(factors[k], one) and logdets[k] == logdet
+        # a 2-D A against a stack of B, as the Nagaoka divergence uses it
+        means, logdet = linalg.inverse_mean(target, stack)
+        assert isinstance(logdet, float)
+        for k in range(5):
+            assert np.array_equal(means[k], linalg.inverse_mean(target, stack[k])[0])
+        norms = linalg.frobenius(stack - target)
+        assert [float(x) for x in norms] == [linalg.frobenius(mat - target) for mat in stack]
+
+    def test_hermitian_part_transposes_each_matrix(self):
+        rng = np.random.default_rng(620)
+        stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        got = linalg.hermitian_part(stack)
+        for mat, one in zip(stack, got):
+            assert np.array_equal(one, linalg.hermitian_part(mat))
+            assert np.array_equal(one, one.conj().T)
+
+    def test_checks_name_the_first_failing_matrix(self):
+        good, bad = np.diag([1.0, 2.0]), np.diag([-3.0, 1.0])
+        with pytest.raises(SingularityError, match="min eigenvalue -3.000e"):
+            linalg.assert_positive_definite(np.stack([good, bad, np.diag([-5.0, 1.0])]))
+        assert np.array_equal(linalg.assert_positive_definite(np.stack([good, good])), np.stack([good, good]))
+        with pytest.raises(DomainError, match="-3.000000e"):
+            linalg.logm(np.stack([good, bad]))
+        with pytest.raises(InvalidInputError, match="not Hermitian"):
+            linalg.as_hermitian(np.stack([good, np.array([[0.0, 1.0], [0.0, 0.0]])]))
 
 
 class TestMatrixFunction:

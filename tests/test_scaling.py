@@ -534,6 +534,142 @@ class TestFactorLoopAgainstMaterializedLoop:
                 assert trace.sweeps == max_iters and not trace.converged
 
 
+def assert_same_trace(got: scaling.ScalingTrace, want: scaling.ScalingTrace) -> None:
+    """Two operator Sinkhorn traces agree bit for bit: sweeps, flags,
+    residuals, capacity, factors, every iterate and the final."""
+    assert (got.sweeps, got.converged, got.preprocessed) == (want.sweeps, want.converged, want.preprocessed)
+    assert got.residuals == want.residuals and got.capacity_log == want.capacity_log
+    assert [side for side, _ in got.factors] == [side for side, _ in want.factors]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got.factors, want.factors))
+    assert len(got.iterates) == len(want.iterates)
+    assert all(np.array_equal(a, b) for a, b in zip(got.iterates, want.iterates))
+    assert np.array_equal(got.final.matrix, want.final.matrix)
+
+
+def assert_batch_matches(chois, cfg: scaling.ScalingConfig) -> list[scaling.ScalingTrace]:
+    """``operator_sinkhorn_batch`` against the per-instance runs: bit for bit
+    against ``operator_sinkhorn`` on each input alone, and against the
+    materialized-iterate reference ``oracles.operator_sinkhorn_ref`` in
+    sweeps, flags and step sides exactly, in residuals, capacity and
+    factors at the bounds of :func:`assert_matches_materialized_loop`."""
+    batch = scaling.operator_sinkhorn_batch(chois, cfg)
+    assert len(batch) == len(chois)
+    for choi, got in zip(chois, batch):
+        assert_same_trace(got, scaling.operator_sinkhorn(choi, cfg))
+        ref = oracles.operator_sinkhorn_ref(choi, cfg)
+        assert (got.sweeps, got.converged, got.preprocessed) == (ref["sweeps"], ref["converged"], ref["preprocessed"])
+        assert [side for side, _ in got.factors] == [side for side, _ in ref["factors"]]
+        assert got.capacity_log == pytest.approx(ref["capacity_log"], rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(got.residuals, ref["residuals"], rtol=1e-9, atol=1e-20)
+        for (_, a), (_, b) in zip(got.factors, ref["factors"]):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    return batch
+
+
+def unscalable_choi() -> ChoiMatrix:
+    """Diagonal Choi embedding of [[1, 1, 1], [1, 0, 0], [1, 0, 0]] / 5: no
+    perfect matching, so capacity 0, yet both marginals are positive
+    definite.  Its factor products grow without bound."""
+    return diagonal_choi(np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]) / 5.0)
+
+
+class TestOperatorSinkhornBatch:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_inputs(self, n):
+        rng = np.random.default_rng(800 + n)
+        chois = [channels.random_choi(n, n, rng, real=k % 2 == 1) for k in range(8)]
+        batch = assert_batch_matches(chois, scaling.ScalingConfig())
+        assert all(trace.converged for trace in batch)
+        # trials leave the stack at different sweeps
+        assert len({trace.sweeps for trace in batch}) > 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_diagonal_embeddings(self, n):
+        rng = np.random.default_rng(810 + n)
+        chois = []
+        for _ in range(6):
+            a = rng.uniform(0.05, 1.0, size=(n, n))
+            chois.append(diagonal_choi(a / a.sum()))
+        batch = assert_batch_matches(chois, scaling.ScalingConfig(tol=1e-12))
+        for trace in batch:
+            final = trace.final.matrix
+            assert np.array_equal(final, np.diag(np.diag(final)))
+
+    def test_general_targets_some_trials_preprocess(self):
+        rng = np.random.default_rng(820)
+        p, q = channels.random_density(3, rng), channels.random_density(2, rng)
+        # Q kron P has the target marginals already: no step, not even the
+        # preprocessing one
+        feasible = ChoiMatrix(n=2, m=3, matrix=np.kron(q, p))
+        chois = [channels.random_choi(2, 3, rng), feasible, channels.random_choi(2, 3, rng), feasible]
+        batch = assert_batch_matches(chois, scaling.ScalingConfig(tol=1e-10, target_p=p, target_q=q))
+        assert [trace.preprocessed for trace in batch] == [True, False, True, False]
+        assert batch[1].sweeps == 0 and batch[1].final is feasible
+
+    @pytest.mark.parametrize("max_iters", [0, 3])
+    @pytest.mark.parametrize("general", [False, True])
+    def test_budget_limited(self, max_iters, general):
+        rng = np.random.default_rng(830 + max_iters + general)
+        q = channels.random_density(2, rng) if general else None
+        chois = [channels.random_choi(2, 3, rng) for _ in range(4)]
+        batch = assert_batch_matches(chois, scaling.ScalingConfig(max_iters=max_iters, tol=0.0, target_q=q))
+        assert all(trace.sweeps == max_iters and not trace.converged for trace in batch)
+
+    def test_singular_marginal_fails_like_the_loop(self):
+        rng = np.random.default_rng(840)
+        # a PSD, unit-trace input whose first marginal diag(1, 0) is singular
+        singular = ChoiMatrix(n=2, m=2, matrix=np.kron(np.eye(2) / 2, np.diag([1.0, 0.0])))
+        with pytest.raises(SingularityError) as alone:
+            scaling.operator_sinkhorn(singular)
+        good = [channels.random_choi(2, 2, rng) for _ in range(3)]
+        with pytest.raises(SingularityError) as batched:
+            scaling.operator_sinkhorn_batch([good[0], good[1], singular, good[2]])
+        assert str(batched.value) == str(alone.value) == "first marginal is not positive definite (min eigenvalue 0.000e+00)"
+
+    def test_lowest_failing_trial_wins(self):
+        rng = np.random.default_rng(850)
+        good = channels.random_choi(2, 2, rng)
+        singular = ChoiMatrix(n=2, m=2, matrix=np.kron(np.eye(2) / 2, np.diag([1.0, 0.0])))
+        off_trace = ChoiMatrix(n=2, m=2, matrix=2.0 * good.matrix)
+        with pytest.raises(SingularityError):
+            scaling.operator_sinkhorn_batch([good, singular, off_trace])
+        with pytest.raises(InvalidInputError, match="trace"):
+            scaling.operator_sinkhorn_batch([good, off_trace, singular])
+        # by index, not by time: the overflow comes a thousand sweeps after
+        # the singular marginal of the next trial, and still wins
+        cfg = scaling.ScalingConfig(max_iters=2000)
+        singular3 = ChoiMatrix(n=3, m=3, matrix=np.kron(np.eye(3) / 3, np.diag([1.0, 0.0, 0.0])))
+        with pytest.raises(ConvergenceError, match="overflowed"):
+            scaling.operator_sinkhorn_batch([unscalable_choi(), singular3], cfg)
+        with pytest.raises(SingularityError):
+            scaling.operator_sinkhorn_batch([singular3, unscalable_choi()], cfg)
+
+    def test_overflow_is_a_typed_error(self):
+        cfg = scaling.ScalingConfig(max_iters=2000)
+        with pytest.raises(ConvergenceError, match=r"overflowed in sweep \d+: the \w+ marginal is not finite") as alone:
+            scaling.operator_sinkhorn(unscalable_choi(), cfg)
+        rng = np.random.default_rng(860)
+        scalable = [channels.random_choi(3, 3, rng) for _ in range(3)]
+        with pytest.raises(ConvergenceError) as batched:
+            scaling.operator_sinkhorn_batch(scalable[:2] + [unscalable_choi()] + scalable[2:], cfg)
+        assert str(batched.value) == str(alone.value)
+        # the scalable trials before it are unaffected by it
+        for choi, trace in zip(scalable[:2], scaling.operator_sinkhorn_batch(scalable[:2], cfg)):
+            assert_same_trace(trace, scaling.operator_sinkhorn(choi, cfg))
+
+    def test_unscalable_input_within_budget_is_unchanged(self):
+        trace = scaling.operator_sinkhorn(unscalable_choi(), scaling.ScalingConfig(max_iters=200))
+        assert trace.sweeps == 200 and not trace.converged
+        assert trace.residuals[-1] == pytest.approx(1.0 / 6.0, rel=1e-12)
+        assert trace.capacity_log == pytest.approx(92.69940063823894, rel=1e-9)
+
+    def test_empty_and_mixed_batches(self):
+        assert scaling.operator_sinkhorn_batch([]) == []
+        rng = np.random.default_rng(870)
+        with pytest.raises(InvalidInputError, match="one block shape"):
+            scaling.operator_sinkhorn_batch([channels.random_choi(2, 2, rng), channels.random_choi(2, 3, rng)])
+
+
 def count_calls(monkeypatch, module, name: str) -> list:
     """Replace ``module.name`` by a wrapper that records the shape of its
     first argument."""

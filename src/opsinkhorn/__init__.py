@@ -45,7 +45,6 @@ from .scaling import (
     alternating_projections,
     bkm_e_projection,
     burg_e_projection,
-    capacity_bruteforce,
     capacity_from_trace,
     joint_limit,
     matrix_sinkhorn,
@@ -94,7 +93,6 @@ __all__ = [
     "alternating_projections",
     "bkm_e_projection",
     "burg_e_projection",
-    "capacity_bruteforce",
     "capacity_from_trace",
     "joint_limit",
     "matrix_sinkhorn",

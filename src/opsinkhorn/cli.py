@@ -7,8 +7,10 @@ output, over an h grid in one call), ``capacity-scatter`` (divergence vs
 capacity over random trials, solved as one operator Sinkhorn batch) and
 ``gen`` (write a random instance file).
 
-Exit codes: 0 success, 2 parse failure, 3 numeric domain violation,
-4 unsupported option, 5 non-convergence.
+Exit codes: 0 success, 2 parse failure (a malformed command line, an
+out-of-range flag value or an unreadable payload), 3 numeric domain
+violation, 4 unsupported option, 5 non-convergence.  Flag values are
+range-checked by the parser, before any library call.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,11 +46,31 @@ EXIT_NO_CONVERGENCE = 5
 _DEFAULT_H_GRID = tuple(2.0 ** (-k) for k in range(5, 41))
 
 
+def _flag(convert, ok, rule: str):
+    """An argparse ``type=`` that converts a flag value and checks its
+    range, so a bad value is a usage error (exit 2) before any library
+    call."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
+
+
+_COUNT = _flag(int, lambda v: v >= 0, "a nonnegative integer")
+_DIMENSION = _flag(int, lambda v: v >= 1, "a positive integer")
+_TOLERANCE = _flag(float, lambda v: math.isfinite(v) and v >= 0, "a finite nonnegative number")
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
-    parser.add_argument("--tol", type=float, default=1e-8,
+    parser.add_argument("--seed", type=_COUNT, default=0, help="base RNG seed (default 0)")
+    parser.add_argument("--tol", type=_TOLERANCE, default=1e-8,
                         help="stopping tolerance on the squared marginal residual (default 1e-8; 0 disables early stop)")
-    parser.add_argument("--max-iters", type=int, default=200,
+    parser.add_argument("--max-iters", type=_COUNT, default=200,
                         help="sweep budget (default 200)")
     parser.add_argument("--out", type=str, default=None, help="output file or directory")
     parser.add_argument("--real", action="store_true",
@@ -259,8 +282,6 @@ def _scatter_instance(n: int, rng: np.random.Generator, args) -> ChoiMatrix:
 
 
 def cmd_capacity_scatter(args) -> int:
-    if args.trials < 0:
-        raise ParseError(f"--trials must be nonnegative, got {args.trials}")
     if len(args.dims) > 2:
         raise ParseError(f"--dims takes one dimension (m = n), got {len(args.dims)} values")
     cfg = _config(args)
@@ -346,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("input", nargs="?", help="matrix/choi JSON file")
     scale.add_argument("--paper-rho0", action="store_true", help="use the built-in 4x4 reference input")
     scale.add_argument("--method", default="sld", help="sld, bkm or burg (default sld)")
-    scale.add_argument("--dims", type=int, nargs=2, metavar=("N", "M"), default=None,
+    scale.add_argument("--dims", type=_DIMENSION, nargs=2, metavar=("N", "M"), default=None,
                        help="block structure for density inputs")
     _common_flags(scale)
     scale.set_defaults(func=cmd_scale)
@@ -354,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="run sld, bkm and burg from one start (burg: its joint limit)")
     compare.add_argument("input", nargs="?", help="choi JSON file")
     compare.add_argument("--paper-rho0", action="store_true", help="use the built-in 4x4 reference input")
-    compare.add_argument("--dims", type=int, nargs=2, metavar=("N", "M"), default=None,
+    compare.add_argument("--dims", type=_DIMENSION, nargs=2, metavar=("N", "M"), default=None,
                          help="draw a random seeded instance of this block shape")
     _common_flags(compare)
     compare.set_defaults(func=cmd_compare)
@@ -362,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     diffquot = sub.add_parser("diffquot", help="central difference quotient at the Sinkhorn output")
     diffquot.add_argument("input", nargs="?", help="choi JSON file")
     diffquot.add_argument("--paper-rho0", action="store_true", help="use the built-in 4x4 reference input")
-    diffquot.add_argument("--dims", type=int, nargs=2, metavar=("N", "M"), default=None,
+    diffquot.add_argument("--dims", type=_DIMENSION, nargs=2, metavar=("N", "M"), default=None,
                           help="draw a random seeded instance of this block shape")
     diffquot.add_argument("--tag", default="bs", help="divergence tag (default bs)")
     diffquot.add_argument("--direction", default=None,
@@ -372,9 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     diffquot.set_defaults(func=cmd_diffquot)
 
     scatter = sub.add_parser("capacity-scatter", help="divergences vs capacity on random instances")
-    scatter.add_argument("--dims", type=int, nargs="+", default=(2,), metavar="N",
+    scatter.add_argument("--dims", type=_DIMENSION, nargs="+", default=(2,), metavar="N",
                          help="system dimension (m = n, default 2)")
-    scatter.add_argument("--trials", type=int, default=30, help="number of random instances (default 30)")
+    scatter.add_argument("--trials", type=_COUNT, default=30, help="number of random instances (default 30)")
     scatter.add_argument("--tags", default="umegaki",
                          help="comma-separated divergence tags (default umegaki)")
     scatter.add_argument("--diagonal", action="store_true",
@@ -383,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     scatter.set_defaults(func=cmd_capacity_scatter)
 
     gen = sub.add_parser("gen", help="write a random instance file")
-    gen.add_argument("--dims", type=int, nargs=2, metavar=("N", "M"), default=(2, 2))
+    gen.add_argument("--dims", type=_DIMENSION, nargs=2, metavar=("N", "M"), default=(2, 2))
     gen.add_argument("--kind", default="choi", help="choi, density or matrix (default choi)")
     _common_flags(gen)
     gen.set_defaults(func=cmd_gen)
@@ -399,7 +420,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (2) or the help text (0)
+        return exc.code
     try:
         return args.func(args)
     except ParseError as exc:

@@ -98,7 +98,12 @@ def divergence(tag: str, rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarr
         raise InvalidInputError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
     if tag in _STATE_TAGS:
         _warn_if_not_state(tag, rho, sigma)
+    return _value(tag, rho, sigma)
 
+
+def _value(tag: str, rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
+    """The matrix tag's formula, on arguments already checked: Hermitian,
+    positive definite, of one size."""
     if tag == "umegaki":
         value = _trace(rho @ (linalg.logm(rho) - linalg.logm(sigma))).real
     elif tag == "bs":
@@ -118,7 +123,7 @@ def divergence(tag: str, rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarr
         value = -4.0 * np.log(np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=-1))
     else:
         # nagaoka: rho # sigma^{-1} = sigma^{-1} # rho, the SLD factor of
-        # sigma towards rho, from two eigh (both arguments are checked above)
+        # sigma towards rho, from two eigh (both arguments are checked)
         mean, _ = linalg.inverse_mean(sigma, rho, "divergence second argument")
         value = (2.0 * _trace(rho @ linalg.logm(mean))).real
     return float(value) if np.ndim(value) == 0 else value
@@ -156,20 +161,28 @@ def _quotients(
             off = mat - np.diag(np.diag(mat))
             if np.abs(off).max() > 1e-10:
                 raise DomainError(f"kl difference quotient requires a diagonal {what}")
+    else:
+        rho_0 = linalg.assert_positive_definite(rho_0, "reference point")
+        if rho_0.shape != rho_star.shape:
+            raise InvalidInputError(f"shape mismatch: {rho_star.shape} vs {rho_0.shape}")
     h_max = _critical_step(rho_star, direction)
     out = np.full(len(hs), np.nan)
-    inside = hs < h_max
-    h = hs[inside]
-    if len(h):
-        steps = h[:, None, None] * direction
-        probes = np.concatenate([rho_star + steps, rho_star - steps])
+    inside = np.flatnonzero(hs < h_max)
+    steps = hs[inside, None, None] * direction
+    probes = np.stack([rho_star + steps, rho_star - steps])
+    # h_max is rounded, so an h just below it can still give a probe that
+    # fails the positive definiteness floor: that h leaves the cone too.
+    # This is the probes' one check; they are exactly Hermitian, as sums of
+    # exactly Hermitian matrices, so the formulas take them as they are
+    keep = linalg.is_positive_definite(probes).all(axis=0)
+    inside, probes = inside[keep], probes[:, keep].reshape(-1, *direction.shape)
+    if len(inside):
+        h = hs[inside]
         if tag == "kl":
             diagonals = np.diagonal(probes, axis1=-2, axis2=-1).real
             values = np.sum(_kl_terms(diagonals, np.diag(rho_0).real), axis=-1)
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                values = divergence(tag, probes, rho_0)
+            values = _value(tag, probes, rho_0)
         out[inside] = (values[: len(h)] - values[len(h) :]) / (2.0 * h)
     return out, h_max
 
@@ -185,8 +198,9 @@ def central_difference_quotients(
     m: int | None = None,
 ) -> np.ndarray:
     """[D(rho* + hA || rho0) - D(rho* - hA || rho0)] / (2h) for every h of
-    ``hs``, as an array; NaN where h is at least the critical step, beyond
-    which a probe leaves the positive cone.
+    ``hs``, as an array; NaN where a probe leaves the positive cone: h is at
+    least the critical step, or (within rounding of it) a probe fails the
+    positive definiteness floor.
 
     The perturbation ``A`` must be Hermitian and traceless so the probe stays
     on the trace-one manifold; when the block structure ``(n, m)`` is given,
@@ -194,9 +208,10 @@ def central_difference_quotients(
     the marginal constraint sets.  ``kl`` takes the diagonals and needs
     diagonal ``rho*`` and ``rho0``.  The tag, every h (positive), the
     inputs and the critical step are checked and computed once, so an
-    input error raises whatever the grid; then every probe inside the cone
-    is evaluated by one stacked :func:`divergence` call, which decomposes
-    ``rho0`` once.  Each quotient equals the one-h call's, bit for bit.
+    input error raises whatever the grid; then every probe is checked once
+    and every probe inside the cone evaluated in one stacked call of the
+    divergence formula, which decomposes ``rho0`` once.  Each quotient
+    equals the one-h call's, bit for bit.
     """
     return _quotients(tag, rho_star, rho_0, direction, hs, n, m)[0]
 
@@ -211,10 +226,10 @@ def central_difference_quotient(
     n: int | None = None,
     m: int | None = None,
 ) -> float:
-    """The one-h case of :func:`central_difference_quotients`; an h at or
-    beyond the critical step is a ``DomainError``."""
+    """The one-h case of :func:`central_difference_quotients`; an h whose
+    probe leaves the positive cone is a ``DomainError``."""
     values, h_max = _quotients(tag, rho_star, rho_0, direction, [h], n, m)
-    if not h < h_max:
+    if np.isnan(values[0]):
         raise DomainError(
             f"perturbation h={h:.3e} leaves the positive cone (critical h = {h_max:.3e})"
         )

@@ -206,10 +206,12 @@ def _check_positive_definite(w: np.ndarray, what: str) -> None:
             raise SingularityError(f"{what} is not positive definite (min eigenvalue {low:.3e})")
 
 
-def is_positive_definite(a: np.ndarray) -> bool:
-    """Positive definite under the policy floor: min eig > floor * max eig."""
+def is_positive_definite(a: np.ndarray) -> bool | np.ndarray:
+    """Positive definite under the policy floor: min eig > floor * max eig.
+    A stack gives one bool per matrix."""
     w = np.linalg.eigvalsh(as_hermitian(a))
-    return bool(w[0] > get_policy().pd_rel_floor * max(w[-1], _TINY))
+    ok = w[..., 0] > get_policy().pd_rel_floor * np.maximum(w[..., -1], _TINY)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def assert_positive_definite(a: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -83,10 +83,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
 from . import linalg
-from .channels import ChoiMatrix, apply_map, as_density, congruence
+from .channels import ChoiMatrix, as_density, congruence
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -94,7 +93,7 @@ from .errors import (
     SingularityError,
     UnsupportedError,
 )
-from .geometry import ConstraintSet, _divided_differences, dexp_frechet
+from .geometry import ConstraintSet, _divided_differences
 from .policy import get_policy
 
 __all__ = [
@@ -111,7 +110,6 @@ __all__ = [
     "alternating_projections",
     "joint_limit",
     "capacity_from_trace",
-    "capacity_bruteforce",
 ]
 
 METHODS = ("sld", "bkm", "burg")
@@ -1142,57 +1140,3 @@ def capacity_from_trace(trace: ScalingTrace) -> float:
             f"trace did not reach tolerance (final residual {trace.residuals[-1]:.3e})"
         )
     return math.exp(-trace.capacity_log)
-
-
-def capacity_bruteforce(
-    choi: ChoiMatrix,
-    rng: np.random.Generator | int | None = 0,
-    *,
-    restarts: int = 20,
-) -> float:
-    """Direct capacity estimate by minimizing log det Phi(X) - log det X.
-
-    ``X`` is parameterized as exp(H) over Hermitian H (Cholesky-free positive
-    parameterization) and minimized with L-BFGS from ``restarts`` starting
-    points; the exact gradient uses the Frechet derivative of exp.  Returns
-    the capacity normalized like :func:`capacity_from_trace`:
-    n * inf(det Phi(X)/det X)^{1/n}, so doubly stochastic maps score one.
-
-    This is an independent oracle for the determinant-product bookkeeping of
-    the Sinkhorn trace; it never touches scaling factors.
-    """
-    if choi.n != choi.m:
-        raise UnsupportedError("capacity is defined for m = n only")
-    n = choi.n
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    basis = linalg.hermitian_basis(n)
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        h = sum(c * b for c, b in zip(x, basis))
-        big = linalg.expm(h)
-        image = linalg.hermitian_part(apply_map(choi, big))
-        w = np.linalg.eigvalsh(image)
-        if w[0] <= 0:
-            return float("inf"), np.zeros(len(basis))
-        value = float(np.sum(np.log(w)) - np.trace(h).real)
-        weight = linalg.hermitian_part(
-            np.einsum("ab,jbia->ij", linalg.invm(image), choi.blocks())
-        )
-        grad = np.array(
-            [np.trace(weight @ dexp_frechet(h, b)).real - np.trace(b).real for b in basis]
-        )
-        return value, grad
-
-    best = float("inf")
-    for attempt in range(max(restarts, 1)):
-        x0 = np.zeros(len(basis)) if attempt == 0 else rng.normal(scale=0.5, size=len(basis))
-        result = optimize.minimize(
-            objective,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12},
-        )
-        best = min(best, float(result.fun))
-    return n * math.exp(best / n)

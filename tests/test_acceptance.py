@@ -272,7 +272,7 @@ def test_criterion_7_capacity_scatter(capsys):
         d_u = divergences.divergence("umegaki", trace.final.matrix, choi.matrix)
         gaps.append(abs(d_u - (-np.log(cap))))
         if trial < 10:
-            oracle = scaling.capacity_bruteforce(choi, rng=trial, restarts=20)
+            oracle = oracles.capacity_bruteforce(choi, rng=trial, restarts=20)
             cap_errors.append(abs(cap - oracle))
     mean_gap = float(np.mean(gaps))
     worst_cap = max(cap_errors)

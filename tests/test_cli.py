@@ -124,11 +124,6 @@ class TestScale:
         code, _, _ = run_cli(capsys, "scale", str(path))
         assert code == 3
 
-    def test_non_finite_tol_exits_3(self, capsys):
-        code, out, err = run_cli(capsys, "scale", "--paper-rho0", "--tol", "nan")
-        assert code == 3 and out == ""
-        assert "tol" in err
-
     def test_density_payload_needs_dims(self, capsys, tmp_path):
         rho = channels.random_density(4, np.random.default_rng(1))
         path = tmp_path / "rho.json"
@@ -322,6 +317,48 @@ class TestDiffquot:
         assert "requires a diagonal" in err
 
 
+class TestOutOfRangeFlags:
+    """Every out-of-range flag value is a usage error, exit 2, found by the
+    parser (it prints the usage line) before any library call."""
+
+    @pytest.mark.parametrize("argv", [
+        ("scale", "--paper-rho0", "--max-iters", "-1"),
+        ("scale", "--paper-rho0", "--max-iters", "1.5"),
+        ("scale", "--paper-rho0", "--tol", "nan"),
+        ("scale", "--paper-rho0", "--tol", "inf"),
+        ("scale", "--paper-rho0", "--tol=-1e-3"),
+        ("gen", "--seed", "-1"),
+        ("gen", "--dims", "0", "2"),
+        ("scale", "--dims", "0", "2"),
+        ("compare", "--dims", "2", "0"),
+        ("diffquot", "--dims", "0", "2"),
+        ("capacity-scatter", "--dims", "0"),
+        ("capacity-scatter", "--dims", "2", "--trials", "-3"),
+        ("capacity-scatter", "--dims", "2", "--trials", "-1"),
+    ])
+    def test_exits_2_from_the_parser(self, capsys, monkeypatch, argv):
+        def library_call(*args, **kwargs):
+            raise AssertionError("reached the library")
+
+        for name in ("ScalingConfig", "operator_sinkhorn_batch", "alternating_projections"):
+            monkeypatch.setattr(scaling, name, library_call)
+        monkeypatch.setattr(cli, "random_choi", library_call)
+        monkeypatch.setattr(cli, "reference_rho0", library_call)
+        code, out, err = run_cli(capsys, *argv)
+        flag = next(a for a in reversed(argv) if a.startswith("--")).split("=")[0]
+        assert code == 2 and out == ""
+        assert f"usage: opsinkhorn {argv[0]}" in err
+        assert f"argument {flag}: must be" in err
+
+    def test_zero_budget_and_tolerance_are_in_range(self, capsys):
+        code, out, _ = run_cli(capsys, "scale", "--paper-rho0", "--max-iters", "0", "--tol", "0", "--seed", "0")
+        assert code == 0 and json.loads(out)["sweeps"] == 0
+
+    def test_help_returns_0(self, capsys):
+        code, out, _ = run_cli(capsys, "scale", "--help")
+        assert code == 0 and "--max-iters" in out
+
+
 class TestCapacityScatter:
     def test_columns_and_determinism(self, capsys):
         args = ("capacity-scatter", "--dims", "2", "--trials", "3", "--tags", "umegaki,nagaoka")
@@ -356,12 +393,6 @@ class TestCapacityScatter:
     def test_rectangular_dims_unsupported(self, capsys):
         code, _, _ = run_cli(capsys, "capacity-scatter", "--dims", "2", "3")
         assert code == 4
-
-    @pytest.mark.parametrize("trials", ["-3", "-1"])
-    def test_negative_trials_is_parse_error(self, capsys, trials):
-        code, out, err = run_cli(capsys, "capacity-scatter", "--dims", "2", "--trials", trials)
-        assert code == 2
-        assert out == "" and "--trials" in err
 
     @pytest.mark.parametrize("dims", [("2", "2", "2"), ("3", "3", "3", "3")])
     def test_more_than_two_dims_is_parse_error(self, capsys, dims):

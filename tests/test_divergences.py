@@ -296,6 +296,11 @@ class TestCentralDifferenceQuotients:
             central_difference_quotients("bs", rho, rho, direction, [1e-3, 0.0])
         with pytest.raises(InvalidInputError, match="unknown divergence tag"):
             central_difference_quotients("nope", rho, rho, direction, [100.0])
+        # a bad reference point, even when no probe is inside the cone
+        with pytest.raises(SingularityError, match="reference point"):
+            central_difference_quotients("bs", rho, np.diag([0.5, 0.5, 0.0, 0.0]), direction, [100.0])
+        with pytest.raises(InvalidInputError, match="shape mismatch"):
+            central_difference_quotients("bs", rho, np.eye(2) / 2, direction, [100.0])
         with pytest.raises(UnsupportedError):
             central_difference_quotient("measured", rho, rho, direction, 1e-3)
 
@@ -304,3 +309,19 @@ class TestCentralDifferenceQuotients:
         direction = np.diag([1.0, -1.0, -1.0, 1.0])
         assert np.isnan(central_difference_quotients("bs", rho, rho, direction, [0.5, 0.2])).all()
         assert central_difference_quotients("bs", rho, rho, direction, []).shape == (0,)
+
+    @pytest.mark.parametrize("tag", ["kl", *QUANTUM_TAGS])
+    def test_probe_at_rounded_critical_step_is_a_cone_exit(self, tag):
+        # the critical step here is 0.1 in exact arithmetic but rounds to
+        # just above it, so h = 0.1 passes h < h_max while rho - hA is
+        # singular: that row is NaN, and the other rows are the ones a grid
+        # without it gives, bit for bit
+        rho = np.diag([0.4, 0.3, 0.2, 0.1])
+        direction = np.diag([1.0, -1.0, -1.0, 1.0])
+        got = central_difference_quotients(tag, rho, rho, direction, [0.2, 0.1, 0.05])
+        assert np.isnan(got[:2]).all()
+        want = central_difference_quotients(tag, rho, rho, direction, [0.05])
+        assert np.isfinite(want[0]) and got[2] == want[0]
+        assert got[2] == oracles.central_difference_quotient_ref(tag, rho, rho, direction, 0.05)
+        with pytest.raises(DomainError, match="critical h"):
+            central_difference_quotient(tag, rho, rho, direction, 0.1)

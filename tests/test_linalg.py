@@ -112,6 +112,14 @@ class TestStacks:
         with pytest.raises(InvalidInputError, match="not Hermitian"):
             linalg.as_hermitian(np.stack([good, np.array([[0.0, 1.0], [0.0, 0.0]])]))
 
+    def test_is_positive_definite_per_matrix(self):
+        # the floor is relative: 2e-14 is below pd_rel_floor (1e-13) times 2
+        mats = [np.diag([1.0, 2.0]), np.diag([-3.0, 1.0]), np.diag([0.0, 1.0]), np.diag([2e-14, 2.0])]
+        got = linalg.is_positive_definite(np.stack(mats).reshape(2, 2, 2, 2))
+        assert got.shape == (2, 2) and got.dtype == bool
+        assert got.ravel().tolist() == [linalg.is_positive_definite(m) for m in mats] == [True, False, False, False]
+        assert linalg.is_positive_definite(mats[0]) is True
+
 
 class TestMatrixFunction:
     def test_sqrt_diagonal(self):

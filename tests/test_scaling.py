@@ -426,7 +426,7 @@ class TestRankDeficientInput:
         choi = rank_two_choi()
         trace = scaling.operator_sinkhorn(choi)
         assert trace.converged and trace.sweeps == 4
-        oracle = scaling.capacity_bruteforce(choi)
+        oracle = oracles.capacity_bruteforce(choi)
         assert abs(scaling.capacity_from_trace(trace) - oracle) <= 1e-6
 
     @pytest.mark.parametrize("method", ["bkm", "burg"])
@@ -1478,7 +1478,7 @@ class TestCapacity:
             choi = channels.random_choi(2, 2, np.random.default_rng(seed))
             trace = scaling.operator_sinkhorn(choi, scaling.ScalingConfig(max_iters=1000))
             cap = scaling.capacity_from_trace(trace)
-            oracle = scaling.capacity_bruteforce(choi, rng=seed, restarts=10)
+            oracle = oracles.capacity_bruteforce(choi, rng=seed, restarts=10)
             assert abs(cap - oracle) <= 1e-4
 
     def test_rectangular_unsupported(self):
@@ -1487,7 +1487,7 @@ class TestCapacity:
         with pytest.raises(UnsupportedError):
             scaling.capacity_from_trace(trace)
         with pytest.raises(UnsupportedError):
-            scaling.capacity_bruteforce(choi)
+            oracles.capacity_bruteforce(choi)
         classical = scaling.matrix_sinkhorn(random_positive_matrix(2, 3, 27))
         assert classical.converged
         with pytest.raises(UnsupportedError):

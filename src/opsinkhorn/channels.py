@@ -15,6 +15,7 @@ distinction never leaks into them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,15 @@ __all__ = [
     "random_choi",
     "as_density",
 ]
+
+
+def _integer(value, what: str, least: int) -> int:
+    """``value`` as an int.  A bool, a number that is not integral or a
+    value below ``least`` is an ``InvalidInputError``: the one rule for the
+    package's counts and dimensions."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidInputError(f"{what} must be an int of at least {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -82,13 +92,21 @@ class KrausMap:
 class ChoiMatrix:
     """Choi matrix with its block dimensions (n outer blocks of size m).
 
-    The matrix is validated to be Hermitian and positive semidefinite at
-    construction and stored exactly Hermitian.  PSD means lambda_min >=
-    -psd_rtol * |lambda|_max.  A Cholesky factorization of M + s I with
-    s = psd_rtol/2 * ||M||_F / sqrt(dim) <= psd_rtol/2 * |lambda|_max accepts
-    PSD inputs, rank-deficient ones included; the other half of psd_rtol
-    covers its rounding.  Only when it fails are the eigenvalues computed,
-    and they decide, so every decision and message is the eigenvalue rule's.
+    The block dimensions must be ints of at least 1 (a bool or a float is
+    an ``InvalidInputError``) and are stored as ``int``.  The matrix is
+    validated to be Hermitian and positive semidefinite at construction and
+    stored exactly Hermitian, as a read-only array: a write through
+    ``choi.matrix`` raises ``ValueError``.  An input that is already exactly
+    Hermitian is stored without a copy, so ``choi.matrix`` may share memory
+    with the caller's array, whose own flags are left as they are: copy that
+    array before mutating it, or the Choi matrix changes with it.
+
+    PSD means lambda_min >= -psd_rtol * |lambda|_max.  A Cholesky
+    factorization of M + s I with s = psd_rtol/2 * ||M||_F / sqrt(dim) <=
+    psd_rtol/2 * |lambda|_max accepts PSD inputs, rank-deficient ones
+    included; the other half of psd_rtol covers its rounding.  Only when it
+    fails are the eigenvalues computed, and they decide, so every decision
+    and message is the eigenvalue rule's.
     """
 
     n: int
@@ -96,8 +114,8 @@ class ChoiMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise InvalidInputError("Choi dimensions must be positive")
+        object.__setattr__(self, "n", _integer(self.n, "Choi dimension n", 1))
+        object.__setattr__(self, "m", _integer(self.m, "Choi dimension m", 1))
         mat = linalg.as_hermitian(self.matrix, what="Choi matrix")
         if mat.shape != (self.n * self.m, self.n * self.m):
             raise InvalidInputError(
@@ -115,7 +133,7 @@ class ChoiMatrix:
                 raise InvalidInputError(
                     f"Choi matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})"
                 ) from None
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", linalg._read_only(mat))
 
     @property
     def dim(self) -> int:
@@ -135,7 +153,9 @@ class ChoiMatrix:
 
 
 def as_density(mat: np.ndarray, what: str = "density matrix") -> np.ndarray:
-    """Validate a positive definite, trace-one Hermitian matrix."""
+    """Validate a positive definite, trace-one Hermitian matrix and return
+    it exactly Hermitian: itself when it already is (see
+    ``linalg.as_hermitian``)."""
     mat = linalg.assert_positive_definite(mat, what)
     if mat.ndim != 2:
         raise InvalidInputError(f"{what} must be a matrix, got shape {mat.shape}")
@@ -238,10 +258,9 @@ def random_density(dim: int, rng: np.random.Generator, *, real: bool = False) ->
 
     ``real=False`` draws independent standard complex Gaussians (the default;
     the resulting ensemble is unitarily invariant with mean I/dim), ``real=True``
-    draws real standard Gaussians.
+    draws real standard Gaussians.  ``dim`` must be an int of at least 1.
     """
-    if dim < 1:
-        raise InvalidInputError("dimension must be at least 1")
+    dim = _integer(dim, "dimension", 1)
     if real:
         p = rng.standard_normal((dim, dim))
     else:
@@ -252,5 +271,7 @@ def random_density(dim: int, rng: np.random.Generator, *, real: bool = False) ->
 
 
 def random_choi(n: int, m: int, rng: np.random.Generator, *, real: bool = False) -> ChoiMatrix:
-    """Random positive definite, trace-one Choi matrix of block shape (n, m)."""
+    """Random positive definite, trace-one Choi matrix of block shape (n, m),
+    both ints of at least 1."""
+    n, m = _integer(n, "Choi dimension n", 1), _integer(m, "Choi dimension m", 1)
     return ChoiMatrix(n=n, m=m, matrix=random_density(n * m, rng, real=real))

@@ -51,7 +51,11 @@ class TangentVector:
     """Tangent vector at a density matrix, stored in m-representation.
 
     The m-representation is the raw directional derivative of the state, a
-    traceless Hermitian matrix.
+    traceless Hermitian matrix.  ``base`` and ``m_rep`` are validated once
+    and stored exactly Hermitian as read-only arrays, uncopied when the
+    input was already exactly Hermitian (as for :class:`ChoiMatrix`): they
+    may share memory with the caller's arrays, so copy those before
+    mutating them.
     """
 
     base: np.ndarray
@@ -65,8 +69,8 @@ class TangentVector:
         tr = abs(np.trace(m_rep))
         if tr > get_policy().trace_atol:
             raise InvalidInputError(f"m-representation has trace {tr:.3e}, expected 0")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "m_rep", m_rep)
+        object.__setattr__(self, "base", linalg._read_only(base))
+        object.__setattr__(self, "m_rep", linalg._read_only(m_rep))
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,10 @@ class ConstraintSet:
     """Partial-trace constraint set {rho : tr_side rho = target}.
 
     ``side`` is ``"first"`` (target m x m) or ``"second"`` (target n x n);
-    the target must be positive definite with unit trace.
+    the target must be positive definite with unit trace.  It is stored
+    exactly Hermitian as a read-only array, uncopied when the input was
+    already exactly Hermitian, so it may share memory with the caller's
+    array: copy that before mutating it.
     """
 
     side: str
@@ -83,7 +90,8 @@ class ConstraintSet:
     def __post_init__(self):
         if self.side not in ("first", "second"):
             raise InvalidInputError(f"side must be 'first' or 'second', got {self.side!r}")
-        object.__setattr__(self, "target", as_density(self.target, "constraint target"))
+        target = as_density(self.target, "constraint target")
+        object.__setattr__(self, "target", linalg._read_only(target))
 
     def violation(self, choi: ChoiMatrix) -> float:
         marg = choi.trace_first() if self.side == "first" else choi.trace_second()

@@ -103,11 +103,16 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 def as_hermitian(a: np.ndarray, *, atol: float | None = None, what: str = "matrix") -> np.ndarray:
     """Validate that ``a`` (a matrix or a stack of them) is Hermitian within
-    ``atol`` and return it exactly symmetrized.
+    ``atol`` and return it exactly Hermitian.
 
     Downstream code assumes exact Hermiticity, so every constructor funnels
     through here; the symmetrization prevents asymmetry from accumulating over
-    long iterations.
+    long iterations.  An input that is already exactly Hermitian (a gap of
+    0.0, so its diagonal is real) is returned as it is, without a copy: this
+    may return ``a`` itself, which equals ``hermitian_part(a)`` entry for
+    entry (as numbers: only the sign of a zero can differ).  Any other input
+    within ``atol`` gives a new array, ``hermitian_part(a)``.  Callers that
+    keep the result must not write into it (see :func:`_read_only`).
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -118,7 +123,18 @@ def as_hermitian(a: np.ndarray, *, atol: float | None = None, what: str = "matri
     gap = np.abs(a - _adjoint(a)).max(initial=0.0)
     if gap > tol:
         raise InvalidInputError(f"{what} is not Hermitian: max |A - A^dagger| = {gap:.3e} > {tol:.1e}")
-    return hermitian_part(a)
+    return a if gap == 0.0 else hermitian_part(a)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, sharing its memory.  The flags of ``a``
+    itself are left as they are.  The validated value classes
+    (``channels.ChoiMatrix``, ``geometry.TangentVector``,
+    ``geometry.ConstraintSet``) store their arrays this way, so that nothing
+    writes into an array :func:`as_hermitian` may have returned uncopied."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _check_domain(w: np.ndarray, predicate: Callable[[np.ndarray], np.ndarray], name: str) -> None:
@@ -215,8 +231,9 @@ def is_positive_definite(a: np.ndarray) -> bool | np.ndarray:
 
 
 def assert_positive_definite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Return ``a`` (a matrix or a stack) symmetrized, raising
-    ``SingularityError`` if it, or any matrix of the stack, is not PD.
+    """Return ``a`` (a matrix or a stack) as :func:`as_hermitian` does
+    (itself when it is exactly Hermitian), raising ``SingularityError`` if
+    it, or any matrix of the stack, is not PD.
 
     No regularization is applied: a near-singular input is an error, never
     silently floored, so that reference comparisons stay meaningful.

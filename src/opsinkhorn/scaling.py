@@ -85,7 +85,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .channels import ChoiMatrix, as_density, congruence
+from .channels import ChoiMatrix, _integer, as_density, congruence
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -133,9 +133,7 @@ class ScalingConfig:
     target_q: np.ndarray | None = None
 
     def __post_init__(self):
-        count = self.max_iters
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
-            raise InvalidInputError(f"max_iters must be a nonnegative int, got {count!r}")
+        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters", 0))
         if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol) and self.tol >= 0):
             raise InvalidInputError(f"tol must be finite and nonnegative, got {self.tol!r}")
 
@@ -169,9 +167,12 @@ class SinkhornIterates(Sequence):
     the ordered products of the left and right factors of the first k
     steps.  The sequence stores rho0, the products after every step and the
     final iterate, so a run holds two ``mn x mn`` arrays whatever its
-    length.  Entry 0 is rho0 and the last entry the final iterate; reading
-    an entry in between rebuilds it with one :func:`channels.congruence`.
-    Slices are lazy views, and only the last entry can be replaced.
+    length.  Entry 0 is rho0, the input's ``choi.matrix`` itself (read-only,
+    and sharing memory with the caller's array when that was exactly
+    Hermitian), and the last entry the final iterate, ``trace.final.matrix``
+    itself once the run ends; reading an entry in between rebuilds it with
+    one :func:`channels.congruence`.  Slices are lazy views, and only the
+    last entry can be replaced.
     """
 
     def __init__(self, rho0: np.ndarray, n: int, m: int):
@@ -622,8 +623,8 @@ def operator_sinkhorn_batch(
         if trace.factors:  # else the final iterate is the validated input
             left, right = trace.iterates._products[-1]
             trace._final = ChoiMatrix(n=n, m=m, matrix=congruence(chois[k].matrix, n, m, left, right))
-            # the validated copy has the same entries (the congruence
-            # returns an exactly Hermitian array); keep one array, not two
+            # the congruence returns an exactly Hermitian array, which the
+            # ChoiMatrix holds uncopied as a read-only view: one array
             trace.iterates[-1] = trace._final.matrix
     if failure is not None:
         raise failure[1]
@@ -991,8 +992,8 @@ def alternating_projections(
     _alternate(trace, cfg, step, lambda: _residual(point.state, n, m, p, q))
     if trace.sweeps:  # else the final iterate is the validated input
         trace._final = ChoiMatrix(n=n, m=m, matrix=point.state)
-        # the states are exactly Hermitian, so the validated copy has the
-        # same entries; keep one array, not two
+        # the states are exactly Hermitian, so the ChoiMatrix holds the
+        # last one uncopied, as a read-only view: one array
         trace.iterates[-1] = trace._final.matrix
     return trace
 

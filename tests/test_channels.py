@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,74 @@ class TestChoiMatrixValidation:
     def test_as_density_trace_check(self):
         with pytest.raises(InvalidInputError):
             channels.as_density(np.eye(2))
+
+    @pytest.mark.parametrize("n,m", [(2.0, 2), (True, 4), (2, np.float64(2.0)), ("2", 2), (None, 2), (0, 4), (2, -2)])
+    def test_rejects_dimensions_that_are_not_positive_ints(self, n, m):
+        with pytest.raises(InvalidInputError, match="Choi dimension"):
+            ChoiMatrix(n=n, m=m, matrix=np.eye(4) / 4)
+
+    def test_integral_dimensions_are_stored_as_int(self):
+        choi = ChoiMatrix(n=np.int64(2), m=np.int32(2), matrix=np.eye(4) / 4)
+        assert type(choi.n) is int and type(choi.m) is int and (choi.n, choi.m) == (2, 2)
+
+    @pytest.mark.parametrize("dim", [2.0, True, np.float64(3.0), "3", 0])
+    def test_random_density_rejects_dimension_that_is_not_a_positive_int(self, dim):
+        with pytest.raises(InvalidInputError, match="dimension"):
+            channels.random_density(dim, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n,m", [(2.0, 2), (True, 4), (2, 1.5), (0, 3)])
+    def test_random_choi_rejects_dimensions_that_are_not_positive_ints(self, n, m):
+        with pytest.raises(InvalidInputError, match="Choi dimension"):
+            channels.random_choi(n, m, np.random.default_rng(0))
+
+
+class TestChoiMatrixStorage:
+    """A validated Choi matrix is read-only and, when the input is exactly
+    Hermitian, shares the caller's array instead of copying it."""
+
+    def test_exactly_hermitian_input_is_shared_read_only(self):
+        mat = channels.random_density(6, np.random.default_rng(660))
+        choi = ChoiMatrix(n=2, m=3, matrix=mat)
+        assert np.shares_memory(choi.matrix, mat)
+        assert not choi.matrix.flags.writeable
+        assert mat.flags.writeable
+        with pytest.raises(ValueError):
+            choi.matrix[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            choi.blocks()[0, 0, 0, 0] = 1.0
+
+    def test_input_hermitian_within_atol_is_symmetrized_into_a_copy(self):
+        mat = channels.random_density(6, np.random.default_rng(661))
+        mat[0, 1] += 1e-14
+        choi = ChoiMatrix(n=3, m=2, matrix=mat)
+        assert not np.shares_memory(choi.matrix, mat)
+        assert not choi.matrix.flags.writeable
+        np.testing.assert_array_equal(choi.matrix, linalg.hermitian_part(mat))
+
+    def test_read_only_input_is_accepted(self):
+        mat = channels.random_density(4, np.random.default_rng(662))
+        mat.flags.writeable = False
+        choi = ChoiMatrix(n=2, m=2, matrix=mat)
+        assert np.shares_memory(choi.matrix, mat) and not choi.matrix.flags.writeable
+
+    def test_retained_memory(self):
+        # 256 x 256 complex128 is 1 MiB: an exactly Hermitian input costs
+        # nothing but the view, one within atol costs one symmetrized copy
+        exact = channels.random_density(256, np.random.default_rng(663))
+        near = exact.copy()
+        near[0, 1] += 1e-14
+
+        def retained(mat: np.ndarray) -> int:
+            tracemalloc.start()
+            try:
+                choi = ChoiMatrix(n=16, m=16, matrix=mat)
+                assert choi.matrix.shape == mat.shape
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        assert retained(exact) < 64 * 1024
+        assert exact.nbytes <= retained(near) < 2 * exact.nbytes
 
 
 def eigenvalue_rule(mat: np.ndarray) -> str | None:

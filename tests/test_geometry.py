@@ -30,6 +30,15 @@ class TestTangentVector:
         with pytest.raises(InvalidInputError):
             TangentVector(base=np.eye(2) / 2, m_rep=np.zeros((3, 3)))
 
+    def test_stores_exactly_hermitian_inputs_uncopied_and_read_only(self):
+        rho = random_density(3, 40)
+        m_rep = np.diag([1.0, -1.0, 0.0]).astype(complex)
+        x = TangentVector(base=rho, m_rep=m_rep)
+        for stored, given in ((x.base, rho), (x.m_rep, m_rep)):
+            assert np.shares_memory(stored, given) and not stored.flags.writeable and given.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0, 0] = 0.0
+
 
 class TestSldERep:
     def test_maximally_mixed_base(self):
@@ -259,6 +268,14 @@ class TestConstraintSet:
             ConstraintSet("first", np.eye(2))  # trace two
         with pytest.raises(Exception):
             ConstraintSet("first", np.diag([1.5, -0.5]))  # indefinite
+
+    def test_stores_the_target_uncopied_and_read_only(self):
+        target = random_density(3, 41)
+        constraint = ConstraintSet("second", target)
+        assert np.shares_memory(constraint.target, target) and not constraint.target.flags.writeable
+        assert target.flags.writeable
+        with pytest.raises(ValueError):
+            constraint.target[0, 0] = 0.0
 
 
 def uniform_targets(n, m):

@@ -121,6 +121,44 @@ class TestStacks:
         assert linalg.is_positive_definite(mats[0]) is True
 
 
+class TestAsHermitian:
+    """An exactly Hermitian input is validated without a copy; one that is
+    Hermitian only within atol is symmetrized into a new array."""
+
+    @pytest.mark.parametrize("count", [None, 3])
+    def test_returns_an_exactly_hermitian_input_itself(self, count):
+        rng = np.random.default_rng(640)
+        a = random_hermitian(5, rng) if count is None else np.stack([random_hermitian(5, rng) for _ in range(count)])
+        assert np.array_equal(a, linalg.hermitian_part(a))
+        got = linalg.as_hermitian(a)
+        assert got is a
+        assert a.flags.writeable
+
+    def test_symmetrizes_an_input_hermitian_within_atol(self):
+        rng = np.random.default_rng(641)
+        a = random_hermitian(4, rng)
+        a[0, 1] += 1e-14
+        before = a.copy()
+        got = linalg.as_hermitian(a)
+        assert not np.shares_memory(got, a)
+        assert np.array_equal(got, linalg.hermitian_part(before))
+        assert np.array_equal(got, got.conj().T)
+        assert np.array_equal(a, before)
+
+    def test_real_input_converts_to_a_new_complex_array(self):
+        a = np.diag([1.0, 2.0])
+        got = linalg.as_hermitian(a)
+        assert got.dtype == complex and not np.shares_memory(got, a)
+        assert np.array_equal(got, a)
+
+    def test_read_only_view_leaves_the_source_writeable(self):
+        a = np.eye(3, dtype=complex)
+        view = linalg._read_only(a)
+        assert np.shares_memory(view, a) and not view.flags.writeable and a.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0] = 2.0
+
+
 class TestMatrixFunction:
     def test_sqrt_diagonal(self):
         np.testing.assert_allclose(linalg.sqrtm(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)

@@ -67,6 +67,7 @@ class TestScalingConfig:
 
     def test_accepts_integer_and_real_types(self):
         cfg = scaling.ScalingConfig(max_iters=np.int64(3), tol=np.float64(0.0))
+        assert type(cfg.max_iters) is int
         trace = scaling.matrix_sinkhorn(random_positive_matrix(2, 3, 3), cfg)
         assert trace.sweeps == 3
 
@@ -254,6 +255,21 @@ class TestTraceFinal:
         first = trace.final
         assert trace.final is first and calls == []
         assert np.array_equal(first.matrix, trace.iterates[-1])
+
+    @pytest.mark.parametrize("method", scaling.METHODS)
+    def test_trace_holds_the_input_and_the_final_uncopied(self, method):
+        mat = channels.random_density(6, np.random.default_rng(33))
+        choi = ChoiMatrix(n=2, m=3, matrix=mat)
+        trace = scaling.alternating_projections(method, choi, scaling.ScalingConfig(max_iters=3, tol=0.0))
+        assert np.shares_memory(trace.iterates[0], mat) and not trace.iterates[0].flags.writeable
+        assert trace.final.matrix is trace.iterates[-1]
+        assert not trace.final.matrix.flags.writeable
+
+    def test_joint_limit_final_is_its_last_iterate(self):
+        choi = channels.random_choi(2, 3, np.random.default_rng(34))
+        for method in ("bkm", "burg"):
+            trace = scaling.joint_limit(method, choi)
+            assert trace.iterates[0] is choi.matrix and trace.final.matrix is trace.iterates[-1]
 
 
 def reference_sinkhorn(choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> dict:

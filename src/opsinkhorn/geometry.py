@@ -116,6 +116,19 @@ def _divided_differences(w: np.ndarray, f, fprime) -> np.ndarray:
     return phi
 
 
+def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
+    """Loewner matrix of first divided differences of exp on the spectrum
+    ``w``, as exp(max(a, b)) expm1(-|a - b|) / (-|a - b|), with exact ties
+    (the diagonal among them) set to exp(a).  Nothing overflows that exp(w)
+    does not, and no difference of exponentials cancels, so entries at
+    close and at far-apart eigenvalues are accurate to a few ulps."""
+    gap = -np.abs(w[:, None] - w[None, :])
+    with np.errstate(invalid="ignore"):
+        ratio = np.expm1(gap) / gap
+    ratio[gap == 0.0] = 1.0
+    return np.exp(np.maximum(w[:, None], w[None, :])) * ratio
+
+
 def dlog_frechet(rho: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """Frechet derivative of the matrix logarithm at ``rho`` along ``direction``.
 
@@ -130,11 +143,14 @@ def dlog_frechet(rho: np.ndarray, direction: np.ndarray) -> np.ndarray:
 
 
 def dexp_frechet(h: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Frechet derivative of the matrix exponential at Hermitian ``h``."""
+    """Frechet derivative of the matrix exponential at Hermitian ``h``, by
+    Daleckii-Krein divided differences (:func:`_exp_divided_differences`,
+    which the BKM Newton solves in ``scaling`` use too) in the eigenbasis
+    of h."""
     h = linalg.as_hermitian(h, what="dexp base point")
     direction = linalg.as_hermitian(direction, what="dexp direction")
     w, v = np.linalg.eigh(h)
-    phi = _divided_differences(w, np.exp, np.exp)
+    phi = _exp_divided_differences(w)
     d = v.conj().T @ direction @ v
     return linalg.hermitian_part(v @ (phi * d) @ v.conj().T)
 
@@ -274,9 +290,11 @@ def orthogonality_residual(
     ``rho_to`` against the tangent space of ``constraint`` at ``rho_to``.
 
     Returns max_b |g(tangent, Y_b)| / ||tangent||_g over an orthonormal basis
-    {Y_b} of the constraint tangent space.  A vanishing residual certifies
-    that ``rho_to`` is the e-projection of ``rho_from`` onto the constraint
-    set for the chosen metric.
+    {Y_b} of the constraint tangent space, and 0.0 when that space is empty
+    (n = 1 on side "first", m = 1 on side "second": the constraint fixes
+    the whole state).  A vanishing residual certifies that ``rho_to`` is the
+    e-projection of ``rho_from`` onto the constraint set for the chosen
+    metric.
     """
     if (rho_from.n, rho_from.m) != (rho_to.n, rho_to.m):
         raise InvalidInputError("Choi block structures differ")
@@ -291,5 +309,5 @@ def orthogonality_residual(
     basis = constraint_tangent_basis(rho_to.n, rho_to.m, constraint.side)
     # |g(tangent, Y)| reduces to |tr(e Y)| for every tag (for the congruence
     # metric the pairing carries a sign, absorbed by the absolute value)
-    worst = max(abs(np.trace(e @ y).real) for y in basis)
+    worst = max((abs(np.trace(e @ y).real) for y in basis), default=0.0)
     return worst / norm

@@ -117,7 +117,7 @@ def as_hermitian(a: np.ndarray, *, atol: float | None = None, what: str = "matri
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidInputError(f"{what} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise InvalidInputError(f"{what} contains non-finite entries")
     tol = get_policy().hermitian_atol if atol is None else atol
     gap = np.abs(a - _adjoint(a)).max(initial=0.0)

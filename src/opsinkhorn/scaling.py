@@ -25,6 +25,11 @@ the minimizer of one convex dual in both dual variables at once;
 :func:`joint_limit` finds it by damped Newton on that joint dual, in a few
 steps where the Burg alternation needs hundreds or thousands of sweeps.
 
+A BKM Newton evaluation is one ``eigh`` of the lifted coordinate: the
+marginal is read off its spectrum, and the state exp(coord) / Z is formed
+only for the point a projection returns.  Each Newton direction contracts
+the eigenvectors by one matrix product.
+
 Every scheme is one alternation of e-projections onto the two marginal
 sets, and only the projection differs, so one stop rule, :func:`_running`,
 ends them all: a run sweeps while its residual is at least ``tol`` and its
@@ -93,7 +98,7 @@ from .errors import (
     SingularityError,
     UnsupportedError,
 )
-from .geometry import ConstraintSet, _divided_differences
+from .geometry import ConstraintSet, _exp_divided_differences
 from .policy import get_policy
 
 __all__ = [
@@ -683,22 +688,24 @@ def _burg_hessian(r: np.ndarray, n: int, m: int) -> np.ndarray:
 
 def _bkm_contraction(v: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
     """C[x, pq] = (v^dagger lift(E_x) v)[p, q] for the d x d matrix units E_x
-    of ``side``, as a d^2 x (mn)^2 array."""
-    d = m if side == "first" else n
-    vb = v.reshape(n, m, n * m)
+    of ``side``, as a d^2 x (mn)^2 array: one product X^dagger X, with X
+    the (n, m mn) reshape of v for side "first" (rows i, columns (a, p)) and
+    the (m, n mn) one for side "second" (rows a, columns (i, p)), then
+    moved from ((x1, p), (x2, q)) to ((x1, x2), (p, q))."""
+    dim = n * m
     if side == "first":
-        c = np.einsum("iap,ibq->abpq", vb.conj(), vb)
+        d, x = m, v.reshape(n, m * dim)
     else:
-        c = np.einsum("iap,jaq->ijpq", vb.conj(), vb)
-    return c.reshape(d * d, -1)
+        d, x = n, v.reshape(n, m, dim).transpose(1, 0, 2).reshape(m, n * dim)
+    return (x.conj().T @ x).reshape(d, dim, d, dim).transpose(0, 2, 1, 3).reshape(d * d, dim * dim)
 
 
 def _daleckii_krein(w: np.ndarray, c: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """(C^* o Phi) C^T / Z - flat flat^dagger, with Phi the divided
     differences of exp on the spectrum ``w`` and Z = sum exp(w)."""
     shifted = w - w.max()
-    phi = _divided_differences(shifted, np.exp, np.exp) / np.exp(shifted).sum()
-    return (c.conj() * phi.reshape(-1)) @ c.T - np.outer(flat, flat.conj())
+    phi = _exp_divided_differences(shifted) / np.exp(shifted).sum()
+    return (c.conj() * phi.reshape(-1)) @ c.T - flat[:, None] * flat.conj()
 
 
 def _bkm_jacobian(
@@ -714,7 +721,10 @@ def _bkm_jacobian(
     tr_side d exp(H)[lift(E_y)] is sum_pq conj(C[x, pq]) Phi[p, q] C[y, pq].
     Dividing by Z = tr exp(H) and subtracting vec(marginal)
     vec(marginal)^dagger, the derivative of the normalization, gives the
-    Jacobian.  It is the Hessian of the BKM dual."""
+    Jacobian.  It is the Hessian of the BKM dual.  C is one matrix product
+    (:func:`_bkm_contraction`), Phi comes from the expm1 form of the
+    divided differences (``geometry._exp_divided_differences``), and the
+    Jacobian is one more product."""
     return _daleckii_krein(w, _bkm_contraction(v, n, m, side), marginal.reshape(-1))
 
 
@@ -806,15 +816,21 @@ def _newton(method: str, evaluate: Callable, direction: Callable, current, joint
     raise ConvergenceError(f"{what} Newton exhausted {max_iters} iterations (gradient norm {g_norm:.3e})")
 
 
+def _gibbs_weights(w: np.ndarray) -> tuple[np.ndarray, float]:
+    """The weights p = exp(w - log Z) of the state exp(coord) / Z on the
+    spectrum ``w`` of coord, and log Z = log sum exp(w)."""
+    shift = w.max()
+    ew = np.exp(w - shift)
+    z = ew.sum()
+    return ew / z, float(np.log(z) + shift)
+
+
 def _bkm_point(coord: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[_Point, float]:
     """The state exp(coord) / Z from the spectrum of ``coord``, and log Z.
     The returned coordinate and spectrum are shifted by -log Z, so they are
     the normalized log of the state."""
-    shift = w.max()
-    ew = np.exp(w - shift)
-    z = ew.sum()
-    log_z = float(np.log(z) + shift)
-    state = linalg.hermitian_part((v * (ew / z)) @ v.conj().T)
+    p, log_z = _gibbs_weights(w)
+    state = linalg.hermitian_part((v * p) @ v.conj().T)
     normalized = coord.copy()
     normalized.flat[:: len(w) + 1] -= log_z
     return _Point(normalized, w - log_z, v, state), log_z
@@ -827,35 +843,43 @@ def _bkm_start(rho: np.ndarray) -> _Point:
     return _bkm_point(h, *np.linalg.eigh(h))[0]
 
 
+# tr_side(V diag(p) V^dagger) on the (n, m, mn) view of V
+_BKM_MARGINAL = {"first": "iak,ibk->ab", "second": "iak,jak->ij"}
+
+
 def _bkm_project(
     start: _Point, n: int, m: int, side: str, target: np.ndarray
 ) -> tuple[_Point, np.ndarray]:
     """BKM e-projection of ``start`` onto {tr_side rho = target} on plain
-    arrays (see :func:`bkm_e_projection`); returns the projected point, read
-    off the last accepted Newton evaluation, and the dual variable A."""
+    arrays (see :func:`bkm_e_projection`); returns the projected point and
+    the dual variable A.  Each evaluation takes one ``eigh`` and reads the
+    marginal off the spectrum; the projected state is formed once, from the
+    last accepted evaluation (``start`` itself if Newton takes no step)."""
     d = m if side == "first" else n
     gauge = np.outer(np.eye(d).reshape(-1), np.eye(d).reshape(-1)) / d
 
     def evaluate(a: np.ndarray):
         """a, the dual value and gradient at start.coord + lift(a), and the
-        point there with its marginal."""
+        spectrum there with its marginal."""
         coord = _plus_lift(start.coord, a, n, m, side)
-        point, log_z = _bkm_point(coord, *np.linalg.eigh(coord))
-        marginal = linalg.partial_trace(point.state, n, m, side)
+        w, v = np.linalg.eigh(coord)
+        p, log_z = _gibbs_weights(w)
+        vb = v.reshape(n, m, n * m)
+        marginal = np.einsum(_BKM_MARGINAL[side], vb * p, vb.conj())
         return (a, lambda: log_z - float(np.trace(target @ a).real),
-                linalg.hermitian_part(marginal - target), (point, marginal))
+                linalg.hermitian_part(marginal - target), (coord, w, v, marginal))
 
     def direction(state, g: np.ndarray) -> np.ndarray:
-        point, marginal = state
-        hess = _bkm_jacobian(point.w, point.v, marginal, n, m, side) + gauge
+        _, w, v, marginal = state
+        hess = _bkm_jacobian(w, v, marginal, n, m, side) + gauge
         return linalg.hermitian_part(np.linalg.solve(hess, -g.reshape(-1)).reshape(d, d))
 
     marginal = linalg.partial_trace(start.state, n, m, side)
     # at A = 0 the dual value is log tr exp(start.coord), zero up to rounding
     current = (np.zeros((d, d), dtype=complex), lambda: float(np.logaddexp.reduce(start.w)),
-               linalg.hermitian_part(marginal - target), (start, marginal))
-    a, (point, _), _ = _newton("bkm", evaluate, direction, current)
-    return point, a
+               linalg.hermitian_part(marginal - target), (start.coord, start.w, start.v, marginal))
+    a, (coord, w, v, _), steps = _newton("bkm", evaluate, direction, current)
+    return (_bkm_point(coord, w, v)[0] if steps else start), a
 
 
 def bkm_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[ChoiMatrix, np.ndarray]:
@@ -868,8 +892,11 @@ def bkm_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Choi
         F(A) = log tr exp(log rho0 + lift(A)) - tr(target A)
 
     whose exact gradient is the marginal mismatch tr_side rho(A) - target,
-    by damped Newton.  The Hessian is the Daleckii-Krein form in the
-    eigenbasis of log rho0 + lift(A) minus the normalization term (see
+    by damped Newton.  Each evaluation takes one ``eigh`` of
+    log rho0 + lift(A) = V diag(w) V^dagger and reads the marginal off it,
+    as tr_side(V diag(p) V^dagger) with p = exp(w - log Z); the state is
+    formed once, at the returned point.  The Hessian is the Daleckii-Krein
+    form in the same eigenbasis minus the normalization term (see
     :func:`_bkm_jacobian`).  F is flat along A -> A + cI, so the Hessian
     is singular in that direction; adding vec(I) vec(I)^T / d fixes the
     gauge, and since the gradient is traceless every step (hence A) stays

@@ -7,7 +7,11 @@ derivative checks use central finite differences.  The geometric mean
 reference takes the textbook formula with three separate spectral powers.  The dual-solver oracles
 build the Burg Newton Jacobian one Hermitian basis matrix at a time from
 dense Kronecker lifts, and solve the BKM dual by Barzilai-Borwein gradient
-steps, so neither shares the closed-form Jacobians in ``scaling``.  The
+steps, so neither shares the closed-form Jacobians in ``scaling``.  The BKM
+Newton reference is the package's earlier projection: it runs the same
+Newton loop, but forms the ``mn x mn`` state and its partial trace on every
+evaluation and builds the Hessian from an ``einsum`` contraction and the
+quotient form of the exp divided differences.  The
 operator Sinkhorn reference forms every ``mn x mn`` iterate and takes its
 marginals by partial traces, where the package carries factor products.
 The difference quotient reference validates and evaluates one h at a time,
@@ -28,7 +32,7 @@ from scipy import integrate, optimize
 from opsinkhorn import divergences, linalg, scaling
 from opsinkhorn.channels import ChoiMatrix, apply_map
 from opsinkhorn.errors import DomainError, InvalidInputError, UnsupportedError
-from opsinkhorn.geometry import dexp_frechet
+from opsinkhorn.geometry import _divided_differences, dexp_frechet
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -252,6 +256,75 @@ def bkm_projection_barzilai_borwein(rho0: np.ndarray, n: int, m: int, side: str,
     else:
         raise RuntimeError("Barzilai-Borwein BKM exhausted its budget")
     return state_of(a), a
+
+
+def bkm_project_ref(start: scaling._Point, n: int, m: int, side: str,
+                    target: np.ndarray) -> tuple[scaling._Point, np.ndarray, int]:
+    """BKM e-projection of ``start`` onto {tr_side rho = target} by
+    ``scaling._newton``, forming the state exp(coord) / Z and its partial
+    trace at every evaluation.  The Hessian contracts the eigenvectors by
+    ``einsum`` and takes the divided differences of exp as quotients of
+    differences.  Returns the projected point, the dual variable and the
+    number of Newton steps."""
+    d = m if side == "first" else n
+    gauge = np.outer(np.eye(d).reshape(-1), np.eye(d).reshape(-1)) / d
+
+    def point_of(coord, w, v):
+        shift = w.max()
+        ew = np.exp(w - shift)
+        z = ew.sum()
+        log_z = float(np.log(z) + shift)
+        state = linalg.hermitian_part((v * (ew / z)) @ v.conj().T)
+        normalized = coord.copy()
+        normalized.flat[:: len(w) + 1] -= log_z
+        return scaling._Point(normalized, w - log_z, v, state), log_z
+
+    def evaluate(a):
+        coord = start.coord.copy()
+        blocks = coord.reshape(n, m, n, m)
+        if side == "first":
+            blocks[np.arange(n), :, np.arange(n), :] += a
+        else:
+            blocks[:, np.arange(m), :, np.arange(m)] += a
+        point, log_z = point_of(coord, *np.linalg.eigh(coord))
+        marginal = linalg.partial_trace(point.state, n, m, side)
+        return (a, lambda: log_z - float(np.trace(target @ a).real),
+                linalg.hermitian_part(marginal - target), (point, marginal))
+
+    def direction(state, g):
+        point, marginal = state
+        vb = point.v.reshape(n, m, n * m)
+        if side == "first":
+            c = np.einsum("iap,ibq->abpq", vb.conj(), vb).reshape(d * d, -1)
+        else:
+            c = np.einsum("iap,jaq->ijpq", vb.conj(), vb).reshape(d * d, -1)
+        shifted = point.w - point.w.max()
+        phi = _divided_differences(shifted, np.exp, np.exp) / np.exp(shifted).sum()
+        flat = marginal.reshape(-1)
+        hess = (c.conj() * phi.reshape(-1)) @ c.T - np.outer(flat, flat.conj()) + gauge
+        return linalg.hermitian_part(np.linalg.solve(hess, -g.reshape(-1)).reshape(d, d))
+
+    marginal = linalg.partial_trace(start.state, n, m, side)
+    current = (np.zeros((d, d), dtype=complex), lambda: float(np.logaddexp.reduce(start.w)),
+               linalg.hermitian_part(marginal - target), (start, marginal))
+    a, (point, _), steps = scaling._newton("bkm", evaluate, direction, current)
+    return point, a, steps
+
+
+def bkm_alternation_ref(choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> tuple[np.ndarray, int]:
+    """The BKM alternation of :func:`bkm_project_ref` projections, first
+    side first, under the package's stop rule.  Returns the final state and
+    the number of sweeps."""
+    n, m = choi.n, choi.m
+    p, q = cfg.targets(n, m)
+    point, sweeps = scaling._bkm_start(choi.matrix), 0
+    residual = scaling.choi_residual(choi, p, q)
+    while residual >= cfg.tol and sweeps < cfg.max_iters:
+        point, _, _ = bkm_project_ref(point, n, m, "first", p)
+        point, _, _ = bkm_project_ref(point, n, m, "second", q)
+        sweeps += 1
+        residual = scaling._residual(point.state, n, m, p, q)
+    return point.state, sweeps
 
 
 def operator_sinkhorn_ref(choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> dict:

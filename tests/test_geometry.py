@@ -143,6 +143,31 @@ class TestFrechetDerivatives:
         fd = oracles.matrix_central_difference(curve, 0.0, 1e-6)
         np.testing.assert_allclose(geometry.dexp_frechet(h, direction), fd, atol=1e-6)
 
+    @pytest.mark.parametrize("w", [
+        np.array([-1.0, -1.0, 0.0, 0.0, 0.0]),            # degenerate
+        np.array([-2.0, -1e-13, 0.0, 1e-13, 0.5]),        # gaps of 1e-13
+        np.linspace(-700.0, 100.0, 7),                   # spread of 800
+    ], ids=["degenerate", "near-degenerate", "spread"])
+    def test_exp_divided_differences_against_quotients(self, w):
+        got = geometry._exp_divided_differences(w)
+        want = geometry._divided_differences(w, np.exp, np.exp)
+        assert np.isfinite(got).all()
+        assert np.array_equal(np.diag(got), np.exp(w))
+        assert np.array_equal(got, got.T)
+        assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
+
+    def test_exp_divided_differences_against_high_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        rng = np.random.default_rng(18)
+        w = np.sort(np.concatenate([rng.standard_normal(6), [0.3, 0.3 + 1e-9, 0.3 + 2e-9], [-40.0, 25.0]]))
+        got = geometry._exp_divided_differences(w)
+        for i, a in enumerate(w):
+            for j, b in enumerate(w):
+                x, y = mpmath.mpf(a), mpmath.mpf(b)
+                exact = mpmath.exp(x) if a == b else (mpmath.exp(x) - mpmath.exp(y)) / (x - y)
+                assert abs(got[i, j] - exact) <= 1e-15 * abs(exact)
+
     def test_dexp_inverts_dlog(self):
         rho = random_density(3, 16)
         direction = random_tangent(rho, 17).m_rep
@@ -326,6 +351,17 @@ class TestOrthogonalityResidual:
         moved, _ = scaling.operator_sinkhorn_step(other, "first", p)
         res = geometry.orthogonality_residual("sld", choi, moved, ConstraintSet("first", p))
         assert res > 1e-3
+
+    @pytest.mark.parametrize("n, m, side", [(1, 3, "first"), (3, 1, "second")])
+    @pytest.mark.parametrize("tag", geometry.METRICS)
+    def test_empty_tangent_space_gives_zero(self, n, m, side, tag):
+        # the constraint fixes the whole state, so there is nothing to be
+        # orthogonal to
+        choi = channels.random_choi(n, m, np.random.default_rng(3))
+        target = np.eye(m if side == "first" else n) / (m if side == "first" else n)
+        stepped, _ = scaling.operator_sinkhorn_step(choi, side, target)
+        assert geometry.constraint_tangent_basis(n, m, side) == ()
+        assert geometry.orthogonality_residual(tag, choi, stepped, ConstraintSet(side, target)) == 0.0
 
     def test_rejects_constraint_violation(self):
         rng = np.random.default_rng(55)

@@ -151,6 +151,23 @@ class TestAsHermitian:
         assert got.dtype == complex and not np.shares_memory(got, a)
         assert np.array_equal(got, a)
 
+    def test_accepts_a_strided_last_axis(self):
+        # the conjugate transpose of a C-ordered array strides its last
+        # axis; validating it must not need a contiguous float view
+        x = channels.random_choi(2, 2, np.random.default_rng(642)).matrix.copy()
+        adjoint = x.T.conj()
+        assert not adjoint.flags.c_contiguous
+        got = linalg.as_hermitian(adjoint)
+        assert np.array_equal(got, x)
+        choi = channels.ChoiMatrix(n=2, m=2, matrix=adjoint)
+        assert np.array_equal(choi.matrix, x)
+
+    def test_rejects_non_finite_strided_input(self):
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = a[2, 1] = complex(np.nan, 0.0)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            linalg.as_hermitian(a.T)
+
     def test_read_only_view_leaves_the_source_writeable(self):
         a = np.eye(3, dtype=complex)
         view = linalg._read_only(a)

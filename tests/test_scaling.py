@@ -936,47 +936,97 @@ class TestClosedFormJacobians:
 
     @pytest.mark.parametrize("n, m", JACOBIAN_CASES)
     @pytest.mark.parametrize("side", ["first", "second"])
-    def test_burg_jacobian(self, n, m, side):
-        rng = np.random.default_rng(500 + 10 * n + m + (side == "second"))
-        d = m if side == "first" else n
-        rho0_inv = linalg.invm(channels.random_choi(n, m, rng).matrix)
-        a = random_hermitian(d, rng)
-        # keep rho0^{-1} - lift(a) positive definite: its spectrum is >= 1
-        a *= 0.5 / np.abs(np.linalg.eigvalsh(a)).max()
+    def test_bkm_marginal_off_the_spectrum(self, n, m, side):
+        # tr_side(V diag(p) V^dagger) by the marginal's einsum against the
+        # partial trace of the formed state
+        w, v = np.linalg.eigh(random_hermitian(n * m, np.random.default_rng(730 + 10 * n + m)))
+        p = np.exp(w - np.logaddexp.reduce(w))
+        spec = scaling._BKM_MARGINAL[side]
+        vb = v.reshape(n, m, n * m)
+        got = np.einsum(spec, vb * p, vb.conj())
+        want = linalg.partial_trace((v * p) @ v.conj().T, n, m, side)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-        def marginal(a):
-            r = np.linalg.inv(rho0_inv - oracles.lift(a, n, m, side))
-            return linalg.partial_trace(r, n, m, side)
 
-        r = np.linalg.inv(rho0_inv - oracles.lift(a, n, m, side))
-        jac = scaling._burg_jacobian(r, n, m, side)
-        for _ in range(3):
-            b = random_hermitian(d, rng)
-            fd = oracles.matrix_central_difference(lambda t: marginal(a + t * b), 0.0, 1e-5)
-            got = (jac @ b.reshape(-1)).reshape(d, d)
-            assert np.abs(got - fd).max() <= 1e-7 * np.abs(fd).max()
+def newton_steps(monkeypatch) -> list[int]:
+    """Record the number of steps of every ``scaling._newton`` solve."""
+    steps, newton = [], scaling._newton
 
-    @pytest.mark.parametrize("n, m", JACOBIAN_CASES)
+    def counted(*args, **kwargs):
+        out = newton(*args, **kwargs)
+        steps.append(out[2])
+        return out
+
+    monkeypatch.setattr(scaling, "_newton", counted)
+    return steps
+
+
+BKM_REFERENCE_CASES = [(n, m, general) for n, m in JACOBIAN_CASES for general in (False, True)]
+
+
+class TestBkmProjectionAgainstReference:
+    """The BKM Newton step that reads the marginal off the spectrum and
+    forms its state once, against the earlier projection that formed the
+    state and its partial trace at every evaluation
+    (``oracles.bkm_project_ref``): the same Newton steps, and states and
+    duals equal to rounding."""
+
+    @staticmethod
+    def case(n, m, general, seed):
+        rng = np.random.default_rng(seed + 10 * n + m + general)
+        choi = channels.random_choi(n, m, rng)
+        p = channels.random_density(m, rng) if general else np.eye(m) / m
+        q = channels.random_density(n, rng) if general else np.eye(n) / n
+        return choi, p, q
+
+    @pytest.mark.parametrize("n, m, general", BKM_REFERENCE_CASES)
     @pytest.mark.parametrize("side", ["first", "second"])
-    def test_bkm_jacobian(self, n, m, side):
-        rng = np.random.default_rng(600 + 10 * n + m + (side == "second"))
-        d = m if side == "first" else n
-        log_rho0 = linalg.logm(channels.random_choi(n, m, rng).matrix)
-        a = random_hermitian(d, rng)
+    def test_projection(self, n, m, general, side, monkeypatch):
+        choi, p, q = self.case(n, m, general, 800)
+        target = p if side == "first" else q
+        start = scaling._bkm_start(choi.matrix)
+        want, want_dual, want_steps = oracles.bkm_project_ref(start, n, m, side, target)
+        steps = newton_steps(monkeypatch)
+        got, dual = scaling._bkm_project(start, n, m, side, target)
+        assert steps == [want_steps] and want_steps > 0
+        assert np.abs(got.state - want.state).max() <= 1e-12 * np.abs(want.state).max()
+        assert np.abs(dual - want_dual).max() <= 1e-12 * np.abs(want_dual).max()
+        assert np.abs(got.coord - want.coord).max() <= 1e-12 * np.abs(want.coord).max()
+        assert np.abs(got.w - want.w).max() <= 1e-12 * np.abs(want.w).max()
 
-        def marginal(a):
-            state = linalg.expm(log_rho0 + oracles.lift(a, n, m, side))
-            return linalg.partial_trace(state / np.trace(state).real, n, m, side)
+    @pytest.mark.parametrize("n, m, general", BKM_REFERENCE_CASES)
+    def test_alternation(self, n, m, general, monkeypatch):
+        choi, p, q = self.case(n, m, general, 810)
+        cfg = scaling.ScalingConfig(target_p=p, target_q=q) if general else scaling.ScalingConfig()
+        want, sweeps = oracles.bkm_alternation_ref(choi, cfg)
+        trace = scaling.alternating_projections("bkm", choi, cfg)
+        assert trace.converged and trace.sweeps == sweeps > 0
+        assert np.abs(trace.final.matrix - want).max() <= 1e-12 * np.abs(want).max()
 
-        w, v = np.linalg.eigh(log_rho0 + oracles.lift(a, n, m, side))
-        jac = scaling._bkm_jacobian(w, v, marginal(a), n, m, side)
-        for _ in range(3):
-            b = random_hermitian(d, rng)
-            fd = oracles.matrix_central_difference(lambda t: marginal(a + t * b), 0.0, 1e-5)
-            got = (jac @ b.reshape(-1)).reshape(d, d)
-            assert np.abs(got - fd).max() <= 1e-7 * np.abs(fd).max()
-        # the dual is flat along A -> A + cI: the gauge direction is a null vector
-        assert np.abs(jac @ np.eye(d).reshape(-1)).max() <= 1e-12
+    def test_no_step_returns_the_start(self, monkeypatch):
+        choi, p, _ = self.case(3, 2, True, 820)
+        point, _ = scaling._bkm_project(scaling._bkm_start(choi.matrix), 3, 2, "first", p)
+        steps = newton_steps(monkeypatch)
+        again, dual = scaling._bkm_project(point, 3, 2, "first", p)
+        assert steps == [0] and again is point and not dual.any()
+
+    @pytest.mark.parametrize("n, m, general", BKM_REFERENCE_CASES)
+    def test_one_eigh_per_evaluation_and_one_state(self, n, m, general, monkeypatch):
+        choi, p, _ = self.case(n, m, general, 830)
+        start = scaling._bkm_start(choi.matrix)
+        evaluations, newton = [], scaling._newton
+
+        def counted(method, evaluate, direction, current, **kwargs):
+            return newton(method, lambda x: evaluations.append(1) or evaluate(x), direction, current, **kwargs)
+
+        monkeypatch.setattr(scaling, "_newton", counted)
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        states = count_calls(monkeypatch, scaling, "_bkm_point")
+        point, _ = scaling._bkm_project(start, n, m, "first", p)
+        assert len(evaluations) > 0
+        assert eigh == [(n * m, n * m)] * len(evaluations)
+        assert len(states) == 1
+        assert np.abs(linalg.partial_trace(point.state, n, m, "first") - p).max() <= 1e-8
 
 
 def oracle_projection(method, mat, n, m, side, target):

@@ -14,13 +14,14 @@ Three metrics are supported, identified by string tags:
 Every metric comes with an explicit e-geodesic between positive definite
 trace-one matrices, and ``orthogonality_residual`` certifies whether the
 e-geodesic reaching a point of a partial-trace constraint set meets it
-orthogonally, which characterizes e-projections.
+orthogonally, which characterizes e-projections.  The certificate is the
+norm of the tangent's projection onto the constraint's tangent space, in
+closed form: one partial trace and one subtraction, with no basis built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +40,6 @@ __all__ = [
     "metric_inner",
     "e_geodesic",
     "sld_parallel_transport",
-    "constraint_tangent_basis",
     "orthogonality_residual",
 ]
 
@@ -215,42 +215,6 @@ def sld_parallel_transport(l: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return l - np.trace(sigma @ l).real * np.eye(l.shape[0])
 
 
-@lru_cache(maxsize=None)
-def _cached_basis(n: int, m: int, side: str) -> tuple[np.ndarray, ...]:
-    dim = n * m
-    if side == "first":
-        fixed = [linalg.kron(np.eye(n), f) / np.sqrt(n) for f in linalg.hermitian_basis(m)]
-    else:
-        fixed = [linalg.kron(f, np.eye(m)) / np.sqrt(m) for f in linalg.hermitian_basis(n)]
-    basis: list[np.ndarray] = []
-    for cand in linalg.hermitian_basis(dim):
-        y = cand.astype(complex)
-        # remove the orthogonal complement of the constraint kernel, then
-        # Gram-Schmidt against what is already collected
-        for g in fixed:
-            y = y - np.vdot(g, y) * g
-        for z in basis:
-            y = y - np.vdot(z, y) * z
-        norm = np.linalg.norm(y)
-        if norm > 1e-8:
-            basis.append(y / norm)
-    assert len(basis) == dim * dim - (m * m if side == "first" else n * n)
-    return tuple(basis)
-
-
-def constraint_tangent_basis(n: int, m: int, side: str) -> tuple[np.ndarray, ...]:
-    """Orthonormal basis of the tangent space of a partial-trace constraint
-    set: Hermitian mn x mn matrices Y with tr_side Y = 0.
-
-    Built by Gram-Schmidt over the canonical Hermitian basis after projecting
-    out span{I kron F} (side "first") or span{F kron I} (side "second"),
-    whose orthogonal complement is exactly the constrained subspace.
-    """
-    if side not in ("first", "second"):
-        raise InvalidInputError(f"side must be 'first' or 'second', got {side!r}")
-    return _cached_basis(n, m, side)
-
-
 def _geodesic_tail(tag: str, rho_from: np.ndarray, rho_to: np.ndarray) -> tuple[np.ndarray, float]:
     """e-representation of the e-geodesic tangent at its endpoint rho_to,
     together with its metric norm.
@@ -289,12 +253,18 @@ def orthogonality_residual(
     """Normalized orthogonality defect of the e-geodesic from ``rho_from`` to
     ``rho_to`` against the tangent space of ``constraint`` at ``rho_to``.
 
-    Returns max_b |g(tangent, Y_b)| / ||tangent||_g over an orthonormal basis
-    {Y_b} of the constraint tangent space, and 0.0 when that space is empty
-    (n = 1 on side "first", m = 1 on side "second": the constraint fixes
-    the whole state).  A vanishing residual certifies that ``rho_to`` is the
-    e-projection of ``rho_from`` onto the constraint set for the chosen
-    metric.
+    The pairing g(tangent, Y) is tr(e Y) for every tag, with e the
+    e-representation of the tangent (for the congruence metric up to a
+    sign).  So the largest |g(tangent, Y)| over unit Hermitian Y with
+    tr_side Y = 0, the constraint tangent space, is the Frobenius norm of
+    e's component in that space: e - I_n kron tr_first(e) / n on side
+    "first", e - tr_second(e) kron I_m / m on side "second".  Returns that
+    norm over ||tangent||_g.  It equals sqrt(sum_b tr(e Y_b)^2) /
+    ||tangent||_g over any orthonormal basis {Y_b} of the tangent space, and
+    is exactly 0.0 when the space is empty (n = 1 on side "first", m = 1 on
+    side "second": the constraint fixes the whole state).  A vanishing
+    residual certifies that ``rho_to`` is the e-projection of ``rho_from``
+    onto the constraint set for the chosen metric.
     """
     if (rho_from.n, rho_from.m) != (rho_to.n, rho_to.m):
         raise InvalidInputError("Choi block structures differ")
@@ -306,8 +276,13 @@ def orthogonality_residual(
     e, norm = _geodesic_tail(tag, rho_from.matrix, rho_to.matrix)
     if norm == 0.0:
         return 0.0
-    basis = constraint_tangent_basis(rho_to.n, rho_to.m, constraint.side)
-    # |g(tangent, Y)| reduces to |tr(e Y)| for every tag (for the congruence
-    # metric the pairing carries a sign, absorbed by the absolute value)
-    worst = max((abs(np.trace(e @ y).real) for y in basis), default=0.0)
-    return worst / norm
+    n, m = rho_to.n, rho_to.m
+    blocks = e.reshape(n, m, n, m).astype(complex)
+    part = linalg.partial_trace(e, n, m, constraint.side)
+    if constraint.side == "first":
+        diag = np.arange(n)
+        blocks[diag, :, diag, :] -= part / n
+    else:
+        diag = np.arange(m)
+        blocks[:, diag, :, diag] -= part / m
+    return linalg.frobenius(blocks.reshape(n * m, n * m)) / norm

@@ -62,9 +62,7 @@ __all__ = [
     "solve_lyapunov",
     "geometric_mean",
     "inverse_mean",
-    "kron",
     "partial_trace",
-    "hermitian_basis",
     "frobenius",
 ]
 
@@ -327,11 +325,6 @@ def inverse_mean(
     return _mean_from_spectrum(1.0 / w, v, b), logdet
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the outer index taken from ``a``."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def partial_trace(mat: np.ndarray, n: int, m: int, which: str) -> np.ndarray:
     """Partial trace of an ``mn x mn`` matrix with n outer blocks of size m.
 
@@ -347,24 +340,3 @@ def partial_trace(mat: np.ndarray, n: int, m: int, which: str) -> np.ndarray:
     if which == "second":
         return np.einsum("iaja->ij", blocks)
     raise InvalidInputError(f"which must be 'first' or 'second', got {which!r}")
-
-
-def hermitian_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal basis of d x d Hermitian matrices (Hilbert-Schmidt inner
-    product): diagonal units, then real and imaginary off-diagonal pairs."""
-    basis: list[np.ndarray] = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = e[j, i] = inv_sqrt2
-            basis.append(e)
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = -1j * inv_sqrt2
-            e[j, i] = 1j * inv_sqrt2
-            basis.append(e)
-    return basis

@@ -700,44 +700,34 @@ def _bkm_contraction(v: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
     return (x.conj().T @ x).reshape(d, dim, d, dim).transpose(0, 2, 1, 3).reshape(d * d, dim * dim)
 
 
-def _daleckii_krein(w: np.ndarray, c: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """(C^* o Phi) C^T / Z - flat flat^dagger, with Phi the divided
-    differences of exp on the spectrum ``w`` and Z = sum exp(w)."""
-    shifted = w - w.max()
-    phi = _exp_divided_differences(shifted) / np.exp(shifted).sum()
-    return (c.conj() * phi.reshape(-1)) @ c.T - flat[:, None] * flat.conj()
-
-
-def _bkm_jacobian(
-    w: np.ndarray, v: np.ndarray, marginal: np.ndarray, n: int, m: int, side: str
+def _bkm_hessian(
+    w: np.ndarray, v: np.ndarray, marginals: Sequence[np.ndarray], n: int, m: int, sides: Sequence[str]
 ) -> np.ndarray:
-    """Jacobian of A -> tr_side exp(H(A)) / tr exp(H(A)), H(A) = log rho0 +
-    lift(A), at the point with spectrum H = v diag(w) v^dagger and marginal
-    ``marginal``, as a d^2 x d^2 complex matrix acting on row-major vec(A).
+    """Jacobian of the marginals on ``sides`` of exp(H) / tr exp(H) in the
+    dual variables lifted on those sides, H = log rho0 + the lifts, at the
+    point with spectrum H = v diag(w) v^dagger and those ``marginals``: the
+    Hessian of the BKM dual, acting on row-major vec(A) (one side, for
+    :func:`_bkm_project`) or (vec A, vec B) (both, for :func:`joint_limit`).
 
     Daleckii-Krein: d exp(H)[X] = v (Phi o (v^dagger X v)) v^dagger, with
     Phi the divided differences of exp on w.  With C[x, pq] = (v^dagger
     lift(E_x) v)[p, q] for the matrix units E_x, entry x of
     tr_side d exp(H)[lift(E_y)] is sum_pq conj(C[x, pq]) Phi[p, q] C[y, pq].
-    Dividing by Z = tr exp(H) and subtracting vec(marginal)
-    vec(marginal)^dagger, the derivative of the normalization, gives the
-    Jacobian.  It is the Hessian of the BKM dual.  C is one matrix product
-    (:func:`_bkm_contraction`), Phi comes from the expm1 form of the
-    divided differences (``geometry._exp_divided_differences``), and the
-    Jacobian is one more product."""
-    return _daleckii_krein(w, _bkm_contraction(v, n, m, side), marginal.reshape(-1))
-
-
-def _bkm_hessian(
-    w: np.ndarray, v: np.ndarray, first: np.ndarray, second: np.ndarray, n: int, m: int
-) -> np.ndarray:
-    """Hessian of the joint BKM dual (see :func:`joint_limit`) at the point
-    with spectrum v diag(w) v^dagger and marginals ``first``, ``second``, as
-    an (m^2 + n^2)-square complex matrix acting on row-major (vec A, vec B):
-    :func:`_bkm_jacobian` with both sides' contractions stacked, so the
-    cross blocks come from the same product."""
-    c = np.vstack([_bkm_contraction(v, n, m, "first"), _bkm_contraction(v, n, m, "second")])
-    return _daleckii_krein(w, c, np.concatenate([first.reshape(-1), second.reshape(-1)]))
+    Dividing by Z = tr exp(H) and subtracting vec(marginals)
+    vec(marginals)^dagger, the derivative of the normalization, gives the
+    Hessian.  C is one matrix product per side (:func:`_bkm_contraction`),
+    stacked so that the cross blocks of two sides come from the same
+    product; Phi comes from the expm1 form of the divided differences
+    (``geometry._exp_divided_differences``), and the Hessian is one more
+    product."""
+    if len(sides) == 1:  # no stacking copies on the one-sided projection's path
+        c, flat = _bkm_contraction(v, n, m, sides[0]), marginals[0].reshape(-1)
+    else:
+        c = np.concatenate([_bkm_contraction(v, n, m, side) for side in sides])
+        flat = np.concatenate([marginal.reshape(-1) for marginal in marginals])
+    shifted = w - w.max()
+    phi = _exp_divided_differences(shifted) / np.exp(shifted).sum()
+    return (c.conj() * phi.reshape(-1)) @ c.T - flat[:, None] * flat.conj()
 
 
 class _Point(NamedTuple):
@@ -871,7 +861,7 @@ def _bkm_project(
 
     def direction(state, g: np.ndarray) -> np.ndarray:
         _, w, v, marginal = state
-        hess = _bkm_jacobian(w, v, marginal, n, m, side) + gauge
+        hess = _bkm_hessian(w, v, (marginal,), n, m, (side,)) + gauge
         return linalg.hermitian_part(np.linalg.solve(hess, -g.reshape(-1)).reshape(d, d))
 
     marginal = linalg.partial_trace(start.state, n, m, side)
@@ -897,7 +887,7 @@ def bkm_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Choi
     as tr_side(V diag(p) V^dagger) with p = exp(w - log Z); the state is
     formed once, at the returned point.  The Hessian is the Daleckii-Krein
     form in the same eigenbasis minus the normalization term (see
-    :func:`_bkm_jacobian`).  F is flat along A -> A + cI, so the Hessian
+    :func:`_bkm_hessian`).  F is flat along A -> A + cI, so the Hessian
     is singular in that direction; adding vec(I) vec(I)^T / d fixes the
     gauge, and since the gradient is traceless every step (hence A) stays
     traceless.  The line search and stopping rule are those of
@@ -1057,7 +1047,9 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
     with rho = exp(...) / Z or (...)^{-1}.  The gradient of F is the pair of
     marginal mismatches (tr_first rho - P, tr_second rho - Q); its Hessian
     has the one-sided Jacobians on the diagonal and one more contraction for
-    the cross blocks (:func:`_bkm_hessian`, :func:`_burg_hessian`).
+    the cross blocks (:func:`_bkm_hessian`, :func:`_burg_hessian`).  A BKM
+    evaluation reads both marginals off its one ``eigh``, as the one-sided
+    projection does; the state is formed once, at the returned point.
 
     Both duals are flat along (A + cI, B - cI), and the BKM dual along
     (A + cI, B) and (A, B + cI) separately, since Z absorbs either shift.
@@ -1088,7 +1080,7 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
         raise UnsupportedError("the sld geometry is not dually flat: it has no joint limit solve")
     trace, p, q = _new_trace(method, choi0, cfg)
     n, m = choi0.n, choi0.m
-    mm, floor = m * m, get_policy().pd_rel_floor
+    mm, floor, sides = m * m, get_policy().pd_rel_floor, ("first", "second")
     eye_m, eye_n = np.eye(m).reshape(-1), np.eye(n).reshape(-1)
     eye_ab = np.concatenate([eye_m, eye_n])
     if method == "bkm":
@@ -1106,14 +1098,18 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
 
     def evaluate(x: np.ndarray):
         """x = (vec a, vec b), the dual value and gradient at base +-
-        (I kron a + b kron I), and the point there with its marginals; for
-        Burg x first moves along (I, I) to the unit-trace point, and None
-        means outside the cone."""
+        (I kron a + b kron I), and there the coordinate with its spectrum
+        (BKM: the state is not formed) or the point (Burg), with the
+        marginals; for Burg x first moves along (I, I) to the unit-trace
+        point, and None means outside the cone."""
         a, b = split(x)
         coord = _plus_lift(_plus_lift(base, sign * a, n, m, "first"), sign * b, n, m, "second")
         w, v = np.linalg.eigh(coord)
         if method == "bkm":
-            point, potential = _bkm_point(coord, w, v)
+            at = (coord, w, v)
+            weights, potential = _gibbs_weights(w)
+            vb = v.reshape(n, m, n * m)
+            first, second = (np.einsum(_BKM_MARGINAL[side], vb * weights, vb.conj()) for side in sides)
         else:
             if not w[0] > 0:
                 return None
@@ -1123,23 +1119,26 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
             a, b = split(x)
             if not w[0] > floor * w[-1]:
                 return None
-            point, potential = _burg_point(coord, w, v), -float(np.sum(np.log(w)))
-        first, second = (linalg.partial_trace(point.state, n, m, side) for side in ("first", "second"))
+            at, potential = _burg_point(coord, w, v), -float(np.sum(np.log(w)))
+            first, second = (linalg.partial_trace(at.state, n, m, side) for side in sides)
         g = np.concatenate([linalg.hermitian_part(first - p).ravel(), linalg.hermitian_part(second - q).ravel()])
-        return x, lambda: potential - float(np.trace(p @ a).real + np.trace(q @ b).real), g, (point, first, second)
+        return x, lambda: potential - float(np.trace(p @ a).real + np.trace(q @ b).real), g, (at, first, second)
 
     def direction(state, g: np.ndarray) -> np.ndarray:
-        point, first, second = state
+        at, first, second = state
         if method == "bkm":
-            hess = _bkm_hessian(point.w, point.v, first, second, n, m)
+            _, w, v = at
+            hess = _bkm_hessian(w, v, (first, second), n, m, sides)
         else:
-            hess = _burg_hessian(point.state, n, m)
+            hess = _burg_hessian(at.state, n, m)
         d_a, d_b = split(np.linalg.solve(hess + gauge, -g))
         return np.concatenate([linalg.hermitian_part(d_a).ravel(), linalg.hermitian_part(d_b).ravel()])
 
     current = evaluate(np.zeros(mm + n * n, dtype=complex))
-    x, (point, _, _), trace.sweeps = _newton(method, evaluate, direction, current, joint=True)
-    trace.factors += zip(("first", "second"), split(x))
+    x, (at, _, _), trace.sweeps = _newton(method, evaluate, direction, current, joint=True)
+    # the BKM state is formed once, from the last accepted evaluation
+    point = _bkm_point(*at)[0] if method == "bkm" else at
+    trace.factors += zip(sides, split(x))
     trace.residuals.append(_residual(point.state, n, m, p, q))
     trace.converged = trace.residuals[-1] < cfg.tol
     trace._final = ChoiMatrix(n=n, m=m, matrix=point.state)

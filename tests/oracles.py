@@ -12,6 +12,9 @@ Newton reference is the package's earlier projection: it runs the same
 Newton loop, but forms the ``mn x mn`` state and its partial trace on every
 evaluation and builds the Hessian from an ``einsum`` contraction and the
 quotient form of the exp divided differences.  The
+constraint tangent basis is built by Gram-Schmidt over the canonical
+Hermitian basis, the reference for the closed-form projection that
+certifies e-projections in ``geometry``.  The
 operator Sinkhorn reference forms every ``mn x mn`` iterate and takes its
 marginals by partial traces, where the package carries factor products.
 The difference quotient reference validates and evaluates one h at a time,
@@ -145,6 +148,56 @@ def matrix_central_difference(f, x: float, h: float) -> np.ndarray:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
+def hermitian_basis(d: int) -> list[np.ndarray]:
+    """Orthonormal basis of d x d Hermitian matrices (Hilbert-Schmidt inner
+    product): diagonal units, then real and imaginary off-diagonal pairs."""
+    basis: list[np.ndarray] = []
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for i in range(d):
+        for j in range(i + 1, d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = e[j, i] = inv_sqrt2
+            basis.append(e)
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = -1j * inv_sqrt2
+            e[j, i] = 1j * inv_sqrt2
+            basis.append(e)
+    return basis
+
+
+def constraint_tangent_basis(n: int, m: int, side: str) -> list[np.ndarray]:
+    """Orthonormal basis of the tangent space of a partial-trace constraint
+    set: Hermitian mn x mn matrices Y with tr_side Y = 0.
+
+    Built by Gram-Schmidt over the canonical Hermitian basis after projecting
+    out span{I kron F} (side "first") or span{F kron I} (side "second"),
+    whose orthogonal complement is exactly the constrained subspace.  The
+    reference for ``geometry.orthogonality_residual``, which takes the norm
+    of the projection onto this space in closed form instead."""
+    dim = n * m
+    if side == "first":
+        fixed = [np.kron(np.eye(n), f) / np.sqrt(n) for f in hermitian_basis(m)]
+    else:
+        fixed = [np.kron(f, np.eye(m)) / np.sqrt(m) for f in hermitian_basis(n)]
+    basis: list[np.ndarray] = []
+    for y in hermitian_basis(dim):
+        # remove the orthogonal complement of the constraint kernel, then
+        # Gram-Schmidt against what is already collected
+        for g in fixed:
+            y = y - np.vdot(g, y) * g
+        for z in basis:
+            y = y - np.vdot(z, y) * z
+        norm = np.linalg.norm(y)
+        if norm > 1e-8:
+            basis.append(y / norm)
+    assert len(basis) == dim * dim - (m * m if side == "first" else n * n)
+    return basis
+
+
 def lift(a: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
     """I_n kron a (side "first") or a kron I_m (side "second")."""
     return np.kron(np.eye(n), a) if side == "first" else np.kron(a, np.eye(m))
@@ -158,7 +211,7 @@ def burg_projection_per_basis(rho0: np.ndarray, n: int, m: int, side: str,
     solver: residual norm 1e-10, then one polishing step; 200 iterations at
     most.  Returns (rho, A)."""
     d = m if side == "first" else n
-    basis = linalg.hermitian_basis(d)
+    basis = hermitian_basis(d)
     rho0_inv = linalg.invm(rho0)
 
     def resolvent(a):
@@ -421,7 +474,7 @@ def capacity_bruteforce(
     n = choi.n
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    basis = linalg.hermitian_basis(n)
+    basis = hermitian_basis(n)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         h = sum(c * b for c, b in zip(x, basis))

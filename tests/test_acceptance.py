@@ -349,13 +349,13 @@ def test_criterion_8_numerical_kernel_oracles(capsys):
     log_rho0 = linalg.logm(choi.matrix)
 
     def dual_value(a):
-        lifted = log_rho0 + linalg.kron(np.eye(2), a)
+        lifted = log_rho0 + np.kron(np.eye(2), a)
         w = np.linalg.eigvalsh((lifted + lifted.conj().T) / 2)
         shift = w.max()
         return float(np.log(np.sum(np.exp(w - shift))) + shift - np.trace(p @ a).real)
 
     def dual_gradient(a):
-        lifted = log_rho0 + linalg.kron(np.eye(2), a)
+        lifted = log_rho0 + np.kron(np.eye(2), a)
         state = linalg.expm((lifted + lifted.conj().T) / 2)
         state /= np.trace(state).real
         return linalg.partial_trace(state, 2, 2, "first") - p
@@ -364,7 +364,7 @@ def test_criterion_8_numerical_kernel_oracles(capsys):
     grad = dual_gradient(a0)
     worst = max(
         abs(np.trace(grad @ b).real - oracles.central_difference(lambda t: dual_value(a0 + t * b), 0.0, 1e-6))
-        for b in linalg.hermitian_basis(2)
+        for b in oracles.hermitian_basis(2)
     )
     checks.append(("BKM dual gradient", float(worst), 1e-6))
 

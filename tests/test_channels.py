@@ -28,7 +28,7 @@ class TestChoiFromKraus:
     def test_identity_map(self):
         choi = channels.choi_from_kraus(KrausMap(ops=(np.eye(2),)))
         expected = sum(
-            linalg.kron(eij, eij)
+            np.kron(eij, eij)
             for eij in (np.eye(2)[:, [i]] @ np.eye(2)[[j], :] for i in range(2) for j in range(2))
         )
         np.testing.assert_allclose(choi.matrix, expected, atol=1e-14)
@@ -40,7 +40,7 @@ class TestChoiFromKraus:
         e11 = np.zeros((2, 2), dtype=complex)
         e11[0, 0] = 1.0
         choi = channels.choi_from_kraus(KrausMap(ops=(e11,)))
-        np.testing.assert_allclose(choi.matrix, linalg.kron(e11, e11), atol=1e-14)
+        np.testing.assert_allclose(choi.matrix, np.kron(e11, e11), atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_kraus_gives_psd_choi(self, seed):
@@ -77,7 +77,7 @@ class TestApplyMap:
         kraus = random_kraus(2, 3, 2, rng)
         choi = channels.choi_from_kraus(kraus)
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        lifted = linalg.kron(x.T, np.eye(3)) @ choi.matrix
+        lifted = np.kron(x.T, np.eye(3)) @ choi.matrix
         expected = linalg.partial_trace(lifted, 2, 3, "first")
         np.testing.assert_allclose(channels.apply_map(choi, x), expected, atol=1e-12)
 
@@ -186,7 +186,7 @@ class TestScaleChoi:
         r1, r2 = (random_pd_factor(rng, 2) for _ in range(2))
         once = channels.scale_choi(channels.scale_choi(choi, l1, r1), l2, r2)
         # composed congruence factors: left factors compose as L2 L1, right as R1 R2
-        lhs = linalg.kron(r2, l2) @ linalg.kron(r1, l1) @ choi.matrix @ linalg.kron(r1, l1) @ linalg.kron(r2, l2)
+        lhs = np.kron(r2, l2) @ np.kron(r1, l1) @ choi.matrix @ np.kron(r1, l1) @ np.kron(r2, l2)
         np.testing.assert_allclose(once.matrix, lhs, atol=1e-11)
 
     def test_left_scaling_conjugates_first_marginal(self):
@@ -224,7 +224,7 @@ class TestCongruence:
         mat = channels.random_choi(n, m, rng).matrix
         left = random_pd_factor(rng, m) if sides != "right" else None
         right = random_pd_factor(rng, n) if sides != "left" else None
-        f = linalg.kron(np.eye(n) if right is None else right, np.eye(m) if left is None else left)
+        f = np.kron(np.eye(n) if right is None else right, np.eye(m) if left is None else left)
         dense = f @ mat @ f
         out = channels.congruence(mat, n, m, left, right)
         assert np.abs(out - dense).max() <= 1e-12 * np.abs(dense).max()
@@ -239,7 +239,7 @@ class TestCongruence:
         mat = channels.random_choi(n, m, rng).matrix
         left = ginibre(rng, m) if sides != "right" else None
         right = ginibre(rng, n) if sides != "left" else None
-        f = linalg.kron(np.eye(n) if right is None else right, np.eye(m) if left is None else left)
+        f = np.kron(np.eye(n) if right is None else right, np.eye(m) if left is None else left)
         dense = f @ mat @ f.conj().T
         out = channels.congruence(mat, n, m, left, right)
         assert np.abs(out - dense).max() <= 1e-12 * np.abs(dense).max()

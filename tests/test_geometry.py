@@ -268,10 +268,23 @@ class TestSldAutoparallel:
         np.testing.assert_allclose(transported, e_rep_at(t), atol=1e-8)
 
 
+class TestHermitianBasis:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_orthonormal_and_complete(self, d):
+        basis = oracles.hermitian_basis(d)
+        assert len(basis) == d * d
+        gram = np.array([[np.vdot(a, b) for b in basis] for a in basis])
+        np.testing.assert_allclose(gram, np.eye(d * d), atol=1e-14)
+        for b in basis:
+            np.testing.assert_allclose(b, b.conj().T, atol=0)
+
+
 class TestConstraintBasis:
+    """The Gram-Schmidt reference basis of the constraint tangent space."""
+
     @pytest.mark.parametrize("n,m,side", [(2, 2, "first"), (2, 3, "first"), (2, 3, "second")])
     def test_orthonormal_traceless_and_complete(self, n, m, side):
-        basis = geometry.constraint_tangent_basis(n, m, side)
+        basis = oracles.constraint_tangent_basis(n, m, side)
         expected = (n * m) ** 2 - (m * m if side == "first" else n * n)
         assert len(basis) == expected
         for i, a in enumerate(basis):
@@ -352,6 +365,33 @@ class TestOrthogonalityResidual:
         res = geometry.orthogonality_residual("sld", choi, moved, ConstraintSet("first", p))
         assert res > 1e-3
 
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("side", ["first", "second"])
+    @pytest.mark.parametrize("tag", geometry.METRICS)
+    def test_equals_the_norm_over_the_oracle_basis(self, tag, side, n, m):
+        # sqrt(sum_b tr(e Y_b)^2) / ||e||_g over the Gram-Schmidt basis, at an
+        # e-projection by the tag's own solver and at a constraint point that
+        # is not one; never below the largest single term, the old certificate
+        rng = np.random.default_rng(56 + 10 * n + m)
+        choi, other = channels.random_choi(n, m, rng), channels.random_choi(n, m, rng)
+        d = m if side == "first" else n
+        constraint = ConstraintSet(side, np.eye(d) / d)
+        project = {
+            "sld": lambda c: scaling.operator_sinkhorn_step(c, side, constraint.target),
+            "bkm": lambda c: scaling.bkm_e_projection(c, constraint),
+            "congruence": lambda c: scaling.burg_e_projection(c, constraint),
+        }[tag]
+        basis = oracles.constraint_tangent_basis(n, m, side)
+        for rho_to in (project(choi)[0], scaling.operator_sinkhorn_step(other, side, constraint.target)[0]):
+            e, norm = geometry._geodesic_tail(tag, choi.matrix, rho_to.matrix)
+            pairings = np.array([np.trace(e @ y).real for y in basis])
+            got = geometry.orthogonality_residual(tag, choi, rho_to, constraint)
+            want = np.sqrt(np.sum(pairings**2)) / norm
+            # both round relative to ||e||_F / ||e||_g, the largest value either
+            # can take; at an e-projection both are rounding noise
+            assert abs(got - want) <= 1e-12 * np.linalg.norm(e) / norm
+            assert got >= np.abs(pairings).max() / norm
+
     @pytest.mark.parametrize("n, m, side", [(1, 3, "first"), (3, 1, "second")])
     @pytest.mark.parametrize("tag", geometry.METRICS)
     def test_empty_tangent_space_gives_zero(self, n, m, side, tag):
@@ -360,7 +400,7 @@ class TestOrthogonalityResidual:
         choi = channels.random_choi(n, m, np.random.default_rng(3))
         target = np.eye(m if side == "first" else n) / (m if side == "first" else n)
         stepped, _ = scaling.operator_sinkhorn_step(choi, side, target)
-        assert geometry.constraint_tangent_basis(n, m, side) == ()
+        assert oracles.constraint_tangent_basis(n, m, side) == []
         assert geometry.orthogonality_residual(tag, choi, stepped, ConstraintSet(side, target)) == 0.0
 
     def test_rejects_constraint_violation(self):

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from opsinkhorn import channels, linalg
 from opsinkhorn.errors import DomainError, InvalidInputError, SingularityError
@@ -402,31 +400,11 @@ class TestInverseMean:
 
 
 class TestKronAndPartialTrace:
-    def test_kron_identities(self):
-        np.testing.assert_array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_kron_block_layout(self):
-        e11 = np.zeros((2, 2))
-        e11[0, 0] = 1.0
-        b = np.arange(4.0).reshape(2, 2)
-        out = linalg.kron(e11, b)
-        np.testing.assert_array_equal(out[:2, :2], b)
-        assert np.all(out[2:, :] == 0) and np.all(out[:, 2:] == 0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_kron_mixed_product(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4))
-        lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-        rhs = linalg.kron(a @ c, b @ d)
-        assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
-
     def test_partial_traces_of_product(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        prod = linalg.kron(a, b)
+        prod = np.kron(a, b)
         np.testing.assert_allclose(linalg.partial_trace(prod, 3, 2, "first"), np.trace(a) * b, atol=1e-12)
         np.testing.assert_allclose(linalg.partial_trace(prod, 3, 2, "second"), np.trace(b) * a, atol=1e-12)
 
@@ -450,14 +428,3 @@ class TestKronAndPartialTrace:
             linalg.partial_trace(np.eye(5), 2, 2, "first")
         with pytest.raises(InvalidInputError):
             linalg.partial_trace(np.eye(4), 2, 2, "third")
-
-
-class TestHermitianBasis:
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_orthonormal_and_complete(self, d):
-        basis = linalg.hermitian_basis(d)
-        assert len(basis) == d * d
-        gram = np.array([[np.vdot(a, b) for b in basis] for a in basis])
-        np.testing.assert_allclose(gram, np.eye(d * d), atol=1e-14)
-        for b in basis:
-            np.testing.assert_allclose(b, b.conj().T, atol=0)

@@ -213,15 +213,18 @@ class TestOperatorSinkhorn:
         assert np.linalg.norm(first_iterate.trace_second() - q) <= 1e-12
 
     def test_every_step_is_an_sld_e_projection(self):
-        rng = np.random.default_rng(10)
-        choi = channels.random_choi(2, 2, rng)
-        trace = scaling.operator_sinkhorn(choi, scaling.ScalingConfig(max_iters=4, tol=0.0))
-        for idx, (side, _) in enumerate(trace.factors):
-            frm = ChoiMatrix(n=2, m=2, matrix=trace.iterates[idx])
-            to = ChoiMatrix(n=2, m=2, matrix=trace.iterates[idx + 1])
-            target = trace.target_p if side == "first" else trace.target_q
-            res = geometry.orthogonality_residual("sld", frm, to, ConstraintSet(side, target))
-            assert res <= 1e-8
+        # every step of full default-tol solves, late steps included (at 4x4
+        # the SLD tail's own error puts late steps above the gate)
+        for n, m in [(2, 2), (2, 3), (3, 2)]:
+            for seed in range(20):
+                trace = scaling.operator_sinkhorn(channels.random_choi(n, m, np.random.default_rng(seed)))
+                assert trace.converged
+                for idx, (side, _) in enumerate(trace.factors):
+                    frm = ChoiMatrix(n=n, m=m, matrix=trace.iterates[idx])
+                    to = ChoiMatrix(n=n, m=m, matrix=trace.iterates[idx + 1])
+                    target = trace.target_p if side == "first" else trace.target_q
+                    res = geometry.orthogonality_residual("sld", frm, to, ConstraintSet(side, target))
+                    assert res <= 1e-8, f"{n}x{m}, seed {seed}, step {idx}: {res:.2e}"
 
     def test_perturbed_factor_breaks_orthogonality(self):
         rng = np.random.default_rng(11)
@@ -283,7 +286,7 @@ def reference_sinkhorn(choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> dict:
 
     def step(current, side, target):
         stepped, factor = scaling.operator_sinkhorn_step(current, side, target)
-        f = linalg.kron(np.eye(n), factor) if side == "first" else linalg.kron(factor, np.eye(m))
+        f = np.kron(np.eye(n), factor) if side == "first" else np.kron(factor, np.eye(m))
         dense = f @ current.matrix @ f
         assert np.abs(stepped.matrix - dense).max() <= 1e-12 * np.abs(dense).max()
         run["iterates"].append(stepped.matrix)
@@ -842,20 +845,20 @@ class TestBkmProjection:
         log_rho0 = linalg.logm(choi.matrix)
 
         def dual_value(a):
-            lifted = log_rho0 + linalg.kron(np.eye(2), a)
+            lifted = log_rho0 + np.kron(np.eye(2), a)
             w = np.linalg.eigvalsh((lifted + lifted.conj().T) / 2)
             shift = w.max()
             return float(np.log(np.sum(np.exp(w - shift))) + shift - np.trace(p @ a).real)
 
         def dual_gradient(a):
-            lifted = log_rho0 + linalg.kron(np.eye(2), a)
+            lifted = log_rho0 + np.kron(np.eye(2), a)
             state = linalg.expm((lifted + lifted.conj().T) / 2)
             state /= np.trace(state).real
             return linalg.partial_trace(state, 2, 2, "first") - p
 
         a0 = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.1]])
         grad = dual_gradient(a0)
-        for b in linalg.hermitian_basis(2):
+        for b in oracles.hermitian_basis(2):
             fd = oracles.central_difference(lambda t: dual_value(a0 + t * b), 0.0, 1e-6)
             assert abs(np.trace(grad @ b).real - fd) <= 1e-6
 
@@ -897,7 +900,7 @@ class TestBurgProjection:
         choi = channels.random_choi(2, 2, rng)
         out, dual = scaling.burg_e_projection(choi, ConstraintSet("first", np.eye(2) / 2))
         lhs = linalg.invm(out.matrix) - linalg.invm(choi.matrix)
-        np.testing.assert_allclose(lhs, -linalg.kron(np.eye(2), dual), atol=1e-9)
+        np.testing.assert_allclose(lhs, -np.kron(np.eye(2), dual), atol=1e-9)
 
     def test_projection_hits_constraint(self):
         rng = np.random.default_rng(19)
@@ -1375,7 +1378,7 @@ class TestJointLimit:
             marginals = joint_marginals(method, coord0, a, b, n, m)
             w, v = np.linalg.eigh(coord0 + oracles.lift(a, n, m, "first") + oracles.lift(b, n, m, "second"))
             hess = scaling._bkm_hessian(
-                w, v, marginals[: m * m].reshape(m, m), marginals[m * m :].reshape(n, n), n, m
+                w, v, (marginals[: m * m].reshape(m, m), marginals[m * m :].reshape(n, n)), n, m, ("first", "second")
             )
         assert hess.shape == (m * m + n * n, m * m + n * n)
         for _ in range(3):
@@ -1448,6 +1451,25 @@ class TestJointLimit:
             long_cfg = scaling.ScalingConfig(max_iters=5000, tol=0.0, target_p=p, target_q=q)
             alternation = scaling.alternating_projections("bkm", choi, long_cfg)
             assert np.abs(joint.final.matrix - alternation.final.matrix).max() <= 1e-9
+
+    @pytest.mark.parametrize("n, m", JACOBIAN_CASES)
+    def test_bkm_one_eigh_per_evaluation_and_one_state(self, n, m, monkeypatch):
+        # both marginals come off each evaluation's spectrum; the state is
+        # formed once, at the returned point
+        choi, cfg = joint_case(n, m, True, 1510 + 10 * n + m)
+        evaluations, newton = [], scaling._newton
+
+        def counted(method, evaluate, direction, current, **kwargs):
+            return newton(method, lambda x: evaluations.append(1) or evaluate(x), direction, current, **kwargs)
+
+        monkeypatch.setattr(scaling, "_newton", counted)
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        states = count_calls(monkeypatch, scaling, "_bkm_point")
+        joint = scaling.joint_limit("bkm", choi, cfg)
+        assert joint.converged and len(evaluations) >= joint.sweeps > 0
+        # log rho0, the start, then one per evaluation
+        assert eigh == [(n * m, n * m)] * (len(evaluations) + 2)
+        assert states == [(n * m, n * m)]
 
     @pytest.mark.parametrize("method", ["bkm", "burg"])
     def test_trace_layout(self, method):

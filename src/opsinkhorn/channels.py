@@ -56,14 +56,13 @@ class KrausMap:
     def __post_init__(self):
         if len(self.ops) == 0:
             raise InvalidInputError("a Kraus map needs at least one operator")
-        shape = self.ops[0].shape
-        ops = []
-        for op in self.ops:
-            op = np.asarray(op, dtype=complex)
-            if op.ndim != 2 or op.shape != shape:
-                raise InvalidInputError("all Kraus operators must share one m x n shape")
-            ops.append(op)
-        object.__setattr__(self, "ops", tuple(ops))
+        try:
+            ops = tuple(np.asarray(op, dtype=complex) for op in self.ops)
+        except (TypeError, ValueError) as exc:  # a ragged or non-numeric operator
+            raise InvalidInputError(f"a Kraus operator is not a numeric array: {exc}") from exc
+        if any(op.ndim != 2 or op.shape != ops[0].shape for op in ops):
+            raise InvalidInputError("all Kraus operators must share one m x n shape")
+        object.__setattr__(self, "ops", ops)
 
     @property
     def out_dim(self) -> int:

@@ -7,6 +7,11 @@ output, over an h grid in one call), ``capacity-scatter`` (divergence vs
 capacity over random trials, solved as one operator Sinkhorn batch) and
 ``gen`` (write a random instance file).
 
+``scale``, ``compare`` and ``diffquot`` share one definition of their input
+and solve flags (:func:`_solve_flags`); ``capacity-scatter`` takes the
+budget but no targets (capacity needs the doubly stochastic ones), ``gen``
+neither.
+
 Exit codes: 0 success, 2 parse failure (a malformed command line, an
 out-of-range flag value or an unreadable payload), 3 numeric domain
 violation, 4 unsupported option, 5 non-convergence.  Flag values are
@@ -42,6 +47,10 @@ EXIT_DOMAIN = 3
 EXIT_UNSUPPORTED = 4
 EXIT_NO_CONVERGENCE = 5
 
+# the exit code of each error type a subcommand can raise
+_EXIT_CODES = {ParseError: EXIT_PARSE, InvalidInputError: EXIT_DOMAIN, DomainError: EXIT_DOMAIN,
+               SingularityError: EXIT_DOMAIN, UnsupportedError: EXIT_UNSUPPORTED, ConvergenceError: EXIT_NO_CONVERGENCE}
+
 # h = 2^-k for k = 5..40, descending in h
 _DEFAULT_H_GRID = tuple(2.0 ** (-k) for k in range(5, 41))
 
@@ -66,15 +75,28 @@ _DIMENSION = _flag(int, lambda v: v >= 1, "a positive integer")
 _TOLERANCE = _flag(float, lambda v: math.isfinite(v) and v >= 0, "a finite nonnegative number")
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _common_flags(parser: argparse.ArgumentParser, *, budget: bool = True) -> None:
+    """``--seed``, ``--out`` and ``--real``, which every subcommand takes;
+    with ``budget``, a solve's ``--tol`` and ``--max-iters``."""
     parser.add_argument("--seed", type=_COUNT, default=0, help="base RNG seed (default 0)")
-    parser.add_argument("--tol", type=_TOLERANCE, default=1e-8,
-                        help="stopping tolerance on the squared marginal residual (default 1e-8; 0 disables early stop)")
-    parser.add_argument("--max-iters", type=_COUNT, default=200,
-                        help="sweep budget (default 200)")
     parser.add_argument("--out", type=str, default=None, help="output file or directory")
     parser.add_argument("--real", action="store_true",
                         help="draw real instead of complex Gaussian instances")
+    if budget:
+        parser.add_argument("--tol", type=_TOLERANCE, default=1e-8,
+                            help="stopping tolerance on the squared marginal residual (default 1e-8; 0 disables early stop)")
+        parser.add_argument("--max-iters", type=_COUNT, default=200,
+                            help="sweep budget (default 200)")
+
+
+def _solve_flags(parser: argparse.ArgumentParser) -> None:
+    """What ``scale``, ``compare`` and ``diffquot`` share: one input, the
+    common flags and the marginal targets."""
+    parser.add_argument("input", nargs="?", help="JSON file: a choi or density payload (scale: also a matrix)")
+    parser.add_argument("--paper-rho0", action="store_true", help="use the built-in 4x4 reference input")
+    parser.add_argument("--dims", type=_DIMENSION, nargs=2, metavar=("N", "M"), default=None,
+                        help="block structure of a density input; with no input, of a random seeded instance")
+    _common_flags(parser)
     parser.add_argument("--target-p", type=str, default=None,
                         help="JSON file with the first-marginal target (default I/m)")
     parser.add_argument("--target-q", type=str, default=None,
@@ -100,22 +122,20 @@ def _config(args) -> scaling.ScalingConfig:
 
 
 def _load_input_choi(args, loaded=None) -> ChoiMatrix:
-    if getattr(args, "paper_rho0", False):
+    if args.paper_rho0:
         return reference_rho0()
-    if getattr(args, "input", None) is None:
-        if getattr(args, "dims", None):
+    if args.input is None:
+        if args.dims:
             n, m = args.dims
-            rng = np.random.default_rng(args.seed)
-            return random_choi(n, m, rng, real=args.real)
+            return random_choi(n, m, np.random.default_rng(args.seed), real=args.real)
         raise ParseError("no input: give a file, --paper-rho0, or --dims")
     kind, matrix, n, m = loaded if loaded is not None else serialization.load_matrix(args.input)
     if kind == "choi":
         return ChoiMatrix(n=n, m=m, matrix=matrix)
     if kind == "density":
-        dims = getattr(args, "dims", None)
-        if not dims:
+        if not args.dims:
             raise ParseError("density input needs --dims N M to fix the block structure")
-        return ChoiMatrix(n=dims[0], m=dims[1], matrix=matrix)
+        return ChoiMatrix(n=args.dims[0], m=args.dims[1], matrix=matrix)
     raise ParseError("expected a choi or density payload")
 
 
@@ -161,7 +181,7 @@ def cmd_scale(args) -> int:
                 f"{' and '.join(flags)} not supported for matrix payloads: "
                 "classical scaling targets uniform row and column sums"
             )
-        trace = scaling.matrix_sinkhorn(loaded[1].real, cfg)
+        trace = scaling.matrix_sinkhorn(loaded[1], cfg)
         payload = serialization.matrix_to_payload("matrix", trace.final)
     else:
         choi = _load_input_choi(args, loaded)
@@ -235,13 +255,19 @@ def _parse_h_grid(raw: str | None) -> tuple[float, ...]:
     return grid
 
 
+def _check_tags(tags: tuple[str, ...]) -> None:
+    """Every tag names a divergence this package computes."""
+    for tag in tags:
+        if tag == "measured":
+            raise UnsupportedError("measured relative entropy is not supported")
+        if tag not in divergences.DIVERGENCES:
+            raise UnsupportedError(f"unknown divergence tag {tag!r}")
+
+
 def cmd_diffquot(args) -> int:
     cfg = _config(args)
     choi = _load_input_choi(args)
-    if args.tag == "measured":
-        raise UnsupportedError("measured relative entropy is not supported")
-    if args.tag not in divergences.DIVERGENCES:
-        raise UnsupportedError(f"unknown divergence tag {args.tag!r}")
+    _check_tags((args.tag,))
     if args.direction:
         kind, direction, _, _ = serialization.load_matrix(args.direction)
         if kind == "choi":
@@ -273,29 +299,23 @@ def _scatter_instance(n: int, rng: np.random.Generator, args) -> ChoiMatrix:
     if args.diagonal:
         a = rng.uniform(0.05, 1.0, size=(n, n))
         a /= a.sum()
-        mat = np.zeros((n * n, n * n), dtype=complex)
-        for j in range(n):
-            for i in range(n):
-                mat[j * n + i, j * n + i] = a[i, j]
-        return ChoiMatrix(n=n, m=n, matrix=mat)
+        # the diagonal Choi matrix of a: entry (j n + i) is a[i, j]
+        return ChoiMatrix(n=n, m=n, matrix=np.diag(a.T.ravel().astype(complex)))
     return random_choi(n, n, rng, real=args.real)
 
 
 def cmd_capacity_scatter(args) -> int:
     if len(args.dims) > 2:
         raise ParseError(f"--dims takes one dimension (m = n), got {len(args.dims)} values")
-    cfg = _config(args)
+    # capacity is defined for the doubly stochastic targets alone
+    cfg = scaling.ScalingConfig(max_iters=args.max_iters, tol=args.tol)
     n = args.dims[0]
     if len(args.dims) > 1 and args.dims[1] != n:
         raise UnsupportedError("capacity requires m = n; pass a single dimension")
     tags = tuple(args.tags.split(","))
-    for tag in tags:
-        if tag == "measured":
-            raise UnsupportedError("measured relative entropy is not supported")
-        if tag == "kl" and not args.diagonal:
-            raise UnsupportedError("the classical kl tag needs the --diagonal ensemble")
-        if tag not in divergences.DIVERGENCES:
-            raise UnsupportedError(f"tag {tag!r} is not available for scatter experiments")
+    _check_tags(tags)
+    if "kl" in tags and not args.diagonal:
+        raise UnsupportedError("the classical kl tag needs the --diagonal ensemble")
     header = ["trial", "converged"] + [f"D_{tag}" for tag in tags] + ["neg_log_capacity"]
     lines = [",".join(header)]
     gaps: dict[str, list[float]] = {tag: [] for tag in tags}
@@ -364,32 +384,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     scale = sub.add_parser("scale", help="run one scaling / alternating projection")
-    scale.add_argument("input", nargs="?", help="matrix/choi JSON file")
-    scale.add_argument("--paper-rho0", action="store_true", help="use the built-in 4x4 reference input")
+    _solve_flags(scale)
     scale.add_argument("--method", default="sld", help="sld, bkm or burg (default sld)")
-    scale.add_argument("--dims", type=_DIMENSION, nargs=2, metavar=("N", "M"), default=None,
-                       help="block structure for density inputs")
-    _common_flags(scale)
     scale.set_defaults(func=cmd_scale)
 
     compare = sub.add_parser("compare", help="run sld, bkm and burg from one start (burg: its joint limit)")
-    compare.add_argument("input", nargs="?", help="choi JSON file")
-    compare.add_argument("--paper-rho0", action="store_true", help="use the built-in 4x4 reference input")
-    compare.add_argument("--dims", type=_DIMENSION, nargs=2, metavar=("N", "M"), default=None,
-                         help="draw a random seeded instance of this block shape")
-    _common_flags(compare)
+    _solve_flags(compare)
     compare.set_defaults(func=cmd_compare)
 
     diffquot = sub.add_parser("diffquot", help="central difference quotient at the Sinkhorn output")
-    diffquot.add_argument("input", nargs="?", help="choi JSON file")
-    diffquot.add_argument("--paper-rho0", action="store_true", help="use the built-in 4x4 reference input")
-    diffquot.add_argument("--dims", type=_DIMENSION, nargs=2, metavar=("N", "M"), default=None,
-                          help="draw a random seeded instance of this block shape")
+    _solve_flags(diffquot)
     diffquot.add_argument("--tag", default="bs", help="divergence tag (default bs)")
     diffquot.add_argument("--direction", default=None,
                           help="JSON matrix file with the perturbation direction (default diag(1,-1,-1,1))")
     diffquot.add_argument("--h-grid", default=None, help="comma-separated descending step sizes")
-    _common_flags(diffquot)
     diffquot.set_defaults(func=cmd_diffquot)
 
     scatter = sub.add_parser("capacity-scatter", help="divergences vs capacity on random instances")
@@ -406,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="write a random instance file")
     gen.add_argument("--dims", type=_DIMENSION, nargs=2, metavar=("N", "M"), default=(2, 2))
     gen.add_argument("--kind", default="choi", help="choi, density or matrix (default choi)")
-    _common_flags(gen)
+    _common_flags(gen, budget=False)
     gen.set_defaults(func=cmd_gen)
 
     return parser
@@ -427,18 +435,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InvalidInputError, DomainError, SingularityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except UnsupportedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -99,9 +99,9 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def as_hermitian(a: np.ndarray, *, atol: float | None = None, what: str = "matrix") -> np.ndarray:
+def as_hermitian(a: np.ndarray, *, what: str = "matrix") -> np.ndarray:
     """Validate that ``a`` (a matrix or a stack of them) is Hermitian within
-    ``atol`` and return it exactly Hermitian.
+    the policy's ``hermitian_atol`` and return it exactly Hermitian.
 
     Downstream code assumes exact Hermiticity, so every constructor funnels
     through here; the symmetrization prevents asymmetry from accumulating over
@@ -109,7 +109,7 @@ def as_hermitian(a: np.ndarray, *, atol: float | None = None, what: str = "matri
     0.0, so its diagonal is real) is returned as it is, without a copy: this
     may return ``a`` itself, which equals ``hermitian_part(a)`` entry for
     entry (as numbers: only the sign of a zero can differ).  Any other input
-    within ``atol`` gives a new array, ``hermitian_part(a)``.  Callers that
+    within the tolerance gives a new array, ``hermitian_part(a)``.  Callers that
     keep the result must not write into it (see :func:`_read_only`).
     """
     a = np.asarray(a, dtype=complex)
@@ -117,7 +117,7 @@ def as_hermitian(a: np.ndarray, *, atol: float | None = None, what: str = "matri
         raise InvalidInputError(f"{what} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidInputError(f"{what} contains non-finite entries")
-    tol = get_policy().hermitian_atol if atol is None else atol
+    tol = get_policy().hermitian_atol
     gap = np.abs(a - _adjoint(a)).max(initial=0.0)
     if gap > tol:
         raise InvalidInputError(f"{what} is not Hermitian: max |A - A^dagger| = {gap:.3e} > {tol:.1e}")

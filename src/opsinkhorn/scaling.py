@@ -32,8 +32,9 @@ the eigenvectors by one matrix product.
 
 Every scheme is one alternation of e-projections onto the two marginal
 sets, and only the projection differs, so one stop rule, :func:`_running`,
-ends them all: a run sweeps while its residual is at least ``tol`` and its
-budget lasts.  One sweep loop, :func:`_alternate`, runs classical Sinkhorn
+stops them all (a run sweeps while its residual is at least ``tol`` and its
+budget lasts), and one end, :func:`_close`, closes them all, the joint limit
+solve too.  One sweep loop, :func:`_alternate`, runs classical Sinkhorn
 (the diagonal case) and the BKM and Burg alternations; each driver passes
 in its per-side step and its residual.  Operator Sinkhorn sweeps a stack of
 trials instead (below).  Likewise one damped-Newton loop, :func:`_newton`,
@@ -62,12 +63,12 @@ and the batch raises the error of its lowest failing trial.
 
 Every driver validates at its boundary only: the input once at entry (a
 Choi matrix with unit trace; positive definite for ``bkm`` and ``burg``)
-and the final iterate once, as a :class:`ChoiMatrix`; a batch does both per
-trial.  In between the loops
-run on plain arrays: operator Sinkhorn on the marginals and factors, the
-other two through the array-level projections ``_bkm_project`` and
-``_burg_project``.  The public single-step functions (``_sld_step`` behind
-:func:`operator_sinkhorn_step`) carry their own checks.
+and the final iterate once, as a :class:`ChoiMatrix`, in :func:`_close`; a
+batch does both per trial.  In between the loops run on plain arrays:
+operator Sinkhorn on the marginals and factors, the other two through the
+array-level projections ``_bkm_project`` and ``_burg_project``.  The public
+single-step functions (``_sld_step`` behind :func:`operator_sinkhorn_step`)
+carry their own checks.
 
 A run is summarized by a :class:`ScalingTrace` which records the iterates,
 the scaling factors, the per-sweep stopping-criterion residuals
@@ -229,8 +230,9 @@ class ScalingTrace:
     list of arrays for ``bkm``, ``burg`` and ``classical``, a
     :class:`SinkhornIterates` for ``sld``, where reading an intermediate
     iterate costs one congruence.  ``final`` is the last iterate as a
-    validated :class:`ChoiMatrix`; the solvers store the one they
-    validated, so reading it costs nothing.  A ``classical`` trace (from
+    validated :class:`ChoiMatrix`: the input after a run that took no step,
+    else the one :func:`_close` validated, whose ``matrix`` is
+    ``iterates[-1]``.  A ``classical`` trace (from
     :func:`matrix_sinkhorn`) holds m x n arrays instead: ``n`` and ``m``
     are their column and row counts, as in the diagonal Choi embedding,
     the targets are I/m and I/n, and ``final`` is the scaled array.
@@ -249,26 +251,19 @@ class ScalingTrace:
     converged: bool = False
     sweeps: int = 0
     preprocessed: bool = False
-    _final: ChoiMatrix | np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def final(self) -> ChoiMatrix | np.ndarray:
-        if self._final is None:
-            self._final = ChoiMatrix(n=self.n, m=self.m, matrix=self.iterates[-1])
-        return self._final
+    final: ChoiMatrix | np.ndarray | None = field(default=None, repr=False)
 
 
 def _running(trace: ScalingTrace, cfg: ScalingConfig) -> bool:
     """The stop rule of every sweep loop: a run takes another sweep while
     its last residual is at least ``cfg.tol`` and fewer than
-    ``cfg.max_iters`` sweeps have run.  When it stops, ``converged`` says
-    whether the last residual is below ``cfg.tol``."""
+    ``cfg.max_iters`` sweeps have run."""
     return trace.residuals[-1] >= cfg.tol and trace.sweeps < cfg.max_iters
 
 
 def _alternate(
     trace: ScalingTrace, cfg: ScalingConfig, step: Callable[[str, np.ndarray], np.ndarray], residual: Callable[[], float]
-) -> ScalingTrace:
+) -> None:
     """The sweep loop of every driver but operator Sinkhorn, which runs the
     same sweeps over a stack of trials (:class:`_SinkhornStack`).  A sweep
     is ``step("first", P)`` then ``step("second", Q)``: each makes one
@@ -280,7 +275,17 @@ def _alternate(
             trace.factors.append((side, step(side, target)))
         trace.sweeps += 1
         trace.residuals.append(residual())
+
+
+def _close(trace: ScalingTrace, cfg: ScalingConfig, state: np.ndarray | None = None) -> ScalingTrace:
+    """The end of every run: ``converged`` from the last residual and, for a
+    run that moved, the final ``state``, validated once as a
+    :class:`ChoiMatrix` (a ``classical`` array as it is), whose read-only
+    view of the exactly Hermitian state becomes ``iterates[-1]``."""
     trace.converged = trace.residuals[-1] < cfg.tol
+    if state is not None:
+        trace.final = state if trace.method == "classical" else ChoiMatrix(n=trace.n, m=trace.m, matrix=state)
+        trace.iterates[-1] = state if trace.method == "classical" else trace.final.matrix
     return trace
 
 
@@ -292,9 +297,13 @@ def matrix_sinkhorn(a0: np.ndarray, cfg: ScalingConfig = ScalingConfig()) -> Sca
     falls below ``cfg.tol`` or the sweep budget runs out.  Row sums are exact
     after every odd step, column sums after every even step.  The targets
     are the uniform ones: ``cfg.target_p`` or ``cfg.target_q`` set is an
-    ``UnsupportedError``.  Returns a ``classical`` :class:`ScalingTrace`.
+    ``UnsupportedError``, a nonzero imaginary part a ``DomainError``.
+    Returns a ``classical`` :class:`ScalingTrace`.
     """
-    a = np.asarray(a0, dtype=float)
+    a = np.asarray(a0)
+    if np.iscomplexobj(a) and np.any(a.imag != 0):
+        raise DomainError("matrix scaling requires real entries")
+    a = np.asarray(a.real, dtype=float)
     if a.ndim != 2:
         raise InvalidInputError(f"expected a matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)) or np.any(a <= 0):
@@ -321,8 +330,7 @@ def matrix_sinkhorn(a0: np.ndarray, cfg: ScalingConfig = ScalingConfig()) -> Sca
         return np.diag(scale)
 
     _alternate(trace, cfg, step, residual)
-    trace._final = trace.iterates[-1]
-    return trace
+    return _close(trace, cfg, trace.iterates[-1])
 
 
 def _residual(mat: np.ndarray, n: int, m: int, p: np.ndarray, q: np.ndarray) -> float:
@@ -388,7 +396,7 @@ def _new_trace(method: str, choi0: ChoiMatrix, cfg: ScalingConfig) -> tuple[Scal
     iterates = SinkhornIterates(choi0.matrix, choi0.n, choi0.m) if method == "sld" else [choi0.matrix]
     trace = ScalingTrace(
         method=method, n=choi0.n, m=choi0.m, tol=cfg.tol, target_p=p, target_q=q,
-        iterates=iterates, residuals=[choi_residual(choi0, p, q)], _final=choi0,
+        iterates=iterates, residuals=[choi_residual(choi0, p, q)], final=choi0,
     )
     return trace, p, q
 
@@ -623,14 +631,9 @@ def operator_sinkhorn_batch(
         stack.run()
     failure = stack.failure or failure
     for k in range(len(traces) if failure is None else failure[0]):
-        trace = traces[k]
-        trace.converged = trace.residuals[-1] < cfg.tol
-        if trace.factors:  # else the final iterate is the validated input
-            left, right = trace.iterates._products[-1]
-            trace._final = ChoiMatrix(n=n, m=m, matrix=congruence(chois[k].matrix, n, m, left, right))
-            # the congruence returns an exactly Hermitian array, which the
-            # ChoiMatrix holds uncopied as a read-only view: one array
-            trace.iterates[-1] = trace._final.matrix
+        # a trial that took a step ends on one congruence of its input
+        products = traces[k].iterates._products[-1]
+        _close(traces[k], cfg, congruence(chois[k].matrix, n, m, *products) if traces[k].factors else None)
     if failure is not None:
         raise failure[1]
     return traces
@@ -1007,12 +1010,7 @@ def alternating_projections(
         return dual
 
     _alternate(trace, cfg, step, lambda: _residual(point.state, n, m, p, q))
-    if trace.sweeps:  # else the final iterate is the validated input
-        trace._final = ChoiMatrix(n=n, m=m, matrix=point.state)
-        # the states are exactly Hermitian, so the ChoiMatrix holds the
-        # last one uncopied, as a read-only view: one array
-        trace.iterates[-1] = trace._final.matrix
-    return trace
+    return _close(trace, cfg, point.state if trace.sweeps else None)
 
 
 def _unit_trace_shift(w: np.ndarray) -> float:
@@ -1140,10 +1138,8 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
     point = _bkm_point(*at)[0] if method == "bkm" else at
     trace.factors += zip(sides, split(x))
     trace.residuals.append(_residual(point.state, n, m, p, q))
-    trace.converged = trace.residuals[-1] < cfg.tol
-    trace._final = ChoiMatrix(n=n, m=m, matrix=point.state)
-    trace.iterates.append(trace._final.matrix)
-    return trace
+    trace.iterates.append(point.state)
+    return _close(trace, cfg, point.state)
 
 
 def capacity_from_trace(trace: ScalingTrace) -> float:

@@ -23,6 +23,27 @@ class TestKrausMap:
         with pytest.raises(InvalidInputError):
             KrausMap(ops=(np.eye(2), np.ones((3, 2))))
 
+    def test_list_operators_are_converted(self):
+        kraus = KrausMap(ops=([[1, 0], [0, 1]], [[0, 1], [0, 0]]))
+        assert all(isinstance(op, np.ndarray) and op.dtype == complex for op in kraus.ops)
+        assert (kraus.out_dim, kraus.in_dim) == (2, 2)
+        np.testing.assert_array_equal(kraus.apply(np.eye(2)), np.diag([2.0, 1.0]))
+        assert np.array_equal(
+            channels.choi_from_kraus(kraus).matrix,
+            channels.choi_from_kraus(KrausMap(ops=(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])))).matrix,
+        )
+
+    @pytest.mark.parametrize("ops", [
+        ([[1, 0], [0]],),                # ragged
+        ([1, 0],),                       # 1-D
+        (np.eye(2), [1, 0]),             # 1-D after a matrix
+        (np.eye(2), [[1, 0], [0]]),      # ragged after a matrix
+        ([[1, 0], [0, 1]], np.ones(2)),  # 1-D array after a list
+    ])
+    def test_ragged_or_one_dimensional_operator_is_invalid(self, ops):
+        with pytest.raises(InvalidInputError):
+            KrausMap(ops=ops)
+
 
 class TestChoiFromKraus:
     def test_identity_map(self):

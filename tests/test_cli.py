@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,14 @@ import pytest
 from opsinkhorn import channels, cli, linalg, policy, scaling, serialization
 from opsinkhorn.channels import ChoiMatrix
 from opsinkhorn.cli import main
+from opsinkhorn.errors import (
+    ConvergenceError,
+    DomainError,
+    InvalidInputError,
+    ParseError,
+    SingularityError,
+    UnsupportedError,
+)
 from opsinkhorn.reference import reference_rho0
 
 
@@ -85,6 +96,15 @@ class TestScale:
         final = np.array(summary["matrix"]["re"])
         np.testing.assert_allclose(final.sum(axis=1), 0.5, atol=1e-4)
         np.testing.assert_allclose(final.sum(axis=0), 0.5, atol=1e-4)
+
+    def test_complex_matrix_payload_exits_3(self, capsys, tmp_path):
+        # the imaginary part of a matrix payload is not dropped in silence
+        path = tmp_path / "m.json"
+        a = np.array([[1.0, 2.0], [3.0, 4.0]]) / 10.0 + 1j * np.array([[0.0, 0.5], [0.0, 0.0]])
+        serialization.save_matrix(path, "matrix", a)
+        code, out, err = run_cli(capsys, "scale", str(path))
+        assert code == 3 and out == ""
+        assert "real entries" in err
 
     def test_unknown_method_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "scale", "--paper-rho0", "--method", "newton")
@@ -309,6 +329,13 @@ class TestDiffquot:
         code, _, _ = run_cli(capsys, "diffquot", "--paper-rho0", "--tag", "measured")
         assert code == 4
 
+    @pytest.mark.parametrize("tag", ["measured", "bogus"])
+    def test_one_tag_check_with_capacity_scatter(self, capsys, tag):
+        code, out, err = run_cli(capsys, "diffquot", "--paper-rho0", "--tag", tag)
+        scatter = run_cli(capsys, "capacity-scatter", "--dims", "2", "--trials", "1", "--tags", f"umegaki,{tag}")
+        assert code == scatter[0] == 4 and out == scatter[1] == ""
+        assert err == scatter[2]
+
     def test_input_error_exits_3_not_nan_rows(self, capsys):
         # the kl quotient needs a diagonal input whatever h is: an error,
         # not 36 nan rows
@@ -357,6 +384,115 @@ class TestOutOfRangeFlags:
     def test_help_returns_0(self, capsys):
         code, out, _ = run_cli(capsys, "scale", "--help")
         assert code == 0 and "--max-iters" in out
+
+
+class TestRemovedFlags:
+    """``gen`` solves nothing, and capacity needs the doubly stochastic
+    targets: the flags that could do nothing there are usage errors."""
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--tol", "1"),
+        ("gen", "--max-iters", "3"),
+        ("gen", "--target-p", "f.json"),
+        ("gen", "--target-q", "f.json"),
+        ("capacity-scatter", "--target-p", "f.json"),
+        ("capacity-scatter", "--target-q", "f.json"),
+    ])
+    def test_exits_2_from_the_parser(self, capsys, monkeypatch, argv):
+        def library_call(*args, **kwargs):
+            raise AssertionError("reached the library")
+
+        monkeypatch.setattr(scaling, "operator_sinkhorn_batch", library_call)
+        monkeypatch.setattr(cli, "random_choi", library_call)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {argv[1]}" in err
+
+
+def subparsers() -> dict:
+    parser = cli.build_parser()
+    return next(action.choices for action in parser._actions if action.dest == "command")
+
+
+class TestSharedFlags:
+    # input and solve flags: one definition for scale, compare and diffquot
+    SHARED = {"input", "paper_rho0", "dims", "seed", "out", "real", "tol", "max_iters", "target_p", "target_q"}
+
+    @staticmethod
+    def flags(sub) -> dict:
+        return {
+            action.dest: (tuple(action.option_strings), action.help, action.default, action.nargs, action.type)
+            for action in sub._actions
+            if action.dest != "help"
+        }
+
+    def test_solving_subcommands_share_one_definition(self):
+        subs = subparsers()
+        shared = [{dest: v for dest, v in self.flags(subs[name]).items() if dest in self.SHARED}
+                  for name in ("scale", "compare", "diffquot")]
+        assert set(shared[0]) == self.SHARED
+        assert shared[0] == shared[1] == shared[2]
+        assert shared[0]["dims"][1] == (
+            "block structure of a density input; with no input, of a random seeded instance"
+        )
+
+    def test_budget_and_output_flags_of_the_others(self):
+        subs = subparsers()
+        scatter, gen = self.flags(subs["capacity-scatter"]), self.flags(subs["gen"])
+        scale = self.flags(subs["scale"])
+        assert {"target_p", "target_q"} & (set(scatter) | set(gen)) == set()
+        assert {"tol", "max_iters"} & set(gen) == set()
+        for dest in ("seed", "out", "real", "tol", "max_iters"):
+            assert scatter[dest] == scale[dest]
+        for dest in ("seed", "out", "real"):
+            assert gen[dest] == scale[dest]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [
+        (ParseError, 2), (InvalidInputError, 3), (DomainError, 3), (SingularityError, 3),
+        (UnsupportedError, 4), (ConvergenceError, 5),
+    ])
+    def test_each_error_type_has_its_code(self, capsys, monkeypatch, error, code):
+        def fail(*args, **kwargs):
+            raise error("raised on purpose")
+
+        monkeypatch.setattr(cli, "random_choi", fail)
+        got, out, err = run_cli(capsys, "gen")
+        assert got == code and out == "" and err == "error: raised on purpose\n"
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise KeyError("a bug")
+
+        monkeypatch.setattr(cli, "random_choi", fail)
+        with pytest.raises(KeyError):
+            main(["gen"])
+
+
+class TestReadmeExamples:
+    """Every ``opsinkhorn`` line of the README's command-line examples is a
+    command line the parser accepts (parsed only, never run)."""
+
+    @staticmethod
+    def readme_commands() -> list[list[str]]:
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        commands = []
+        for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M):
+            for line in block.splitlines():
+                line = line.split("#", 1)[0].strip()
+                if line.startswith("opsinkhorn "):
+                    commands.append(shlex.split(line)[1:])
+        return commands
+
+    def test_every_subcommand_is_shown(self):
+        assert {argv[0] for argv in self.readme_commands()} == set(subparsers())
+
+    def test_examples_parse(self):
+        parser = cli.build_parser()
+        for argv in self.readme_commands():
+            args = parser.parse_args(argv)
+            assert args.command == argv[0] and callable(args.func)
 
 
 class TestCapacityScatter:

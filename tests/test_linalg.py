@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opsinkhorn import channels, linalg
+from opsinkhorn import channels, linalg, policy
 from opsinkhorn.errors import DomainError, InvalidInputError, SingularityError
 
 import oracles
@@ -142,6 +142,19 @@ class TestAsHermitian:
         assert np.array_equal(got, linalg.hermitian_part(before))
         assert np.array_equal(got, got.conj().T)
         assert np.array_equal(a, before)
+
+    def test_tolerance_is_the_policy_alone(self):
+        a = np.diag([1.0, 2.0]).astype(complex)
+        a[0, 1] = 1e-6
+        with pytest.raises(TypeError):
+            linalg.as_hermitian(a, atol=1e-3)
+        with pytest.raises(InvalidInputError, match="not Hermitian"):
+            linalg.as_hermitian(a)
+        previous = policy.set_policy(policy.relaxed(hermitian_atol=1e-3))
+        try:
+            assert np.array_equal(linalg.as_hermitian(a), linalg.hermitian_part(a))
+        finally:
+            policy.set_policy(previous)
 
     def test_real_input_converts_to_a_new_complex_array(self):
         a = np.diag([1.0, 2.0])

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -106,6 +107,18 @@ class TestMatrixSinkhorn:
         with pytest.raises(DomainError):
             scaling.matrix_sinkhorn(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
+    def test_rejects_a_nonzero_imaginary_part(self):
+        # a complex array with zero imaginary part is its real part; any
+        # other must not lose its imaginary part without a word
+        a = random_positive_matrix(2, 2, 6)
+        complex_trace = scaling.matrix_sinkhorn(a.astype(complex))
+        assert complex_trace.final.dtype == float
+        assert np.array_equal(complex_trace.final, scaling.matrix_sinkhorn(a).final)
+        b = a.astype(complex)
+        b[0, 1] += 0.5j
+        with pytest.raises(DomainError, match="real entries"):
+            scaling.matrix_sinkhorn(b)
+
     @pytest.mark.parametrize("field", ["target_p", "target_q"])
     def test_rejects_marginal_targets(self, field):
         # classical scaling has uniform targets only; a target must not be
@@ -124,6 +137,10 @@ class TestMatrixSinkhorn:
         np.testing.assert_array_equal(trace.target_q, np.eye(3) / 3)
         assert trace.final is trace.iterates[-1] and trace.final.shape == (2, 3)
         assert not trace.preprocessed and trace.capacity_log == 0.0
+        # a zero-step run ends on its validated input, a copy of the array
+        still = scaling.matrix_sinkhorn(a, scaling.ScalingConfig(max_iters=0))
+        assert still.final is still.iterates[0] and len(still.iterates) == 1 and not still.converged
+        assert np.array_equal(still.final, a) and not np.shares_memory(still.final, a)
 
 
 class TestOperatorSinkhornStep:
@@ -241,6 +258,47 @@ class TestOperatorSinkhorn:
 
 
 class TestTraceFinal:
+    def test_final_is_a_field(self):
+        assert "final" in {f.name for f in dataclasses.fields(scaling.ScalingTrace)}
+        assert not isinstance(vars(scaling.ScalingTrace).get("final"), property)
+
+    def test_every_run_ends_in_close(self, monkeypatch):
+        # one end per trace, whatever the solver: _close sets converged and
+        # the final
+        closed = []
+        close = scaling._close
+        monkeypatch.setattr(
+            scaling, "_close", lambda trace, cfg, state=None: closed.append(id(trace)) or close(trace, cfg, state)
+        )
+        choi = channels.random_choi(2, 3, np.random.default_rng(39))
+        budget = scaling.ScalingConfig(max_iters=5)
+        runs = [
+            scaling.matrix_sinkhorn(random_positive_matrix(2, 3, 39)),
+            *scaling.operator_sinkhorn_batch([choi] * 3),
+            scaling.alternating_projections("bkm", choi),
+            scaling.alternating_projections("burg", choi, budget),
+            scaling.joint_limit("bkm", choi),
+            scaling.joint_limit("burg", choi),
+        ]
+        assert closed == [id(trace) for trace in runs]
+
+    @pytest.mark.parametrize("max_iters", [0, 5])
+    def test_batch_finals(self, max_iters):
+        # one trial at the general targets takes no step; the other two
+        # move, with a zero budget by the preprocessing step alone
+        rng = np.random.default_rng(38)
+        p, q = channels.random_density(3, rng), channels.random_density(2, rng)
+        feasible = ChoiMatrix(n=2, m=3, matrix=np.kron(q, p))
+        chois = [channels.random_choi(2, 3, rng), feasible, channels.random_choi(2, 3, rng)]
+        cfg = scaling.ScalingConfig(max_iters=max_iters, target_p=p, target_q=q)
+        batch = scaling.operator_sinkhorn_batch(chois, cfg)
+        assert batch[1].final is feasible and batch[1].iterates[-1] is feasible.matrix and batch[1].converged
+        for choi, trace in zip(chois[::2], batch[::2]):
+            assert trace.preprocessed and trace.sweeps <= max_iters and trace.final is not choi
+            assert isinstance(trace.final, ChoiMatrix) and trace.final.matrix is trace.iterates[-1]
+            assert not trace.final.matrix.flags.writeable
+            assert trace.converged is (max_iters > 0)
+
     @pytest.mark.parametrize("method", scaling.METHODS)
     @pytest.mark.parametrize("feasible", [False, True])
     def test_reads_run_no_eigensolver(self, method, feasible, monkeypatch):
@@ -258,6 +316,8 @@ class TestTraceFinal:
         first = trace.final
         assert trace.final is first and calls == []
         assert np.array_equal(first.matrix, trace.iterates[-1])
+        # an input at the targets takes no step and is its own final
+        assert (trace.final is choi) is feasible and trace.converged
 
     @pytest.mark.parametrize("method", scaling.METHODS)
     def test_trace_holds_the_input_and_the_final_uncopied(self, method):
@@ -267,12 +327,19 @@ class TestTraceFinal:
         assert np.shares_memory(trace.iterates[0], mat) and not trace.iterates[0].flags.writeable
         assert trace.final.matrix is trace.iterates[-1]
         assert not trace.final.matrix.flags.writeable
+        # a zero budget takes no step: the final is the validated input
+        still = scaling.alternating_projections(method, choi, scaling.ScalingConfig(max_iters=0))
+        assert still.sweeps == 0 and not still.factors and not still.converged
+        assert still.final is choi and len(still.iterates) == 1 and still.iterates[-1] is choi.matrix
 
     def test_joint_limit_final_is_its_last_iterate(self):
-        choi = channels.random_choi(2, 3, np.random.default_rng(34))
-        for method in ("bkm", "burg"):
-            trace = scaling.joint_limit(method, choi)
-            assert trace.iterates[0] is choi.matrix and trace.final.matrix is trace.iterates[-1]
+        # the solve always ends on the limit it formed, after zero Newton
+        # steps too (on an input already at the limit)
+        for choi in (channels.random_choi(2, 3, np.random.default_rng(34)), ChoiMatrix(n=2, m=3, matrix=np.eye(6) / 6)):
+            for method in ("bkm", "burg"):
+                trace = scaling.joint_limit(method, choi)
+                assert trace.iterates[0] is choi.matrix and trace.final.matrix is trace.iterates[-1]
+                assert len(trace.iterates) == 2 and not trace.final.matrix.flags.writeable and trace.converged
 
 
 def reference_sinkhorn(choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> dict:

@@ -15,13 +15,14 @@ distinction never leaks into them.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInputError
+from .errors import ConvergenceError, InvalidInputError
 from .policy import get_policy
 
 __all__ = [
@@ -134,6 +135,33 @@ class ChoiMatrix:
                 ) from None
         object.__setattr__(self, "matrix", linalg._read_only(mat))
 
+    @classmethod
+    def _trusted(cls, n: int, m: int, mat: np.ndarray, what: str) -> ChoiMatrix:
+        """The Choi matrix of a solver's final ``mat``, checked for shape
+        and finiteness only; ``scaling._close`` is the one caller.
+
+        Every final is exactly Hermitian and PSD by construction (a
+        congruence of a validated input by positive definite factors, a
+        Gibbs state, the inverse of a resolvent that passed the cone test,
+        each ending in ``linalg.hermitian_part``), so the Hermiticity pass
+        and the Cholesky of the public constructor are skipped;
+        ``tests/test_scaling.py::TestTrustedFinals`` shows every final
+        passes them.  A final that is not finite is an overflow of the run
+        ``what`` names, a ``ConvergenceError``.
+        """
+        if mat.shape != (n * m, n * m):
+            raise InvalidInputError(f"{what} final of shape {mat.shape} inconsistent with n={n}, m={m}")
+        # a non-finite entry makes the sum non-finite, so only then is each
+        # entry tested
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(mat, axis=None)
+        if not cmath.isfinite(total) and not np.isfinite(mat).all():
+            raise ConvergenceError(f"{what} overflowed: its final iterate is not finite")
+        choi = object.__new__(cls)
+        for name, value in (("n", n), ("m", m), ("matrix", linalg._read_only(mat))):
+            object.__setattr__(choi, name, value)
+        return choi
+
     @property
     def dim(self) -> int:
         return self.n * self.m
@@ -222,7 +250,9 @@ def congruence(
     Nothing is validated here: callers check M and the factors at their
     boundary (``scale_choi``, ``scaling.operator_sinkhorn``).  For Hermitian
     PSD M the result is a congruence, PSD by construction; the closing
-    symmetrization keeps it exactly Hermitian.
+    symmetrization keeps it exactly Hermitian.  That is why the operator
+    Sinkhorn loop checks the final it forms here for shape and finiteness
+    only (``ChoiMatrix._trusted``).
     """
     d = n * m
     if left is not None:
@@ -239,8 +269,9 @@ def scale_choi(choi: ChoiMatrix, left: np.ndarray, right: np.ndarray) -> ChoiMat
     For Hermitian L (m x m) and R (n x n) this is the congruence
     (R kron L) CH(Phi) (R kron L), applied blockwise by :func:`congruence`.
     The factors are checked Hermitian and of the right shapes here, and the
-    result is validated as a :class:`ChoiMatrix`; the Sinkhorn loop calls the
-    kernel on plain arrays instead and validates only its final iterate.
+    result is validated as a :class:`ChoiMatrix`, Cholesky included; the
+    Sinkhorn loop calls the kernel on plain arrays instead and checks only
+    its final iterate, for shape and finiteness.
     """
     left = linalg.as_hermitian(left, what="left scaling factor")
     right = linalg.as_hermitian(right, what="right scaling factor")

@@ -121,16 +121,36 @@ def _config(args) -> scaling.ScalingConfig:
     )
 
 
-def _load_input_choi(args, loaded=None) -> ChoiMatrix:
-    if args.paper_rho0:
-        return reference_rho0()
+def _load_input(args):
+    """The input file's ``(kind, matrix, n, m)``, or None when no file is
+    given.  A file together with ``--paper-rho0`` is a usage error."""
     if args.input is None:
+        return None
+    if args.paper_rho0:
+        raise ParseError("give an input file or --paper-rho0, not both")
+    return serialization.load_matrix(args.input)
+
+
+def _check_dims(args, n: int, m: int, what: str) -> None:
+    """A ``--dims`` other than the block shape ``(n, m)`` of ``what`` is a
+    usage error."""
+    if args.dims and tuple(args.dims) != (n, m):
+        raise ParseError(f"--dims {args.dims[0]} {args.dims[1]} contradicts the block shape ({n}, {m}) of {what}")
+
+
+def _load_input_choi(args, loaded=None) -> ChoiMatrix:
+    loaded = loaded or _load_input(args)
+    if loaded is None:
+        if args.paper_rho0:
+            _check_dims(args, REFERENCE_N, REFERENCE_M, "the reference input")
+            return reference_rho0()
         if args.dims:
             n, m = args.dims
             return random_choi(n, m, np.random.default_rng(args.seed), real=args.real)
         raise ParseError("no input: give a file, --paper-rho0, or --dims")
-    kind, matrix, n, m = loaded if loaded is not None else serialization.load_matrix(args.input)
+    kind, matrix, n, m = loaded
     if kind == "choi":
+        _check_dims(args, n, m, "the choi payload")
         return ChoiMatrix(n=n, m=m, matrix=matrix)
     if kind == "density":
         if not args.dims:
@@ -168,10 +188,10 @@ def cmd_scale(args) -> int:
     cfg = _config(args)
     if args.method not in scaling.METHODS:
         raise UnsupportedError(f"unknown method {args.method!r}; expected one of {scaling.METHODS}")
-    loaded = None
-    if args.input is not None and not args.paper_rho0:
-        loaded = serialization.load_matrix(args.input)
+    loaded = _load_input(args)
     if loaded is not None and loaded[0] == "matrix":
+        if args.dims:
+            raise ParseError("--dims does not apply to a matrix payload: its shape is its own")
         if args.method != "sld":
             raise UnsupportedError("matrix payloads support the sld (Sinkhorn) method only")
         flags = [flag for flag, path in (("--target-p", args.target_p), ("--target-q", args.target_q))

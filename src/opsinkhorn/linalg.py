@@ -14,8 +14,9 @@ its caller.  The operator Sinkhorn loop forms no ``mn x mn`` iterate while
 it iterates: it takes each marginal from a permuted copy of the input and
 the factor products, and forms the final iterate once by
 ``channels.congruence``, applied blockwise on the (n, m, n, m) view without
-checks; it validates its input once at entry and that final iterate once
-before returning.  The BKM and Burg alternations likewise check their input
+checks; it validates its input once at entry and checks that final
+iterate, PSD by construction, for shape and finiteness only before
+returning.  The BKM and Burg alternations likewise check their input
 once (``assert_positive_definite``) and take one ``logm`` or ``invm`` of it
 at entry; from there they carry that e-coordinate and its
 ``numpy.linalg.eigh`` spectrum through the projections, so no matrix

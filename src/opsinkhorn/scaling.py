@@ -61,14 +61,21 @@ whose step fails (a singular marginal, or factor products that overflow,
 which is a ``ConvergenceError``) leaves the stack with every later trial,
 and the batch raises the error of its lowest failing trial.
 
-Every driver validates at its boundary only: the input once at entry (a
-Choi matrix with unit trace; positive definite for ``bkm`` and ``burg``)
-and the final iterate once, as a :class:`ChoiMatrix`, in :func:`_close`; a
-batch does both per trial.  In between the loops run on plain arrays:
-operator Sinkhorn on the marginals and factors, the other two through the
-array-level projections ``_bkm_project`` and ``_burg_project``.  The public
-single-step functions (``_sld_step`` behind :func:`operator_sinkhorn_step`)
-carry their own checks.
+Every driver validates its input at its boundary only, once at entry (a
+Choi matrix with unit trace; positive definite for ``bkm`` and ``burg``).
+Its final iterate is exactly Hermitian and PSD by construction (a
+congruence by positive definite factors, a Gibbs state, the inverse of a
+resolvent that passed the cone test, each ending in
+``linalg.hermitian_part``), so :func:`_close` checks it for shape and
+finiteness only (``ChoiMatrix._trusted``): a non-finite final is an
+overflow, a ``ConvergenceError``.  ``TestTrustedFinals`` in
+``tests/test_scaling.py`` shows that finals pass the full public check
+all the same.  A batch checks each trial's input and final.  In between
+the loops run on plain arrays: operator Sinkhorn on the marginals and
+factors, the other two through the array-level projections
+``_bkm_project`` and ``_burg_project``.  The public single-step functions
+(``_sld_step`` behind :func:`operator_sinkhorn_step`) carry their own
+checks.
 
 A run is summarized by a :class:`ScalingTrace` which records the iterates,
 the scaling factors, the per-sweep stopping-criterion residuals
@@ -230,8 +237,9 @@ class ScalingTrace:
     list of arrays for ``bkm``, ``burg`` and ``classical``, a
     :class:`SinkhornIterates` for ``sld``, where reading an intermediate
     iterate costs one congruence.  ``final`` is the last iterate as a
-    validated :class:`ChoiMatrix`: the input after a run that took no step,
-    else the one :func:`_close` validated, whose ``matrix`` is
+    :class:`ChoiMatrix`: the validated input after a run that took no step,
+    else the one :func:`_close` built, checked for shape and finiteness
+    only (Hermitian and PSD by construction), whose ``matrix`` is
     ``iterates[-1]``.  A ``classical`` trace (from
     :func:`matrix_sinkhorn`) holds m x n arrays instead: ``n`` and ``m``
     are their column and row counts, as in the diagonal Choi embedding,
@@ -279,13 +287,16 @@ def _alternate(
 
 def _close(trace: ScalingTrace, cfg: ScalingConfig, state: np.ndarray | None = None) -> ScalingTrace:
     """The end of every run: ``converged`` from the last residual and, for a
-    run that moved, the final ``state``, validated once as a
-    :class:`ChoiMatrix` (a ``classical`` array as it is), whose read-only
-    view of the exactly Hermitian state becomes ``iterates[-1]``."""
+    run that moved, the final ``state`` (a ``classical`` array as it is).
+    A Choi final is exactly Hermitian and PSD by construction, so it is
+    checked for shape and finiteness only (``ChoiMatrix._trusted``; a
+    non-finite final is a ``ConvergenceError``), and its read-only view
+    becomes ``iterates[-1]``."""
     trace.converged = trace.residuals[-1] < cfg.tol
     if state is not None:
-        trace.final = state if trace.method == "classical" else ChoiMatrix(n=trace.n, m=trace.m, matrix=state)
-        trace.iterates[-1] = state if trace.method == "classical" else trace.final.matrix
+        classical = trace.method == "classical"
+        trace.final = state if classical else ChoiMatrix._trusted(trace.n, trace.m, state, f"{trace.method} run")
+        trace.iterates[-1] = state if classical else trace.final.matrix
     return trace
 
 
@@ -608,8 +619,9 @@ def operator_sinkhorn_batch(
     spectrum.  A marginal that is not finite, because the factor products
     overflowed, is a ``ConvergenceError`` naming the sweep.  Each final
     iterate (R kron L) rho0 (R kron L)^dagger is formed once, by one
-    congruence, and validated as a :class:`ChoiMatrix`; ``trace.iterates``
-    rebuilds the ones in between on read (:class:`SinkhornIterates`).
+    congruence, PSD by construction and checked for shape and finiteness
+    only (:func:`_close`); ``trace.iterates`` rebuilds the ones in between
+    on read (:class:`SinkhornIterates`).
     """
     chois = list(chois)
     shapes = sorted({(choi.n, choi.m) for choi in chois})
@@ -993,8 +1005,8 @@ def alternating_projections(
     or rho^{-1}.  The loop then carries that coordinate with its spectrum
     from one projection to the next on plain arrays, since each projection
     moves it by lift(A) and its last Newton evaluation already holds the
-    projected point's spectrum.  Only the final iterate is validated as a
-    :class:`ChoiMatrix`.
+    projected point's spectrum.  The final iterate, PSD by construction, is
+    checked for shape and finiteness only (:func:`_close`).
     """
     if method == "sld":
         return operator_sinkhorn(choi0, cfg)
@@ -1068,11 +1080,12 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
 
     ``sld`` raises ``UnsupportedError``: that geometry is not dually flat,
     and operator Sinkhorn has no such joint dual.  The input is checked once
-    (positive definite, unit trace) and the limit validated once as a
-    :class:`ChoiMatrix`.  The returned trace has ``iterates`` [rho0, limit],
-    ``factors`` [("first", A), ("second", B)], ``residuals`` the initial and
-    final stopping criterion, ``sweeps`` the number of Newton steps taken,
-    and ``converged`` whether the final residual is below ``cfg.tol``.
+    (positive definite, unit trace); the limit, PSD by construction, is
+    checked for shape and finiteness only (:func:`_close`).  The returned
+    trace has ``iterates`` [rho0, limit], ``factors`` [("first", A),
+    ("second", B)], ``residuals`` the initial and final stopping criterion,
+    ``sweeps`` the number of Newton steps taken, and ``converged`` whether
+    the final residual is below ``cfg.tol``.
     """
     if method == "sld":
         raise UnsupportedError("the sld geometry is not dually flat: it has no joint limit solve")

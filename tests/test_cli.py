@@ -191,6 +191,52 @@ class TestScale:
         assert code == 5
 
 
+    def test_overflowed_final_exits_5(self, capsys, monkeypatch):
+        # a final that is not finite is an overflow, not an output
+        monkeypatch.setattr(scaling, "congruence", lambda mat, *args: np.full(np.shape(mat), np.inf + 0j))
+        code, out, err = run_cli(capsys, "scale", "--paper-rho0")
+        assert code == 5 and out == ""
+        assert "sld run overflowed" in err
+
+
+class TestContradictoryInput:
+    """An input given twice in ways that disagree is a usage error (exit 2)
+    before anything is solved, not a silent choice of one of them."""
+
+    @pytest.fixture
+    def choi_file(self, capsys, tmp_path):
+        path = tmp_path / "inst22.json"
+        assert run_cli(capsys, "gen", "--dims", "2", "2", "--seed", "3", "--out", str(path))[0] == 0
+        return path
+
+    @pytest.mark.parametrize("command", ["scale", "compare", "diffquot"])
+    def test_file_and_paper_rho0(self, capsys, choi_file, command):
+        code, out, err = run_cli(capsys, command, str(choi_file), "--paper-rho0")
+        assert code == 2 and out == ""
+        assert "--paper-rho0" in err
+
+    @pytest.mark.parametrize("command", ["scale", "compare", "diffquot"])
+    @pytest.mark.parametrize("source", ["file", "--paper-rho0"])
+    def test_dims_against_a_choi_input(self, capsys, choi_file, command, source):
+        given = str(choi_file) if source == "file" else source
+        code, out, err = run_cli(capsys, command, given, "--dims", "2", "3")
+        assert code == 2 and out == ""
+        assert "--dims 2 3 contradicts the block shape (2, 2)" in err
+        # a --dims that agrees is no contradiction
+        code, out, _ = run_cli(capsys, command, given, "--dims", "2", "2", "--max-iters", "3")
+        assert code == 0 and out
+
+    def test_dims_with_a_matrix_payload(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        run_cli(capsys, "gen", "--dims", "2", "3", "--kind", "matrix", "--seed", "1", "--out", str(path))
+        for dims in (("2", "3"), ("3", "2")):
+            code, out, err = run_cli(capsys, "scale", str(path), "--dims", *dims)
+            assert code == 2 and out == ""
+            assert "--dims does not apply to a matrix payload" in err
+        code, out, _ = run_cli(capsys, "scale", str(path), "--paper-rho0")
+        assert code == 2 and out == ""
+
+
 class TestCompare:
     def test_reference_outputs_distinct(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--paper-rho0")

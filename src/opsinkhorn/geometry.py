@@ -198,7 +198,7 @@ def e_geodesic(tag: str, rho1: np.ndarray, rho2: np.ndarray, t: float) -> np.nda
     elif tag == "congruence":
         resolvent = (1.0 - t) * linalg.invm(rho1) + t * linalg.invm(rho2)
         w = np.linalg.eigvalsh(linalg.hermitian_part(resolvent))
-        if w[0] <= get_policy().pd_rel_floor * max(abs(w[-1]), np.finfo(float).tiny):
+        if not linalg._positive_definite(w):
             raise SingularityError(f"congruence geodesic leaves the cone at t={t}")
         curve = linalg.invm(linalg.hermitian_part(resolvent))
     else:

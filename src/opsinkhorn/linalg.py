@@ -210,23 +210,32 @@ def invm(a: np.ndarray) -> np.ndarray:
     return matrix_function(a, "inverse")
 
 
+def _positive_definite(w: np.ndarray) -> bool | np.ndarray:
+    """The cone test of the package on an ascending spectrum ``w``, or on
+    each row of a stack of them: min eig > floor * max(max eig, tiny), with
+    the policy's ``pd_rel_floor``.  A spectrum on the boundary, min eig =
+    floor * max eig, is outside.  One spectrum gives a bool, read off two
+    scalars; a stack gives an array of them."""
+    floor = get_policy().pd_rel_floor
+    if w.ndim == 1:
+        return bool(w[0] > floor * max(w[-1], _TINY))
+    return w[..., 0] > floor * np.maximum(w[..., -1], _TINY)
+
+
 def _check_positive_definite(w: np.ndarray, what: str) -> None:
     """Raise ``SingularityError`` unless the ascending spectrum ``w``, or
-    every row of a stack of them, is positive definite under the policy
-    floor: min eig > floor * max eig.  For a stack, the message gives the
-    first failing spectrum's minimum."""
-    floor = get_policy().pd_rel_floor
-    for low, high in w[..., [0, -1]].reshape(-1, 2).tolist():
-        if not low > floor * max(high, _TINY):
-            raise SingularityError(f"{what} is not positive definite (min eigenvalue {low:.3e})")
+    every row of a stack of them, passes :func:`_positive_definite`.  For a
+    stack, the message gives the first failing spectrum's minimum."""
+    ok = _positive_definite(w)
+    if not (ok if w.ndim == 1 else ok.all()):
+        low = np.ravel(w[..., 0])[~np.ravel(ok)][0]
+        raise SingularityError(f"{what} is not positive definite (min eigenvalue {low:.3e})")
 
 
 def is_positive_definite(a: np.ndarray) -> bool | np.ndarray:
-    """Positive definite under the policy floor: min eig > floor * max eig.
+    """Positive definite under the policy floor (:func:`_positive_definite`).
     A stack gives one bool per matrix."""
-    w = np.linalg.eigvalsh(as_hermitian(a))
-    ok = w[..., 0] > get_policy().pd_rel_floor * np.maximum(w[..., -1], _TINY)
-    return bool(ok) if ok.ndim == 0 else ok
+    return _positive_definite(np.linalg.eigvalsh(as_hermitian(a)))
 
 
 def assert_positive_definite(a: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -16,10 +16,19 @@ entropy (``bkm``) and the Burg divergence (``burg``) over the same constraint
 sets; they are dually-flat e-projections with closed dual characterizations,
 each solved here by damped Newton with a closed-form Jacobian: the
 Daleckii-Krein form of the matrix exponential for BKM and the resolvent
-identity, written blockwise, for Burg.  Each projection is a straight move
-in that geometry's e-coordinate (the normalized log rho for BKM, rho^{-1}
-for Burg), so the alternation carries the coordinate and its spectrum from
-one projection to the next instead of re-deriving it from every iterate.
+identity, written blockwise, for Burg.  Newton runs on the d^2 real
+coordinates x of the Hermitian d x d dual, A = reshape(U x), with U the
+unitary whose columns are the Frobenius-orthonormal Hermitian basis
+(:class:`_Frame`, built once per run).  The gradient is the coordinates of
+the marginal mismatch, the Hessian the closed form taken to coordinates as
+Re(U^dagger H U), and the Newton system is real symmetric, positive
+definite once the gauge terms on the identity's coordinates are added: one
+float64 solve per step, and no Hermitian part of a step to take.  The lift
+coord +- lift(A) is one copy and one indexed add of precomputed rows of U.
+Each projection is a straight move in that geometry's e-coordinate (the
+normalized log rho for BKM, rho^{-1} for Burg), so the alternation carries
+the coordinate and its spectrum from one projection to the next instead of
+re-deriving it from every iterate.
 Both geometries are dually flat, so the limit of either alternation is also
 the minimizer of one convex dual in both dual variables at once;
 :func:`joint_limit` finds it by damped Newton on that joint dual, in a few
@@ -28,7 +37,9 @@ steps where the Burg alternation needs hundreds or thousands of sweeps.
 A BKM Newton evaluation is one ``eigh`` of the lifted coordinate: the
 marginal is read off its spectrum, and the state exp(coord) / Z is formed
 only for the point a projection returns.  Each Newton direction contracts
-the eigenvectors by one matrix product.
+the eigenvectors by one matrix product.  A Burg direction takes its
+Jacobian, sum_ij R_ij kron R_ji^T over the blocks of the resolvent R, as
+one Gram product of a reshape of R.
 
 Every scheme is one alternation of e-projections onto the two marginal
 sets, and only the projection differs, so one stop rule, :func:`_running`,
@@ -39,7 +50,8 @@ solve too.  One sweep loop, :func:`_alternate`, runs classical Sinkhorn
 in its per-side step and its residual.  Operator Sinkhorn sweeps a stack of
 trials instead (below).  Likewise one damped-Newton loop, :func:`_newton`,
 runs the BKM and Burg projections and the joint limit solve, each with its
-own evaluation and Newton direction.
+own evaluation and Newton direction, and names the solve in its errors (the
+side and sweep of an alternation's projection).
 
 Operator Sinkhorn runs on the factors instead of the iterate: after k steps
 the iterate is (R kron L) rho0 (R kron L)^dagger, the Choi matrix of the
@@ -658,32 +670,99 @@ def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -
     return operator_sinkhorn_batch([choi0], cfg)[0]
 
 
-def _plus_lift(base: np.ndarray, a: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
-    """base + I_n kron a (side "first") or base + a kron I_m (side "second"),
-    added on the (n, m, n, m) block view instead of through a Kronecker
-    product."""
+class _Frame(NamedTuple):
+    """Real coordinates of the Hermitian d x d duals lifted on ``side`` of
+    an n x m block shape (d = m for "first", n for "second").
+
+    A dual is A = reshape(U x) for x in R^{d^2}, with ``basis`` U the
+    d^2 x d^2 unitary whose columns are the row-major vec of the
+    Frobenius-orthonormal Hermitian basis E_ii, (E_ij + E_ji) / sqrt 2 and
+    i (E_ji - E_ij) / sqrt 2 (i < j), and ``adjoint`` U^dagger: the
+    coordinates of a Hermitian M are Re(U^dagger vec M), and of any square M
+    those of its Hermitian part.  ``flat`` holds the flat indices of the
+    entries that lift(A) (I_n kron A, or A kron I_m) sets in an mn x mn
+    matrix and ``rows`` the rows of U that give them, so lift(A) there is
+    ``rows @ x``.  ``eye`` holds the coordinates e of I_d, ones on the E_ii,
+    and ``gauge`` is e e^T / d, the projector onto them."""
+
+    n: int
+    m: int
+    side: str
+    basis: np.ndarray
+    adjoint: np.ndarray
+    flat: np.ndarray
+    rows: np.ndarray
+    eye: np.ndarray
+    gauge: np.ndarray
+
+
+def _frame(n: int, m: int, side: str) -> _Frame:
+    """The :class:`_Frame` of ``side`` of an n x m block shape: O(d^4) work,
+    built once per run.  The basis runs E_ii first, then for each i < j
+    (E_ij + E_ji) / sqrt 2 and i (E_ji - E_ij) / sqrt 2."""
+    d, dim, s = (m if side == "first" else n), n * m, math.sqrt(0.5)
+    basis = np.zeros((d, d, d * d), dtype=complex)
+    k = d
+    for i in range(d):
+        basis[i, i, i] = 1.0
+        for j in range(i + 1, d):
+            basis[i, j, k] = basis[j, i, k] = s
+            basis[j, i, k + 1], basis[i, j, k + 1] = 1j * s, -1j * s
+            k += 2
+    basis = basis.reshape(d * d, d * d)
+    if side == "first":  # (I_n kron A)[(i, a), (i, b)] = A[a, b]
+        i, a, b = np.arange(n)[:, None, None], np.arange(m)[:, None], np.arange(m)
+        flat, entry = (i * m + a) * dim + i * m + b, np.broadcast_to(a * m + b, (n, m, m))
+    else:  # (B kron I_m)[(i, a), (j, a)] = B[i, j]
+        i, j, a = np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(m)
+        flat, entry = (i * m + a) * dim + j * m + a, np.broadcast_to(i * n + j, (n, n, m))
+    eye = np.zeros(d * d)
+    eye[:d] = 1.0
+    rows = basis[entry.reshape(-1)]
+    return _Frame(n, m, side, basis, basis.conj().T, flat.reshape(-1), rows, eye, np.outer(eye, eye) / d)
+
+
+def _lifted(base: np.ndarray, frame: _Frame, x: np.ndarray) -> np.ndarray:
+    """base + lift(A) for the dual A with coordinates ``x``: one copy and
+    one indexed add."""
     out = base.copy()
-    blocks = out.reshape(n, m, n, m)
-    if side == "first":
-        diag = np.arange(n)
-        blocks[diag, :, diag, :] += a
-    else:
-        diag = np.arange(m)
-        blocks[:, diag, :, diag] += a
+    out.reshape(-1)[frame.flat] += frame.rows @ x
     return out
 
 
-# d tr_side(R lift(B) R) / dB on the (n, m, n, m) block view of R, indexed
-# (row of the marginal, column of the marginal, row of B, column of B)
-_BURG_JACOBIAN = {"first": "icja,jbid->cdab", "second": "iajb,lbka->ikjl"}
+def _coordinates(frame: _Frame, mat: np.ndarray) -> np.ndarray:
+    """The real coordinates of the Hermitian part of the d x d ``mat``."""
+    return (frame.adjoint @ mat.reshape(-1)).real
+
+
+def _dual(frame: _Frame, x: np.ndarray) -> np.ndarray:
+    """The Hermitian d x d dual with coordinates ``x``."""
+    d = frame.m if frame.side == "first" else frame.n
+    return (frame.basis @ x).reshape(d, d)
+
+
+def _real_form(adjoint: np.ndarray, jac: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Re(U^dagger jac U): a complex Jacobian on row-major vec of a map that
+    takes Hermitian matrices to Hermitian ones, as the real symmetric matrix
+    it is on real coordinates."""
+    return (adjoint @ jac @ basis).real
 
 
 def _burg_jacobian(r: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
     """Jacobian of B -> tr_side(R lift(B) R) as a d^2 x d^2 complex matrix
-    acting on row-major vec(B)."""
-    d = m if side == "first" else n
+    acting on row-major vec(B): sum_ij R_ij kron R_ji^T over the m x m
+    blocks R_ij of R for side "first", and the same over the n x n matrices
+    R[:, a, :, b] for side "second".  Since R is Hermitian, it is one Gram
+    product X X^dagger, with X[(c, a), (i, j)] = R[(i, c), (j, a)] for
+    "first" and X[(i, j), (a, b)] = R[(i, a), (j, b)] for "second", moved
+    from ((row, column), (row', column')) to ((row, row'), (column,
+    column'))."""
     blocks = r.reshape(n, m, n, m)
-    return np.einsum(_BURG_JACOBIAN[side], blocks, blocks).reshape(d * d, d * d)
+    if side == "first":
+        d, x = m, blocks.transpose(1, 3, 0, 2).reshape(m * m, n * n)
+    else:
+        d, x = n, blocks.transpose(0, 2, 1, 3).reshape(n * n, m * m)
+    return (x @ x.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def _burg_hessian(r: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -720,15 +799,17 @@ def _bkm_hessian(
 ) -> np.ndarray:
     """Jacobian of the marginals on ``sides`` of exp(H) / tr exp(H) in the
     dual variables lifted on those sides, H = log rho0 + the lifts, at the
-    point with spectrum H = v diag(w) v^dagger and those ``marginals``: the
+    point with spectrum H - log tr exp(H) = v diag(w) v^dagger (so that
+    sum exp(w) = 1) and those ``marginals``: the
     Hessian of the BKM dual, acting on row-major vec(A) (one side, for
     :func:`_bkm_project`) or (vec A, vec B) (both, for :func:`joint_limit`).
 
     Daleckii-Krein: d exp(H)[X] = v (Phi o (v^dagger X v)) v^dagger, with
-    Phi the divided differences of exp on w.  With C[x, pq] = (v^dagger
-    lift(E_x) v)[p, q] for the matrix units E_x, entry x of
-    tr_side d exp(H)[lift(E_y)] is sum_pq conj(C[x, pq]) Phi[p, q] C[y, pq].
-    Dividing by Z = tr exp(H) and subtracting vec(marginals)
+    Phi the divided differences of exp on the spectrum of H.  With
+    C[x, pq] = (v^dagger lift(E_x) v)[p, q] for the matrix units E_x, entry
+    x of tr_side d exp(H)[lift(E_y)] is sum_pq conj(C[x, pq]) Phi[p, q]
+    C[y, pq].  Dividing by Z = tr exp(H), which the divided differences on
+    the shifted spectrum w do, and subtracting vec(marginals)
     vec(marginals)^dagger, the derivative of the normalization, gives the
     Hessian.  C is one matrix product per side (:func:`_bkm_contraction`),
     stacked so that the cross blocks of two sides come from the same
@@ -740,8 +821,7 @@ def _bkm_hessian(
     else:
         c = np.concatenate([_bkm_contraction(v, n, m, side) for side in sides])
         flat = np.concatenate([marginal.reshape(-1) for marginal in marginals])
-    shifted = w - w.max()
-    phi = _exp_divided_differences(shifted) / np.exp(shifted).sum()
+    phi = _exp_divided_differences(w)
     return (c.conj() * phi.reshape(-1)) @ c.T - flat[:, None] * flat.conj()
 
 
@@ -758,17 +838,17 @@ class _Point(NamedTuple):
     state: np.ndarray
 
 
-def _newton(method: str, evaluate: Callable, direction: Callable, current, joint: bool = False):
-    """Damped Newton on a smooth convex dual: the loop of the ``bkm`` and
-    ``burg`` e-projections and of :func:`joint_limit`.
+def _newton(method: str, evaluate: Callable, direction: Callable, current, what: str):
+    """Damped Newton on a smooth convex dual in real coordinates: the loop
+    of the ``bkm`` and ``burg`` e-projections and of :func:`joint_limit`.
 
     ``current`` and every ``evaluate(x)`` are tuples (x, value, gradient,
-    state): the dual variable (an evaluation may move it along a line on
-    which it minimizes the dual in closed form), the dual value as a
+    state): the real coordinate vector x (an evaluation may move it along a
+    line on which it minimizes the dual in closed form), the dual value as a
     function of no arguments, called only for a step that fails the
-    gradient test below, its gradient, an array shaped like x, and whatever
-    ``direction(state, gradient)`` needs to return the Newton step.
-    ``None`` means outside the domain: a rejected candidate, or
+    gradient test below, its real gradient vector, and whatever
+    ``direction(state, gradient)`` needs to return the Newton step, a real
+    vector.  ``None`` means outside the domain: a rejected candidate, or
     ``SingularityError`` for ``current``.
 
     A step is halved until it passes Armijo on the dual value or halves the
@@ -780,30 +860,30 @@ def _newton(method: str, evaluate: Callable, direction: Callable, current, joint
     drives the gradient to rounding level.  A rejected polishing step ends
     the solve instead of a search over shorter ones.  A step halved below
     1e-14, or more steps than the policy's ``bkm_max_iters`` or
-    ``burg_max_iters``, is a ``ConvergenceError``.  Returns the final x,
-    its state and the number of steps taken.
+    ``burg_max_iters``, is a ``ConvergenceError`` whose message starts with
+    ``what``, the solve's name.  Returns the final x, its state and the
+    number of steps taken.
     """
     pol = get_policy()
     tol, max_iters = (
         (pol.bkm_gradient_tol, pol.bkm_max_iters) if method == "bkm" else (pol.burg_residual_tol, pol.burg_max_iters)
     )
-    what = f"joint {method}" if joint else f"{method} projection"
     if current is None:
         raise SingularityError(f"{what} source is too ill-conditioned to invert")
     x, value, g, state = current
-    g_norm, steps, polish = linalg.frobenius(g), 0, False
+    g_norm, steps, polish = math.sqrt(g @ g), 0, False
     for _ in range(max_iters):
         if g_norm <= tol:
             if polish or method == "bkm":
                 return x, state, steps
             polish = True
         step = direction(state, g)
-        slope = np.vdot(g, step).real
+        slope = g @ step
         t = 1.0
         while t > 1e-14:
             cand = evaluate(x + t * step)
             if cand is not None:
-                cand_norm = linalg.frobenius(cand[2])
+                cand_norm = math.sqrt(cand[2] @ cand[2])
                 if polish:
                     accept = cand_norm < g_norm
                 else:
@@ -823,11 +903,11 @@ def _newton(method: str, evaluate: Callable, direction: Callable, current, joint
 
 def _gibbs_weights(w: np.ndarray) -> tuple[np.ndarray, float]:
     """The weights p = exp(w - log Z) of the state exp(coord) / Z on the
-    spectrum ``w`` of coord, and log Z = log sum exp(w)."""
-    shift = w.max()
+    ascending spectrum ``w`` of coord, and log Z = log sum exp(w)."""
+    shift = float(w[-1])
     ew = np.exp(w - shift)
-    z = ew.sum()
-    return ew / z, float(np.log(z) + shift)
+    z = float(ew.sum())
+    return ew / z, math.log(z) + shift
 
 
 def _bkm_point(coord: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[_Point, float]:
@@ -852,39 +932,44 @@ def _bkm_start(rho: np.ndarray) -> _Point:
 _BKM_MARGINAL = {"first": "iak,ibk->ab", "second": "iak,jak->ij"}
 
 
-def _bkm_project(
-    start: _Point, n: int, m: int, side: str, target: np.ndarray
-) -> tuple[_Point, np.ndarray]:
-    """BKM e-projection of ``start`` onto {tr_side rho = target} on plain
-    arrays (see :func:`bkm_e_projection`); returns the projected point and
-    the dual variable A.  Each evaluation takes one ``eigh`` and reads the
-    marginal off the spectrum; the projected state is formed once, from the
-    last accepted evaluation (``start`` itself if Newton takes no step)."""
-    d = m if side == "first" else n
-    gauge = np.outer(np.eye(d).reshape(-1), np.eye(d).reshape(-1)) / d
+def _projection_name(method: str, side: str, sweep: int | None = None) -> str:
+    """The name of a projection in its Newton errors."""
+    return f"{method} projection onto the {side} marginal" + (f" in sweep {sweep}" if sweep else "")
 
-    def evaluate(a: np.ndarray):
-        """a, the dual value and gradient at start.coord + lift(a), and the
+
+def _bkm_project(start: _Point, frame: _Frame, target: np.ndarray, what: str) -> tuple[_Point, np.ndarray]:
+    """BKM e-projection of ``start`` onto {tr_side rho = target}, side and
+    shape from ``frame``, on plain arrays (see :func:`bkm_e_projection`);
+    returns the projected point and the dual variable A.  Each evaluation
+    takes one ``eigh`` and reads the marginal off the spectrum; the
+    projected state is formed once, from the last accepted evaluation
+    (``start`` itself if Newton takes no step).  ``what`` names the solve
+    in its errors."""
+    n, m, side = frame.n, frame.m, frame.side
+    t = _coordinates(frame, target)
+
+    def evaluate(x: np.ndarray):
+        """x, the dual value and gradient at start.coord + lift(A), and the
         spectrum there with its marginal."""
-        coord = _plus_lift(start.coord, a, n, m, side)
+        coord = _lifted(start.coord, frame, x)
         w, v = np.linalg.eigh(coord)
         p, log_z = _gibbs_weights(w)
         vb = v.reshape(n, m, n * m)
         marginal = np.einsum(_BKM_MARGINAL[side], vb * p, vb.conj())
-        return (a, lambda: log_z - float(np.trace(target @ a).real),
-                linalg.hermitian_part(marginal - target), (coord, w, v, marginal))
+        return x, lambda: log_z - float(t @ x), _coordinates(frame, marginal) - t, (coord, w, v, marginal, log_z)
 
     def direction(state, g: np.ndarray) -> np.ndarray:
-        _, w, v, marginal = state
-        hess = _bkm_hessian(w, v, (marginal,), n, m, (side,)) + gauge
-        return linalg.hermitian_part(np.linalg.solve(hess, -g.reshape(-1)).reshape(d, d))
+        _, w, v, marginal, log_z = state
+        hess = _real_form(frame.adjoint, _bkm_hessian(w - log_z, v, (marginal,), n, m, (side,)), frame.basis)
+        return np.linalg.solve(hess + frame.gauge, -g)
 
     marginal = linalg.partial_trace(start.state, n, m, side)
     # at A = 0 the dual value is log tr exp(start.coord), zero up to rounding
-    current = (np.zeros((d, d), dtype=complex), lambda: float(np.logaddexp.reduce(start.w)),
-               linalg.hermitian_part(marginal - target), (start.coord, start.w, start.v, marginal))
-    a, (coord, w, v, _), steps = _newton("bkm", evaluate, direction, current)
-    return (_bkm_point(coord, w, v)[0] if steps else start), a
+    log_z = float(np.logaddexp.reduce(start.w))
+    current = (np.zeros(len(t)), lambda: log_z, _coordinates(frame, marginal) - t,
+               (start.coord, start.w, start.v, marginal, log_z))
+    x, (coord, w, v, _, _), steps = _newton("bkm", evaluate, direction, current, what=what)
+    return (_bkm_point(coord, w, v)[0] if steps else start), _dual(frame, x)
 
 
 def bkm_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[ChoiMatrix, np.ndarray]:
@@ -897,25 +982,29 @@ def bkm_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Choi
         F(A) = log tr exp(log rho0 + lift(A)) - tr(target A)
 
     whose exact gradient is the marginal mismatch tr_side rho(A) - target,
-    by damped Newton.  Each evaluation takes one ``eigh`` of
-    log rho0 + lift(A) = V diag(w) V^dagger and reads the marginal off it,
-    as tr_side(V diag(p) V^dagger) with p = exp(w - log Z); the state is
+    by damped Newton on the d^2 real coordinates of A (:class:`_Frame`).
+    Each evaluation takes one ``eigh`` of log rho0 + lift(A) =
+    V diag(w) V^dagger and reads the marginal off it, as
+    tr_side(V diag(p) V^dagger) with p = exp(w - log Z); the state is
     formed once, at the returned point.  The Hessian is the Daleckii-Krein
     form in the same eigenbasis minus the normalization term (see
-    :func:`_bkm_hessian`).  F is flat along A -> A + cI, so the Hessian
-    is singular in that direction; adding vec(I) vec(I)^T / d fixes the
-    gauge, and since the gradient is traceless every step (hence A) stays
-    traceless.  The line search and stopping rule are those of
-    :func:`_newton`.  Returns the projected state and the dual variable.
+    :func:`_bkm_hessian`), taken to real coordinates as Re(U^dagger H U), a
+    real symmetric matrix.  F is flat along A -> A + cI, so the Hessian is
+    singular in that direction; adding e e^T / d, with e the coordinates of
+    I, fixes the gauge and makes the system positive definite, and since
+    the gradient is orthogonal to e every step (hence A) stays traceless.
+    The line search and stopping rule are those of :func:`_newton`.
+    Returns the projected state and the dual variable, a Hermitian d x d
+    array.
 
     This wrapper checks the source (positive definite, unit trace), takes
     its logarithm and validates the result as a :class:`ChoiMatrix`; the
     Newton iteration itself runs on plain arrays in :func:`_bkm_project`,
     which :func:`alternating_projections` calls directly.
     """
-    n, m = choi0.n, choi0.m
+    n, m, side = choi0.n, choi0.m, constraint.side
     start = _bkm_start(as_density(choi0.matrix, "projection source"))
-    point, a = _bkm_project(start, n, m, constraint.side, constraint.target)
+    point, a = _bkm_project(start, _frame(n, m, side), constraint.target, _projection_name("bkm", side))
     return ChoiMatrix(n=n, m=m, matrix=point.state), a
 
 
@@ -931,38 +1020,35 @@ def _burg_start(rho: np.ndarray) -> _Point:
     return _burg_point(k, *np.linalg.eigh(k))
 
 
-def _burg_project(
-    start: _Point, n: int, m: int, side: str, target: np.ndarray
-) -> tuple[_Point, np.ndarray]:
-    """Burg e-projection of ``start`` onto {tr_side rho = target} on plain
-    arrays (see :func:`burg_e_projection`); returns the projected point, read
-    off the last accepted Newton evaluation, and the dual variable A."""
-    floor, tiny = get_policy().pd_rel_floor, np.finfo(float).tiny
-    d = m if side == "first" else n
+def _burg_project(start: _Point, frame: _Frame, target: np.ndarray, what: str) -> tuple[_Point, np.ndarray]:
+    """Burg e-projection of ``start`` onto {tr_side rho = target}, side and
+    shape from ``frame``, on plain arrays (see :func:`burg_e_projection`);
+    returns the projected point, read off the last accepted Newton
+    evaluation, and the dual variable A.  ``what`` names the solve in its
+    errors."""
+    n, m, side = frame.n, frame.m, frame.side
+    t = _coordinates(frame, target)
 
-    def in_cone(w: np.ndarray) -> bool:
-        return bool(w[0] > floor * max(abs(w[-1]), tiny))
-
-    def evaluate(a: np.ndarray, point: _Point | None = None):
-        """a, the dual value and gradient at K = start.coord - lift(a), and
+    def evaluate(x: np.ndarray, point: _Point | None = None):
+        """x, the dual value and gradient at K = start.coord - lift(A), and
         the point there (``point``, if given); None outside the cone.  The
         value -log det K - tr(target A) comes from the spectrum of K."""
         if point is None:
-            coord = _plus_lift(start.coord, -a, n, m, side)
+            coord = _lifted(start.coord, frame, -x)
             w, v = np.linalg.eigh(coord)
-            if not in_cone(w):
+            if not linalg._positive_definite(w):
                 return None
             point = _burg_point(coord, w, v)
-        return (a, lambda: -float(np.log(point.w).sum()) - float(np.vdot(a, target).real),
-                linalg.hermitian_part(linalg.partial_trace(point.state, n, m, side) - target), point)
+        return (x, lambda: -float(np.log(point.w).sum()) - float(t @ x),
+                _coordinates(frame, linalg.partial_trace(point.state, n, m, side)) - t, point)
 
     def direction(point: _Point, g: np.ndarray) -> np.ndarray:
-        jac = _burg_jacobian(point.state, n, m, side)
-        return linalg.hermitian_part(np.linalg.solve(jac, -g.reshape(-1)).reshape(d, d))
+        jac = _real_form(frame.adjoint, _burg_jacobian(point.state, n, m, side), frame.basis)
+        return np.linalg.solve(jac, -g)
 
-    current = evaluate(np.zeros((d, d), dtype=complex), start) if in_cone(start.w) else None
-    a, point, _ = _newton("burg", evaluate, direction, current)
-    return point, a
+    current = evaluate(np.zeros(len(t)), start) if linalg._positive_definite(start.w) else None
+    x, point, _ = _newton("burg", evaluate, direction, current, what=what)
+    return point, _dual(frame, x)
 
 
 def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[ChoiMatrix, np.ndarray]:
@@ -971,23 +1057,26 @@ def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Cho
     The minimizer is the resolvent rho = (rho0^{-1} - lift(A))^{-1} with the
     Hermitian dual variable A minimizing the convex dual
     F(A) = -log det(rho0^{-1} - lift(A)) - tr(target A), whose gradient is
-    tr_side rho - target.  Damped Newton (:func:`_newton`) minimizes it.
-    By d(R^{-1}) = -R^{-1} dR R^{-1} the Hessian is B -> tr_side(R lift(B) R),
-    one ``einsum`` on the (n, m, n, m) block view of R (see
-    :func:`_burg_jacobian`); the d^2 x d^2 complex system is solved at once
-    and the Hermitian part of the solution taken as the step.  A candidate
-    must keep the resolvent argument positive definite (relative to its
-    largest eigenvalue, by the policy floor); one eigendecomposition gives
-    that test, the resolvent and F.  Returns the projected state and A.
+    tr_side rho - target.  Damped Newton (:func:`_newton`) minimizes it on
+    the d^2 real coordinates of A (:class:`_Frame`).  By
+    d(R^{-1}) = -R^{-1} dR R^{-1} the Hessian is B -> tr_side(R lift(B) R),
+    one Gram product of a reshape of R (see :func:`_burg_jacobian`), taken
+    to real coordinates as Re(U^dagger J U): a real symmetric positive
+    definite d^2 x d^2 system, whose solution is the step.  A candidate
+    must keep the resolvent argument positive definite
+    (``linalg._positive_definite``: relative to its largest eigenvalue, by
+    the policy floor); one eigendecomposition gives that test, the
+    resolvent and F.  Returns the projected state and A, a Hermitian d x d
+    array.
 
     This wrapper checks the source (positive definite, unit trace), inverts
     it and validates the result as a :class:`ChoiMatrix`; the Newton
     iteration itself runs on plain arrays in :func:`_burg_project`, which
     :func:`alternating_projections` calls directly.
     """
-    n, m = choi0.n, choi0.m
+    n, m, side = choi0.n, choi0.m, constraint.side
     start = _burg_start(as_density(choi0.matrix, "projection source"))
-    point, a = _burg_project(start, n, m, constraint.side, constraint.target)
+    point, a = _burg_project(start, _frame(n, m, side), constraint.target, _projection_name("burg", side))
     return ChoiMatrix(n=n, m=m, matrix=point.state), a
 
 
@@ -1005,19 +1094,22 @@ def alternating_projections(
     or rho^{-1}.  The loop then carries that coordinate with its spectrum
     from one projection to the next on plain arrays, since each projection
     moves it by lift(A) and its last Newton evaluation already holds the
-    projected point's spectrum.  The final iterate, PSD by construction, is
-    checked for shape and finiteness only (:func:`_close`).
+    projected point's spectrum.  The two sides' frames of real coordinates
+    are built once per run.  A Newton error names the side and the sweep of
+    its projection.  The final iterate, PSD by construction, is checked for
+    shape and finiteness only (:func:`_close`).
     """
     if method == "sld":
         return operator_sinkhorn(choi0, cfg)
     trace, p, q = _new_trace(method, choi0, cfg)
     start, project = (_bkm_start, _bkm_project) if method == "bkm" else (_burg_start, _burg_project)
     n, m = choi0.n, choi0.m
+    frames = {side: _frame(n, m, side) for side in ("first", "second")}
     point = start(choi0.matrix)
 
     def step(side: str, target: np.ndarray) -> np.ndarray:
         nonlocal point
-        point, dual = project(point, n, m, side, target)
+        point, dual = project(point, frames[side], target, _projection_name(method, side, trace.sweeps + 1))
         trace.iterates.append(point.state)
         return dual
 
@@ -1054,102 +1146,105 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
         bkm:   F = log tr exp(log rho0 + I kron A + B kron I) - tr PA - tr QB,
         burg:  F = -log det(rho0^{-1} - I kron A - B kron I) - tr PA - tr QB,
 
-    with rho = exp(...) / Z or (...)^{-1}.  The gradient of F is the pair of
-    marginal mismatches (tr_first rho - P, tr_second rho - Q); its Hessian
+    with rho = exp(...) / Z or (...)^{-1}.  Newton runs on the m^2 + n^2
+    real coordinates x = (x_A, x_B) of the pair (:class:`_Frame`, one per
+    side).  The gradient of F is the pair of marginal mismatches
+    (tr_first rho - P, tr_second rho - Q) in those coordinates; its Hessian
     has the one-sided Jacobians on the diagonal and one more contraction for
-    the cross blocks (:func:`_bkm_hessian`, :func:`_burg_hessian`).  A BKM
-    evaluation reads both marginals off its one ``eigh``, as the one-sided
-    projection does; the state is formed once, at the returned point.
+    the cross blocks (:func:`_bkm_hessian`, :func:`_burg_hessian`), taken to
+    real coordinates by the block-diagonal U as Re(U^dagger H U), a real
+    symmetric matrix.  A BKM evaluation reads both marginals off its one
+    ``eigh``, as the one-sided projection does; the state is formed once, at
+    the returned point.
 
     Both duals are flat along (A + cI, B - cI), and the BKM dual along
     (A + cI, B) and (A, B + cI) separately, since Z absorbs either shift.
-    Rank-one terms on those directions, (vec I_m, -vec I_n) for Burg and
-    (vec I_m, 0), (0, vec I_n) for BKM, fix the gauge; the gradient is
-    orthogonal to them, so every step is too.  The Burg dual is not flat
-    along (A + cI, B + cI), which shifts rho^{-1} by -2cI, but its minimum
-    along that line is explicit: the shift that gives rho unit trace, from
-    the spectrum at hand (:func:`_unit_trace_shift`).  Every Burg point is
-    taken there, the counterpart of the normalization by Z for BKM; without
-    it a Newton step can leave rho with trace in the hundreds, from where
-    damped Newton needs hundreds of steps to return.
+    Rank-one terms on the identity's coordinates along those directions,
+    (e_m, -e_n) for Burg and (e_m, 0), (0, e_n) for BKM, fix the gauge and
+    make the real system positive definite; the gradient is orthogonal to
+    them, so every step is too.  The Burg dual is not flat along
+    (A + cI, B + cI), which shifts rho^{-1} by -2cI, but its minimum along
+    that line is explicit: the shift that gives rho unit trace, from the
+    spectrum at hand (:func:`_unit_trace_shift`).  Every Burg point is taken
+    there, the counterpart of the normalization by Z for BKM; without it a
+    Newton step can leave rho with trace in the hundreds, from where damped
+    Newton needs hundreds of steps to return.
 
     :func:`_newton` minimizes F, with its line search, stopping rule, Burg
     polish and policy budget (``ConvergenceError`` past it); a Burg
-    candidate must keep rho^{-1} positive definite under the policy floor.
-    ``cfg.max_iters`` does not bound the solve.
+    candidate must keep rho^{-1} positive definite
+    (``linalg._positive_definite``).  ``cfg.max_iters`` does not bound the
+    solve.
 
     ``sld`` raises ``UnsupportedError``: that geometry is not dually flat,
     and operator Sinkhorn has no such joint dual.  The input is checked once
     (positive definite, unit trace); the limit, PSD by construction, is
     checked for shape and finiteness only (:func:`_close`).  The returned
     trace has ``iterates`` [rho0, limit], ``factors`` [("first", A),
-    ("second", B)], ``residuals`` the initial and final stopping criterion,
-    ``sweeps`` the number of Newton steps taken, and ``converged`` whether
-    the final residual is below ``cfg.tol``.
+    ("second", B)] as Hermitian arrays, ``residuals`` the initial and final
+    stopping criterion, ``sweeps`` the number of Newton steps taken, and
+    ``converged`` whether the final residual is below ``cfg.tol``.
     """
     if method == "sld":
         raise UnsupportedError("the sld geometry is not dually flat: it has no joint limit solve")
     trace, p, q = _new_trace(method, choi0, cfg)
     n, m = choi0.n, choi0.m
-    mm, floor, sides = m * m, get_policy().pd_rel_floor, ("first", "second")
-    eye_m, eye_n = np.eye(m).reshape(-1), np.eye(n).reshape(-1)
-    eye_ab = np.concatenate([eye_m, eye_n])
+    mm, sides = m * m, ("first", "second")
+    first, second = (_frame(n, m, side) for side in sides)
+    basis = np.zeros((mm + n * n, mm + n * n), dtype=complex)
+    basis[:mm, :mm], basis[mm:, mm:] = first.basis, second.basis
+    adjoint = basis.conj().T
+    t = np.concatenate([_coordinates(first, p), _coordinates(second, q)])
+    eye_ab = np.concatenate([first.eye, second.eye])
     if method == "bkm":
         base, sign = linalg.logm(choi0.matrix), 1.0
         gauge = np.zeros((mm + n * n, mm + n * n))
-        gauge[:mm, :mm] = np.outer(eye_m, eye_m) / m
-        gauge[mm:, mm:] = np.outer(eye_n, eye_n) / n
+        gauge[:mm, :mm], gauge[mm:, mm:] = first.gauge, second.gauge
     else:
         base, sign = linalg.invm(choi0.matrix), -1.0
-        u = np.concatenate([eye_m, -eye_n])
+        u = np.concatenate([first.eye, -second.eye])
         gauge = np.outer(u, u) / (m + n)
 
-    def split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return x[:mm].reshape(m, m), x[mm:].reshape(n, n)
-
     def evaluate(x: np.ndarray):
-        """x = (vec a, vec b), the dual value and gradient at base +-
-        (I kron a + b kron I), and there the coordinate with its spectrum
+        """x = (x_A, x_B), the dual value and gradient at base +-
+        (I kron A + B kron I), and there the coordinate with its spectrum
         (BKM: the state is not formed) or the point (Burg), with the
         marginals; for Burg x first moves along (I, I) to the unit-trace
         point, and None means outside the cone."""
-        a, b = split(x)
-        coord = _plus_lift(_plus_lift(base, sign * a, n, m, "first"), sign * b, n, m, "second")
+        coord = _lifted(_lifted(base, first, sign * x[:mm]), second, sign * x[mm:])
         w, v = np.linalg.eigh(coord)
         if method == "bkm":
             at = (coord, w, v)
             weights, potential = _gibbs_weights(w)
             vb = v.reshape(n, m, n * m)
-            first, second = (np.einsum(_BKM_MARGINAL[side], vb * weights, vb.conj()) for side in sides)
+            marginals = [np.einsum(_BKM_MARGINAL[side], vb * weights, vb.conj()) for side in sides]
         else:
             if not w[0] > 0:
                 return None
             c = _unit_trace_shift(w)
             coord.flat[:: n * m + 1] -= c
             w, x = w - c, x + 0.5 * c * eye_ab
-            a, b = split(x)
-            if not w[0] > floor * w[-1]:
+            if not linalg._positive_definite(w):
                 return None
             at, potential = _burg_point(coord, w, v), -float(np.sum(np.log(w)))
-            first, second = (linalg.partial_trace(at.state, n, m, side) for side in sides)
-        g = np.concatenate([linalg.hermitian_part(first - p).ravel(), linalg.hermitian_part(second - q).ravel()])
-        return x, lambda: potential - float(np.trace(p @ a).real + np.trace(q @ b).real), g, (at, first, second)
+            marginals = [linalg.partial_trace(at.state, n, m, side) for side in sides]
+        g = np.concatenate([_coordinates(first, marginals[0]), _coordinates(second, marginals[1])]) - t
+        return x, lambda: potential - float(t @ x), g, (at, marginals, potential)
 
     def direction(state, g: np.ndarray) -> np.ndarray:
-        at, first, second = state
-        if method == "bkm":
+        at, marginals, potential = state
+        if method == "bkm":  # the potential is log Z
             _, w, v = at
-            hess = _bkm_hessian(w, v, (first, second), n, m, sides)
+            hess = _bkm_hessian(w - potential, v, marginals, n, m, sides)
         else:
             hess = _burg_hessian(at.state, n, m)
-        d_a, d_b = split(np.linalg.solve(hess + gauge, -g))
-        return np.concatenate([linalg.hermitian_part(d_a).ravel(), linalg.hermitian_part(d_b).ravel()])
+        return np.linalg.solve(_real_form(adjoint, hess, basis) + gauge, -g)
 
-    current = evaluate(np.zeros(mm + n * n, dtype=complex))
-    x, (at, _, _), trace.sweeps = _newton(method, evaluate, direction, current, joint=True)
+    current = evaluate(np.zeros(mm + n * n))
+    x, (at, _, _), trace.sweeps = _newton(method, evaluate, direction, current, what=f"joint {method}")
     # the BKM state is formed once, from the last accepted evaluation
     point = _bkm_point(*at)[0] if method == "bkm" else at
-    trace.factors += zip(sides, split(x))
+    trace.factors += [("first", _dual(first, x[:mm])), ("second", _dual(second, x[mm:]))]
     trace.residuals.append(_residual(point.state, n, m, p, q))
     trace.iterates.append(point.state)
     return _close(trace, cfg, point.state)

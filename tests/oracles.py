@@ -8,10 +8,14 @@ reference takes the textbook formula with three separate spectral powers.  The d
 build the Burg Newton Jacobian one Hermitian basis matrix at a time from
 dense Kronecker lifts, and solve the BKM dual by Barzilai-Borwein gradient
 steps, so neither shares the closed-form Jacobians in ``scaling``.  The BKM
-Newton reference is the package's earlier projection: it runs the same
-Newton loop, but forms the ``mn x mn`` state and its partial trace on every
-evaluation and builds the Hessian from an ``einsum`` contraction and the
-quotient form of the exp divided differences.  The
+and Burg Newton references are the package's earlier projections: they run
+the earlier Newton loop on the complex d x d dual, with a complex solve and
+the Hermitian part of its solution as the step, where the package runs on
+real coordinates.  The BKM one forms the ``mn x mn`` state and its partial
+trace on every evaluation and builds the Hessian from an ``einsum``
+contraction and the quotient form of the exp divided differences; the Burg
+one builds its Jacobian by one ``einsum`` on the block view of the
+resolvent, where the package takes a Gram product.  The
 constraint tangent basis is built by Gram-Schmidt over the canonical
 Hermitian basis, the reference for the closed-form projection that
 certifies e-projections in ``geometry``.  The
@@ -32,9 +36,9 @@ import warnings
 import numpy as np
 from scipy import integrate, optimize
 
-from opsinkhorn import divergences, linalg, scaling
+from opsinkhorn import divergences, linalg, policy, scaling
 from opsinkhorn.channels import ChoiMatrix, apply_map
-from opsinkhorn.errors import DomainError, InvalidInputError, UnsupportedError
+from opsinkhorn.errors import ConvergenceError, DomainError, InvalidInputError, SingularityError, UnsupportedError
 from opsinkhorn.geometry import _divided_differences, dexp_frechet
 
 
@@ -311,14 +315,66 @@ def bkm_projection_barzilai_borwein(rho0: np.ndarray, n: int, m: int, side: str,
     return state_of(a), a
 
 
+def newton_ref(method: str, evaluate, direction, current):
+    """The package's earlier damped Newton loop on complex Hermitian duals:
+    gradient norms by ``linalg.frobenius`` and the slope by ``np.vdot``,
+    with the acceptance rule, Burg polish and policy budget of
+    ``scaling._newton``.  Returns the final dual, its state and the number
+    of steps."""
+    pol = policy.get_policy()
+    tol, max_iters = (
+        (pol.bkm_gradient_tol, pol.bkm_max_iters) if method == "bkm" else (pol.burg_residual_tol, pol.burg_max_iters)
+    )
+    if current is None:
+        raise SingularityError(f"reference {method} source is too ill-conditioned to invert")
+    x, value, g, state = current
+    g_norm, steps, polish = linalg.frobenius(g), 0, False
+    for _ in range(max_iters):
+        if g_norm <= tol:
+            if polish or method == "bkm":
+                return x, state, steps
+            polish = True
+        step = direction(state, g)
+        slope = np.vdot(g, step).real
+        t = 1.0
+        while t > 1e-14:
+            cand = evaluate(x + t * step)
+            if cand is not None:
+                cand_norm = linalg.frobenius(cand[2])
+                accept = cand_norm < g_norm if polish else (
+                    cand_norm <= 0.5 * g_norm or cand[1]() <= value() + 1e-4 * t * slope)
+                if accept:
+                    (x, value, g, state), g_norm = cand, cand_norm
+                    steps += 1
+                    break
+            if polish:
+                break
+            t /= 2.0
+        else:
+            raise ConvergenceError(f"reference {method} Newton stalled at gradient norm {g_norm:.3e}")
+    raise ConvergenceError(f"reference {method} Newton exhausted {max_iters} iterations")
+
+
+def _plus_lift(base: np.ndarray, a: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
+    """base + lift(a), added on the (n, m, n, m) block view."""
+    out = base.copy()
+    blocks = out.reshape(n, m, n, m)
+    if side == "first":
+        blocks[np.arange(n), :, np.arange(n), :] += a
+    else:
+        blocks[:, np.arange(m), :, np.arange(m)] += a
+    return out
+
+
 def bkm_project_ref(start: scaling._Point, n: int, m: int, side: str,
                     target: np.ndarray) -> tuple[scaling._Point, np.ndarray, int]:
     """BKM e-projection of ``start`` onto {tr_side rho = target} by
-    ``scaling._newton``, forming the state exp(coord) / Z and its partial
-    trace at every evaluation.  The Hessian contracts the eigenvectors by
-    ``einsum`` and takes the divided differences of exp as quotients of
-    differences.  Returns the projected point, the dual variable and the
-    number of Newton steps."""
+    :func:`newton_ref` on the complex d x d dual, forming the state
+    exp(coord) / Z and its partial trace at every evaluation.  The Hessian
+    contracts the eigenvectors by ``einsum`` and takes the divided
+    differences of exp as quotients of differences; the step is the
+    Hermitian part of the complex solve.  Returns the projected point, the
+    dual variable and the number of Newton steps."""
     d = m if side == "first" else n
     gauge = np.outer(np.eye(d).reshape(-1), np.eye(d).reshape(-1)) / d
 
@@ -333,12 +389,7 @@ def bkm_project_ref(start: scaling._Point, n: int, m: int, side: str,
         return scaling._Point(normalized, w - log_z, v, state), log_z
 
     def evaluate(a):
-        coord = start.coord.copy()
-        blocks = coord.reshape(n, m, n, m)
-        if side == "first":
-            blocks[np.arange(n), :, np.arange(n), :] += a
-        else:
-            blocks[:, np.arange(m), :, np.arange(m)] += a
+        coord = _plus_lift(start.coord, a, n, m, side)
         point, log_z = point_of(coord, *np.linalg.eigh(coord))
         marginal = linalg.partial_trace(point.state, n, m, side)
         return (a, lambda: log_z - float(np.trace(target @ a).real),
@@ -360,21 +411,71 @@ def bkm_project_ref(start: scaling._Point, n: int, m: int, side: str,
     marginal = linalg.partial_trace(start.state, n, m, side)
     current = (np.zeros((d, d), dtype=complex), lambda: float(np.logaddexp.reduce(start.w)),
                linalg.hermitian_part(marginal - target), (start, marginal))
-    a, (point, _), steps = scaling._newton("bkm", evaluate, direction, current)
+    a, (point, _), steps = newton_ref("bkm", evaluate, direction, current)
     return point, a, steps
 
 
-def bkm_alternation_ref(choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> tuple[np.ndarray, int]:
-    """The BKM alternation of :func:`bkm_project_ref` projections, first
-    side first, under the package's stop rule.  Returns the final state and
-    the number of sweeps."""
+# d tr_side(R lift(B) R) / dB on the (n, m, n, m) block view of R, indexed
+# (row of the marginal, column of the marginal, row of B, column of B)
+BURG_JACOBIAN = {"first": "icja,jbid->cdab", "second": "iajb,lbka->ikjl"}
+
+
+def burg_jacobian_ref(r: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
+    """Jacobian of B -> tr_side(R lift(B) R) on row-major vec(B) by one
+    ``einsum`` on the block view of R."""
+    d = m if side == "first" else n
+    blocks = r.reshape(n, m, n, m)
+    return np.einsum(BURG_JACOBIAN[side], blocks, blocks).reshape(d * d, d * d)
+
+
+def burg_project_ref(start: scaling._Point, n: int, m: int, side: str,
+                     target: np.ndarray) -> tuple[scaling._Point, np.ndarray, int]:
+    """Burg e-projection of ``start`` onto {tr_side rho = target} by
+    :func:`newton_ref` on the complex d x d dual, as the package ran it
+    before its duals had real coordinates: the lift added on the block
+    view, the :func:`burg_jacobian_ref` ``einsum`` Jacobian, a complex
+    solve and the Hermitian part of its solution as the step, and the cone
+    test min eig > floor * max(|max eig|, tiny).  Returns the projected
+    point, the dual variable and the number of Newton steps."""
+    floor, tiny = policy.get_policy().pd_rel_floor, np.finfo(float).tiny
+    d = m if side == "first" else n
+
+    def in_cone(w):
+        return bool(w[0] > floor * max(abs(w[-1]), tiny))
+
+    def evaluate(a, point=None):
+        if point is None:
+            coord = _plus_lift(start.coord, -a, n, m, side)
+            w, v = np.linalg.eigh(coord)
+            if not in_cone(w):
+                return None
+            point = scaling._Point(coord, w, v, linalg.hermitian_part((v / w) @ v.conj().T))
+        return (a, lambda: -float(np.log(point.w).sum()) - float(np.vdot(a, target).real),
+                linalg.hermitian_part(linalg.partial_trace(point.state, n, m, side) - target), point)
+
+    def direction(point, g):
+        jac = burg_jacobian_ref(point.state, n, m, side)
+        return linalg.hermitian_part(np.linalg.solve(jac, -g.reshape(-1)).reshape(d, d))
+
+    current = evaluate(np.zeros((d, d), dtype=complex), start) if in_cone(start.w) else None
+    a, point, steps = newton_ref("burg", evaluate, direction, current)
+    return point, a, steps
+
+
+def dual_alternation_ref(method: str, choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> tuple[np.ndarray, int]:
+    """The BKM or Burg alternation of :func:`bkm_project_ref` or
+    :func:`burg_project_ref` projections, first side first, under the
+    package's stop rule.  Returns the final state and the number of
+    sweeps."""
     n, m = choi.n, choi.m
     p, q = cfg.targets(n, m)
-    point, sweeps = scaling._bkm_start(choi.matrix), 0
+    start, project = {"bkm": (scaling._bkm_start, bkm_project_ref),
+                      "burg": (scaling._burg_start, burg_project_ref)}[method]
+    point, sweeps = start(choi.matrix), 0
     residual = scaling.choi_residual(choi, p, q)
     while residual >= cfg.tol and sweeps < cfg.max_iters:
-        point, _, _ = bkm_project_ref(point, n, m, "first", p)
-        point, _, _ = bkm_project_ref(point, n, m, "second", q)
+        point, _, _ = project(point, n, m, "first", p)
+        point, _, _ = project(point, n, m, "second", q)
         sweeps += 1
         residual = scaling._residual(point.state, n, m, p, q)
     return point.state, sweeps

@@ -1136,56 +1136,64 @@ def newton_steps(monkeypatch) -> list[int]:
 BKM_REFERENCE_CASES = [(n, m, general) for n, m in JACOBIAN_CASES for general in (False, True)]
 
 
-class TestBkmProjectionAgainstReference:
-    """The BKM Newton step that reads the marginal off the spectrum and
-    forms its state once, against the earlier projection that formed the
-    state and its partial trace at every evaluation
-    (``oracles.bkm_project_ref``): the same Newton steps, and states and
-    duals equal to rounding."""
+def reference_case(n, m, general, seed):
+    rng = np.random.default_rng(seed + 10 * n + m + general)
+    choi = channels.random_choi(n, m, rng)
+    p = channels.random_density(m, rng) if general else np.eye(m) / m
+    q = channels.random_density(n, rng) if general else np.eye(n) / n
+    return choi, p, q
 
-    @staticmethod
-    def case(n, m, general, seed):
-        rng = np.random.default_rng(seed + 10 * n + m + general)
-        choi = channels.random_choi(n, m, rng)
-        p = channels.random_density(m, rng) if general else np.eye(m) / m
-        q = channels.random_density(n, rng) if general else np.eye(n) / n
-        return choi, p, q
+
+def assert_point_matches(got, dual, want, want_dual):
+    assert np.abs(got.state - want.state).max() <= 1e-12 * np.abs(want.state).max()
+    assert np.abs(dual - want_dual).max() <= 1e-12 * np.abs(want_dual).max()
+    assert np.abs(got.coord - want.coord).max() <= 1e-12 * np.abs(want.coord).max()
+    assert np.abs(got.w - want.w).max() <= 1e-12 * np.abs(want.w).max()
+    # the dual is returned as an exactly Hermitian complex array
+    assert dual.dtype == complex and np.array_equal(dual, dual.conj().T)
+
+
+class TestBkmProjectionAgainstReference:
+    """The BKM Newton step on real coordinates, reading the marginal off
+    the spectrum and forming its state once, against the earlier complex
+    projection that formed the state and its partial trace at every
+    evaluation (``oracles.bkm_project_ref``): the same Newton steps, and
+    states, duals and coordinates equal to rounding."""
 
     @pytest.mark.parametrize("n, m, general", BKM_REFERENCE_CASES)
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_projection(self, n, m, general, side, monkeypatch):
-        choi, p, q = self.case(n, m, general, 800)
+        choi, p, q = reference_case(n, m, general, 800)
         target = p if side == "first" else q
         start = scaling._bkm_start(choi.matrix)
         want, want_dual, want_steps = oracles.bkm_project_ref(start, n, m, side, target)
         steps = newton_steps(monkeypatch)
-        got, dual = scaling._bkm_project(start, n, m, side, target)
+        got, dual = scaling._bkm_project(start, scaling._frame(n, m, side), target, "bkm projection")
         assert steps == [want_steps] and want_steps > 0
-        assert np.abs(got.state - want.state).max() <= 1e-12 * np.abs(want.state).max()
-        assert np.abs(dual - want_dual).max() <= 1e-12 * np.abs(want_dual).max()
-        assert np.abs(got.coord - want.coord).max() <= 1e-12 * np.abs(want.coord).max()
-        assert np.abs(got.w - want.w).max() <= 1e-12 * np.abs(want.w).max()
+        assert_point_matches(got, dual, want, want_dual)
 
     @pytest.mark.parametrize("n, m, general", BKM_REFERENCE_CASES)
     def test_alternation(self, n, m, general, monkeypatch):
-        choi, p, q = self.case(n, m, general, 810)
+        choi, p, q = reference_case(n, m, general, 810)
         cfg = scaling.ScalingConfig(target_p=p, target_q=q) if general else scaling.ScalingConfig()
-        want, sweeps = oracles.bkm_alternation_ref(choi, cfg)
+        want, sweeps = oracles.dual_alternation_ref("bkm", choi, cfg)
         trace = scaling.alternating_projections("bkm", choi, cfg)
         assert trace.converged and trace.sweeps == sweeps > 0
         assert np.abs(trace.final.matrix - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_no_step_returns_the_start(self, monkeypatch):
-        choi, p, _ = self.case(3, 2, True, 820)
-        point, _ = scaling._bkm_project(scaling._bkm_start(choi.matrix), 3, 2, "first", p)
+        choi, p, _ = reference_case(3, 2, True, 820)
+        frame = scaling._frame(3, 2, "first")
+        point, _ = scaling._bkm_project(scaling._bkm_start(choi.matrix), frame, p, "bkm projection")
         steps = newton_steps(monkeypatch)
-        again, dual = scaling._bkm_project(point, 3, 2, "first", p)
+        again, dual = scaling._bkm_project(point, frame, p, "bkm projection")
         assert steps == [0] and again is point and not dual.any()
 
     @pytest.mark.parametrize("n, m, general", BKM_REFERENCE_CASES)
     def test_one_eigh_per_evaluation_and_one_state(self, n, m, general, monkeypatch):
-        choi, p, _ = self.case(n, m, general, 830)
+        choi, p, _ = reference_case(n, m, general, 830)
         start = scaling._bkm_start(choi.matrix)
+        frame = scaling._frame(n, m, "first")
         evaluations, newton = [], scaling._newton
 
         def counted(method, evaluate, direction, current, **kwargs):
@@ -1194,11 +1202,210 @@ class TestBkmProjectionAgainstReference:
         monkeypatch.setattr(scaling, "_newton", counted)
         eigh = count_calls(monkeypatch, np.linalg, "eigh")
         states = count_calls(monkeypatch, scaling, "_bkm_point")
-        point, _ = scaling._bkm_project(start, n, m, "first", p)
+        point, _ = scaling._bkm_project(start, frame, p, "bkm projection")
         assert len(evaluations) > 0
         assert eigh == [(n * m, n * m)] * len(evaluations)
         assert len(states) == 1
         assert np.abs(linalg.partial_trace(point.state, n, m, "first") - p).max() <= 1e-8
+
+
+def gradient_norms(monkeypatch, module, name: str) -> list[float | None]:
+    """Record the gradient norm of every evaluation of every Newton solve
+    that ``module.name`` runs (None for a candidate outside the domain)."""
+    norms, newton = [], getattr(module, name)
+
+    def recorded(method, evaluate, direction, current, **kwargs):
+        def evaluate_recorded(x):
+            out = evaluate(x)
+            norms.append(None if out is None else float(np.linalg.norm(out[2])))
+            return out
+
+        return newton(method, evaluate_recorded, direction, current, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return norms
+
+
+def before_polish(norms: list[float | None]) -> list[float | None]:
+    """The evaluations of a Burg solve up to the first one whose gradient
+    norm is below the policy tolerance: those before its polishing step."""
+    tol = policy.get_policy().burg_residual_tol
+    end = next(i for i, norm in enumerate(norms) if norm is not None and norm <= tol)
+    return norms[: end + 1]
+
+
+class TestBurgProjectionAgainstReference:
+    """The Burg Newton step on real coordinates (one real symmetric solve
+    per step, the Jacobian by a Gram product) against the earlier complex
+    projection (``oracles.burg_project_ref``: ``einsum`` Jacobian, complex
+    solve, Hermitian part of the step).  Every evaluation up to the
+    gradient tolerance is the same, so are the Newton steps to there, and
+    states, duals and coordinates are equal to rounding.  The one polishing
+    step after it is kept if it lowers a gradient norm that is already at
+    rounding level (about 1e-15), so the two solvers may keep or drop it
+    apart: the step counts may differ by that one step."""
+
+    @pytest.mark.parametrize("n, m, general", BKM_REFERENCE_CASES)
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_projection(self, n, m, general, side, monkeypatch):
+        choi, p, q = reference_case(n, m, general, 800)
+        target = p if side == "first" else q
+        start = scaling._burg_start(choi.matrix)
+        want_norms = gradient_norms(monkeypatch, oracles, "newton_ref")
+        want, want_dual, want_steps = oracles.burg_project_ref(start, n, m, side, target)
+        steps = newton_steps(monkeypatch)
+        norms = gradient_norms(monkeypatch, scaling, "_newton")
+        got, dual = scaling._burg_project(start, scaling._frame(n, m, side), target, "burg projection")
+        head, want_head = before_polish(norms), before_polish(want_norms)
+        assert len(head) == len(want_head) > 1
+        # a norm at rounding level (the last one can be) agrees to 1e-12,
+        # a hundredth of the tolerance
+        for norm, want_norm in zip(head, want_head):
+            assert (norm is None) == (want_norm is None)
+            if norm is not None:
+                assert abs(norm - want_norm) <= 1e-6 * want_norm + 1e-12
+        assert len(steps) == 1 and abs(steps[0] - want_steps) <= 1 and want_steps > 0
+        assert_point_matches(got, dual, want, want_dual)
+
+    @pytest.mark.parametrize("n, m, general", BKM_REFERENCE_CASES)
+    def test_alternation(self, n, m, general):
+        choi, p, q = reference_case(n, m, general, 810)
+        cfg = scaling.ScalingConfig(target_p=p, target_q=q) if general else scaling.ScalingConfig()
+        want, sweeps = oracles.dual_alternation_ref("burg", choi, cfg)
+        trace = scaling.alternating_projections("burg", choi, cfg)
+        # the 4 x 4 general case is one of the slow Burg alternations that
+        # end at the sweep budget: both runs stop there, at the same state
+        assert trace.converged == ((n, m, general) != (4, 4, True))
+        assert trace.sweeps == sweeps > 0
+        assert np.abs(trace.final.matrix - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n, m", JACOBIAN_CASES)
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_gram_jacobian_matches_einsum(self, n, m, side):
+        state = channels.random_choi(n, m, np.random.default_rng(840 + 10 * n + m)).matrix
+        want = oracles.burg_jacobian_ref(state, n, m, side)
+        got = scaling._burg_jacobian(state, n, m, side)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def floor_at(low: float, high: float) -> float:
+    """A policy floor f with f * high == low in floating point: the
+    spectrum (low, ..., high) then lies on the boundary of the cone."""
+    f = low / high
+    for _ in range(64):
+        if f * high == low:
+            return f
+        f = np.nextafter(f, np.inf if f * high < low else 0.0)
+    raise AssertionError(f"no floor puts {low} on the boundary against {high}")
+
+
+class Started(Exception):
+    """Raised by :func:`captured_start` once a solve has started."""
+
+
+def captured_start(monkeypatch) -> list:
+    """Replace ``scaling._newton`` by one that records the solve's start,
+    the evaluation the cone test admits (None: rejected), and stops."""
+    starts = []
+
+    def capture(method, evaluate, direction, current, **kwargs):
+        starts.append(current)
+        raise Started
+
+    monkeypatch.setattr(scaling, "_newton", capture)
+    return starts
+
+
+class TestOneConeTest:
+    """One cone test, ``linalg._positive_definite``, for every positive
+    definiteness check: min eig > floor * max eig.  A spectrum on the
+    boundary is rejected and the next float up is accepted, by the
+    predicate and by each caller."""
+
+    @pytest.mark.parametrize("high", [1.0, 4.0, 0.25])
+    def test_predicate(self, high):
+        floor = policy.get_policy().pd_rel_floor
+        on = np.array([floor * high, 0.5 * high, high])
+        up = on.copy()
+        up[0] = np.nextafter(on[0], np.inf)
+        assert linalg._positive_definite(on) is False and linalg._positive_definite(up) is True
+        assert linalg._positive_definite(np.stack([on, up, on])).tolist() == [False, True, False]
+        assert linalg._positive_definite(np.stack([on, up]).reshape(2, 1, 3)).tolist() == [[False], [True]]
+        assert not linalg._positive_definite(np.array([-1.0, -0.5]))
+
+    @staticmethod
+    def spectra():
+        floor = policy.get_policy().pd_rel_floor  # floor * 1.0 is exact
+        return (np.array([floor, 0.5, 1.0, 1.0]), np.array([np.nextafter(floor, 1.0), 0.5, 1.0, 1.0]))
+
+    def test_linalg_checks(self):
+        on, up = (np.diag(w) for w in self.spectra())
+        assert np.array_equal(np.linalg.eigvalsh(on), np.diag(on))
+        assert linalg.is_positive_definite(on) is False and linalg.is_positive_definite(up) is True
+        assert linalg.is_positive_definite(np.stack([on, up])).tolist() == [False, True]
+        with pytest.raises(SingularityError, match="min eigenvalue 1.000e-13"):
+            linalg.assert_positive_definite(on)
+        with pytest.raises(SingularityError, match="min eigenvalue 1.000e-13"):
+            linalg.assert_positive_definite(np.stack([up, on]))
+        assert np.array_equal(linalg.assert_positive_definite(up), up)
+
+    def test_burg_projection_start(self, monkeypatch):
+        # K = diag(w) itself is the start: its spectrum is exact
+        starts = captured_start(monkeypatch)
+        for w in self.spectra():
+            start = scaling._burg_point(np.diag(w).astype(complex), w, np.eye(4, dtype=complex))
+            with pytest.raises(Started):
+                scaling._burg_project(start, scaling._frame(2, 2, "first"), np.eye(2) / 2, "burg projection")
+        assert starts[0] is None and starts[1] is not None
+
+    def test_joint_burg_evaluation(self, monkeypatch):
+        # rho0 = diag(1/2, 1/4, 1/8, 1/8) has rho0^{-1} = diag(2, 4, 8, 8)
+        # exactly.  With the unit-trace shift pinned at c, the first
+        # evaluation tests the spectrum (2 - c, 4 - c, 8 - c, 8 - c): under a
+        # floor f with f * 7 == 1, c = 1 puts it on the boundary, and
+        # c = 1 - 2^-52 moves its minimum to the next float up, 1 + 2^-52,
+        # while 8 - c rounds to 7
+        choi = ChoiMatrix(n=2, m=2, matrix=np.diag([0.5, 0.25, 0.125, 0.125]))
+        starts = captured_start(monkeypatch)
+        previous = policy.set_policy(policy.relaxed(pd_rel_floor=floor_at(1.0, 7.0)))
+        try:
+            for shift in (1.0, 1.0 - 2.0**-52):
+                monkeypatch.setattr(scaling, "_unit_trace_shift", lambda w, c=shift: c)
+                with pytest.raises(Started):
+                    scaling.joint_limit("burg", choi)
+        finally:
+            policy.set_policy(previous)
+        assert starts[0] is None and starts[1] is not None
+
+
+class TestRealSystems:
+    """Every Newton system of a projection or a joint solve is real: a
+    float64 matrix and right-hand side for each ``np.linalg.solve``, of the
+    dual's d^2 (or m^2 + n^2) coordinates."""
+
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    @pytest.mark.parametrize("solve", ["projection", "alternation", "joint"])
+    def test_every_solve_is_float64(self, method, solve, monkeypatch):
+        choi, p, q = reference_case(2, 3, True, 850)
+        systems, solve_fn = [], np.linalg.solve
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda a, b: systems.append((a.dtype, b.dtype, a.shape, b.shape)) or solve_fn(a, b)
+        )
+        cfg = scaling.ScalingConfig(target_p=p, target_q=q)
+        if solve == "projection":
+            project = scaling.bkm_e_projection if method == "bkm" else scaling.burg_e_projection
+            project(choi, ConstraintSet("first", p))
+            d2 = [9]
+        elif solve == "alternation":
+            scaling.alternating_projections(method, choi, cfg)
+            d2 = [9, 4]
+        else:
+            scaling.joint_limit(method, choi, cfg)
+            d2 = [9 + 4]
+        assert systems
+        for a_dtype, b_dtype, a_shape, b_shape in systems:
+            assert a_dtype == b_dtype == np.float64
+            assert a_shape[0] == a_shape[1] == b_shape[0] and a_shape[0] in d2
 
 
 def oracle_projection(method, mat, n, m, side, target):
@@ -1532,8 +1739,14 @@ class TestJointLimit:
     @pytest.mark.parametrize("n, m", JACOBIAN_CASES)
     @pytest.mark.parametrize("method", ["bkm", "burg"])
     def test_hessian_against_central_differences(self, method, n, m):
+        # the Hessian in the real coordinates x = (x_A, x_B) of the dual
+        # pair, Re(U^dagger H U) with the block-diagonal U of the two frames
         rng = np.random.default_rng(1300 + 10 * n + m + (method == "burg"))
         rho0 = channels.random_choi(n, m, rng).matrix
+        first, second = scaling._frame(n, m, "first"), scaling._frame(n, m, "second")
+        mm, dim = m * m, m * m + n * n
+        basis = np.zeros((dim, dim), dtype=complex)
+        basis[:mm, :mm], basis[mm:, mm:] = first.basis, second.basis
         a, b = random_hermitian(m, rng), random_hermitian(n, rng)
         if method == "burg":
             coord0 = linalg.invm(rho0)
@@ -1547,34 +1760,47 @@ class TestJointLimit:
             marginals = joint_marginals(method, coord0, a, b, n, m)
             w, v = np.linalg.eigh(coord0 + oracles.lift(a, n, m, "first") + oracles.lift(b, n, m, "second"))
             hess = scaling._bkm_hessian(
-                w, v, (marginals[: m * m].reshape(m, m), marginals[m * m :].reshape(n, n)), n, m, ("first", "second")
+                w - np.logaddexp.reduce(w), v, (marginals[:mm].reshape(m, m), marginals[mm:].reshape(n, n)), n, m,
+                ("first", "second"),
             )
-        assert hess.shape == (m * m + n * n, m * m + n * n)
+        real = scaling._real_form(basis.conj().T, hess, basis)
+        assert real.shape == (dim, dim) and real.dtype == np.float64
+
+        def coordinates(t_a, t_b, dx):
+            # the marginals' coordinates at the duals moved by t_a, t_b along dx
+            da, db = scaling._dual(first, dx[:mm]), scaling._dual(second, dx[mm:])
+            flat = joint_marginals(method, coord0, a + t_a * da, b + t_b * db, n, m)
+            return np.concatenate([
+                scaling._coordinates(first, flat[:mm].reshape(m, m)),
+                scaling._coordinates(second, flat[mm:].reshape(n, n)),
+            ])
+
         for _ in range(3):
-            da, db = random_hermitian(m, rng), random_hermitian(n, rng)
-            fd = oracles.matrix_central_difference(
-                lambda t: joint_marginals(method, coord0, a + t * da, b + t * db, n, m), 0.0, 1e-5
-            )
-            got = hess @ np.concatenate([da.reshape(-1), db.reshape(-1)])
-            assert np.abs(got - fd).max() <= 1e-7 * np.abs(fd).max()
+            dx = rng.standard_normal(dim)
+            fd = oracles.matrix_central_difference(lambda t: coordinates(t, t, dx), 0.0, 1e-5)
+            assert np.abs(real @ dx - fd).max() <= 1e-7 * np.abs(fd).max()
             # the cross blocks alone, against moving the other side only
-            fd_cross = oracles.matrix_central_difference(
-                lambda t: joint_marginals(method, coord0, a, b + t * db, n, m), 0.0, 1e-5
-            )
-            assert np.abs(hess[: m * m, m * m :] @ db.reshape(-1) - fd_cross[: m * m]).max() <= (
-                1e-7 * np.abs(fd_cross).max()
-            )
-        eye_m, eye_n = np.eye(m).reshape(-1), np.eye(n).reshape(-1)
-        zero_m, zero_n = np.zeros(m * m), np.zeros(n * n)
-        # null vectors of the dual: (I, -I) for both, (I, 0) and (0, I) for BKM
-        null = [np.concatenate([eye_m, -eye_n])]
+            fd_cross = oracles.matrix_central_difference(lambda t: coordinates(0.0, t, dx), 0.0, 1e-5)
+            assert np.abs(real[:mm, mm:] @ dx[mm:] - fd_cross[:mm]).max() <= 1e-7 * np.abs(fd_cross).max()
+        # the gauge-fixed real Hessian is symmetric positive definite: the
+        # dual is flat along (I, -I) for both and along (I, 0) and (0, I) for
+        # BKM, and the rank-one terms on the identity's coordinates there
+        # (those joint_limit adds) lift exactly those null directions
+        e_m, e_n = first.eye, second.eye
+        zero_m, zero_n = np.zeros(mm), np.zeros(n * n)
         if method == "bkm":
-            null += [np.concatenate([eye_m, zero_n]), np.concatenate([zero_m, eye_n])]
+            null = [np.concatenate([e_m, zero_n]), np.concatenate([zero_m, e_n])]
+            gauge = np.outer(null[0], null[0]) / m + np.outer(null[1], null[1]) / n
         else:
+            null = [np.concatenate([e_m, -e_n])]
+            gauge = np.outer(null[0], null[0]) / (m + n)
             # the Burg dual is curved along (I, I): rho^{-1} shifts by a multiple of I
-            assert np.abs(hess @ np.concatenate([eye_m, eye_n])).max() > 1e-3 * np.abs(hess).max()
+            assert np.abs(real @ np.concatenate([e_m, e_n])).max() > 1e-3 * np.abs(real).max()
         for vec in null:
-            assert np.abs(hess @ vec).max() <= 1e-12 * np.abs(hess).max()
+            assert np.abs(real @ vec).max() <= 1e-12 * np.abs(real).max()
+        assert np.abs(real - real.T).max() <= 1e-13 * np.abs(real).max()
+        fixed = real + gauge
+        assert np.linalg.eigvalsh((fixed + fixed.T) / 2)[0] > 1e-8 * np.abs(fixed).max()
 
     @pytest.mark.parametrize("general", [False, True])
     @pytest.mark.parametrize("n, m", JACOBIAN_CASES)
@@ -1665,23 +1891,48 @@ class TestJointLimit:
         exact = scaling.joint_limit(method, choi, scaling.ScalingConfig(tol=0.0))
         assert not exact.converged and np.array_equal(exact.final.matrix, free.final.matrix)
 
-    @pytest.mark.parametrize("solve", ["joint", "projection"])
+    @pytest.mark.parametrize("solve", ["joint", "projection", "alternation"])
     @pytest.mark.parametrize("method, field", [("bkm", "bkm_max_iters"), ("burg", "burg_max_iters")])
     def test_policy_budget_bounds_the_solve(self, method, field, solve):
-        # every Newton solve shares one loop, so one message format
+        # every Newton solve shares one loop, so one message format, which
+        # names the solve: the joint solve, or a projection's side and, in
+        # an alternation, its sweep
         choi = channels.random_choi(2, 2, np.random.default_rng(1602))
         project = {"bkm": scaling.bkm_e_projection, "burg": scaling.burg_e_projection}[method]
-        what = f"joint {method}" if solve == "joint" else f"{method} projection"
+        what = {
+            "joint": f"joint {method}",
+            "projection": f"{method} projection onto the first marginal",
+            "alternation": f"{method} projection onto the first marginal in sweep 1",
+        }[solve]
         message = rf"^{what} Newton exhausted 1 iterations \(gradient norm \d\.\d{{3}}e[+-]\d+\)$"
         previous = policy.set_policy(policy.relaxed(**{field: 1}))
         try:
             with pytest.raises(ConvergenceError, match=message):
                 if solve == "joint":
                     scaling.joint_limit(method, choi)
-                else:
+                elif solve == "projection":
                     project(choi, ConstraintSet("first", np.eye(2) / 2))
+                else:
+                    scaling.alternating_projections(method, choi)
         finally:
             policy.set_policy(previous)
+
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    def test_every_projection_names_its_side_and_sweep(self, method, monkeypatch):
+        # the name each Newton solve of an alternation would give an error
+        labels, newton = [], scaling._newton
+
+        def labelled(method, evaluate, direction, current, *, what):
+            labels.append(what)
+            return newton(method, evaluate, direction, current, what=what)
+
+        monkeypatch.setattr(scaling, "_newton", labelled)
+        choi = channels.random_choi(2, 3, np.random.default_rng(1604))
+        scaling.alternating_projections(method, choi, scaling.ScalingConfig(max_iters=3, tol=0.0))
+        assert labels == [
+            f"{method} projection onto the {side} marginal in sweep {sweep}"
+            for sweep in (1, 2, 3) for side in ("first", "second")
+        ]
 
     @pytest.mark.parametrize("method", ["bkm", "burg"])
     def test_feasible_start_is_the_limit(self, method):

@@ -270,6 +270,8 @@ def _parse_h_grid(raw: str | None) -> tuple[float, ...]:
         grid = tuple(float(tok) for tok in raw.split(","))
     except ValueError as exc:
         raise ParseError(f"invalid --h-grid: {exc}") from exc
+    if not all(math.isfinite(h) for h in grid):
+        raise ParseError(f"--h-grid entries must be finite, got {raw!r}")
     if not grid or any(h <= 0 for h in grid) or any(a <= b for a, b in zip(grid, grid[1:])):
         raise ParseError("--h-grid must be positive and strictly descending")
     return grid
@@ -298,8 +300,8 @@ def cmd_diffquot(args) -> int:
                 "built-in perturbation direction is 4 x 4; pass --direction for other sizes"
             )
         direction = reference_direction()
-    trace = scaling.operator_sinkhorn(choi, cfg)
     grid = _parse_h_grid(args.h_grid)
+    trace = scaling.operator_sinkhorn(choi, cfg)
     # an h whose probe leaves the positive cone gives a nan row; any other
     # domain error is the input's and exits 3
     deltas = divergences.central_difference_quotients(

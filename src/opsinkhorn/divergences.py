@@ -150,7 +150,9 @@ def _quotients(
     direction = linalg.as_hermitian(direction, what="perturbation direction")
     if abs(np.trace(direction)) > 1e-10:
         raise InvalidInputError("perturbation direction must be traceless")
-    if n is not None and m is not None:
+    if (n is None) != (m is None):
+        raise InvalidInputError(f"give both block dimensions n and m or neither, got n={n!r}, m={m!r}")
+    if n is not None:
         for which in ("first", "second"):
             part = linalg.partial_trace(direction, n, m, which)
             if np.abs(part).max() > 1e-10:
@@ -205,7 +207,8 @@ def central_difference_quotients(
     The perturbation ``A`` must be Hermitian and traceless so the probe stays
     on the trace-one manifold; when the block structure ``(n, m)`` is given,
     both partial traces of ``A`` must vanish so the probe also stays inside
-    the marginal constraint sets.  ``kl`` takes the diagonals and needs
+    the marginal constraint sets (one of ``n`` and ``m`` alone is an
+    ``InvalidInputError``).  ``kl`` takes the diagonals and needs
     diagonal ``rho*`` and ``rho0``.  The tag, every h (positive), the
     inputs and the critical step are checked and computed once, so an
     input error raises whatever the grid; then every probe is checked once

@@ -16,23 +16,27 @@ entropy (``bkm``) and the Burg divergence (``burg``) over the same constraint
 sets; they are dually-flat e-projections with closed dual characterizations,
 each solved here by damped Newton with a closed-form Jacobian: the
 Daleckii-Krein form of the matrix exponential for BKM and the resolvent
-identity, written blockwise, for Burg.  Newton runs on the d^2 real
-coordinates x of the Hermitian d x d dual, A = reshape(U x), with U the
-unitary whose columns are the Frobenius-orthonormal Hermitian basis
-(:class:`_Frame`, built once per run).  The gradient is the coordinates of
-the marginal mismatch, the Hessian the closed form taken to coordinates as
-Re(U^dagger H U), and the Newton system is real symmetric, positive
-definite once the gauge terms on the identity's coordinates are added: one
-float64 solve per step, and no Hermitian part of a step to take.  The lift
-coord +- lift(A) is one copy and one indexed add of precomputed rows of U.
-Each projection is a straight move in that geometry's e-coordinate (the
-normalized log rho for BKM, rho^{-1} for Burg), so the alternation carries
-the coordinate and its spectrum from one projection to the next instead of
-re-deriving it from every iterate.
+identity, written blockwise, for Burg.  Newton runs on the real
+coordinates x of the Hermitian duals, d^2 for a d x d dual, A = reshape(U x)
+with U the unitary whose columns are the Frobenius-orthonormal Hermitian
+basis (:class:`_Frame`, built once per run).  The gradient is the
+coordinates of the marginal mismatch, the Hessian the closed form taken to
+coordinates as Re(U^dagger H U), and the Newton system is real symmetric,
+positive definite once the gauge terms on the identity's coordinates are
+added: one float64 solve per step, and no Hermitian part of a step to take.
+The lift coord +- lift(A) is one copy and one indexed add of precomputed
+rows of U.  Each projection is a straight move in that geometry's
+e-coordinate (the normalized log rho for BKM, rho^{-1} for Burg), so the
+alternation carries the coordinate and its spectrum from one projection to
+the next instead of re-deriving it from every iterate.
 Both geometries are dually flat, so the limit of either alternation is also
-the minimizer of one convex dual in both dual variables at once;
-:func:`joint_limit` finds it by damped Newton on that joint dual, in a few
-steps where the Burg alternation needs hundreds or thousands of sweeps.
+the e-projection onto both marginal sets at once: the same dual with both
+dual variables free.  :func:`joint_limit` runs the projection's own solve,
+:func:`_bkm_project` or :func:`_burg_project`, on the frame of both sides
+(m^2 + n^2 coordinates, block-diagonal U, one indexed add per side), in a
+few Newton steps where the Burg alternation needs hundreds or thousands of
+sweeps.  So each geometry has one evaluation and one Newton direction,
+for one side or both; the two geometries keep their own.
 
 A BKM Newton evaluation is one ``eigh`` of the lifted coordinate: the
 marginal is read off its spectrum, and the state exp(coord) / Z is formed
@@ -49,9 +53,9 @@ solve too.  One sweep loop, :func:`_alternate`, runs classical Sinkhorn
 (the diagonal case) and the BKM and Burg alternations; each driver passes
 in its per-side step and its residual.  Operator Sinkhorn sweeps a stack of
 trials instead (below).  Likewise one damped-Newton loop, :func:`_newton`,
-runs the BKM and Burg projections and the joint limit solve, each with its
-own evaluation and Newton direction, and names the solve in its errors (the
-side and sweep of an alternation's projection).
+runs every BKM and Burg solve, one-sided or joint, with the geometry's
+evaluation and Newton direction, and names the solve in its errors (the
+side and sweep of an alternation's projection, or the joint solve).
 
 Operator Sinkhorn runs on the factors instead of the iterate: after k steps
 the iterate is (R kron L) rho0 (R kron L)^dagger, the Choi matrix of the
@@ -671,74 +675,94 @@ def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -
 
 
 class _Frame(NamedTuple):
-    """Real coordinates of the Hermitian d x d duals lifted on ``side`` of
-    an n x m block shape (d = m for "first", n for "second").
+    """Real coordinates of the Hermitian duals lifted on ``sides`` of an
+    n x m block shape: ("first",), ("second",) or both, in that order, with
+    a d x d dual per side (d = m for "first", n for "second").
 
-    A dual is A = reshape(U x) for x in R^{d^2}, with ``basis`` U the
-    d^2 x d^2 unitary whose columns are the row-major vec of the
-    Frobenius-orthonormal Hermitian basis E_ii, (E_ij + E_ji) / sqrt 2 and
-    i (E_ji - E_ij) / sqrt 2 (i < j), and ``adjoint`` U^dagger: the
-    coordinates of a Hermitian M are Re(U^dagger vec M), and of any square M
-    those of its Hermitian part.  ``flat`` holds the flat indices of the
-    entries that lift(A) (I_n kron A, or A kron I_m) sets in an mn x mn
-    matrix and ``rows`` the rows of U that give them, so lift(A) there is
-    ``rows @ x``.  ``eye`` holds the coordinates e of I_d, ones on the E_ii,
-    and ``gauge`` is e e^T / d, the projector onto them."""
+    The duals are reshapes of U x for x in R^D, D the sum of the d^2, with
+    ``basis`` U block diagonal: per side, the d^2 x d^2 unitary whose
+    columns are the row-major vec of the Frobenius-orthonormal Hermitian
+    basis E_ii, (E_ij + E_ji) / sqrt 2 and i (E_ji - E_ij) / sqrt 2
+    (i < j).  ``adjoint`` is U^dagger: the coordinates of Hermitian
+    matrices, one per side, are Re(U^dagger (vec M_1, ...)), and of any
+    square ones those of their Hermitian parts.  ``lifts`` holds per side
+    its slice of x, the flat indices of the entries its lift (I_n kron A,
+    or B kron I_m) sets in an mn x mn matrix and the rows of its block of U
+    that give them, so that lift there is ``rows @ x[part]``: one indexed
+    add per side, since both lifts set the diagonal.  With e the
+    coordinates of I_d (ones on the E_ii), ``gauge`` is e e^T / d on each
+    side's block, the BKM gauge; ``null`` is (e_m, -e_n), along which the
+    two-sided Burg dual is flat (zero on one side, where it has no flat
+    direction); and ``unit`` is e over the number of sides, which lifts to
+    I_mn."""
 
     n: int
     m: int
-    side: str
+    sides: tuple[str, ...]
     basis: np.ndarray
     adjoint: np.ndarray
-    flat: np.ndarray
-    rows: np.ndarray
-    eye: np.ndarray
+    lifts: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
     gauge: np.ndarray
+    null: np.ndarray
+    unit: np.ndarray
 
 
-def _frame(n: int, m: int, side: str) -> _Frame:
-    """The :class:`_Frame` of ``side`` of an n x m block shape: O(d^4) work,
-    built once per run.  The basis runs E_ii first, then for each i < j
-    (E_ij + E_ji) / sqrt 2 and i (E_ji - E_ij) / sqrt 2."""
-    d, dim, s = (m if side == "first" else n), n * m, math.sqrt(0.5)
-    basis = np.zeros((d, d, d * d), dtype=complex)
-    k = d
-    for i in range(d):
-        basis[i, i, i] = 1.0
-        for j in range(i + 1, d):
-            basis[i, j, k] = basis[j, i, k] = s
-            basis[j, i, k + 1], basis[i, j, k + 1] = 1j * s, -1j * s
-            k += 2
-    basis = basis.reshape(d * d, d * d)
-    if side == "first":  # (I_n kron A)[(i, a), (i, b)] = A[a, b]
-        i, a, b = np.arange(n)[:, None, None], np.arange(m)[:, None], np.arange(m)
-        flat, entry = (i * m + a) * dim + i * m + b, np.broadcast_to(a * m + b, (n, m, m))
-    else:  # (B kron I_m)[(i, a), (j, a)] = B[i, j]
-        i, j, a = np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(m)
-        flat, entry = (i * m + a) * dim + j * m + a, np.broadcast_to(i * n + j, (n, n, m))
-    eye = np.zeros(d * d)
-    eye[:d] = 1.0
-    rows = basis[entry.reshape(-1)]
-    return _Frame(n, m, side, basis, basis.conj().T, flat.reshape(-1), rows, eye, np.outer(eye, eye) / d)
+def _frame(n: int, m: int, sides: tuple[str, ...]) -> _Frame:
+    """The :class:`_Frame` of ``sides`` of an n x m block shape: O(d^4)
+    work per side, built once per run.  Each side's basis runs E_ii first,
+    then for each i < j (E_ij + E_ji) / sqrt 2 and i (E_ji - E_ij) / sqrt 2."""
+    dim, s, lifts, start = n * m, math.sqrt(0.5), [], 0
+    size = sum((m if side == "first" else n) ** 2 for side in sides)
+    basis, gauge, eye = np.zeros((size, size), dtype=complex), np.zeros((size, size)), np.zeros(size)
+    for side in sides:
+        d = m if side == "first" else n
+        part, block, k = slice(start, start + d * d), np.zeros((d, d, d * d), dtype=complex), d
+        for i in range(d):
+            block[i, i, i] = 1.0
+            for j in range(i + 1, d):
+                block[i, j, k] = block[j, i, k] = s
+                block[j, i, k + 1], block[i, j, k + 1] = 1j * s, -1j * s
+                k += 2
+        block = basis[part, part] = block.reshape(d * d, d * d)
+        if side == "first":  # (I_n kron A)[(i, a), (i, b)] = A[a, b]
+            i, a, b = np.arange(n)[:, None, None], np.arange(m)[:, None], np.arange(m)
+            flat, entry = (i * m + a) * dim + i * m + b, np.broadcast_to(a * m + b, (n, m, m))
+        else:  # (B kron I_m)[(i, a), (j, a)] = B[i, j]
+            i, j, a = np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(m)
+            flat, entry = (i * m + a) * dim + j * m + a, np.broadcast_to(i * n + j, (n, n, m))
+        lifts.append((part, flat.reshape(-1), block[entry.reshape(-1)]))
+        eye[start : start + d] = 1.0
+        gauge[part, part] = np.outer(eye[part], eye[part]) / d
+        start += d * d
+    # (e_m, -e_n) on both sides
+    null = eye * np.repeat([1.0, -1.0], [m * m, n * n]) if len(sides) == 2 else np.zeros(size)
+    return _Frame(n, m, tuple(sides), basis, basis.conj().T, tuple(lifts), gauge, null, eye / len(sides))
 
 
 def _lifted(base: np.ndarray, frame: _Frame, x: np.ndarray) -> np.ndarray:
-    """base + lift(A) for the dual A with coordinates ``x``: one copy and
-    one indexed add."""
+    """base + the lifts of the duals with coordinates ``x``: one copy and
+    one indexed add per side."""
     out = base.copy()
-    out.reshape(-1)[frame.flat] += frame.rows @ x
+    for part, flat, rows in frame.lifts:
+        out.reshape(-1)[flat] += rows @ x[part]
     return out
 
 
-def _coordinates(frame: _Frame, mat: np.ndarray) -> np.ndarray:
-    """The real coordinates of the Hermitian part of the d x d ``mat``."""
-    return (frame.adjoint @ mat.reshape(-1)).real
+def _coordinates(frame: _Frame, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The real coordinates of the Hermitian parts of ``mats``, a square
+    matrix per side of ``frame``: one product with each side's block of
+    U^dagger."""
+    if len(mats) == 1:
+        return (frame.adjoint @ mats[0].reshape(-1)).real
+    parts = (part for part, _, _ in frame.lifts)
+    return np.concatenate([(frame.adjoint[part, part] @ mat.reshape(-1)).real for mat, part in zip(mats, parts)])
 
 
-def _dual(frame: _Frame, x: np.ndarray) -> np.ndarray:
-    """The Hermitian d x d dual with coordinates ``x``."""
-    d = frame.m if frame.side == "first" else frame.n
-    return (frame.basis @ x).reshape(d, d)
+def _duals(frame: _Frame, x: np.ndarray) -> list[np.ndarray]:
+    """The Hermitian duals with coordinates ``x``, a d x d array per side
+    (its d^2 entries of U x)."""
+    u = frame.basis @ x
+    return [u[part].reshape(math.isqrt(part.stop - part.start), -1) for part, _, _ in frame.lifts]
 
 
 def _real_form(adjoint: np.ndarray, jac: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -748,36 +772,31 @@ def _real_form(adjoint: np.ndarray, jac: np.ndarray, basis: np.ndarray) -> np.nd
     return (adjoint @ jac @ basis).real
 
 
-def _burg_jacobian(r: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
-    """Jacobian of B -> tr_side(R lift(B) R) as a d^2 x d^2 complex matrix
-    acting on row-major vec(B): sum_ij R_ij kron R_ji^T over the m x m
-    blocks R_ij of R for side "first", and the same over the n x n matrices
-    R[:, a, :, b] for side "second".  Since R is Hermitian, it is one Gram
-    product X X^dagger, with X[(c, a), (i, j)] = R[(i, c), (j, a)] for
-    "first" and X[(i, j), (a, b)] = R[(i, a), (j, b)] for "second", moved
-    from ((row, column), (row', column')) to ((row, row'), (column,
-    column'))."""
-    blocks = r.reshape(n, m, n, m)
-    if side == "first":
-        d, x = m, blocks.transpose(1, 3, 0, 2).reshape(m * m, n * n)
-    else:
-        d, x = n, blocks.transpose(0, 2, 1, 3).reshape(n * n, m * m)
-    return (x @ x.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+def _burg_jacobian(r: np.ndarray, n: int, m: int, sides: tuple[str, ...]) -> np.ndarray:
+    """Jacobian of the duals -> the marginals on ``sides`` of R lift R, the
+    Hessian of the Burg dual at the state R, as a complex matrix acting on
+    the row-major vecs of the duals end to end.
 
-
-def _burg_hessian(r: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Hessian of the joint Burg dual (see :func:`joint_limit`) at the state
-    R, as an (m^2 + n^2)-square complex matrix acting on row-major
-    (vec A, vec B): the two :func:`_burg_jacobian` blocks on the diagonal,
-    the cross block d tr_first(R (B kron I) R) / dB from one more
-    ``einsum`` and, since R is Hermitian, its adjoint below."""
-    blocks = r.reshape(n, m, n, m)
-    hess = np.empty((m * m + n * n, m * m + n * n), dtype=complex)
-    hess[: m * m, : m * m] = _burg_jacobian(r, n, m, "first")
-    hess[m * m :, m * m :] = _burg_jacobian(r, n, m, "second")
-    hess[: m * m, m * m :] = np.einsum("iajb,kbid->adjk", blocks, blocks).reshape(m * m, n * n)
-    hess[m * m :, : m * m] = hess[: m * m, m * m :].conj().T
-    return hess
+    For side "first" it is sum_ij R_ij kron R_ji^T over the m x m blocks
+    R_ij of R, and for "second" the same over the n x n matrices
+    R[:, a, :, b].  Since R is Hermitian, each is one Gram product X
+    X^dagger, with X[(c, a), (i, j)] = R[(i, c), (j, a)] for "first" and
+    X[(i, j), (a, b)] = R[(i, a), (j, b)] for "second", moved from ((row,
+    column), (row', column')) to ((row, row'), (column, column')).  Both
+    sides put those two blocks on the diagonal, the cross block
+    d tr_first(R (B kron I) R) / dB from one ``einsum`` and, since R is
+    Hermitian, its adjoint below."""
+    blocks, grams = r.reshape(n, m, n, m), []
+    for side in sides:
+        if side == "first":
+            d, x = m, blocks.transpose(1, 3, 0, 2).reshape(m * m, n * n)
+        else:
+            d, x = n, blocks.transpose(0, 2, 1, 3).reshape(n * n, m * m)
+        grams.append((x @ x.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))
+    if len(sides) == 1:
+        return grams[0]
+    cross = np.einsum("iajb,kbid->adjk", blocks, blocks).reshape(m * m, n * n)
+    return np.concatenate([np.concatenate([grams[0], cross], 1), np.concatenate([cross.conj().T, grams[1]], 1)])
 
 
 def _bkm_contraction(v: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
@@ -795,14 +814,13 @@ def _bkm_contraction(v: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
 
 
 def _bkm_hessian(
-    w: np.ndarray, v: np.ndarray, marginals: Sequence[np.ndarray], n: int, m: int, sides: Sequence[str]
+    w: np.ndarray, v: np.ndarray, marginals: Sequence[np.ndarray], n: int, m: int, sides: tuple[str, ...]
 ) -> np.ndarray:
     """Jacobian of the marginals on ``sides`` of exp(H) / tr exp(H) in the
     dual variables lifted on those sides, H = log rho0 + the lifts, at the
     point with spectrum H - log tr exp(H) = v diag(w) v^dagger (so that
-    sum exp(w) = 1) and those ``marginals``: the
-    Hessian of the BKM dual, acting on row-major vec(A) (one side, for
-    :func:`_bkm_project`) or (vec A, vec B) (both, for :func:`joint_limit`).
+    sum exp(w) = 1) and those ``marginals``: the Hessian of the BKM dual,
+    acting on row-major vec(A) (one side) or (vec A, vec B) (both).
 
     Daleckii-Krein: d exp(H)[X] = v (Phi o (v^dagger X v)) v^dagger, with
     Phi the divided differences of exp on the spectrum of H.  With
@@ -830,17 +848,19 @@ class _Point(NamedTuple):
     v^dagger: the normalized log rho (tr exp(coord) = 1) for BKM, K = rho^{-1}
     for Burg.  Each projection is a straight move in this coordinate,
     coord +- lift(A), so the alternation carries it from one projection to
-    the next instead of taking log rho or rho^{-1} of every iterate."""
+    the next instead of taking log rho or rho^{-1} of every iterate.  The
+    joint BKM solve starts from log rho0 with its spectrum and ``state``
+    None: that start's state is never formed."""
 
     coord: np.ndarray
     w: np.ndarray
     v: np.ndarray
-    state: np.ndarray
+    state: np.ndarray | None
 
 
 def _newton(method: str, evaluate: Callable, direction: Callable, current, what: str):
     """Damped Newton on a smooth convex dual in real coordinates: the loop
-    of the ``bkm`` and ``burg`` e-projections and of :func:`joint_limit`.
+    of every ``bkm`` and ``burg`` solve, one-sided or joint.
 
     ``current`` and every ``evaluate(x)`` are tuples (x, value, gradient,
     state): the real coordinate vector x (an evaluation may move it along a
@@ -937,39 +957,64 @@ def _projection_name(method: str, side: str, sweep: int | None = None) -> str:
     return f"{method} projection onto the {side} marginal" + (f" in sweep {sweep}" if sweep else "")
 
 
-def _bkm_project(start: _Point, frame: _Frame, target: np.ndarray, what: str) -> tuple[_Point, np.ndarray]:
-    """BKM e-projection of ``start`` onto {tr_side rho = target}, side and
-    shape from ``frame``, on plain arrays (see :func:`bkm_e_projection`);
-    returns the projected point and the dual variable A.  Each evaluation
-    takes one ``eigh`` and reads the marginal off the spectrum; the
-    projected state is formed once, from the last accepted evaluation
-    (``start`` itself if Newton takes no step).  ``what`` names the solve
-    in its errors."""
-    n, m, side = frame.n, frame.m, frame.side
-    t = _coordinates(frame, target)
+def _bkm_project(start: _Point, frame: _Frame, t: np.ndarray, what: str) -> tuple[_Point, list[np.ndarray], int]:
+    """BKM e-projection of ``start`` onto {tr_side rho = target} on every
+    side of ``frame`` at once (one side: :func:`bkm_e_projection`; both:
+    :func:`joint_limit`), on plain arrays, with ``t`` the targets'
+    coordinates.  Returns the projected point, the duals (a Hermitian array
+    per side) and the number of Newton steps.  Each evaluation takes one
+    ``eigh`` and reads the marginals off the spectrum; the projected state
+    is formed once, from the last accepted evaluation (``start`` itself if
+    Newton takes no step from a formed start).  The start's marginals are
+    the partial traces of its state, or, when that is not formed, read off
+    its spectrum.  ``what`` names the solve in its errors."""
+    n, m, sides = frame.n, frame.m, frame.sides
 
-    def evaluate(x: np.ndarray):
-        """x, the dual value and gradient at start.coord + lift(A), and the
-        spectrum there with its marginal."""
-        coord = _lifted(start.coord, frame, x)
-        w, v = np.linalg.eigh(coord)
+    def evaluate(x: np.ndarray, at: tuple | None = None):
+        """x, the dual value and gradient at start.coord + the lifts, and
+        there the coordinate, its spectrum (``at``, if given) and the
+        marginals."""
+        if at is None:
+            coord = _lifted(start.coord, frame, x)
+            w, v = np.linalg.eigh(coord)
+        else:
+            coord, w, v = at
         p, log_z = _gibbs_weights(w)
         vb = v.reshape(n, m, n * m)
-        marginal = np.einsum(_BKM_MARGINAL[side], vb * p, vb.conj())
-        return x, lambda: log_z - float(t @ x), _coordinates(frame, marginal) - t, (coord, w, v, marginal, log_z)
+        weighted, conj = vb * p, vb.conj()
+        marginals = [np.einsum(_BKM_MARGINAL[side], weighted, conj) for side in sides]
+        return x, lambda: log_z - float(t @ x), _coordinates(frame, marginals) - t, (coord, w, v, marginals, log_z)
 
     def direction(state, g: np.ndarray) -> np.ndarray:
-        _, w, v, marginal, log_z = state
-        hess = _real_form(frame.adjoint, _bkm_hessian(w - log_z, v, (marginal,), n, m, (side,)), frame.basis)
+        _, w, v, marginals, log_z = state
+        hess = _real_form(frame.adjoint, _bkm_hessian(w - log_z, v, marginals, n, m, sides), frame.basis)
         return np.linalg.solve(hess + frame.gauge, -g)
 
-    marginal = linalg.partial_trace(start.state, n, m, side)
-    # at A = 0 the dual value is log tr exp(start.coord), zero up to rounding
-    log_z = float(np.logaddexp.reduce(start.w))
-    current = (np.zeros(len(t)), lambda: log_z, _coordinates(frame, marginal) - t,
-               (start.coord, start.w, start.v, marginal, log_z))
+    if start.state is None:
+        current = evaluate(np.zeros(len(t)), (start.coord, start.w, start.v))
+    else:
+        marginals = [linalg.partial_trace(start.state, n, m, side) for side in sides]
+        # at A = 0 the dual value is log tr exp(start.coord), zero up to rounding
+        log_z = float(np.logaddexp.reduce(start.w))
+        current = (np.zeros(len(t)), lambda: log_z, _coordinates(frame, marginals) - t,
+                   (start.coord, start.w, start.v, marginals, log_z))
     x, (coord, w, v, _, _), steps = _newton("bkm", evaluate, direction, current, what=what)
-    return (_bkm_point(coord, w, v)[0] if steps else start), _dual(frame, x)
+    point = start if steps == 0 and start.state is not None else _bkm_point(coord, w, v)[0]
+    return point, _duals(frame, x), steps
+
+
+def _e_projection(method: str, choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[ChoiMatrix, np.ndarray]:
+    """The wrapper of :func:`bkm_e_projection` and
+    :func:`burg_e_projection`: checks the source (positive definite, unit
+    trace), takes it to its e-coordinate, runs the one-sided solve on plain
+    arrays (:func:`_bkm_project`, :func:`_burg_project`) and validates the
+    result as a :class:`ChoiMatrix`."""
+    start, project = (_bkm_start, _bkm_project) if method == "bkm" else (_burg_start, _burg_project)
+    n, m, side = choi0.n, choi0.m, constraint.side
+    frame = _frame(n, m, (side,))
+    source = start(as_density(choi0.matrix, "projection source"))
+    point, (dual,), _ = project(source, frame, _coordinates(frame, [constraint.target]), _projection_name(method, side))
+    return ChoiMatrix(n=n, m=m, matrix=point.state), dual
 
 
 def bkm_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[ChoiMatrix, np.ndarray]:
@@ -997,15 +1042,12 @@ def bkm_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Choi
     Returns the projected state and the dual variable, a Hermitian d x d
     array.
 
-    This wrapper checks the source (positive definite, unit trace), takes
-    its logarithm and validates the result as a :class:`ChoiMatrix`; the
-    Newton iteration itself runs on plain arrays in :func:`_bkm_project`,
-    which :func:`alternating_projections` calls directly.
+    The source is checked (positive definite, unit trace) and the result
+    validated as a :class:`ChoiMatrix` (:func:`_e_projection`); the Newton
+    solve itself, :func:`_bkm_project`, is the one
+    :func:`alternating_projections` and :func:`joint_limit` run.
     """
-    n, m, side = choi0.n, choi0.m, constraint.side
-    start = _bkm_start(as_density(choi0.matrix, "projection source"))
-    point, a = _bkm_project(start, _frame(n, m, side), constraint.target, _projection_name("bkm", side))
-    return ChoiMatrix(n=n, m=m, matrix=point.state), a
+    return _e_projection("bkm", choi0, constraint)
 
 
 def _burg_point(coord: np.ndarray, w: np.ndarray, v: np.ndarray) -> _Point:
@@ -1020,35 +1062,46 @@ def _burg_start(rho: np.ndarray) -> _Point:
     return _burg_point(k, *np.linalg.eigh(k))
 
 
-def _burg_project(start: _Point, frame: _Frame, target: np.ndarray, what: str) -> tuple[_Point, np.ndarray]:
-    """Burg e-projection of ``start`` onto {tr_side rho = target}, side and
-    shape from ``frame``, on plain arrays (see :func:`burg_e_projection`);
-    returns the projected point, read off the last accepted Newton
-    evaluation, and the dual variable A.  ``what`` names the solve in its
-    errors."""
-    n, m, side = frame.n, frame.m, frame.side
-    t = _coordinates(frame, target)
+def _burg_project(start: _Point, frame: _Frame, t: np.ndarray, what: str) -> tuple[_Point, list[np.ndarray], int]:
+    """Burg e-projection of ``start`` onto {tr_side rho = target} on every
+    side of ``frame`` at once (one side: :func:`burg_e_projection`; both:
+    :func:`joint_limit`), on plain arrays, with ``t`` the targets'
+    coordinates.  Returns the projected point, read off the last accepted
+    Newton evaluation, the duals (a Hermitian array per side) and the
+    number of Newton steps.  On two sides every candidate first moves to
+    its unit-trace point and the system gains the gauge on ``frame.null``
+    (see :func:`joint_limit`); one-sided solves keep their own Newton path,
+    with neither.  ``what`` names the solve in its errors."""
+    n, m, sides = frame.n, frame.m, frame.sides
+    joint = len(sides) == 2
 
     def evaluate(x: np.ndarray, point: _Point | None = None):
-        """x, the dual value and gradient at K = start.coord - lift(A), and
-        the point there (``point``, if given); None outside the cone.  The
-        value -log det K - tr(target A) comes from the spectrum of K."""
+        """x, the dual value and gradient at K = start.coord - the lifts,
+        and the point there (``point``, if given); None outside the cone.
+        The value -log det K - t.x comes from the spectrum of K.  On two
+        sides x first moves along ``frame.unit`` to the unit-trace point."""
         if point is None:
             coord = _lifted(start.coord, frame, -x)
             w, v = np.linalg.eigh(coord)
+            if joint and w[0] > 0:  # the cone test below rejects any other spectrum
+                c = _unit_trace_shift(w)
+                coord.flat[:: n * m + 1] -= c
+                w, x = w - c, x + c * frame.unit
             if not linalg._positive_definite(w):
                 return None
             point = _burg_point(coord, w, v)
-        return (x, lambda: -float(np.log(point.w).sum()) - float(t @ x),
-                _coordinates(frame, linalg.partial_trace(point.state, n, m, side)) - t, point)
+        marginals = [linalg.partial_trace(point.state, n, m, side) for side in sides]
+        return x, lambda: -float(np.log(point.w).sum()) - float(t @ x), _coordinates(frame, marginals) - t, point
 
     def direction(point: _Point, g: np.ndarray) -> np.ndarray:
-        jac = _real_form(frame.adjoint, _burg_jacobian(point.state, n, m, side), frame.basis)
+        jac = _real_form(frame.adjoint, _burg_jacobian(point.state, n, m, sides), frame.basis)
+        if joint:
+            jac += np.outer(frame.null, frame.null) / (n + m)
         return np.linalg.solve(jac, -g)
 
     current = evaluate(np.zeros(len(t)), start) if linalg._positive_definite(start.w) else None
-    x, point, _ = _newton("burg", evaluate, direction, current, what=what)
-    return point, _dual(frame, x)
+    x, point, steps = _newton("burg", evaluate, direction, current, what=what)
+    return point, _duals(frame, x), steps
 
 
 def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[ChoiMatrix, np.ndarray]:
@@ -1069,15 +1122,12 @@ def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Cho
     resolvent and F.  Returns the projected state and A, a Hermitian d x d
     array.
 
-    This wrapper checks the source (positive definite, unit trace), inverts
-    it and validates the result as a :class:`ChoiMatrix`; the Newton
-    iteration itself runs on plain arrays in :func:`_burg_project`, which
-    :func:`alternating_projections` calls directly.
+    The source is checked (positive definite, unit trace) and the result
+    validated as a :class:`ChoiMatrix` (:func:`_e_projection`); the Newton
+    solve itself, :func:`_burg_project`, is the one
+    :func:`alternating_projections` and :func:`joint_limit` run.
     """
-    n, m, side = choi0.n, choi0.m, constraint.side
-    start = _burg_start(as_density(choi0.matrix, "projection source"))
-    point, a = _burg_project(start, _frame(n, m, side), constraint.target, _projection_name("burg", side))
-    return ChoiMatrix(n=n, m=m, matrix=point.state), a
+    return _e_projection("burg", choi0, constraint)
 
 
 def alternating_projections(
@@ -1094,22 +1144,25 @@ def alternating_projections(
     or rho^{-1}.  The loop then carries that coordinate with its spectrum
     from one projection to the next on plain arrays, since each projection
     moves it by lift(A) and its last Newton evaluation already holds the
-    projected point's spectrum.  The two sides' frames of real coordinates
-    are built once per run.  A Newton error names the side and the sweep of
-    its projection.  The final iterate, PSD by construction, is checked for
-    shape and finiteness only (:func:`_close`).
+    projected point's spectrum.  The two one-sided frames of real
+    coordinates and the targets' coordinates are built once per run.  A
+    Newton error names the side and the sweep of its projection.  The final
+    iterate, PSD by construction, is checked for shape and finiteness only
+    (:func:`_close`).
     """
     if method == "sld":
         return operator_sinkhorn(choi0, cfg)
     trace, p, q = _new_trace(method, choi0, cfg)
     start, project = (_bkm_start, _bkm_project) if method == "bkm" else (_burg_start, _burg_project)
     n, m = choi0.n, choi0.m
-    frames = {side: _frame(n, m, side) for side in ("first", "second")}
+    frames = {side: _frame(n, m, (side,)) for side in ("first", "second")}
+    coordinates = {side: _coordinates(frames[side], [target]) for side, target in (("first", p), ("second", q))}
     point = start(choi0.matrix)
 
     def step(side: str, target: np.ndarray) -> np.ndarray:
         nonlocal point
-        point, dual = project(point, frames[side], target, _projection_name(method, side, trace.sweeps + 1))
+        name = _projection_name(method, side, trace.sweeps + 1)
+        point, (dual,), _ = project(point, frames[side], coordinates[side], name)
         trace.iterates.append(point.state)
         return dual
 
@@ -1146,29 +1199,32 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
         bkm:   F = log tr exp(log rho0 + I kron A + B kron I) - tr PA - tr QB,
         burg:  F = -log det(rho0^{-1} - I kron A - B kron I) - tr PA - tr QB,
 
-    with rho = exp(...) / Z or (...)^{-1}.  Newton runs on the m^2 + n^2
-    real coordinates x = (x_A, x_B) of the pair (:class:`_Frame`, one per
-    side).  The gradient of F is the pair of marginal mismatches
-    (tr_first rho - P, tr_second rho - Q) in those coordinates; its Hessian
-    has the one-sided Jacobians on the diagonal and one more contraction for
-    the cross blocks (:func:`_bkm_hessian`, :func:`_burg_hessian`), taken to
-    real coordinates by the block-diagonal U as Re(U^dagger H U), a real
-    symmetric matrix.  A BKM evaluation reads both marginals off its one
-    ``eigh``, as the one-sided projection does; the state is formed once, at
-    the returned point.
+    with rho = exp(...) / Z or (...)^{-1}.  That is the dual of an
+    e-projection with both marginals constrained, so the solve is the
+    projection's own (:func:`_bkm_project`, :func:`_burg_project`) on the
+    two-sided frame (:class:`_Frame`): Newton on the m^2 + n^2 real
+    coordinates x = (x_A, x_B), with the pair of marginal mismatches as the
+    gradient and the Hessian with the one-sided Jacobians on the diagonal
+    and one more contraction for the cross blocks (:func:`_bkm_hessian`,
+    :func:`_burg_jacobian`), taken to real coordinates by the block-diagonal
+    U.  A BKM evaluation reads both marginals off its one ``eigh``, the
+    start's too, from the spectrum of log rho0: no start state is formed,
+    and the state is formed once, at the returned point.
 
     Both duals are flat along (A + cI, B - cI), and the BKM dual along
     (A + cI, B) and (A, B + cI) separately, since Z absorbs either shift.
     Rank-one terms on the identity's coordinates along those directions,
-    (e_m, -e_n) for Burg and (e_m, 0), (0, e_n) for BKM, fix the gauge and
-    make the real system positive definite; the gradient is orthogonal to
-    them, so every step is too.  The Burg dual is not flat along
-    (A + cI, B + cI), which shifts rho^{-1} by -2cI, but its minimum along
-    that line is explicit: the shift that gives rho unit trace, from the
-    spectrum at hand (:func:`_unit_trace_shift`).  Every Burg point is taken
-    there, the counterpart of the normalization by Z for BKM; without it a
-    Newton step can leave rho with trace in the hundreds, from where damped
-    Newton needs hundreds of steps to return.
+    (e_m, -e_n) for Burg (the frame's ``null``) and (e_m, 0), (0, e_n) for
+    BKM (its ``gauge``), fix the gauge and make the real system positive
+    definite; the gradient is orthogonal to them, so every step is too.
+    The Burg dual is not flat along (A + cI, B + cI), which shifts rho^{-1}
+    by -2cI, but its minimum along that line is explicit: the shift that
+    gives rho unit trace, from the spectrum at hand
+    (:func:`_unit_trace_shift`).  Every Burg candidate is taken there, the
+    counterpart of the normalization by Z for BKM; without it a Newton step
+    can leave rho with trace in the hundreds, from where damped Newton needs
+    hundreds of steps to return.  The one-sided projections take no such
+    shift, which would change their Newton paths.
 
     :func:`_newton` minimizes F, with its line search, stopping rule, Burg
     polish and policy budget (``ConvergenceError`` past it); a Burg
@@ -1188,64 +1244,15 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
     if method == "sld":
         raise UnsupportedError("the sld geometry is not dually flat: it has no joint limit solve")
     trace, p, q = _new_trace(method, choi0, cfg)
-    n, m = choi0.n, choi0.m
-    mm, sides = m * m, ("first", "second")
-    first, second = (_frame(n, m, side) for side in sides)
-    basis = np.zeros((mm + n * n, mm + n * n), dtype=complex)
-    basis[:mm, :mm], basis[mm:, mm:] = first.basis, second.basis
-    adjoint = basis.conj().T
-    t = np.concatenate([_coordinates(first, p), _coordinates(second, q)])
-    eye_ab = np.concatenate([first.eye, second.eye])
+    frame = _frame(choi0.n, choi0.m, ("first", "second"))
+    t = _coordinates(frame, [p, q])
     if method == "bkm":
-        base, sign = linalg.logm(choi0.matrix), 1.0
-        gauge = np.zeros((mm + n * n, mm + n * n))
-        gauge[:mm, :mm], gauge[mm:, mm:] = first.gauge, second.gauge
+        h = linalg.logm(choi0.matrix)
+        point, duals, trace.sweeps = _bkm_project(_Point(h, *np.linalg.eigh(h), None), frame, t, "joint bkm")
     else:
-        base, sign = linalg.invm(choi0.matrix), -1.0
-        u = np.concatenate([first.eye, -second.eye])
-        gauge = np.outer(u, u) / (m + n)
-
-    def evaluate(x: np.ndarray):
-        """x = (x_A, x_B), the dual value and gradient at base +-
-        (I kron A + B kron I), and there the coordinate with its spectrum
-        (BKM: the state is not formed) or the point (Burg), with the
-        marginals; for Burg x first moves along (I, I) to the unit-trace
-        point, and None means outside the cone."""
-        coord = _lifted(_lifted(base, first, sign * x[:mm]), second, sign * x[mm:])
-        w, v = np.linalg.eigh(coord)
-        if method == "bkm":
-            at = (coord, w, v)
-            weights, potential = _gibbs_weights(w)
-            vb = v.reshape(n, m, n * m)
-            marginals = [np.einsum(_BKM_MARGINAL[side], vb * weights, vb.conj()) for side in sides]
-        else:
-            if not w[0] > 0:
-                return None
-            c = _unit_trace_shift(w)
-            coord.flat[:: n * m + 1] -= c
-            w, x = w - c, x + 0.5 * c * eye_ab
-            if not linalg._positive_definite(w):
-                return None
-            at, potential = _burg_point(coord, w, v), -float(np.sum(np.log(w)))
-            marginals = [linalg.partial_trace(at.state, n, m, side) for side in sides]
-        g = np.concatenate([_coordinates(first, marginals[0]), _coordinates(second, marginals[1])]) - t
-        return x, lambda: potential - float(t @ x), g, (at, marginals, potential)
-
-    def direction(state, g: np.ndarray) -> np.ndarray:
-        at, marginals, potential = state
-        if method == "bkm":  # the potential is log Z
-            _, w, v = at
-            hess = _bkm_hessian(w - potential, v, marginals, n, m, sides)
-        else:
-            hess = _burg_hessian(at.state, n, m)
-        return np.linalg.solve(_real_form(adjoint, hess, basis) + gauge, -g)
-
-    current = evaluate(np.zeros(mm + n * n))
-    x, (at, _, _), trace.sweeps = _newton(method, evaluate, direction, current, what=f"joint {method}")
-    # the BKM state is formed once, from the last accepted evaluation
-    point = _bkm_point(*at)[0] if method == "bkm" else at
-    trace.factors += [("first", _dual(first, x[:mm])), ("second", _dual(second, x[mm:]))]
-    trace.residuals.append(_residual(point.state, n, m, p, q))
+        point, duals, trace.sweeps = _burg_project(_burg_start(choi0.matrix), frame, t, "joint burg")
+    trace.factors += list(zip(frame.sides, duals))
+    trace.residuals.append(_residual(point.state, choi0.n, choi0.m, p, q))
     trace.iterates.append(point.state)
     return _close(trace, cfg, point.state)
 

@@ -5,8 +5,9 @@ The on-disk matrix format is one JSON object:
     {"kind": "choi", "n": 2, "m": 2, "re": [[...]], "im": [[...]]}
 
 ``kind`` is one of ``matrix``, ``density`` or ``choi``; ``re`` and ``im`` are
-row-major real and imaginary parts.  ``n``/``m`` are required for ``choi``
-and ignored otherwise.  ``density`` and ``choi`` payloads must be Hermitian
+row-major real and imaginary parts.  ``n``/``m`` are required for ``choi``,
+as JSON integers of at least 1 (not 2.7, "2" or true), and ignored
+otherwise.  ``density`` and ``choi`` payloads must be Hermitian
 within 1e-9.  Writing uses shortest round-trip float representation and
 sorted keys so that load/save cycles are byte-stable.
 
@@ -20,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import ChoiMatrix
-from .errors import ParseError
+from .channels import ChoiMatrix, _integer
+from .errors import InvalidInputError, ParseError
 
 __all__ = [
     "KINDS",
@@ -93,9 +94,9 @@ def payload_to_matrix(payload: dict) -> tuple[str, np.ndarray, int | None, int |
     n = m = None
     if kind == "choi":
         try:
-            n, m = int(payload["n"]), int(payload["m"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"choi payload needs integer 'n' and 'm': {exc}") from exc
+            n, m = (_integer(payload.get(key), f"choi payload '{key}'", 1) for key in ("n", "m"))
+        except InvalidInputError as exc:
+            raise ParseError(str(exc)) from exc
         if matrix.shape != (n * m, n * m):
             raise ParseError(f"choi payload shape {matrix.shape} inconsistent with n={n}, m={m}")
     if kind in ("density", "choi"):

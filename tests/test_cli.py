@@ -56,6 +56,15 @@ class TestScale:
         assert summary["sweeps"] == 0 and summary["residual"] == 0.0
         assert summary["capacity"] == pytest.approx(1.0)
 
+    def test_fractional_choi_dims_exit_2(self, capsys, tmp_path):
+        # "n": 2.7 on a 4 x 4 payload is not read as 2
+        path = tmp_path / "frac.json"
+        payload = serialization.matrix_to_payload("choi", np.eye(4) / 4, 2, 2)
+        path.write_text(json.dumps({**payload, "n": 2.7}))
+        code, out, err = run_cli(capsys, "scale", str(path))
+        assert code == 2 and out == ""
+        assert "choi payload 'n' must be an int of at least 1, got 2.7" in err
+
     def test_diagonal_input_stays_diagonal(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         a = rng.uniform(0.1, 1.0, size=(2, 2))
@@ -348,6 +357,16 @@ class TestDiffquot:
             else:
                 # below it both are pure cancellation noise within the envelope
                 assert abs(bs) < 1e-3 and abs(kl) < 1e-3
+
+    @pytest.mark.parametrize("grid", ["1e-3,nan", "inf,1e-3", "1e-2,-inf", "nan"])
+    def test_non_finite_h_grid_exits_2_before_solving(self, capsys, monkeypatch, grid):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the grid is checked before the solve")
+
+        monkeypatch.setattr(scaling, "operator_sinkhorn", unreachable)
+        code, out, err = run_cli(capsys, "diffquot", "--paper-rho0", f"--h-grid={grid}")
+        assert code == 2 and out == ""
+        assert "--h-grid entries must be finite" in err
 
     def test_cone_exit_rows_are_nan(self, capsys, tmp_path):
         rng = np.random.default_rng(5)

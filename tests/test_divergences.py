@@ -182,6 +182,18 @@ class TestCentralDifferenceQuotient:
         with pytest.raises(InvalidInputError):
             central_difference_quotient("bs", rho, rho, bad, 1e-6, n=2, m=2)
 
+    @pytest.mark.parametrize("dims", [{"n": 2}, {"m": 2}])
+    def test_one_block_dimension_alone_is_an_error(self, dims):
+        # without both, the partial-trace check would be skipped, and this
+        # direction, traceless but with tr_first != 0, would get a quotient
+        rho = random_density(4, 25)
+        bad = np.diag([1.0, -1.0, 1.0, -1.0])
+        assert np.isfinite(central_difference_quotients("bs", rho, rho, bad, [1e-6]))[0]
+        with pytest.raises(InvalidInputError, match="both block dimensions n and m or neither"):
+            central_difference_quotients("bs", rho, rho, bad, [1e-6], **dims)
+        with pytest.raises(InvalidInputError, match="both block dimensions n and m or neither"):
+            central_difference_quotient("bs", rho, rho, bad, 1e-6, **dims)
+
     def test_cone_exit_reports_critical_step(self):
         rho = np.diag([0.4, 0.3, 0.2, 0.1])
         direction = np.diag([1.0, -1.0, -1.0, 1.0])

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from opsinkhorn import channels, divergences, geometry, linalg, policy, scaling
 from opsinkhorn.channels import ChoiMatrix
@@ -1120,6 +1121,78 @@ class TestClosedFormJacobians:
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+# the side sets of a frame: the two one-sided projections and the joint solve
+SIDE_SETS = [
+    pytest.param(("first",), id="first"),
+    pytest.param(("second",), id="second"),
+    pytest.param(("first", "second"), id="both"),
+]
+
+
+def identity_coordinates(n: int, m: int, sides: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Per side, the coordinates of I_d on that side and 0 on the others,
+    from the oracle basis (E_ii first): ones on the side's first d entries."""
+    dims = [m if side == "first" else n for side in sides]
+    out, start = {}, 0
+    for side, d in zip(sides, dims):
+        e = np.zeros(sum(k * k for k in dims))
+        e[start : start + d] = 1.0
+        out[side], start = e, start + d * d
+    return out
+
+
+class TestFrame:
+    """The real coordinates of one side's dual or both (``scaling._frame``)
+    against the oracle Hermitian basis and dense Kronecker lifts."""
+
+    SHAPES = [(1, 3), (2, 3), (3, 2), (3, 3)]
+
+    @pytest.mark.parametrize("sides", SIDE_SETS)
+    @pytest.mark.parametrize("n, m", SHAPES)
+    def test_lift_against_dense_lifts(self, n, m, sides):
+        rng = np.random.default_rng(860 + 10 * n + m + len(sides))
+        frame = scaling._frame(n, m, sides)
+        assert frame.sides == sides and (frame.n, frame.m) == (n, m)
+        dims = [m if side == "first" else n for side in sides]
+        x = rng.standard_normal(sum(d * d for d in dims))
+        # the oracle duals, sum_k x_k B_k over each side's basis, and the
+        # block-diagonal U whose blocks' columns are those bases' vecs
+        duals, blocks, start = [], [], 0
+        for d in dims:
+            basis = oracles.hermitian_basis(d)
+            duals.append(sum(c * b for c, b in zip(x[start : start + d * d], basis)))
+            blocks.append(np.stack([b.reshape(-1) for b in basis], axis=1))
+            start += d * d
+        assert np.abs(frame.basis - scipy.linalg.block_diag(*blocks)).max() <= 1e-15 and np.array_equal(frame.adjoint, frame.basis.conj().T)
+        # both lifts set the diagonal: on two sides it holds both, as in
+        # the sum of the dense lifts
+        base = random_hermitian(n * m, rng)
+        want = base + sum(oracles.lift(dual, n, m, side) for dual, side in zip(duals, sides))
+        got = scaling._lifted(base, frame, x)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(np.diag(got) - np.diag(want)).max() <= 1e-14 * np.abs(want).max()
+        got_duals = scaling._duals(frame, x)
+        assert len(got_duals) == len(sides)
+        for got_dual, dual in zip(got_duals, duals):
+            assert np.abs(got_dual - dual).max() <= 1e-14 * np.abs(dual).max()
+        assert np.abs(scaling._coordinates(frame, duals) - x).max() <= 1e-14 * np.abs(x).max()
+
+    @pytest.mark.parametrize("sides", SIDE_SETS)
+    @pytest.mark.parametrize("n, m", SHAPES)
+    def test_unit_null_and_gauge(self, n, m, sides):
+        frame = scaling._frame(n, m, sides)
+        zero = np.zeros((n * m, n * m), dtype=complex)
+        assert np.abs(scaling._lifted(zero, frame, frame.unit) - np.eye(n * m)).max() <= 1e-15
+        assert np.abs(scaling._lifted(zero, frame, frame.null)).max() <= 1e-15
+        eye = identity_coordinates(n, m, sides)
+        if len(sides) == 2:
+            assert np.array_equal(frame.null, eye["first"] - eye["second"])
+        else:
+            assert not frame.null.any()
+        assert np.array_equal(frame.unit, sum(eye.values()) / len(sides))
+        assert np.array_equal(frame.gauge, sum(np.outer(e, e) / e.sum() for e in eye.values()))
+
+
 def newton_steps(monkeypatch) -> list[int]:
     """Record the number of steps of every ``scaling._newton`` solve."""
     steps, newton = [], scaling._newton
@@ -1134,6 +1207,15 @@ def newton_steps(monkeypatch) -> list[int]:
 
 
 BKM_REFERENCE_CASES = [(n, m, general) for n, m in JACOBIAN_CASES for general in (False, True)]
+
+
+def one_sided(project, start, n: int, m: int, side: str, target: np.ndarray):
+    """``scaling._bkm_project`` or ``scaling._burg_project`` on the frame of
+    ``side`` alone: the point, the one dual and the Newton steps."""
+    frame = scaling._frame(n, m, (side,))
+    point, duals, steps = project(start, frame, scaling._coordinates(frame, [target]), "projection")
+    assert len(duals) == 1
+    return point, duals[0], steps
 
 
 def reference_case(n, m, general, seed):
@@ -1168,8 +1250,8 @@ class TestBkmProjectionAgainstReference:
         start = scaling._bkm_start(choi.matrix)
         want, want_dual, want_steps = oracles.bkm_project_ref(start, n, m, side, target)
         steps = newton_steps(monkeypatch)
-        got, dual = scaling._bkm_project(start, scaling._frame(n, m, side), target, "bkm projection")
-        assert steps == [want_steps] and want_steps > 0
+        got, dual, got_steps = one_sided(scaling._bkm_project, start, n, m, side, target)
+        assert steps == [want_steps] == [got_steps] and want_steps > 0
         assert_point_matches(got, dual, want, want_dual)
 
     @pytest.mark.parametrize("n, m, general", BKM_REFERENCE_CASES)
@@ -1183,17 +1265,15 @@ class TestBkmProjectionAgainstReference:
 
     def test_no_step_returns_the_start(self, monkeypatch):
         choi, p, _ = reference_case(3, 2, True, 820)
-        frame = scaling._frame(3, 2, "first")
-        point, _ = scaling._bkm_project(scaling._bkm_start(choi.matrix), frame, p, "bkm projection")
+        point, _, _ = one_sided(scaling._bkm_project, scaling._bkm_start(choi.matrix), 3, 2, "first", p)
         steps = newton_steps(monkeypatch)
-        again, dual = scaling._bkm_project(point, frame, p, "bkm projection")
-        assert steps == [0] and again is point and not dual.any()
+        again, dual, again_steps = one_sided(scaling._bkm_project, point, 3, 2, "first", p)
+        assert steps == [0] == [again_steps] and again is point and not dual.any()
 
     @pytest.mark.parametrize("n, m, general", BKM_REFERENCE_CASES)
     def test_one_eigh_per_evaluation_and_one_state(self, n, m, general, monkeypatch):
         choi, p, _ = reference_case(n, m, general, 830)
         start = scaling._bkm_start(choi.matrix)
-        frame = scaling._frame(n, m, "first")
         evaluations, newton = [], scaling._newton
 
         def counted(method, evaluate, direction, current, **kwargs):
@@ -1202,7 +1282,7 @@ class TestBkmProjectionAgainstReference:
         monkeypatch.setattr(scaling, "_newton", counted)
         eigh = count_calls(monkeypatch, np.linalg, "eigh")
         states = count_calls(monkeypatch, scaling, "_bkm_point")
-        point, _ = scaling._bkm_project(start, frame, p, "bkm projection")
+        point, _, _ = one_sided(scaling._bkm_project, start, n, m, "first", p)
         assert len(evaluations) > 0
         assert eigh == [(n * m, n * m)] * len(evaluations)
         assert len(states) == 1
@@ -1255,7 +1335,7 @@ class TestBurgProjectionAgainstReference:
         want, want_dual, want_steps = oracles.burg_project_ref(start, n, m, side, target)
         steps = newton_steps(monkeypatch)
         norms = gradient_norms(monkeypatch, scaling, "_newton")
-        got, dual = scaling._burg_project(start, scaling._frame(n, m, side), target, "burg projection")
+        got, dual, got_steps = one_sided(scaling._burg_project, start, n, m, side, target)
         head, want_head = before_polish(norms), before_polish(want_norms)
         assert len(head) == len(want_head) > 1
         # a norm at rounding level (the last one can be) agrees to 1e-12,
@@ -1264,7 +1344,7 @@ class TestBurgProjectionAgainstReference:
             assert (norm is None) == (want_norm is None)
             if norm is not None:
                 assert abs(norm - want_norm) <= 1e-6 * want_norm + 1e-12
-        assert len(steps) == 1 and abs(steps[0] - want_steps) <= 1 and want_steps > 0
+        assert steps == [got_steps] and abs(got_steps - want_steps) <= 1 and want_steps > 0
         assert_point_matches(got, dual, want, want_dual)
 
     @pytest.mark.parametrize("n, m, general", BKM_REFERENCE_CASES)
@@ -1284,7 +1364,7 @@ class TestBurgProjectionAgainstReference:
     def test_gram_jacobian_matches_einsum(self, n, m, side):
         state = channels.random_choi(n, m, np.random.default_rng(840 + 10 * n + m)).matrix
         want = oracles.burg_jacobian_ref(state, n, m, side)
-        got = scaling._burg_jacobian(state, n, m, side)
+        got = scaling._burg_jacobian(state, n, m, (side,))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -1305,11 +1385,12 @@ class Started(Exception):
 
 def captured_start(monkeypatch) -> list:
     """Replace ``scaling._newton`` by one that records the solve's start,
-    the evaluation the cone test admits (None: rejected), and stops."""
+    the evaluation the cone test admits (None: rejected), with the solve's
+    ``evaluate``, and stops."""
     starts = []
 
     def capture(method, evaluate, direction, current, **kwargs):
-        starts.append(current)
+        starts.append((current, evaluate))
         raise Started
 
     monkeypatch.setattr(scaling, "_newton", capture)
@@ -1355,27 +1436,31 @@ class TestOneConeTest:
         for w in self.spectra():
             start = scaling._burg_point(np.diag(w).astype(complex), w, np.eye(4, dtype=complex))
             with pytest.raises(Started):
-                scaling._burg_project(start, scaling._frame(2, 2, "first"), np.eye(2) / 2, "burg projection")
-        assert starts[0] is None and starts[1] is not None
+                one_sided(scaling._burg_project, start, 2, 2, "first", np.eye(2) / 2)
+        assert starts[0][0] is None and starts[1][0] is not None
 
     def test_joint_burg_evaluation(self, monkeypatch):
         # rho0 = diag(1/2, 1/4, 1/8, 1/8) has rho0^{-1} = diag(2, 4, 8, 8)
-        # exactly.  With the unit-trace shift pinned at c, the first
-        # evaluation tests the spectrum (2 - c, 4 - c, 8 - c, 8 - c): under a
-        # floor f with f * 7 == 1, c = 1 puts it on the boundary, and
-        # c = 1 - 2^-52 moves its minimum to the next float up, 1 + 2^-52,
-        # while 8 - c rounds to 7
+        # exactly, the joint solve's start, inside the cone.  With the
+        # unit-trace shift pinned at c, an evaluation at x = 0 tests the
+        # spectrum (2 - c, 4 - c, 8 - c, 8 - c): under a floor f with
+        # f * 7 == 1, c = 1 puts it on the boundary, and c = 1 - 2^-52 moves
+        # its minimum to the next float up, 1 + 2^-52, while 8 - c rounds to 7
         choi = ChoiMatrix(n=2, m=2, matrix=np.diag([0.5, 0.25, 0.125, 0.125]))
-        starts = captured_start(monkeypatch)
+        starts, evaluations = captured_start(monkeypatch), []
         previous = policy.set_policy(policy.relaxed(pd_rel_floor=floor_at(1.0, 7.0)))
         try:
+            with pytest.raises(Started):
+                scaling.joint_limit("burg", choi)
+            (current, evaluate), = starts
             for shift in (1.0, 1.0 - 2.0**-52):
                 monkeypatch.setattr(scaling, "_unit_trace_shift", lambda w, c=shift: c)
-                with pytest.raises(Started):
-                    scaling.joint_limit("burg", choi)
+                evaluations.append(evaluate(np.zeros(8)))
         finally:
             policy.set_policy(previous)
-        assert starts[0] is None and starts[1] is not None
+        assert current is not None and np.array_equal(current[3].w, [2.0, 4.0, 8.0, 8.0])
+        assert evaluations[0] is None and evaluations[1] is not None
+        assert evaluations[1][3].w[0] == 1.0 + 2.0**-52
 
 
 class TestRealSystems:
@@ -1709,19 +1794,16 @@ class TestAlternatingProjections:
         assert np.linalg.norm(final.trace_second() - np.eye(2) / 2) <= 1e-6
 
 
-def joint_marginals(method: str, coord0: np.ndarray, a, b, n: int, m: int) -> np.ndarray:
-    """Both marginals, stacked as one vector, of the state the joint dual
-    assigns to (a, b): (rho0^{-1} - I kron a - b kron I)^{-1} for Burg,
+def joint_marginals(method: str, coord0: np.ndarray, a, b, n: int, m: int) -> dict[str, np.ndarray]:
+    """Both marginals, by side, of the state the joint dual assigns to
+    (a, b): (rho0^{-1} - I kron a - b kron I)^{-1} for Burg,
     exp(log rho0 + I kron a + b kron I) / Z for BKM, built from dense lifts."""
     if method == "burg":
         state = np.linalg.inv(coord0 - oracles.lift(a, n, m, "first") - oracles.lift(b, n, m, "second"))
     else:
         state = linalg.expm(coord0 + oracles.lift(a, n, m, "first") + oracles.lift(b, n, m, "second"))
         state /= np.trace(state).real
-    return np.concatenate([
-        linalg.partial_trace(state, n, m, "first").reshape(-1),
-        linalg.partial_trace(state, n, m, "second").reshape(-1),
-    ])
+    return {side: linalg.partial_trace(state, n, m, side) for side in ("first", "second")}
 
 
 def joint_case(n: int, m: int, general: bool, seed: int):
@@ -1736,17 +1818,16 @@ def joint_case(n: int, m: int, general: bool, seed: int):
 class TestJointLimit:
     """One Newton solve for the limit of the BKM and Burg alternations."""
 
+    @pytest.mark.parametrize("sides", SIDE_SETS)
     @pytest.mark.parametrize("n, m", JACOBIAN_CASES)
     @pytest.mark.parametrize("method", ["bkm", "burg"])
-    def test_hessian_against_central_differences(self, method, n, m):
-        # the Hessian in the real coordinates x = (x_A, x_B) of the dual
-        # pair, Re(U^dagger H U) with the block-diagonal U of the two frames
+    def test_hessian_against_central_differences(self, method, n, m, sides):
+        # the Hessian of the dual on a frame's sides in its real coordinates,
+        # Re(U^dagger H U) with the frame's block-diagonal U, at a state
+        # moved on both sides
         rng = np.random.default_rng(1300 + 10 * n + m + (method == "burg"))
         rho0 = channels.random_choi(n, m, rng).matrix
-        first, second = scaling._frame(n, m, "first"), scaling._frame(n, m, "second")
-        mm, dim = m * m, m * m + n * n
-        basis = np.zeros((dim, dim), dtype=complex)
-        basis[:mm, :mm], basis[mm:, mm:] = first.basis, second.basis
+        frame = scaling._frame(n, m, sides)
         a, b = random_hermitian(m, rng), random_hermitian(n, rng)
         if method == "burg":
             coord0 = linalg.invm(rho0)
@@ -1754,48 +1835,53 @@ class TestJointLimit:
             a *= 0.25 / np.abs(np.linalg.eigvalsh(a)).max()
             b *= 0.25 / np.abs(np.linalg.eigvalsh(b)).max()
             state = np.linalg.inv(coord0 - oracles.lift(a, n, m, "first") - oracles.lift(b, n, m, "second"))
-            hess = scaling._burg_hessian(state, n, m)
+            hess = scaling._burg_jacobian(state, n, m, sides)
         else:
             coord0 = linalg.logm(rho0)
             marginals = joint_marginals(method, coord0, a, b, n, m)
             w, v = np.linalg.eigh(coord0 + oracles.lift(a, n, m, "first") + oracles.lift(b, n, m, "second"))
             hess = scaling._bkm_hessian(
-                w - np.logaddexp.reduce(w), v, (marginals[:mm].reshape(m, m), marginals[mm:].reshape(n, n)), n, m,
-                ("first", "second"),
+                w - np.logaddexp.reduce(w), v, [marginals[side] for side in sides], n, m, sides
             )
-        real = scaling._real_form(basis.conj().T, hess, basis)
+        real = scaling._real_form(frame.adjoint, hess, frame.basis)
+        dim = sum((m if side == "first" else n) ** 2 for side in sides)
         assert real.shape == (dim, dim) and real.dtype == np.float64
 
-        def coordinates(t_a, t_b, dx):
-            # the marginals' coordinates at the duals moved by t_a, t_b along dx
-            da, db = scaling._dual(first, dx[:mm]), scaling._dual(second, dx[mm:])
-            flat = joint_marginals(method, coord0, a + t_a * da, b + t_b * db, n, m)
-            return np.concatenate([
-                scaling._coordinates(first, flat[:mm].reshape(m, m)),
-                scaling._coordinates(second, flat[mm:].reshape(n, n)),
-            ])
+        def coordinates(moves, dx):
+            # the marginals' coordinates at the duals moved by moves[side] along dx
+            step = dict(zip(sides, scaling._duals(frame, dx)))
+            moved = {side: moves.get(side, 0.0) * step[side] for side in sides}
+            marginals = joint_marginals(
+                method, coord0, a + moved.get("first", 0.0), b + moved.get("second", 0.0), n, m
+            )
+            return scaling._coordinates(frame, [marginals[side] for side in sides])
 
         for _ in range(3):
             dx = rng.standard_normal(dim)
-            fd = oracles.matrix_central_difference(lambda t: coordinates(t, t, dx), 0.0, 1e-5)
+            fd = oracles.matrix_central_difference(lambda t: coordinates(dict.fromkeys(sides, t), dx), 0.0, 1e-5)
             assert np.abs(real @ dx - fd).max() <= 1e-7 * np.abs(fd).max()
-            # the cross blocks alone, against moving the other side only
-            fd_cross = oracles.matrix_central_difference(lambda t: coordinates(0.0, t, dx), 0.0, 1e-5)
-            assert np.abs(real[:mm, mm:] @ dx[mm:] - fd_cross[:mm]).max() <= 1e-7 * np.abs(fd_cross).max()
+            if len(sides) == 2:
+                # the cross blocks alone, against moving the other side only
+                mm = m * m
+                fd_cross = oracles.matrix_central_difference(lambda t: coordinates({"second": t}, dx), 0.0, 1e-5)
+                assert np.abs(real[:mm, mm:] @ dx[mm:] - fd_cross[:mm]).max() <= 1e-7 * np.abs(fd_cross).max()
         # the gauge-fixed real Hessian is symmetric positive definite: the
-        # dual is flat along (I, -I) for both and along (I, 0) and (0, I) for
-        # BKM, and the rank-one terms on the identity's coordinates there
-        # (those joint_limit adds) lift exactly those null directions
-        e_m, e_n = first.eye, second.eye
-        zero_m, zero_n = np.zeros(mm), np.zeros(n * n)
+        # BKM dual is flat along (I, 0) and (0, I) and the two-sided Burg
+        # dual along (I, -I), and the rank-one terms on the identity's
+        # coordinates there (the frame's gauge and null) lift exactly those
+        # null directions; the one-sided Burg dual has none
+        eye = identity_coordinates(n, m, sides)
         if method == "bkm":
-            null = [np.concatenate([e_m, zero_n]), np.concatenate([zero_m, e_n])]
-            gauge = np.outer(null[0], null[0]) / m + np.outer(null[1], null[1]) / n
-        else:
-            null = [np.concatenate([e_m, -e_n])]
+            null = list(eye.values())
+            gauge = sum(np.outer(e, e) / e.sum() for e in null)
+        elif len(sides) == 2:
+            null = [eye["first"] - eye["second"]]
             gauge = np.outer(null[0], null[0]) / (m + n)
+        else:
+            null, gauge = [], 0.0
+        if method == "burg":
             # the Burg dual is curved along (I, I): rho^{-1} shifts by a multiple of I
-            assert np.abs(real @ np.concatenate([e_m, e_n])).max() > 1e-3 * np.abs(real).max()
+            assert np.abs(real @ sum(eye.values())).max() > 1e-3 * np.abs(real).max()
         for vec in null:
             assert np.abs(real @ vec).max() <= 1e-12 * np.abs(real).max()
         assert np.abs(real - real.T).max() <= 1e-13 * np.abs(real).max()
@@ -1865,6 +1951,30 @@ class TestJointLimit:
         # log rho0, the start, then one per evaluation
         assert eigh == [(n * m, n * m)] * (len(evaluations) + 2)
         assert states == [(n * m, n * m)]
+
+    @pytest.mark.parametrize("n, m", JACOBIAN_CASES)
+    def test_burg_one_eigh_per_evaluation(self, n, m, monkeypatch):
+        # the start is rho0^{-1}, one eigh in invm and one of the inverse,
+        # and its state; then each evaluation is one eigh and, inside the
+        # cone, one state
+        choi, cfg = joint_case(n, m, True, 1520 + 10 * n + m)
+        inside, newton = [], scaling._newton
+
+        def counted(method, evaluate, direction, current, **kwargs):
+            def recorded(x):
+                out = evaluate(x)
+                inside.append(out is not None)
+                return out
+
+            return newton(method, recorded, direction, current, **kwargs)
+
+        monkeypatch.setattr(scaling, "_newton", counted)
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        states = count_calls(monkeypatch, scaling, "_burg_point")
+        joint = scaling.joint_limit("burg", choi, cfg)
+        assert joint.converged and len(inside) >= joint.sweeps > 0
+        assert eigh == [(n * m, n * m)] * (len(inside) + 2)
+        assert states == [(n * m, n * m)] * (sum(inside) + 1)
 
     @pytest.mark.parametrize("method", ["bkm", "burg"])
     def test_trace_layout(self, method):

@@ -69,6 +69,20 @@ class TestMatrixFiles:
         with pytest.raises(ParseError, match="inconsistent"):
             serialization.load_matrix(path)
 
+    @pytest.mark.parametrize("value", [2.7, "2", True, 0, -1, None, "missing"])
+    @pytest.mark.parametrize("key", ["n", "m"])
+    def test_choi_dims_are_json_integers_of_at_least_one(self, tmp_path, key, value):
+        # a 4 x 4 payload, so int() of 2.7 or "2" would give a consistent 2
+        payload = {"kind": "choi", "n": 2, "m": 2, "re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
+        if value == "missing":
+            del payload[key]
+        else:
+            payload[key] = value
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=f"choi payload '{key}' must be an int of at least 1"):
+            serialization.load_matrix(path)
+
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("{not json")

@@ -30,6 +30,7 @@ import warnings
 import numpy as np
 
 from . import linalg
+from .channels import _integer
 from .errors import DomainError, InvalidInputError, UnsupportedError
 from .policy import get_policy
 
@@ -153,6 +154,7 @@ def _quotients(
     if (n is None) != (m is None):
         raise InvalidInputError(f"give both block dimensions n and m or neither, got n={n!r}, m={m!r}")
     if n is not None:
+        n, m = _integer(n, "block dimension n", 1), _integer(m, "block dimension m", 1)
         for which in ("first", "second"):
             part = linalg.partial_trace(direction, n, m, which)
             if np.abs(part).max() > 1e-10:
@@ -207,14 +209,14 @@ def central_difference_quotients(
     The perturbation ``A`` must be Hermitian and traceless so the probe stays
     on the trace-one manifold; when the block structure ``(n, m)`` is given,
     both partial traces of ``A`` must vanish so the probe also stays inside
-    the marginal constraint sets (one of ``n`` and ``m`` alone is an
-    ``InvalidInputError``).  ``kl`` takes the diagonals and needs
-    diagonal ``rho*`` and ``rho0``.  The tag, every h (positive), the
-    inputs and the critical step are checked and computed once, so an
-    input error raises whatever the grid; then every probe is checked once
-    and every probe inside the cone evaluated in one stacked call of the
-    divergence formula, which decomposes ``rho0`` once.  Each quotient
-    equals the one-h call's, bit for bit.
+    the marginal constraint sets (one of ``n`` and ``m`` alone, or one that
+    is not an int of at least 1, is an ``InvalidInputError``).  ``kl``
+    takes the diagonals and needs diagonal ``rho*`` and ``rho0``.  The tag,
+    every h (positive), the inputs and the critical step are checked and
+    computed once, so an input error raises whatever the grid; then every
+    probe is checked once and every probe inside the cone evaluated in one
+    stacked call of the divergence formula, which decomposes ``rho0``
+    once.  Each quotient equals the one-h call's, bit for bit.
     """
     return _quotients(tag, rho_star, rho_0, direction, hs, n, m)[0]
 

@@ -196,11 +196,11 @@ def e_geodesic(tag: str, rho1: np.ndarray, rho2: np.ndarray, t: float) -> np.nda
     elif tag == "bkm":
         curve = linalg.expm((1.0 - t) * linalg.logm(rho1) + t * linalg.logm(rho2))
     elif tag == "congruence":
-        resolvent = (1.0 - t) * linalg.invm(rho1) + t * linalg.invm(rho2)
-        w = np.linalg.eigvalsh(linalg.hermitian_part(resolvent))
+        # one eigh of the resolvent is both the cone test and its inverse
+        w, v = np.linalg.eigh(linalg.hermitian_part((1.0 - t) * linalg.invm(rho1) + t * linalg.invm(rho2)))
         if not linalg._positive_definite(w):
             raise SingularityError(f"congruence geodesic leaves the cone at t={t}")
-        curve = linalg.invm(linalg.hermitian_part(resolvent))
+        curve = (v * (1.0 / w)) @ v.conj().T
     else:
         raise InvalidInputError(f"unknown metric tag {tag!r}")
     curve = linalg.hermitian_part(curve)
@@ -231,9 +231,10 @@ def _geodesic_tail(tag: str, rho_from: np.ndarray, rho_to: np.ndarray) -> tuple[
         e = e - np.trace(rho_to @ e).real * eye
         m_rep = linalg.hermitian_part(e @ rho_to + rho_to @ e) / 2.0
     elif tag == "bkm":
-        dot = linalg.logm(rho_to) - linalg.logm(rho_from)
+        log_to = linalg.logm(rho_to)
+        dot = log_to - linalg.logm(rho_from)
         e = dot - np.trace(rho_to @ dot).real * eye
-        m_rep = dexp_frechet(linalg.logm(rho_to), e)
+        m_rep = dexp_frechet(log_to, e)
     elif tag == "congruence":
         # tangent of the resolvent curve: d/dt S(t)^{-1} = rho_to^{-1} - rho_from^{-1};
         # the corresponding m-representation is -S e S, and the metric norm

@@ -40,10 +40,12 @@ for one side or both; the two geometries keep their own.
 
 A BKM Newton evaluation is one ``eigh`` of the lifted coordinate: the
 marginal is read off its spectrum, and the state exp(coord) / Z is formed
-only for the point a projection returns.  Each Newton direction contracts
-the eigenvectors by one matrix product.  A Burg direction takes its
-Jacobian, sum_ij R_ij kron R_ji^T over the blocks of the resolvent R, as
-one Gram product of a reshape of R.
+only for the point a projection returns.  A start is evaluated the same
+way, from the spectrum it carries: the input's log rho, which every BKM
+solve starts from (:func:`_bkm_start`), has no state.  Each Newton
+direction contracts the eigenvectors by one matrix product.  A Burg
+direction takes its Jacobian, sum_ij R_ij kron R_ji^T over the blocks of
+the resolvent R, as one Gram product of a reshape of R.
 
 Every scheme is one alternation of e-projections onto the two marginal
 sets, and only the projection differs, so one stop rule, :func:`_running`,
@@ -75,7 +77,9 @@ matrix the bits of the 2-D call, so each trial's trace is exactly the one
 it gets alone, and :func:`operator_sinkhorn` is the batch of one.  A trial
 whose step fails (a singular marginal, or factor products that overflow,
 which is a ``ConvergenceError``) leaves the stack with every later trial,
-and the batch raises the error of its lowest failing trial.
+and the batch raises the error of its lowest failing trial.  The step finds
+it on what it already holds, the stacked marginals and their one stacked
+``eigh``, and the trials before it go on from their rows of those.
 
 Every driver validates its input at its boundary only, once at entry (a
 Choi matrix with unit trace; positive definite for ``bkm`` and ``burg``).
@@ -452,10 +456,11 @@ class _SinkhornStack:
     factor products, capacity, residuals, sweeps) go into each trial's
     trace after the step.  A trial that stops (see :func:`_running`)
     leaves the stack; :meth:`_select` copies the stacked arrays then, and
-    only then.  A trial whose step fails leaves with every later trial:
-    the batch raises the error of its lowest failing trial, so what later
-    trials would give is never read.  That keeps a failing trial's
-    marginal out of the stacked ``eigh`` of the others.
+    only then.  A trial whose step fails leaves with every later trial
+    (:meth:`_fail_first`): the batch raises the error of its lowest failing
+    trial, so what later trials would give is never read.  A non-finite
+    marginal and one outside the cone fail the same way, found on the
+    step's stacked marginals and on their stacked spectrum.
     """
 
     def __init__(self, traces: list[ScalingTrace], chois: list[ChoiMatrix], cfg: ScalingConfig):
@@ -517,27 +522,29 @@ class _SinkhornStack:
                 running.append(_running(trace, self.cfg))
             self._select(running)
 
-    def _select(self, keep: slice | list[bool]) -> None:
-        """Keep the stack rows ``keep`` (a slice, or one bool per row) and
-        drop the others.  A list of bools copies the stacked arrays, so it
-        is applied only when some row leaves; a slice keeps views."""
-        if isinstance(keep, list):
-            if all(keep):
-                return
-            self.rows = [k for k, kept in zip(self.rows, keep) if kept]
-            keep = np.array(keep, dtype=bool)
-        else:
-            self.rows = self.rows[keep]
+    def _select(self, keep: list[bool]) -> None:
+        """Keep the stack rows where ``keep``, one bool per row, is true and
+        drop the others.  This copies the stacked arrays, so it is applied
+        only when some row leaves."""
+        if all(keep):
+            return
+        self.rows = [k for k, kept in zip(self.rows, keep) if kept]
+        keep = np.array(keep, dtype=bool)
         self.cross, self.left, self.right = self.cross[keep], self.left[keep], self.right[keep]
         self.first, self.second, self.factor = (
             None if a is None else a[keep] for a in (self.first, self.second, self.factor)
         )
 
-    def _fail(self, row: int, error: Exception) -> None:
-        """Trial ``rows[row]`` fails with ``error``: it leaves the stack
-        with every later trial."""
-        self.failure = (self.rows[row], error)
-        self._select(slice(row))
+    def _fail_first(self, ok: np.ndarray, error: Callable[[int], Exception]) -> int:
+        """The first stack row whose ``ok`` is false, if any, fails with
+        ``error(row)``: its trial leaves the stack with every later trial.
+        Returns the number of rows left."""
+        if ok.all():
+            return len(ok)
+        row = int(np.argmin(ok))
+        self.failure = (self.rows[row], error(row))
+        self._select([r < row for r in range(len(ok))])
+        return row
 
     def _marginal(self, side: str) -> None:
         """Set the ``side`` marginal of every trial from its factor
@@ -550,36 +557,25 @@ class _SinkhornStack:
             marginal = self.second = _scaled_marginal(self.cross.swapaxes(-1, -2), self.left, self.right)
         # a non-finite entry makes the sum non-finite, so only then is each
         # trial's marginal tested
-        if cmath.isfinite(np.add.reduce(marginal, axis=None)):
-            return
-        finite = np.isfinite(marginal).all(axis=(1, 2))
-        if not finite.all():
-            row = int(np.argmin(finite))
-            sweep = self.traces[self.rows[row]].sweeps + 1
-            self._fail(row, ConvergenceError(
-                f"operator Sinkhorn overflowed in sweep {sweep}: the {side} marginal is not finite"
+        if not cmath.isfinite(np.add.reduce(marginal, axis=None)):
+            self._fail_first(np.isfinite(marginal).all(axis=(1, 2)), lambda row: ConvergenceError(
+                f"operator Sinkhorn overflowed in sweep {self.traces[self.rows[row]].sweeps + 1}: "
+                f"the {side} marginal is not finite"
             ))
 
     def _factors(self, side: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """``linalg.inverse_mean`` of every trial's ``side`` marginal: the
-        factors and the marginals' log determinants.  If a marginal is not
-        positive definite, the first such trial fails with the error its
-        own step raises, and the trials before it are solved again."""
+        """``linalg.inverse_mean`` of every trial's ``side`` marginal, the
+        factors and the marginals' log determinants, from one stacked
+        ``eigh`` of the marginals.  If a marginal is not positive definite,
+        the first such trial fails with the error its own step raises, and
+        the trials before it take their factors from their rows of the same
+        spectrum.  None if no trial is left."""
         what = f"{side} marginal"
-        while self.rows:
-            marginal = self.first if side == "first" else self.second
-            try:
-                return linalg.inverse_mean(marginal, self.mean_target[side], what)
-            except SingularityError:
-                for row, mat in enumerate(marginal):
-                    try:
-                        linalg.inverse_mean(mat, self.mean_target[side], what)
-                    except SingularityError as error:
-                        self._fail(row, error)
-                        break
-                else:
-                    raise
-        return None
+        w, v = np.linalg.eigh(self.first if side == "first" else self.second)
+        left = self._fail_first(
+            linalg._positive_definite(w), lambda row: linalg._not_positive_definite(w[row, 0], what)
+        )
+        return linalg._inverse_mean_from_spectrum(w[:left], v[:left], self.mean_target[side]) if left else None
 
     def _step(self, side: str) -> None:
         """One SLD e-projection of every trial onto {tr_side rho = target}:
@@ -587,7 +583,7 @@ class _SinkhornStack:
         a right step, the next left marginal."""
         if side == "second" and self.rows:
             self._marginal("second")
-        solved = self._factors(side)
+        solved = self._factors(side) if self.rows else None
         if solved is None:
             return
         self.factor, logdet = solved
@@ -845,12 +841,12 @@ def _bkm_hessian(
 
 class _Point(NamedTuple):
     """A positive definite state with its e-coordinate ``coord`` = v diag(w)
-    v^dagger: the normalized log rho (tr exp(coord) = 1) for BKM, K = rho^{-1}
-    for Burg.  Each projection is a straight move in this coordinate,
+    v^dagger: log rho for BKM, normalized (tr exp(coord) = 1) at every
+    projected point, and K = rho^{-1} for Burg.  Each projection is a straight move in this coordinate,
     coord +- lift(A), so the alternation carries it from one projection to
-    the next instead of taking log rho or rho^{-1} of every iterate.  The
-    joint BKM solve starts from log rho0 with its spectrum and ``state``
-    None: that start's state is never formed."""
+    the next instead of taking log rho or rho^{-1} of every iterate.  A BKM
+    start (:func:`_bkm_start`) is log rho with its spectrum and ``state``
+    None: :func:`_bkm_project` forms that state only if it takes no step."""
 
     coord: np.ndarray
     w: np.ndarray
@@ -930,22 +926,24 @@ def _gibbs_weights(w: np.ndarray) -> tuple[np.ndarray, float]:
     return ew / z, math.log(z) + shift
 
 
-def _bkm_point(coord: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[_Point, float]:
-    """The state exp(coord) / Z from the spectrum of ``coord``, and log Z.
-    The returned coordinate and spectrum are shifted by -log Z, so they are
-    the normalized log of the state."""
+def _bkm_point(coord: np.ndarray, w: np.ndarray, v: np.ndarray) -> _Point:
+    """The state exp(coord) / Z from the spectrum of ``coord``.  The
+    returned coordinate and spectrum are shifted by -log Z, so they are the
+    normalized log of the state."""
     p, log_z = _gibbs_weights(w)
     state = linalg.hermitian_part((v * p) @ v.conj().T)
     normalized = coord.copy()
     normalized.flat[:: len(w) + 1] -= log_z
-    return _Point(normalized, w - log_z, v, state), log_z
+    return _Point(normalized, w - log_z, v, state)
 
 
 def _bkm_start(rho: np.ndarray) -> _Point:
-    """BKM point of a positive definite, trace-one ``rho``: one ``logm``
-    (which checks the domain) and one ``eigh`` of the logarithm."""
+    """BKM start of a positive definite, trace-one ``rho``: log rho by one
+    ``logm`` (which checks the domain) with its spectrum by one ``eigh``,
+    and no state.  :func:`_bkm_project` reads the start's marginals off that
+    spectrum and forms its state only if it takes no step."""
     h = linalg.logm(rho)
-    return _bkm_point(h, *np.linalg.eigh(h))[0]
+    return _Point(h, *np.linalg.eigh(h), None)
 
 
 # tr_side(V diag(p) V^dagger) on the (n, m, mn) view of V
@@ -963,11 +961,11 @@ def _bkm_project(start: _Point, frame: _Frame, t: np.ndarray, what: str) -> tupl
     :func:`joint_limit`), on plain arrays, with ``t`` the targets'
     coordinates.  Returns the projected point, the duals (a Hermitian array
     per side) and the number of Newton steps.  Each evaluation takes one
-    ``eigh`` and reads the marginals off the spectrum; the projected state
-    is formed once, from the last accepted evaluation (``start`` itself if
-    Newton takes no step from a formed start).  The start's marginals are
-    the partial traces of its state, or, when that is not formed, read off
-    its spectrum.  ``what`` names the solve in its errors."""
+    ``eigh`` and reads the marginals off the spectrum, and the start's are
+    read off the spectrum it carries, with no ``eigh``.  The projected
+    state is formed once, from the last accepted evaluation: ``start``
+    itself if Newton takes no step from a start that has its state.
+    ``what`` names the solve in its errors."""
     n, m, sides = frame.n, frame.m, frame.sides
 
     def evaluate(x: np.ndarray, at: tuple | None = None):
@@ -990,16 +988,9 @@ def _bkm_project(start: _Point, frame: _Frame, t: np.ndarray, what: str) -> tupl
         hess = _real_form(frame.adjoint, _bkm_hessian(w - log_z, v, marginals, n, m, sides), frame.basis)
         return np.linalg.solve(hess + frame.gauge, -g)
 
-    if start.state is None:
-        current = evaluate(np.zeros(len(t)), (start.coord, start.w, start.v))
-    else:
-        marginals = [linalg.partial_trace(start.state, n, m, side) for side in sides]
-        # at A = 0 the dual value is log tr exp(start.coord), zero up to rounding
-        log_z = float(np.logaddexp.reduce(start.w))
-        current = (np.zeros(len(t)), lambda: log_z, _coordinates(frame, marginals) - t,
-                   (start.coord, start.w, start.v, marginals, log_z))
+    current = evaluate(np.zeros(len(t)), (start.coord, start.w, start.v))
     x, (coord, w, v, _, _), steps = _newton("bkm", evaluate, direction, current, what=what)
-    point = start if steps == 0 and start.state is not None else _bkm_point(coord, w, v)[0]
+    point = start if steps == 0 and start.state is not None else _bkm_point(coord, w, v)
     return point, _duals(frame, x), steps
 
 
@@ -1207,9 +1198,10 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
     gradient and the Hessian with the one-sided Jacobians on the diagonal
     and one more contraction for the cross blocks (:func:`_bkm_hessian`,
     :func:`_burg_jacobian`), taken to real coordinates by the block-diagonal
-    U.  A BKM evaluation reads both marginals off its one ``eigh``, the
-    start's too, from the spectrum of log rho0: no start state is formed,
-    and the state is formed once, at the returned point.
+    U.  The solve starts where the alternation does (:func:`_bkm_start`,
+    :func:`_burg_start`).  A BKM evaluation reads both marginals off its one
+    ``eigh``, the start's too, from the spectrum of log rho0: no start
+    state is formed, and the state is formed once, at the returned point.
 
     Both duals are flat along (A + cI, B - cI), and the BKM dual along
     (A + cI, B) and (A, B + cI) separately, since Z absorbs either shift.
@@ -1246,11 +1238,8 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
     trace, p, q = _new_trace(method, choi0, cfg)
     frame = _frame(choi0.n, choi0.m, ("first", "second"))
     t = _coordinates(frame, [p, q])
-    if method == "bkm":
-        h = linalg.logm(choi0.matrix)
-        point, duals, trace.sweeps = _bkm_project(_Point(h, *np.linalg.eigh(h), None), frame, t, "joint bkm")
-    else:
-        point, duals, trace.sweeps = _burg_project(_burg_start(choi0.matrix), frame, t, "joint burg")
+    start, project = (_bkm_start, _bkm_project) if method == "bkm" else (_burg_start, _burg_project)
+    point, duals, trace.sweeps = project(start(choi0.matrix), frame, t, f"joint {method}")
     trace.factors += list(zip(frame.sides, duals))
     trace.residuals.append(_residual(point.state, choi0.n, choi0.m, p, q))
     trace.iterates.append(point.state)

@@ -408,6 +408,8 @@ def bkm_project_ref(start: scaling._Point, n: int, m: int, side: str,
         hess = (c.conj() * phi.reshape(-1)) @ c.T - np.outer(flat, flat.conj()) + gauge
         return linalg.hermitian_part(np.linalg.solve(hess, -g.reshape(-1)).reshape(d, d))
 
+    if start.state is None:
+        start = point_of(start.coord, start.w, start.v)[0]
     marginal = linalg.partial_trace(start.state, n, m, side)
     current = (np.zeros((d, d), dtype=complex), lambda: float(np.logaddexp.reduce(start.w)),
                linalg.hermitian_part(marginal - target), (start, marginal))

@@ -194,6 +194,15 @@ class TestCentralDifferenceQuotient:
         with pytest.raises(InvalidInputError, match="both block dimensions n and m or neither"):
             central_difference_quotient("bs", rho, rho, bad, 1e-6, **dims)
 
+    @pytest.mark.parametrize("n", [2.0, True, 0, "2"])
+    def test_block_dimension_must_be_a_positive_int(self, n):
+        rho = random_density(4, 26)
+        direction = np.diag([1.0, -1.0, -1.0, 1.0])
+        with pytest.raises(InvalidInputError, match="block dimension n must be an int of at least 1"):
+            central_difference_quotients("bs", rho, rho, direction, [1e-6], n=n, m=2)
+        with pytest.raises(InvalidInputError, match="block dimension m must be an int of at least 1"):
+            central_difference_quotient("bs", rho, rho, direction, 1e-6, n=2, m=n)
+
     def test_cone_exit_reports_critical_step(self):
         rho = np.diag([0.4, 0.3, 0.2, 0.1])
         direction = np.diag([1.0, -1.0, -1.0, 1.0])

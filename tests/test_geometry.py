@@ -218,7 +218,7 @@ class TestEGeodesic:
     def test_congruence_extrapolation_can_leave_cone(self):
         r1 = np.diag([0.9, 0.1])
         r2 = np.diag([0.1, 0.9])
-        with pytest.raises(SingularityError):
+        with pytest.raises(SingularityError, match="congruence geodesic leaves the cone at t=30.0"):
             geometry.e_geodesic("congruence", r1, r2, 30.0)
 
 
@@ -409,6 +409,25 @@ class TestOrthogonalityResidual:
         p, _ = uniform_targets(2, 2)
         with pytest.raises(InvalidInputError):
             geometry.orthogonality_residual("sld", choi, choi, ConstraintSet("first", p))
+
+
+class TestOneDecompositionPerMatrix:
+    """The BKM tail takes log rho_to once, and the congruence geodesic one
+    ``eigh`` of its resolvent for both the cone test and the inverse."""
+
+    def test_bkm_tail_eig_calls(self, eig_calls):
+        rho_from, rho_to = random_density(6, 64), random_density(6, 65)
+        eig_calls.clear()
+        geometry._geodesic_tail("bkm", rho_from, rho_to)
+        # logm of rho_to, logm of rho_from, then dexp at log rho_to
+        assert eig_calls == [("eigh", (6, 6))] * 3
+
+    def test_congruence_geodesic_eig_calls(self, eig_calls):
+        rho1, rho2 = random_density(6, 66), random_density(6, 67)
+        eig_calls.clear()
+        geometry.e_geodesic("congruence", rho1, rho2, 0.3)
+        # the two endpoint checks, the two inverses, then the resolvent
+        assert eig_calls == [("eigvalsh", (6, 6))] * 2 + [("eigh", (6, 6))] * 3
 
 
 class TestSldTailFromInverseMean:

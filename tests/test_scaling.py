@@ -814,6 +814,63 @@ class TestOperatorSinkhornBatch:
             scaling.operator_sinkhorn_batch([good[0], good[1], singular, good[2]])
         assert str(batched.value) == str(alone.value) == "first marginal is not positive definite (min eigenvalue 0.000e+00)"
 
+    @staticmethod
+    def second_singular(low: float = 0.0, m: int = 2) -> ChoiMatrix:
+        """A PSD, unit-trace input whose first marginal is I_m / m and whose
+        second marginal diag(1 - low, low) fails the cone test."""
+        return ChoiMatrix(n=2, m=m, matrix=np.kron(np.diag([1.0 - low, low]), np.eye(m) / m))
+
+    @staticmethod
+    def batch_error(chois: list[ChoiMatrix]) -> str:
+        with pytest.raises(SingularityError) as batched:
+            scaling.operator_sinkhorn_batch(chois)
+        return str(batched.value)
+
+    @staticmethod
+    def lone_error(choi: ChoiMatrix) -> str:
+        with pytest.raises(SingularityError) as alone:
+            scaling.operator_sinkhorn(choi)
+        return str(alone.value)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_singular_second_marginal_fails_like_the_loop(self, m):
+        rng = np.random.default_rng(845 + m)
+        good = [channels.random_choi(2, m, rng) for _ in range(4)]
+        singular = self.second_singular(m=m)
+        want = self.lone_error(singular)
+        assert want == "second marginal is not positive definite (min eigenvalue 0.000e+00)"
+        assert self.batch_error(good[:2] + [singular] + good[2:]) == want
+
+    def test_lower_of_two_failures_in_one_step_wins(self):
+        # both fail in the first right step; each reports its own minimum
+        rng = np.random.default_rng(855)
+        good = [channels.random_choi(2, 2, rng) for _ in range(3)]
+        low, zero = self.second_singular(1e-15), self.second_singular()
+        assert self.lone_error(low) != self.lone_error(zero)
+        assert self.batch_error([good[0], low, good[1], zero, good[2]]) == self.lone_error(low)
+        assert self.batch_error([good[0], zero, good[1], low, good[2]]) == self.lone_error(zero)
+
+    def test_first_stacked_trial_failing_empties_the_stack(self):
+        rng = np.random.default_rng(865)
+        # already doubly stochastic: this trial takes no step and is not stacked
+        feasible = ChoiMatrix(n=2, m=2, matrix=np.eye(4) / 4)
+        singular = ChoiMatrix(n=2, m=2, matrix=np.kron(np.eye(2) / 2, np.diag([1.0, 0.0])))
+        good = [channels.random_choi(2, 2, rng) for _ in range(2)]
+        for chois in ([singular] + good, [feasible, singular] + good, [feasible, self.second_singular()] + good):
+            assert self.batch_error(chois) == self.lone_error(chois[-3])
+
+    def test_failing_step_takes_one_stacked_eigh(self, eig_calls):
+        # the failing trial is found on the step's own stacked spectrum, and
+        # the trials before it keep their rows of it: no trial is solved again
+        rng = np.random.default_rng(875)
+        good = [channels.random_choi(2, 2, rng) for _ in range(3)]
+        eig_calls.clear()
+        self.batch_error([good[0], good[1], self.second_singular(), good[2]])
+        # the left step, the failing right step, then stacked steps of the
+        # two trials left, until each stops
+        assert eig_calls[:3] == [("eigh", (4, 2, 2))] * 2 + [("eigh", (2, 2, 2))]
+        assert all(name == "eigh" and shape in ((2, 2, 2), (1, 2, 2)) for name, shape in eig_calls[2:])
+
     def test_lowest_failing_trial_wins(self):
         rng = np.random.default_rng(850)
         good = channels.random_choi(2, 2, rng)
@@ -1273,7 +1330,10 @@ class TestBkmProjectionAgainstReference:
     @pytest.mark.parametrize("n, m, general", BKM_REFERENCE_CASES)
     def test_one_eigh_per_evaluation_and_one_state(self, n, m, general, monkeypatch):
         choi, p, _ = reference_case(n, m, general, 830)
+        states = count_calls(monkeypatch, scaling, "_bkm_point")
         start = scaling._bkm_start(choi.matrix)
+        # the start is log rho and its spectrum, with no state
+        assert start.state is None and not states
         evaluations, newton = [], scaling._newton
 
         def counted(method, evaluate, direction, current, **kwargs):
@@ -1281,7 +1341,6 @@ class TestBkmProjectionAgainstReference:
 
         monkeypatch.setattr(scaling, "_newton", counted)
         eigh = count_calls(monkeypatch, np.linalg, "eigh")
-        states = count_calls(monkeypatch, scaling, "_bkm_point")
         point, _, _ = one_sided(scaling._bkm_project, start, n, m, "first", p)
         assert len(evaluations) > 0
         assert eigh == [(n * m, n * m)] * len(evaluations)

@@ -7,7 +7,10 @@ Three metrics are supported, identified by string tags:
     solution of the Lyapunov equation X_e rho + rho X_e = 2 X_m.
 ``"bkm"``
     g(X, Y) = tr(X_m dlog_rho[Y_m]) with dlog the Frechet derivative of the
-    matrix logarithm at rho.
+    matrix logarithm at rho.  ``dlog_frechet`` and ``dexp_frechet`` share
+    one Daleckii-Krein body on the divided differences of exp
+    (``linalg._exp_divided_differences``): dlog, the inverse of dexp at
+    log rho, reads their reciprocal at the log-spectrum of rho.
 ``"congruence"``
     g(X, Y) = tr(rho^{-1} X_m rho^{-1} Y_m) on the positive definite cone.
 
@@ -104,55 +107,35 @@ def sld_e_rep(x: TangentVector) -> np.ndarray:
     return linalg.solve_lyapunov(x.base, 2.0 * x.m_rep)
 
 
-def _divided_differences(w: np.ndarray, f, fprime) -> np.ndarray:
-    """Loewner matrix of first divided differences of ``f`` on the spectrum."""
-    num = f(w)[:, None] - f(w)[None, :]
-    den = w[:, None] - w[None, :]
-    scale = np.maximum(np.abs(w)[:, None], np.abs(w)[None, :])
-    near = np.abs(den) <= 1e-12 * np.maximum(scale, 1.0)
-    mid = fprime((w[:, None] + w[None, :]) / 2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(near, mid, num / np.where(near, 1.0, den))
-    return phi
-
-
-def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
-    """Loewner matrix of first divided differences of exp on the spectrum
-    ``w``, as exp(max(a, b)) expm1(-|a - b|) / (-|a - b|), with exact ties
-    (the diagonal among them) set to exp(a).  Nothing overflows that exp(w)
-    does not, and no difference of exponentials cancels, so entries at
-    close and at far-apart eigenvalues are accurate to a few ulps."""
-    gap = -np.abs(w[:, None] - w[None, :])
-    with np.errstate(invalid="ignore"):
-        ratio = np.expm1(gap) / gap
-    ratio[gap == 0.0] = 1.0
-    return np.exp(np.maximum(w[:, None], w[None, :])) * ratio
+def _daleckii_krein(v: np.ndarray, phi: np.ndarray, direction: np.ndarray, what: str) -> np.ndarray:
+    """The Frechet derivative v (phi o (v^dagger E v)) v^dagger of a matrix
+    function along the Hermitian ``direction`` E (named ``what`` in its
+    error), from the eigenvectors ``v`` of the base point and the Loewner
+    matrix ``phi`` of the function's divided differences on its spectrum:
+    the one body of :func:`dlog_frechet` and :func:`dexp_frechet`."""
+    d = v.conj().T @ linalg.as_hermitian(direction, what=what) @ v
+    return linalg.hermitian_part(v @ (phi * d) @ v.conj().T)
 
 
 def dlog_frechet(rho: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Frechet derivative of the matrix logarithm at ``rho`` along ``direction``.
-
-    Computed by Daleckii-Krein divided differences in the eigenbasis of rho.
-    """
-    rho = linalg.assert_positive_definite(rho, "dlog base point")
-    direction = linalg.as_hermitian(direction, what="dlog direction")
-    w, v = np.linalg.eigh(rho)
-    phi = _divided_differences(w, np.log, lambda x: 1.0 / x)
-    d = v.conj().T @ direction @ v
-    return linalg.hermitian_part(v @ (phi * d) @ v.conj().T)
+    """Frechet derivative of the matrix logarithm at positive definite
+    ``rho`` along ``direction``.  One ``eigh`` of rho is both its cone test
+    and the eigenbasis.  dlog at rho is the inverse of dexp at log rho, so
+    its divided differences are the reciprocals of exp's on the
+    log-spectrum (``linalg._exp_divided_differences``): exact at ties, and
+    with no quotient of close logarithms to cancel."""
+    w, v = np.linalg.eigh(linalg.as_hermitian(rho, what="dlog base point"))
+    linalg._check_positive_definite(w, "dlog base point")
+    return _daleckii_krein(v, 1.0 / linalg._exp_divided_differences(np.log(w)), direction, "dlog direction")
 
 
 def dexp_frechet(h: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Frechet derivative of the matrix exponential at Hermitian ``h``, by
-    Daleckii-Krein divided differences (:func:`_exp_divided_differences`,
-    which the BKM Newton solves in ``scaling`` use too) in the eigenbasis
-    of h."""
-    h = linalg.as_hermitian(h, what="dexp base point")
-    direction = linalg.as_hermitian(direction, what="dexp direction")
-    w, v = np.linalg.eigh(h)
-    phi = _exp_divided_differences(w)
-    d = v.conj().T @ direction @ v
-    return linalg.hermitian_part(v @ (phi * d) @ v.conj().T)
+    """Frechet derivative of the matrix exponential at Hermitian ``h`` along
+    ``direction``, by the divided differences of exp on the spectrum of h
+    (``linalg._exp_divided_differences``, which the BKM Newton solves in
+    ``scaling`` use too)."""
+    w, v = np.linalg.eigh(linalg.as_hermitian(h, what="dexp base point"))
+    return _daleckii_krein(v, linalg._exp_divided_differences(w), direction, "dexp direction")
 
 
 def _check_same_base(x: TangentVector, y: TangentVector) -> None:

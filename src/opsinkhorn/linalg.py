@@ -26,6 +26,12 @@ at entry; from there they carry that e-coordinate and its
 ``numpy.linalg.eigh`` spectrum through the projections, so no matrix
 function of an iterate is taken in the loop.
 
+Frechet derivatives of matrix functions go through one Loewner matrix,
+``_exp_divided_differences``, the divided differences of exp in an expm1
+form that neither overflows nor cancels: the BKM Newton Hessian and
+``geometry.dexp_frechet`` use it on their spectrum, and
+``geometry.dlog_frechet`` its reciprocal on the log-spectrum.
+
 Stacks: ``hermitian_part``, ``as_hermitian``, ``assert_positive_definite``,
 ``matrix_function`` (and so ``sqrtm`` ... ``invm``), ``inverse_mean`` and
 ``frobenius`` also take a (B, d, d) stack of matrices and work on each
@@ -187,6 +193,23 @@ def matrix_function(a: np.ndarray, name: str, t: float | None = None) -> np.ndar
     else:
         raise InvalidInputError(f"unknown matrix function tag {name!r}")
     return hermitian_part((v * fw[..., None, :]) @ _adjoint(v))
+
+
+def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
+    """Loewner matrix of first divided differences of exp on the spectrum
+    ``w``, as exp(max(a, b)) expm1(-|a - b|) / (-|a - b|), with exact ties
+    (the diagonal among them) set to exp(a).  Nothing overflows that exp(w)
+    does not, and no difference of exponentials cancels, so entries at
+    close and at far-apart eigenvalues are accurate to a few ulps.  It is
+    the package's one Loewner matrix: the BKM Newton Hessian in ``scaling``
+    and ``geometry.dexp_frechet`` read it on the spectrum of their argument,
+    and ``geometry.dlog_frechet`` takes its reciprocal on the log-spectrum,
+    since (log a - log b) / (a - b) = 1 / this entry at (log a, log b)."""
+    gap = -np.abs(w[:, None] - w[None, :])
+    with np.errstate(invalid="ignore"):
+        ratio = np.expm1(gap) / gap
+    ratio[gap == 0.0] = 1.0
+    return np.exp(np.maximum(w[:, None], w[None, :])) * ratio
 
 
 def sqrtm(a: np.ndarray) -> np.ndarray:

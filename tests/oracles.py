@@ -13,7 +13,8 @@ the earlier Newton loop on the complex d x d dual, with a complex solve and
 the Hermitian part of its solution as the step, where the package runs on
 real coordinates.  The BKM one forms the ``mn x mn`` state and its partial
 trace on every evaluation and builds the Hessian from an ``einsum``
-contraction and the quotient form of the exp divided differences; the Burg
+contraction and the quotient form of the exp divided differences
+(``divided_differences``, defined here); the Burg
 one builds its Jacobian by one ``einsum`` on the block view of the
 resolvent, where the package takes a Gram product.  The
 constraint tangent basis is built by Gram-Schmidt over the canonical
@@ -39,7 +40,21 @@ from scipy import integrate, optimize
 from opsinkhorn import divergences, linalg, policy, scaling
 from opsinkhorn.channels import ChoiMatrix, apply_map
 from opsinkhorn.errors import ConvergenceError, DomainError, InvalidInputError, SingularityError, UnsupportedError
-from opsinkhorn.geometry import _divided_differences, dexp_frechet
+from opsinkhorn.geometry import dexp_frechet
+
+
+def divided_differences(w: np.ndarray, f, fprime) -> np.ndarray:
+    """Loewner matrix of first divided differences of ``f`` on the spectrum
+    ``w`` in the quotient form (f(a) - f(b)) / (a - b), with ``fprime`` at
+    the midpoint where the gap is within 1e-12 of max(|a|, |b|, 1): the
+    textbook kernel, independent of the package's expm1 form."""
+    num = f(w)[:, None] - f(w)[None, :]
+    den = w[:, None] - w[None, :]
+    scale = np.maximum(np.abs(w)[:, None], np.abs(w)[None, :])
+    near = np.abs(den) <= 1e-12 * np.maximum(scale, 1.0)
+    mid = fprime((w[:, None] + w[None, :]) / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(near, mid, num / np.where(near, 1.0, den))
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -319,8 +334,10 @@ def newton_ref(method: str, evaluate, direction, current):
     """The package's earlier damped Newton loop on complex Hermitian duals:
     gradient norms by ``linalg.frobenius`` and the slope by ``np.vdot``,
     with the acceptance rule, Burg polish and policy budget of
-    ``scaling._newton``.  Returns the final dual, its state and the number
-    of steps."""
+    ``scaling._newton``, but stopping at the policy tolerance alone: the
+    Burg rounding floor of ``scaling._newton`` is under the tolerance on
+    every input the references are compared on.  Returns the final dual,
+    its state and the number of steps."""
     pol = policy.get_policy()
     tol, max_iters = (
         (pol.bkm_gradient_tol, pol.bkm_max_iters) if method == "bkm" else (pol.burg_residual_tol, pol.burg_max_iters)
@@ -403,7 +420,7 @@ def bkm_project_ref(start: scaling._Point, n: int, m: int, side: str,
         else:
             c = np.einsum("iap,jaq->ijpq", vb.conj(), vb).reshape(d * d, -1)
         shifted = point.w - point.w.max()
-        phi = _divided_differences(shifted, np.exp, np.exp) / np.exp(shifted).sum()
+        phi = divided_differences(shifted, np.exp, np.exp) / np.exp(shifted).sum()
         flat = marginal.reshape(-1)
         hess = (c.conj() * phi.reshape(-1)) @ c.T - np.outer(flat, flat.conj()) + gauge
         return linalg.hermitian_part(np.linalg.solve(hess, -g.reshape(-1)).reshape(d, d))

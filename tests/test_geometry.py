@@ -149,8 +149,8 @@ class TestFrechetDerivatives:
         np.linspace(-700.0, 100.0, 7),                   # spread of 800
     ], ids=["degenerate", "near-degenerate", "spread"])
     def test_exp_divided_differences_against_quotients(self, w):
-        got = geometry._exp_divided_differences(w)
-        want = geometry._divided_differences(w, np.exp, np.exp)
+        got = linalg._exp_divided_differences(w)
+        want = oracles.divided_differences(w, np.exp, np.exp)
         assert np.isfinite(got).all()
         assert np.array_equal(np.diag(got), np.exp(w))
         assert np.array_equal(got, got.T)
@@ -161,12 +161,49 @@ class TestFrechetDerivatives:
         mpmath.mp.dps = 50
         rng = np.random.default_rng(18)
         w = np.sort(np.concatenate([rng.standard_normal(6), [0.3, 0.3 + 1e-9, 0.3 + 2e-9], [-40.0, 25.0]]))
-        got = geometry._exp_divided_differences(w)
+        got = linalg._exp_divided_differences(w)
         for i, a in enumerate(w):
             for j, b in enumerate(w):
                 x, y = mpmath.mpf(a), mpmath.mpf(b)
                 exact = mpmath.exp(x) if a == b else (mpmath.exp(x) - mpmath.exp(y)) / (x - y)
                 assert abs(got[i, j] - exact) <= 1e-15 * abs(exact)
+
+    @pytest.mark.parametrize("gap", [1e-13, 1e-11, 1e-9, 1e-7, 1e-5])
+    def test_dlog_and_bkm_metric_against_high_precision(self, gap):
+        # rho has two eigenvalues `gap` apart; the reference takes the
+        # quotient (log a - log b) / (a - b) at 50 digits on the spectrum and
+        # in the eigenbasis that eigh gives, so only the Loewner matrix and
+        # the rounding of the products differ
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(19)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        rho = linalg.hermitian_part((u * np.array([0.1, 0.25, 0.25 + gap, 0.4 - gap])) @ u.conj().T)
+        x, y = random_tangent(rho, 20), random_tangent(rho, 21)
+        w, v = np.linalg.eigh(rho)
+        with mpmath.workdps(50):
+            mv, mw = mpmath.matrix(v.tolist()), [mpmath.mpf(a) for a in w]
+            d = mv.H * mpmath.matrix(y.m_rep.tolist()) * mv
+            for i, a in enumerate(mw):
+                for j, b in enumerate(mw):
+                    d[i, j] *= 1 / a if a == b else (mpmath.log(a) - mpmath.log(b)) / (a - b)
+            exact = mv * d * mv.H
+            exact_inner = sum(x.m_rep[i, j] * exact[j, i] for i in range(4) for j in range(4)).real
+            got = geometry.dlog_frechet(rho, y.m_rep)
+            err = mpmath.norm(mpmath.matrix(got.tolist()) - exact)
+            assert err <= 1e-14 * mpmath.norm(exact)
+            assert abs(geometry.metric_inner("bkm", x, y) - exact_inner) <= 1e-14 * abs(exact_inner)
+
+    def test_dlog_takes_one_eigh(self, eig_calls):
+        rho = random_density(5, 22)
+        direction = random_tangent(rho, 23).m_rep
+        eig_calls.clear()
+        geometry.dlog_frechet(rho, direction)
+        # the eigh is also the cone test of the base point
+        assert eig_calls == [("eigh", (5, 5))]
+
+    def test_dlog_rejects_singular_base_point(self):
+        with pytest.raises(SingularityError, match="dlog base point is not positive definite"):
+            geometry.dlog_frechet(np.diag([1.0, 0.0]), np.diag([1.0, -1.0]))
 
     def test_dexp_inverts_dlog(self):
         rho = random_density(3, 16)

@@ -1766,6 +1766,43 @@ class TestBurgPolish:
         assert np.abs(trace.final.matrix - mat).max() <= 1e-12 * np.abs(mat).max()
 
 
+class TestBurgRoundingFloor:
+    """A Burg solve stops at max(``burg_residual_tol``, eps w_max / w_min^2),
+    w the spectrum of the K in hand.  On this input (4x4, general targets
+    with eigenvalues down to 5.4e-3) the first-marginal projection of sweep
+    7 reaches a gradient norm of 2.7e-10 in 4 steps and stays there, above
+    the tolerance and under its floor: held to the tolerance alone, it spent
+    200 steps and raised ``ConvergenceError``.  The alternation creeps near
+    the cone's boundary, so it ends at its budget, unconverged."""
+
+    @staticmethod
+    def problem(max_iters: int):
+        rng = np.random.default_rng(5044)
+        choi = channels.random_choi(4, 4, rng)
+        p, q = channels.random_density(4, rng), channels.random_density(4, rng)
+        return choi, scaling.ScalingConfig(max_iters=max_iters, target_p=p, target_q=q)
+
+    @pytest.mark.parametrize("sweeps, bound", [(10, 5e-2), (200, 5e-3)])
+    def test_alternation_ends_unconverged_at_its_budget(self, sweeps, bound, monkeypatch):
+        choi, cfg = self.problem(sweeps)
+        stops, newton = [], scaling._newton
+
+        def recorded(method, evaluate, direction, current, **kwargs):
+            x, point, steps = newton(method, evaluate, direction, current, **kwargs)
+            stops.append((np.finfo(float).eps * point.w[-1] / point.w[0] ** 2, steps))
+            return x, point, steps
+
+        monkeypatch.setattr(scaling, "_newton", recorded)
+        trace = scaling.alternating_projections("burg", choi, cfg)
+        assert not trace.converged and trace.sweeps == sweeps and len(stops) == 2 * sweeps
+        assert trace.residuals[-1] < bound
+        ChoiMatrix(n=4, m=4, matrix=trace.final.matrix)  # the full public check
+        # every projection stops well inside its budget, at a floor above
+        # the tolerance
+        tol, budget = policy.get_policy().burg_residual_tol, policy.get_policy().burg_max_iters
+        assert all(floor > tol and steps < budget // 4 for floor, steps in stops)
+
+
 class TestAlternatingProjections:
     @pytest.mark.parametrize("driver, general", [(d, False) for d in DRIVERS] + [(d, True) for d in scaling.METHODS])
     def test_feasible_start_is_immediate_fixed_point(self, driver, general):

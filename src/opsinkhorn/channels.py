@@ -192,6 +192,20 @@ def as_density(mat: np.ndarray, what: str = "density matrix") -> np.ndarray:
     return mat
 
 
+def _check_marginal(choi: ChoiMatrix, side: str, target: np.ndarray, what: str) -> None:
+    """``InvalidInputError`` unless ``side`` names a marginal of ``choi`` and
+    the square ``target`` (named ``what``) has its size: m x m for
+    ``"first"``, n x n for ``"second"``."""
+    if side not in ("first", "second"):
+        raise InvalidInputError(f"side must be 'first' or 'second', got {side!r}")
+    d = choi.m if side == "first" else choi.n
+    if target.shape != (d, d):
+        raise InvalidInputError(
+            f"{what} has shape {target.shape}, but the {side} marginal of an n={choi.n}, m={choi.m} "
+            f"Choi matrix is {d} x {d}"
+        )
+
+
 def choi_from_kraus(kraus: KrausMap) -> ChoiMatrix:
     """CH(Phi) = sum_ij E_ij (x) Phi(E_ij), assembled blockwise.
 

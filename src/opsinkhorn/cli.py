@@ -8,9 +8,10 @@ capacity over random trials, solved as one operator Sinkhorn batch) and
 ``gen`` (write a random instance file).
 
 ``scale``, ``compare`` and ``diffquot`` share one definition of their input
-and solve flags (:func:`_solve_flags`); ``capacity-scatter`` takes the
-budget but no targets (capacity needs the doubly stochastic ones), ``gen``
-neither.
+and solve flags (:func:`_solve_flags`) and one input path (:func:`_input`);
+``capacity-scatter`` takes the budget but no targets (capacity needs the
+doubly stochastic ones), ``gen`` neither.  A run reports its end through
+:func:`_status`, and every CSV table is formed by :func:`_table`.
 
 Exit codes: 0 success, 2 parse failure (a malformed command line, an
 out-of-range flag value or an unreadable payload), 3 numeric domain
@@ -121,16 +122,6 @@ def _config(args) -> scaling.ScalingConfig:
     )
 
 
-def _load_input(args):
-    """The input file's ``(kind, matrix, n, m)``, or None when no file is
-    given.  A file together with ``--paper-rho0`` is a usage error."""
-    if args.input is None:
-        return None
-    if args.paper_rho0:
-        raise ParseError("give an input file or --paper-rho0, not both")
-    return serialization.load_matrix(args.input)
-
-
 def _check_dims(args, n: int, m: int, what: str) -> None:
     """A ``--dims`` other than the block shape ``(n, m)`` of ``what`` is a
     usage error."""
@@ -138,9 +129,14 @@ def _check_dims(args, n: int, m: int, what: str) -> None:
         raise ParseError(f"--dims {args.dims[0]} {args.dims[1]} contradicts the block shape ({n}, {m}) of {what}")
 
 
-def _load_input_choi(args, loaded=None) -> ChoiMatrix:
-    loaded = loaded or _load_input(args)
-    if loaded is None:
+def _input(args, matrix: bool = False) -> ChoiMatrix | np.ndarray:
+    """The one input of ``scale``, ``compare`` and ``diffquot``: the file's
+    choi or density payload, ``--paper-rho0``, or with neither a random
+    instance of block shape ``--dims``; with ``matrix`` (``scale``), a
+    matrix payload's array.  Inputs given in ways that disagree are usage
+    errors: a file together with ``--paper-rho0``, and a ``--dims`` that
+    contradicts the payload or is given with a matrix payload."""
+    if args.input is None:
         if args.paper_rho0:
             _check_dims(args, REFERENCE_N, REFERENCE_M, "the reference input")
             return reference_rho0()
@@ -148,50 +144,46 @@ def _load_input_choi(args, loaded=None) -> ChoiMatrix:
             n, m = args.dims
             return random_choi(n, m, np.random.default_rng(args.seed), real=args.real)
         raise ParseError("no input: give a file, --paper-rho0, or --dims")
-    kind, matrix, n, m = loaded
-    if kind == "choi":
-        _check_dims(args, n, m, "the choi payload")
-        return ChoiMatrix(n=n, m=m, matrix=matrix)
+    if args.paper_rho0:
+        raise ParseError("give an input file or --paper-rho0, not both")
+    kind, array, n, m = serialization.load_matrix(args.input)
+    if kind == "matrix":
+        if not matrix:
+            raise ParseError("expected a choi or density payload")
+        if args.dims:
+            raise ParseError("--dims does not apply to a matrix payload: its shape is its own")
+        return array
     if kind == "density":
         if not args.dims:
             raise ParseError("density input needs --dims N M to fix the block structure")
-        return ChoiMatrix(n=args.dims[0], m=args.dims[1], matrix=matrix)
-    raise ParseError("expected a choi or density payload")
+        n, m = args.dims
+        if array.shape != (n * m, n * m):
+            raise ParseError(f"--dims {n} {m} contradicts the shape {array.shape} of the density payload")
+    else:
+        _check_dims(args, n, m, "the choi payload")
+    return ChoiMatrix(n=n, m=m, matrix=array)
 
 
-def _trace_summary(trace: scaling.ScalingTrace) -> dict:
-    try:
-        capacity = scaling.capacity_from_trace(trace)
-    except (UnsupportedError, ConvergenceError):
-        capacity = None
-    return {
-        "converged": trace.converged,
-        "sweeps": trace.sweeps,
-        "residual": trace.residuals[-1],
-        "capacity": capacity,
-    }
+def _status(trace: scaling.ScalingTrace) -> dict:
+    """How a run ended: whether it converged, its sweeps and its last
+    residual."""
+    return {"converged": trace.converged, "sweeps": trace.sweeps, "residual": trace.residuals[-1]}
 
 
-def _residual_csv(trace) -> str:
-    lines = ["iter,residual"]
-    lines += [csv_line(i, float(r)) for i, r in enumerate(trace.residuals)]
-    return "\n".join(lines) + "\n"
-
-
-def _ensure_dir(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _table(header: list[str], rows) -> str:
+    """CSV text: the header line, then one :func:`csv_line` per row."""
+    return "\n".join(csv_line(*row) for row in [header, *rows]) + "\n"
 
 
 def cmd_scale(args) -> int:
     cfg = _config(args)
     if args.method not in scaling.METHODS:
         raise UnsupportedError(f"unknown method {args.method!r}; expected one of {scaling.METHODS}")
-    loaded = _load_input(args)
-    if loaded is not None and loaded[0] == "matrix":
-        if args.dims:
-            raise ParseError("--dims does not apply to a matrix payload: its shape is its own")
+    given = _input(args, matrix=True)
+    if isinstance(given, ChoiMatrix):
+        trace = scaling.alternating_projections(args.method, given, cfg)
+        payload = serialization.matrix_to_payload("choi", trace.final.matrix, trace.n, trace.m)
+    else:
         if args.method != "sld":
             raise UnsupportedError("matrix payloads support the sld (Sinkhorn) method only")
         flags = [flag for flag, path in (("--target-p", args.target_p), ("--target-q", args.target_q))
@@ -201,46 +193,35 @@ def cmd_scale(args) -> int:
                 f"{' and '.join(flags)} not supported for matrix payloads: "
                 "classical scaling targets uniform row and column sums"
             )
-        trace = scaling.matrix_sinkhorn(loaded[1], cfg)
+        trace = scaling.matrix_sinkhorn(given, cfg)
         payload = serialization.matrix_to_payload("matrix", trace.final)
-    else:
-        choi = _load_input_choi(args, loaded)
-        trace = scaling.alternating_projections(args.method, choi, cfg)
-        payload = serialization.matrix_to_payload("choi", trace.final.matrix, trace.n, trace.m)
-    summary = _trace_summary(trace)
-    summary["matrix"] = payload
-    print(json.dumps(summary, sort_keys=True))
+    status = _status(trace)
+    try:
+        status["capacity"] = scaling.capacity_from_trace(trace)
+    except (UnsupportedError, ConvergenceError):
+        status["capacity"] = None
+    print(json.dumps({**status, "matrix": payload}, sort_keys=True))
     if args.out:
-        out = _ensure_dir(args.out)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         (out / "final.json").write_text(json.dumps(payload, sort_keys=True) + "\n")
-        (out / "residuals.csv").write_text(_residual_csv(trace))
-        (out / "summary.json").write_text(
-            json.dumps({k: v for k, v in summary.items() if k != "matrix"}, sort_keys=True) + "\n"
-        )
+        (out / "residuals.csv").write_text(_table(["iter", "residual"], enumerate(map(float, trace.residuals))))
+        (out / "summary.json").write_text(json.dumps(status, sort_keys=True) + "\n")
     return 0
-
-
-# how `compare` solves each method: the Burg alternation converges too
-# slowly to reach its limit in a sweep budget, so its column is the limit
-# itself; sld and bkm keep the paper's alternation
-_COMPARE_SOLVERS = {"sld": "alternation", "bkm": "alternation", "burg": "joint"}
 
 
 def cmd_compare(args) -> int:
     cfg = _config(args)
-    choi = _load_input_choi(args)
-    solve = {"alternation": scaling.alternating_projections, "joint": scaling.joint_limit}
-    traces = {method: solve[_COMPARE_SOLVERS[method]](method, choi, cfg) for method in scaling.METHODS}
-    finals = {method: trace.final for method, trace in traces.items()}
-    status = {
-        method: {
-            "converged": t.converged,
-            "sweeps": t.sweeps,
-            "residual": t.residuals[-1],
-            "solver": _COMPARE_SOLVERS[method],
-        }
-        for method, t in traces.items()
-    }
+    choi = _input(args)
+    traces, status = {}, {}
+    for method in scaling.METHODS:
+        # the Burg alternation converges too slowly to reach its limit in a
+        # sweep budget, so its column is the limit itself; sld and bkm keep
+        # the paper's alternation
+        joint = method == "burg"
+        solve = scaling.joint_limit if joint else scaling.alternating_projections
+        traces[method] = solve(method, choi, cfg)
+        status[method] = {**_status(traces[method]), "solver": "joint" if joint else "alternation"}
     for method, s in status.items():
         if not s["converged"]:
             print(
@@ -248,16 +229,15 @@ def cmd_compare(args) -> int:
                 f"final residual {s['residual']:.3e}",
                 file=sys.stderr,
             )
-    lines = ["method," + ",".join(scaling.METHODS)]
-    for a in scaling.METHODS:
-        gaps = [float(np.abs(finals[a].matrix - finals[b].matrix).max()) for b in scaling.METHODS]
-        lines.append(csv_line(a, *gaps))
-    table = "\n".join(lines) + "\n"
+    finals = {method: trace.final.matrix for method, trace in traces.items()}
+    rows = [(a, *(float(np.abs(finals[a] - finals[b]).max()) for b in scaling.METHODS)) for a in scaling.METHODS]
+    table = _table(["method", *scaling.METHODS], rows)
     sys.stdout.write(table)
     if args.out:
-        out = _ensure_dir(args.out)
-        for method, choi_star in finals.items():
-            serialization.save_choi(out / f"{method}.json", choi_star)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for method, trace in traces.items():
+            serialization.save_choi(out / f"{method}.json", trace.final)
         (out / "distances.csv").write_text(table)
         (out / "summary.json").write_text(json.dumps(status, sort_keys=True) + "\n")
     return 0
@@ -288,7 +268,7 @@ def _check_tags(tags: tuple[str, ...]) -> None:
 
 def cmd_diffquot(args) -> int:
     cfg = _config(args)
-    choi = _load_input_choi(args)
+    choi = _input(args)
     _check_tags((args.tag,))
     if args.direction:
         kind, direction, _, _ = serialization.load_matrix(args.direction)
@@ -307,10 +287,7 @@ def cmd_diffquot(args) -> int:
     deltas = divergences.central_difference_quotients(
         args.tag, trace.final.matrix, choi.matrix, direction, grid, n=choi.n, m=choi.m
     )
-    lines = ["log10_h,delta"]
-    for h, delta in zip(grid, deltas):
-        lines.append(csv_line(float(np.log10(h)), float(delta)))
-    table = "\n".join(lines) + "\n"
+    table = _table(["log10_h", "delta"], [(float(np.log10(h)), float(delta)) for h, delta in zip(grid, deltas)])
     sys.stdout.write(table)
     if args.out:
         Path(args.out).write_text(table)
@@ -338,14 +315,11 @@ def cmd_capacity_scatter(args) -> int:
     _check_tags(tags)
     if "kl" in tags and not args.diagonal:
         raise UnsupportedError("the classical kl tag needs the --diagonal ensemble")
-    header = ["trial", "converged"] + [f"D_{tag}" for tag in tags] + ["neg_log_capacity"]
-    lines = [",".join(header)]
-    gaps: dict[str, list[float]] = {tag: [] for tag in tags}
     chois = [_scatter_instance(n, np.random.default_rng(args.seed + trial), args) for trial in range(args.trials)]
     traces = scaling.operator_sinkhorn_batch(chois, cfg)
     # each tag once over the stack of converged trials: finals against inputs
     done = [trial for trial, trace in enumerate(traces) if trace.converged]
-    rows: dict[int, tuple] = {}
+    divergences_of: dict[int, tuple] = {}
     if done:
         finals = np.stack([traces[trial].final.matrix for trial in done])
         starts = np.stack([chois[trial].matrix for trial in done])
@@ -354,21 +328,20 @@ def cmd_capacity_scatter(args) -> int:
             if tag == "kl" else divergences.divergence(tag, finals, starts)
             for tag in tags
         ]
-        rows = dict(zip(done, zip(*columns)))
-    for trial, trace in enumerate(traces):
-        if not trace.converged:
-            row = [trial, 0] + [float("nan")] * (len(tags) + 1)
-            lines.append(csv_line(*row))
-            continue
-        neg_log_cap = -float(np.log(scaling.capacity_from_trace(trace)))
-        values = rows[trial]
-        for tag, value in zip(tags, values):
-            gaps[tag].append(abs(value - neg_log_cap))
-        lines.append(csv_line(trial, 1, *[float(v) for v in values], float(neg_log_cap)))
-    table = "\n".join(lines) + "\n"
+        divergences_of = dict(zip(done, zip(*columns)))
+    rows = [
+        (trial, 1, *map(float, divergences_of[trial]), -float(np.log(scaling.capacity_from_trace(trace))))
+        if trace.converged else (trial, 0, *[float("nan")] * (len(tags) + 1))
+        for trial, trace in enumerate(traces)
+    ]
+    table = _table(["trial", "converged", *(f"D_{tag}" for tag in tags), "neg_log_capacity"], rows)
     sys.stdout.write(table)
+    # each tag's mean gap over its columns (two, if it is given twice), trial by trial
+    kept = [row for row in rows if row[1]]
     summary = {
-        f"mean_gap_{tag}": (float(np.mean(v)) if v else None) for tag, v in gaps.items()
+        f"mean_gap_{tag}": float(np.mean([abs(v - row[-1]) for row in kept for t, v in zip(tags, row[2:]) if t == tag]))
+        if kept else None
+        for tag in tags
     }
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)
     if args.out:

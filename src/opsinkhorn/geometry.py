@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import ChoiMatrix, as_density
+from .channels import ChoiMatrix, _check_marginal, as_density
 from .errors import InvalidInputError, SingularityError
 from .policy import get_policy
 
@@ -97,6 +97,9 @@ class ConstraintSet:
         object.__setattr__(self, "target", linalg._read_only(target))
 
     def violation(self, choi: ChoiMatrix) -> float:
+        """||tr_side rho - target||_F; a target that does not fit ``choi``
+        is an ``InvalidInputError``."""
+        _check_marginal(choi, self.side, self.target, "constraint target")
         marg = choi.trace_first() if self.side == "first" else choi.trace_second()
         return linalg.frobenius(marg - self.target)
 
@@ -112,8 +115,13 @@ def _daleckii_krein(v: np.ndarray, phi: np.ndarray, direction: np.ndarray, what:
     function along the Hermitian ``direction`` E (named ``what`` in its
     error), from the eigenvectors ``v`` of the base point and the Loewner
     matrix ``phi`` of the function's divided differences on its spectrum:
-    the one body of :func:`dlog_frechet` and :func:`dexp_frechet`."""
-    d = v.conj().T @ linalg.as_hermitian(direction, what=what) @ v
+    the one body of :func:`dlog_frechet` and :func:`dexp_frechet`.  A
+    direction of another size than the base point is an
+    ``InvalidInputError``."""
+    e = linalg.as_hermitian(direction, what=what)
+    if e.shape != v.shape:
+        raise InvalidInputError(f"{what} has shape {e.shape}, the base point {v.shape}")
+    d = v.conj().T @ e @ v
     return linalg.hermitian_part(v @ (phi * d) @ v.conj().T)
 
 
@@ -192,9 +200,12 @@ def e_geodesic(tag: str, rho1: np.ndarray, rho2: np.ndarray, t: float) -> np.nda
 
 def sld_parallel_transport(l: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """e-parallel transport of an e-representation to the state ``sigma``:
-    L - tr(sigma L) I."""
+    L - tr(sigma L) I.  Arguments of different sizes are an
+    ``InvalidInputError``."""
     l = linalg.as_hermitian(l, what="e-representation")
     sigma = as_density(sigma, "transport target")
+    if l.shape != sigma.shape:
+        raise InvalidInputError(f"e-representation has shape {l.shape}, the transport target {sigma.shape}")
     return l - np.trace(sigma @ l).real * np.eye(l.shape[0])
 
 
@@ -248,7 +259,9 @@ def orthogonality_residual(
     is exactly 0.0 when the space is empty (n = 1 on side "first", m = 1 on
     side "second": the constraint fixes the whole state).  A vanishing
     residual certifies that ``rho_to`` is the e-projection of ``rho_from``
-    onto the constraint set for the chosen metric.
+    onto the constraint set for the chosen metric.  Block structures that
+    differ, or a constraint target that does not fit them
+    (:meth:`ConstraintSet.violation`), are an ``InvalidInputError``.
     """
     if (rho_from.n, rho_from.m) != (rho_to.n, rho_to.m):
         raise InvalidInputError("Choi block structures differ")

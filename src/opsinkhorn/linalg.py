@@ -50,8 +50,6 @@ block traces.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, SingularityError
@@ -146,10 +144,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def _check_domain(w: np.ndarray, predicate: Callable[[np.ndarray], np.ndarray], name: str) -> None:
-    bad = ~predicate(w)
-    if np.any(bad):
-        raise DomainError(f"eigenvalue {w[bad][0]:.6e} outside the domain of {name}")
+def _check_domain(w: np.ndarray, ok: bool | np.ndarray, name: str) -> None:
+    """Raise ``DomainError`` naming ``name`` unless ``ok``, the verdict on
+    the ascending spectrum ``w`` or one per row of a stack of them, holds
+    throughout.  The message gives the smallest eigenvalue of the first
+    spectrum outside the domain."""
+    ok = np.ravel(ok)
+    if not ok.all():
+        raise DomainError(f"eigenvalue {np.ravel(w[..., 0])[~ok][0]:.6e} outside the domain of {name}")
 
 
 def matrix_function(a: np.ndarray, name: str, t: float | None = None) -> np.ndarray:
@@ -159,25 +161,25 @@ def matrix_function(a: np.ndarray, name: str, t: float | None = None) -> np.ndar
     ``name`` is one of ``sqrt``, ``log``, ``exp``, ``inverse`` or ``power``
     (the latter takes the exponent ``t``).  The argument is validated
     (``as_hermitian``) and decomposed by one ``numpy.linalg.eigh``, its
-    eigenvalues ascending.  They are checked against the function's domain,
-    with a floor relative to each matrix's largest |eigenvalue|; small
-    negatives inside the domain tolerance are clipped to zero for ``sqrt``
-    and nonnegative powers.
+    eigenvalues ascending.  They are checked against the function's domain:
+    ``log``, ``inverse`` and negative powers need the package's cone test
+    (:func:`_positive_definite`), ``sqrt`` and fractional powers
+    eigenvalues of at least ``-domain_atol``, and small negatives inside
+    that tolerance are clipped to zero.
     """
     w, v = np.linalg.eigh(as_hermitian(a))
-    pol = get_policy()
-    floor = pol.pd_rel_floor * np.maximum(np.abs(w).max(axis=-1, keepdims=True), _TINY)
+    nonnegative = w[..., 0] >= -get_policy().domain_atol
 
     if name == "sqrt":
-        _check_domain(w, lambda x: x >= -pol.domain_atol, "sqrt")
+        _check_domain(w, nonnegative, "sqrt")
         fw = np.sqrt(np.clip(w, 0.0, None))
     elif name == "log":
-        _check_domain(w, lambda x: x > floor, "log")
+        _check_domain(w, _positive_definite(w), "log")
         fw = np.log(w)
     elif name == "exp":
         fw = np.exp(w)
     elif name == "inverse":
-        _check_domain(w, lambda x: x > floor, "inverse")
+        _check_domain(w, _positive_definite(w), "inverse")
         fw = 1.0 / w
     elif name == "power":
         if t is None:
@@ -185,9 +187,9 @@ def matrix_function(a: np.ndarray, name: str, t: float | None = None) -> np.ndar
         if t < 0 or (t != int(t) and t > 0):
             # fractional or negative powers need a nonnegative / positive spectrum
             if t < 0:
-                _check_domain(w, lambda x: x > floor, f"power({t})")
+                _check_domain(w, _positive_definite(w), f"power({t})")
             else:
-                _check_domain(w, lambda x: x >= -pol.domain_atol, f"power({t})")
+                _check_domain(w, nonnegative, f"power({t})")
                 w = np.clip(w, 0.0, None)
         fw = np.power(w, t)
     else:

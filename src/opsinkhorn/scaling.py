@@ -118,7 +118,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .channels import ChoiMatrix, _integer, as_density, congruence
+from .channels import ChoiMatrix, _check_marginal, _integer, as_density, congruence
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -384,11 +384,9 @@ def _sld_step(
     marginal.  ``linalg.inverse_mean`` checks that the marginal is positive
     definite from its ``eigh``, which also gives the factor: on its own for
     a uniform target I/d (passed as the scalar 1/d, see
-    :func:`_uniform_level`), with one more ``eigh`` otherwise.  The target
-    is validated by the caller.  The congruence by the positive definite
+    :func:`_uniform_level`), with one more ``eigh`` otherwise.  The side
+    and the target are validated by the caller.  The congruence by the positive definite
     factor keeps the iterate PSD."""
-    if side not in ("first", "second"):
-        raise InvalidInputError(f"side must be 'first' or 'second', got {side!r}")
     level = _uniform_level(target)
     factor, marginal_logdet = linalg.inverse_mean(
         linalg.partial_trace(mat, n, m, side), target if level is None else level, f"{side} marginal"
@@ -406,9 +404,12 @@ def operator_sinkhorn_step(
     side "first" applies L = (tr_first rho)^{-1} # target on the inner factor,
     side "second" applies R = (tr_second rho)^{-1} # target on the outer one.
     The corresponding marginal of the result equals the target exactly (up to
-    rounding), by the Riccati property of the geometric mean.
+    rounding), by the Riccati property of the geometric mean.  A side other
+    than these two, or a target whose size is not that side's marginal's,
+    is an ``InvalidInputError``.
     """
     target = as_density(target, "step target")
+    _check_marginal(choi, side, target, "step target")
     mat, factor, _ = _sld_step(choi.matrix, choi.n, choi.m, side, target)
     return ChoiMatrix(n=choi.n, m=choi.m, matrix=mat), factor
 
@@ -1009,9 +1010,11 @@ def _e_projection(method: str, choi0: ChoiMatrix, constraint: ConstraintSet) -> 
     :func:`burg_e_projection`: checks the source (positive definite, unit
     trace), takes it to its e-coordinate, runs the one-sided solve on plain
     arrays (:func:`_bkm_project`, :func:`_burg_project`) and validates the
-    result as a :class:`ChoiMatrix`."""
+    result as a :class:`ChoiMatrix`.  A constraint target that does not fit
+    the source's block shape is an ``InvalidInputError``."""
     start, project = (_bkm_start, _bkm_project) if method == "bkm" else (_burg_start, _burg_project)
     n, m, side = choi0.n, choi0.m, constraint.side
+    _check_marginal(choi0, side, constraint.target, "constraint target")
     frame = _frame(n, m, (side,))
     source = start(as_density(choi0.matrix, "projection source"))
     point, (dual,), _ = project(source, frame, _coordinates(frame, [constraint.target]), _projection_name(method, side))

@@ -95,6 +95,23 @@ class TestScale:
         assert lines[0] == "iter,residual"
         assert len(lines) == summary["sweeps"] + 2  # header + initial + per-sweep
 
+    @pytest.mark.parametrize("source", [
+        ["--paper-rho0"],
+        ["--paper-rho0", "--method", "bkm", "--max-iters", "1"],
+        ["--dims", "2", "3", "--method", "burg", "--max-iters", "3"],
+        ["m.json"],
+    ])
+    def test_summary_file_is_the_stdout_status(self, capsys, tmp_path, monkeypatch, source):
+        # every key of the printed status but the matrix, with its value
+        monkeypatch.chdir(tmp_path)
+        serialization.save_matrix("m.json", "matrix", np.array([[0.1, 0.2], [0.3, 0.4]], dtype=complex))
+        code, out, _ = run_cli(capsys, "scale", *source, "--out", "res")
+        assert code == 0
+        printed = json.loads(out)
+        assert set(printed) == {"converged", "sweeps", "residual", "capacity", "matrix"}
+        del printed["matrix"]
+        assert json.loads(Path("res/summary.json").read_text()) == printed
+
     def test_matrix_payload_runs_classical_scaling(self, capsys, tmp_path):
         a = np.array([[1.0, 2.0], [3.0, 4.0]]) / 10.0
         path = tmp_path / "m.json"
@@ -245,6 +262,14 @@ class TestContradictoryInput:
         code, out, _ = run_cli(capsys, "scale", str(path), "--paper-rho0")
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("command", ["scale", "compare", "diffquot"])
+    def test_dims_against_a_density_input(self, capsys, tmp_path, command):
+        path = tmp_path / "rho.json"
+        serialization.save_matrix(path, "density", channels.random_density(4, np.random.default_rng(1)))
+        code, out, err = run_cli(capsys, command, str(path), "--dims", "2", "3")
+        assert code == 2 and out == ""
+        assert err == "error: --dims 2 3 contradicts the shape (4, 4) of the density payload\n"
+
 
 class TestCompare:
     def test_reference_outputs_distinct(self, capsys):
@@ -292,6 +317,8 @@ class TestCompare:
         assert (out_dir / "distances.csv").read_text() == out
         summary = json.loads((out_dir / "summary.json").read_text())
         assert set(summary) == {"sld", "bkm", "burg"}
+        for entry in summary.values():
+            assert set(entry) == {"converged", "sweeps", "residual", "solver"}
         assert summary["burg"]["converged"] is True
         warnings = err.strip().splitlines()
         assert len(warnings) == 2

@@ -205,6 +205,14 @@ class TestFrechetDerivatives:
         with pytest.raises(SingularityError, match="dlog base point is not positive definite"):
             geometry.dlog_frechet(np.diag([1.0, 0.0]), np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("derivative, base", [
+        (geometry.dlog_frechet, np.eye(2) / 2),
+        (geometry.dexp_frechet, np.eye(2)),
+    ])
+    def test_rejects_a_direction_of_another_size(self, derivative, base):
+        with pytest.raises(InvalidInputError, match=r"direction has shape \(3, 3\), the base point \(2, 2\)"):
+            derivative(base, np.diag([1.0, -0.5, -0.5]))
+
     def test_dexp_inverts_dlog(self):
         rho = random_density(3, 16)
         direction = random_tangent(rho, 17).m_rep
@@ -278,6 +286,10 @@ class TestParallelTransport:
         out = geometry.sld_parallel_transport(l, sigma)
         assert abs(np.trace(sigma @ out).real) <= 1e-12
 
+    def test_rejects_arguments_of_different_sizes(self):
+        with pytest.raises(InvalidInputError, match="e-representation has shape"):
+            geometry.sld_parallel_transport(np.eye(3), random_density(2, 37))
+
     def test_idempotent(self):
         sigma = random_density(3, 35)
         l = random_tangent(sigma, 36).m_rep + 0.2 * np.eye(3)
@@ -343,6 +355,12 @@ class TestConstraintSet:
             ConstraintSet("first", np.eye(2))  # trace two
         with pytest.raises(Exception):
             ConstraintSet("first", np.diag([1.5, -0.5]))  # indefinite
+
+    def test_violation_rejects_a_target_that_does_not_fit(self):
+        # a 1 x 1 target once broadcast against the 2 x 2 marginal
+        choi = channels.random_choi(2, 2, np.random.default_rng(42))
+        with pytest.raises(InvalidInputError, match=r"constraint target has shape \(1, 1\)"):
+            ConstraintSet("first", np.ones((1, 1))).violation(choi)
 
     def test_stores_the_target_uncopied_and_read_only(self):
         target = random_density(3, 41)
@@ -446,6 +464,14 @@ class TestOrthogonalityResidual:
         p, _ = uniform_targets(2, 2)
         with pytest.raises(InvalidInputError):
             geometry.orthogonality_residual("sld", choi, choi, ConstraintSet("first", p))
+
+    @pytest.mark.parametrize("side, d", [("first", 2), ("second", 3)])
+    def test_rejects_a_target_that_does_not_fit(self, side, d):
+        # a 3 x 2 Choi matrix has a 2 x 2 first and a 3 x 3 second marginal
+        choi = channels.random_choi(3, 2, np.random.default_rng(56))
+        target = np.eye(5 - d) / (5 - d)
+        with pytest.raises(InvalidInputError, match=f"the {side} marginal of an n=3, m=2 Choi matrix is {d} x {d}"):
+            geometry.orthogonality_residual("sld", choi, choi, ConstraintSet(side, target))
 
 
 class TestOneDecompositionPerMatrix:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,22 @@ class TestMatrixFunction:
     def test_negative_power_rejects_singular(self):
         with pytest.raises(DomainError):
             linalg.powm(np.diag([1.0, 0.0]), -0.5)
+
+    @pytest.mark.parametrize("name, t", [("log", None), ("inverse", None), ("power", -0.5), ("power", -2)])
+    def test_positive_domains_are_the_cone_test(self, name, t):
+        # at the relative floor (1e-13 times the largest eigenvalue) and on
+        # either side of it, as a stack and one matrix at a time
+        spectra = [[3e-13, 2.0], [2e-13, 2.0], [1e-13, 2.0], [-5.0, -1.0], [0.0, 0.0], [1.0, 1.0]]
+        mats = np.stack([np.diag(w) for w in spectra])
+        for mat in mats:
+            if linalg.is_positive_definite(mat):
+                linalg.matrix_function(mat, name, t)
+            else:
+                with pytest.raises(DomainError, match=re.escape(f"eigenvalue {mat[0, 0]:.6e} outside")):
+                    linalg.matrix_function(mat, name, t)
+        assert linalg.is_positive_definite(mats).tolist() == [True, False, False, False, False, True]
+        with pytest.raises(DomainError, match=re.escape(f"eigenvalue {2e-13:.6e} outside")):
+            linalg.matrix_function(mats, name, t)
 
     def test_unknown_tag(self):
         with pytest.raises(InvalidInputError):

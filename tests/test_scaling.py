@@ -181,6 +181,17 @@ class TestOperatorSinkhornStep:
         classical = a / (2 * a.sum(axis=1, keepdims=True))
         np.testing.assert_allclose(choi_diagonal_to_matrix(out), classical, atol=1e-12)
 
+    @pytest.mark.parametrize("side, target", [
+        ("first", np.eye(2) / 2),  # uniform: n x n where the first marginal is m x m
+        ("first", np.diag([0.3, 0.7])),
+        ("second", np.eye(3) / 3),
+    ])
+    def test_rejects_a_target_of_the_other_size(self, side, target):
+        # a uniform target of the wrong size once gave a state of trace 1.5
+        choi = channels.random_choi(2, 3, np.random.default_rng(0))
+        with pytest.raises(InvalidInputError, match=f"the {side} marginal of an n=2, m=3 Choi matrix"):
+            scaling.operator_sinkhorn_step(choi, side, target)
+
 
 class TestOperatorSinkhorn:
     def test_fixed_point_detected_without_iterating(self):
@@ -1031,6 +1042,14 @@ class TestResidualCharacterization:
         assert res == pytest.approx(
             np.linalg.norm(half_done.trace_second() - q) ** 2, abs=1e-15
         )
+
+
+@pytest.mark.parametrize("project", [scaling.bkm_e_projection, scaling.burg_e_projection])
+@pytest.mark.parametrize("side, target", [("first", np.eye(2) / 2), ("second", np.diag([0.2, 0.3, 0.5]))])
+def test_projection_rejects_a_target_that_does_not_fit(project, side, target):
+    choi = channels.random_choi(2, 3, np.random.default_rng(0))
+    with pytest.raises(InvalidInputError, match="constraint target has shape"):
+        project(choi, ConstraintSet(side, target))
 
 
 class TestBkmProjection:

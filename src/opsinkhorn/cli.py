@@ -129,39 +129,56 @@ def _check_dims(args, n: int, m: int, what: str) -> None:
         raise ParseError(f"--dims {args.dims[0]} {args.dims[1]} contradicts the block shape ({n}, {m}) of {what}")
 
 
-def _input(args, matrix: bool = False) -> ChoiMatrix | np.ndarray:
+def _check_targets(cfg: scaling.ScalingConfig, choi: ChoiMatrix) -> None:
+    """A target file whose size is not its marginal's (m x m for
+    ``--target-p``, n x n for ``--target-q``) contradicts the input: a
+    usage error naming the flag and both shapes."""
+    for flag, target, d in (("--target-p", cfg.target_p, choi.m), ("--target-q", cfg.target_q, choi.n)):
+        if target is not None and np.shape(target) != (d, d):
+            raise ParseError(
+                f"{flag} of shape {np.shape(target)} does not fit the input of block shape "
+                f"({choi.n}, {choi.m}): it must be {d} x {d}"
+            )
+
+
+def _input(args, cfg: scaling.ScalingConfig, matrix: bool = False) -> ChoiMatrix | np.ndarray:
     """The one input of ``scale``, ``compare`` and ``diffquot``: the file's
     choi or density payload, ``--paper-rho0``, or with neither a random
     instance of block shape ``--dims``; with ``matrix`` (``scale``), a
     matrix payload's array.  Inputs given in ways that disagree are usage
-    errors: a file together with ``--paper-rho0``, and a ``--dims`` that
-    contradicts the payload or is given with a matrix payload."""
+    errors: a file together with ``--paper-rho0``, a ``--dims`` that
+    contradicts the payload or is given with a matrix payload, and a
+    target in ``cfg`` that does not fit the Choi input."""
     if args.input is None:
         if args.paper_rho0:
             _check_dims(args, REFERENCE_N, REFERENCE_M, "the reference input")
-            return reference_rho0()
-        if args.dims:
+            choi = reference_rho0()
+        elif args.dims:
             n, m = args.dims
-            return random_choi(n, m, np.random.default_rng(args.seed), real=args.real)
-        raise ParseError("no input: give a file, --paper-rho0, or --dims")
-    if args.paper_rho0:
-        raise ParseError("give an input file or --paper-rho0, not both")
-    kind, array, n, m = serialization.load_matrix(args.input)
-    if kind == "matrix":
-        if not matrix:
-            raise ParseError("expected a choi or density payload")
-        if args.dims:
-            raise ParseError("--dims does not apply to a matrix payload: its shape is its own")
-        return array
-    if kind == "density":
-        if not args.dims:
-            raise ParseError("density input needs --dims N M to fix the block structure")
-        n, m = args.dims
-        if array.shape != (n * m, n * m):
-            raise ParseError(f"--dims {n} {m} contradicts the shape {array.shape} of the density payload")
+            choi = random_choi(n, m, np.random.default_rng(args.seed), real=args.real)
+        else:
+            raise ParseError("no input: give a file, --paper-rho0, or --dims")
     else:
-        _check_dims(args, n, m, "the choi payload")
-    return ChoiMatrix(n=n, m=m, matrix=array)
+        if args.paper_rho0:
+            raise ParseError("give an input file or --paper-rho0, not both")
+        kind, array, n, m = serialization.load_matrix(args.input)
+        if kind == "matrix":
+            if not matrix:
+                raise ParseError("expected a choi or density payload")
+            if args.dims:
+                raise ParseError("--dims does not apply to a matrix payload: its shape is its own")
+            return array
+        if kind == "density":
+            if not args.dims:
+                raise ParseError("density input needs --dims N M to fix the block structure")
+            n, m = args.dims
+            if array.shape != (n * m, n * m):
+                raise ParseError(f"--dims {n} {m} contradicts the shape {array.shape} of the density payload")
+        else:
+            _check_dims(args, n, m, "the choi payload")
+        choi = ChoiMatrix(n=n, m=m, matrix=array)
+    _check_targets(cfg, choi)
+    return choi
 
 
 def _status(trace: scaling.ScalingTrace) -> dict:
@@ -179,7 +196,7 @@ def cmd_scale(args) -> int:
     cfg = _config(args)
     if args.method not in scaling.METHODS:
         raise UnsupportedError(f"unknown method {args.method!r}; expected one of {scaling.METHODS}")
-    given = _input(args, matrix=True)
+    given = _input(args, cfg, matrix=True)
     if isinstance(given, ChoiMatrix):
         trace = scaling.alternating_projections(args.method, given, cfg)
         payload = serialization.matrix_to_payload("choi", trace.final.matrix, trace.n, trace.m)
@@ -212,7 +229,7 @@ def cmd_scale(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _config(args)
-    choi = _input(args)
+    choi = _input(args, cfg)
     traces, status = {}, {}
     for method in scaling.METHODS:
         # the Burg alternation converges too slowly to reach its limit in a
@@ -268,9 +285,9 @@ def _check_tags(tags: tuple[str, ...]) -> None:
 
 def cmd_diffquot(args) -> int:
     cfg = _config(args)
-    choi = _input(args)
+    choi = _input(args, cfg)
     _check_tags((args.tag,))
-    if args.direction:
+    if args.direction is not None:
         kind, direction, _, _ = serialization.load_matrix(args.direction)
         if kind == "choi":
             raise ParseError("perturbation direction must be a matrix payload")

@@ -39,13 +39,25 @@ sweeps.  So each geometry has one evaluation and one Newton direction,
 for one side or both; the two geometries keep their own.
 
 A BKM Newton evaluation is one ``eigh`` of the lifted coordinate: the
-marginal is read off its spectrum, and the state exp(coord) / Z is formed
-only for the point a projection returns.  A start is evaluated the same
-way, from the spectrum it carries: the input's log rho, which every BKM
-solve starts from (:func:`_bkm_start`), has no state.  Each Newton
-direction contracts the eigenvectors by one matrix product.  A Burg
-direction takes its Jacobian, sum_ij R_ij kron R_ji^T over the blocks of
-the resolvent R, as one Gram product of a reshape of R.
+marginal is read off its spectrum.  A projection returns its point with
+the Gibbs weights of its last evaluation, and the state exp(coord) / Z is
+formed from them only where it is used (:func:`_state`): the public
+projection's result, the joint limit and an alternation's final, one
+state per run.  A start is evaluated the same way, from the spectrum it
+carries: the input's log rho, which every BKM solve starts from
+(:func:`_bkm_start`), has no state.  Each Newton direction contracts the
+eigenvectors by one matrix product.  A Burg direction takes its Jacobian,
+sum_ij R_ij kron R_ji^T over the blocks of the resolvent R, as one Gram
+product of a reshape of R.
+
+A BKM or Burg sweep's residual is read off the Newton gradients its
+solves already hold.  The real coordinates are an isometry of the
+Hermitian marginals, so a solve's gradient norm is the Frobenius norm of
+its marginal mismatch: the residual is the squared gradient norm the
+second-side solve ended at plus the one the next first-side solve starts
+from.  That start evaluation is formed once, at the sweep's end, and
+handed to the next projection (:func:`_start_evaluation`), so a sweep
+takes each marginal once and no partial trace of a state.
 
 Every scheme is one alternation of e-projections onto the two marginal
 sets, and only the projection differs, so one stop rule, :func:`_running`,
@@ -103,7 +115,12 @@ the scaling factors, the per-sweep stopping-criterion residuals
     ||tr_first rho - P||_F^2 + ||tr_second rho - Q||_F^2
 
 and, for square doubly stochastic runs, the accumulated log-determinant
-product that determines the capacity of the input map.
+product that determines the capacity of the input map.  The iterates of
+every run on a Choi matrix are one :class:`SinkhornIterates`, which holds
+what the run holds (the factor products of operator Sinkhorn, the
+cumulative duals of the BKM and Burg alternations) and rebuilds an
+iterate on read, so a trace does not grow by an ``mn x mn`` array per
+step.
 """
 
 from __future__ import annotations
@@ -175,8 +192,9 @@ class ScalingConfig:
     def targets(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         p = np.eye(m) / m if self.target_p is None else as_density(self.target_p, "target P")
         q = np.eye(n) / n if self.target_q is None else as_density(self.target_q, "target Q")
-        if p.shape != (m, m) or q.shape != (n, n):
-            raise InvalidInputError(f"targets must be {m} x {m} and {n} x {n}")
+        for name, target, d in (("P", p, m), ("Q", q, n)):
+            if target.shape != (d, d):
+                raise InvalidInputError(f"target {name} must be {d} x {d}, got shape {target.shape}")
         return p, q
 
 
@@ -196,30 +214,41 @@ def doubly_stochastic(p: np.ndarray, q: np.ndarray) -> bool:
 
 
 class SinkhornIterates(Sequence):
-    """The iterates of an operator Sinkhorn run, held as factor products.
+    """The iterates of an ``sld``, ``bkm`` or ``burg`` run, held as what the
+    run holds and rebuilt on read.
 
-    Entry k is (R_k kron L_k) rho0 (R_k kron L_k)^dagger, with L_k and R_k
-    the ordered products of the left and right factors of the first k
-    steps.  The sequence stores rho0, the products after every step and the
-    final iterate, so a run holds two ``mn x mn`` arrays whatever its
-    length.  Entry 0 is rho0, the input's ``choi.matrix`` itself (read-only,
-    and sharing memory with the caller's array when that was exactly
+    Entry 0 is rho0, the input's ``choi.matrix`` itself (read-only, and
+    sharing memory with the caller's array when that was exactly
     Hermitian), and the last entry the final iterate, ``trace.final.matrix``
-    itself once the run ends; reading an entry in between rebuilds it with
-    one :func:`channels.congruence`.  Slices are lazy views, and only the
-    last entry can be replaced.
+    itself once the run ends.  In between the sequence holds one pair of
+    small arrays per step, one per side, and reading entry k rebuilds it
+    from its pair:
+
+    - ``sld``: L_k and R_k, the ordered products of the left and right
+      factors of the first k steps; the entry is
+      (R_k kron L_k) rho0 (R_k kron L_k)^dagger, one
+      :func:`channels.congruence`;
+    - ``bkm`` and ``burg``: A_k and B_k, the cumulative duals of the first
+      and second side, the sums of the duals of the first k projections;
+      the entry is exp(H) / tr exp(H) for H = log rho0 + I kron A_k +
+      B_k kron I, or K^{-1} for K = rho0^{-1} - I kron A_k - B_k kron I,
+      from one lift of the two duals and one ``eigh``.  ``coord0`` is
+      log rho0 or rho0^{-1}, the run's start coordinate.
+
+    So a run holds at most three ``mn x mn`` arrays whatever its length.
+    Slices are lazy views, and only the last entry can be replaced.
     """
 
-    def __init__(self, rho0: np.ndarray, n: int, m: int):
-        self._rho0, self._n, self._m = rho0, n, m
-        self._products: list[tuple[np.ndarray | None, np.ndarray | None]] = [(None, None)]
+    def __init__(self, rho0: np.ndarray, n: int, m: int, method: str = "sld", coord0: np.ndarray | None = None):
+        self._rho0, self._n, self._m, self._method, self._coord0 = rho0, n, m, method, coord0
+        self._held: list[tuple[np.ndarray | None, np.ndarray | None]] = [(None, None)]
         self._final = rho0
 
-    def _append(self, left: np.ndarray, right: np.ndarray) -> None:
-        self._products.append((left, right))
+    def _append(self, first: np.ndarray, second: np.ndarray) -> None:
+        self._held.append((first, second))
 
     def __len__(self) -> int:
-        return len(self._products)
+        return len(self._held)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -229,7 +258,15 @@ class SinkhornIterates(Sequence):
             return self._final
         if k == 0:
             return self._rho0
-        return congruence(self._rho0, self._n, self._m, *self._products[k])
+        n, m, (first, second) = self._n, self._m, self._held[k]
+        if self._method == "sld":
+            return congruence(self._rho0, n, m, first, second)
+        lift = np.kron(np.eye(n), first) + np.kron(second, np.eye(m))
+        if self._method == "bkm":
+            w, v = np.linalg.eigh(self._coord0 + lift)
+            return _gibbs_state(v, _gibbs_weights(w)[0])
+        coord = self._coord0 - lift
+        return _burg_point(coord, *np.linalg.eigh(coord)).state
 
     def __setitem__(self, index, value: np.ndarray) -> None:
         if range(len(self))[index] != len(self) - 1:
@@ -256,9 +293,10 @@ class ScalingTrace:
     """Record of an alternating projection run.
 
     ``iterates`` starts with the input and ends with the final iterate: a
-    list of arrays for ``bkm``, ``burg`` and ``classical``, a
-    :class:`SinkhornIterates` for ``sld``, where reading an intermediate
-    iterate costs one congruence.  ``final`` is the last iterate as a
+    list of arrays for ``classical``, a :class:`SinkhornIterates` for
+    ``sld``, ``bkm`` and ``burg``, where reading an intermediate iterate
+    rebuilds it (one congruence for ``sld``, one lift and one ``eigh`` for
+    the other two).  ``final`` is the last iterate as a
     :class:`ChoiMatrix`: the validated input after a run that took no step,
     else the one :func:`_close` built, checked for shape and finiteness
     only (Hermitian and PSD by construction), whose ``matrix`` is
@@ -414,11 +452,16 @@ def operator_sinkhorn_step(
     return ChoiMatrix(n=choi.n, m=choi.m, matrix=mat), factor
 
 
-def _new_trace(method: str, choi0: ChoiMatrix, cfg: ScalingConfig) -> tuple[ScalingTrace, np.ndarray, np.ndarray]:
+def _new_trace(
+    method: str, choi0: ChoiMatrix, cfg: ScalingConfig
+) -> tuple[ScalingTrace, np.ndarray, np.ndarray, _Point | None]:
     """Entry checks and the trace of a run: a unit-trace input and, for
     ``bkm`` and ``burg``, a known method and a positive definite input (both
     divergences need log rho and rho^{-1}, so a rank-deficient input is out
-    of their domain).  Returns the trace with its first residual, P and Q."""
+    of their domain).  Returns the trace with its first residual, P, Q and,
+    for ``bkm`` and ``burg``, the start point (:func:`_bkm_start`,
+    :func:`_burg_start`), whose coordinate the trace's iterates rebuild
+    from."""
     if method != "sld":
         if method not in METHODS:
             raise UnsupportedError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -427,12 +470,13 @@ def _new_trace(method: str, choi0: ChoiMatrix, cfg: ScalingConfig) -> tuple[Scal
     if abs(tr - 1.0) > get_policy().trace_atol:
         raise InvalidInputError(f"initial Choi matrix has trace {tr!r}, expected 1")
     p, q = cfg.targets(choi0.n, choi0.m)
-    iterates = SinkhornIterates(choi0.matrix, choi0.n, choi0.m) if method == "sld" else [choi0.matrix]
+    start = None if method == "sld" else (_bkm_start if method == "bkm" else _burg_start)(choi0.matrix)
     trace = ScalingTrace(
         method=method, n=choi0.n, m=choi0.m, tol=cfg.tol, target_p=p, target_q=q,
-        iterates=iterates, residuals=[choi_residual(choi0, p, q)], final=choi0,
+        iterates=SinkhornIterates(choi0.matrix, choi0.n, choi0.m, method, None if start is None else start.coord),
+        residuals=[choi_residual(choi0, p, q)], final=choi0,
     )
-    return trace, p, q
+    return trace, p, q, start
 
 
 def _scaled_marginal(cross: np.ndarray, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -659,7 +703,7 @@ def operator_sinkhorn_batch(
     failure = stack.failure or failure
     for k in range(len(traces) if failure is None else failure[0]):
         # a trial that took a step ends on one congruence of its input
-        products = traces[k].iterates._products[-1]
+        products = traces[k].iterates._held[-1]
         _close(traces[k], cfg, congruence(chois[k].matrix, n, m, *products) if traces[k].factors else None)
     if failure is not None:
         raise failure[1]
@@ -759,9 +803,10 @@ def _coordinates(frame: _Frame, mats: Sequence[np.ndarray]) -> np.ndarray:
 
 def _duals(frame: _Frame, x: np.ndarray) -> list[np.ndarray]:
     """The Hermitian duals with coordinates ``x``, a d x d array per side
-    (its d^2 entries of U x)."""
+    (its d^2 entries of U x), each its own array, so that a trace that
+    keeps one does not keep U x."""
     u = frame.basis @ x
-    return [u[part].reshape(math.isqrt(part.stop - part.start), -1) for part, _, _ in frame.lifts]
+    return [u[part].reshape(math.isqrt(part.stop - part.start), -1).copy() for part, _, _ in frame.lifts]
 
 
 def _real_form(adjoint: np.ndarray, jac: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -846,16 +891,26 @@ def _bkm_hessian(
 class _Point(NamedTuple):
     """A positive definite state with its e-coordinate ``coord`` = v diag(w)
     v^dagger: log rho for BKM, normalized (tr exp(coord) = 1) at every
-    projected point, and K = rho^{-1} for Burg.  Each projection is a straight move in this coordinate,
-    coord +- lift(A), so the alternation carries it from one projection to
-    the next instead of taking log rho or rho^{-1} of every iterate.  A BKM
-    start (:func:`_bkm_start`) is log rho with its spectrum and ``state``
-    None: :func:`_bkm_project` forms that state only if it takes no step."""
+    projected point, and K = rho^{-1} for Burg.  Each projection is a
+    straight move in this coordinate, coord +- lift(A), so the alternation
+    carries it from one projection to the next instead of taking log rho or
+    rho^{-1} of every iterate.
+
+    ``state`` is rho for Burg, formed with the point, since every Burg
+    evaluation reads its marginals off it.  A BKM point has none:
+    ``weights`` holds the Gibbs weights exp(w - log Z) of the evaluation it
+    came from, and :func:`_state` forms exp(coord) from them only where the
+    state is used (a BKM start, :func:`_bkm_start`, has neither).
+    ``gradient`` is the dual gradient at the point of the solve that
+    returned it: the real coordinates of its marginal mismatch on that
+    solve's sides, whose squared norm is that part of the residual."""
 
     coord: np.ndarray
     w: np.ndarray
     v: np.ndarray
     state: np.ndarray | None
+    weights: np.ndarray | None = None
+    gradient: np.ndarray | None = None
 
 
 def _newton(method: str, evaluate: Callable, direction: Callable, current, what: str):
@@ -937,22 +992,35 @@ def _gibbs_weights(w: np.ndarray) -> tuple[np.ndarray, float]:
     return ew / z, math.log(z) + shift
 
 
-def _bkm_point(coord: np.ndarray, w: np.ndarray, v: np.ndarray) -> _Point:
-    """The state exp(coord) / Z from the spectrum of ``coord``.  The
-    returned coordinate and spectrum are shifted by -log Z, so they are the
-    normalized log of the state."""
-    p, log_z = _gibbs_weights(w)
-    state = linalg.hermitian_part((v * p) @ v.conj().T)
+def _gibbs_state(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The state v diag(p) v^dagger, exactly Hermitian: exp(coord) / Z for
+    the eigenvectors ``v`` of coord and its Gibbs weights ``p``."""
+    return linalg.hermitian_part((v * p) @ v.conj().T)
+
+
+def _state(point: _Point) -> np.ndarray:
+    """The state of a projected point: a Burg point's own, and a BKM
+    point's exp(coord) / Z, formed here from the Gibbs weights of the
+    evaluation it came from (:class:`_Point`)."""
+    return point.state if point.state is not None else _gibbs_state(point.v, point.weights)
+
+
+def _bkm_point(evaluation: tuple) -> _Point:
+    """The projected point of a BKM evaluation's state (see
+    :func:`_bkm_dual`): the coordinate and spectrum shifted by -log Z, so
+    they are the normalized log of the state, with the evaluation's Gibbs
+    weights and gradient.  The state itself is not formed."""
+    coord, w, v, p, log_z, _, g = evaluation
     normalized = coord.copy()
     normalized.flat[:: len(w) + 1] -= log_z
-    return _Point(normalized, w - log_z, v, state)
+    return _Point(normalized, w - log_z, v, None, p, g)
 
 
 def _bkm_start(rho: np.ndarray) -> _Point:
     """BKM start of a positive definite, trace-one ``rho``: log rho by one
     ``logm`` (which checks the domain) with its spectrum by one ``eigh``,
-    and no state.  :func:`_bkm_project` reads the start's marginals off that
-    spectrum and forms its state only if it takes no step."""
+    and no state: :func:`_bkm_dual` reads the start's marginals off that
+    spectrum."""
     h = linalg.logm(rho)
     return _Point(h, *np.linalg.eigh(h), None)
 
@@ -966,42 +1034,67 @@ def _projection_name(method: str, side: str, sweep: int | None = None) -> str:
     return f"{method} projection onto the {side} marginal" + (f" in sweep {sweep}" if sweep else "")
 
 
-def _bkm_project(start: _Point, frame: _Frame, t: np.ndarray, what: str) -> tuple[_Point, list[np.ndarray], int]:
-    """BKM e-projection of ``start`` onto {tr_side rho = target} on every
-    side of ``frame`` at once (one side: :func:`bkm_e_projection`; both:
-    :func:`joint_limit`), on plain arrays, with ``t`` the targets'
-    coordinates.  Returns the projected point, the duals (a Hermitian array
-    per side) and the number of Newton steps.  Each evaluation takes one
-    ``eigh`` and reads the marginals off the spectrum, and the start's are
-    read off the spectrum it carries, with no ``eigh``.  The projected
-    state is formed once, from the last accepted evaluation: ``start``
-    itself if Newton takes no step from a start that has its state.
-    ``what`` names the solve in its errors."""
+def _bkm_dual(start: _Point, frame: _Frame, t: np.ndarray) -> tuple[Callable, Callable]:
+    """The BKM dual from ``start`` on the sides of ``frame``, with ``t`` the
+    targets' coordinates, as :func:`_newton` takes it: ``evaluate`` and
+    ``direction``.  ``evaluate(x)`` takes one ``eigh`` of start.coord + the
+    lifts and reads the marginals off its spectrum; ``evaluate(x, start)``
+    reads them off the spectrum the start carries, with no ``eigh``.  An
+    evaluation's state is (coord, w, v, Gibbs weights, log Z, marginals,
+    gradient)."""
     n, m, sides = frame.n, frame.m, frame.sides
 
-    def evaluate(x: np.ndarray, at: tuple | None = None):
-        """x, the dual value and gradient at start.coord + the lifts, and
-        there the coordinate, its spectrum (``at``, if given) and the
-        marginals."""
+    def evaluate(x: np.ndarray, at: _Point | None = None):
         if at is None:
             coord = _lifted(start.coord, frame, x)
             w, v = np.linalg.eigh(coord)
         else:
-            coord, w, v = at
+            coord, w, v = at.coord, at.w, at.v
         p, log_z = _gibbs_weights(w)
         vb = v.reshape(n, m, n * m)
         weighted, conj = vb * p, vb.conj()
         marginals = [np.einsum(_BKM_MARGINAL[side], weighted, conj) for side in sides]
-        return x, lambda: log_z - float(t @ x), _coordinates(frame, marginals) - t, (coord, w, v, marginals, log_z)
+        g = _coordinates(frame, marginals) - t
+        return x, lambda: log_z - float(t @ x), g, (coord, w, v, p, log_z, marginals, g)
 
     def direction(state, g: np.ndarray) -> np.ndarray:
-        _, w, v, marginals, log_z = state
+        _, w, v, _, log_z, marginals, _ = state
         hess = _real_form(frame.adjoint, _bkm_hessian(w - log_z, v, marginals, n, m, sides), frame.basis)
         return np.linalg.solve(hess + frame.gauge, -g)
 
-    current = evaluate(np.zeros(len(t)), (start.coord, start.w, start.v))
-    x, (coord, w, v, _, _), steps = _newton("bkm", evaluate, direction, current, what=what)
-    point = start if steps == 0 and start.state is not None else _bkm_point(coord, w, v)
+    return evaluate, direction
+
+
+def _start_evaluation(dual: Callable, start: _Point, frame: _Frame, t: np.ndarray):
+    """The evaluation at ``start`` (x = 0) of the ``dual`` (:func:`_bkm_dual`
+    or :func:`_burg_dual`) from it: the ``current`` of a Newton solve, read
+    off the start's own spectrum and state.  The alternation forms the next
+    first-side projection's at the end of a sweep, where its gradient is
+    half of the sweep's residual, and hands it to that projection."""
+    return dual(start, frame, t)[0](np.zeros(len(t)), start)
+
+
+def _bkm_project(
+    start: _Point, frame: _Frame, t: np.ndarray, what: str, current: tuple | None = None
+) -> tuple[_Point, list[np.ndarray], int]:
+    """BKM e-projection of ``start`` onto {tr_side rho = target} on every
+    side of ``frame`` at once (one side: :func:`bkm_e_projection`; both:
+    :func:`joint_limit`), on plain arrays, with ``t`` the targets'
+    coordinates, by Newton on :func:`_bkm_dual` from ``current``, the
+    start's evaluation (:func:`_start_evaluation`, formed here if not
+    given).  Returns the projected point, the duals (a Hermitian array per
+    side) and the number of Newton steps.  The point is read off the last
+    accepted evaluation, with its Gibbs weights and gradient, and its state
+    is not formed (:func:`_state` forms it where it is used); if Newton
+    takes no step from a projected point, it is that point's arrays.
+    ``what`` names the solve in its errors."""
+    evaluate, direction = _bkm_dual(start, frame, t)
+    current = evaluate(np.zeros(len(t)), start) if current is None else current
+    x, evaluation, steps = _newton("bkm", evaluate, direction, current, what=what)
+    if steps == 0 and start.weights is not None:
+        point = _Point(*start[:5], evaluation[-1])
+    else:
+        point = _bkm_point(evaluation)
     return point, _duals(frame, x), steps
 
 
@@ -1018,7 +1111,7 @@ def _e_projection(method: str, choi0: ChoiMatrix, constraint: ConstraintSet) -> 
     frame = _frame(n, m, (side,))
     source = start(as_density(choi0.matrix, "projection source"))
     point, (dual,), _ = project(source, frame, _coordinates(frame, [constraint.target]), _projection_name(method, side))
-    return ChoiMatrix(n=n, m=m, matrix=point.state), dual
+    return ChoiMatrix(n=n, m=m, matrix=_state(point)), dual
 
 
 def bkm_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[ChoiMatrix, np.ndarray]:
@@ -1066,24 +1159,21 @@ def _burg_start(rho: np.ndarray) -> _Point:
     return _burg_point(k, *np.linalg.eigh(k))
 
 
-def _burg_project(start: _Point, frame: _Frame, t: np.ndarray, what: str) -> tuple[_Point, list[np.ndarray], int]:
-    """Burg e-projection of ``start`` onto {tr_side rho = target} on every
-    side of ``frame`` at once (one side: :func:`burg_e_projection`; both:
-    :func:`joint_limit`), on plain arrays, with ``t`` the targets'
-    coordinates.  Returns the projected point, read off the last accepted
-    Newton evaluation, the duals (a Hermitian array per side) and the
-    number of Newton steps.  On two sides every candidate first moves to
-    its unit-trace point and the system gains the gauge on ``frame.null``
+def _burg_dual(start: _Point, frame: _Frame, t: np.ndarray) -> tuple[Callable, Callable]:
+    """The Burg dual from ``start`` on the sides of ``frame``, with ``t`` the
+    targets' coordinates, as :func:`_newton` takes it: ``evaluate`` and
+    ``direction``.  ``evaluate(x)`` gives x, the dual value and gradient at
+    K = start.coord - the lifts, and the point there, with that gradient;
+    None outside the cone.  ``evaluate(x, start)`` takes the start's
+    spectrum and state as they are.  The value -log det K - t.x comes from
+    the spectrum of K.  On two sides x first moves along ``frame.unit`` to
+    the unit-trace point, and the system gains the gauge on ``frame.null``
     (see :func:`joint_limit`); one-sided solves keep their own Newton path,
-    with neither.  ``what`` names the solve in its errors."""
+    with neither."""
     n, m, sides = frame.n, frame.m, frame.sides
     joint = len(sides) == 2
 
     def evaluate(x: np.ndarray, point: _Point | None = None):
-        """x, the dual value and gradient at K = start.coord - the lifts,
-        and the point there (``point``, if given); None outside the cone.
-        The value -log det K - t.x comes from the spectrum of K.  On two
-        sides x first moves along ``frame.unit`` to the unit-trace point."""
         if point is None:
             coord = _lifted(start.coord, frame, -x)
             w, v = np.linalg.eigh(coord)
@@ -1094,8 +1184,11 @@ def _burg_project(start: _Point, frame: _Frame, t: np.ndarray, what: str) -> tup
             if not linalg._positive_definite(w):
                 return None
             point = _burg_point(coord, w, v)
+        elif not linalg._positive_definite(point.w):
+            return None
         marginals = [linalg.partial_trace(point.state, n, m, side) for side in sides]
-        return x, lambda: -float(np.log(point.w).sum()) - float(t @ x), _coordinates(frame, marginals) - t, point
+        g = _coordinates(frame, marginals) - t
+        return x, lambda: -float(np.log(point.w).sum()) - float(t @ x), g, _Point(*point[:5], g)
 
     def direction(point: _Point, g: np.ndarray) -> np.ndarray:
         jac = _real_form(frame.adjoint, _burg_jacobian(point.state, n, m, sides), frame.basis)
@@ -1103,7 +1196,23 @@ def _burg_project(start: _Point, frame: _Frame, t: np.ndarray, what: str) -> tup
             jac += np.outer(frame.null, frame.null) / (n + m)
         return np.linalg.solve(jac, -g)
 
-    current = evaluate(np.zeros(len(t)), start) if linalg._positive_definite(start.w) else None
+    return evaluate, direction
+
+
+def _burg_project(
+    start: _Point, frame: _Frame, t: np.ndarray, what: str, current: tuple | None = None
+) -> tuple[_Point, list[np.ndarray], int]:
+    """Burg e-projection of ``start`` onto {tr_side rho = target} on every
+    side of ``frame`` at once (one side: :func:`burg_e_projection`; both:
+    :func:`joint_limit`), on plain arrays, with ``t`` the targets'
+    coordinates, by Newton on :func:`_burg_dual` from ``current``, the
+    start's evaluation (:func:`_start_evaluation`, formed here if not
+    given).  Returns the projected point, read off the last accepted
+    Newton evaluation with its gradient, the duals (a Hermitian array per
+    side) and the number of Newton steps.  ``what`` names the solve in its
+    errors."""
+    evaluate, direction = _burg_dual(start, frame, t)
+    current = evaluate(np.zeros(len(t)), start) if current is None else current
     x, point, steps = _newton("burg", evaluate, direction, current, what=what)
     return point, _duals(frame, x), steps
 
@@ -1150,28 +1259,47 @@ def alternating_projections(
     moves it by lift(A) and its last Newton evaluation already holds the
     projected point's spectrum.  The two one-sided frames of real
     coordinates and the targets' coordinates are built once per run.  A
-    Newton error names the side and the sweep of its projection.  The final
-    iterate, PSD by construction, is checked for shape and finiteness only
-    (:func:`_close`).
+    sweep's residual is the squared norm of the second projection's final
+    Newton gradient plus that of the next first projection's start
+    gradient, which the sweep evaluates once and hands to that projection.
+    The trace's iterates hold the cumulative dual of each side and rebuild
+    each state on read (:class:`SinkhornIterates`); a BKM run forms one
+    state, its final.  A Newton error names the side and the sweep of its
+    projection.  The final iterate, PSD by construction, is checked for
+    shape and finiteness only (:func:`_close`).
     """
     if method == "sld":
         return operator_sinkhorn(choi0, cfg)
-    trace, p, q = _new_trace(method, choi0, cfg)
-    start, project = (_bkm_start, _bkm_project) if method == "bkm" else (_burg_start, _burg_project)
+    trace, p, q, point = _new_trace(method, choi0, cfg)
+    dual, project = (_bkm_dual, _bkm_project) if method == "bkm" else (_burg_dual, _burg_project)
     n, m = choi0.n, choi0.m
     frames = {side: _frame(n, m, (side,)) for side in ("first", "second")}
     coordinates = {side: _coordinates(frames[side], [target]) for side, target in (("first", p), ("second", q))}
-    point = start(choi0.matrix)
+    # the cumulative dual of each side, and the start evaluation of the
+    # next first-side projection, formed at the end of each sweep
+    held = {"first": np.zeros((m, m), dtype=complex), "second": np.zeros((n, n), dtype=complex)}
+    opened = None
 
     def step(side: str, target: np.ndarray) -> np.ndarray:
-        nonlocal point
+        nonlocal point, opened
         name = _projection_name(method, side, trace.sweeps + 1)
-        point, (dual,), _ = project(point, frames[side], coordinates[side], name)
-        trace.iterates.append(point.state)
-        return dual
+        current = opened if side == "first" else None
+        point, (factor,), _ = project(point, frames[side], coordinates[side], name, current)
+        held[side] = held[side] + factor
+        trace.iterates._append(held["first"], held["second"])
+        if side == "second":
+            opened = _start_evaluation(dual, point, frames["first"], coordinates["first"])
+        return factor
 
-    _alternate(trace, cfg, step, lambda: _residual(point.state, n, m, p, q))
-    return _close(trace, cfg, point.state if trace.sweeps else None)
+    def residual() -> float:
+        # the coordinates are an isometry of the marginal mismatch, so the
+        # next first-side start's gradient and the second side's end
+        # gradient give ||tr_first rho - P||^2 + ||tr_second rho - Q||^2
+        first, second = opened[2], point.gradient
+        return float(first @ first + second @ second)
+
+    _alternate(trace, cfg, step, residual)
+    return _close(trace, cfg, _state(point) if trace.sweeps else None)
 
 
 def _unit_trace_shift(w: np.ndarray) -> float:
@@ -1241,22 +1369,24 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
     and operator Sinkhorn has no such joint dual.  The input is checked once
     (positive definite, unit trace); the limit, PSD by construction, is
     checked for shape and finiteness only (:func:`_close`).  The returned
-    trace has ``iterates`` [rho0, limit], ``factors`` [("first", A),
+    trace has ``iterates`` [rho0, limit] (a :class:`SinkhornIterates` of
+    two entries), ``factors`` [("first", A),
     ("second", B)] as Hermitian arrays, ``residuals`` the initial and final
     stopping criterion, ``sweeps`` the number of Newton steps taken, and
     ``converged`` whether the final residual is below ``cfg.tol``.
     """
     if method == "sld":
         raise UnsupportedError("the sld geometry is not dually flat: it has no joint limit solve")
-    trace, p, q = _new_trace(method, choi0, cfg)
+    trace, p, q, start = _new_trace(method, choi0, cfg)
     frame = _frame(choi0.n, choi0.m, ("first", "second"))
     t = _coordinates(frame, [p, q])
-    start, project = (_bkm_start, _bkm_project) if method == "bkm" else (_burg_start, _burg_project)
-    point, duals, trace.sweeps = project(start(choi0.matrix), frame, t, f"joint {method}")
+    project = _bkm_project if method == "bkm" else _burg_project
+    point, duals, trace.sweeps = project(start, frame, t, f"joint {method}")
+    state = _state(point)
     trace.factors += list(zip(frame.sides, duals))
-    trace.residuals.append(_residual(point.state, choi0.n, choi0.m, p, q))
-    trace.iterates.append(point.state)
-    return _close(trace, cfg, point.state)
+    trace.residuals.append(_residual(state, choi0.n, choi0.m, p, q))
+    trace.iterates._append(*duals)
+    return _close(trace, cfg, state)
 
 
 def capacity_from_trace(trace: ScalingTrace) -> float:

@@ -270,6 +270,22 @@ class TestContradictoryInput:
         assert code == 2 and out == ""
         assert err == "error: --dims 2 3 contradicts the shape (4, 4) of the density payload\n"
 
+    @pytest.mark.parametrize("command", ["scale", "compare", "diffquot"])
+    @pytest.mark.parametrize("flag, size", [("--target-p", 3), ("--target-q", 2)])
+    def test_target_that_does_not_fit_the_input(self, capsys, tmp_path, command, flag, size):
+        # a 2 x 3 Choi input takes a 3 x 3 P and a 2 x 2 Q; each flag gets
+        # the other's size, a contradiction between two inputs
+        path = tmp_path / "inst23.json"
+        assert run_cli(capsys, "gen", "--dims", "2", "3", "--seed", "3", "--out", str(path))[0] == 0
+        target = tmp_path / "target.json"
+        serialization.save_matrix(target, "density", channels.random_density(5 - size, np.random.default_rng(2)))
+        code, out, err = run_cli(capsys, command, str(path), flag, str(target))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {flag} of shape {(5 - size, 5 - size)} does not fit the input of block shape (2, 3): "
+            f"it must be {size} x {size}\n"
+        )
+
 
 class TestCompare:
     def test_reference_outputs_distinct(self, capsys):
@@ -416,6 +432,14 @@ class TestDiffquot:
         assert code == 0
         _, builtin_out, _ = run_cli(capsys, "diffquot", "--paper-rho0")
         assert out == builtin_out
+
+    def test_empty_direction_path_is_a_parse_error(self, capsys):
+        # an empty path is a file that cannot be read, not the built-in
+        # direction, as for an empty --target-p
+        code, out, err = run_cli(capsys, "diffquot", "--paper-rho0", "--direction", "")
+        target = run_cli(capsys, "scale", "--paper-rho0", "--target-p", "")
+        assert code == target[0] == 2 and out == target[1] == ""
+        assert err.startswith("error: cannot read matrix file") and err == target[2]
 
     def test_measured_tag_unsupported(self, capsys):
         code, _, _ = run_cli(capsys, "diffquot", "--paper-rho0", "--tag", "measured")

@@ -69,6 +69,14 @@ class TestScalingConfig:
         with pytest.raises(InvalidInputError, match="tol"):
             scaling.ScalingConfig(tol=tol)
 
+    @pytest.mark.parametrize("field, name, size", [("target_p", "P", 3), ("target_q", "Q", 2)])
+    def test_targets_name_the_one_that_does_not_fit(self, field, name, size):
+        # for n = 2, m = 3, P must be 3 x 3 and Q 2 x 2; each is given the other's size
+        wrong = np.eye(5 - size) / (5 - size)
+        cfg = scaling.ScalingConfig(**{field: wrong})
+        with pytest.raises(InvalidInputError, match=rf"^target {name} must be {size} x {size}, got shape "):
+            cfg.targets(2, 3)
+
     def test_accepts_integer_and_real_types(self):
         cfg = scaling.ScalingConfig(max_iters=np.int64(3), tol=np.float64(0.0))
         assert type(cfg.max_iters) is int
@@ -1303,7 +1311,9 @@ def reference_case(n, m, general, seed):
 
 
 def assert_point_matches(got, dual, want, want_dual):
-    assert np.abs(got.state - want.state).max() <= 1e-12 * np.abs(want.state).max()
+    # a BKM point carries no state: scaling._state forms it from its weights
+    state = scaling._state(got)
+    assert np.abs(state - want.state).max() <= 1e-12 * np.abs(want.state).max()
     assert np.abs(dual - want_dual).max() <= 1e-12 * np.abs(want_dual).max()
     assert np.abs(got.coord - want.coord).max() <= 1e-12 * np.abs(want.coord).max()
     assert np.abs(got.w - want.w).max() <= 1e-12 * np.abs(want.w).max()
@@ -1340,19 +1350,24 @@ class TestBkmProjectionAgainstReference:
         assert np.abs(trace.final.matrix - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_no_step_returns_the_start(self, monkeypatch):
+        # a projected point that takes no step comes back as its own arrays,
+        # with no state formed, and the gradient of the evaluation at it
         choi, p, _ = reference_case(3, 2, True, 820)
         point, _, _ = one_sided(scaling._bkm_project, scaling._bkm_start(choi.matrix), 3, 2, "first", p)
         steps = newton_steps(monkeypatch)
+        states = count_calls(monkeypatch, scaling, "_gibbs_state")
         again, dual, again_steps = one_sided(scaling._bkm_project, point, 3, 2, "first", p)
-        assert steps == [0] == [again_steps] and again is point and not dual.any()
+        assert steps == [0] == [again_steps] and not dual.any() and not states
+        assert all(a is b for a, b in zip(again[:5], point[:5]))
+        assert np.linalg.norm(again.gradient) <= policy.get_policy().bkm_gradient_tol
 
     @pytest.mark.parametrize("n, m, general", BKM_REFERENCE_CASES)
     def test_one_eigh_per_evaluation_and_one_state(self, n, m, general, monkeypatch):
         choi, p, _ = reference_case(n, m, general, 830)
-        states = count_calls(monkeypatch, scaling, "_bkm_point")
+        states = count_calls(monkeypatch, scaling, "_gibbs_state")
         start = scaling._bkm_start(choi.matrix)
         # the start is log rho and its spectrum, with no state
-        assert start.state is None and not states
+        assert start.state is None and start.weights is None and not states
         evaluations, newton = [], scaling._newton
 
         def counted(method, evaluate, direction, current, **kwargs):
@@ -1363,8 +1378,11 @@ class TestBkmProjectionAgainstReference:
         point, _, _ = one_sided(scaling._bkm_project, start, n, m, "first", p)
         assert len(evaluations) > 0
         assert eigh == [(n * m, n * m)] * len(evaluations)
-        assert len(states) == 1
-        assert np.abs(linalg.partial_trace(point.state, n, m, "first") - p).max() <= 1e-8
+        # the projection forms no state; its point gives one where it is used
+        assert point.state is None and not states
+        state = scaling._state(point)
+        assert states == [(n * m, n * m)]
+        assert np.abs(linalg.partial_trace(state, n, m, "first") - p).max() <= 1e-8
 
 
 def gradient_norms(monkeypatch, module, name: str) -> list[float | None]:
@@ -1731,6 +1749,93 @@ class TestDualLoopAgainstReference:
         assert len(calls) == 1
 
 
+def projected_points(monkeypatch, method: str) -> list:
+    """Record the point every ``scaling._bkm_project`` or
+    ``scaling._burg_project`` call returns."""
+    points, name = [], f"_{method}_project"
+    project = getattr(scaling, name)
+
+    def recorded(*args, **kwargs):
+        out = project(*args, **kwargs)
+        points.append(out[0])
+        return out
+
+    monkeypatch.setattr(scaling, name, recorded)
+    return points
+
+
+class TestDualSweepRecords:
+    """A BKM or Burg sweep's residual is read off the Newton gradients its
+    solves hold: the second projection's end gradient and the next first
+    projection's start gradient, formed once at the sweep's end.  The run
+    forms one BKM state, its final, and its trace holds the cumulative
+    duals, from which ``iterates`` rebuilds each state on read."""
+
+    @pytest.mark.parametrize("general", [False, True])
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    def test_residuals_and_iterates_are_the_states(self, method, n, m, general, monkeypatch):
+        choi, p, q = reference_case(n, m, general, 870)
+        cfg = scaling.ScalingConfig(target_p=p, target_q=q)
+        points = projected_points(monkeypatch, method)
+        trace = scaling.alternating_projections(method, choi, cfg)
+        states = [scaling._state(point) for point in points]
+        assert trace.sweeps > 0 and len(states) == 2 * trace.sweeps == len(trace.iterates) - 1
+        for k, state in enumerate(states[1::2], start=1):
+            want = scaling.choi_residual(ChoiMatrix(n=n, m=m, matrix=state), p, q)
+            assert abs(trace.residuals[k] - want) <= 1e-10 * want
+        assert np.array_equal(trace.final.matrix, states[-1])
+        # the rebuilt iterates, from log rho0 or rho0^{-1} and the duals, to
+        # the rounding of one eigh of the coordinate: eps |coord| relative
+        # (on these runs the gap is at most 5 eps |coord| |state|)
+        for got, want, point in zip(trace.iterates[1:-1], states, points):
+            bound = 1e2 * np.finfo(float).eps * np.abs(point.coord).max() * np.abs(want).max()
+            assert np.abs(got - want).max() <= bound
+
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    def test_each_sweep_evaluates_the_first_marginal_once(self, method, monkeypatch):
+        choi, p, q = reference_case(3, 3, True, 880)
+        opened, starts, newton = [], [], scaling._newton
+        start_evaluation = scaling._start_evaluation
+        monkeypatch.setattr(
+            scaling, "_start_evaluation", lambda *a: opened.append(start_evaluation(*a)) or opened[-1]
+        )
+
+        def recorded(method, evaluate, direction, current, **kwargs):
+            starts.append(current)
+            return newton(method, evaluate, direction, current, **kwargs)
+
+        monkeypatch.setattr(scaling, "_newton", recorded)
+        states = count_calls(monkeypatch, scaling, "_gibbs_state")
+        traces = count_calls(monkeypatch, linalg, "partial_trace")
+        trace = scaling.alternating_projections(method, choi, scaling.ScalingConfig(target_p=p, target_q=q))
+        assert trace.sweeps > 2 and len(starts) == 2 * trace.sweeps
+        # one start evaluation at each sweep's end, handed to the next
+        # sweep's first projection
+        assert len(opened) == trace.sweeps
+        assert all(start is evaluation for start, evaluation in zip(starts[2::2], opened))
+        if method == "bkm":
+            # the marginals of the entry residual are the only partial
+            # traces, and the final the only state
+            assert traces == [(9, 9)] * 2 and states == [(9, 9)]
+
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    def test_memory_does_not_grow_with_sweeps(self, method):
+        choi = channels.random_choi(4, 4, np.random.default_rng(890))
+
+        def peak(sweeps: int) -> int:
+            tracemalloc.start()
+            try:
+                trace = scaling.alternating_projections(method, choi, scaling.ScalingConfig(max_iters=sweeps, tol=0.0))
+                assert trace.sweeps == sweeps
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(4), peak(40)
+        assert long <= 1.5 * short
+
+
 class TestBurgPolish:
     """Once the residual is below tolerance, one full polishing step is
     tried; a rejected one ends the projection instead of a line search down
@@ -2060,7 +2165,7 @@ class TestJointLimit:
 
         monkeypatch.setattr(scaling, "_newton", counted)
         eigh = count_calls(monkeypatch, np.linalg, "eigh")
-        states = count_calls(monkeypatch, scaling, "_bkm_point")
+        states = count_calls(monkeypatch, scaling, "_gibbs_state")
         joint = scaling.joint_limit("bkm", choi, cfg)
         assert joint.converged and len(evaluations) >= joint.sweeps > 0
         # log rho0, the start, then one per evaluation

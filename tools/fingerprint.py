@@ -9,6 +9,9 @@ and with targets drawn by ``random_density`` from the same generator.  Keys:
 - ``sld``, ``bkm``, ``burg``: the alternation of each geometry, at the
   default ``ScalingConfig`` budget and tolerance;
 - ``joint-bkm``, ``joint-burg``: ``joint_limit`` of each dual geometry;
+- ``iterates``: every entry of the ``trace.iterates`` of those ``sld``,
+  ``bkm`` and ``burg`` alternations, read through the sequence, so that
+  a change to a path that rebuilds an iterate on read shows up;
 - ``dexp``, ``dlog``: ``geometry.dexp_frechet`` at log rho and
   ``geometry.dlog_frechet`` at rho, along a traceless Hermitian direction;
 - ``certificates``: ``orthogonality_residual`` of one step per tag (an
@@ -37,7 +40,7 @@ from opsinkhorn.scaling import ScalingConfig
 
 SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4))
 SEEDS = range(12)
-KEYS = ("sld", "bkm", "burg", "joint-bkm", "joint-burg", "dexp", "dlog", "certificates")
+KEYS = ("sld", "bkm", "burg", "joint-bkm", "joint-burg", "dexp", "dlog", "certificates", "iterates")
 
 
 def _feed(h, obj) -> None:
@@ -114,6 +117,8 @@ def fingerprint(shapes=SHAPES, seeds=SEEDS) -> dict[str, str]:
             except (ValueError, RuntimeError) as exc:  # every package error is one of these
                 out = f"{type(exc).__name__}: {exc}"
             _feed(hashes[key], out)
+            if key in scaling.METHODS:
+                _feed(hashes["iterates"], list(out.iterates) if isinstance(out, scaling.ScalingTrace) else out)
     return {key: h.hexdigest()[:16] for key, h in hashes.items()}
 
 

@@ -186,10 +186,16 @@ def as_density(mat: np.ndarray, what: str = "density matrix") -> np.ndarray:
     mat = linalg.assert_positive_definite(mat, what)
     if mat.ndim != 2:
         raise InvalidInputError(f"{what} must be a matrix, got shape {mat.shape}")
+    _check_unit_trace(mat, what)
+    return mat
+
+
+def _check_unit_trace(mat: np.ndarray, what: str) -> None:
+    """``InvalidInputError`` unless the square ``mat`` (named ``what``) has
+    trace one within the policy's ``trace_atol``."""
     tr = float(np.trace(mat).real)
     if abs(tr - 1.0) > get_policy().trace_atol:
         raise InvalidInputError(f"{what} has trace {tr!r}, expected 1")
-    return mat
 
 
 def _check_marginal(choi: ChoiMatrix, side: str, target: np.ndarray, what: str) -> None:

@@ -20,11 +20,12 @@ the factor products, and forms the final iterate once by
 ``channels.congruence``, applied blockwise on the (n, m, n, m) view without
 checks; it validates its input once at entry and checks that final
 iterate, PSD by construction, for shape and finiteness only before
-returning.  The BKM and Burg alternations likewise check their input
-once (``assert_positive_definite``) and take one ``logm`` or ``invm`` of it
-at entry; from there they carry that e-coordinate and its
-``numpy.linalg.eigh`` spectrum through the projections, so no matrix
-function of an iterate is taken in the loop.
+returning.  The BKM and Burg solves likewise take one
+``numpy.linalg.eigh`` of their input at entry, which is both their cone
+test (``_positive_definite``) and the spectrum of their e-coordinate,
+log rho or rho^{-1}; from there they carry that coordinate and its
+spectrum through the projections, so no matrix function of an iterate is
+taken in the loop.
 
 Frechet derivatives of matrix functions go through one Loewner matrix,
 ``_exp_divided_differences``, the divided differences of exp in an expm1
@@ -208,9 +209,7 @@ def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
     and ``geometry.dlog_frechet`` takes its reciprocal on the log-spectrum,
     since (log a - log b) / (a - b) = 1 / this entry at (log a, log b)."""
     gap = -np.abs(w[:, None] - w[None, :])
-    with np.errstate(invalid="ignore"):
-        ratio = np.expm1(gap) / gap
-    ratio[gap == 0.0] = 1.0
+    ratio = np.divide(np.expm1(gap), gap, out=np.ones_like(gap), where=gap != 0.0)
     return np.exp(np.maximum(w[:, None], w[None, :])) * ratio
 
 

@@ -32,32 +32,37 @@ the next instead of re-deriving it from every iterate.
 Both geometries are dually flat, so the limit of either alternation is also
 the e-projection onto both marginal sets at once: the same dual with both
 dual variables free.  :func:`joint_limit` runs the projection's own solve,
-:func:`_bkm_project` or :func:`_burg_project`, on the frame of both sides
-(m^2 + n^2 coordinates, block-diagonal U, one indexed add per side), in a
-few Newton steps where the Burg alternation needs hundreds or thousands of
-sweeps.  So each geometry has one evaluation and one Newton direction,
-for one side or both; the two geometries keep their own.
+:func:`_project`, on the frame of both sides (m^2 + n^2 coordinates,
+block-diagonal U, one indexed add per side), in a few Newton steps where
+the Burg alternation needs hundreds or thousands of sweeps.  So both
+geometries share one point type (:class:`_Point`), one projection
+(:func:`_project`) and one start (:func:`_start`), and each keeps its own
+evaluation and Newton direction (:func:`_bkm_dual`, :func:`_burg_dual`),
+for one side or both.
 
-A BKM Newton evaluation is one ``eigh`` of the lifted coordinate: the
-marginal is read off its spectrum.  A projection returns its point with
-the Gibbs weights of its last evaluation, and the state exp(coord) / Z is
-formed from them only where it is used (:func:`_state`): the public
-projection's result, the joint limit and an alternation's final, one
-state per run.  A start is evaluated the same way, from the spectrum it
-carries: the input's log rho, which every BKM solve starts from
-(:func:`_bkm_start`), has no state.  Each Newton direction contracts the
+Every BKM and Burg solve starts from one ``eigh`` (w, v) of its validated
+input rho, which is also its entry cone test: BKM at log rho with spectrum
+(log w, v), Burg at rho^{-1} with spectrum 1/w, and rho itself as its
+state.  A BKM Newton evaluation is one ``eigh`` of the lifted coordinate:
+the marginal is read off its spectrum.  Its point holds the coordinate and
+spectrum shifted by -log Z, with the Gibbs weights and the gradient, and
+the state exp(coord) / Z is formed from the weights only where it is used
+(:func:`_state`): the public projection's result, the joint limit and an
+alternation's final, one state per run.  A start is evaluated the same
+way, from the spectrum it carries.  Each Newton direction contracts the
 eigenvectors by one matrix product.  A Burg direction takes its Jacobian,
 sum_ij R_ij kron R_ji^T over the blocks of the resolvent R, as one Gram
 product of a reshape of R.
 
-A BKM or Burg sweep's residual is read off the Newton gradients its
+A BKM or Burg residual after entry is read off the Newton gradients the
 solves already hold.  The real coordinates are an isometry of the
 Hermitian marginals, so a solve's gradient norm is the Frobenius norm of
-its marginal mismatch: the residual is the squared gradient norm the
+its marginal mismatch: a sweep's residual is the squared gradient norm the
 second-side solve ended at plus the one the next first-side solve starts
-from.  That start evaluation is formed once, at the sweep's end, and
-handed to the next projection (:func:`_start_evaluation`), so a sweep
-takes each marginal once and no partial trace of a state.
+from, and the joint limit's is the squared norm of its last gradient.  The
+sweep's start evaluation is formed once, at the sweep's end, and handed to
+the next projection (:func:`_start_evaluation`), so a sweep takes each
+marginal once and no partial trace of a state.
 
 Every scheme is one alternation of e-projections onto the two marginal
 sets, and only the projection differs, so one stop rule, :func:`_running`,
@@ -94,7 +99,8 @@ it on what it already holds, the stacked marginals and their one stacked
 ``eigh``, and the trials before it go on from their rows of those.
 
 Every driver validates its input at its boundary only, once at entry (a
-Choi matrix with unit trace; positive definite for ``bkm`` and ``burg``).
+Choi matrix with unit trace; positive definite for ``bkm`` and ``burg``,
+read off their start's one ``eigh``).
 Its final iterate is exactly Hermitian and PSD by construction (a
 congruence by positive definite factors, a Gibbs state, the inverse of a
 resolvent that passed the cone test, each ending in
@@ -104,8 +110,8 @@ overflow, a ``ConvergenceError``.  ``TestTrustedFinals`` in
 ``tests/test_scaling.py`` shows that finals pass the full public check
 all the same.  A batch checks each trial's input and final.  In between
 the loops run on plain arrays: operator Sinkhorn on the marginals and
-factors, the other two through the array-level projections
-``_bkm_project`` and ``_burg_project``.  The public single-step functions
+factors, the other two through the array-level projection
+:func:`_project`.  The public single-step functions
 (``_sld_step`` behind :func:`operator_sinkhorn_step`) carry their own
 checks.
 
@@ -135,7 +141,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .channels import ChoiMatrix, _check_marginal, _integer, as_density, congruence
+from .channels import ChoiMatrix, _check_marginal, _check_unit_trace, _integer, as_density, congruence
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -404,14 +410,12 @@ def matrix_sinkhorn(a0: np.ndarray, cfg: ScalingConfig = ScalingConfig()) -> Sca
     return _close(trace, cfg, trace.iterates[-1])
 
 
-def _residual(mat: np.ndarray, n: int, m: int, p: np.ndarray, q: np.ndarray) -> float:
-    first, second = linalg.partial_trace(mat, n, m, "first"), linalg.partial_trace(mat, n, m, "second")
-    return float(np.linalg.norm(first - p) ** 2 + np.linalg.norm(second - q) ** 2)
-
-
 def choi_residual(choi: ChoiMatrix, p: np.ndarray, q: np.ndarray) -> float:
-    """Squared-Frobenius marginal mismatch used as the stopping criterion."""
-    return _residual(choi.matrix, choi.n, choi.m, p, q)
+    """Squared-Frobenius marginal mismatch used as the stopping criterion:
+    the entry residual of every run.  After entry a run reads it off what
+    its steps hold (the stacked marginals of operator Sinkhorn, the Newton
+    gradients of the BKM and Burg solves)."""
+    return float(np.linalg.norm(choi.trace_first() - p) ** 2 + np.linalg.norm(choi.trace_second() - q) ** 2)
 
 
 def _sld_step(
@@ -455,22 +459,18 @@ def operator_sinkhorn_step(
 def _new_trace(
     method: str, choi0: ChoiMatrix, cfg: ScalingConfig
 ) -> tuple[ScalingTrace, np.ndarray, np.ndarray, _Point | None]:
-    """Entry checks and the trace of a run: a unit-trace input and, for
-    ``bkm`` and ``burg``, a known method and a positive definite input (both
-    divergences need log rho and rho^{-1}, so a rank-deficient input is out
-    of their domain).  Returns the trace with its first residual, P, Q and,
-    for ``bkm`` and ``burg``, the start point (:func:`_bkm_start`,
-    :func:`_burg_start`), whose coordinate the trace's iterates rebuild
-    from."""
-    if method != "sld":
-        if method not in METHODS:
-            raise UnsupportedError(f"unknown method {method!r}; expected one of {METHODS}")
-        linalg.assert_positive_definite(choi0.matrix, "initial Choi matrix")
-    tr = float(np.trace(choi0.matrix).real)
-    if abs(tr - 1.0) > get_policy().trace_atol:
-        raise InvalidInputError(f"initial Choi matrix has trace {tr!r}, expected 1")
+    """Entry checks and the trace of a run: a known method, for ``bkm`` and
+    ``burg`` a positive definite input (both divergences need log rho and
+    rho^{-1}, so a rank-deficient input is out of their domain), tested on
+    the one ``eigh`` their start takes (:func:`_start`), and a unit-trace
+    input.  Returns the trace with its first residual, P, Q and, for
+    ``bkm`` and ``burg``, the start point, whose coordinate the trace's
+    iterates rebuild from."""
+    if method not in METHODS:
+        raise UnsupportedError(f"unknown method {method!r}; expected one of {METHODS}")
+    start = None if method == "sld" else _start(method, choi0.matrix, "initial Choi matrix")
+    _check_unit_trace(choi0.matrix, "initial Choi matrix")
     p, q = cfg.targets(choi0.n, choi0.m)
-    start = None if method == "sld" else (_bkm_start if method == "bkm" else _burg_start)(choi0.matrix)
     trace = ScalingTrace(
         method=method, n=choi0.n, m=choi0.m, tol=cfg.tol, target_p=p, target_q=q,
         iterates=SinkhornIterates(choi0.matrix, choi0.n, choi0.m, method, None if start is None else start.coord),
@@ -857,53 +857,55 @@ def _bkm_contraction(v: np.ndarray, n: int, m: int, side: str) -> np.ndarray:
     return (x.conj().T @ x).reshape(d, dim, d, dim).transpose(0, 2, 1, 3).reshape(d * d, dim * dim)
 
 
-def _bkm_hessian(
-    w: np.ndarray, v: np.ndarray, marginals: Sequence[np.ndarray], n: int, m: int, sides: tuple[str, ...]
-) -> np.ndarray:
-    """Jacobian of the marginals on ``sides`` of exp(H) / tr exp(H) in the
-    dual variables lifted on those sides, H = log rho0 + the lifts, at the
-    point with spectrum H - log tr exp(H) = v diag(w) v^dagger (so that
-    sum exp(w) = 1) and those ``marginals``: the Hessian of the BKM dual,
-    acting on row-major vec(A) (one side) or (vec A, vec B) (both).
+def _bkm_hessian(w: np.ndarray, v: np.ndarray, n: int, m: int, sides: tuple[str, ...]) -> np.ndarray:
+    """Jacobian of the marginals on ``sides`` of exp(H) / Z, Z = tr exp(H),
+    in the dual variables lifted on those sides, H = log rho0 + the lifts,
+    at the point with spectrum H - log Z = v diag(w) v^dagger (so that
+    sum exp(w) = 1), for Z held fixed: the Hessian of the BKM dual but for
+    its normalization term, acting on row-major vec(A) (one side) or
+    (vec A, vec B) (both).
 
     Daleckii-Krein: d exp(H)[X] = v (Phi o (v^dagger X v)) v^dagger, with
     Phi the divided differences of exp on the spectrum of H.  With
     C[x, pq] = (v^dagger lift(E_x) v)[p, q] for the matrix units E_x, entry
     x of tr_side d exp(H)[lift(E_y)] is sum_pq conj(C[x, pq]) Phi[p, q]
-    C[y, pq].  Dividing by Z = tr exp(H), which the divided differences on
-    the shifted spectrum w do, and subtracting vec(marginals)
-    vec(marginals)^dagger, the derivative of the normalization, gives the
-    Hessian.  C is one matrix product per side (:func:`_bkm_contraction`),
-    stacked so that the cross blocks of two sides come from the same
-    product; Phi is the package's one Loewner matrix, the expm1 form of
-    the divided differences (``linalg._exp_divided_differences``, which
-    ``geometry.dexp_frechet`` and ``geometry.dlog_frechet`` read too), and
-    the Hessian is one more product."""
+    C[y, pq]; the divided differences on the shifted spectrum w divide it
+    by Z.  The derivative of Z, the rank-one term mu mu^T with mu the
+    marginals' real coordinates, is subtracted in real coordinates
+    (:func:`_bkm_dual`).  C is one matrix product per side
+    (:func:`_bkm_contraction`), stacked so that the cross blocks of two
+    sides come from the same product; Phi is the package's one Loewner
+    matrix, the expm1 form of the divided differences
+    (``linalg._exp_divided_differences``, which ``geometry.dexp_frechet``
+    and ``geometry.dlog_frechet`` read too), and the Hessian is one more
+    product."""
     if len(sides) == 1:  # no stacking copies on the one-sided projection's path
-        c, flat = _bkm_contraction(v, n, m, sides[0]), marginals[0].reshape(-1)
+        c = _bkm_contraction(v, n, m, sides[0])
     else:
         c = np.concatenate([_bkm_contraction(v, n, m, side) for side in sides])
-        flat = np.concatenate([marginal.reshape(-1) for marginal in marginals])
     phi = linalg._exp_divided_differences(w)
-    return (c.conj() * phi.reshape(-1)) @ c.T - flat[:, None] * flat.conj()
+    return (c.conj() * phi.reshape(-1)) @ c.T
 
 
 class _Point(NamedTuple):
-    """A positive definite state with its e-coordinate ``coord`` = v diag(w)
-    v^dagger: log rho for BKM, normalized (tr exp(coord) = 1) at every
-    projected point, and K = rho^{-1} for Burg.  Each projection is a
-    straight move in this coordinate, coord +- lift(A), so the alternation
-    carries it from one projection to the next instead of taking log rho or
-    rho^{-1} of every iterate.
+    """A point of a BKM or Burg solve: a positive definite state with its
+    e-coordinate ``coord`` = v diag(w) v^dagger, log rho for BKM and
+    K = rho^{-1} for Burg.  Each projection is a straight move in this
+    coordinate, coord +- lift(A), so the alternation carries it from one
+    projection to the next instead of taking log rho or rho^{-1} of every
+    iterate.  Every start (:func:`_start`) is one, and so is every
+    evaluation of either dual (:func:`_bkm_dual`, :func:`_burg_dual`),
+    with ``gradient`` the dual gradient there: the real coordinates of its
+    marginal mismatch on that solve's sides, whose squared norm is that
+    part of the residual.
 
     ``state`` is rho for Burg, formed with the point, since every Burg
-    evaluation reads its marginals off it.  A BKM point has none:
-    ``weights`` holds the Gibbs weights exp(w - log Z) of the evaluation it
-    came from, and :func:`_state` forms exp(coord) from them only where the
-    state is used (a BKM start, :func:`_bkm_start`, has neither).
-    ``gradient`` is the dual gradient at the point of the solve that
-    returned it: the real coordinates of its marginal mismatch on that
-    solve's sides, whose squared norm is that part of the residual."""
+    evaluation reads its marginals off it; a Burg start's is its input
+    itself.  A BKM point has none: its coordinate and spectrum are shifted
+    by -log Z, so that they are the normalized log of the state
+    (tr exp(coord) = 1), ``weights`` holds the Gibbs weights exp(w), and
+    :func:`_state` forms the state from them only where it is used.  A BKM
+    start is log rho as it is, with neither weights nor state."""
 
     coord: np.ndarray
     w: np.ndarray
@@ -917,14 +919,14 @@ def _newton(method: str, evaluate: Callable, direction: Callable, current, what:
     """Damped Newton on a smooth convex dual in real coordinates: the loop
     of every ``bkm`` and ``burg`` solve, one-sided or joint.
 
-    ``current`` and every ``evaluate(x)`` are tuples (x, value, gradient,
-    state): the real coordinate vector x (an evaluation may move it along a
-    line on which it minimizes the dual in closed form), the dual value as a
+    ``current`` and every ``evaluate(x)`` are tuples (x, value, point): the
+    real coordinate vector x (an evaluation may move it along a line on
+    which it minimizes the dual in closed form), the dual value as a
     function of no arguments, called only for a step that fails the
-    gradient test below, its real gradient vector, and whatever
-    ``direction(state, gradient)`` needs to return the Newton step, a real
-    vector.  ``None`` means outside the domain: a rejected candidate, or
-    ``SingularityError`` for ``current``.
+    gradient test below, and the :class:`_Point` there, whose ``gradient``
+    is the real gradient vector and from which ``direction(point)``
+    returns the Newton step, a real vector.  ``None`` means outside the
+    domain: a rejected candidate, or ``SingularityError`` for ``current``.
 
     A step is halved until it passes Armijo on the dual value or halves the
     gradient norm: near the solution the decrease of the value falls below
@@ -943,7 +945,7 @@ def _newton(method: str, evaluate: Callable, direction: Callable, current, what:
     the solve instead of a search over shorter ones.  A step halved below
     1e-14, or more steps than the policy's ``bkm_max_iters`` or
     ``burg_max_iters``, is a ``ConvergenceError`` whose message starts with
-    ``what``, the solve's name.  Returns the final x, its state and the
+    ``what``, the solve's name.  Returns the final x, its point and the
     number of steps taken.
     """
     pol = get_policy()
@@ -952,26 +954,27 @@ def _newton(method: str, evaluate: Callable, direction: Callable, current, what:
     )
     if current is None:
         raise SingularityError(f"{what} source is too ill-conditioned to invert")
-    x, value, g, state = current
-    g_norm, steps, polish = math.sqrt(g @ g), 0, False
+    x, value, point = current
+    g_norm, steps, polish = math.sqrt(point.gradient @ point.gradient), 0, False
     for _ in range(max_iters):
-        if g_norm <= tol or (method == "burg" and g_norm <= _EPS * state.w[-1] / state.w[0] ** 2):
+        if g_norm <= tol or (method == "burg" and g_norm <= _EPS * point.w[-1] / point.w[0] ** 2):
             if polish or method == "bkm":
-                return x, state, steps
+                return x, point, steps
             polish = True
-        step = direction(state, g)
-        slope = g @ step
+        step = direction(point)
+        slope = point.gradient @ step
         t = 1.0
         while t > 1e-14:
             cand = evaluate(x + t * step)
             if cand is not None:
-                cand_norm = math.sqrt(cand[2] @ cand[2])
+                g = cand[2].gradient
+                cand_norm = math.sqrt(g @ g)
                 if polish:
                     accept = cand_norm < g_norm
                 else:
                     accept = cand_norm <= 0.5 * g_norm or cand[1]() <= value() + 1e-4 * t * slope
                 if accept:
-                    (x, value, g, state), g_norm = cand, cand_norm
+                    (x, value, point), g_norm = cand, cand_norm
                     steps += 1
                     break
             if polish:
@@ -1005,24 +1008,22 @@ def _state(point: _Point) -> np.ndarray:
     return point.state if point.state is not None else _gibbs_state(point.v, point.weights)
 
 
-def _bkm_point(evaluation: tuple) -> _Point:
-    """The projected point of a BKM evaluation's state (see
-    :func:`_bkm_dual`): the coordinate and spectrum shifted by -log Z, so
-    they are the normalized log of the state, with the evaluation's Gibbs
-    weights and gradient.  The state itself is not formed."""
-    coord, w, v, p, log_z, _, g = evaluation
-    normalized = coord.copy()
-    normalized.flat[:: len(w) + 1] -= log_z
-    return _Point(normalized, w - log_z, v, None, p, g)
-
-
-def _bkm_start(rho: np.ndarray) -> _Point:
-    """BKM start of a positive definite, trace-one ``rho``: log rho by one
-    ``logm`` (which checks the domain) with its spectrum by one ``eigh``,
-    and no state: :func:`_bkm_dual` reads the start's marginals off that
-    spectrum."""
-    h = linalg.logm(rho)
-    return _Point(h, *np.linalg.eigh(h), None)
+def _start(method: str, rho: np.ndarray, what: str) -> _Point:
+    """The start of a ``bkm`` or ``burg`` solve at ``rho``, validated and
+    exactly Hermitian, read off one ``eigh`` (w, v) of it.  That spectrum
+    is also the entry cone test (``linalg._positive_definite``): outside
+    the cone is a ``SingularityError`` naming ``what``.  BKM starts at
+    log rho, with spectrum (log w, v) and no state; Burg at K = rho^{-1},
+    with spectrum 1/w and eigenvectors v, both reversed into ascending
+    order, and rho itself as its state.  The coordinate is
+    v diag(f(w)) v^dagger, as ``linalg.logm`` and ``linalg.invm`` form it."""
+    w, v = np.linalg.eigh(rho)
+    linalg._check_positive_definite(w, what)
+    fw = np.log(w) if method == "bkm" else 1.0 / w
+    coord = linalg.hermitian_part((v * fw) @ v.conj().T)
+    if method == "bkm":
+        return _Point(coord, fw, v, None)
+    return _Point(coord, fw[::-1], v[:, ::-1], rho)
 
 
 # tr_side(V diag(p) V^dagger) on the (n, m, mn) view of V
@@ -1039,9 +1040,12 @@ def _bkm_dual(start: _Point, frame: _Frame, t: np.ndarray) -> tuple[Callable, Ca
     targets' coordinates, as :func:`_newton` takes it: ``evaluate`` and
     ``direction``.  ``evaluate(x)`` takes one ``eigh`` of start.coord + the
     lifts and reads the marginals off its spectrum; ``evaluate(x, start)``
-    reads them off the spectrum the start carries, with no ``eigh``.  An
-    evaluation's state is (coord, w, v, Gibbs weights, log Z, marginals,
-    gradient)."""
+    reads them off the spectrum the start carries, with no ``eigh``, and
+    shifts a copy of its coordinate.  An evaluation's point is normalized,
+    with its Gibbs weights and gradient (:class:`_Point`).  ``direction``
+    takes :func:`_bkm_hessian` to real coordinates and subtracts the
+    normalization term mu mu^T, with mu = gradient + t the marginals' own
+    coordinates."""
     n, m, sides = frame.n, frame.m, frame.sides
 
     def evaluate(x: np.ndarray, at: _Point | None = None):
@@ -1049,68 +1053,65 @@ def _bkm_dual(start: _Point, frame: _Frame, t: np.ndarray) -> tuple[Callable, Ca
             coord = _lifted(start.coord, frame, x)
             w, v = np.linalg.eigh(coord)
         else:
-            coord, w, v = at.coord, at.w, at.v
+            coord, w, v = at.coord.copy(), at.w, at.v
         p, log_z = _gibbs_weights(w)
         vb = v.reshape(n, m, n * m)
         weighted, conj = vb * p, vb.conj()
-        marginals = [np.einsum(_BKM_MARGINAL[side], weighted, conj) for side in sides]
-        g = _coordinates(frame, marginals) - t
-        return x, lambda: log_z - float(t @ x), g, (coord, w, v, p, log_z, marginals, g)
+        g = _coordinates(frame, [np.einsum(_BKM_MARGINAL[side], weighted, conj) for side in sides]) - t
+        coord.reshape(-1)[:: n * m + 1] -= log_z
+        return x, lambda: log_z - float(t @ x), _Point(coord, w - log_z, v, None, p, g)
 
-    def direction(state, g: np.ndarray) -> np.ndarray:
-        _, w, v, _, log_z, marginals, _ = state
-        hess = _real_form(frame.adjoint, _bkm_hessian(w - log_z, v, marginals, n, m, sides), frame.basis)
-        return np.linalg.solve(hess + frame.gauge, -g)
+    def direction(point: _Point) -> np.ndarray:
+        mu = point.gradient + t
+        hess = _real_form(frame.adjoint, _bkm_hessian(point.w, point.v, n, m, sides), frame.basis)
+        return np.linalg.solve(hess - np.outer(mu, mu) + frame.gauge, -point.gradient)
 
     return evaluate, direction
 
 
-def _start_evaluation(dual: Callable, start: _Point, frame: _Frame, t: np.ndarray):
-    """The evaluation at ``start`` (x = 0) of the ``dual`` (:func:`_bkm_dual`
-    or :func:`_burg_dual`) from it: the ``current`` of a Newton solve, read
-    off the start's own spectrum and state.  The alternation forms the next
-    first-side projection's at the end of a sweep, where its gradient is
-    half of the sweep's residual, and hands it to that projection."""
-    return dual(start, frame, t)[0](np.zeros(len(t)), start)
+def _start_evaluation(method: str, start: _Point, frame: _Frame, t: np.ndarray):
+    """The evaluation at ``start`` (x = 0) of the ``method`` dual from it
+    (:func:`_bkm_dual`, :func:`_burg_dual`): the ``current`` of a Newton
+    solve, read off the start's own spectrum and state.  The alternation
+    forms the next first-side projection's at the end of a sweep, where its
+    gradient is half of the sweep's residual, and hands it to that
+    projection."""
+    return (_bkm_dual if method == "bkm" else _burg_dual)(start, frame, t)[0](np.zeros(len(t)), start)
 
 
-def _bkm_project(
-    start: _Point, frame: _Frame, t: np.ndarray, what: str, current: tuple | None = None
+def _project(
+    method: str, start: _Point, frame: _Frame, t: np.ndarray, what: str, current: tuple | None = None
 ) -> tuple[_Point, list[np.ndarray], int]:
-    """BKM e-projection of ``start`` onto {tr_side rho = target} on every
-    side of ``frame`` at once (one side: :func:`bkm_e_projection`; both:
-    :func:`joint_limit`), on plain arrays, with ``t`` the targets'
-    coordinates, by Newton on :func:`_bkm_dual` from ``current``, the
-    start's evaluation (:func:`_start_evaluation`, formed here if not
-    given).  Returns the projected point, the duals (a Hermitian array per
-    side) and the number of Newton steps.  The point is read off the last
-    accepted evaluation, with its Gibbs weights and gradient, and its state
-    is not formed (:func:`_state` forms it where it is used); if Newton
-    takes no step from a projected point, it is that point's arrays.
-    ``what`` names the solve in its errors."""
-    evaluate, direction = _bkm_dual(start, frame, t)
+    """The ``bkm`` or ``burg`` e-projection of ``start`` onto
+    {tr_side rho = target} on every side of ``frame`` at once (one side:
+    the public projections and the alternation; both: :func:`joint_limit`),
+    on plain arrays, with ``t`` the targets' coordinates, by Newton on the
+    geometry's dual from ``current``, the start's evaluation
+    (:func:`_start_evaluation`, formed here if not given).  Returns the
+    point of the last accepted evaluation, with its gradient (a BKM point
+    has no state: :func:`_state` forms it where it is used), the duals (a
+    Hermitian array per side) and the number of Newton steps.  ``what``
+    names the solve in its errors."""
+    evaluate, direction = (_bkm_dual if method == "bkm" else _burg_dual)(start, frame, t)
     current = evaluate(np.zeros(len(t)), start) if current is None else current
-    x, evaluation, steps = _newton("bkm", evaluate, direction, current, what=what)
-    if steps == 0 and start.weights is not None:
-        point = _Point(*start[:5], evaluation[-1])
-    else:
-        point = _bkm_point(evaluation)
+    x, point, steps = _newton(method, evaluate, direction, current, what=what)
     return point, _duals(frame, x), steps
 
 
 def _e_projection(method: str, choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[ChoiMatrix, np.ndarray]:
     """The wrapper of :func:`bkm_e_projection` and
-    :func:`burg_e_projection`: checks the source (positive definite, unit
-    trace), takes it to its e-coordinate, runs the one-sided solve on plain
-    arrays (:func:`_bkm_project`, :func:`_burg_project`) and validates the
+    :func:`burg_e_projection`: checks the source, positive definite on its
+    start's one ``eigh`` (:func:`_start`) and of unit trace, runs the
+    one-sided solve on plain arrays (:func:`_project`) and validates the
     result as a :class:`ChoiMatrix`.  A constraint target that does not fit
     the source's block shape is an ``InvalidInputError``."""
-    start, project = (_bkm_start, _bkm_project) if method == "bkm" else (_burg_start, _burg_project)
     n, m, side = choi0.n, choi0.m, constraint.side
     _check_marginal(choi0, side, constraint.target, "constraint target")
+    source = _start(method, choi0.matrix, "projection source")
+    _check_unit_trace(choi0.matrix, "projection source")
     frame = _frame(n, m, (side,))
-    source = start(as_density(choi0.matrix, "projection source"))
-    point, (dual,), _ = project(source, frame, _coordinates(frame, [constraint.target]), _projection_name(method, side))
+    t = _coordinates(frame, [constraint.target])
+    point, (dual,), _ = _project(method, source, frame, t, _projection_name(method, side))
     return ChoiMatrix(n=n, m=m, matrix=_state(point)), dual
 
 
@@ -1141,7 +1142,7 @@ def bkm_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Choi
 
     The source is checked (positive definite, unit trace) and the result
     validated as a :class:`ChoiMatrix` (:func:`_e_projection`); the Newton
-    solve itself, :func:`_bkm_project`, is the one
+    solve itself, :func:`_project`, is the one
     :func:`alternating_projections` and :func:`joint_limit` run.
     """
     return _e_projection("bkm", choi0, constraint)
@@ -1152,24 +1153,17 @@ def _burg_point(coord: np.ndarray, w: np.ndarray, v: np.ndarray) -> _Point:
     return _Point(coord, w, v, linalg.hermitian_part((v / w) @ v.conj().T))
 
 
-def _burg_start(rho: np.ndarray) -> _Point:
-    """Burg point of a positive definite ``rho``: one ``invm`` (which
-    checks the domain) and one ``eigh`` of the inverse."""
-    k = linalg.invm(rho)
-    return _burg_point(k, *np.linalg.eigh(k))
-
-
 def _burg_dual(start: _Point, frame: _Frame, t: np.ndarray) -> tuple[Callable, Callable]:
     """The Burg dual from ``start`` on the sides of ``frame``, with ``t`` the
     targets' coordinates, as :func:`_newton` takes it: ``evaluate`` and
-    ``direction``.  ``evaluate(x)`` gives x, the dual value and gradient at
-    K = start.coord - the lifts, and the point there, with that gradient;
-    None outside the cone.  ``evaluate(x, start)`` takes the start's
-    spectrum and state as they are.  The value -log det K - t.x comes from
-    the spectrum of K.  On two sides x first moves along ``frame.unit`` to
-    the unit-trace point, and the system gains the gauge on ``frame.null``
-    (see :func:`joint_limit`); one-sided solves keep their own Newton path,
-    with neither."""
+    ``direction``.  ``evaluate(x)`` gives x, the dual value and the point
+    at K = start.coord - the lifts, with its gradient; None outside the
+    cone.  ``evaluate(x, start)`` takes the start's spectrum and state as
+    they are.  The value -log det K - t.x comes from the spectrum of K.  On
+    two sides x first moves along ``frame.unit`` to the unit-trace point,
+    and the system gains the gauge on ``frame.null`` (see
+    :func:`joint_limit`); one-sided solves keep their own Newton path, with
+    neither."""
     n, m, sides = frame.n, frame.m, frame.sides
     joint = len(sides) == 2
 
@@ -1186,35 +1180,16 @@ def _burg_dual(start: _Point, frame: _Frame, t: np.ndarray) -> tuple[Callable, C
             point = _burg_point(coord, w, v)
         elif not linalg._positive_definite(point.w):
             return None
-        marginals = [linalg.partial_trace(point.state, n, m, side) for side in sides]
-        g = _coordinates(frame, marginals) - t
-        return x, lambda: -float(np.log(point.w).sum()) - float(t @ x), g, _Point(*point[:5], g)
+        g = _coordinates(frame, [linalg.partial_trace(point.state, n, m, side) for side in sides]) - t
+        return x, lambda: -float(np.log(point.w).sum()) - float(t @ x), _Point(*point[:5], g)
 
-    def direction(point: _Point, g: np.ndarray) -> np.ndarray:
+    def direction(point: _Point) -> np.ndarray:
         jac = _real_form(frame.adjoint, _burg_jacobian(point.state, n, m, sides), frame.basis)
         if joint:
             jac += np.outer(frame.null, frame.null) / (n + m)
-        return np.linalg.solve(jac, -g)
+        return np.linalg.solve(jac, -point.gradient)
 
     return evaluate, direction
-
-
-def _burg_project(
-    start: _Point, frame: _Frame, t: np.ndarray, what: str, current: tuple | None = None
-) -> tuple[_Point, list[np.ndarray], int]:
-    """Burg e-projection of ``start`` onto {tr_side rho = target} on every
-    side of ``frame`` at once (one side: :func:`burg_e_projection`; both:
-    :func:`joint_limit`), on plain arrays, with ``t`` the targets'
-    coordinates, by Newton on :func:`_burg_dual` from ``current``, the
-    start's evaluation (:func:`_start_evaluation`, formed here if not
-    given).  Returns the projected point, read off the last accepted
-    Newton evaluation with its gradient, the duals (a Hermitian array per
-    side) and the number of Newton steps.  ``what`` names the solve in its
-    errors."""
-    evaluate, direction = _burg_dual(start, frame, t)
-    current = evaluate(np.zeros(len(t)), start) if current is None else current
-    x, point, steps = _newton("burg", evaluate, direction, current, what=what)
-    return point, _duals(frame, x), steps
 
 
 def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[ChoiMatrix, np.ndarray]:
@@ -1237,7 +1212,7 @@ def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[Cho
 
     The source is checked (positive definite, unit trace) and the result
     validated as a :class:`ChoiMatrix` (:func:`_e_projection`); the Newton
-    solve itself, :func:`_burg_project`, is the one
+    solve itself, :func:`_project`, is the one
     :func:`alternating_projections` and :func:`joint_limit` run.
     """
     return _e_projection("burg", choi0, constraint)
@@ -1271,7 +1246,6 @@ def alternating_projections(
     if method == "sld":
         return operator_sinkhorn(choi0, cfg)
     trace, p, q, point = _new_trace(method, choi0, cfg)
-    dual, project = (_bkm_dual, _bkm_project) if method == "bkm" else (_burg_dual, _burg_project)
     n, m = choi0.n, choi0.m
     frames = {side: _frame(n, m, (side,)) for side in ("first", "second")}
     coordinates = {side: _coordinates(frames[side], [target]) for side, target in (("first", p), ("second", q))}
@@ -1284,18 +1258,18 @@ def alternating_projections(
         nonlocal point, opened
         name = _projection_name(method, side, trace.sweeps + 1)
         current = opened if side == "first" else None
-        point, (factor,), _ = project(point, frames[side], coordinates[side], name, current)
+        point, (factor,), _ = _project(method, point, frames[side], coordinates[side], name, current)
         held[side] = held[side] + factor
         trace.iterates._append(held["first"], held["second"])
         if side == "second":
-            opened = _start_evaluation(dual, point, frames["first"], coordinates["first"])
+            opened = _start_evaluation(method, point, frames["first"], coordinates["first"])
         return factor
 
     def residual() -> float:
         # the coordinates are an isometry of the marginal mismatch, so the
         # next first-side start's gradient and the second side's end
         # gradient give ||tr_first rho - P||^2 + ||tr_second rho - Q||^2
-        first, second = opened[2], point.gradient
+        first, second = opened[2].gradient, point.gradient
         return float(first @ first + second @ second)
 
     _alternate(trace, cfg, step, residual)
@@ -1333,16 +1307,16 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
 
     with rho = exp(...) / Z or (...)^{-1}.  That is the dual of an
     e-projection with both marginals constrained, so the solve is the
-    projection's own (:func:`_bkm_project`, :func:`_burg_project`) on the
-    two-sided frame (:class:`_Frame`): Newton on the m^2 + n^2 real
+    projection's own (:func:`_project`) on the two-sided frame
+    (:class:`_Frame`): Newton on the m^2 + n^2 real
     coordinates x = (x_A, x_B), with the pair of marginal mismatches as the
     gradient and the Hessian with the one-sided Jacobians on the diagonal
     and one more contraction for the cross blocks (:func:`_bkm_hessian`,
     :func:`_burg_jacobian`), taken to real coordinates by the block-diagonal
-    U.  The solve starts where the alternation does (:func:`_bkm_start`,
-    :func:`_burg_start`).  A BKM evaluation reads both marginals off its one
-    ``eigh``, the start's too, from the spectrum of log rho0: no start
-    state is formed, and the state is formed once, at the returned point.
+    U.  The solve starts where the alternation does (:func:`_start`).  A
+    BKM evaluation reads both marginals off its one ``eigh``, the start's
+    too, from the spectrum of log rho0: no start state is formed, and the
+    state is formed once, at the returned point.
 
     Both duals are flat along (A + cI, B - cI), and the BKM dual along
     (A + cI, B) and (A, B + cI) separately, since Z absorbs either shift.
@@ -1370,23 +1344,21 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
     (positive definite, unit trace); the limit, PSD by construction, is
     checked for shape and finiteness only (:func:`_close`).  The returned
     trace has ``iterates`` [rho0, limit] (a :class:`SinkhornIterates` of
-    two entries), ``factors`` [("first", A),
-    ("second", B)] as Hermitian arrays, ``residuals`` the initial and final
-    stopping criterion, ``sweeps`` the number of Newton steps taken, and
-    ``converged`` whether the final residual is below ``cfg.tol``.
+    two entries), ``factors`` [("first", A), ("second", B)] as Hermitian
+    arrays, ``residuals`` the initial and final stopping criterion (the
+    final one the squared norm of the solve's last Newton gradient),
+    ``sweeps`` the number of Newton steps taken, and ``converged`` whether
+    the final residual is below ``cfg.tol``.
     """
     if method == "sld":
         raise UnsupportedError("the sld geometry is not dually flat: it has no joint limit solve")
     trace, p, q, start = _new_trace(method, choi0, cfg)
     frame = _frame(choi0.n, choi0.m, ("first", "second"))
-    t = _coordinates(frame, [p, q])
-    project = _bkm_project if method == "bkm" else _burg_project
-    point, duals, trace.sweeps = project(start, frame, t, f"joint {method}")
-    state = _state(point)
+    point, duals, trace.sweeps = _project(method, start, frame, _coordinates(frame, [p, q]), f"joint {method}")
     trace.factors += list(zip(frame.sides, duals))
-    trace.residuals.append(_residual(state, choi0.n, choi0.m, p, q))
+    trace.residuals.append(float(point.gradient @ point.gradient))
     trace.iterates._append(*duals)
-    return _close(trace, cfg, state)
+    return _close(trace, cfg, _state(point))
 
 
 def capacity_from_trace(trace: ScalingTrace) -> float:

@@ -22,9 +22,15 @@ Hermitian basis, the reference for the closed-form projection that
 certifies e-projections in ``geometry``.  The
 operator Sinkhorn reference forms every ``mn x mn`` iterate and takes its
 marginals by partial traces, where the package carries factor products.
-The difference quotient reference validates and evaluates one h at a time,
-with one 2-D divergence call per probe, where the package evaluates every
-probe of a grid in one stacked call.  The capacity oracle minimizes
+The BKM and Burg Newton references take their starts by ``logm`` or
+``invm`` and one more ``eigh`` (``bkm_start_ref``, ``burg_start_ref``),
+where the package reads both off one ``eigh`` of the input; their
+alternation and the operator Sinkhorn reference take every residual by
+``einsum`` partial traces on the block view (``marginal_residual``),
+where the package reads residuals off Newton gradients or stacked
+marginals.  The difference quotient reference validates and evaluates one
+h at a time, with one 2-D divergence call per probe, where the package
+evaluates every probe of a grid in one stacked call.  The capacity oracle minimizes
 log det Phi(X) - log det X directly by L-BFGS and never touches a scaling
 factor.
 """
@@ -481,22 +487,47 @@ def burg_project_ref(start: scaling._Point, n: int, m: int, side: str,
     return point, a, steps
 
 
+def bkm_start_ref(rho: np.ndarray) -> scaling._Point:
+    """The BKM start by two decompositions: log rho by ``linalg.logm``,
+    then its spectrum by one more ``eigh``, and no state."""
+    h = linalg.logm(rho)
+    return scaling._Point(h, *np.linalg.eigh(h), None)
+
+
+def burg_start_ref(rho: np.ndarray) -> scaling._Point:
+    """The Burg start by two decompositions: K = rho^{-1} by
+    ``linalg.invm``, its spectrum by one more ``eigh``, and the state
+    K^{-1} from that spectrum."""
+    k = linalg.invm(rho)
+    w, v = np.linalg.eigh(k)
+    return scaling._Point(k, w, v, linalg.hermitian_part((v / w) @ v.conj().T))
+
+
+def marginal_residual(mat: np.ndarray, n: int, m: int, p: np.ndarray, q: np.ndarray) -> float:
+    """||tr_first mat - P||_F^2 + ||tr_second mat - Q||_F^2, with the
+    partial traces taken by ``einsum`` on the (n, m, n, m) block view: the
+    sum of the diagonal blocks and the blockwise traces."""
+    blocks = mat.reshape(n, m, n, m)
+    first, second = np.einsum("iaib->ab", blocks), np.einsum("iaja->ij", blocks)
+    return float(np.linalg.norm(first - p) ** 2 + np.linalg.norm(second - q) ** 2)
+
+
 def dual_alternation_ref(method: str, choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> tuple[np.ndarray, int]:
     """The BKM or Burg alternation of :func:`bkm_project_ref` or
-    :func:`burg_project_ref` projections, first side first, under the
-    package's stop rule.  Returns the final state and the number of
-    sweeps."""
+    :func:`burg_project_ref` projections from :func:`bkm_start_ref` or
+    :func:`burg_start_ref`, first side first, under the package's stop
+    rule, with every residual by :func:`marginal_residual`.  Returns the
+    final state and the number of sweeps."""
     n, m = choi.n, choi.m
     p, q = cfg.targets(n, m)
-    start, project = {"bkm": (scaling._bkm_start, bkm_project_ref),
-                      "burg": (scaling._burg_start, burg_project_ref)}[method]
+    start, project = {"bkm": (bkm_start_ref, bkm_project_ref), "burg": (burg_start_ref, burg_project_ref)}[method]
     point, sweeps = start(choi.matrix), 0
-    residual = scaling.choi_residual(choi, p, q)
+    residual = marginal_residual(choi.matrix, n, m, p, q)
     while residual >= cfg.tol and sweeps < cfg.max_iters:
         point, _, _ = project(point, n, m, "first", p)
         point, _, _ = project(point, n, m, "second", q)
         sweeps += 1
-        residual = scaling._residual(point.state, n, m, p, q)
+        residual = marginal_residual(point.state, n, m, p, q)
     return point.state, sweeps
 
 
@@ -510,7 +541,7 @@ def operator_sinkhorn_ref(choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> dict:
     n, m = choi.n, choi.m
     p, q = cfg.targets(n, m)
     mat = choi.matrix
-    run = {"iterates": [mat], "factors": [], "residuals": [scaling.choi_residual(choi, p, q)],
+    run = {"iterates": [mat], "factors": [], "residuals": [marginal_residual(mat, n, m, p, q)],
            "capacity_log": 0.0, "sweeps": 0, "preprocessed": False, "converged": False}
     if run["residuals"][0] < cfg.tol:
         run["converged"] = True
@@ -527,7 +558,7 @@ def operator_sinkhorn_ref(choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> dict:
                 run["capacity_log"] += float(target_logdet - marginal_logdet) / n
         if steps is sweep:
             run["sweeps"] += 1
-            run["residuals"].append(scaling._residual(mat, n, m, p, q))
+            run["residuals"].append(marginal_residual(mat, n, m, p, q))
         if run["residuals"][-1] < cfg.tol or run["sweeps"] >= cfg.max_iters:
             break
         steps = sweep

@@ -1293,11 +1293,11 @@ def newton_steps(monkeypatch) -> list[int]:
 BKM_REFERENCE_CASES = [(n, m, general) for n, m in JACOBIAN_CASES for general in (False, True)]
 
 
-def one_sided(project, start, n: int, m: int, side: str, target: np.ndarray):
-    """``scaling._bkm_project`` or ``scaling._burg_project`` on the frame of
-    ``side`` alone: the point, the one dual and the Newton steps."""
+def one_sided(method: str, start, n: int, m: int, side: str, target: np.ndarray):
+    """``scaling._project`` of ``method`` on the frame of ``side`` alone:
+    the point, the one dual and the Newton steps."""
     frame = scaling._frame(n, m, (side,))
-    point, duals, steps = project(start, frame, scaling._coordinates(frame, [target]), "projection")
+    point, duals, steps = scaling._project(method, start, frame, scaling._coordinates(frame, [target]), "projection")
     assert len(duals) == 1
     return point, duals[0], steps
 
@@ -1333,10 +1333,12 @@ class TestBkmProjectionAgainstReference:
     def test_projection(self, n, m, general, side, monkeypatch):
         choi, p, q = reference_case(n, m, general, 800)
         target = p if side == "first" else q
-        start = scaling._bkm_start(choi.matrix)
-        want, want_dual, want_steps = oracles.bkm_project_ref(start, n, m, side, target)
+        # each from its own start: the package's off one eigh of rho, the
+        # reference's by logm and one more eigh
+        want, want_dual, want_steps = oracles.bkm_project_ref(oracles.bkm_start_ref(choi.matrix), n, m, side, target)
         steps = newton_steps(monkeypatch)
-        got, dual, got_steps = one_sided(scaling._bkm_project, start, n, m, side, target)
+        start = scaling._start("bkm", choi.matrix, "start")
+        got, dual, got_steps = one_sided("bkm", start, n, m, side, target)
         assert steps == [want_steps] == [got_steps] and want_steps > 0
         assert_point_matches(got, dual, want, want_dual)
 
@@ -1350,22 +1352,31 @@ class TestBkmProjectionAgainstReference:
         assert np.abs(trace.final.matrix - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_no_step_returns_the_start(self, monkeypatch):
-        # a projected point that takes no step comes back as its own arrays,
-        # with no state formed, and the gradient of the evaluation at it
+        # a projected point that takes no step comes back as the evaluation
+        # at it: its eigenvectors, its coordinate and spectrum shifted by a
+        # log Z at rounding level (in a copy: the point is left as it was),
+        # the weights of its spectrum, no state formed and no eigh taken
         choi, p, _ = reference_case(3, 2, True, 820)
-        point, _, _ = one_sided(scaling._bkm_project, scaling._bkm_start(choi.matrix), 3, 2, "first", p)
+        point, _, _ = one_sided("bkm", scaling._start("bkm", choi.matrix, "start"), 3, 2, "first", p)
+        kept = [a.copy() for a in point[:3]]
         steps = newton_steps(monkeypatch)
         states = count_calls(monkeypatch, scaling, "_gibbs_state")
-        again, dual, again_steps = one_sided(scaling._bkm_project, point, 3, 2, "first", p)
-        assert steps == [0] == [again_steps] and not dual.any() and not states
-        assert all(a is b for a, b in zip(again[:5], point[:5]))
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        again, dual, again_steps = one_sided("bkm", point, 3, 2, "first", p)
+        assert steps == [0] == [again_steps] and not dual.any() and not states and not eigh
+        assert again.v is point.v and again.coord is not point.coord and again.state is None
+        assert all(np.array_equal(a, b) for a, b in zip(point[:3], kept))
+        eps = np.finfo(float).eps
+        assert np.abs(again.coord - point.coord).max() <= 4 * eps * np.abs(point.coord).max()
+        assert np.abs(again.w - point.w).max() <= 4 * eps * np.abs(point.w).max()
+        assert np.abs(again.weights - point.weights).max() <= 4 * eps
         assert np.linalg.norm(again.gradient) <= policy.get_policy().bkm_gradient_tol
 
     @pytest.mark.parametrize("n, m, general", BKM_REFERENCE_CASES)
     def test_one_eigh_per_evaluation_and_one_state(self, n, m, general, monkeypatch):
         choi, p, _ = reference_case(n, m, general, 830)
         states = count_calls(monkeypatch, scaling, "_gibbs_state")
-        start = scaling._bkm_start(choi.matrix)
+        start = scaling._start("bkm", choi.matrix, "start")
         # the start is log rho and its spectrum, with no state
         assert start.state is None and start.weights is None and not states
         evaluations, newton = [], scaling._newton
@@ -1375,7 +1386,7 @@ class TestBkmProjectionAgainstReference:
 
         monkeypatch.setattr(scaling, "_newton", counted)
         eigh = count_calls(monkeypatch, np.linalg, "eigh")
-        point, _, _ = one_sided(scaling._bkm_project, start, n, m, "first", p)
+        point, _, _ = one_sided("bkm", start, n, m, "first", p)
         assert len(evaluations) > 0
         assert eigh == [(n * m, n * m)] * len(evaluations)
         # the projection forms no state; its point gives one where it is used
@@ -1393,7 +1404,9 @@ def gradient_norms(monkeypatch, module, name: str) -> list[float | None]:
     def recorded(method, evaluate, direction, current, **kwargs):
         def evaluate_recorded(x):
             out = evaluate(x)
-            norms.append(None if out is None else float(np.linalg.norm(out[2])))
+            # a package evaluation carries its gradient on its point
+            g = None if out is None else out[2].gradient if module is scaling else out[2]
+            norms.append(None if g is None else float(np.linalg.norm(g)))
             return out
 
         return newton(method, evaluate_recorded, direction, current, **kwargs)
@@ -1426,12 +1439,14 @@ class TestBurgProjectionAgainstReference:
     def test_projection(self, n, m, general, side, monkeypatch):
         choi, p, q = reference_case(n, m, general, 800)
         target = p if side == "first" else q
-        start = scaling._burg_start(choi.matrix)
+        # each from its own start: the package's off one eigh of rho, the
+        # reference's by invm and one more eigh
         want_norms = gradient_norms(monkeypatch, oracles, "newton_ref")
-        want, want_dual, want_steps = oracles.burg_project_ref(start, n, m, side, target)
+        want, want_dual, want_steps = oracles.burg_project_ref(oracles.burg_start_ref(choi.matrix), n, m, side, target)
         steps = newton_steps(monkeypatch)
         norms = gradient_norms(monkeypatch, scaling, "_newton")
-        got, dual, got_steps = one_sided(scaling._burg_project, start, n, m, side, target)
+        start = scaling._start("burg", choi.matrix, "start")
+        got, dual, got_steps = one_sided("burg", start, n, m, side, target)
         head, want_head = before_polish(norms), before_polish(want_norms)
         assert len(head) == len(want_head) > 1
         # a norm at rounding level (the last one can be) agrees to 1e-12,
@@ -1532,7 +1547,7 @@ class TestOneConeTest:
         for w in self.spectra():
             start = scaling._burg_point(np.diag(w).astype(complex), w, np.eye(4, dtype=complex))
             with pytest.raises(Started):
-                one_sided(scaling._burg_project, start, 2, 2, "first", np.eye(2) / 2)
+                one_sided("burg", start, 2, 2, "first", np.eye(2) / 2)
         assert starts[0][0] is None and starts[1][0] is not None
 
     def test_joint_burg_evaluation(self, monkeypatch):
@@ -1554,9 +1569,9 @@ class TestOneConeTest:
                 evaluations.append(evaluate(np.zeros(8)))
         finally:
             policy.set_policy(previous)
-        assert current is not None and np.array_equal(current[3].w, [2.0, 4.0, 8.0, 8.0])
+        assert current is not None and np.array_equal(current[2].w, [2.0, 4.0, 8.0, 8.0])
         assert evaluations[0] is None and evaluations[1] is not None
-        assert evaluations[1][3].w[0] == 1.0 + 2.0**-52
+        assert evaluations[1][2].w[0] == 1.0 + 2.0**-52
 
 
 class TestRealSystems:
@@ -1733,34 +1748,34 @@ class TestDualLoopAgainstReference:
     @pytest.mark.parametrize("method", ["bkm", "burg"])
     @pytest.mark.parametrize("sweeps", [1, 4, 12])
     def test_solve_checks_only_entry_and_final(self, method, sweeps, monkeypatch):
-        # one eigvalsh for the entry check and none for the trusted final,
-        # however many sweeps run
+        # the entry check is the start's one eigh of the input, and the
+        # trusted final takes none: no eigvalsh at all, however many sweeps
+        # run
         choi = channels.random_choi(3, 3, np.random.default_rng(36))
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
+        calls, inputs = [], []
+        eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
         monkeypatch.setattr(
             np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs)
         )
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: inputs.append(a is choi.matrix) or eigh(a))
         trace = scaling.alternating_projections(
             method, choi, scaling.ScalingConfig(max_iters=sweeps, tol=0.0)
         )
         assert trace.final.matrix is trace.iterates[-1]
         assert trace.sweeps == sweeps
-        assert len(calls) == 1
+        assert not calls and inputs[0] and inputs.count(True) == 1
 
 
-def projected_points(monkeypatch, method: str) -> list:
-    """Record the point every ``scaling._bkm_project`` or
-    ``scaling._burg_project`` call returns."""
-    points, name = [], f"_{method}_project"
-    project = getattr(scaling, name)
+def projected_points(monkeypatch) -> list:
+    """Record the point every ``scaling._project`` call returns."""
+    points, project = [], scaling._project
 
     def recorded(*args, **kwargs):
         out = project(*args, **kwargs)
         points.append(out[0])
         return out
 
-    monkeypatch.setattr(scaling, name, recorded)
+    monkeypatch.setattr(scaling, "_project", recorded)
     return points
 
 
@@ -1777,7 +1792,7 @@ class TestDualSweepRecords:
     def test_residuals_and_iterates_are_the_states(self, method, n, m, general, monkeypatch):
         choi, p, q = reference_case(n, m, general, 870)
         cfg = scaling.ScalingConfig(target_p=p, target_q=q)
-        points = projected_points(monkeypatch, method)
+        points = projected_points(monkeypatch)
         trace = scaling.alternating_projections(method, choi, cfg)
         states = [scaling._state(point) for point in points]
         assert trace.sweeps > 0 and len(states) == 2 * trace.sweeps == len(trace.iterates) - 1
@@ -1836,6 +1851,89 @@ class TestDualSweepRecords:
         assert long <= 1.5 * short
 
 
+def dual_run(method: str, solve: str, choi: ChoiMatrix, cfg: scaling.ScalingConfig):
+    """Run one ``bkm`` or ``burg`` solve of kind ``solve`` on ``choi``: an
+    alternation, the joint limit, or the public projection onto P."""
+    if solve == "alternation":
+        return scaling.alternating_projections(method, choi, cfg)
+    if solve == "joint":
+        return scaling.joint_limit(method, choi, cfg)
+    project = scaling.bkm_e_projection if method == "bkm" else scaling.burg_e_projection
+    return project(choi, ConstraintSet("first", cfg.targets(choi.n, choi.m)[0]))
+
+
+class TestOneStart:
+    """Every BKM and Burg solve starts from one ``eigh`` of its input, which
+    is also its entry cone test, and every evaluation of either dual is a
+    :class:`scaling._Point`."""
+
+    @pytest.mark.parametrize("solve", ["alternation", "joint", "projection"])
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    def test_input_is_decomposed_once_before_newton(self, method, solve, monkeypatch):
+        choi, p, q = reference_case(2, 3, True, 1700)
+        events, eigh, eigvalsh, newton = [], np.linalg.eigh, np.linalg.eigvalsh, scaling._newton
+
+        def decomposed(decompose):
+            return lambda a, *args, **kwargs: events.append((np.shape(a), a is choi.matrix)) or decompose(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", decomposed(eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", decomposed(eigvalsh))
+        monkeypatch.setattr(scaling, "_newton", lambda *a, **k: events.append("newton") or newton(*a, **k))
+        dual_run(method, solve, choi, scaling.ScalingConfig(target_p=p, target_q=q))
+        before = events[: events.index("newton")]
+        # the general targets are validated by their own small eigvalsh
+        assert [event for event in before if event[0] == (6, 6)] == [((6, 6), True)]
+
+    @pytest.mark.parametrize("solve", ["alternation", "joint", "projection"])
+    def test_burg_start_state_is_the_input(self, solve, monkeypatch):
+        choi, p, q = reference_case(3, 2, True, 1710)
+        starts = captured_start(monkeypatch)
+        with pytest.raises(Started):
+            dual_run("burg", solve, choi, scaling.ScalingConfig(target_p=p, target_q=q))
+        (current, _), = starts
+        start = current[2]
+        assert start.state is choi.matrix
+        # K = rho^{-1}, its spectrum ascending
+        assert np.all(np.diff(start.w) >= 0)
+        assert np.abs((start.v * start.w) @ start.v.conj().T - start.coord).max() <= 1e-14 * start.w.max()
+        assert np.abs(start.coord @ choi.matrix - np.eye(6)).max() <= 1e-13
+
+    @pytest.mark.parametrize("solve", ["alternation", "joint", "projection"])
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 3)])
+    def test_every_bkm_evaluation_is_a_normalized_point(self, n, m, solve, monkeypatch):
+        choi, p, q = reference_case(n, m, True, 1720)
+        points, newton = [], scaling._newton
+
+        def recorded(method, evaluate, direction, current, **kwargs):
+            def evaluate_recorded(x):
+                out = evaluate(x)
+                points.append(out[2])
+                return out
+
+            points.append(current[2])
+            return newton(method, evaluate_recorded, direction, current, **kwargs)
+
+        monkeypatch.setattr(scaling, "_newton", recorded)
+        dual_run("bkm", solve, choi, scaling.ScalingConfig(target_p=p, target_q=q))
+        assert len(points) > 2
+        for point in points:
+            assert isinstance(point, scaling._Point) and point.state is None
+            assert abs(point.weights.sum() - 1.0) <= 1e-15
+            # the spectrum is shifted by -log Z: the weights are its exp
+            assert np.abs(point.weights - np.exp(point.w)).max() <= 1e-14
+            coord = (point.v * point.w) @ point.v.conj().T
+            assert np.abs(coord - point.coord).max() <= 1e-14 * np.abs(point.w).max()
+
+    @pytest.mark.parametrize("general", [False, True])
+    @pytest.mark.parametrize("n, m", JACOBIAN_CASES)
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    def test_joint_residual_is_the_final_gradient(self, method, n, m, general):
+        choi, p, q = reference_case(n, m, general, 1730)
+        trace = scaling.joint_limit(method, choi, scaling.ScalingConfig(target_p=p, target_q=q))
+        want = scaling.choi_residual(trace.final, p, q)
+        assert trace.sweeps > 0 and abs(trace.residuals[-1] - want) <= 1e-12 * trace.residuals[0]
+
+
 class TestBurgPolish:
     """Once the residual is below tolerance, one full polishing step is
     tried; a rejected one ends the projection instead of a line search down
@@ -1857,9 +1955,9 @@ class TestBurgPolish:
     def test_polish_line_search_makes_one_evaluation(self, n, m, seed, general, monkeypatch):
         choi, cfg = self.problem(n, m, seed, general)
         events = []
-        jacobian, project, eigh = scaling._burg_jacobian, scaling._burg_project, np.linalg.eigh
+        jacobian, project, eigh = scaling._burg_jacobian, scaling._project, np.linalg.eigh
         monkeypatch.setattr(
-            scaling, "_burg_project", lambda *a, **k: events.append("P") or project(*a, **k)
+            scaling, "_project", lambda *a, **k: events.append("P") or project(*a, **k)
         )
         monkeypatch.setattr(
             scaling, "_burg_jacobian", lambda *a, **k: events.append("J") or jacobian(*a, **k)
@@ -2055,15 +2153,15 @@ class TestJointLimit:
             a *= 0.25 / np.abs(np.linalg.eigvalsh(a)).max()
             b *= 0.25 / np.abs(np.linalg.eigvalsh(b)).max()
             state = np.linalg.inv(coord0 - oracles.lift(a, n, m, "first") - oracles.lift(b, n, m, "second"))
-            hess = scaling._burg_jacobian(state, n, m, sides)
+            real = scaling._real_form(frame.adjoint, scaling._burg_jacobian(state, n, m, sides), frame.basis)
         else:
             coord0 = linalg.logm(rho0)
             marginals = joint_marginals(method, coord0, a, b, n, m)
             w, v = np.linalg.eigh(coord0 + oracles.lift(a, n, m, "first") + oracles.lift(b, n, m, "second"))
-            hess = scaling._bkm_hessian(
-                w - np.logaddexp.reduce(w), v, [marginals[side] for side in sides], n, m, sides
-            )
-        real = scaling._real_form(frame.adjoint, hess, frame.basis)
+            hess = scaling._bkm_hessian(w - np.logaddexp.reduce(w), v, n, m, sides)
+            # less the normalization term mu mu^T, mu the marginals' coordinates
+            mu = scaling._coordinates(frame, [marginals[side] for side in sides])
+            real = scaling._real_form(frame.adjoint, hess, frame.basis) - np.outer(mu, mu)
         dim = sum((m if side == "first" else n) ** 2 for side in sides)
         assert real.shape == (dim, dim) and real.dtype == np.float64
 
@@ -2168,15 +2266,15 @@ class TestJointLimit:
         states = count_calls(monkeypatch, scaling, "_gibbs_state")
         joint = scaling.joint_limit("bkm", choi, cfg)
         assert joint.converged and len(evaluations) >= joint.sweeps > 0
-        # log rho0, the start, then one per evaluation
-        assert eigh == [(n * m, n * m)] * (len(evaluations) + 2)
+        # the start's one eigh of rho0, then one per evaluation
+        assert eigh == [(n * m, n * m)] * (len(evaluations) + 1)
         assert states == [(n * m, n * m)]
 
     @pytest.mark.parametrize("n, m", JACOBIAN_CASES)
     def test_burg_one_eigh_per_evaluation(self, n, m, monkeypatch):
-        # the start is rho0^{-1}, one eigh in invm and one of the inverse,
-        # and its state; then each evaluation is one eigh and, inside the
-        # cone, one state
+        # the start is rho0^{-1} off one eigh of rho0, with rho0 as its
+        # state; then each evaluation is one eigh and, inside the cone, one
+        # state
         choi, cfg = joint_case(n, m, True, 1520 + 10 * n + m)
         inside, newton = [], scaling._newton
 
@@ -2193,8 +2291,8 @@ class TestJointLimit:
         states = count_calls(monkeypatch, scaling, "_burg_point")
         joint = scaling.joint_limit("burg", choi, cfg)
         assert joint.converged and len(inside) >= joint.sweeps > 0
-        assert eigh == [(n * m, n * m)] * (len(inside) + 2)
-        assert states == [(n * m, n * m)] * (sum(inside) + 1)
+        assert eigh == [(n * m, n * m)] * (len(inside) + 1)
+        assert states == [(n * m, n * m)] * sum(inside)
 
     @pytest.mark.parametrize("method", ["bkm", "burg"])
     def test_trace_layout(self, method):

@@ -21,8 +21,13 @@ and with targets drawn by ``random_density`` from the same generator.  Keys:
 A trace contributes its final, residuals, sweep count, converged flag,
 capacity log and factors (the duals for ``bkm`` and ``burg``); an array its
 dtype, shape and bytes; a raised package error its type and message.
-Prints each key with the first 16 hex digits of its SHA-256.  Standard
-library, numpy and the package only; it takes about a quarter of a minute.
+Prints each key with the first 16 hex digits of its SHA-256, then one
+``work`` line per run family (``sld``, ``bkm``, ``burg``, ``joint-bkm``,
+``joint-burg``): its number of runs, of converged runs and its summed
+sweeps (Newton steps for ``joint_limit``; a run that raised counts as
+unconverged, with none).  Two commits that print the same work lines did
+the same work, also where a digest moved by rounding.  Standard library,
+numpy and the package only; it takes about a quarter of a minute.
 
 Usage: PYTHONPATH=src python tools/fingerprint.py
 """
@@ -41,6 +46,7 @@ from opsinkhorn.scaling import ScalingConfig
 SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4))
 SEEDS = range(12)
 KEYS = ("sld", "bkm", "burg", "joint-bkm", "joint-burg", "dexp", "dlog", "certificates", "iterates")
+FAMILIES = KEYS[:5]
 
 
 def _feed(h, obj) -> None:
@@ -107,8 +113,10 @@ def _outputs(choi: channels.ChoiMatrix, p: np.ndarray, q: np.ndarray, rng: np.ra
 
 def fingerprint(shapes=SHAPES, seeds=SEEDS) -> dict[str, str]:
     """The 16-hex-digit SHA-256 prefix of each key's outputs on the inputs
-    of ``shapes`` and ``seeds``."""
+    of ``shapes`` and ``seeds``, then the ``work`` line of each family,
+    keyed ``work <family>``."""
     hashes = {key: hashlib.sha256() for key in KEYS}
+    work = {family: [0, 0, 0] for family in FAMILIES}
     directions = np.random.default_rng(0)
     for choi, p, q in _inputs(shapes, seeds):
         for key, thunk in _outputs(choi, p, q, directions):
@@ -117,11 +125,16 @@ def fingerprint(shapes=SHAPES, seeds=SEEDS) -> dict[str, str]:
             except (ValueError, RuntimeError) as exc:  # every package error is one of these
                 out = f"{type(exc).__name__}: {exc}"
             _feed(hashes[key], out)
+            ran = isinstance(out, scaling.ScalingTrace)
+            if key in FAMILIES:
+                runs, converged, sweeps = work[key]
+                work[key] = [runs + 1, converged + (ran and out.converged), sweeps + (out.sweeps if ran else 0)]
             if key in scaling.METHODS:
-                _feed(hashes["iterates"], list(out.iterates) if isinstance(out, scaling.ScalingTrace) else out)
-    return {key: h.hexdigest()[:16] for key, h in hashes.items()}
+                _feed(hashes["iterates"], list(out.iterates) if ran else out)
+    digests = {key: h.hexdigest()[:16] for key, h in hashes.items()}
+    return digests | {f"work {family}": "{} runs, {} converged, {} sweeps".format(*work[family]) for family in FAMILIES}
 
 
 if __name__ == "__main__":
-    for key, digest in fingerprint().items():
-        print(f"{key:<13} {digest}")
+    for key, line in fingerprint().items():
+        print(f"{key:<16} {line}")

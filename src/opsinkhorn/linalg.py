@@ -9,9 +9,13 @@ spectrum of ``eigh(M)``.  For a uniform target T = c I, given to
 ``inverse_mean`` as the scalar c, the factor is (M / c)^{-1/2}, read off
 ``eigh(M)`` alone: one ``eigh`` instead of two.  ``inverse_mean`` is
 ``eigh(M)``, its positive definiteness check and a core on the spectrum,
-``_inverse_mean_from_spectrum``; the operator Sinkhorn stack runs that core
+``_inverse_mean_from_spectrum``.  Operator Sinkhorn has two drivers, and
+the number of inputs picks one: a single trial calls ``inverse_mean`` on
+its 2-D marginal, and a batch of two or more trials, stacked, runs the core
 on the rows of its own stacked ``eigh`` that pass the check, so a failing
-marginal costs no second decomposition.  These functions act on the
+marginal costs no second decomposition.  The stack shares each call's
+overhead among its trials; a lone trial, which would only pay for the
+stack's rows, runs without one.  These functions act on the
 small ``m x m`` and ``n x n`` marginals and factors and validate their
 arguments on every call, except that ``inverse_mean`` leaves the target to
 its caller.  The operator Sinkhorn loop forms no ``mn x mn`` iterate while
@@ -39,8 +43,9 @@ Stacks: ``hermitian_part``, ``as_hermitian``, ``assert_positive_definite``,
 matrix of it, with stacked ``eigh`` and ``matmul``.  Each matrix's result
 equals that of the 2-D call on it, bit for bit.  A check that fails on a
 stack reports the first failing matrix.  This is what lets
-``scaling.operator_sinkhorn_batch`` and
-``divergences.central_difference_quotients`` run many small problems as one.
+``scaling.operator_sinkhorn_batch`` (on two or more trials) and
+``divergences.central_difference_quotients`` run many small problems as
+one, and a batch give each trial the bits the 2-D calls give it alone.
 
 Conventions for partitioned matrices: an ``mn x mn`` matrix is read as an
 ``n x n`` grid of ``m x m`` blocks (outer index of dimension ``n``).
@@ -370,7 +375,8 @@ def _inverse_mean_from_spectrum(
     """The core of :func:`inverse_mean`: A^{-1} # B and log det A for
     A = v diag(w) v^dagger with w > 0, or for each row of a stack of
     spectra, without checks.  ``scaling.operator_sinkhorn_batch`` feeds it
-    the rows of its stacked ``eigh`` that pass the cone test."""
+    the rows of its stacked ``eigh`` that pass the cone test, for a batch
+    of two or more trials."""
     logdet = np.add.reduce(np.log(w), axis=-1)
     if w.ndim == 1:
         logdet = float(logdet)

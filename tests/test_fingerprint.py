@@ -39,19 +39,38 @@ def test_a_rebuilt_iterate_changes_the_iterates_key_alone(monkeypatch):
     assert [key for key in digests if moved[key] != digests[key]] == ["iterates"]
 
 
+def test_the_stack_changes_the_batch_key_alone(monkeypatch):
+    # two seeds make a batch of two, the one path that runs the stack
+    digests = fingerprint.fingerprint(shapes=((2, 3),), seeds=(0, 1))
+    run = scaling._SinkhornStack.run
+
+    def nudged(self):
+        run(self)
+        self.traces[0].capacity_log += 1.0
+
+    monkeypatch.setattr(scaling._SinkhornStack, "run", nudged)
+    moved = fingerprint.fingerprint(shapes=((2, 3),), seeds=(0, 1))
+    assert [key for key in digests if moved[key] != digests[key]] == ["sld-batch"]
+
+
 @pytest.mark.parametrize("family", fingerprint.FAMILIES)
 def test_one_more_sweep_changes_its_work_line_alone(family, monkeypatch):
     digests = fingerprint.fingerprint(shapes=((2, 3),), seeds=(0,))
-    method, name = family.split("-")[-1], "joint_limit" if family.startswith("joint") else "alternating_projections"
+    if family == "sld-batch":
+        method, name = None, "operator_sinkhorn_batch"
+    else:
+        method, name = family.split("-")[-1], "joint_limit" if family.startswith("joint") else "alternating_projections"
     run, moved_runs = getattr(scaling, name), []
 
-    def one_more(run_method, *args, **kwargs):
-        # the first run of the family takes one more sweep
-        trace = run(run_method, *args, **kwargs)
-        if run_method == method and not moved_runs:
+    def one_more(first, *args, **kwargs):
+        # the first run of the family takes one more sweep: a batch's first
+        # trial, or the first run of the method
+        out = run(first, *args, **kwargs)
+        if (method is None or first == method) and not moved_runs:
+            trace = out[0] if method is None else out
             moved_runs.append(trace)
             trace.sweeps += 1
-        return trace
+        return out
 
     monkeypatch.setattr(scaling, name, one_more)
     moved = fingerprint.fingerprint(shapes=((2, 3),), seeds=(0,))
@@ -60,4 +79,5 @@ def test_one_more_sweep_changes_its_work_line_alone(family, monkeypatch):
     assert [key for key in digests if moved[key] != digests[key]] == [family, f"work {family}"]
     runs, converged, sweeps = (int(word) for word in digests[f"work {family}"].replace(",", "").split()[::2])
     assert moved[f"work {family}"] == f"{runs} runs, {converged} converged, {sweeps + 1} sweeps"
-    assert runs == 2
+    # one seed: a batch of its uniform-target input, or a run at each target
+    assert runs == (1 if method is None else 2)

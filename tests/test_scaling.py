@@ -934,6 +934,55 @@ class TestOperatorSinkhornBatch:
             scaling.operator_sinkhorn_batch([channels.random_choi(2, 2, rng), channels.random_choi(2, 3, rng)])
 
 
+class TestSingleTrialDriver:
+    """One trial runs on 2-D arrays and never builds the stack; a batch of
+    two or more runs as one stack."""
+
+    @staticmethod
+    def inputs(n: int, m: int, general: bool, count: int):
+        rng = np.random.default_rng(880 + 10 * n + m + general)
+        chois = [channels.random_choi(n, m, rng) for _ in range(count)]
+        p = channels.random_density(m, rng) if general else None
+        q = channels.random_density(n, rng) if general else None
+        return chois, scaling.ScalingConfig(target_p=p, target_q=q)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 1), (2, 3)])
+    @pytest.mark.parametrize("general", [False, True])
+    def test_a_single_trial_builds_no_stack(self, n, m, general, eig_calls, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("a single trial built the stack")
+
+        monkeypatch.setattr(scaling._SinkhornStack, "__init__", refuse)
+        (choi,), cfg = self.inputs(n, m, general, 1)
+        eig_calls.clear()
+        alone = scaling.operator_sinkhorn(choi, cfg)
+        runs = [scaling.alternating_projections("sld", choi, cfg), *scaling.operator_sinkhorn_batch([choi], cfg)]
+        assert all(len(shape) == 2 for _, shape in eig_calls)
+        # a 1 x 1 input is at its targets and takes no step
+        moved = (n, m) != (1, 1)
+        assert any(name == "eigh" for name, _ in eig_calls) is moved and bool(alone.factors) is moved
+        assert alone.converged and alone.preprocessed is (general and moved)
+        for trace in runs:
+            assert_same_trace(trace, alone)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 1), (2, 3)])
+    @pytest.mark.parametrize("general", [False, True])
+    def test_a_batch_of_two_builds_one_stack(self, n, m, general, eig_calls, monkeypatch):
+        built = []
+        init = scaling._SinkhornStack.__init__
+        stack = scaling._SinkhornStack
+        monkeypatch.setattr(stack, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+        chois, cfg = self.inputs(n, m, general, 2)
+        eig_calls.clear()
+        batch = scaling.operator_sinkhorn_batch(chois, cfg)
+        assert len(built) == 1
+        # every marginal's eigh is stacked
+        assert all(len(shape) == 3 for name, shape in eig_calls if name == "eigh")
+        for choi, trace in zip(chois, batch):
+            assert_same_trace(trace, scaling.operator_sinkhorn(choi, cfg))
+        assert len(built) == 1
+
+
 def count_calls(monkeypatch, module, name: str) -> list:
     """Replace ``module.name`` by a wrapper that records the shape of its
     first argument."""

@@ -9,6 +9,10 @@ and with targets drawn by ``random_density`` from the same generator.  Keys:
 - ``sld``, ``bkm``, ``burg``: the alternation of each geometry, at the
   default ``ScalingConfig`` budget and tolerance;
 - ``joint-bkm``, ``joint-burg``: ``joint_limit`` of each dual geometry;
+- ``sld-batch``: ``operator_sinkhorn_batch`` once per shape, on that
+  shape's 12 uniform-target inputs at the default ``ScalingConfig``, so
+  that a change to the stack that runs two or more trials at once shows up
+  (a single run, the ``sld`` key's, never reaches it);
 - ``iterates``: every entry of the ``trace.iterates`` of those ``sld``,
   ``bkm`` and ``burg`` alternations, read through the sequence, so that
   a change to a path that rebuilds an iterate on read shows up;
@@ -23,8 +27,9 @@ capacity log and factors (the duals for ``bkm`` and ``burg``); an array its
 dtype, shape and bytes; a raised package error its type and message.
 Prints each key with the first 16 hex digits of its SHA-256, then one
 ``work`` line per run family (``sld``, ``bkm``, ``burg``, ``joint-bkm``,
-``joint-burg``): its number of runs, of converged runs and its summed
-sweeps (Newton steps for ``joint_limit``; a run that raised counts as
+``joint-burg``, ``sld-batch``): its number of runs, of converged runs and
+its summed sweeps (Newton steps for ``joint_limit``; every trial of a batch
+is a run; a run that raised, or a trial of a batch that raised, counts as
 unconverged, with none).  Two commits that print the same work lines did
 the same work, also where a digest moved by rounding.  Standard library,
 numpy and the package only; it takes about a quarter of a minute.
@@ -45,8 +50,8 @@ from opsinkhorn.scaling import ScalingConfig
 
 SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4))
 SEEDS = range(12)
-KEYS = ("sld", "bkm", "burg", "joint-bkm", "joint-burg", "dexp", "dlog", "certificates", "iterates")
-FAMILIES = KEYS[:5]
+KEYS = ("sld", "bkm", "burg", "joint-bkm", "joint-burg", "sld-batch", "dexp", "dlog", "certificates", "iterates")
+FAMILIES = KEYS[:6]
 
 
 def _feed(h, obj) -> None:
@@ -111,26 +116,44 @@ def _outputs(choi: channels.ChoiMatrix, p: np.ndarray, q: np.ndarray, rng: np.ra
     yield "certificates", certificates
 
 
+def _run(thunk):
+    """The output of ``thunk()``, or the type and message of the package
+    error it raised."""
+    try:
+        return thunk()
+    except (ValueError, RuntimeError) as exc:  # every package error is one of these
+        return f"{type(exc).__name__}: {exc}"
+
+
 def fingerprint(shapes=SHAPES, seeds=SEEDS) -> dict[str, str]:
     """The 16-hex-digit SHA-256 prefix of each key's outputs on the inputs
     of ``shapes`` and ``seeds``, then the ``work`` line of each family,
     keyed ``work <family>``."""
     hashes = {key: hashlib.sha256() for key in KEYS}
     work = {family: [0, 0, 0] for family in FAMILIES}
-    directions = np.random.default_rng(0)
-    for choi, p, q in _inputs(shapes, seeds):
-        for key, thunk in _outputs(choi, p, q, directions):
-            try:
-                out = thunk()
-            except (ValueError, RuntimeError) as exc:  # every package error is one of these
-                out = f"{type(exc).__name__}: {exc}"
-            _feed(hashes[key], out)
+
+    def count(family: str, outs: list) -> None:
+        for out in outs:
             ran = isinstance(out, scaling.ScalingTrace)
-            if key in FAMILIES:
-                runs, converged, sweeps = work[key]
-                work[key] = [runs + 1, converged + (ran and out.converged), sweeps + (out.sweeps if ran else 0)]
-            if key in scaling.METHODS:
-                _feed(hashes["iterates"], list(out.iterates) if ran else out)
+            runs, converged, sweeps = work[family]
+            work[family] = [runs + 1, converged + (ran and out.converged), sweeps + (out.sweeps if ran else 0)]
+
+    directions = np.random.default_rng(0)
+    for shape in shapes:
+        inputs = list(_inputs((shape,), seeds))
+        for choi, p, q in inputs:
+            for key, thunk in _outputs(choi, p, q, directions):
+                out = _run(thunk)
+                _feed(hashes[key], out)
+                if key in FAMILIES:
+                    count(key, [out])
+                if key in scaling.METHODS:
+                    _feed(hashes["iterates"], list(out.iterates) if isinstance(out, scaling.ScalingTrace) else out)
+        # the uniform-target inputs, every other one, as one batch
+        chois = [choi for choi, _, _ in inputs[::2]]
+        out = _run(lambda: scaling.operator_sinkhorn_batch(chois))
+        _feed(hashes["sld-batch"], out)
+        count("sld-batch", out if isinstance(out, list) else [out] * len(chois))
     digests = {key: h.hexdigest()[:16] for key, h in hashes.items()}
     return digests | {f"work {family}": "{} runs, {} converged, {} sweeps".format(*work[family]) for family in FAMILIES}
 

@@ -190,6 +190,16 @@ def as_density(mat: np.ndarray, what: str = "density matrix") -> np.ndarray:
     return mat
 
 
+def _instance(value, kind: type, what: str):
+    """``value`` itself if it is a ``kind``, else an ``InvalidInputError``
+    naming the argument ``what``: the entry check of every public function
+    that takes a :class:`ChoiMatrix` (or a trace), so that a plain array
+    there is a typed error."""
+    if not isinstance(value, kind):
+        raise InvalidInputError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _check_unit_trace(mat: np.ndarray, what: str) -> None:
     """``InvalidInputError`` unless the square ``mat`` (named ``what``) has
     trace one within the policy's ``trace_atol``."""

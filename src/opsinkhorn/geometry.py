@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import ChoiMatrix, _check_marginal, as_density
+from .channels import ChoiMatrix, _check_marginal, _instance, as_density
 from .errors import InvalidInputError, SingularityError
 from .policy import get_policy
 
@@ -263,6 +263,8 @@ def orthogonality_residual(
     differ, or a constraint target that does not fit them
     (:meth:`ConstraintSet.violation`), are an ``InvalidInputError``.
     """
+    for what, choi in (("rho_from", rho_from), ("rho_to", rho_to)):
+        _instance(choi, ChoiMatrix, what)
     if (rho_from.n, rho_from.m) != (rho_to.n, rho_to.m):
         raise InvalidInputError("Choi block structures differ")
     violation = constraint.violation(rho_to)

@@ -8,15 +8,13 @@ check, and ``inverse_mean`` (the SLD factor M^{-1} # T) the reciprocal
 spectrum of ``eigh(M)``.  For a uniform target T = c I, given to
 ``inverse_mean`` as the scalar c, the factor is (M / c)^{-1/2}, read off
 ``eigh(M)`` alone: one ``eigh`` instead of two.  ``inverse_mean`` is
-``eigh(M)``, its positive definiteness check and a core on the spectrum,
-``_inverse_mean_from_spectrum``.  Operator Sinkhorn has two drivers, and
-the number of inputs picks one: a single trial calls ``inverse_mean`` on
-its 2-D marginal, and a batch of two or more trials, stacked, runs the core
-on the rows of its own stacked ``eigh`` that pass the check, so a failing
-marginal costs no second decomposition.  The stack shares each call's
-overhead among its trials; a lone trial, which would only pay for the
-stack's rows, runs without one.  These functions act on the
-small ``m x m`` and ``n x n`` marginals and factors and validate their
+``eigh(M)``, its positive definiteness check and the factor off that
+spectrum.  Operator Sinkhorn has two drivers, and the number of inputs
+picks one: a single trial calls ``inverse_mean`` on its 2-D marginal, and
+a batch of two or more trials on the stack of their marginals, which
+shares each call's overhead among its trials; a lone trial, which would
+only pay for the stack's rows, runs without one.  These functions act on
+the small ``m x m`` and ``n x n`` marginals and factors and validate their
 arguments on every call, except that ``inverse_mean`` leaves the target to
 its caller.  The operator Sinkhorn loop forms no ``mn x mn`` iterate while
 it iterates: it takes each marginal from a permuted copy of the input and
@@ -255,19 +253,14 @@ def _positive_definite(w: np.ndarray) -> bool | np.ndarray:
     return w[..., 0] > floor * np.maximum(w[..., -1], _TINY)
 
 
-def _not_positive_definite(low: float, what: str) -> SingularityError:
-    """The error for ``what``, whose spectrum failed
-    :func:`_positive_definite` with minimum eigenvalue ``low``."""
-    return SingularityError(f"{what} is not positive definite (min eigenvalue {low:.3e})")
-
-
 def _check_positive_definite(w: np.ndarray, what: str) -> None:
     """Raise ``SingularityError`` unless the ascending spectrum ``w``, or
     every row of a stack of them, passes :func:`_positive_definite`.  For a
     stack, the message gives the first failing spectrum's minimum."""
     ok = _positive_definite(w)
     if not (ok if w.ndim == 1 else ok.all()):
-        raise _not_positive_definite(np.ravel(w[..., 0])[~np.ravel(ok)][0], what)
+        low = np.ravel(w[..., 0])[~np.ravel(ok)][0]
+        raise SingularityError(f"{what} is not positive definite (min eigenvalue {low:.3e})")
 
 
 def is_positive_definite(a: np.ndarray) -> bool | np.ndarray:
@@ -361,22 +354,10 @@ def inverse_mean(
     triangle) and B is not checked: the caller validates both.
 
     A (B, d, d) stack A, or B, gives the stack of factors; log det A is then
-    an array of B values for a stacked A.  The call is ``eigh``, the check
-    and :func:`_inverse_mean_from_spectrum`.
+    an array of B values for a stacked A.
     """
     w, v = np.linalg.eigh(a)
     _check_positive_definite(w, what)
-    return _inverse_mean_from_spectrum(w, v, b)
-
-
-def _inverse_mean_from_spectrum(
-    w: np.ndarray, v: np.ndarray, b: np.ndarray | float
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """The core of :func:`inverse_mean`: A^{-1} # B and log det A for
-    A = v diag(w) v^dagger with w > 0, or for each row of a stack of
-    spectra, without checks.  ``scaling.operator_sinkhorn_batch`` feeds it
-    the rows of its stacked ``eigh`` that pass the cone test, for a batch
-    of two or more trials."""
     logdet = np.add.reduce(np.log(w), axis=-1)
     if w.ndim == 1:
         logdet = float(logdet)

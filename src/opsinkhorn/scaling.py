@@ -89,27 +89,24 @@ forms the ``mn x mn`` iterate once, at the end.
 Operator Sinkhorn has two drivers, and the number of inputs picks one.
 :func:`operator_sinkhorn` runs one trial on plain 2-D arrays: the permuted
 copy of rho0, the two products and the d x d marginals.
-:func:`operator_sinkhorn_batch` runs one input by it and two or more as one
-stack (:class:`_SinkhornStack`), their arrays stacked on a leading axis, so
-that a step is one stacked ``eigh`` and a few stacked matmuls for every
-trial, and a trial leaves the stack when it stops.  The stack shares each
-call's overhead among its trials: 30 trials at 2 x 2, as in
-``capacity-scatter``, run about 3.4 times as fast stacked as one by one.  A
-lone trial gains nothing from it and pays for its rows (selection, per-row
-records, stacked residual norms): about 20 us per sweep at 2 x 2 and at
-16 x 16, which the 2-D driver saves (``BENCH_26.json``).  Both drivers call
-one set of step kernels (:func:`_cross`, :func:`_scaled_marginal`,
-:func:`_mean_targets`, :func:`_record`, and the factor from the package's
-cone test and ``linalg._inverse_mean_from_spectrum``: through
-``linalg.inverse_mean`` on one marginal, on the rows of one stacked
-``eigh`` in the stack), and stacked
-``eigh`` and ``matmul`` give each matrix the bits of the 2-D call, so each
-trial's trace in a batch is exactly the one it gets alone.  A trial whose
-step fails (a singular marginal, or factor products that overflow, which
-is a ``ConvergenceError``) leaves the stack with every later trial, and
-the batch raises the error of its lowest failing trial.  The step finds
-it on what it already holds, the stacked marginals and their one stacked
-``eigh``, and the trials before it go on from their rows of those.
+:func:`operator_sinkhorn_batch` runs one input by it and two or more by
+:func:`_stacked`, the same loop line for line on arrays stacked on a
+leading axis, so that a step is one stacked ``eigh`` and a few stacked
+matmuls for every trial, and a trial leaves the stack when it stops.  The
+stack shares each call's overhead among its trials: 30 trials at 2 x 2, as
+in ``capacity-scatter``, run about 3.4 times as fast stacked as one by one.
+A lone trial gains nothing from it and pays for its rows (selection,
+per-row records, stacked residual norms): about 20 us per sweep at 2 x 2
+and at 16 x 16, which the 2-D driver saves (``BENCH_26.json``).  Both
+drivers call one set of step kernels (:func:`_cross`,
+:func:`_scaled_marginal`, :func:`_mean_targets`, :func:`_overflow`,
+:func:`_record`, and ``linalg.inverse_mean`` on one marginal or on the
+stack of them), and stacked ``eigh`` and ``matmul`` give each matrix the
+bits of the 2-D call, so each trial's trace in a batch is exactly the one
+it gets alone.  Only the single driver says which trial fails: a stack
+whose step fails (a singular marginal, or factor products that overflow,
+which is a ``ConvergenceError``) raises, and the batch reruns its trials
+one by one, so it raises the error of its lowest failing trial.
 
 Every driver validates its input at its boundary only, once at entry (a
 Choi matrix with unit trace; positive definite for ``bkm`` and ``burg``,
@@ -145,6 +142,7 @@ step.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import numbers
 from collections.abc import Callable, Sequence
@@ -154,7 +152,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .channels import ChoiMatrix, _check_marginal, _check_unit_trace, _integer, as_density, congruence
+from .channels import ChoiMatrix, _check_marginal, _check_unit_trace, _instance, _integer, as_density, congruence
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -353,7 +351,7 @@ def _alternate(
 ) -> None:
     """The sweep loop of every driver but operator Sinkhorn, which runs the
     same sweeps on one trial's factor products or on a stack of trials
-    (:func:`operator_sinkhorn`, :class:`_SinkhornStack`).  A sweep
+    (:func:`operator_sinkhorn`, :func:`_stacked`).  A sweep
     is ``step("first", P)`` then ``step("second", Q)``: each makes one
     e-projection onto {tr_side rho = target}, records its iterate and
     returns its factor, which the loop records.  Then ``residual()`` gives
@@ -464,6 +462,7 @@ def operator_sinkhorn_step(
     than these two, or a target whose size is not that side's marginal's,
     is an ``InvalidInputError``.
     """
+    _instance(choi, ChoiMatrix, "choi")
     target = as_density(target, "step target")
     _check_marginal(choi, side, target, "step target")
     mat, factor, _ = _sld_step(choi.matrix, choi.n, choi.m, side, target)
@@ -480,6 +479,7 @@ def _new_trace(
     input.  Returns the trace with its first residual, P, Q and, for
     ``bkm`` and ``burg``, the start point, whose coordinate the trace's
     iterates rebuild from."""
+    _instance(choi0, ChoiMatrix, "choi0")
     if method not in METHODS:
         raise UnsupportedError(f"unknown method {method!r}; expected one of {METHODS}")
     start = None if method == "sld" else _start(method, choi0.matrix, "initial Choi matrix")
@@ -626,139 +626,77 @@ def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -
     return _close(trace, cfg, congruence(choi0.matrix, n, m, left, right) if trace.factors else None)
 
 
-class _SinkhornStack:
-    """The running trials of :func:`operator_sinkhorn_batch`, stacked on a
-    leading axis: stack row i holds trial ``rows[i]``, in ascending trial
-    order, with its permuted copy of rho0 (``cross``), its factor products
-    ``left`` and ``right``, its marginals and its last factor.
+def _stacked(chois: list[ChoiMatrix], cfg: ScalingConfig) -> list[ScalingTrace]:
+    """:func:`operator_sinkhorn` on two or more inputs of one block shape,
+    line for line on arrays with a leading trial axis: stack row i holds
+    trial ``rows[i]``, in ascending trial order, with its permuted copy of
+    rho0, its factor products and its marginals.  Each step is one stacked
+    ``eigh`` (``linalg.inverse_mean`` on the stacked marginals) and a few
+    stacked matmuls for every running trial, and a trial's records go into
+    its own trace.  A trial that stops (see :func:`_running`) leaves the
+    stack, which copies the stacked arrays then, and only then.  A failing
+    step raises the error :func:`operator_sinkhorn` raises on one of its
+    trials, not necessarily the lowest-index one, so
+    :func:`operator_sinkhorn_batch` then reruns the trials one by one."""
+    traces = [_new_trace("sld", choi, cfg)[0] for choi in chois]
+    # a trial whose input is already feasible takes no step, not even the
+    # preprocessing one
+    rows = [k for k, trace in enumerate(traces) if trace.residuals[0] >= cfg.tol]
+    if not rows:
+        return [_close(trace, cfg) for trace in traces]
+    n, m, p, q = chois[0].n, chois[0].m, traces[0].target_p, traces[0].target_q
+    cross, targets = np.stack([_cross(chois[k].matrix, n, m) for k in rows]), _mean_targets(p, q)
+    left = np.repeat(np.eye(m, dtype=complex)[None], len(rows), axis=0)
+    right = np.repeat(np.eye(n, dtype=complex)[None], len(rows), axis=0)
 
-    Every step runs on the whole stack, with the kernels of
-    :func:`operator_sinkhorn` on stacked arrays.  The per-trial records
-    (factors, factor products, capacity, residuals, sweeps) go into each
-    trial's trace after the step.  A trial that stops (see
-    :func:`_running`) leaves the stack; :meth:`_select` copies the stacked
-    arrays then, and only then.  A trial whose step fails leaves with
-    every later trial (:meth:`_fail_first`): the batch raises the error of
-    its lowest failing trial, so what later trials would give is never
-    read.  A non-finite marginal and one outside the cone fail the same
-    way, found on the step's stacked marginals and on their stacked
-    spectrum.
-    """
+    def marginal(side: str) -> np.ndarray:
+        out = _scaled_marginal(cross, left, right, side)
+        # a non-finite entry makes the sum non-finite
+        if not cmath.isfinite(np.add.reduce(out, axis=None)):
+            raise _overflow(traces[rows[0]], side)
+        return out
 
-    def __init__(self, traces: list[ScalingTrace], chois: list[ChoiMatrix], cfg: ScalingConfig):
-        self.traces, self.cfg, self.failure = traces, cfg, None
-        # a trial whose input is already feasible takes no step, not even
-        # the preprocessing one
-        self.rows = [k for k, trace in enumerate(traces) if trace.residuals[0] >= cfg.tol]
-        if not self.rows:
-            return
-        n, m = self.n, self.m = traces[0].n, traces[0].m
-        self.p, self.q = traces[0].target_p, traces[0].target_q
-        self.cross = np.stack([_cross(chois[k].matrix, n, m) for k in self.rows])
-        self.left = np.repeat(np.eye(m, dtype=complex)[None], len(self.rows), axis=0)
-        self.right = np.repeat(np.eye(n, dtype=complex)[None], len(self.rows), axis=0)
-        self.first = self.second = self.factor = None
-        self.targets = _mean_targets(self.p, self.q)
-
-    def run(self) -> None:
-        """Preprocess (general targets), then sweep until no trial runs."""
-        if not self.rows:
-            return
-        if doubly_stochastic(self.p, self.q):
-            self._marginal("first")
+    def step(side: str, mat: np.ndarray) -> np.ndarray:
+        nonlocal left, right
+        target, target_logdet = targets[side]
+        factor, logdet = linalg.inverse_mean(mat, target, f"{side} marginal")
+        if side == "first":
+            left = factor @ left
         else:
-            for k in self.rows:
-                self.traces[k].preprocessed = True
-            self._step("second")
-        self._select([_running(self.traces[k], self.cfg) for k in self.rows])
-        while self.rows:
-            self._step("first")
-            self._step("second")
-            if not self.rows:
+            right = factor @ right
+        for k, f, l, r, gain in zip(rows, factor, left, right, (target_logdet - logdet).tolist()):
+            _record(traces[k], side, f, l, r, gain)
+        return factor
+
+    # an overflow ends the run with a ConvergenceError; numpy's warnings on
+    # the way there say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not doubly_stochastic(p, q):
+            for k in rows:
+                traces[k].preprocessed = True
+            step("second", marginal("second"))
+        first = marginal("first")
+        while True:
+            keep = [_running(traces[k], cfg) for k in rows]
+            if not all(keep):
+                rows = [k for k, kept in zip(rows, keep) if kept]
+                cross, left, right, first = (a[np.array(keep)] for a in (cross, left, right, first))
+            if not rows:
                 break
-            # a sweep's residual reuses the marginals the stack holds: the
-            # next left step's, and F M F after the right step
-            first_gap = linalg.frobenius(self.first - self.p).tolist()
-            second_gap = linalg.frobenius(self.factor @ self.second @ self.factor - self.q).tolist()
-            running = []
-            for k, gap, other in zip(self.rows, first_gap, second_gap):
-                trace = self.traces[k]
-                trace.sweeps += 1
-                trace.residuals.append(gap**2 + other**2)
-                running.append(_running(trace, self.cfg))
-            self._select(running)
-
-    def _select(self, keep: list[bool]) -> None:
-        """Keep the stack rows where ``keep``, one bool per row, is true and
-        drop the others.  This copies the stacked arrays, so it is applied
-        only when some row leaves."""
-        if all(keep):
-            return
-        self.rows = [k for k, kept in zip(self.rows, keep) if kept]
-        keep = np.array(keep, dtype=bool)
-        self.cross, self.left, self.right = self.cross[keep], self.left[keep], self.right[keep]
-        self.first, self.second, self.factor = (
-            None if a is None else a[keep] for a in (self.first, self.second, self.factor)
-        )
-
-    def _fail_first(self, ok: np.ndarray, error: Callable[[int], Exception]) -> int:
-        """The first stack row whose ``ok`` is false, if any, fails with
-        ``error(row)``: its trial leaves the stack with every later trial.
-        Returns the number of rows left."""
-        if ok.all():
-            return len(ok)
-        row = int(np.argmin(ok))
-        self.failure = (self.rows[row], error(row))
-        self._select([r < row for r in range(len(ok))])
-        return row
-
-    def _marginal(self, side: str) -> None:
-        """Set the ``side`` marginal of every trial from its factor
-        products.  A trial whose marginal is not finite (its products
-        overflowed, as on inputs that cannot be scaled) fails with
-        ``ConvergenceError``; only then is each trial's marginal tested."""
-        marginal = _scaled_marginal(self.cross, self.left, self.right, side)
-        if side == "first":
-            self.first = marginal
-        else:
-            self.second = marginal
-        if not cmath.isfinite(np.add.reduce(marginal, axis=None)):
-            self._fail_first(
-                np.isfinite(marginal).all(axis=(1, 2)), lambda row: _overflow(self.traces[self.rows[row]], side)
-            )
-
-    def _factors(self, side: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """``linalg.inverse_mean`` of every trial's ``side`` marginal, the
-        factors and the marginals' log determinants, from one stacked
-        ``eigh`` of the marginals.  If a marginal is not positive definite,
-        the first such trial fails with the error its own step raises, and
-        the trials before it take their factors from their rows of the same
-        spectrum.  None if no trial is left."""
-        what = f"{side} marginal"
-        w, v = np.linalg.eigh(self.first if side == "first" else self.second)
-        left = self._fail_first(
-            linalg._positive_definite(w), lambda row: linalg._not_positive_definite(w[row, 0], what)
-        )
-        return linalg._inverse_mean_from_spectrum(w[:left], v[:left], self.targets[side][0]) if left else None
-
-    def _step(self, side: str) -> None:
-        """One SLD e-projection of every trial onto {tr_side rho = target}:
-        the factor F = marginal^{-1} # target, the product update and, after
-        a right step, the next left marginal."""
-        if side == "second" and self.rows:
-            self._marginal("second")
-        solved = self._factors(side) if self.rows else None
-        if solved is None:
-            return
-        self.factor, logdet = solved
-        if side == "first":
-            self.left = self.factor @ self.left
-        else:
-            self.right = self.factor @ self.right
-            self._marginal("first")
-        gains = (self.targets[side][1] - logdet).tolist()
-        for row, (k, gain) in enumerate(zip(self.rows, gains)):
-            _record(self.traces[k], side, self.factor[row], self.left[row], self.right[row], gain)
+            step("first", first)
+            second = marginal("second")
+            factor = step("second", second)
+            # the sweep's residual reuses the marginals: the next left
+            # step's, and F M F after the right step
+            first = marginal("first")
+            gaps = linalg.frobenius(first - p).tolist(), linalg.frobenius(factor @ second @ factor - q).tolist()
+            for k, gap, other in zip(rows, *gaps):
+                traces[k].sweeps += 1
+                traces[k].residuals.append(gap**2 + other**2)
+    for choi, trace in zip(chois, traces):
+        # a trial that took a step ends on one congruence of its input
+        _close(trace, cfg, congruence(choi.matrix, n, m, *trace.iterates._held[-1]) if trace.factors else None)
+    return traces
 
 
 def operator_sinkhorn_batch(
@@ -769,41 +707,29 @@ def operator_sinkhorn_batch(
     The result is exactly ``[operator_sinkhorn(c, cfg) for c in chois]``,
     trace for trace and bit for bit, and so is the error raised: that of the
     lowest-index failing trial.  The number of inputs picks the driver.  One
-    input runs :func:`operator_sinkhorn` on 2-D arrays, which saves the
+    input runs :func:`operator_sinkhorn` on 2-D arrays, which saves a
     stack's row bookkeeping, about 20 us per sweep.  Two or more run as one
-    stack (:class:`_SinkhornStack`) with the same step kernels, so each step
-    is one stacked ``eigh`` and a few stacked matmuls for all of them: 30
-    trials at 2 x 2, as in ``capacity-scatter``, run about 3.4 times as fast
-    so as one by one.  Stacked ``eigh`` and ``matmul`` give each matrix the
-    bits of the 2-D call, so both drivers give each trial the same trace.
+    stack (:func:`_stacked`) with the same step kernels, so each step is one
+    stacked ``eigh`` and a few stacked matmuls for all of them: 30 trials at
+    2 x 2, as in ``capacity-scatter``, run about 3.4 times as fast as one
+    by one.  Stacked ``eigh`` and ``matmul`` give each matrix the bits of
+    the 2-D call, so both drivers give each trial the same trace.  If the
+    stack raises a package error (``InvalidInputError``,
+    ``SingularityError`` or ``ConvergenceError``), the batch reruns every
+    trial by :func:`operator_sinkhorn`, which raises the lowest-index
+    failure: a failing batch costs its stack's work and a one-by-one run.
     See :func:`operator_sinkhorn` for the iteration.
     """
-    chois = list(chois)
+    chois = [_instance(choi, ChoiMatrix, f"chois[{k}]") for k, choi in enumerate(chois)]
     shapes = sorted({(choi.n, choi.m) for choi in chois})
     if len(shapes) > 1:
         raise InvalidInputError(f"a batch takes one block shape (n, m), got {shapes}")
-    if len(chois) < 2:
-        return [operator_sinkhorn(choi, cfg) for choi in chois]
-    (n, m), traces, failure = shapes[0], [], None
-    for k, choi in enumerate(chois):
-        try:
-            traces.append(_new_trace("sld", choi, cfg)[0])
-        except (InvalidInputError, SingularityError) as error:
-            failure = (k, error)
-            break
-    stack = _SinkhornStack(traces, chois, cfg)
-    # an overflow ends its trial with a ConvergenceError; numpy's warnings
-    # on the way there say nothing more
-    with np.errstate(over="ignore", invalid="ignore"):
-        stack.run()
-    failure = stack.failure or failure
-    for k in range(len(traces) if failure is None else failure[0]):
-        # a trial that took a step ends on one congruence of its input
-        products = traces[k].iterates._held[-1]
-        _close(traces[k], cfg, congruence(chois[k].matrix, n, m, *products) if traces[k].factors else None)
-    if failure is not None:
-        raise failure[1]
-    return traces
+    if len(chois) > 1:
+        # a stack that fails reruns its trials one by one, which raises the
+        # lowest-index failure
+        with contextlib.suppress(InvalidInputError, SingularityError, ConvergenceError):
+            return _stacked(chois, cfg)
+    return [operator_sinkhorn(choi, cfg) for choi in chois]
 
 
 class _Frame(NamedTuple):
@@ -1194,6 +1120,7 @@ def _e_projection(method: str, choi0: ChoiMatrix, constraint: ConstraintSet) -> 
     one-sided solve on plain arrays (:func:`_project`) and validates the
     result as a :class:`ChoiMatrix`.  A constraint target that does not fit
     the source's block shape is an ``InvalidInputError``."""
+    _instance(choi0, ChoiMatrix, "choi0")
     n, m, side = choi0.n, choi0.m, constraint.side
     _check_marginal(choi0, side, constraint.target, "constraint target")
     source = _start(method, choi0.matrix, "projection source")
@@ -1460,6 +1387,7 @@ def capacity_from_trace(trace: ScalingTrace) -> float:
     Sinkhorn trace; its negative log equals the minimal Kullback-Leibler
     divergence from the input in the classical (diagonal) case.
     """
+    _instance(trace, ScalingTrace, "trace")
     if trace.n != trace.m:
         raise UnsupportedError("capacity is defined for m = n only")
     if trace.method not in ("sld", "classical"):

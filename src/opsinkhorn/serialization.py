@@ -7,9 +7,10 @@ The on-disk matrix format is one JSON object:
 ``kind`` is one of ``matrix``, ``density`` or ``choi``; ``re`` and ``im`` are
 row-major real and imaginary parts.  ``n``/``m`` are required for ``choi``,
 as JSON integers of at least 1 (not 2.7, "2" or true), and ignored
-otherwise.  ``density`` and ``choi`` payloads must be Hermitian
-within 1e-9.  Writing uses shortest round-trip float representation and
-sorted keys so that load/save cycles are byte-stable.
+otherwise.  ``density`` and ``choi`` payloads must be Hermitian within
+the policy's ``hermitian_atol`` (1e-12 by default), the tolerance the
+package's own checks apply.  Writing uses shortest round-trip float
+representation and sorted keys so that load/save cycles are byte-stable.
 
 CSV floats are printed with 17 significant digits for lossless round trips.
 """
@@ -23,6 +24,7 @@ import numpy as np
 
 from .channels import ChoiMatrix, _integer
 from .errors import InvalidInputError, ParseError
+from .policy import get_policy
 
 __all__ = [
     "KINDS",
@@ -37,9 +39,6 @@ __all__ = [
 ]
 
 KINDS = ("matrix", "density", "choi")
-
-HERMITIAN_FILE_ATOL = 1e-9
-
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal form (lossless for binary64)."""
@@ -102,9 +101,9 @@ def payload_to_matrix(payload: dict) -> tuple[str, np.ndarray, int | None, int |
     if kind in ("density", "choi"):
         if matrix.shape[0] != matrix.shape[1]:
             raise ParseError(f"{kind} payload must be square, got {matrix.shape}")
-        gap = np.abs(matrix - matrix.conj().T).max()
-        if gap > HERMITIAN_FILE_ATOL:
-            raise ParseError(f"{kind} payload is not Hermitian: max deviation {gap:.3e}")
+        gap, tol = np.abs(matrix - matrix.conj().T).max(), get_policy().hermitian_atol
+        if gap > tol:
+            raise ParseError(f"{kind} payload is not Hermitian: max deviation {gap:.3e} > {tol:.1e}")
     return kind, matrix, n, m
 
 

@@ -65,6 +65,19 @@ class TestScale:
         assert code == 2 and out == ""
         assert "choi payload 'n' must be an int of at least 1, got 2.7" in err
 
+    @pytest.mark.parametrize("gap, code", [(1e-13, 0), (1e-10, 2)])
+    def test_payload_hermitian_within_the_policy_tolerance(self, capsys, tmp_path, gap, code):
+        # the parser applies the package's hermitian_atol (1e-12), so a gap
+        # above it is a parse failure, not a numeric one past the parser
+        path = tmp_path / "gap.json"
+        payload = serialization.matrix_to_payload("choi", np.eye(4) / 4, 2, 2)
+        payload["im"][0][1] = gap
+        path.write_text(json.dumps(payload))
+        got, out, err = run_cli(capsys, "scale", str(path))
+        assert got == code
+        if code:
+            assert out == "" and f"choi payload is not Hermitian: max deviation {gap:.3e} > 1.0e-12" in err
+
     def test_diagonal_input_stays_diagonal(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         a = rng.uniform(0.1, 1.0, size=(2, 2))

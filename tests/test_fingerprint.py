@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from opsinkhorn import geometry, scaling
+from opsinkhorn.errors import SingularityError
 
 _SPEC = importlib.util.spec_from_file_location(
     "fingerprint", Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
@@ -42,15 +43,31 @@ def test_a_rebuilt_iterate_changes_the_iterates_key_alone(monkeypatch):
 def test_the_stack_changes_the_batch_key_alone(monkeypatch):
     # two seeds make a batch of two, the one path that runs the stack
     digests = fingerprint.fingerprint(shapes=((2, 3),), seeds=(0, 1))
-    run = scaling._SinkhornStack.run
+    stacked = scaling._stacked
 
-    def nudged(self):
-        run(self)
-        self.traces[0].capacity_log += 1.0
+    def nudged(chois, cfg):
+        traces = stacked(chois, cfg)
+        traces[0].capacity_log += 1.0
+        return traces
 
-    monkeypatch.setattr(scaling._SinkhornStack, "run", nudged)
+    monkeypatch.setattr(scaling, "_stacked", nudged)
     moved = fingerprint.fingerprint(shapes=((2, 3),), seeds=(0, 1))
     assert [key for key in digests if moved[key] != digests[key]] == ["sld-batch"]
+
+
+def test_a_failing_batch_changes_its_key_alone(monkeypatch):
+    digests = fingerprint.fingerprint(shapes=((2, 3),), seeds=(0, 1))
+    batch = scaling.operator_sinkhorn_batch
+
+    def renamed(chois, *args):
+        try:
+            return batch(chois, *args)
+        except SingularityError as exc:
+            raise SingularityError(f"{exc}, renamed") from None
+
+    monkeypatch.setattr(scaling, "operator_sinkhorn_batch", renamed)
+    moved = fingerprint.fingerprint(shapes=((2, 3),), seeds=(0, 1))
+    assert [key for key in digests if moved[key] != digests[key]] == ["sld-batch-fail"]
 
 
 @pytest.mark.parametrize("family", fingerprint.FAMILIES)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from opsinkhorn import channels, geometry, linalg, scaling, serialization
 from opsinkhorn.channels import ChoiMatrix
+from opsinkhorn.errors import InvalidInputError
 from opsinkhorn.geometry import ConstraintSet
 
 
@@ -60,6 +61,33 @@ class TestEdgeShapes:
         step, _ = scaling.operator_sinkhorn_step(choi, "first", p)
         res = geometry.orthogonality_residual("sld", choi, step, ConstraintSet("first", p))
         assert res <= 1e-8
+
+
+PLAIN = np.eye(4) / 4
+GOOD = ChoiMatrix(n=2, m=2, matrix=PLAIN)
+FIRST = ConstraintSet("first", np.eye(2) / 2)
+
+
+class TestPlainArrayWhereAValueClassBelongs:
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda: scaling.operator_sinkhorn(PLAIN), "choi0 must be a ChoiMatrix"),
+            (lambda: scaling.operator_sinkhorn_batch([GOOD, PLAIN]), r"chois\[1\] must be a ChoiMatrix"),
+            (lambda: scaling.operator_sinkhorn_step(PLAIN, "first", np.eye(2) / 2), "choi must be a ChoiMatrix"),
+            (lambda: scaling.alternating_projections("sld", PLAIN), "choi0 must be a ChoiMatrix"),
+            (lambda: scaling.alternating_projections("bkm", PLAIN), "choi0 must be a ChoiMatrix"),
+            (lambda: scaling.joint_limit("burg", PLAIN), "choi0 must be a ChoiMatrix"),
+            (lambda: scaling.bkm_e_projection(PLAIN, FIRST), "choi0 must be a ChoiMatrix"),
+            (lambda: scaling.burg_e_projection(PLAIN, FIRST), "choi0 must be a ChoiMatrix"),
+            (lambda: geometry.orthogonality_residual("sld", PLAIN, GOOD, FIRST), "rho_from must be a ChoiMatrix"),
+            (lambda: geometry.orthogonality_residual("sld", GOOD, PLAIN, FIRST), "rho_to must be a ChoiMatrix"),
+            (lambda: scaling.capacity_from_trace(GOOD), "trace must be a ScalingTrace, got ChoiMatrix"),
+        ],
+    )
+    def test_is_a_typed_error_naming_the_argument(self, call, what):
+        with pytest.raises(InvalidInputError, match=what):
+            call()
 
 
 finite_floats = st.floats(

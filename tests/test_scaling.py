@@ -878,17 +878,41 @@ class TestOperatorSinkhornBatch:
         for chois in ([singular] + good, [feasible, singular] + good, [feasible, self.second_singular()] + good):
             assert self.batch_error(chois) == self.lone_error(chois[-3])
 
-    def test_failing_step_takes_one_stacked_eigh(self, eig_calls):
-        # the failing trial is found on the step's own stacked spectrum, and
-        # the trials before it keep their rows of it: no trial is solved again
+    def test_failing_step_reruns_the_trials_one_by_one(self, eig_calls):
+        # the stack runs up to and including its failing step, then the
+        # trials run alone on 2-D arrays until the lowest failing one raises
         rng = np.random.default_rng(875)
         good = [channels.random_choi(2, 2, rng) for _ in range(3)]
+        singular = self.second_singular()
+        want = self.lone_error(singular)
         eig_calls.clear()
-        self.batch_error([good[0], good[1], self.second_singular(), good[2]])
-        # the left step, the failing right step, then stacked steps of the
-        # two trials left, until each stops
-        assert eig_calls[:3] == [("eigh", (4, 2, 2))] * 2 + [("eigh", (2, 2, 2))]
-        assert all(name == "eigh" and shape in ((2, 2, 2), (1, 2, 2)) for name, shape in eig_calls[2:])
+        assert self.batch_error([good[0], good[1], singular, good[2]]) == want
+        # the stacked left step and the failing stacked right step
+        assert eig_calls[:2] == [("eigh", (4, 2, 2))] * 2
+        assert eig_calls[2:] and all(name == "eigh" and shape == (2, 2) for name, shape in eig_calls[2:])
+
+    def test_only_a_package_error_from_the_stack_reruns_the_batch(self, monkeypatch):
+        rng = np.random.default_rng(876)
+        chois = [channels.random_choi(2, 3, rng) for _ in range(3)]
+        cfg = scaling.ScalingConfig(tol=1e-12)
+        alone = [scaling.operator_sinkhorn(choi, cfg) for choi in chois]
+        single, runs = scaling.operator_sinkhorn, []
+        monkeypatch.setattr(scaling, "operator_sinkhorn", lambda *args: runs.append(1) or single(*args))
+
+        def fails(error):
+            def stacked(*args):
+                raise error
+
+            return stacked
+
+        monkeypatch.setattr(scaling, "_stacked", fails(ConvergenceError("stacked")))
+        for trace, want in zip(scaling.operator_sinkhorn_batch(chois, cfg), alone, strict=True):
+            assert_same_trace(trace, want)
+        assert len(runs) == 3
+        monkeypatch.setattr(scaling, "_stacked", fails(AttributeError("stacked")))
+        with pytest.raises(AttributeError, match="stacked"):
+            scaling.operator_sinkhorn_batch(chois, cfg)
+        assert len(runs) == 3
 
     def test_lowest_failing_trial_wins(self):
         rng = np.random.default_rng(850)
@@ -949,10 +973,10 @@ class TestSingleTrialDriver:
     @pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 1), (2, 3)])
     @pytest.mark.parametrize("general", [False, True])
     def test_a_single_trial_builds_no_stack(self, n, m, general, eig_calls, monkeypatch):
-        def refuse(self, *args):
+        def refuse(*args):
             raise AssertionError("a single trial built the stack")
 
-        monkeypatch.setattr(scaling._SinkhornStack, "__init__", refuse)
+        monkeypatch.setattr(scaling, "_stacked", refuse)
         (choi,), cfg = self.inputs(n, m, general, 1)
         eig_calls.clear()
         alone = scaling.operator_sinkhorn(choi, cfg)
@@ -969,9 +993,8 @@ class TestSingleTrialDriver:
     @pytest.mark.parametrize("general", [False, True])
     def test_a_batch_of_two_builds_one_stack(self, n, m, general, eig_calls, monkeypatch):
         built = []
-        init = scaling._SinkhornStack.__init__
-        stack = scaling._SinkhornStack
-        monkeypatch.setattr(stack, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+        stacked = scaling._stacked
+        monkeypatch.setattr(scaling, "_stacked", lambda *args: built.append(1) or stacked(*args))
         chois, cfg = self.inputs(n, m, general, 2)
         eig_calls.clear()
         batch = scaling.operator_sinkhorn_batch(chois, cfg)

@@ -13,6 +13,9 @@ and with targets drawn by ``random_density`` from the same generator.  Keys:
   shape's 12 uniform-target inputs at the default ``ScalingConfig``, so
   that a change to the stack that runs two or more trials at once shows up
   (a single run, the ``sld`` key's, never reaches it);
+- ``sld-batch-fail``: the same batch with a trial whose first marginal is
+  singular, kron(I_n / n, diag(1, 0, ...)), inserted mid-batch, so that a
+  change to the error a failing batch raises shows up;
 - ``iterates``: every entry of the ``trace.iterates`` of those ``sld``,
   ``bkm`` and ``burg`` alternations, read through the sequence, so that
   a change to a path that rebuilds an iterate on read shows up;
@@ -50,8 +53,9 @@ from opsinkhorn.scaling import ScalingConfig
 
 SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4))
 SEEDS = range(12)
-KEYS = ("sld", "bkm", "burg", "joint-bkm", "joint-burg", "sld-batch", "dexp", "dlog", "certificates", "iterates")
-FAMILIES = KEYS[:6]
+FAMILIES = ("sld", "bkm", "burg", "joint-bkm", "joint-burg", "sld-batch")
+# a failing batch raises, so it has no work line
+KEYS = FAMILIES + ("sld-batch-fail", "dexp", "dlog", "certificates", "iterates")
 
 
 def _feed(h, obj) -> None:
@@ -154,6 +158,10 @@ def fingerprint(shapes=SHAPES, seeds=SEEDS) -> dict[str, str]:
         out = _run(lambda: scaling.operator_sinkhorn_batch(chois))
         _feed(hashes["sld-batch"], out)
         count("sld-batch", out if isinstance(out, list) else [out] * len(chois))
+        n, m = shape
+        singular = channels.ChoiMatrix(n=n, m=m, matrix=np.kron(np.eye(n) / n, np.diag(np.eye(m)[0])))
+        failing = chois[: len(chois) // 2] + [singular] + chois[len(chois) // 2 :]
+        _feed(hashes["sld-batch-fail"], _run(lambda: scaling.operator_sinkhorn_batch(failing)))
     digests = {key: h.hexdigest()[:16] for key, h in hashes.items()}
     return digests | {f"work {family}": "{} runs, {} converged, {} sweeps".format(*work[family]) for family in FAMILIES}
 

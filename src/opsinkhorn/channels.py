@@ -193,8 +193,9 @@ def as_density(mat: np.ndarray, what: str = "density matrix") -> np.ndarray:
 def _instance(value, kind: type, what: str):
     """``value`` itself if it is a ``kind``, else an ``InvalidInputError``
     naming the argument ``what``: the entry check of every public function
-    that takes a :class:`ChoiMatrix` (or a trace), so that a plain array
-    there is a typed error."""
+    that takes a value class (a :class:`ChoiMatrix`, :class:`KrausMap`,
+    constraint set, tangent vector or trace) or a random generator, so that
+    a plain value there is a typed error."""
     if not isinstance(value, kind):
         raise InvalidInputError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
     return value
@@ -229,6 +230,7 @@ def choi_from_kraus(kraus: KrausMap) -> ChoiMatrix:
     i.e. the Choi matrix is sum_k vec_k vec_k^dagger for the column-stacked
     Kraus operators, which makes positive semidefiniteness explicit.
     """
+    _instance(kraus, KrausMap, "kraus")
     n, m = kraus.in_dim, kraus.out_dim
     choi = np.zeros((n * m, n * m), dtype=complex)
     for a in kraus.ops:
@@ -244,6 +246,7 @@ def apply_map(choi: ChoiMatrix, x: np.ndarray) -> np.ndarray:
     Equals tr_first((X^T kron I_m) CH(Phi)); computed blockwise as
     sum_jk X_jk Phi(E_jk).
     """
+    _instance(choi, ChoiMatrix, "choi")
     x = np.asarray(x, dtype=complex)
     if x.shape != (choi.n, choi.n):
         raise InvalidInputError(f"expected {choi.n} x {choi.n} input, got {x.shape}")
@@ -257,6 +260,7 @@ def apply_dual(choi: ChoiMatrix, y: np.ndarray) -> np.ndarray:
     transpose of ``trace_second`` of the Choi matrix; the two coincide for
     maps with real Kraus operators.
     """
+    _instance(choi, ChoiMatrix, "choi")
     y = np.asarray(y, dtype=complex)
     if y.shape != (choi.m, choi.m):
         raise InvalidInputError(f"expected {choi.m} x {choi.m} input, got {y.shape}")
@@ -303,6 +307,7 @@ def scale_choi(choi: ChoiMatrix, left: np.ndarray, right: np.ndarray) -> ChoiMat
     Sinkhorn loop calls the kernel on plain arrays instead and checks only
     its final iterate, for shape and finiteness.
     """
+    _instance(choi, ChoiMatrix, "choi")
     left = linalg.as_hermitian(left, what="left scaling factor")
     right = linalg.as_hermitian(right, what="right scaling factor")
     if left.shape != (choi.m, choi.m) or right.shape != (choi.n, choi.n):
@@ -321,6 +326,7 @@ def random_density(dim: int, rng: np.random.Generator, *, real: bool = False) ->
     draws real standard Gaussians.  ``dim`` must be an int of at least 1.
     """
     dim = _integer(dim, "dimension", 1)
+    _instance(rng, np.random.Generator, "rng")
     if real:
         p = rng.standard_normal((dim, dim))
     else:

@@ -99,7 +99,7 @@ class ConstraintSet:
     def violation(self, choi: ChoiMatrix) -> float:
         """||tr_side rho - target||_F; a target that does not fit ``choi``
         is an ``InvalidInputError``."""
-        _check_marginal(choi, self.side, self.target, "constraint target")
+        _check_marginal(_instance(choi, ChoiMatrix, "choi"), self.side, self.target, "constraint target")
         marg = choi.trace_first() if self.side == "first" else choi.trace_second()
         return linalg.frobenius(marg - self.target)
 
@@ -107,6 +107,7 @@ class ConstraintSet:
 def sld_e_rep(x: TangentVector) -> np.ndarray:
     """Symmetric logarithmic derivative: the Hermitian E with
     E rho + rho E = 2 X_m."""
+    _instance(x, TangentVector, "x")
     return linalg.solve_lyapunov(x.base, 2.0 * x.m_rep)
 
 
@@ -153,6 +154,8 @@ def _check_same_base(x: TangentVector, y: TangentVector) -> None:
 
 def metric_inner(tag: str, x: TangentVector, y: TangentVector) -> float:
     """Inner product of two tangent vectors at a common base point."""
+    for what, vector in (("x", x), ("y", y)):
+        _instance(vector, TangentVector, what)
     _check_same_base(x, y)
     rho = x.base
     if tag == "sld":
@@ -267,7 +270,7 @@ def orthogonality_residual(
         _instance(choi, ChoiMatrix, what)
     if (rho_from.n, rho_from.m) != (rho_to.n, rho_to.m):
         raise InvalidInputError("Choi block structures differ")
-    violation = constraint.violation(rho_to)
+    violation = _instance(constraint, ConstraintSet, "constraint").violation(rho_to)
     if violation > get_policy().constraint_atol:
         raise InvalidInputError(
             f"rho_to violates the marginal constraint by {violation:.3e}"

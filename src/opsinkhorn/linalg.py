@@ -9,11 +9,13 @@ spectrum of ``eigh(M)``.  For a uniform target T = c I, given to
 ``inverse_mean`` as the scalar c, the factor is (M / c)^{-1/2}, read off
 ``eigh(M)`` alone: one ``eigh`` instead of two.  ``inverse_mean`` is
 ``eigh(M)``, its positive definiteness check and the factor off that
-spectrum.  Operator Sinkhorn has two drivers, and the number of inputs
-picks one: a single trial calls ``inverse_mean`` on its 2-D marginal, and
+spectrum.  Operator Sinkhorn has one loop, and the number of inputs picks
+its layout: a single trial calls ``inverse_mean`` on its 2-D marginal, and
 a batch of two or more trials on the stack of their marginals, which
 shares each call's overhead among its trials; a lone trial, which would
-only pay for the stack's rows, runs without one.  These functions act on
+only pay for the stack's rows, runs without one.  ``solve_lyapunov``
+likewise reads its coefficient's cone test off the ``eigh`` it solves
+with.  These functions act on
 the small ``m x m`` and ``n x n`` marginals and factors and validate their
 arguments on every call, except that ``inverse_mean`` leaves the target to
 its caller.  The operator Sinkhorn loop forms no ``mn x mn`` iterate while
@@ -287,12 +289,14 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Solved in the eigenbasis of A: with A = P diag(lam) P^dagger and
     Qt = P^dagger Q P, the solution is Xt_ij = Qt_ij / (lam_i + lam_j).
+    That one ``eigh`` of A is also its positive definiteness check.
     """
-    a = assert_positive_definite(a, "Lyapunov coefficient")
+    what = "Lyapunov coefficient"
+    w, v = np.linalg.eigh(as_hermitian(a, what=what))
+    _check_positive_definite(w, what)
     q = as_hermitian(q, what="Lyapunov right-hand side")
-    if a.shape != q.shape:
-        raise InvalidInputError(f"dimension mismatch: {a.shape} vs {q.shape}")
-    w, v = np.linalg.eigh(a)
+    if v.shape != q.shape:
+        raise InvalidInputError(f"dimension mismatch: {v.shape} vs {q.shape}")
     qt = v.conj().T @ q @ v
     xt = qt / (w[:, None] + w[None, :])
     return hermitian_part(v @ xt @ v.conj().T)

@@ -71,11 +71,11 @@ budget lasts), and one end, :func:`_close`, closes them all, the joint limit
 solve too.  One sweep loop, :func:`_alternate`, runs classical Sinkhorn
 (the diagonal case) and the BKM and Burg alternations; each driver passes
 in its per-side step and its residual.  Operator Sinkhorn runs its own
-sweeps, on one trial or on a stack of trials (below).  Likewise one
-damped-Newton loop, :func:`_newton`, runs every BKM and Burg solve,
-one-sided or joint, with the geometry's evaluation and Newton direction,
-and names the solve in its errors (the side and sweep of an alternation's
-projection, or the joint solve).
+sweep loop, :func:`_sinkhorn`, on one trial or on a stack of trials
+(below).  Likewise one damped-Newton loop, :func:`_newton`, runs every
+BKM and Burg solve, one-sided or joint, with the geometry's evaluation
+and Newton direction, and names the solve in its errors (the side and
+sweep of an alternation's projection, or the joint solve).
 
 Operator Sinkhorn runs on the factors instead of the iterate: after k steps
 the iterate is (R kron L) rho0 (R kron L)^dagger, the Choi matrix of the
@@ -86,27 +86,29 @@ permuted copy of rho0 by one matrix-vector product each (O(n^2 m^2) work
 at any Kraus rank), so the loop carries the m x m and n x n products and
 forms the ``mn x mn`` iterate once, at the end.
 
-Operator Sinkhorn has two drivers, and the number of inputs picks one.
-:func:`operator_sinkhorn` runs one trial on plain 2-D arrays: the permuted
-copy of rho0, the two products and the d x d marginals.
-:func:`operator_sinkhorn_batch` runs one input by it and two or more by
-:func:`_stacked`, the same loop line for line on arrays stacked on a
-leading axis, so that a step is one stacked ``eigh`` and a few stacked
-matmuls for every trial, and a trial leaves the stack when it stops.  The
-stack shares each call's overhead among its trials: 30 trials at 2 x 2, as
-in ``capacity-scatter``, run about 3.4 times as fast stacked as one by one.
-A lone trial gains nothing from it and pays for its rows (selection,
-per-row records, stacked residual norms): about 20 us per sweep at 2 x 2
-and at 16 x 16, which the 2-D driver saves (``BENCH_26.json``).  Both
-drivers call one set of step kernels (:func:`_cross`,
-:func:`_scaled_marginal`, :func:`_mean_targets`, :func:`_overflow`,
-:func:`_record`, and ``linalg.inverse_mean`` on one marginal or on the
-stack of them), and stacked ``eigh`` and ``matmul`` give each matrix the
-bits of the 2-D call, so each trial's trace in a batch is exactly the one
-it gets alone.  Only the single driver says which trial fails: a stack
-whose step fails (a singular marginal, or factor products that overflow,
-which is a ``ConvergenceError``) raises, and the batch reruns its trials
-one by one, so it raises the error of its lowest failing trial.
+Operator Sinkhorn has one loop, :func:`_sinkhorn`, and the number of
+inputs picks its array layout and its record writers, not the driver.
+:func:`operator_sinkhorn` runs it on one trial, on plain 2-D arrays: the
+permuted copy of rho0, the two products and the d x d marginals.
+:func:`operator_sinkhorn_batch` runs it on two or more trials as one
+stack, on arrays with a leading trial axis, so that a step is one stacked
+``eigh`` and a few stacked matmuls for every trial, and a trial leaves the
+stack when it stops.  The stack shares each call's overhead among its
+trials: 30 trials at 2 x 2, as in ``capacity-scatter``, run about 3.4
+times as fast stacked as one by one.  A lone trial gains nothing from it
+and would pay for its rows (selection, per-row records, stacked residual
+norms): about 20 us per sweep at 2 x 2 and at 16 x 16, which the 2-D
+layout saves (``BENCH_26.json``).  Everything else is written once: the
+step and marginal closures, the preprocessing step, the sweep body and
+the closing congruence, on the step kernels :func:`_cross`,
+:func:`_scaled_marginal`, :func:`_record` and ``linalg.inverse_mean`` (on
+one marginal or on the stack of them).  Stacked ``eigh`` and ``matmul``
+give each matrix the bits of the 2-D call, so each trial's trace in a
+batch is exactly the one it gets alone.  Only a lone run says which trial
+fails: a stack whose step fails (a singular marginal, or factor products
+that overflow, which is a ``ConvergenceError``) raises, and the batch
+reruns its trials one by one, so it raises the error of its lowest
+failing trial.
 
 Every driver validates its input at its boundary only, once at entry (a
 Choi matrix with unit trace; positive definite for ``bkm`` and ``burg``,
@@ -350,8 +352,8 @@ def _alternate(
     trace: ScalingTrace, cfg: ScalingConfig, step: Callable[[str, np.ndarray], np.ndarray], residual: Callable[[], float]
 ) -> None:
     """The sweep loop of every driver but operator Sinkhorn, which runs the
-    same sweeps on one trial's factor products or on a stack of trials
-    (:func:`operator_sinkhorn`, :func:`_stacked`).  A sweep
+    same sweeps on the factor products of one trial or of a stack of trials
+    (:func:`_sinkhorn`).  A sweep
     is ``step("first", P)`` then ``step("second", Q)``: each makes one
     e-projection onto {tr_side rho = target}, records its iterate and
     returns its factor, which the loop records.  Then ``residual()`` gives
@@ -516,27 +518,6 @@ def _scaled_marginal(cross: np.ndarray, left: np.ndarray, right: np.ndarray, sid
     return linalg.hermitian_part(inner @ x @ linalg._adjoint(inner))
 
 
-def _overflow(trace: ScalingTrace, side: str) -> ConvergenceError:
-    """The error of an operator Sinkhorn run whose ``side`` marginal is not
-    finite, because its factor products overflowed: it names the sweep."""
-    sweep = trace.sweeps + 1
-    return ConvergenceError(f"operator Sinkhorn overflowed in sweep {sweep}: the {side} marginal is not finite")
-
-
-def _mean_targets(p: np.ndarray, q: np.ndarray) -> dict[str, tuple[np.ndarray | float, float]]:
-    """Per side, its target as ``linalg.inverse_mean`` takes it and the
-    target's log det.  A uniform side goes as its scalar level c
-    (:func:`_uniform_level`), so its factor is (marginal / c)^{-1/2} and
-    meets c I exactly, also when the target is only within 1e-12 of it.
-    F marginal F = that target, so log det F = (log det target - log det
-    marginal) / 2, read off the step's own spectrum of the marginal."""
-    targets = {}
-    for side, target in (("first", p), ("second", q)):
-        level = _uniform_level(target)
-        targets[side] = (level, len(target) * math.log(level)) if level else (target, np.linalg.slogdet(target)[1])
-    return targets
-
-
 def _record(
     trace: ScalingTrace, side: str, factor: np.ndarray, left: np.ndarray, right: np.ndarray, gain: float
 ) -> None:
@@ -560,83 +541,48 @@ def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -
     even the preprocessing one, and is its own final.
 
     An input needs unit trace and positive definite marginals, but may be
-    rank-deficient.  The loop runs on plain 2-D arrays and carries the
-    factor products L (m x m) and R (n x n) instead of the iterate: each
-    step's marginal comes from one permuted copy of rho0 by one
-    matrix-vector product (see :func:`_scaled_marginal`), and
-    ``linalg.inverse_mean`` checks it (a ``SingularityError`` naming the
-    marginal) and gives the factor from its ``eigh``: on a uniform side
-    (target I/d, decided once by :func:`_uniform_level`) the factor is
-    (d M)^{-1/2} from that one small ``eigh``, on a general side one more
-    ``eigh`` takes the middle factor's root.  The capacity bookkeeping
-    reuses the marginal's spectrum.  A marginal that is not finite, because
-    the factor products overflowed, is a ``ConvergenceError`` naming the
-    sweep.  The final iterate (R kron L) rho0 (R kron L)^dagger is formed
-    once, by one congruence, PSD by construction and checked for shape and
-    finiteness only (:func:`_close`); ``trace.iterates`` rebuilds the ones
-    in between on read (:class:`SinkhornIterates`).
+    rank-deficient.  The loop carries the factor products L (m x m) and
+    R (n x n) instead of the iterate: each step's marginal comes from one
+    permuted copy of rho0 by one matrix-vector product (see
+    :func:`_scaled_marginal`), and ``linalg.inverse_mean`` checks it (a
+    ``SingularityError`` naming the marginal) and gives the factor from its
+    ``eigh``: on a uniform side (target I/d, decided once by
+    :func:`_uniform_level`) the factor is (d M)^{-1/2} from that one small
+    ``eigh``, on a general side one more ``eigh`` takes the middle factor's
+    root.  The capacity bookkeeping reuses the marginal's spectrum.  A
+    marginal that is not finite, because the factor products overflowed, is
+    a ``ConvergenceError`` naming the sweep.  The final iterate
+    (R kron L) rho0 (R kron L)^dagger is formed once, by one congruence,
+    PSD by construction and checked for shape and finiteness only
+    (:func:`_close`); ``trace.iterates`` rebuilds the ones in between on
+    read (:class:`SinkhornIterates`).
 
-    This is the driver of one trial; :func:`operator_sinkhorn_batch` runs
-    one input by it and two or more as a stack, with the same step kernels
-    and the same trace for each trial.  On 2-D arrays a trial pays for no
-    stack rows, about 20 us per sweep (``BENCH_26.json``).
+    The loop is :func:`_sinkhorn` on this one input, which runs it on plain
+    2-D arrays; :func:`operator_sinkhorn_batch` runs two or more inputs by
+    the same loop as one stack, and gives each trial this function's trace.
     """
-    trace = _new_trace("sld", choi0, cfg)[0]
-    if trace.residuals[0] < cfg.tol:
-        return _close(trace, cfg)
-    n, m, p, q = choi0.n, choi0.m, trace.target_p, trace.target_q
-    cross, targets = _cross(choi0.matrix, n, m), _mean_targets(p, q)
-    left, right = np.eye(m, dtype=complex), np.eye(n, dtype=complex)
-
-    def marginal(side: str) -> np.ndarray:
-        out = _scaled_marginal(cross, left, right, side)
-        # a non-finite entry makes the sum non-finite
-        if not cmath.isfinite(np.add.reduce(out, axis=None)):
-            raise _overflow(trace, side)
-        return out
-
-    def step(side: str, mat: np.ndarray) -> np.ndarray:
-        nonlocal left, right
-        target, target_logdet = targets[side]
-        factor, logdet = linalg.inverse_mean(mat, target, f"{side} marginal")
-        if side == "first":
-            left = factor @ left
-        else:
-            right = factor @ right
-        _record(trace, side, factor, left, right, target_logdet - logdet)
-        return factor
-
-    # an overflow ends the run with a ConvergenceError; numpy's warnings on
-    # the way there say nothing more
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not doubly_stochastic(p, q):
-            trace.preprocessed = True
-            step("second", marginal("second"))
-        first = marginal("first")
-        while _running(trace, cfg):
-            step("first", first)
-            second = marginal("second")
-            factor = step("second", second)
-            # the sweep's residual reuses the marginals: the next left
-            # step's, and F M F after the right step
-            first = marginal("first")
-            trace.sweeps += 1
-            gaps = linalg.frobenius(first - p), linalg.frobenius(factor @ second @ factor - q)
-            trace.residuals.append(gaps[0] ** 2 + gaps[1] ** 2)
-    return _close(trace, cfg, congruence(choi0.matrix, n, m, left, right) if trace.factors else None)
+    return _sinkhorn([choi0], cfg)[0]
 
 
-def _stacked(chois: list[ChoiMatrix], cfg: ScalingConfig) -> list[ScalingTrace]:
-    """:func:`operator_sinkhorn` on two or more inputs of one block shape,
-    line for line on arrays with a leading trial axis: stack row i holds
-    trial ``rows[i]``, in ascending trial order, with its permuted copy of
-    rho0, its factor products and its marginals.  Each step is one stacked
-    ``eigh`` (``linalg.inverse_mean`` on the stacked marginals) and a few
-    stacked matmuls for every running trial, and a trial's records go into
-    its own trace.  A trial that stops (see :func:`_running`) leaves the
-    stack, which copies the stacked arrays then, and only then.  A failing
-    step raises the error :func:`operator_sinkhorn` raises on one of its
-    trials, not necessarily the lowest-index one, so
+def _sinkhorn(chois: list[ChoiMatrix], cfg: ScalingConfig) -> list[ScalingTrace]:
+    """The operator Sinkhorn loop on one or more inputs of one block shape,
+    one trace per input.  The number of inputs picks the array layout and
+    the two record writers, and nothing else: one input runs on plain 2-D
+    arrays (the permuted copy of rho0, the factor products, the d x d
+    marginals), two or more on arrays with a leading trial axis, where
+    stack row i holds trial ``rows[i]``, in ascending trial order, so that a
+    step is one stacked ``eigh`` (``linalg.inverse_mean`` on the stacked
+    marginals) and a few stacked matmuls for every running trial.
+    ``record`` writes a step's factor, factor products and capacity term
+    into each running trial's trace (:func:`_record`), and ``sweep`` a
+    sweep's residual, and says whether any trial runs on (see
+    :func:`_running`); on a stack it also drops the trials that stopped,
+    which copies the stacked arrays then, and only then.  A lone trial so
+    pays for no stack rows, about 20 us per sweep (``BENCH_26.json``), and
+    stacked ``eigh`` and ``matmul`` give each matrix the bits of the 2-D
+    call, so each trial's trace in a stack is exactly the one it gets
+    alone.  A failing step raises the error the run of one of its trials
+    raises, on a stack not necessarily the lowest-index one's, so
     :func:`operator_sinkhorn_batch` then reruns the trials one by one."""
     traces = [_new_trace("sld", choi, cfg)[0] for choi in chois]
     # a trial whose input is already feasible takes no step, not even the
@@ -645,15 +591,52 @@ def _stacked(chois: list[ChoiMatrix], cfg: ScalingConfig) -> list[ScalingTrace]:
     if not rows:
         return [_close(trace, cfg) for trace in traces]
     n, m, p, q = chois[0].n, chois[0].m, traces[0].target_p, traces[0].target_q
-    cross, targets = np.stack([_cross(chois[k].matrix, n, m) for k in rows]), _mean_targets(p, q)
-    left = np.repeat(np.eye(m, dtype=complex)[None], len(rows), axis=0)
-    right = np.repeat(np.eye(n, dtype=complex)[None], len(rows), axis=0)
+    # per side, the target as inverse_mean takes it, a uniform side as its
+    # level c (so its factor meets c I exactly, also when the target is only
+    # within 1e-12 of it), and the target's log det: F M F = target, so
+    # log det F = (log det target - log det M) / 2, off the step's spectrum
+    targets, general = {}, False
+    for side, target in (("first", p), ("second", q)):
+        level = _uniform_level(target)
+        general |= not level
+        targets[side] = (level, len(target) * math.log(level)) if level else (target, np.linalg.slogdet(target)[1])
+    if len(chois) == 1:
+        (lone,) = traces
+        cross, left, right = _cross(chois[0].matrix, n, m), np.eye(m, dtype=complex), np.eye(n, dtype=complex)
+
+        def record(side: str, factor: np.ndarray, gain: float) -> None:
+            _record(lone, side, factor, left, right, gain)
+
+        def sweep(gap: float, other: float) -> bool:
+            lone.sweeps += 1
+            lone.residuals.append(gap**2 + other**2)
+            return _running(lone, cfg)
+    else:
+        cross = np.stack([_cross(chois[k].matrix, n, m) for k in rows])
+        left = np.repeat(np.eye(m, dtype=complex)[None], len(rows), axis=0)
+        right = np.repeat(np.eye(n, dtype=complex)[None], len(rows), axis=0)
+
+        def record(side: str, factor: np.ndarray, gain: np.ndarray) -> None:
+            for k, f, l, r, g in zip(rows, factor, left, right, gain.tolist()):
+                _record(traces[k], side, f, l, r, g)
+
+        def sweep(gap: np.ndarray, other: np.ndarray) -> bool:
+            nonlocal rows, cross, left, right, first
+            for k, g, o in zip(rows, gap.tolist(), other.tolist()):
+                traces[k].sweeps += 1
+                traces[k].residuals.append(g**2 + o**2)
+            keep = [_running(traces[k], cfg) for k in rows]
+            if not all(keep):
+                rows = [k for k, kept in zip(rows, keep) if kept]
+                cross, left, right, first = (a[np.array(keep)] for a in (cross, left, right, first))
+            return bool(rows)
 
     def marginal(side: str) -> np.ndarray:
         out = _scaled_marginal(cross, left, right, side)
         # a non-finite entry makes the sum non-finite
         if not cmath.isfinite(np.add.reduce(out, axis=None)):
-            raise _overflow(traces[rows[0]], side)
+            at = f"sweep {traces[rows[0]].sweeps + 1}: the {side} marginal"
+            raise ConvergenceError(f"operator Sinkhorn overflowed in {at} is not finite")
         return out
 
     def step(side: str, mat: np.ndarray) -> np.ndarray:
@@ -664,35 +647,27 @@ def _stacked(chois: list[ChoiMatrix], cfg: ScalingConfig) -> list[ScalingTrace]:
             left = factor @ left
         else:
             right = factor @ right
-        for k, f, l, r, gain in zip(rows, factor, left, right, (target_logdet - logdet).tolist()):
-            _record(traces[k], side, f, l, r, gain)
+        record(side, factor, target_logdet - logdet)
         return factor
 
     # an overflow ends the run with a ConvergenceError; numpy's warnings on
     # the way there say nothing more
     with np.errstate(over="ignore", invalid="ignore"):
-        if not doubly_stochastic(p, q):
+        if general:
             for k in rows:
                 traces[k].preprocessed = True
             step("second", marginal("second"))
         first = marginal("first")
-        while True:
-            keep = [_running(traces[k], cfg) for k in rows]
-            if not all(keep):
-                rows = [k for k, kept in zip(rows, keep) if kept]
-                cross, left, right, first = (a[np.array(keep)] for a in (cross, left, right, first))
-            if not rows:
-                break
+        # every running trial starts at a residual of at least tol
+        running = cfg.max_iters > 0
+        while running:
             step("first", first)
             second = marginal("second")
             factor = step("second", second)
             # the sweep's residual reuses the marginals: the next left
             # step's, and F M F after the right step
             first = marginal("first")
-            gaps = linalg.frobenius(first - p).tolist(), linalg.frobenius(factor @ second @ factor - q).tolist()
-            for k, gap, other in zip(rows, *gaps):
-                traces[k].sweeps += 1
-                traces[k].residuals.append(gap**2 + other**2)
+            running = sweep(linalg.frobenius(first - p), linalg.frobenius(factor @ second @ factor - q))
     for choi, trace in zip(chois, traces):
         # a trial that took a step ends on one congruence of its input
         _close(trace, cfg, congruence(choi.matrix, n, m, *trace.iterates._held[-1]) if trace.factors else None)
@@ -706,19 +681,18 @@ def operator_sinkhorn_batch(
 
     The result is exactly ``[operator_sinkhorn(c, cfg) for c in chois]``,
     trace for trace and bit for bit, and so is the error raised: that of the
-    lowest-index failing trial.  The number of inputs picks the driver.  One
-    input runs :func:`operator_sinkhorn` on 2-D arrays, which saves a
-    stack's row bookkeeping, about 20 us per sweep.  Two or more run as one
-    stack (:func:`_stacked`) with the same step kernels, so each step is one
-    stacked ``eigh`` and a few stacked matmuls for all of them: 30 trials at
-    2 x 2, as in ``capacity-scatter``, run about 3.4 times as fast as one
-    by one.  Stacked ``eigh`` and ``matmul`` give each matrix the bits of
-    the 2-D call, so both drivers give each trial the same trace.  If the
-    stack raises a package error (``InvalidInputError``,
-    ``SingularityError`` or ``ConvergenceError``), the batch reruns every
-    trial by :func:`operator_sinkhorn`, which raises the lowest-index
-    failure: a failing batch costs its stack's work and a one-by-one run.
-    See :func:`operator_sinkhorn` for the iteration.
+    lowest-index failing trial.  Two or more inputs run by the loop of
+    :func:`operator_sinkhorn`, :func:`_sinkhorn`, as one stack, so each
+    step is one stacked ``eigh`` and a few stacked matmuls for all of them:
+    30 trials at 2 x 2, as in ``capacity-scatter``, run about 3.4 times as
+    fast as one by one.  One input runs on 2-D arrays, which saves a
+    stack's row bookkeeping.  Stacked ``eigh`` and ``matmul`` give each
+    matrix the bits of the 2-D call, so both layouts give each trial the
+    same trace.  If the stack raises a package error
+    (``InvalidInputError``, ``SingularityError`` or ``ConvergenceError``),
+    the batch reruns every trial by :func:`operator_sinkhorn`, which raises
+    the lowest-index failure: a failing batch costs its stack's work and a
+    one-by-one run.  See :func:`operator_sinkhorn` for the iteration.
     """
     chois = [_instance(choi, ChoiMatrix, f"chois[{k}]") for k, choi in enumerate(chois)]
     shapes = sorted({(choi.n, choi.m) for choi in chois})
@@ -728,7 +702,7 @@ def operator_sinkhorn_batch(
         # a stack that fails reruns its trials one by one, which raises the
         # lowest-index failure
         with contextlib.suppress(InvalidInputError, SingularityError, ConvergenceError):
-            return _stacked(chois, cfg)
+            return _sinkhorn(chois, cfg)
     return [operator_sinkhorn(choi, cfg) for choi in chois]
 
 
@@ -1121,7 +1095,7 @@ def _e_projection(method: str, choi0: ChoiMatrix, constraint: ConstraintSet) -> 
     result as a :class:`ChoiMatrix`.  A constraint target that does not fit
     the source's block shape is an ``InvalidInputError``."""
     _instance(choi0, ChoiMatrix, "choi0")
-    n, m, side = choi0.n, choi0.m, constraint.side
+    n, m, side = choi0.n, choi0.m, _instance(constraint, ConstraintSet, "constraint").side
     _check_marginal(choi0, side, constraint.target, "constraint target")
     source = _start(method, choi0.matrix, "projection source")
     _check_unit_trace(choi0.matrix, "projection source")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import ChoiMatrix, _integer
+from .channels import ChoiMatrix, _instance, _integer
 from .errors import InvalidInputError, ParseError
 from .policy import get_policy
 
@@ -121,6 +121,7 @@ def load_matrix(path: str | Path) -> tuple[str, np.ndarray, int | None, int | No
 
 
 def save_choi(path: str | Path, choi: ChoiMatrix) -> None:
+    _instance(choi, ChoiMatrix, "choi")
     save_matrix(path, "choi", choi.matrix, choi.n, choi.m)
 
 

@@ -40,19 +40,25 @@ def test_a_rebuilt_iterate_changes_the_iterates_key_alone(monkeypatch):
     assert [key for key in digests if moved[key] != digests[key]] == ["iterates"]
 
 
-def test_the_stack_changes_the_batch_key_alone(monkeypatch):
-    # two seeds make a batch of two, the one path that runs the stack
+@pytest.mark.parametrize(
+    "general_only, keys", [(False, ["sld-batch", "sld-batch-general"]), (True, ["sld-batch-general"])]
+)
+def test_the_stack_changes_the_batch_keys_alone(general_only, keys, monkeypatch):
+    # two seeds make batches of two, the one path that runs the stacked
+    # layout; a lone run goes through the same loop on 2-D arrays and is
+    # left as it is
     digests = fingerprint.fingerprint(shapes=((2, 3),), seeds=(0, 1))
-    stacked = scaling._stacked
+    loop = scaling._sinkhorn
 
     def nudged(chois, cfg):
-        traces = stacked(chois, cfg)
-        traces[0].capacity_log += 1.0
+        traces = loop(chois, cfg)
+        if len(chois) > 1 and not (general_only and cfg.target_p is None):
+            traces[0].capacity_log += 1.0
         return traces
 
-    monkeypatch.setattr(scaling, "_stacked", nudged)
+    monkeypatch.setattr(scaling, "_sinkhorn", nudged)
     moved = fingerprint.fingerprint(shapes=((2, 3),), seeds=(0, 1))
-    assert [key for key in digests if moved[key] != digests[key]] == ["sld-batch"]
+    assert [key for key in digests if moved[key] != digests[key]] == keys
 
 
 def test_a_failing_batch_changes_its_key_alone(monkeypatch):

@@ -279,6 +279,21 @@ class TestSolveLyapunov:
         with pytest.raises(SingularityError):
             linalg.solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
 
+    def test_one_eigh_is_the_cone_test_and_the_solve(self, eig_calls):
+        rng = np.random.default_rng(7)
+        a, q = random_pd(3, rng), random_hermitian(3, rng)
+        eig_calls.clear()
+        x = linalg.solve_lyapunov(a, q)
+        assert eig_calls == [("eigh", (3, 3))]
+        # the solve in the eigenbasis of that eigh, bit for bit
+        w, v = np.linalg.eigh(linalg.as_hermitian(a))
+        want = linalg.hermitian_part(v @ ((v.conj().T @ q @ v) / (w[:, None] + w[None, :])) @ v.conj().T)
+        np.testing.assert_array_equal(x, want)
+        eig_calls.clear()
+        with pytest.raises(SingularityError, match=r"Lyapunov coefficient is not positive definite \(min eigenvalue -1"):
+            linalg.solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+        assert eig_calls == [("eigh", (2, 2))]
+
 
 class TestGeometricMean:
     def test_idempotent(self):

@@ -1,5 +1,6 @@
 """Stress and edge-shape coverage beyond the seeded unit tests."""
 
+import os
 import warnings
 
 import numpy as np
@@ -66,6 +67,7 @@ class TestEdgeShapes:
 PLAIN = np.eye(4) / 4
 GOOD = ChoiMatrix(n=2, m=2, matrix=PLAIN)
 FIRST = ConstraintSet("first", np.eye(2) / 2)
+TANGENT = geometry.TangentVector(np.eye(2) / 2, np.diag([1.0, -1.0]))
 
 
 class TestPlainArrayWhereAValueClassBelongs:
@@ -83,6 +85,23 @@ class TestPlainArrayWhereAValueClassBelongs:
             (lambda: geometry.orthogonality_residual("sld", PLAIN, GOOD, FIRST), "rho_from must be a ChoiMatrix"),
             (lambda: geometry.orthogonality_residual("sld", GOOD, PLAIN, FIRST), "rho_to must be a ChoiMatrix"),
             (lambda: scaling.capacity_from_trace(GOOD), "trace must be a ScalingTrace, got ChoiMatrix"),
+            (lambda: channels.apply_map(PLAIN, np.eye(2)), "choi must be a ChoiMatrix, got ndarray"),
+            (lambda: channels.apply_dual(PLAIN, np.eye(2)), "choi must be a ChoiMatrix, got ndarray"),
+            (lambda: channels.scale_choi(PLAIN, np.eye(2), np.eye(2)), "choi must be a ChoiMatrix, got ndarray"),
+            (lambda: channels.choi_from_kraus([np.eye(2)]), "kraus must be a KrausMap, got list"),
+            (lambda: channels.random_density(2, 0), "rng must be a Generator, got int"),
+            (lambda: channels.random_choi(2, 2, None), "rng must be a Generator, got NoneType"),
+            (lambda: FIRST.violation(PLAIN), "choi must be a ChoiMatrix, got ndarray"),
+            (lambda: geometry.sld_e_rep(np.eye(2) / 2), "x must be a TangentVector, got ndarray"),
+            (lambda: geometry.metric_inner("sld", np.eye(2) / 2, TANGENT), "x must be a TangentVector, got ndarray"),
+            (lambda: geometry.metric_inner("sld", TANGENT, np.eye(2) / 2), "y must be a TangentVector, got ndarray"),
+            (lambda: scaling.bkm_e_projection(GOOD, np.eye(2) / 2), "constraint must be a ConstraintSet, got ndarray"),
+            (lambda: scaling.burg_e_projection(GOOD, np.eye(2) / 2), "constraint must be a ConstraintSet, got ndarray"),
+            (
+                lambda: geometry.orthogonality_residual("sld", GOOD, GOOD, np.eye(2) / 2),
+                "constraint must be a ConstraintSet, got ndarray",
+            ),
+            (lambda: serialization.save_choi(os.devnull, PLAIN), "choi must be a ChoiMatrix, got ndarray"),
         ],
     )
     def test_is_a_typed_error_naming_the_argument(self, call, what):

@@ -899,17 +899,22 @@ class TestOperatorSinkhornBatch:
         single, runs = scaling.operator_sinkhorn, []
         monkeypatch.setattr(scaling, "operator_sinkhorn", lambda *args: runs.append(1) or single(*args))
 
+        loop = scaling._sinkhorn
+
         def fails(error):
-            def stacked(*args):
-                raise error
+            # the stack raises; a lone run, the rerun's, goes through
+            def stacked(chois, cfg):
+                if len(chois) > 1:
+                    raise error
+                return loop(chois, cfg)
 
             return stacked
 
-        monkeypatch.setattr(scaling, "_stacked", fails(ConvergenceError("stacked")))
+        monkeypatch.setattr(scaling, "_sinkhorn", fails(ConvergenceError("stacked")))
         for trace, want in zip(scaling.operator_sinkhorn_batch(chois, cfg), alone, strict=True):
             assert_same_trace(trace, want)
         assert len(runs) == 3
-        monkeypatch.setattr(scaling, "_stacked", fails(AttributeError("stacked")))
+        monkeypatch.setattr(scaling, "_sinkhorn", fails(AttributeError("stacked")))
         with pytest.raises(AttributeError, match="stacked"):
             scaling.operator_sinkhorn_batch(chois, cfg)
         assert len(runs) == 3
@@ -959,8 +964,8 @@ class TestOperatorSinkhornBatch:
 
 
 class TestSingleTrialDriver:
-    """One trial runs on 2-D arrays and never builds the stack; a batch of
-    two or more runs as one stack."""
+    """One trial runs the loop on 2-D arrays and never builds the stack; a
+    batch of two or more runs it as one stack."""
 
     @staticmethod
     def inputs(n: int, m: int, general: bool, count: int):
@@ -973,10 +978,14 @@ class TestSingleTrialDriver:
     @pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 1), (2, 3)])
     @pytest.mark.parametrize("general", [False, True])
     def test_a_single_trial_builds_no_stack(self, n, m, general, eig_calls, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a single trial built the stack")
+        loop = scaling._sinkhorn
 
-        monkeypatch.setattr(scaling, "_stacked", refuse)
+        def refuse(chois, cfg):
+            if len(chois) > 1:
+                raise AssertionError("a single trial built the stack")
+            return loop(chois, cfg)
+
+        monkeypatch.setattr(scaling, "_sinkhorn", refuse)
         (choi,), cfg = self.inputs(n, m, general, 1)
         eig_calls.clear()
         alone = scaling.operator_sinkhorn(choi, cfg)
@@ -992,9 +1001,15 @@ class TestSingleTrialDriver:
     @pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 1), (2, 3)])
     @pytest.mark.parametrize("general", [False, True])
     def test_a_batch_of_two_builds_one_stack(self, n, m, general, eig_calls, monkeypatch):
-        built = []
-        stacked = scaling._stacked
-        monkeypatch.setattr(scaling, "_stacked", lambda *args: built.append(1) or stacked(*args))
+        built, loop = [], scaling._sinkhorn
+
+        def counted(chois, cfg):
+            # count the stacks: a lone run goes through the same loop
+            if len(chois) > 1:
+                built.append(1)
+            return loop(chois, cfg)
+
+        monkeypatch.setattr(scaling, "_sinkhorn", counted)
         chois, cfg = self.inputs(n, m, general, 2)
         eig_calls.clear()
         batch = scaling.operator_sinkhorn_batch(chois, cfg)

@@ -11,11 +11,16 @@ and with targets drawn by ``random_density`` from the same generator.  Keys:
 - ``joint-bkm``, ``joint-burg``: ``joint_limit`` of each dual geometry;
 - ``sld-batch``: ``operator_sinkhorn_batch`` once per shape, on that
   shape's 12 uniform-target inputs at the default ``ScalingConfig``, so
-  that a change to the stack that runs two or more trials at once shows up
-  (a single run, the ``sld`` key's, never reaches it);
+  that a change to the stacked layout, which runs two or more trials at
+  once, shows up (single runs, the ``sld`` key's, run the same loop on 2-D
+  arrays, and only the batch keys run it stacked);
 - ``sld-batch-fail``: the same batch with a trial whose first marginal is
   singular, kron(I_n / n, diag(1, 0, ...)), inserted mid-batch, so that a
   change to the error a failing batch raises shows up;
+- ``sld-batch-general``: the same 12 inputs as one batch at the targets
+  ``random_density`` drew for the first seed, so that a change to the
+  stacked preprocessing step or to the two-``eigh`` general factor shows
+  up;
 - ``iterates``: every entry of the ``trace.iterates`` of those ``sld``,
   ``bkm`` and ``burg`` alternations, read through the sequence, so that
   a change to a path that rebuilds an iterate on read shows up;
@@ -54,8 +59,9 @@ from opsinkhorn.scaling import ScalingConfig
 SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4))
 SEEDS = range(12)
 FAMILIES = ("sld", "bkm", "burg", "joint-bkm", "joint-burg", "sld-batch")
-# a failing batch raises, so it has no work line
-KEYS = FAMILIES + ("sld-batch-fail", "dexp", "dlog", "certificates", "iterates")
+# only the families have work lines: the failing batch raises, and the
+# general-target batch is there for its digest
+KEYS = FAMILIES + ("sld-batch-fail", "sld-batch-general", "dexp", "dlog", "certificates", "iterates")
 
 
 def _feed(h, obj) -> None:
@@ -162,10 +168,13 @@ def fingerprint(shapes=SHAPES, seeds=SEEDS) -> dict[str, str]:
         singular = channels.ChoiMatrix(n=n, m=m, matrix=np.kron(np.eye(n) / n, np.diag(np.eye(m)[0])))
         failing = chois[: len(chois) // 2] + [singular] + chois[len(chois) // 2 :]
         _feed(hashes["sld-batch-fail"], _run(lambda: scaling.operator_sinkhorn_batch(failing)))
+        _, p, q = inputs[1]
+        general = ScalingConfig(target_p=p, target_q=q)
+        _feed(hashes["sld-batch-general"], _run(lambda: scaling.operator_sinkhorn_batch(chois, general)))
     digests = {key: h.hexdigest()[:16] for key, h in hashes.items()}
     return digests | {f"work {family}": "{} runs, {} converged, {} sweeps".format(*work[family]) for family in FAMILIES}
 
 
 if __name__ == "__main__":
     for key, line in fingerprint().items():
-        print(f"{key:<16} {line}")
+        print(f"{key:<18} {line}")

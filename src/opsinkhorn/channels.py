@@ -48,6 +48,17 @@ def _integer(value, what: str, least: int) -> int:
     return int(value)
 
 
+def _operand(x, what: str) -> np.ndarray:
+    """``x`` as a complex array: a Kraus operator, or the argument of
+    ``KrausMap.apply`` or ``apply_dual``.  A value that is not numeric (a
+    ragged list, a ``ChoiMatrix``) is an ``InvalidInputError`` naming
+    ``what``."""
+    try:
+        return np.asarray(x, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what} is not a numeric array: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class KrausMap:
     """A completely positive map given by a non-empty list of m x n operators."""
@@ -57,10 +68,7 @@ class KrausMap:
     def __post_init__(self):
         if len(self.ops) == 0:
             raise InvalidInputError("a Kraus map needs at least one operator")
-        try:
-            ops = tuple(np.asarray(op, dtype=complex) for op in self.ops)
-        except (TypeError, ValueError) as exc:  # a ragged or non-numeric operator
-            raise InvalidInputError(f"a Kraus operator is not a numeric array: {exc}") from exc
+        ops = tuple(_operand(op, "a Kraus operator") for op in self.ops)
         if any(op.ndim != 2 or op.shape != ops[0].shape for op in ops):
             raise InvalidInputError("all Kraus operators must share one m x n shape")
         object.__setattr__(self, "ops", ops)
@@ -75,14 +83,14 @@ class KrausMap:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Phi(X) = sum_k A_k X A_k^dagger."""
-        x = np.asarray(x, dtype=complex)
+        x = _operand(x, "x")
         if x.shape != (self.in_dim, self.in_dim):
             raise InvalidInputError(f"expected {self.in_dim} x {self.in_dim} input, got {x.shape}")
         return sum(a @ x @ a.conj().T for a in self.ops)
 
     def apply_dual(self, y: np.ndarray) -> np.ndarray:
         """Phi^*(Y) = sum_k A_k^dagger Y A_k."""
-        y = np.asarray(y, dtype=complex)
+        y = _operand(y, "y")
         if y.shape != (self.out_dim, self.out_dim):
             raise InvalidInputError(f"expected {self.out_dim} x {self.out_dim} input, got {y.shape}")
         return sum(a.conj().T @ y @ a for a in self.ops)
@@ -128,7 +136,7 @@ class ChoiMatrix:
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            w = np.linalg.eigvalsh(mat)
+            w = linalg._eigvalsh(mat, "Choi matrix")
             if w[0] < -rtol * max(abs(w[-1]), np.finfo(float).tiny):
                 raise InvalidInputError(
                     f"Choi matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})"

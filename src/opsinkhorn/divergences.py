@@ -113,14 +113,14 @@ def _value(tag: str, rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
         value = -_trace(rho @ linalg.logm(inner)).real
     elif tag == "burg":
         dim = rho.shape[-1]
-        w_r = np.linalg.eigvalsh(rho)
-        w_s = np.linalg.eigvalsh(sigma)
+        w_r = linalg._eigvalsh(rho, "divergence first argument")
+        w_s = linalg._eigvalsh(sigma, "divergence second argument")
         trace_term = _trace(rho @ linalg.invm(sigma)).real
         logdet = np.sum(np.log(w_r), axis=-1) - np.sum(np.log(w_s), axis=-1)
         value = trace_term - logdet - dim
     elif tag == "renyi_half":
         sq = linalg.powm(sigma, 0.5)
-        w = np.linalg.eigvalsh(linalg.hermitian_part(sq @ rho @ sq))
+        w = linalg._eigvalsh(linalg.hermitian_part(sq @ rho @ sq), "sigma^{1/2} rho sigma^{1/2}")
         value = -4.0 * np.log(np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=-1))
     else:
         # nagaoka: rho # sigma^{-1} = sigma^{-1} # rho, the SLD factor of
@@ -133,7 +133,7 @@ def _value(tag: str, rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
 def _critical_step(rho: np.ndarray, direction: np.ndarray) -> float:
     """Largest h with rho +/- h * direction positive definite."""
     ri = linalg.powm(rho, -0.5)
-    w = np.linalg.eigvalsh(linalg.hermitian_part(ri @ direction @ ri))
+    w = linalg._eigvalsh(linalg.hermitian_part(ri @ direction @ ri), "rho^{-1/2} direction rho^{-1/2}")
     top = np.abs(w).max()
     return float("inf") if top == 0.0 else 1.0 / float(top)
 

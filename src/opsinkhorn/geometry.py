@@ -24,6 +24,8 @@ closed form: one partial trace and one subtraction, with no basis built.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +135,7 @@ def dlog_frechet(rho: np.ndarray, direction: np.ndarray) -> np.ndarray:
     its divided differences are the reciprocals of exp's on the
     log-spectrum (``linalg._exp_divided_differences``): exact at ties, and
     with no quotient of close logarithms to cancel."""
-    w, v = np.linalg.eigh(linalg.as_hermitian(rho, what="dlog base point"))
+    w, v = linalg._eigh(linalg.as_hermitian(rho, what="dlog base point"), "dlog base point")
     linalg._check_positive_definite(w, "dlog base point")
     return _daleckii_krein(v, 1.0 / linalg._exp_divided_differences(np.log(w)), direction, "dlog direction")
 
@@ -143,7 +145,7 @@ def dexp_frechet(h: np.ndarray, direction: np.ndarray) -> np.ndarray:
     ``direction``, by the divided differences of exp on the spectrum of h
     (``linalg._exp_divided_differences``, which the BKM Newton solves in
     ``scaling`` use too)."""
-    w, v = np.linalg.eigh(linalg.as_hermitian(h, what="dexp base point"))
+    w, v = linalg._eigh(linalg.as_hermitian(h, what="dexp base point"), "dexp base point")
     return _daleckii_krein(v, linalg._exp_divided_differences(w), direction, "dexp direction")
 
 
@@ -177,8 +179,11 @@ def e_geodesic(tag: str, rho1: np.ndarray, rho2: np.ndarray, t: float) -> np.nda
 
     All three satisfy rho(0) = rho1 and rho(1) = rho2 exactly.  Values of
     ``t`` outside [0, 1] extrapolate; the congruence resolvent may then leave
-    the positive cone, which raises ``SingularityError``.
+    the positive cone, which raises ``SingularityError``.  A ``t`` that is
+    not a finite real number is an ``InvalidInputError``.
     """
+    if not (isinstance(t, numbers.Real) and math.isfinite(t)):
+        raise InvalidInputError(f"geodesic parameter t must be a finite real number, got {t!r}")
     rho1 = as_density(rho1, "geodesic endpoint rho1")
     rho2 = as_density(rho2, "geodesic endpoint rho2")
     if rho1.shape != rho2.shape:
@@ -191,7 +196,8 @@ def e_geodesic(tag: str, rho1: np.ndarray, rho2: np.ndarray, t: float) -> np.nda
         curve = linalg.expm((1.0 - t) * linalg.logm(rho1) + t * linalg.logm(rho2))
     elif tag == "congruence":
         # one eigh of the resolvent is both the cone test and its inverse
-        w, v = np.linalg.eigh(linalg.hermitian_part((1.0 - t) * linalg.invm(rho1) + t * linalg.invm(rho2)))
+        resolvent = linalg.hermitian_part((1.0 - t) * linalg.invm(rho1) + t * linalg.invm(rho2))
+        w, v = linalg._eigh(resolvent, "congruence geodesic resolvent")
         if not linalg._positive_definite(w):
             raise SingularityError(f"congruence geodesic leaves the cone at t={t}")
         curve = (v * (1.0 / w)) @ v.conj().T

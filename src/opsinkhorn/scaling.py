@@ -37,8 +37,15 @@ block-diagonal U, one indexed add per side), in a few Newton steps where
 the Burg alternation needs hundreds or thousands of sweeps.  So both
 geometries share one point type (:class:`_Point`), one projection
 (:func:`_project`) and one start (:func:`_start`), and each keeps its own
-evaluation and Newton direction (:func:`_bkm_dual`, :func:`_burg_dual`),
+evaluation and Newton system (:func:`_bkm_dual`, :func:`_burg_dual`),
 for one side or both.
+
+Every ``eigh`` in this module is ``linalg._eigh`` and every Newton solve
+``linalg._solve``: numpy's LAPACK gufuncs, bit for bit what
+``numpy.linalg.eigh`` and ``solve`` return, without the checks that
+``numpy.linalg`` repeats on each call, since the loops call them on arrays
+checked at entry.  A decomposition or a Newton system that fails is a
+``ConvergenceError`` naming it, not numpy's ``LinAlgError``.
 
 Every BKM and Burg solve starts from one ``eigh`` (w, v) of its validated
 input rho, which is also its entry cone test: BKM at log rho with spectrum
@@ -74,7 +81,7 @@ in its per-side step and its residual.  Operator Sinkhorn runs its own
 sweep loop, :func:`_sinkhorn`, on one trial or on a stack of trials
 (below).  Likewise one damped-Newton loop, :func:`_newton`, runs every
 BKM and Burg solve, one-sided or joint, with the geometry's evaluation
-and Newton direction, and names the solve in its errors (the side and
+and Newton system, and names the solve in its errors (the side and
 sweep of an alternation's projection, or the joint solve).
 
 Operator Sinkhorn runs on the factors instead of the iterate: after k steps
@@ -102,13 +109,13 @@ layout saves (``BENCH_26.json``).  Everything else is written once: the
 step and marginal closures, the preprocessing step, the sweep body and
 the closing congruence, on the step kernels :func:`_cross`,
 :func:`_scaled_marginal`, :func:`_record` and ``linalg.inverse_mean`` (on
-one marginal or on the stack of them).  Stacked ``eigh`` and ``matmul``
-give each matrix the bits of the 2-D call, so each trial's trace in a
-batch is exactly the one it gets alone.  Only a lone run says which trial
-fails: a stack whose step fails (a singular marginal, or factor products
-that overflow, which is a ``ConvergenceError``) raises, and the batch
-reruns its trials one by one, so it raises the error of its lowest
-failing trial.
+one marginal or on the stack of them).  A stacked ``linalg._eigh`` and
+``matmul`` give each matrix the bits of the 2-D call, so each trial's
+trace in a batch is exactly the one it gets alone.  Only a lone run says
+which trial fails: a stack whose step fails (a singular marginal, or
+factor products that overflow, which is a ``ConvergenceError``) raises,
+and the batch reruns its trials one by one, so it raises the error of its
+lowest failing trial.
 
 Every driver validates its input at its boundary only, once at entry (a
 Choi matrix with unit trace; positive definite for ``bkm`` and ``burg``,
@@ -282,10 +289,10 @@ class SinkhornIterates(Sequence):
             return congruence(self._rho0, n, m, first, second)
         lift = np.kron(np.eye(n), first) + np.kron(second, np.eye(m))
         if self._method == "bkm":
-            w, v = np.linalg.eigh(self._coord0 + lift)
+            w, v = linalg._eigh(self._coord0 + lift, f"bkm iterate {k}")
             return _gibbs_state(v, _gibbs_weights(w)[0])
         coord = self._coord0 - lift
-        return _burg_point(coord, *np.linalg.eigh(coord)).state
+        return _burg_point(coord, *linalg._eigh(coord, f"burg iterate {k}")).state
 
     def __setitem__(self, index, value: np.ndarray) -> None:
         if range(len(self))[index] != len(self) - 1:
@@ -391,6 +398,7 @@ def matrix_sinkhorn(a0: np.ndarray, cfg: ScalingConfig = ScalingConfig()) -> Sca
     ``UnsupportedError``, a nonzero imaginary part a ``DomainError``.
     Returns a ``classical`` :class:`ScalingTrace`.
     """
+    _instance(cfg, ScalingConfig, "cfg")
     a = np.asarray(a0)
     if np.iscomplexobj(a) and np.any(a.imag != 0):
         raise DomainError("matrix scaling requires real entries")
@@ -561,7 +569,7 @@ def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -
     2-D arrays; :func:`operator_sinkhorn_batch` runs two or more inputs by
     the same loop as one stack, and gives each trial this function's trace.
     """
-    return _sinkhorn([choi0], cfg)[0]
+    return _sinkhorn([choi0], _instance(cfg, ScalingConfig, "cfg"))[0]
 
 
 def _sinkhorn(chois: list[ChoiMatrix], cfg: ScalingConfig) -> list[ScalingTrace]:
@@ -686,14 +694,15 @@ def operator_sinkhorn_batch(
     step is one stacked ``eigh`` and a few stacked matmuls for all of them:
     30 trials at 2 x 2, as in ``capacity-scatter``, run about 3.4 times as
     fast as one by one.  One input runs on 2-D arrays, which saves a
-    stack's row bookkeeping.  Stacked ``eigh`` and ``matmul`` give each
-    matrix the bits of the 2-D call, so both layouts give each trial the
-    same trace.  If the stack raises a package error
+    stack's row bookkeeping.  A stacked ``linalg._eigh`` and ``matmul``
+    give each matrix the bits of the 2-D call, so both layouts give each
+    trial the same trace.  If the stack raises a package error
     (``InvalidInputError``, ``SingularityError`` or ``ConvergenceError``),
     the batch reruns every trial by :func:`operator_sinkhorn`, which raises
     the lowest-index failure: a failing batch costs its stack's work and a
     one-by-one run.  See :func:`operator_sinkhorn` for the iteration.
     """
+    _instance(cfg, ScalingConfig, "cfg")
     chois = [_instance(choi, ChoiMatrix, f"chois[{k}]") for k, choi in enumerate(chois)]
     shapes = sorted({(choi.n, choi.m) for choi in chois})
     if len(shapes) > 1:
@@ -904,7 +913,7 @@ class _Point(NamedTuple):
     gradient: np.ndarray | None = None
 
 
-def _newton(method: str, evaluate: Callable, direction: Callable, current, what: str):
+def _newton(method: str, evaluate: Callable, system: Callable, current, what: str):
     """Damped Newton on a smooth convex dual in real coordinates: the loop
     of every ``bkm`` and ``burg`` solve, one-sided or joint.
 
@@ -913,8 +922,10 @@ def _newton(method: str, evaluate: Callable, direction: Callable, current, what:
     which it minimizes the dual in closed form), the dual value as a
     function of no arguments, called only for a step that fails the
     gradient test below, and the :class:`_Point` there, whose ``gradient``
-    is the real gradient vector and from which ``direction(point)``
-    returns the Newton step, a real vector.  ``None`` means outside the
+    is the real gradient vector and from which ``system(point)`` returns
+    the Newton system (A, b), real, whose solution is the Newton step: one
+    ``linalg._solve`` here, so that a singular system is a
+    ``ConvergenceError`` naming the solve.  ``None`` means outside the
     domain: a rejected candidate, or ``SingularityError`` for ``current``.
 
     A step is halved until it passes Armijo on the dual value or halves the
@@ -945,12 +956,13 @@ def _newton(method: str, evaluate: Callable, direction: Callable, current, what:
         raise SingularityError(f"{what} source is too ill-conditioned to invert")
     x, value, point = current
     g_norm, steps, polish = math.sqrt(point.gradient @ point.gradient), 0, False
+    name = f"{what} Newton system"
     for _ in range(max_iters):
         if g_norm <= tol or (method == "burg" and g_norm <= _EPS * point.w[-1] / point.w[0] ** 2):
             if polish or method == "bkm":
                 return x, point, steps
             polish = True
-        step = direction(point)
+        step = linalg._solve(*system(point), name)
         slope = point.gradient @ step
         t = 1.0
         while t > 1e-14:
@@ -1006,7 +1018,7 @@ def _start(method: str, rho: np.ndarray, what: str) -> _Point:
     with spectrum 1/w and eigenvectors v, both reversed into ascending
     order, and rho itself as its state.  The coordinate is
     v diag(f(w)) v^dagger, as ``linalg.logm`` and ``linalg.invm`` form it."""
-    w, v = np.linalg.eigh(rho)
+    w, v = linalg._eigh(rho, what)
     linalg._check_positive_definite(w, what)
     fw = np.log(w) if method == "bkm" else 1.0 / w
     coord = linalg.hermitian_part((v * fw) @ v.conj().T)
@@ -1027,11 +1039,11 @@ def _projection_name(method: str, side: str, sweep: int | None = None) -> str:
 def _bkm_dual(start: _Point, frame: _Frame, t: np.ndarray) -> tuple[Callable, Callable]:
     """The BKM dual from ``start`` on the sides of ``frame``, with ``t`` the
     targets' coordinates, as :func:`_newton` takes it: ``evaluate`` and
-    ``direction``.  ``evaluate(x)`` takes one ``eigh`` of start.coord + the
+    ``system``.  ``evaluate(x)`` takes one ``eigh`` of start.coord + the
     lifts and reads the marginals off its spectrum; ``evaluate(x, start)``
     reads them off the spectrum the start carries, with no ``eigh``, and
     shifts a copy of its coordinate.  An evaluation's point is normalized,
-    with its Gibbs weights and gradient (:class:`_Point`).  ``direction``
+    with its Gibbs weights and gradient (:class:`_Point`).  ``system``
     takes :func:`_bkm_hessian` to real coordinates and subtracts the
     normalization term mu mu^T, with mu = gradient + t the marginals' own
     coordinates."""
@@ -1040,7 +1052,7 @@ def _bkm_dual(start: _Point, frame: _Frame, t: np.ndarray) -> tuple[Callable, Ca
     def evaluate(x: np.ndarray, at: _Point | None = None):
         if at is None:
             coord = _lifted(start.coord, frame, x)
-            w, v = np.linalg.eigh(coord)
+            w, v = linalg._eigh(coord, "a bkm dual's coordinate")
         else:
             coord, w, v = at.coord.copy(), at.w, at.v
         p, log_z = _gibbs_weights(w)
@@ -1050,12 +1062,12 @@ def _bkm_dual(start: _Point, frame: _Frame, t: np.ndarray) -> tuple[Callable, Ca
         coord.reshape(-1)[:: n * m + 1] -= log_z
         return x, lambda: log_z - float(t @ x), _Point(coord, w - log_z, v, None, p, g)
 
-    def direction(point: _Point) -> np.ndarray:
+    def system(point: _Point) -> tuple[np.ndarray, np.ndarray]:
         mu = point.gradient + t
         hess = _real_form(frame.adjoint, _bkm_hessian(point.w, point.v, n, m, sides), frame.basis)
-        return np.linalg.solve(hess - np.outer(mu, mu) + frame.gauge, -point.gradient)
+        return hess - np.outer(mu, mu) + frame.gauge, -point.gradient
 
-    return evaluate, direction
+    return evaluate, system
 
 
 def _start_evaluation(method: str, start: _Point, frame: _Frame, t: np.ndarray):
@@ -1081,9 +1093,9 @@ def _project(
     has no state: :func:`_state` forms it where it is used), the duals (a
     Hermitian array per side) and the number of Newton steps.  ``what``
     names the solve in its errors."""
-    evaluate, direction = (_bkm_dual if method == "bkm" else _burg_dual)(start, frame, t)
+    evaluate, system = (_bkm_dual if method == "bkm" else _burg_dual)(start, frame, t)
     current = evaluate(np.zeros(len(t)), start) if current is None else current
-    x, point, steps = _newton(method, evaluate, direction, current, what=what)
+    x, point, steps = _newton(method, evaluate, system, current, what=what)
     return point, _duals(frame, x), steps
 
 
@@ -1146,7 +1158,7 @@ def _burg_point(coord: np.ndarray, w: np.ndarray, v: np.ndarray) -> _Point:
 def _burg_dual(start: _Point, frame: _Frame, t: np.ndarray) -> tuple[Callable, Callable]:
     """The Burg dual from ``start`` on the sides of ``frame``, with ``t`` the
     targets' coordinates, as :func:`_newton` takes it: ``evaluate`` and
-    ``direction``.  ``evaluate(x)`` gives x, the dual value and the point
+    ``system``.  ``evaluate(x)`` gives x, the dual value and the point
     at K = start.coord - the lifts, with its gradient; None outside the
     cone.  ``evaluate(x, start)`` takes the start's spectrum and state as
     they are.  The value -log det K - t.x comes from the spectrum of K.  On
@@ -1160,7 +1172,7 @@ def _burg_dual(start: _Point, frame: _Frame, t: np.ndarray) -> tuple[Callable, C
     def evaluate(x: np.ndarray, point: _Point | None = None):
         if point is None:
             coord = _lifted(start.coord, frame, -x)
-            w, v = np.linalg.eigh(coord)
+            w, v = linalg._eigh(coord, "a burg dual's resolvent argument")
             if joint and w[0] > 0:  # the cone test below rejects any other spectrum
                 c = _unit_trace_shift(w)
                 coord.flat[:: n * m + 1] -= c
@@ -1173,13 +1185,13 @@ def _burg_dual(start: _Point, frame: _Frame, t: np.ndarray) -> tuple[Callable, C
         g = _coordinates(frame, [linalg.partial_trace(point.state, n, m, side) for side in sides]) - t
         return x, lambda: -float(np.log(point.w).sum()) - float(t @ x), _Point(*point[:5], g)
 
-    def direction(point: _Point) -> np.ndarray:
+    def system(point: _Point) -> tuple[np.ndarray, np.ndarray]:
         jac = _real_form(frame.adjoint, _burg_jacobian(point.state, n, m, sides), frame.basis)
         if joint:
             jac += np.outer(frame.null, frame.null) / (n + m)
-        return np.linalg.solve(jac, -point.gradient)
+        return jac, -point.gradient
 
-    return evaluate, direction
+    return evaluate, system
 
 
 def burg_e_projection(choi0: ChoiMatrix, constraint: ConstraintSet) -> tuple[ChoiMatrix, np.ndarray]:
@@ -1233,6 +1245,7 @@ def alternating_projections(
     projection.  The final iterate, PSD by construction, is checked for
     shape and finiteness only (:func:`_close`).
     """
+    _instance(cfg, ScalingConfig, "cfg")
     if method == "sld":
         return operator_sinkhorn(choi0, cfg)
     trace, p, q, point = _new_trace(method, choi0, cfg)
@@ -1340,6 +1353,7 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
     ``sweeps`` the number of Newton steps taken, and ``converged`` whether
     the final residual is below ``cfg.tol``.
     """
+    _instance(cfg, ScalingConfig, "cfg")
     if method == "sld":
         raise UnsupportedError("the sld geometry is not dually flat: it has no joint limit solve")
     trace, p, q, start = _new_trace(method, choi0, cfg)

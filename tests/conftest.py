@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from opsinkhorn import linalg
+
 # make the sibling oracles module importable from every test file
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -15,15 +17,17 @@ settings.load_profile("deterministic")
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """(name, shape) of every numpy ``eigh`` and ``eigvalsh`` call made
-    while the test runs."""
+    """(name, shape) of every ``eigh`` and ``eigvalsh`` the package makes
+    while the test runs: the calls of its kernels ``linalg._eigh`` and
+    ``linalg._eigvalsh``, through which every one of them goes
+    (``tests/test_linalg.py::TestKernelsAreTheOnlyRoute``)."""
     calls = []
     for attr in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, attr)
+        original = getattr(linalg, f"_{attr}")
 
         def counted(a, *args, _name=attr, _f=original, **kwargs):
             calls.append((_name, np.shape(a)))
             return _f(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, attr, counted)
+        monkeypatch.setattr(linalg, f"_{attr}", counted)
     return calls

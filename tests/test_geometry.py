@@ -266,6 +266,15 @@ class TestEGeodesic:
         with pytest.raises(SingularityError, match="congruence geodesic leaves the cone at t=30.0"):
             geometry.e_geodesic("congruence", r1, r2, 30.0)
 
+    @pytest.mark.parametrize("t", [float("inf"), float("nan"), "0.5", 1j])
+    @pytest.mark.parametrize("tag", ["sld", "bkm", "congruence"])
+    def test_parameter_must_be_finite_real(self, tag, t):
+        # an infinite t gave OverflowError (sld) or, through the resolvent's
+        # spectrum, an error about leaving the cone (congruence)
+        r1, r2 = np.diag([0.9, 0.1]), np.diag([0.1, 0.9])
+        with pytest.raises(InvalidInputError, match="geodesic parameter t must be a finite real number"):
+            geometry.e_geodesic(tag, r1, r2, t)
+
 
 class TestParallelTransport:
     def test_identity_maps_to_zero(self):

@@ -1,10 +1,13 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opsinkhorn import channels, linalg, policy
-from opsinkhorn.errors import DomainError, InvalidInputError, SingularityError
+from opsinkhorn import channels, linalg, policy, scaling
+from opsinkhorn.errors import ConvergenceError, DomainError, InvalidInputError, SingularityError
+from opsinkhorn.geometry import ConstraintSet
 
 import oracles
 
@@ -21,24 +24,24 @@ def random_pd(d, rng, shift=0.1):
 
 class TestSpectrum:
     """The spectral decomposition every matrix function starts from:
-    ``numpy.linalg.eigh`` of the argument ``as_hermitian`` validates, with
-    the eigenvalues ascending."""
+    ``linalg._eigh`` of the argument ``as_hermitian`` validates, with the
+    eigenvalues ascending."""
 
     def test_diagonal_matrix(self):
-        w, v = np.linalg.eigh(linalg.as_hermitian(np.diag([1.0, 2.0])))
+        w, v = linalg._eigh(linalg.as_hermitian(np.diag([1.0, 2.0])))
         np.testing.assert_allclose(w, [1.0, 2.0])
         np.testing.assert_allclose(np.abs(v), np.eye(2), atol=1e-14)
         np.testing.assert_allclose(linalg.expm(np.diag([1.0, 2.0])), np.diag(np.exp([1.0, 2.0])), atol=1e-12)
 
     def test_symmetric_two_by_two(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        w, _ = np.linalg.eigh(linalg.as_hermitian(a))
+        w, _ = linalg._eigh(linalg.as_hermitian(a))
         np.testing.assert_allclose(w, [1.0, 3.0], atol=1e-12)
         np.testing.assert_allclose(linalg.powm(a, 2), a @ a, atol=1e-12)
 
     def test_pauli_y(self):
         y = np.array([[0.0, 1j], [-1j, 0.0]])
-        w, _ = np.linalg.eigh(linalg.as_hermitian(y))
+        w, _ = linalg._eigh(linalg.as_hermitian(y))
         np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(linalg.expm(y), np.cosh(1.0) * np.eye(2) + np.sinh(1.0) * y, atol=1e-12)
 
@@ -48,7 +51,7 @@ class TestSpectrum:
         # the power 1 is the identity function: P Lambda P^dagger rebuilt
         res = np.linalg.norm(linalg.matrix_function(a, "power", 1.0) - a)
         assert res <= 1e-10 * (1.0 + np.linalg.norm(a))
-        w, p = np.linalg.eigh(linalg.as_hermitian(a))
+        w, p = linalg._eigh(linalg.as_hermitian(a))
         assert np.linalg.norm(p.conj().T @ p - np.eye(5)) <= 1e-10
         assert np.all(np.diff(w) >= 0)
 
@@ -474,3 +477,123 @@ class TestKronAndPartialTrace:
             linalg.partial_trace(np.eye(5), 2, 2, "first")
         with pytest.raises(InvalidInputError):
             linalg.partial_trace(np.eye(4), 2, 2, "third")
+
+
+def kernel_input(d, real, layout, rng):
+    """A Hermitian d x d matrix, float64 or complex128, for the kernel
+    contract: as it is, as a stack of three, or as a strided view."""
+    def one():
+        g = rng.standard_normal((d, d)) + (0.0 if real else 1j * rng.standard_normal((d, d)))
+        return (g + g.conj().T) / 2
+    if layout == "stacked":
+        return np.stack([one() for _ in range(3)])
+    if layout == "strided":
+        big = np.zeros((2 * d, 2 * d), dtype=float if real else complex)
+        big[::2, ::2] = one()
+        return big[::2, ::2]
+    return one()
+
+
+class TestKernels:
+    """``linalg._eigh``, ``_eigvalsh`` and ``_solve`` call numpy's LAPACK
+    gufuncs without ``numpy.linalg``'s per-call checks.  They must give that
+    wrapper's bits on every input the package hands them, so a numpy release
+    that changes its private gufuncs fails here, and fail with a package
+    error where the gufunc answers with NaN."""
+
+    @pytest.mark.parametrize("layout", ["2-D", "stacked", "strided"])
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_equal_numpy_linalg_bit_for_bit(self, d, real, layout):
+        rng = np.random.default_rng(2900 + 10 * d + real)
+        a = kernel_input(d, real, layout, rng)
+        b = rng.standard_normal(d) + (0.0 if real else 1j * rng.standard_normal(d))
+        pairs = [
+            (linalg._eigh(a), np.linalg.eigh(a)),
+            (linalg._eigvalsh(a), np.linalg.eigvalsh(a)),
+            # a Hermitian a is nonsingular with probability one
+            (linalg._solve(a, b), np.linalg.solve(a, b)),
+        ]
+        for got, want in pairs:
+            got, want = (o if isinstance(o, tuple) else (o,) for o in (got, want))
+            assert len(got) == len(want)
+            for x, y in zip(got, want):
+                assert type(x) is np.ndarray and x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 16])
+    def test_nan_input_is_a_typed_error(self, d, real, stacked):
+        a = np.full((d, d), np.nan, dtype=float if real else complex)
+        if stacked:
+            a = np.stack([np.eye(d, dtype=a.dtype), a])
+        calls = [
+            (lambda: linalg._eigh(a, "the probe"), "eigendecomposition of the probe failed"),
+            (lambda: linalg._eigvalsh(a, "the probe"), "eigenvalues of the probe failed"),
+            (lambda: linalg._solve(a, np.ones(d), "the probe"), "the probe is singular"),
+        ]
+        for call, message in calls:
+            # numpy warns of the invalid value as well; the error is the point
+            with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError, match=message):
+                call()
+
+    def test_singular_system_is_a_typed_error(self):
+        with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError, match="the probe is singular"):
+            linalg._solve(np.zeros((3, 3)), np.ones(3), "the probe")
+
+    @pytest.mark.parametrize("solve", ["projection", "joint"])
+    @pytest.mark.parametrize("method", ["bkm", "burg"])
+    def test_singular_newton_system_names_its_solve(self, method, solve, monkeypatch):
+        # a dual whose Newton system is all zeros: numpy.linalg.solve raised
+        # its untyped LinAlgError here
+        dual = getattr(scaling, f"_{method}_dual")
+
+        def zero_system(*args):
+            evaluate, system = dual(*args)
+            return evaluate, lambda point: (np.zeros_like(system(point)[0]), -point.gradient)
+
+        monkeypatch.setattr(scaling, f"_{method}_dual", zero_system)
+        rng = np.random.default_rng(2950)
+        choi, p = channels.random_choi(2, 3, rng), channels.random_density(3, rng)
+        if solve == "projection":
+            project = scaling.bkm_e_projection if method == "bkm" else scaling.burg_e_projection
+            call, name = (
+                lambda: project(choi, ConstraintSet("first", p)),
+                f"{method} projection onto the first marginal",
+            )
+        else:
+            call, name = lambda: scaling.joint_limit(method, choi), f"joint {method}"
+        with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError) as err:
+            call()
+        assert str(err.value) == f"{name} Newton system is singular: its solution is not finite"
+
+
+class TestKernelsAreTheOnlyRoute:
+    """No ``eigh``, ``eigvalsh`` or ``solve`` in ``src/`` escapes the
+    kernels, so the counters that patch them (``eig_calls`` in
+    ``conftest.py``, ``count_calls`` in ``test_scaling.py``) see every one."""
+
+    KERNELS = {"_eigh", "_eigvalsh", "_solve"}
+
+    def test_src_calls_no_numpy_linalg_eigensolver_or_solve(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "opsinkhorn"
+        found = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            kernels = {
+                node for node in ast.walk(tree)
+                if path.name == "linalg.py" and isinstance(node, ast.FunctionDef) and node.name in self.KERNELS
+            }
+            inside = {id(n) for kernel in kernels for n in ast.walk(kernel)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh", "solve", "_umath_linalg"):
+                    if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+                        found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+                if isinstance(node, ast.Name) and node.id == "_umath_linalg" and id(node) not in inside:
+                    found.append(f"{path.name}:{node.lineno} _umath_linalg outside the kernels")
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"):
+                    names = {alias.name for alias in node.names}
+                    if node.module != "numpy.linalg" or names != {"_umath_linalg"} or path.name != "linalg.py":
+                        found.append(f"{path.name}:{node.lineno} from {node.module} import {sorted(names)}")
+        assert found == []

@@ -102,6 +102,13 @@ class TestPlainArrayWhereAValueClassBelongs:
                 "constraint must be a ConstraintSet, got ndarray",
             ),
             (lambda: serialization.save_choi(os.devnull, PLAIN), "choi must be a ChoiMatrix, got ndarray"),
+            (lambda: scaling.operator_sinkhorn(GOOD, {"tol": 1e-9}), "cfg must be a ScalingConfig, got dict"),
+            (lambda: scaling.operator_sinkhorn_batch([GOOD, GOOD], None), "cfg must be a ScalingConfig, got NoneType"),
+            (lambda: scaling.alternating_projections("bkm", GOOD, None), "cfg must be a ScalingConfig, got NoneType"),
+            (lambda: scaling.joint_limit("burg", GOOD, 5), "cfg must be a ScalingConfig, got int"),
+            (lambda: scaling.matrix_sinkhorn(np.ones((2, 2)), None), "cfg must be a ScalingConfig, got NoneType"),
+            (lambda: channels.KrausMap([np.eye(2)]).apply(GOOD), "x is not a numeric array.*ChoiMatrix"),
+            (lambda: channels.KrausMap([np.eye(2)]).apply_dual(GOOD), "y is not a numeric array.*ChoiMatrix"),
         ],
     )
     def test_is_a_typed_error_naming_the_argument(self, call, what):

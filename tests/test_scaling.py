@@ -331,9 +331,9 @@ class TestTraceFinal:
         )
         trace = scaling.alternating_projections(method, choi)
         calls = []
-        eigvalsh = np.linalg.eigvalsh
+        eigvalsh = linalg._eigvalsh
         monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs)
+            linalg, "_eigvalsh", lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs)
         )
         first = trace.final
         assert trace.final is first and calls == []
@@ -1448,7 +1448,7 @@ class TestBkmProjectionAgainstReference:
         kept = [a.copy() for a in point[:3]]
         steps = newton_steps(monkeypatch)
         states = count_calls(monkeypatch, scaling, "_gibbs_state")
-        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        eigh = count_calls(monkeypatch, linalg, "_eigh")
         again, dual, again_steps = one_sided("bkm", point, 3, 2, "first", p)
         assert steps == [0] == [again_steps] and not dual.any() and not states and not eigh
         assert again.v is point.v and again.coord is not point.coord and again.state is None
@@ -1472,7 +1472,7 @@ class TestBkmProjectionAgainstReference:
             return newton(method, lambda x: evaluations.append(1) or evaluate(x), direction, current, **kwargs)
 
         monkeypatch.setattr(scaling, "_newton", counted)
-        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        eigh = count_calls(monkeypatch, linalg, "_eigh")
         point, _, _ = one_sided("bkm", start, n, m, "first", p)
         assert len(evaluations) > 0
         assert eigh == [(n * m, n * m)] * len(evaluations)
@@ -1663,17 +1663,20 @@ class TestOneConeTest:
 
 class TestRealSystems:
     """Every Newton system of a projection or a joint solve is real: a
-    float64 matrix and right-hand side for each ``np.linalg.solve``, of the
+    float64 matrix and right-hand side for each ``linalg._solve``, of the
     dual's d^2 (or m^2 + n^2) coordinates."""
 
     @pytest.mark.parametrize("method", ["bkm", "burg"])
     @pytest.mark.parametrize("solve", ["projection", "alternation", "joint"])
     def test_every_solve_is_float64(self, method, solve, monkeypatch):
         choi, p, q = reference_case(2, 3, True, 850)
-        systems, solve_fn = [], np.linalg.solve
-        monkeypatch.setattr(
-            np.linalg, "solve", lambda a, b: systems.append((a.dtype, b.dtype, a.shape, b.shape)) or solve_fn(a, b)
-        )
+        systems, solve_fn = [], linalg._solve
+
+        def solve(a, b, *args):
+            systems.append((a.dtype, b.dtype, a.shape, b.shape))
+            return solve_fn(a, b, *args)
+
+        monkeypatch.setattr(linalg, "_solve", solve)
         cfg = scaling.ScalingConfig(target_p=p, target_q=q)
         if solve == "projection":
             project = scaling.bkm_e_projection if method == "bkm" else scaling.burg_e_projection
@@ -1840,11 +1843,13 @@ class TestDualLoopAgainstReference:
         # run
         choi = channels.random_choi(3, 3, np.random.default_rng(36))
         calls, inputs = [], []
-        eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
+        eigvalsh, eigh = linalg._eigvalsh, linalg._eigh
         monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs)
+            linalg, "_eigvalsh", lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs)
         )
-        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: inputs.append(a is choi.matrix) or eigh(a))
+        monkeypatch.setattr(
+            linalg, "_eigh", lambda a, *args, **kwargs: inputs.append(a is choi.matrix) or eigh(a, *args, **kwargs)
+        )
         trace = scaling.alternating_projections(
             method, choi, scaling.ScalingConfig(max_iters=sweeps, tol=0.0)
         )
@@ -1958,13 +1963,17 @@ class TestOneStart:
     @pytest.mark.parametrize("method", ["bkm", "burg"])
     def test_input_is_decomposed_once_before_newton(self, method, solve, monkeypatch):
         choi, p, q = reference_case(2, 3, True, 1700)
-        events, eigh, eigvalsh, newton = [], np.linalg.eigh, np.linalg.eigvalsh, scaling._newton
+        events, eigh, eigvalsh, newton = [], linalg._eigh, linalg._eigvalsh, scaling._newton
 
         def decomposed(decompose):
-            return lambda a, *args, **kwargs: events.append((np.shape(a), a is choi.matrix)) or decompose(a)
+            def call(a, *args, **kwargs):
+                events.append((np.shape(a), a is choi.matrix))
+                return decompose(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", decomposed(eigh))
-        monkeypatch.setattr(np.linalg, "eigvalsh", decomposed(eigvalsh))
+            return call
+
+        monkeypatch.setattr(linalg, "_eigh", decomposed(eigh))
+        monkeypatch.setattr(linalg, "_eigvalsh", decomposed(eigvalsh))
         monkeypatch.setattr(scaling, "_newton", lambda *a, **k: events.append("newton") or newton(*a, **k))
         dual_run(method, solve, choi, scaling.ScalingConfig(target_p=p, target_q=q))
         before = events[: events.index("newton")]
@@ -2042,14 +2051,14 @@ class TestBurgPolish:
     def test_polish_line_search_makes_one_evaluation(self, n, m, seed, general, monkeypatch):
         choi, cfg = self.problem(n, m, seed, general)
         events = []
-        jacobian, project, eigh = scaling._burg_jacobian, scaling._project, np.linalg.eigh
+        jacobian, project, eigh = scaling._burg_jacobian, scaling._project, linalg._eigh
         monkeypatch.setattr(
             scaling, "_project", lambda *a, **k: events.append("P") or project(*a, **k)
         )
         monkeypatch.setattr(
             scaling, "_burg_jacobian", lambda *a, **k: events.append("J") or jacobian(*a, **k)
         )
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: events.append("e") or eigh(*a, **k))
+        monkeypatch.setattr(linalg, "_eigh", lambda *a, **k: events.append("e") or eigh(*a, **k))
         trace = scaling.alternating_projections("burg", choi, cfg)
         assert trace.converged
         projections = "".join(events).split("P")[1:]
@@ -2349,7 +2358,7 @@ class TestJointLimit:
             return newton(method, lambda x: evaluations.append(1) or evaluate(x), direction, current, **kwargs)
 
         monkeypatch.setattr(scaling, "_newton", counted)
-        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        eigh = count_calls(monkeypatch, linalg, "_eigh")
         states = count_calls(monkeypatch, scaling, "_gibbs_state")
         joint = scaling.joint_limit("bkm", choi, cfg)
         assert joint.converged and len(evaluations) >= joint.sweeps > 0
@@ -2374,7 +2383,7 @@ class TestJointLimit:
             return newton(method, recorded, direction, current, **kwargs)
 
         monkeypatch.setattr(scaling, "_newton", counted)
-        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        eigh = count_calls(monkeypatch, linalg, "_eigh")
         states = count_calls(monkeypatch, scaling, "_burg_point")
         joint = scaling.joint_limit("burg", choi, cfg)
         assert joint.converged and len(inside) >= joint.sweeps > 0

@@ -125,7 +125,7 @@ def _value(tag: str, rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     else:
         # nagaoka: rho # sigma^{-1} = sigma^{-1} # rho, the SLD factor of
         # sigma towards rho, from two eigh (both arguments are checked)
-        mean, _ = linalg.inverse_mean(sigma, rho, "divergence second argument")
+        mean = linalg.inverse_mean(sigma, rho, "divergence second argument")
         value = (2.0 * _trace(rho @ linalg.logm(mean))).real
     return float(value) if np.ndim(value) == 0 else value
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .channels import ChoiMatrix, _check_marginal, _instance, as_density
-from .errors import InvalidInputError, SingularityError
+from .errors import ConvergenceError, InvalidInputError, SingularityError
 from .policy import get_policy
 
 __all__ = [
@@ -179,32 +179,51 @@ def e_geodesic(tag: str, rho1: np.ndarray, rho2: np.ndarray, t: float) -> np.nda
 
     All three satisfy rho(0) = rho1 and rho(1) = rho2 exactly.  Values of
     ``t`` outside [0, 1] extrapolate; the congruence resolvent may then leave
-    the positive cone, which raises ``SingularityError``.  A ``t`` that is
-    not a finite real number is an ``InvalidInputError``.
+    the positive cone, which raises ``SingularityError``.  A point, or a
+    matrix on the way to it, that overflows (K^t, the exponent of exp, the
+    resolvent, or the point's trace) is a ``ConvergenceError`` naming the
+    geometry and ``t``: a point returned is finite with unit trace.
+    A ``t`` that is not a finite real number (a bool included) is an
+    ``InvalidInputError``.
     """
-    if not (isinstance(t, numbers.Real) and math.isfinite(t)):
+    if isinstance(t, bool) or not (isinstance(t, numbers.Real) and math.isfinite(t)):
         raise InvalidInputError(f"geodesic parameter t must be a finite real number, got {t!r}")
     rho1 = as_density(rho1, "geodesic endpoint rho1")
     rho2 = as_density(rho2, "geodesic endpoint rho2")
     if rho1.shape != rho2.shape:
         raise InvalidInputError("geodesic endpoints have different dimensions")
-    if tag == "sld":
-        k, _ = linalg.inverse_mean(rho1, rho2, "geodesic endpoint rho1")
-        kt = linalg.powm(k, t)
-        curve = kt @ rho1 @ kt
-    elif tag == "bkm":
-        curve = linalg.expm((1.0 - t) * linalg.logm(rho1) + t * linalg.logm(rho2))
-    elif tag == "congruence":
-        # one eigh of the resolvent is both the cone test and its inverse
-        resolvent = linalg.hermitian_part((1.0 - t) * linalg.invm(rho1) + t * linalg.invm(rho2))
-        w, v = linalg._eigh(resolvent, "congruence geodesic resolvent")
-        if not linalg._positive_definite(w):
-            raise SingularityError(f"congruence geodesic leaves the cone at t={t}")
-        curve = (v * (1.0 / w)) @ v.conj().T
-    else:
-        raise InvalidInputError(f"unknown metric tag {tag!r}")
-    curve = linalg.hermitian_part(curve)
-    return curve / np.trace(curve).real
+
+    overflow = f"{tag} e-geodesic overflows at t={t}"
+    try:
+        # an overflow is the ConvergenceError below; numpy's warnings on the
+        # way there say nothing more
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if tag == "sld":
+                k = linalg.inverse_mean(rho1, rho2, "geodesic endpoint rho1")
+                kt = linalg.powm(k, t)
+                curve = kt @ rho1 @ kt
+            elif tag == "bkm":
+                exponent = (1.0 - t) * linalg.logm(rho1) + t * linalg.logm(rho2)
+                # a non-finite exponent is an overflow, raised below
+                curve = linalg.expm(exponent) if np.isfinite(exponent).all() else exponent
+            elif tag == "congruence":
+                # one eigh of the resolvent is both the cone test and its inverse
+                resolvent = linalg.hermitian_part((1.0 - t) * linalg.invm(rho1) + t * linalg.invm(rho2))
+                w, v = linalg._eigh(resolvent, "congruence geodesic resolvent")
+                if not linalg._positive_definite(w):
+                    raise SingularityError(f"congruence geodesic leaves the cone at t={t}")
+                curve = (v * (1.0 / w)) @ v.conj().T
+            else:
+                raise InvalidInputError(f"unknown metric tag {tag!r}")
+            curve = linalg.hermitian_part(curve)
+            total = np.trace(curve).real
+            point = curve / total
+    except ConvergenceError as exc:
+        # an eigendecomposition of a matrix that overflowed LAPACK's range
+        raise ConvergenceError(overflow) from exc
+    if not (math.isfinite(total) and np.isfinite(point).all()):
+        raise ConvergenceError(overflow)
+    return point
 
 
 def sld_parallel_transport(l: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -229,7 +248,7 @@ def _geodesic_tail(tag: str, rho_from: np.ndarray, rho_to: np.ndarray) -> tuple[
     eye = np.eye(dim)
     if tag == "sld":
         # K = rho_from^{-1} # rho_to from two eigh, its logarithm from a third
-        k, _ = linalg.inverse_mean(rho_from, rho_to, "geodesic start")
+        k = linalg.inverse_mean(rho_from, rho_to, "geodesic start")
         e = 2.0 * linalg.logm(k)
         e = e - np.trace(rho_to @ e).real * eye
         m_rep = linalg.hermitian_part(e @ rho_to + rho_to @ e) / 2.0

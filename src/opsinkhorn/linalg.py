@@ -15,8 +15,10 @@ that fails returns NaN where the wrapper raises numpy's ``LinAlgError``
 (numpy also warns of the invalid value, unless the caller's ``errstate``
 ignores it), so each kernel tests its own output (a largest eigenvalue,
 a solution entry) and raises the package's ``ConvergenceError`` naming
-what it decomposed or solved.  ``numpy.linalg.cholesky``, whose ``LinAlgError`` is the PSD test
-of ``channels.ChoiMatrix``, ``slogdet`` and ``norm`` stay on the wrapper.
+what it decomposed or solved.  ``numpy.linalg.cholesky``, whose
+``LinAlgError`` is the PSD test of ``channels.ChoiMatrix``, ``slogdet``
+(the capacity of an operator Sinkhorn run, read once off its factor
+products) and ``norm`` stay on the wrapper.
 
 Matrix functions take one :func:`_eigh` of their validated argument.
 Geometric means share one core, ``_mean_from_spectrum``, which takes
@@ -27,11 +29,13 @@ spectrum of ``eigh(M)``.  For a uniform target T = c I, given to
 ``inverse_mean`` as the scalar c, the factor is (M / c)^{-1/2}, read off
 ``eigh(M)`` alone: one ``eigh`` instead of two.  ``inverse_mean`` is
 ``eigh(M)``, its positive definiteness check and the factor off that
-spectrum.  Operator Sinkhorn has one loop, and the number of inputs picks
-its layout: a single trial calls ``inverse_mean`` on its 2-D marginal, and
-a batch of two or more trials on the stack of their marginals, which
-shares each call's overhead among its trials; a lone trial, which would
-only pay for the stack's rows, runs without one.  ``solve_lyapunov``
+spectrum, and returns the factor alone: no step needs a log-determinant,
+since a run's capacity is read off its final factor products.  Operator
+Sinkhorn has one loop, and the number of inputs picks its layout: a single
+trial calls ``inverse_mean`` on its 2-D marginal, and a batch of two or
+more trials on the stack of their marginals, which shares each call's
+overhead among its trials; a lone trial, which would only pay for the
+stack's rows, runs without one.  ``solve_lyapunov``
 likewise reads its coefficient's cone test off the ``eigh`` it solves
 with.  These functions act on
 the small ``m x m`` and ``n x n`` marginals and factors and validate their
@@ -397,10 +401,8 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _mean_from_spectrum(w, v, b)
 
 
-def inverse_mean(
-    a: np.ndarray, b: np.ndarray | float, what: str = "matrix"
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """A^{-1} # B for Hermitian A and positive definite B, with log det A.
+def inverse_mean(a: np.ndarray, b: np.ndarray | float, what: str = "matrix") -> np.ndarray:
+    """A^{-1} # B for Hermitian A and positive definite B.
 
     This is the SLD step's factor: the unique positive definite F with
     F A F = B (and, as sigma^{-1} # rho, the mean in the Nagaoka
@@ -410,22 +412,16 @@ def inverse_mean(
     factor's square root.  A positive scalar ``b`` means b I: then
     F = v diag(sqrt(b / w)) v^dagger comes from A = v diag(w) v^dagger
     alone (the operator Sinkhorn normalization (A / b)^{-1/2}), so the call
-    makes one ``eigh``.  log det A = sum log w comes from the same
-    spectrum, so log det F = (log det B - log det A) / 2 needs no further
-    decomposition.  A must be exactly Hermitian (``eigh`` reads its lower
-    triangle) and B is not checked: the caller validates both.
+    makes one ``eigh``.  A must be exactly Hermitian (``eigh`` reads its
+    lower triangle) and B is not checked: the caller validates both.
 
-    A (B, d, d) stack A, or B, gives the stack of factors; log det A is then
-    an array of B values for a stacked A.
+    A (B, d, d) stack A, or B, gives the stack of factors.
     """
     w, v = _eigh(a, what)
     _check_positive_definite(w, what)
-    logdet = np.add.reduce(np.log(w), axis=-1)
-    if w.ndim == 1:
-        logdet = float(logdet)
     if np.ndim(b) == 0:
-        return hermitian_part((v * np.sqrt(b / w)[..., None, :]) @ _adjoint(v)), logdet
-    return _mean_from_spectrum(1.0 / w, v, b), logdet
+        return hermitian_part((v * np.sqrt(b / w)[..., None, :]) @ _adjoint(v))
+    return _mean_from_spectrum(1.0 / w, v, b)
 
 
 def partial_trace(mat: np.ndarray, n: int, m: int, which: str) -> np.ndarray:

@@ -79,7 +79,11 @@ solve too.  One sweep loop, :func:`_alternate`, runs classical Sinkhorn
 (the diagonal case) and the BKM and Burg alternations; each driver passes
 in its per-side step and its residual.  Operator Sinkhorn runs its own
 sweep loop, :func:`_sinkhorn`, on one trial or on a stack of trials
-(below).  Likewise one damped-Newton loop, :func:`_newton`, runs every
+(below).  Every trace record has one writer: :func:`_record` appends a
+step's factor and what the iterates hold after it, for every step of
+every alternation, :func:`_sweep` a sweep's count and residual, and
+:func:`_close` sets the capacity once, from what the run holds;
+:func:`joint_limit`, one two-sided solve, writes its own.  Likewise one damped-Newton loop, :func:`_newton`, runs every
 BKM and Burg solve, one-sided or joint, with the geometry's evaluation
 and Newton system, and names the solve in its errors (the side and
 sweep of an alternation's projection, or the joint solve).
@@ -108,8 +112,8 @@ norms): about 20 us per sweep at 2 x 2 and at 16 x 16, which the 2-D
 layout saves (``BENCH_26.json``).  Everything else is written once: the
 step and marginal closures, the preprocessing step, the sweep body and
 the closing congruence, on the step kernels :func:`_cross`,
-:func:`_scaled_marginal`, :func:`_record` and ``linalg.inverse_mean`` (on
-one marginal or on the stack of them).  A stacked ``linalg._eigh`` and
+:func:`_scaled_marginal` and ``linalg.inverse_mean`` (on one marginal or
+on the stack of them).  A stacked ``linalg._eigh`` and
 ``matmul`` give each matrix the bits of the 2-D call, so each trial's
 trace in a batch is exactly the one it gets alone.  Only a lone run says
 which trial fails: a stack whose step fails (a singular marginal, or
@@ -139,8 +143,12 @@ the scaling factors, the per-sweep stopping-criterion residuals
 
     ||tr_first rho - P||_F^2 + ||tr_second rho - Q||_F^2
 
-and, for square doubly stochastic runs, the accumulated log-determinant
-product that determines the capacity of the input map.  The iterates of
+and, for square Sinkhorn runs, the log-determinant that determines the
+capacity of the input map.  Each step of the paper's alternation is an
+SLD e-projection by congruence, so a whole run rescales the map's
+capacity by (det L det R)^{2/n}, with L and R the final factor products:
+:func:`_close` reads ``capacity_log`` off them, and no step carries a
+log-determinant.  The iterates of
 every run on a Choi matrix are one :class:`SinkhornIterates`, which holds
 what the run holds (the factor products of operator Sinkhorn, the
 cumulative duals of the BKM and Burg alternations) and rebuilds an
@@ -200,8 +208,8 @@ class ScalingConfig:
     ``max_iters`` counts sweeps (one left plus one right step).  ``tol`` is
     compared against the squared-Frobenius stopping criterion; ``tol=0``
     disables early stopping so a run executes exactly ``max_iters`` sweeps.
-    A ``max_iters`` that is not an int, or a ``tol`` that is not finite, is
-    an ``InvalidInputError``.  ``target_p`` / ``target_q`` default to I/m
+    A ``max_iters`` that is not an int, or a ``tol`` that is not a finite
+    nonnegative real number, is an ``InvalidInputError``; a bool is neither.  ``target_p`` / ``target_q`` default to I/m
     and I/n.
     """
 
@@ -212,8 +220,9 @@ class ScalingConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters", 0))
-        if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol) and self.tol >= 0):
-            raise InvalidInputError(f"tol must be finite and nonnegative, got {self.tol!r}")
+        tol = self.tol
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+            raise InvalidInputError(f"tol must be a finite nonnegative real number, got {tol!r}")
 
     def targets(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         p = np.eye(m) / m if self.target_p is None else as_density(self.target_p, "target P")
@@ -227,9 +236,10 @@ class ScalingConfig:
 def _uniform_level(target: np.ndarray) -> float | None:
     """1/d if the d x d ``target`` is I/d within 1e-12 in every entry, else
     None.  The one test of a uniform target: :func:`doubly_stochastic` asks
-    it of both sides, and the SLD steps pass a uniform side's 1/d to
-    ``linalg.inverse_mean`` as a scalar, so capacity reporting and the
-    one-``eigh`` factor agree on which runs are doubly stochastic."""
+    it of both sides (for the preprocessing step and for
+    :func:`capacity_from_trace`), and the SLD steps pass a uniform side's
+    1/d to ``linalg.inverse_mean`` as a scalar, so the one-``eigh`` factor
+    and the doubly stochastic runs agree on which sides are uniform."""
     d = len(target)
     return 1.0 / d if np.abs(target - np.eye(d) / d).max() <= 1e-12 else None
 
@@ -270,8 +280,9 @@ class SinkhornIterates(Sequence):
         self._held: list[tuple[np.ndarray | None, np.ndarray | None]] = [(None, None)]
         self._final = rho0
 
-    def _append(self, first: np.ndarray, second: np.ndarray) -> None:
-        self._held.append((first, second))
+    def append(self, held: tuple[np.ndarray, np.ndarray]) -> None:
+        """Hold the pair of one more step, as a list appends an array."""
+        self._held.append(held)
 
     def __len__(self) -> int:
         return len(self._held)
@@ -330,6 +341,13 @@ class ScalingTrace:
     :func:`matrix_sinkhorn`) holds m x n arrays instead: ``n`` and ``m``
     are their column and row counts, as in the diagonal Choi embedding,
     the targets are I/m and I/n, and ``final`` is the scaled array.
+
+    ``factors`` and ``iterates`` grow by one entry per step
+    (:func:`_record`), ``sweeps`` and ``residuals`` by one per sweep
+    (:func:`_sweep`).  ``capacity_log`` is 0.0 but for a square ``sld`` or
+    ``classical`` run that took a step: then the run's steps multiplied the
+    capacity of the input map by exp(capacity_log), which
+    :func:`capacity_from_trace` reads, set once by :func:`_close`.
     """
 
     method: str
@@ -356,20 +374,38 @@ def _running(trace: ScalingTrace, cfg: ScalingConfig) -> bool:
 
 
 def _alternate(
-    trace: ScalingTrace, cfg: ScalingConfig, step: Callable[[str, np.ndarray], np.ndarray], residual: Callable[[], float]
+    trace: ScalingTrace, cfg: ScalingConfig, step: Callable[[str, np.ndarray], None], residual: Callable[[], float]
 ) -> None:
     """The sweep loop of every driver but operator Sinkhorn, which runs the
     same sweeps on the factor products of one trial or of a stack of trials
-    (:func:`_sinkhorn`).  A sweep
-    is ``step("first", P)`` then ``step("second", Q)``: each makes one
-    e-projection onto {tr_side rho = target}, records its iterate and
-    returns its factor, which the loop records.  Then ``residual()`` gives
-    the stopping criterion.  Sweeps run while :func:`_running`."""
-    while _running(trace, cfg):
-        for side, target in (("first", trace.target_p), ("second", trace.target_q)):
-            trace.factors.append((side, step(side, target)))
-        trace.sweeps += 1
-        trace.residuals.append(residual())
+    (:func:`_sinkhorn`).  A sweep is ``step("first", P)`` then
+    ``step("second", Q)``: each makes one e-projection onto
+    {tr_side rho = target} and records it (:func:`_record`).  Then
+    ``residual()`` gives the stopping criterion (:func:`_sweep`).  Sweeps
+    run while :func:`_running`."""
+    running = _running(trace, cfg)
+    while running:
+        step("first", trace.target_p)
+        step("second", trace.target_q)
+        running = _sweep(trace, cfg, residual())
+
+
+def _record(trace: ScalingTrace, side: str, factor: np.ndarray, held: np.ndarray | tuple) -> None:
+    """The one writer of a step's records, for every step of every
+    alternation: its factor, and what the iterates hold after it (the
+    ``classical`` array, or the pair of :class:`SinkhornIterates`: the
+    factor products of operator Sinkhorn, the cumulative duals of BKM and
+    Burg)."""
+    trace.factors.append((side, factor))
+    trace.iterates.append(held)
+
+
+def _sweep(trace: ScalingTrace, cfg: ScalingConfig, residual: float) -> bool:
+    """The one writer of a sweep's records, its count and its residual;
+    returns whether the run takes another sweep (:func:`_running`)."""
+    trace.sweeps += 1
+    trace.residuals.append(residual)
+    return _running(trace, cfg)
 
 
 def _close(trace: ScalingTrace, cfg: ScalingConfig, state: np.ndarray | None = None) -> ScalingTrace:
@@ -378,12 +414,26 @@ def _close(trace: ScalingTrace, cfg: ScalingConfig, state: np.ndarray | None = N
     A Choi final is exactly Hermitian and PSD by construction, so it is
     checked for shape and finiteness only (``ChoiMatrix._trusted``; a
     non-finite final is a ``ConvergenceError``), and its read-only view
-    becomes ``iterates[-1]``."""
+    becomes ``iterates[-1]``.
+
+    On a square shape a Sinkhorn run's ``capacity_log`` is set here, once,
+    from what the run holds.  Every step is a congruence by its factor F,
+    which multiplies the encoded map by F twice and so its capacity by
+    det(F)^{2/n}: an ``sld`` run's capacity_log is
+    2 (log|det L| + log|det R|) / n for its final factor products L and R,
+    and a ``classical`` run's the sum, in step order, of log det / n of its
+    diagonal scalings."""
     trace.converged = trace.residuals[-1] < cfg.tol
     if state is not None:
         classical = trace.method == "classical"
         trace.final = state if classical else ChoiMatrix._trusted(trace.n, trace.m, state, f"{trace.method} run")
         trace.iterates[-1] = state if classical else trace.final.matrix
+        if trace.n == trace.m and classical:
+            for _, factor in trace.factors:
+                trace.capacity_log += float(np.sum(np.log(np.diag(factor)))) / trace.n
+        elif trace.n == trace.m and trace.method == "sld":
+            left, right = trace.iterates._held[-1]
+            trace.capacity_log = float(2.0 * (np.linalg.slogdet(left)[1] + np.linalg.slogdet(right)[1]) / trace.n)
     return trace
 
 
@@ -419,14 +469,11 @@ def matrix_sinkhorn(a0: np.ndarray, cfg: ScalingConfig = ScalingConfig()) -> Sca
         iterates=[a.copy()], residuals=[residual()],
     )
 
-    def step(side: str, target: np.ndarray) -> np.ndarray:
+    def step(side: str, target: np.ndarray) -> None:
         nonlocal a
         scale = 1.0 / (len(target) * a.sum(axis=1 if side == "first" else 0))
         a = a * scale[:, None] if side == "first" else a * scale
-        trace.iterates.append(a)
-        if m == n:
-            trace.capacity_log += float(np.sum(np.log(scale))) / n
-        return np.diag(scale)
+        _record(trace, side, np.diag(scale), a)
 
     _alternate(trace, cfg, step, residual)
     return _close(trace, cfg, trace.iterates[-1])
@@ -440,24 +487,22 @@ def choi_residual(choi: ChoiMatrix, p: np.ndarray, q: np.ndarray) -> float:
     return float(np.linalg.norm(choi.trace_first() - p) ** 2 + np.linalg.norm(choi.trace_second() - q) ** 2)
 
 
-def _sld_step(
-    mat: np.ndarray, n: int, m: int, side: str, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _sld_step(mat: np.ndarray, n: int, m: int, side: str, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One SLD e-projection on a plain Hermitian PSD array; returns the new
-    iterate, the factor F = marginal^{-1} # target and log det of the
-    marginal.  ``linalg.inverse_mean`` checks that the marginal is positive
-    definite from its ``eigh``, which also gives the factor: on its own for
-    a uniform target I/d (passed as the scalar 1/d, see
+    iterate and the factor F = marginal^{-1} # target.
+    ``linalg.inverse_mean`` checks that the marginal is positive definite
+    from its ``eigh``, which also gives the factor: on its own for a
+    uniform target I/d (passed as the scalar 1/d, see
     :func:`_uniform_level`), with one more ``eigh`` otherwise.  The side
-    and the target are validated by the caller.  The congruence by the positive definite
-    factor keeps the iterate PSD."""
+    and the target are validated by the caller.  The congruence by the
+    positive definite factor keeps the iterate PSD."""
     level = _uniform_level(target)
-    factor, marginal_logdet = linalg.inverse_mean(
+    factor = linalg.inverse_mean(
         linalg.partial_trace(mat, n, m, side), target if level is None else level, f"{side} marginal"
     )
     if side == "first":
-        return congruence(mat, n, m, left=factor), factor, marginal_logdet
-    return congruence(mat, n, m, right=factor), factor, marginal_logdet
+        return congruence(mat, n, m, left=factor), factor
+    return congruence(mat, n, m, right=factor), factor
 
 
 def operator_sinkhorn_step(
@@ -475,7 +520,7 @@ def operator_sinkhorn_step(
     _instance(choi, ChoiMatrix, "choi")
     target = as_density(target, "step target")
     _check_marginal(choi, side, target, "step target")
-    mat, factor, _ = _sld_step(choi.matrix, choi.n, choi.m, side, target)
+    mat, factor = _sld_step(choi.matrix, choi.n, choi.m, side, target)
     return ChoiMatrix(n=choi.n, m=choi.m, matrix=mat), factor
 
 
@@ -526,19 +571,6 @@ def _scaled_marginal(cross: np.ndarray, left: np.ndarray, right: np.ndarray, sid
     return linalg.hermitian_part(inner @ x @ linalg._adjoint(inner))
 
 
-def _record(
-    trace: ScalingTrace, side: str, factor: np.ndarray, left: np.ndarray, right: np.ndarray, gain: float
-) -> None:
-    """The records of one SLD step: its factor, the factor products after
-    it and, on a square shape, its capacity term from ``gain`` = log det
-    target - log det marginal: the congruence multiplies the encoded map by
-    F twice, so its capacity by det(F)^{2/n}."""
-    trace.factors.append((side, factor))
-    trace.iterates._append(left, right)
-    if trace.n == trace.m:
-        trace.capacity_log += float(gain) / trace.n
-
-
 def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -> ScalingTrace:
     """Operator Sinkhorn iteration, doubly stochastic or general marginals.
 
@@ -557,9 +589,10 @@ def operator_sinkhorn(choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConfig()) -
     ``eigh``: on a uniform side (target I/d, decided once by
     :func:`_uniform_level`) the factor is (d M)^{-1/2} from that one small
     ``eigh``, on a general side one more ``eigh`` takes the middle factor's
-    root.  The capacity bookkeeping reuses the marginal's spectrum.  A
-    marginal that is not finite, because the factor products overflowed, is
-    a ``ConvergenceError`` naming the sweep.  The final iterate
+    root.  On a square shape ``capacity_log`` is read off the final
+    factor products, once (:func:`_close`).  A marginal that is not
+    finite, because the factor products overflowed, is a
+    ``ConvergenceError`` naming the sweep.  The final iterate
     (R kron L) rho0 (R kron L)^dagger is formed once, by one congruence,
     PSD by construction and checked for shape and finiteness only
     (:func:`_close`); ``trace.iterates`` rebuilds the ones in between on
@@ -581,11 +614,11 @@ def _sinkhorn(chois: list[ChoiMatrix], cfg: ScalingConfig) -> list[ScalingTrace]
     stack row i holds trial ``rows[i]``, in ascending trial order, so that a
     step is one stacked ``eigh`` (``linalg.inverse_mean`` on the stacked
     marginals) and a few stacked matmuls for every running trial.
-    ``record`` writes a step's factor, factor products and capacity term
-    into each running trial's trace (:func:`_record`), and ``sweep`` a
-    sweep's residual, and says whether any trial runs on (see
-    :func:`_running`); on a stack it also drops the trials that stopped,
-    which copies the stacked arrays then, and only then.  A lone trial so
+    ``record`` writes a step's factor and factor products into each running
+    trial's trace (:func:`_record`), and ``sweep`` a sweep's count and
+    residual (:func:`_sweep`), and says whether any trial runs on; on a
+    stack it also drops the trials that stopped, which copies the stacked
+    arrays then, and only then.  A lone trial so
     pays for no stack rows, about 20 us per sweep (``BENCH_26.json``), and
     stacked ``eigh`` and ``matmul`` give each matrix the bits of the 2-D
     call, so each trial's trace in a stack is exactly the one it gets
@@ -599,41 +632,31 @@ def _sinkhorn(chois: list[ChoiMatrix], cfg: ScalingConfig) -> list[ScalingTrace]
     if not rows:
         return [_close(trace, cfg) for trace in traces]
     n, m, p, q = chois[0].n, chois[0].m, traces[0].target_p, traces[0].target_q
-    # per side, the target as inverse_mean takes it, a uniform side as its
-    # level c (so its factor meets c I exactly, also when the target is only
-    # within 1e-12 of it), and the target's log det: F M F = target, so
-    # log det F = (log det target - log det M) / 2, off the step's spectrum
-    targets, general = {}, False
-    for side, target in (("first", p), ("second", q)):
-        level = _uniform_level(target)
-        general |= not level
-        targets[side] = (level, len(target) * math.log(level)) if level else (target, np.linalg.slogdet(target)[1])
+    # per side, the target as inverse_mean takes it: a uniform side as its
+    # level c, so that its factor meets c I exactly, also when the target is
+    # only within 1e-12 of it
+    targets = {"first": _uniform_level(p) or p, "second": _uniform_level(q) or q}
     if len(chois) == 1:
         (lone,) = traces
         cross, left, right = _cross(chois[0].matrix, n, m), np.eye(m, dtype=complex), np.eye(n, dtype=complex)
 
-        def record(side: str, factor: np.ndarray, gain: float) -> None:
-            _record(lone, side, factor, left, right, gain)
+        def record(side: str, factor: np.ndarray) -> None:
+            _record(lone, side, factor, (left, right))
 
         def sweep(gap: float, other: float) -> bool:
-            lone.sweeps += 1
-            lone.residuals.append(gap**2 + other**2)
-            return _running(lone, cfg)
+            return _sweep(lone, cfg, gap**2 + other**2)
     else:
         cross = np.stack([_cross(chois[k].matrix, n, m) for k in rows])
         left = np.repeat(np.eye(m, dtype=complex)[None], len(rows), axis=0)
         right = np.repeat(np.eye(n, dtype=complex)[None], len(rows), axis=0)
 
-        def record(side: str, factor: np.ndarray, gain: np.ndarray) -> None:
-            for k, f, l, r, g in zip(rows, factor, left, right, gain.tolist()):
-                _record(traces[k], side, f, l, r, g)
+        def record(side: str, factor: np.ndarray) -> None:
+            for k, f, l, r in zip(rows, factor, left, right):
+                _record(traces[k], side, f, (l, r))
 
         def sweep(gap: np.ndarray, other: np.ndarray) -> bool:
             nonlocal rows, cross, left, right, first
-            for k, g, o in zip(rows, gap.tolist(), other.tolist()):
-                traces[k].sweeps += 1
-                traces[k].residuals.append(g**2 + o**2)
-            keep = [_running(traces[k], cfg) for k in rows]
+            keep = [_sweep(traces[k], cfg, g**2 + o**2) for k, g, o in zip(rows, gap.tolist(), other.tolist())]
             if not all(keep):
                 rows = [k for k, kept in zip(rows, keep) if kept]
                 cross, left, right, first = (a[np.array(keep)] for a in (cross, left, right, first))
@@ -649,19 +672,18 @@ def _sinkhorn(chois: list[ChoiMatrix], cfg: ScalingConfig) -> list[ScalingTrace]
 
     def step(side: str, mat: np.ndarray) -> np.ndarray:
         nonlocal left, right
-        target, target_logdet = targets[side]
-        factor, logdet = linalg.inverse_mean(mat, target, f"{side} marginal")
+        factor = linalg.inverse_mean(mat, targets[side], f"{side} marginal")
         if side == "first":
             left = factor @ left
         else:
             right = factor @ right
-        record(side, factor, target_logdet - logdet)
+        record(side, factor)
         return factor
 
     # an overflow ends the run with a ConvergenceError; numpy's warnings on
     # the way there say nothing more
     with np.errstate(over="ignore", invalid="ignore"):
-        if general:
+        if not doubly_stochastic(p, q):
             for k in rows:
                 traces[k].preprocessed = True
             step("second", marginal("second"))
@@ -1257,16 +1279,15 @@ def alternating_projections(
     held = {"first": np.zeros((m, m), dtype=complex), "second": np.zeros((n, n), dtype=complex)}
     opened = None
 
-    def step(side: str, target: np.ndarray) -> np.ndarray:
+    def step(side: str, target: np.ndarray) -> None:
         nonlocal point, opened
         name = _projection_name(method, side, trace.sweeps + 1)
         current = opened if side == "first" else None
         point, (factor,), _ = _project(method, point, frames[side], coordinates[side], name, current)
         held[side] = held[side] + factor
-        trace.iterates._append(held["first"], held["second"])
+        _record(trace, side, factor, (held["first"], held["second"]))
         if side == "second":
             opened = _start_evaluation(method, point, frames["first"], coordinates["first"])
-        return factor
 
     def residual() -> float:
         # the coordinates are an isometry of the marginal mismatch, so the
@@ -1361,7 +1382,7 @@ def joint_limit(method: str, choi0: ChoiMatrix, cfg: ScalingConfig = ScalingConf
     point, duals, trace.sweeps = _project(method, start, frame, _coordinates(frame, [p, q]), f"joint {method}")
     trace.factors += list(zip(frame.sides, duals))
     trace.residuals.append(float(point.gradient @ point.gradient))
-    trace.iterates._append(*duals)
+    trace.iterates.append(tuple(duals))
     return _close(trace, cfg, _state(point))
 
 
@@ -1370,8 +1391,10 @@ def capacity_from_trace(trace: ScalingTrace) -> float:
 
     One congruence step multiplies the capacity by det(factor)^{2/n}, and a
     doubly stochastic map has capacity one, so the input capacity is
-    exp(-capacity_log) with capacity_log the accumulated per-step
-    log-determinant sum.  Requires a square, doubly stochastic, converged
+    exp(-capacity_log), with capacity_log = 2 (log|det L| + log|det R|) / n
+    for the final factor products L and R of an ``sld`` run, and the sum of
+    log det / n of the diagonal scalings of a ``classical`` one (set by
+    :func:`_close`).  Requires a square, doubly stochastic, converged
     Sinkhorn trace; its negative log equals the minimal Kullback-Leibler
     divergence from the input in the classical (diagonal) case.
     """

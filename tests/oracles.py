@@ -536,8 +536,12 @@ def operator_sinkhorn_ref(choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> dict:
     takes the partial trace of the current ``mn x mn`` iterate, its factor
     from ``linalg.inverse_mean`` and the next iterate by one congruence
     (``scaling._sld_step``), and every sweep's residual from the partial
-    traces of its last iterate.  Returns the iterates, factors, residuals,
-    capacity_log, sweeps, preprocessed and converged of the run."""
+    traces of its last iterate.  On a square shape capacity_log is the sum
+    of the steps' 2 log det F / n = (log det target - log det marginal) / n,
+    with log det of the marginal from its own ``eigvalsh``, so it does not
+    rest on the factor products the package reads it off.  Returns the
+    iterates, factors, residuals, capacity_log, sweeps, preprocessed and
+    converged of the run."""
     n, m = choi.n, choi.m
     p, q = cfg.targets(n, m)
     mat = choi.matrix
@@ -551,7 +555,8 @@ def operator_sinkhorn_ref(choi: ChoiMatrix, cfg: scaling.ScalingConfig) -> dict:
     run["preprocessed"] = bool(steps)
     while True:
         for side, target, target_logdet in steps:
-            mat, factor, marginal_logdet = scaling._sld_step(mat, n, m, side, target)
+            marginal_logdet = np.sum(np.log(np.linalg.eigvalsh(linalg.partial_trace(mat, n, m, side))))
+            mat, factor = scaling._sld_step(mat, n, m, side, target)
             run["factors"].append((side, factor))
             run["iterates"].append(mat)
             if n == m:

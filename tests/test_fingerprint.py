@@ -53,12 +53,27 @@ def test_the_stack_changes_the_batch_keys_alone(general_only, keys, monkeypatch)
     def nudged(chois, cfg):
         traces = loop(chois, cfg)
         if len(chois) > 1 and not (general_only and cfg.target_p is None):
-            traces[0].capacity_log += 1.0
+            traces[0].residuals[0] += 1.0
         return traces
 
     monkeypatch.setattr(scaling, "_sinkhorn", nudged)
     moved = fingerprint.fingerprint(shapes=((2, 3),), seeds=(0, 1))
     assert [key for key in digests if moved[key] != digests[key]] == keys
+
+
+def test_a_moved_capacity_changes_the_capacity_key_alone(monkeypatch):
+    # every run ends in scaling._close, which sets capacity_log
+    digests = fingerprint.fingerprint(shapes=((2, 2),), seeds=(0, 1))
+    close = scaling._close
+
+    def nudged(trace, *args):
+        trace = close(trace, *args)
+        trace.capacity_log += 1.0
+        return trace
+
+    monkeypatch.setattr(scaling, "_close", nudged)
+    moved = fingerprint.fingerprint(shapes=((2, 2),), seeds=(0, 1))
+    assert [key for key in digests if moved[key] != digests[key]] == ["capacity"]
 
 
 def test_a_failing_batch_changes_its_key_alone(monkeypatch):

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from opsinkhorn import channels, geometry, linalg, scaling
-from opsinkhorn.errors import InvalidInputError, SingularityError
+from opsinkhorn.errors import ConvergenceError, InvalidInputError, SingularityError
 from opsinkhorn.geometry import ConstraintSet, TangentVector
 
 import oracles
@@ -265,6 +267,24 @@ class TestEGeodesic:
         r2 = np.diag([0.1, 0.9])
         with pytest.raises(SingularityError, match="congruence geodesic leaves the cone at t=30.0"):
             geometry.e_geodesic("congruence", r1, r2, 30.0)
+
+    @pytest.mark.parametrize("t", [1e3, -1e3, 1e308, -1e308])
+    @pytest.mark.parametrize("tag", ["sld", "bkm", "congruence"])
+    def test_far_parameter_is_a_point_or_an_error_naming_it(self, tag, t):
+        # every finite t gives a finite unit-trace point or an error naming
+        # the geometry and t, never NaN and never a numpy warning
+        r1 = channels.random_density(2, np.random.default_rng(0))
+        r2 = channels.random_density(2, np.random.default_rng(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = geometry.e_geodesic(tag, r1, r2, t)
+            except ConvergenceError as exc:
+                assert str(exc) == f"{tag} e-geodesic overflows at t={t}"
+            except SingularityError as exc:
+                assert tag == "congruence" and str(exc) == f"congruence geodesic leaves the cone at t={t}"
+            else:
+                assert np.isfinite(out).all() and abs(np.trace(out).real - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("t", [float("inf"), float("nan"), "0.5", 1j])
     @pytest.mark.parametrize("tag", ["sld", "bkm", "congruence"])

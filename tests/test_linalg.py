@@ -84,16 +84,14 @@ class TestStacks:
         stack = np.stack([linalg.hermitian_part(random_pd(d, rng)) for _ in range(5)])
         target = linalg.hermitian_part(random_pd(d, rng))
         for b in (1.0 / d, target, stack[::-1]):
-            factors, logdets = linalg.inverse_mean(stack, b)
-            assert logdets.shape == (5,)
+            factors = linalg.inverse_mean(stack, b)
             for k in range(5):
-                one, logdet = linalg.inverse_mean(stack[k], b if np.ndim(b) < 3 else b[k])
-                assert np.array_equal(factors[k], one) and logdets[k] == logdet
+                one = linalg.inverse_mean(stack[k], b if np.ndim(b) < 3 else b[k])
+                assert np.array_equal(factors[k], one)
         # a 2-D A against a stack of B, as the Nagaoka divergence uses it
-        means, logdet = linalg.inverse_mean(target, stack)
-        assert isinstance(logdet, float)
+        means = linalg.inverse_mean(target, stack)
         for k in range(5):
-            assert np.array_equal(means[k], linalg.inverse_mean(target, stack[k])[0])
+            assert np.array_equal(means[k], linalg.inverse_mean(target, stack[k]))
         norms = linalg.frobenius(stack - target)
         assert [float(x) for x in norms] == [linalg.frobenius(mat - target) for mat in stack]
 
@@ -369,10 +367,9 @@ class TestInverseMean:
         for _ in range(3):
             m = conditioned_marginal(d, cond, rng)
             t = self.target(d, kind, rng)
-            got, logdet = linalg.inverse_mean(m, t)
+            got = linalg.inverse_mean(m, t)
             want = oracles.geometric_mean_ref(linalg.invm(m), t)
             assert np.abs(got - want).max() <= mean_rtol(cond) * np.abs(want).max()
-            assert abs(logdet - np.linalg.slogdet(m)[1]) <= mean_rtol(cond)
 
     @pytest.mark.parametrize("d", [2, 4, 16])
     @pytest.mark.parametrize("cond", CONDS)
@@ -380,7 +377,7 @@ class TestInverseMean:
         rng = np.random.default_rng(int(200 * d + np.log10(cond)))
         m = conditioned_marginal(d, cond, rng)
         t = channels.random_density(d, rng)
-        f, _ = linalg.inverse_mean(m, t)
+        f = linalg.inverse_mean(m, t)
         assert np.abs(f - f.conj().T).max() == 0.0
         assert np.linalg.eigvalsh(f)[0] > 0.0
         assert np.abs(f @ m @ f - t).max() <= mean_rtol(cond) * np.abs(t).max()
@@ -392,7 +389,7 @@ class TestInverseMean:
             want = oracles.geometric_mean_ref(a, b)
             got = linalg.geometric_mean(a, b)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            inv, _ = linalg.inverse_mean(linalg.invm(a), b)
+            inv = linalg.inverse_mean(linalg.invm(a), b)
             assert np.abs(inv - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("w", [[1.0, -1.0], [1.0, 0.0], [1.0, 1e-14]])
@@ -412,14 +409,12 @@ class TestInverseMean:
         rng = np.random.default_rng(int(300 * d + np.log10(cond)))
         for c in (1.0 / d, 2.5):
             m = conditioned_marginal(d, cond, rng)
-            got, logdet = linalg.inverse_mean(m, c)
+            got = linalg.inverse_mean(m, c)
             want = oracles.geometric_mean_ref(linalg.invm(m), c * np.eye(d))
-            two_eigh, two_eigh_logdet = linalg.inverse_mean(m, c * np.eye(d))
+            two_eigh = linalg.inverse_mean(m, c * np.eye(d))
             bound = mean_rtol(cond) * np.abs(want).max()
             assert np.abs(got - want).max() <= bound
             assert np.abs(got - two_eigh).max() <= bound
-            assert logdet == two_eigh_logdet
-            assert abs(logdet - np.linalg.slogdet(m)[1]) <= mean_rtol(cond)
             assert np.abs(got - got.conj().T).max() == 0.0
             assert np.linalg.eigvalsh(got)[0] > 0.0
             assert np.abs(got @ m @ got - c * np.eye(d)).max() <= mean_rtol(cond) * c

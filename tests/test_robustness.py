@@ -107,6 +107,11 @@ class TestPlainArrayWhereAValueClassBelongs:
             (lambda: scaling.alternating_projections("bkm", GOOD, None), "cfg must be a ScalingConfig, got NoneType"),
             (lambda: scaling.joint_limit("burg", GOOD, 5), "cfg must be a ScalingConfig, got int"),
             (lambda: scaling.matrix_sinkhorn(np.ones((2, 2)), None), "cfg must be a ScalingConfig, got NoneType"),
+            (lambda: scaling.ScalingConfig(tol=True), "tol must be a finite nonnegative real number, got True"),
+            (
+                lambda: geometry.e_geodesic("sld", PLAIN, PLAIN, True),
+                "geodesic parameter t must be a finite real number, got True",
+            ),
             (lambda: channels.KrausMap([np.eye(2)]).apply(GOOD), "x is not a numeric array.*ChoiMatrix"),
             (lambda: channels.KrausMap([np.eye(2)]).apply_dual(GOOD), "y is not a numeric array.*ChoiMatrix"),
         ],

@@ -552,22 +552,17 @@ class TestFusedSldStep:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     @pytest.mark.parametrize("general", [False, True])
     def test_capacity_log_from_factor_products(self, n, general):
-        # log det of every factor is (log det target - log det marginal) / 2
-        # from the step's spectrum; the products of the recorded factors
-        # give it independently
+        # the run reads capacity_log off its final factor products; the
+        # materialized loop sums each step's (log det target - log det
+        # marginal) / n, with the marginal's log det from its own eigvalsh
         rng = np.random.default_rng(60 + n + 10 * general)
         choi = channels.random_choi(n, n, rng)
         p = channels.random_density(n, rng) if general else None
         q = channels.random_density(n, rng) if general else None
-        trace = scaling.operator_sinkhorn(choi, scaling.ScalingConfig(target_p=p, target_q=q))
+        cfg = scaling.ScalingConfig(target_p=p, target_q=q)
+        trace = scaling.operator_sinkhorn(choi, cfg)
         assert trace.converged
-        products = {"first": np.eye(n), "second": np.eye(n)}
-        for side, factor in trace.factors:
-            products[side] = products[side] @ factor
-        sign_l, logdet_l = np.linalg.slogdet(products["first"])
-        sign_r, logdet_r = np.linalg.slogdet(products["second"])
-        assert sign_l.real > 0 and sign_r.real > 0
-        want = 2.0 * (logdet_l + logdet_r) / n
+        want = oracles.operator_sinkhorn_ref(choi, cfg)["capacity_log"]
         assert trace.capacity_log == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -1122,6 +1117,62 @@ class TestSinkhornIterates:
         copied.iterates[-1] = np.zeros((6, 6))
         assert np.abs(trace.iterates[-1]).max() > 0
         np.testing.assert_array_equal(copied.iterates[2], trace.iterates[2])
+
+
+RECORDS = {"factors", "iterates", "residuals", "sweeps", "capacity_log"}
+
+
+def record_writers(source: str) -> list[tuple[str, str]]:
+    """(function, record) for every write of a trace record in ``source``:
+    an assignment to ``x.record`` or to an item of it, or a method call on
+    it (``x.record.append(...)``).  The keywords of a ``ScalingTrace(...)``
+    call construct a trace and are not writes."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Assign):
+                targets = list(child.targets)
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                targets = [child.func.value]
+            else:
+                targets = []
+            while targets:
+                target = targets.pop()
+                if isinstance(target, (ast.Tuple, ast.List)):
+                    targets += target.elts
+                elif isinstance(target, ast.Subscript):
+                    targets.append(target.value)
+                elif isinstance(target, ast.Attribute) and target.attr in RECORDS:
+                    found.append((where, target.attr))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if named else where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+class TestOneWriterPerRecord:
+    """A step's records are written by ``_record``, a sweep's by ``_sweep``
+    and the capacity by ``_close``; ``joint_limit``, one two-sided solve,
+    writes its own."""
+
+    WRITERS = ["_close", "_record", "_sweep", "joint_limit"]
+
+    def test_records_are_written_by_their_writers_alone(self):
+        found = record_writers(Path(scaling.__file__).read_text())
+        assert sorted({where for where, _ in found}) == self.WRITERS
+        assert {record for where, record in found if where == "_close"} == {"iterates", "capacity_log"}
+
+    def test_the_scan_finds_a_loop_that_writes_a_residual(self):
+        source = Path(scaling.__file__).read_text()
+        sweep = "        running = _sweep(trace, cfg, residual())\n"
+        assert source.count(sweep) == 1
+        found = record_writers(source.replace(sweep, sweep + "        trace.residuals.append(residual())\n"))
+        assert ("_alternate", "residuals") in found
+        assert sorted({where for where, _ in found}) == ["_alternate"] + self.WRITERS
 
 
 class TestResidualCharacterization:

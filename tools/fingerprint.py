@@ -24,15 +24,22 @@ and with targets drawn by ``random_density`` from the same generator.  Keys:
 - ``iterates``: every entry of the ``trace.iterates`` of those ``sld``,
   ``bkm`` and ``burg`` alternations, read through the sequence, so that
   a change to a path that rebuilds an iterate on read shows up;
+- ``classical``: ``matrix_sinkhorn`` at the default ``ScalingConfig`` on
+  an m x n matrix per shape and seed, uniform on [0.1, 1) from
+  ``default_rng(seed)``;
+- ``capacity``: the ``capacity_log`` of every trace above, in the order
+  the runs are made, so that a change to the capacity bookkeeping alone
+  moves this key alone;
 - ``dexp``, ``dlog``: ``geometry.dexp_frechet`` at log rho and
   ``geometry.dlog_frechet`` at rho, along a traceless Hermitian direction;
 - ``certificates``: ``orthogonality_residual`` of one step per tag (an
   operator Sinkhorn step onto P, a BKM projection onto P, a Burg
   projection onto Q, certified in the congruence metric).
 
-A trace contributes its final, residuals, sweep count, converged flag,
-capacity log and factors (the duals for ``bkm`` and ``burg``); an array its
-dtype, shape and bytes; a raised package error its type and message.
+A trace contributes its final, residuals, sweep count, converged flag and
+factors (the duals for ``bkm`` and ``burg``) to its key, and its capacity
+log to ``capacity``; an array its dtype, shape and bytes; a raised package
+error its type and message.
 Prints each key with the first 16 hex digits of its SHA-256, then one
 ``work`` line per run family (``sld``, ``bkm``, ``burg``, ``joint-bkm``,
 ``joint-burg``, ``sld-batch``): its number of runs, of converged runs and
@@ -61,14 +68,16 @@ SEEDS = range(12)
 FAMILIES = ("sld", "bkm", "burg", "joint-bkm", "joint-burg", "sld-batch")
 # only the families have work lines: the failing batch raises, and the
 # general-target batch is there for its digest
-KEYS = FAMILIES + ("sld-batch-fail", "sld-batch-general", "dexp", "dlog", "certificates", "iterates")
+KEYS = FAMILIES + (
+    "sld-batch-fail", "sld-batch-general", "dexp", "dlog", "certificates", "iterates", "classical", "capacity"
+)
 
 
 def _feed(h, obj) -> None:
     """Hash ``obj`` with a tag per type, so that no two values collide by
     concatenation."""
     if isinstance(obj, scaling.ScalingTrace):
-        _feed(h, (obj.final, obj.residuals, obj.sweeps, obj.converged, obj.capacity_log, obj.factors))
+        _feed(h, (obj.final, obj.residuals, obj.sweeps, obj.converged, obj.factors))
     elif isinstance(obj, channels.ChoiMatrix):
         _feed(h, obj.matrix)
     elif isinstance(obj, np.ndarray):
@@ -148,13 +157,19 @@ def fingerprint(shapes=SHAPES, seeds=SEEDS) -> dict[str, str]:
             runs, converged, sweeps = work[family]
             work[family] = [runs + 1, converged + (ran and out.converged), sweeps + (out.sweeps if ran else 0)]
 
+    def feed(key: str, out) -> None:
+        # a trace's capacity log goes to its own key
+        _feed(hashes[key], out)
+        traces = out if isinstance(out, list) else [out]
+        _feed(hashes["capacity"], [trace.capacity_log for trace in traces if isinstance(trace, scaling.ScalingTrace)])
+
     directions = np.random.default_rng(0)
     for shape in shapes:
         inputs = list(_inputs((shape,), seeds))
         for choi, p, q in inputs:
             for key, thunk in _outputs(choi, p, q, directions):
                 out = _run(thunk)
-                _feed(hashes[key], out)
+                feed(key, out)
                 if key in FAMILIES:
                     count(key, [out])
                 if key in scaling.METHODS:
@@ -162,15 +177,18 @@ def fingerprint(shapes=SHAPES, seeds=SEEDS) -> dict[str, str]:
         # the uniform-target inputs, every other one, as one batch
         chois = [choi for choi, _, _ in inputs[::2]]
         out = _run(lambda: scaling.operator_sinkhorn_batch(chois))
-        _feed(hashes["sld-batch"], out)
+        feed("sld-batch", out)
         count("sld-batch", out if isinstance(out, list) else [out] * len(chois))
         n, m = shape
         singular = channels.ChoiMatrix(n=n, m=m, matrix=np.kron(np.eye(n) / n, np.diag(np.eye(m)[0])))
         failing = chois[: len(chois) // 2] + [singular] + chois[len(chois) // 2 :]
-        _feed(hashes["sld-batch-fail"], _run(lambda: scaling.operator_sinkhorn_batch(failing)))
+        feed("sld-batch-fail", _run(lambda: scaling.operator_sinkhorn_batch(failing)))
         _, p, q = inputs[1]
         general = ScalingConfig(target_p=p, target_q=q)
-        _feed(hashes["sld-batch-general"], _run(lambda: scaling.operator_sinkhorn_batch(chois, general)))
+        feed("sld-batch-general", _run(lambda: scaling.operator_sinkhorn_batch(chois, general)))
+        for seed in seeds:
+            a = np.random.default_rng(seed).uniform(0.1, 1.0, (m, n))
+            feed("classical", _run(lambda: scaling.matrix_sinkhorn(a)))
     digests = {key: h.hexdigest()[:16] for key, h in hashes.items()}
     return digests | {f"work {family}": "{} runs, {} converged, {} sweeps".format(*work[family]) for family in FAMILIES}
 

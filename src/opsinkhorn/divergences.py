@@ -12,7 +12,12 @@ Tags:
 The state divergences accept general positive definite inputs but warn when
 traces deviate from one beyond the policy threshold, since experiments
 evaluate them at slightly perturbed states.  All matrix functions route
-through :mod:`opsinkhorn.linalg`.
+through :mod:`opsinkhorn.linalg`.  Each argument is decomposed once
+(``linalg._pd_eigh``): that spectrum is its positive definiteness check,
+and its logarithm, inverse, powers and determinant are read off it, so a
+2-D call makes two ``eigh`` for ``umegaki`` and ``burg``, three for
+``bs`` and ``renyi_half`` (counting ``renyi_half``'s ``eigvalsh`` of its
+middle factor) and four for ``nagaoka``.
 
 The matrix tags also take stacks: a (B, d, d) ``rho`` or ``sigma`` (or both,
 of one B) gives the B divergences as an array, each equal to its 2-D
@@ -20,7 +25,8 @@ call's float bit for bit, from stacked ``eigh`` and ``matmul``; a 2-D
 argument is decomposed once for the whole stack.  ``kl`` takes arrays of
 any shape and returns their total, as before.
 :func:`central_difference_quotients` uses this: it validates once and
-evaluates every probe of an h grid in one stacked call.
+evaluates every probe of an h grid in one stacked call, on the spectra of
+the probes' one stacked ``eigh``, which is also their cone test.
 """
 
 from __future__ import annotations
@@ -93,46 +99,46 @@ def divergence(tag: str, rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarr
     if tag == "kl":
         return _classical_kl(rho, sigma)
     _check_tag(tag)
-    rho = linalg.assert_positive_definite(rho, "divergence first argument")
-    sigma = linalg.assert_positive_definite(sigma, "divergence second argument")
+    rho, w_r, v_r = linalg._pd_eigh(rho, "divergence first argument")
+    sigma, w_s, v_s = linalg._pd_eigh(sigma, "divergence second argument")
     if rho.shape[-1] != sigma.shape[-1] or (rho.ndim > 2 and sigma.ndim > 2 and rho.shape != sigma.shape):
         raise InvalidInputError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
     if tag in _STATE_TAGS:
         _warn_if_not_state(tag, rho, sigma)
-    return _value(tag, rho, sigma)
+    return _value(tag, rho, w_r, v_r, sigma, w_s, v_s)
 
 
-def _value(tag: str, rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
-    """The matrix tag's formula, on arguments already checked: Hermitian,
-    positive definite, of one size."""
+def _value(tag: str, r, w_r, v_r, s, w_s, v_s) -> float | np.ndarray:
+    """The matrix tag's formula on rho and sigma, ``r`` and ``s``, with the
+    eigenvalues and eigenvectors ``linalg._pd_eigh`` gives of each:
+    Hermitian, positive definite, of one size.  Logarithms, inverses and
+    powers of an argument are read off its spectrum."""
     if tag == "umegaki":
-        value = _trace(rho @ (linalg.logm(rho) - linalg.logm(sigma))).real
+        value = _trace(r @ (linalg._spectral(v_r, np.log(w_r)) - linalg._spectral(v_s, np.log(w_s)))).real
     elif tag == "bs":
-        ri = linalg.powm(rho, -0.5)
-        inner = linalg.hermitian_part(ri @ sigma @ ri)
-        value = -_trace(rho @ linalg.logm(inner)).real
+        ri = linalg._spectral(v_r, np.power(w_r, -0.5))
+        inner = linalg.hermitian_part(ri @ s @ ri)
+        value = -_trace(r @ linalg.logm(inner)).real
     elif tag == "burg":
-        dim = rho.shape[-1]
-        w_r = linalg._eigvalsh(rho, "divergence first argument")
-        w_s = linalg._eigvalsh(sigma, "divergence second argument")
-        trace_term = _trace(rho @ linalg.invm(sigma)).real
+        trace_term = _trace(r @ linalg._spectral(v_s, 1.0 / w_s)).real
         logdet = np.sum(np.log(w_r), axis=-1) - np.sum(np.log(w_s), axis=-1)
-        value = trace_term - logdet - dim
+        value = trace_term - logdet - r.shape[-1]
     elif tag == "renyi_half":
-        sq = linalg.powm(sigma, 0.5)
-        w = linalg._eigvalsh(linalg.hermitian_part(sq @ rho @ sq), "sigma^{1/2} rho sigma^{1/2}")
+        sq = linalg._spectral(v_s, np.power(w_s, 0.5))
+        w = linalg._eigvalsh(linalg.hermitian_part(sq @ r @ sq), "sigma^{1/2} rho sigma^{1/2}")
         value = -4.0 * np.log(np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=-1))
     else:
         # nagaoka: rho # sigma^{-1} = sigma^{-1} # rho, the SLD factor of
-        # sigma towards rho, from two eigh (both arguments are checked)
-        mean = linalg.inverse_mean(sigma, rho, "divergence second argument")
-        value = (2.0 * _trace(rho @ linalg.logm(mean))).real
+        # sigma towards rho, on the reciprocal spectrum of sigma
+        mean = linalg._mean_from_spectrum(1.0 / w_s, v_s, r)
+        value = (2.0 * _trace(r @ linalg.logm(mean))).real
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _critical_step(rho: np.ndarray, direction: np.ndarray) -> float:
-    """Largest h with rho +/- h * direction positive definite."""
-    ri = linalg.powm(rho, -0.5)
+def _critical_step(w: np.ndarray, v: np.ndarray, direction: np.ndarray) -> float:
+    """Largest h with rho +/- h * direction positive definite, for rho of
+    spectrum ``w`` and eigenvectors ``v``."""
+    ri = linalg._spectral(v, np.power(w, -0.5))
     w = linalg._eigvalsh(linalg.hermitian_part(ri @ direction @ ri), "rho^{-1/2} direction rho^{-1/2}")
     top = np.abs(w).max()
     return float("inf") if top == 0.0 else 1.0 / float(top)
@@ -147,7 +153,7 @@ def _quotients(
     hs = np.asarray(hs, dtype=float).reshape(-1)
     if not np.all(hs > 0):
         raise InvalidInputError("step h must be positive")
-    rho_star = linalg.assert_positive_definite(rho_star, "expansion point")
+    rho_star, w, v = linalg._pd_eigh(rho_star, "expansion point")
     direction = linalg.as_hermitian(direction, what="perturbation direction")
     if abs(np.trace(direction)) > 1e-10:
         raise InvalidInputError("perturbation direction must be traceless")
@@ -159,6 +165,8 @@ def _quotients(
             part = linalg.partial_trace(direction, n, m, which)
             if np.abs(part).max() > 1e-10:
                 raise InvalidInputError(f"perturbation direction has nonzero {which} partial trace")
+    if not rho_star.shape == direction.shape == np.shape(rho_0):
+        raise InvalidInputError(f"shape mismatch: {rho_star.shape} vs {direction.shape} vs {np.shape(rho_0)}")
     if tag == "kl":
         # classical probe: defined on the diagonal (matrix-scaling) case only
         for mat, what in ((rho_star, "expansion point"), (rho_0, "reference point")):
@@ -166,28 +174,28 @@ def _quotients(
             if np.abs(off).max() > 1e-10:
                 raise DomainError(f"kl difference quotient requires a diagonal {what}")
     else:
-        rho_0 = linalg.assert_positive_definite(rho_0, "reference point")
-        if rho_0.shape != rho_star.shape:
-            raise InvalidInputError(f"shape mismatch: {rho_star.shape} vs {rho_0.shape}")
-    h_max = _critical_step(rho_star, direction)
+        rho_0 = linalg._pd_eigh(rho_0, "reference point")
+    h_max = _critical_step(w, v, direction)
     out = np.full(len(hs), np.nan)
     inside = np.flatnonzero(hs < h_max)
     steps = hs[inside, None, None] * direction
     probes = np.stack([rho_star + steps, rho_star - steps])
     # h_max is rounded, so an h just below it can still give a probe that
     # fails the positive definiteness floor: that h leaves the cone too.
-    # This is the probes' one check; they are exactly Hermitian, as sums of
-    # exactly Hermitian matrices, so the formulas take them as they are
-    keep = linalg.is_positive_definite(probes).all(axis=0)
-    inside, probes = inside[keep], probes[:, keep].reshape(-1, *direction.shape)
+    # The probes' one stacked eigh is both that check and the spectra the
+    # formulas read; they are exactly Hermitian, as sums of exactly
+    # Hermitian matrices, so they are decomposed as they are
+    w, v = linalg._eigh(probes, "difference quotient probes")
+    keep = linalg._positive_definite(w).all(axis=0)
+    inside, probes, w, v = inside[keep], probes[:, keep], w[:, keep], v[:, keep]
     if len(inside):
         h = hs[inside]
         if tag == "kl":
             diagonals = np.diagonal(probes, axis1=-2, axis2=-1).real
             values = np.sum(_kl_terms(diagonals, np.diag(rho_0).real), axis=-1)
         else:
-            values = _value(tag, probes, rho_0)
-        out[inside] = (values[: len(h)] - values[len(h) :]) / (2.0 * h)
+            values = _value(tag, probes, w, v, *rho_0)
+        out[inside] = (values[0] - values[1]) / (2.0 * h)
     return out, h_max
 
 

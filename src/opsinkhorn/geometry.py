@@ -135,8 +135,7 @@ def dlog_frechet(rho: np.ndarray, direction: np.ndarray) -> np.ndarray:
     its divided differences are the reciprocals of exp's on the
     log-spectrum (``linalg._exp_divided_differences``): exact at ties, and
     with no quotient of close logarithms to cancel."""
-    w, v = linalg._eigh(linalg.as_hermitian(rho, what="dlog base point"), "dlog base point")
-    linalg._check_positive_definite(w, "dlog base point")
+    _, w, v = linalg._pd_eigh(rho, "dlog base point")
     return _daleckii_krein(v, 1.0 / linalg._exp_divided_differences(np.log(w)), direction, "dlog direction")
 
 
@@ -179,10 +178,14 @@ def e_geodesic(tag: str, rho1: np.ndarray, rho2: np.ndarray, t: float) -> np.nda
 
     All three satisfy rho(0) = rho1 and rho(1) = rho2 exactly.  Values of
     ``t`` outside [0, 1] extrapolate; the congruence resolvent may then leave
-    the positive cone, which raises ``SingularityError``.  A point, or a
-    matrix on the way to it, that overflows (K^t, the exponent of exp, the
-    resolvent, or the point's trace) is a ``ConvergenceError`` naming the
-    geometry and ``t``: a point returned is finite with unit trace.
+    the positive cone, which raises ``SingularityError``.  The ``bkm`` point
+    is the Gibbs state of its exponent's spectrum, finite wherever the
+    exponent (1-t) log rho1 + t log rho2 is, and the ``sld`` point is
+    formed with K^t over its largest eigenvalue, as the Gibbs weights are
+    shifted by theirs (``linalg._gibbs_weights``), so it is finite at
+    every finite t.  An exponent that overflows, or a matrix on the way
+    to a point whose decomposition fails, is a ``ConvergenceError`` naming
+    the geometry and ``t``: a point returned is finite with unit trace.
     A ``t`` that is not a finite real number (a bool included) is an
     ``InvalidInputError``.
     """
@@ -199,23 +202,26 @@ def e_geodesic(tag: str, rho1: np.ndarray, rho2: np.ndarray, t: float) -> np.nda
         # way there say nothing more
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if tag == "sld":
-                k = linalg.inverse_mean(rho1, rho2, "geodesic endpoint rho1")
-                kt = linalg.powm(k, t)
-                curve = kt @ rho1 @ kt
+                w, v = linalg._eigh(linalg.inverse_mean(rho1, rho2, "geodesic endpoint rho1"), "the sld geodesic's K")
+                # K^t over its largest eigenvalue: the trace below removes
+                # the scale
+                kt = linalg._spectral(v, np.power(w / (w[-1] if t >= 0 else w[0]), t))
+                curve = linalg.hermitian_part(kt @ rho1 @ kt)
             elif tag == "bkm":
                 exponent = (1.0 - t) * linalg.logm(rho1) + t * linalg.logm(rho2)
-                # a non-finite exponent is an overflow, raised below
-                curve = linalg.expm(exponent) if np.isfinite(exponent).all() else exponent
+                if not np.isfinite(exponent).all():
+                    raise ConvergenceError(overflow)
+                w, v = linalg._eigh(exponent, "the bkm e-geodesic's exponent")
+                curve = linalg._gibbs_state(v, linalg._gibbs_weights(w)[0])
             elif tag == "congruence":
                 # one eigh of the resolvent is both the cone test and its inverse
                 resolvent = linalg.hermitian_part((1.0 - t) * linalg.invm(rho1) + t * linalg.invm(rho2))
                 w, v = linalg._eigh(resolvent, "congruence geodesic resolvent")
                 if not linalg._positive_definite(w):
                     raise SingularityError(f"congruence geodesic leaves the cone at t={t}")
-                curve = (v * (1.0 / w)) @ v.conj().T
+                curve = linalg._spectral(v, 1.0 / w)
             else:
                 raise InvalidInputError(f"unknown metric tag {tag!r}")
-            curve = linalg.hermitian_part(curve)
             total = np.trace(curve).real
             point = curve / total
     except ConvergenceError as exc:
@@ -244,8 +250,7 @@ def _geodesic_tail(tag: str, rho_from: np.ndarray, rho_to: np.ndarray) -> tuple[
     The e-representation is centered so that the corresponding m-representation
     is traceless; pairings against traceless directions are unaffected.
     """
-    dim = rho_to.shape[0]
-    eye = np.eye(dim)
+    eye = np.eye(rho_to.shape[0])
     if tag == "sld":
         # K = rho_from^{-1} # rho_to from two eigh, its logarithm from a third
         k = linalg.inverse_mean(rho_from, rho_to, "geodesic start")
@@ -253,10 +258,12 @@ def _geodesic_tail(tag: str, rho_from: np.ndarray, rho_to: np.ndarray) -> tuple[
         e = e - np.trace(rho_to @ e).real * eye
         m_rep = linalg.hermitian_part(e @ rho_to + rho_to @ e) / 2.0
     elif tag == "bkm":
-        log_to = linalg.logm(rho_to)
-        dot = log_to - linalg.logm(rho_from)
+        # dexp at log rho_to on rho_to's own spectrum
+        _, w, v = linalg._pd_eigh(rho_to, "geodesic end")
+        log_w = np.log(w)
+        dot = linalg._spectral(v, log_w) - linalg.logm(rho_from)
         e = dot - np.trace(rho_to @ dot).real * eye
-        m_rep = dexp_frechet(log_to, e)
+        m_rep = _daleckii_krein(v, linalg._exp_divided_differences(log_w), e, "dexp direction")
     elif tag == "congruence":
         # tangent of the resolvent curve: d/dt S(t)^{-1} = rho_to^{-1} - rho_from^{-1};
         # the corresponding m-representation is -S e S, and the metric norm

@@ -25,33 +25,22 @@ Geometric means share one core, ``_mean_from_spectrum``, which takes
 A # B from the spectrum of A and one more :func:`_eigh`:
 ``geometric_mean`` feeds it ``eigh(A)``, also A's positive definiteness
 check, and ``inverse_mean`` (the SLD factor M^{-1} # T) the reciprocal
-spectrum of ``eigh(M)``.  For a uniform target T = c I, given to
+spectrum of ``eigh(M)``, as the Nagaoka divergence feeds it that of its
+second argument.  For a uniform target T = c I, given to
 ``inverse_mean`` as the scalar c, the factor is (M / c)^{-1/2}, read off
-``eigh(M)`` alone: one ``eigh`` instead of two.  ``inverse_mean`` is
-``eigh(M)``, its positive definiteness check and the factor off that
-spectrum, and returns the factor alone: no step needs a log-determinant,
-since a run's capacity is read off its final factor products.  Operator
-Sinkhorn has one loop, and the number of inputs picks its layout: a single
-trial calls ``inverse_mean`` on its 2-D marginal, and a batch of two or
-more trials on the stack of their marginals, which shares each call's
-overhead among its trials; a lone trial, which would only pay for the
-stack's rows, runs without one.  ``solve_lyapunov``
-likewise reads its coefficient's cone test off the ``eigh`` it solves
-with.  These functions act on
-the small ``m x m`` and ``n x n`` marginals and factors and validate their
-arguments on every call, except that ``inverse_mean`` leaves the target to
-its caller.  The operator Sinkhorn loop forms no ``mn x mn`` iterate while
-it iterates: it takes each marginal from a permuted copy of the input and
-the factor products, and forms the final iterate once by
-``channels.congruence``, applied blockwise on the (n, m, n, m) view without
-checks; it validates its input once at entry and checks that final
-iterate, PSD by construction, for shape and finiteness only before
-returning.  The BKM and Burg solves likewise take one
-:func:`_eigh` of their input at entry, which is both their cone
-test (``_positive_definite``) and the spectrum of their e-coordinate,
-log rho or rho^{-1}; from there they carry that coordinate and its
-spectrum through the projections, so no matrix function of an iterate is
-taken in the loop.
+``eigh(M)`` alone: one ``eigh`` instead of two.
+
+Every layer reads a matrix through two more kernels.  :func:`_pd_eigh`
+is the one validated spectrum of a positive definite argument:
+``as_hermitian``, one :func:`_eigh`, and the cone test
+(:func:`_check_positive_definite`) on that spectrum, so its log, inverse
+and powers come off it (:func:`_spectral`) without a second
+decomposition; ``solve_lyapunov``, ``geometric_mean``, the divergences
+and ``geometry.dlog_frechet`` take their arguments through it.
+:func:`_gibbs_weights` and :func:`_gibbs_state` form the Gibbs state
+exp(X) / tr exp(X) off the spectrum of X, shifted by its largest
+eigenvalue, so that it is finite with unit trace wherever X is finite:
+the BKM solves in ``scaling`` and ``geometry.e_geodesic`` share them.
 
 Frechet derivatives of matrix functions go through one Loewner matrix,
 ``_exp_divided_differences``, the divided differences of exp in an expm1
@@ -262,7 +251,33 @@ def matrix_function(a: np.ndarray, name: str, t: float | None = None) -> np.ndar
         fw = np.power(w, t)
     else:
         raise InvalidInputError(f"unknown matrix function tag {name!r}")
+    return _spectral(v, fw)
+
+
+def _spectral(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """f(A) = v diag(f(w)) v^dagger, exactly Hermitian, from the
+    eigenvectors ``v`` of a Hermitian A (or of each matrix of a stack) and
+    the values ``fw`` of f on its spectrum w: the last step of every
+    matrix function of the package, on a spectrum its caller has
+    checked against f's domain."""
     return hermitian_part((v * fw[..., None, :]) @ _adjoint(v))
+
+
+def _gibbs_weights(w: np.ndarray) -> tuple[np.ndarray, float]:
+    """The weights p = exp(w - log Z) of the state exp(X) / Z on the
+    ascending spectrum ``w`` of X, and log Z = log sum exp(w).  They are
+    shifted by the largest eigenvalue, so they are finite, sum to one and
+    do not all underflow wherever w is finite."""
+    shift = float(w[-1])
+    ew = np.exp(w - shift)
+    z = float(ew.sum())
+    return ew / z, math.log(z) + shift
+
+
+# The Gibbs state exp(X) / Z = v diag(p) v^dagger, exactly Hermitian, from
+# the eigenvectors v of X and its Gibbs weights p (_gibbs_weights): the
+# spectral kernel under the name the BKM solves and geodesic call it by.
+_gibbs_state = _spectral
 
 
 def _exp_divided_differences(w: np.ndarray) -> np.ndarray:
@@ -327,6 +342,18 @@ def _check_positive_definite(w: np.ndarray, what: str) -> None:
         raise SingularityError(f"{what} is not positive definite (min eigenvalue {low:.3e})")
 
 
+def _pd_eigh(a: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one validated spectrum of a positive definite argument: ``a``
+    (a matrix or a stack) as :func:`as_hermitian` returns it, and its
+    eigenvalues, ascending, and eigenvectors from one :func:`_eigh`, whose
+    spectrum is also its cone test (``SingularityError`` naming ``what``).
+    Its log, inverse and powers are :func:`_spectral` of that spectrum."""
+    a = as_hermitian(a, what=what)
+    w, v = _eigh(a, what)
+    _check_positive_definite(w, what)
+    return a, w, v
+
+
 def is_positive_definite(a: np.ndarray) -> bool | np.ndarray:
     """Positive definite under the policy floor (:func:`_positive_definite`).
     A stack gives one bool per matrix."""
@@ -353,9 +380,7 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     Qt = P^dagger Q P, the solution is Xt_ij = Qt_ij / (lam_i + lam_j).
     That one ``eigh`` of A is also its positive definiteness check.
     """
-    what = "Lyapunov coefficient"
-    w, v = _eigh(as_hermitian(a, what=what), what)
-    _check_positive_definite(w, what)
+    _, w, v = _pd_eigh(a, "Lyapunov coefficient")
     q = as_hermitian(q, what="Lyapunov right-hand side")
     if v.shape != q.shape:
         raise InvalidInputError(f"dimension mismatch: {v.shape} vs {q.shape}")
@@ -391,10 +416,7 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     is its ``eigh``, whose spectrum the mean then uses, so a call costs two
     ``eigh`` (A and the middle factor) and one ``eigvalsh`` (B).
     """
-    what = "geometric mean left argument"
-    a = as_hermitian(a, what=what)
-    w, v = _eigh(a, what)
-    _check_positive_definite(w, what)
+    a, w, v = _pd_eigh(a, "geometric mean left argument")
     b = assert_positive_definite(b, "geometric mean right argument")
     if a.shape != b.shape:
         raise InvalidInputError(f"dimension mismatch: {a.shape} vs {b.shape}")
@@ -405,8 +427,7 @@ def inverse_mean(a: np.ndarray, b: np.ndarray | float, what: str = "matrix") -> 
     """A^{-1} # B for Hermitian A and positive definite B.
 
     This is the SLD step's factor: the unique positive definite F with
-    F A F = B (and, as sigma^{-1} # rho, the mean in the Nagaoka
-    divergence).  One ``eigh`` of A is both its positive definiteness check
+    F A F = B.  One ``eigh`` of A is both its positive definiteness check
     (``SingularityError`` naming ``what``) and, through the reciprocal
     eigenvalues, the spectrum of A^{-1}; one more ``eigh`` takes the middle
     factor's square root.  A positive scalar ``b`` means b I: then
@@ -420,7 +441,7 @@ def inverse_mean(a: np.ndarray, b: np.ndarray | float, what: str = "matrix") -> 
     w, v = _eigh(a, what)
     _check_positive_definite(w, what)
     if np.ndim(b) == 0:
-        return hermitian_part((v * np.sqrt(b / w)[..., None, :]) @ _adjoint(v))
+        return _spectral(v, np.sqrt(b / w))
     return _mean_from_spectrum(1.0 / w, v, b)
 
 

@@ -301,7 +301,7 @@ class SinkhornIterates(Sequence):
         lift = np.kron(np.eye(n), first) + np.kron(second, np.eye(m))
         if self._method == "bkm":
             w, v = linalg._eigh(self._coord0 + lift, f"bkm iterate {k}")
-            return _gibbs_state(v, _gibbs_weights(w)[0])
+            return linalg._gibbs_state(v, linalg._gibbs_weights(w)[0])
         coord = self._coord0 - lift
         return _burg_point(coord, *linalg._eigh(coord, f"burg iterate {k}")).state
 
@@ -1009,26 +1009,11 @@ def _newton(method: str, evaluate: Callable, system: Callable, current, what: st
     raise ConvergenceError(f"{what} Newton exhausted {max_iters} iterations (gradient norm {g_norm:.3e})")
 
 
-def _gibbs_weights(w: np.ndarray) -> tuple[np.ndarray, float]:
-    """The weights p = exp(w - log Z) of the state exp(coord) / Z on the
-    ascending spectrum ``w`` of coord, and log Z = log sum exp(w)."""
-    shift = float(w[-1])
-    ew = np.exp(w - shift)
-    z = float(ew.sum())
-    return ew / z, math.log(z) + shift
-
-
-def _gibbs_state(v: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The state v diag(p) v^dagger, exactly Hermitian: exp(coord) / Z for
-    the eigenvectors ``v`` of coord and its Gibbs weights ``p``."""
-    return linalg.hermitian_part((v * p) @ v.conj().T)
-
-
 def _state(point: _Point) -> np.ndarray:
     """The state of a projected point: a Burg point's own, and a BKM
     point's exp(coord) / Z, formed here from the Gibbs weights of the
     evaluation it came from (:class:`_Point`)."""
-    return point.state if point.state is not None else _gibbs_state(point.v, point.weights)
+    return point.state if point.state is not None else linalg._gibbs_state(point.v, point.weights)
 
 
 def _start(method: str, rho: np.ndarray, what: str) -> _Point:
@@ -1043,7 +1028,7 @@ def _start(method: str, rho: np.ndarray, what: str) -> _Point:
     w, v = linalg._eigh(rho, what)
     linalg._check_positive_definite(w, what)
     fw = np.log(w) if method == "bkm" else 1.0 / w
-    coord = linalg.hermitian_part((v * fw) @ v.conj().T)
+    coord = linalg._spectral(v, fw)
     if method == "bkm":
         return _Point(coord, fw, v, None)
     return _Point(coord, fw[::-1], v[:, ::-1], rho)
@@ -1077,7 +1062,7 @@ def _bkm_dual(start: _Point, frame: _Frame, t: np.ndarray) -> tuple[Callable, Ca
             w, v = linalg._eigh(coord, "a bkm dual's coordinate")
         else:
             coord, w, v = at.coord.copy(), at.w, at.v
-        p, log_z = _gibbs_weights(w)
+        p, log_z = linalg._gibbs_weights(w)
         vb = v.reshape(n, m, n * m)
         weighted, conj = vb * p, vb.conj()
         g = _coordinates(frame, [np.einsum(_BKM_MARGINAL[side], weighted, conj) for side in sides]) - t

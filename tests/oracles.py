@@ -32,7 +32,9 @@ marginals.  The difference quotient reference validates and evaluates one
 h at a time, with one 2-D divergence call per probe, where the package
 evaluates every probe of a grid in one stacked call.  The capacity oracle minimizes
 log det Phi(X) - log det X directly by L-BFGS and never touches a scaling
-factor.
+factor.  ``diagonal_choi`` and ``choi_diagonal_to_matrix`` embed a
+positive matrix as a diagonal Choi matrix and read it back, the classical
+case of operator Sinkhorn.
 """
 
 from __future__ import annotations
@@ -61,6 +63,26 @@ def divided_differences(w: np.ndarray, f, fprime) -> np.ndarray:
     mid = fprime((w[:, None] + w[None, :]) / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(near, mid, num / np.where(near, 1.0, den))
+
+
+def diagonal_choi(a: np.ndarray) -> ChoiMatrix:
+    """Embed a positive m x n matrix as a diagonal Choi matrix: the (j, j)
+    block holds column j of ``a`` on its diagonal."""
+    m, n = a.shape
+    mat = np.zeros((n * m, n * m), dtype=complex)
+    for j in range(n):
+        for i in range(m):
+            mat[j * m + i, j * m + i] = a[i, j]
+    return ChoiMatrix(n=n, m=m, matrix=mat)
+
+
+def choi_diagonal_to_matrix(choi: ChoiMatrix) -> np.ndarray:
+    """The m x n matrix whose (i, j) entry is the (i, i) entry of the
+    (j, j) block of ``choi``: the inverse of :func:`diagonal_choi`."""
+    blocks = choi.blocks()
+    return np.array(
+        [[blocks[j, i, j, i].real for j in range(choi.n)] for i in range(choi.m)]
+    )
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -580,7 +602,7 @@ def central_difference_quotient_ref(tag: str, rho_star: np.ndarray, rho_0: np.nd
     leaves the positive cone."""
     if h <= 0:
         raise InvalidInputError("step h must be positive")
-    rho_star = linalg.assert_positive_definite(rho_star, "expansion point")
+    rho_star, w, v = linalg._pd_eigh(rho_star, "expansion point")
     direction = linalg.as_hermitian(direction, what="perturbation direction")
     if abs(np.trace(direction)) > 1e-10:
         raise InvalidInputError("perturbation direction must be traceless")
@@ -589,7 +611,7 @@ def central_difference_quotient_ref(tag: str, rho_star: np.ndarray, rho_0: np.nd
             part = linalg.partial_trace(direction, n, m, which)
             if np.abs(part).max() > 1e-10:
                 raise InvalidInputError(f"perturbation direction has nonzero {which} partial trace")
-    h_max = divergences._critical_step(rho_star, direction)
+    h_max = divergences._critical_step(w, v, direction)
     if h >= h_max:
         raise DomainError(f"perturbation h={h:.3e} leaves the positive cone (critical h = {h_max:.3e})")
     if tag == "kl":

@@ -15,6 +15,7 @@ from opsinkhorn.geometry import ConstraintSet, TangentVector
 from opsinkhorn.reference import reference_direction, reference_rho0
 
 import oracles
+from oracles import choi_diagonal_to_matrix, diagonal_choi
 
 GOLDEN_SLD = np.array(
     [
@@ -49,22 +50,6 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {number} {name}: {status}{suffix}")
     assert ok, f"criterion {number} ({name}) failed{suffix}"
-
-
-def diagonal_choi(a: np.ndarray) -> ChoiMatrix:
-    m, n = a.shape
-    mat = np.zeros((n * m, n * m), dtype=complex)
-    for j in range(n):
-        for i in range(m):
-            mat[j * m + i, j * m + i] = a[i, j]
-    return ChoiMatrix(n=n, m=m, matrix=mat)
-
-
-def choi_diagonal_to_matrix(choi: ChoiMatrix) -> np.ndarray:
-    blocks = choi.blocks()
-    return np.array(
-        [[blocks[j, i, j, i].real for j in range(choi.n)] for i in range(choi.m)]
-    )
 
 
 def test_criterion_1_golden_sld_reproduction(capsys):

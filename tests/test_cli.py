@@ -19,6 +19,8 @@ from opsinkhorn.errors import (
 )
 from opsinkhorn.reference import reference_rho0
 
+import oracles
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -27,13 +29,8 @@ def run_cli(capsys, *argv):
 
 
 def diagonal_choi_file(tmp_path, a):
-    m, n = a.shape
-    mat = np.zeros((n * m, n * m), dtype=complex)
-    for j in range(n):
-        for i in range(m):
-            mat[j * m + i, j * m + i] = a[i, j]
     path = tmp_path / "diag.json"
-    serialization.save_choi(path, ChoiMatrix(n=n, m=m, matrix=mat))
+    serialization.save_choi(path, oracles.diagonal_choi(a))
     return path
 
 

@@ -131,9 +131,32 @@ class TestNagaoka:
         rho, sigma = channels.random_density(4, rng), channels.random_density(4, rng)
         eig_calls.clear()
         divergence("nagaoka", rho, sigma)
-        # the two argument checks, then sigma^{-1} # rho from two eigh and
-        # the logarithm from one
-        assert sorted(eig_calls) == [("eigh", (4, 4))] * 3 + [("eigvalsh", (4, 4))] * 2
+        # one eigh of each argument, its check, then sigma^{-1} # rho on the
+        # reciprocal spectrum of sigma with one more and the logarithm of
+        # the mean with one
+        assert sorted(eig_calls) == [("eigh", (4, 4))] * 4
+
+
+class TestOneDecompositionPerArgument:
+    @pytest.mark.parametrize(
+        "tag, calls",
+        [
+            # log rho and log sigma off the two arguments' spectra
+            ("umegaki", [("eigh", (4, 4))] * 2),
+            # the inverse of sigma and both log-determinants likewise
+            ("burg", [("eigh", (4, 4))] * 2),
+            # rho^{-1/2} off rho's spectrum, then the log of the middle factor
+            ("bs", [("eigh", (4, 4))] * 3),
+            # sigma^{1/2} off sigma's spectrum, then the middle factor's spectrum
+            ("renyi_half", [("eigh", (4, 4))] * 2 + [("eigvalsh", (4, 4))]),
+        ],
+    )
+    def test_eig_calls(self, tag, calls, eig_calls):
+        rng = np.random.default_rng(311)
+        rho, sigma = channels.random_density(4, rng), channels.random_density(4, rng)
+        eig_calls.clear()
+        divergence(tag, rho, sigma)
+        assert sorted(eig_calls) == calls
 
 
 class TestKlRowProjection:
@@ -266,22 +289,13 @@ def quotient_case(tag: str):
     input, or of a diagonal input for ``kl``."""
     if tag == "kl":
         a = np.array([[0.1, 0.3], [0.2, 0.4]])
-        choi = oracles_diagonal_choi(a)
+        choi = oracles.diagonal_choi(a)
         direction = np.diag([1.0, -1.0, -1.0, 1.0])
     else:
         choi = reference_rho0()
         direction = reference_direction()
     trace = scaling.operator_sinkhorn(choi, scaling.ScalingConfig())
     return trace.final.matrix, choi.matrix, direction, choi.n, choi.m
-
-
-def oracles_diagonal_choi(a: np.ndarray) -> channels.ChoiMatrix:
-    m, n = a.shape
-    mat = np.zeros((n * m, n * m), dtype=complex)
-    for j in range(n):
-        for i in range(m):
-            mat[j * m + i, j * m + i] = a[i, j]
-    return channels.ChoiMatrix(n=n, m=m, matrix=mat)
 
 
 # the CLI's default grid, h = 2^-5 .. 2^-40, behind four steps that leave
@@ -324,6 +338,34 @@ class TestCentralDifferenceQuotients:
             central_difference_quotients("bs", rho, np.eye(2) / 2, direction, [100.0])
         with pytest.raises(UnsupportedError):
             central_difference_quotient("measured", rho, rho, direction, 1e-3)
+
+    @pytest.mark.parametrize("tag", ["kl", *QUANTUM_TAGS])
+    @pytest.mark.parametrize("small", ["direction", "reference"])
+    def test_arguments_of_another_size(self, tag, small):
+        # for every tag, before any probe is formed
+        rho = np.diag([0.4, 0.3, 0.2, 0.1])
+        direction, rho_0 = np.diag([1.0, -1.0, -1.0, 1.0]), rho
+        if small == "direction":
+            direction, want = np.diag([1.0, -1.0]), r"\(4, 4\) vs \(2, 2\) vs \(4, 4\)"
+        else:
+            rho_0, want = np.diag([0.5, 0.3, 0.2]), r"\(4, 4\) vs \(4, 4\) vs \(3, 3\)"
+        with pytest.raises(InvalidInputError, match=f"shape mismatch: {want}"):
+            central_difference_quotients(tag, rho, rho_0, direction, [1e-3])
+
+    @pytest.mark.parametrize("tag", ["kl", *QUANTUM_TAGS])
+    def test_probes_are_decomposed_once(self, tag, eig_calls):
+        # one eigh of rho* and of rho0 (but for kl), the critical step's
+        # eigvalsh, then the probes' one stacked eigh, their cone test and
+        # the spectra the formula reads; the only other eigvalsh is
+        # renyi_half's, of its middle factors
+        rho_star, rho_0, direction, n, m = quotient_case(tag)
+        d, probes = rho_star.shape[0], (2, len(GRID) - 4) + rho_star.shape
+        eig_calls.clear()
+        central_difference_quotients(tag, rho_star, rho_0, direction, GRID, n=n, m=m)
+        first = [("eigh", (d, d))] * (1 if tag == "kl" else 2) + [("eigvalsh", (d, d)), ("eigh", probes)]
+        assert eig_calls[: len(first)] == first
+        middle = [probes] if tag == "renyi_half" else []
+        assert [shape for name, shape in eig_calls if name == "eigvalsh"] == [(d, d)] + middle
 
     def test_all_cone_exits_and_empty_grid(self):
         rho = np.diag([0.4, 0.3, 0.2, 0.1])

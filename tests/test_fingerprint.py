@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opsinkhorn import geometry, scaling
+from opsinkhorn import divergences, geometry, scaling
 from opsinkhorn.errors import SingularityError
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -74,6 +74,33 @@ def test_a_moved_capacity_changes_the_capacity_key_alone(monkeypatch):
     monkeypatch.setattr(scaling, "_close", nudged)
     moved = fingerprint.fingerprint(shapes=((2, 2),), seeds=(0, 1))
     assert [key for key in digests if moved[key] != digests[key]] == ["capacity"]
+
+
+def test_a_moved_divergence_changes_the_divergences_key_alone(monkeypatch):
+    # burg's formula alone moves, in its values and its difference quotients
+    digests = fingerprint.fingerprint(shapes=((2, 3),), seeds=(0,))
+    value = divergences._value
+
+    def nudged(tag, *args):
+        out = value(tag, *args)
+        return out * (1.0 + np.finfo(float).eps) if tag == "burg" else out
+
+    monkeypatch.setattr(divergences, "_value", nudged)
+    moved = fingerprint.fingerprint(shapes=((2, 3),), seeds=(0,))
+    assert [key for key in digests if moved[key] != digests[key]] == ["divergences"]
+
+
+def test_a_moved_geodesic_changes_the_geodesics_key_alone(monkeypatch):
+    digests = fingerprint.fingerprint(shapes=((2, 3),), seeds=(0,))
+    geodesic = geometry.e_geodesic
+
+    def nudged(tag, *args):
+        out = geodesic(tag, *args)
+        return out * (1.0 + np.finfo(float).eps) if tag == "bkm" else out
+
+    monkeypatch.setattr(geometry, "e_geodesic", nudged)
+    moved = fingerprint.fingerprint(shapes=((2, 3),), seeds=(0,))
+    assert [key for key in digests if moved[key] != digests[key]] == ["geodesics"]
 
 
 def test_a_failing_batch_changes_its_key_alone(monkeypatch):

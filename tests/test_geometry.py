@@ -222,6 +222,11 @@ class TestFrechetDerivatives:
         np.testing.assert_allclose(back, direction, atol=1e-10)
 
 
+# endpoint pairs random_density(d, default_rng(seed)), one per seed, on which
+# the unnormalized sld and bkm curves overflow from |t| = 300 or 700 on
+FAR_PAIRS = [(2, (0, 1)), (3, (3, 4)), (4, (5, 6))]
+
+
 class TestEGeodesic:
     @pytest.mark.parametrize("tag", geometry.METRICS)
     def test_endpoints_exact(self, tag):
@@ -285,6 +290,33 @@ class TestEGeodesic:
                 assert tag == "congruence" and str(exc) == f"congruence geodesic leaves the cone at t={t}"
             else:
                 assert np.isfinite(out).all() and abs(np.trace(out).real - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("t", [300.0, -300.0, 700.0, -700.0, 1e3, -1e3, 1e5, -1e5])
+    @pytest.mark.parametrize("d, seeds", FAR_PAIRS)
+    @pytest.mark.parametrize("tag", ["sld", "bkm"])
+    def test_far_parameter_gives_a_point(self, tag, d, seeds, t):
+        # the point is formed on shifted spectra, so it is finite wherever
+        # its exponent is, far beyond where exp of the exponent overflows
+        r1, r2 = (channels.random_density(d, np.random.default_rng(seed)) for seed in seeds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = geometry.e_geodesic(tag, r1, r2, t)
+        assert np.isfinite(out).all() and abs(np.trace(out).real - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("t", [-5.0, -0.5, 0.3, 1.7, 5.0])
+    @pytest.mark.parametrize("d, seeds", FAR_PAIRS)
+    @pytest.mark.parametrize("tag", ["sld", "bkm"])
+    def test_shifted_point_is_the_normalized_curve(self, tag, d, seeds, t):
+        # where the unnormalized curve is finite, normalizing it gives the
+        # same point to rounding
+        r1, r2 = (channels.random_density(d, np.random.default_rng(seed)) for seed in seeds)
+        if tag == "sld":
+            kt = linalg.powm(linalg.inverse_mean(r1, r2), t)
+            curve = kt @ r1 @ kt
+        else:
+            curve = linalg.expm((1.0 - t) * linalg.logm(r1) + t * linalg.logm(r2))
+        want = curve / np.trace(curve).real
+        assert np.abs(geometry.e_geodesic(tag, r1, r2, t) - want).max() <= 1e-14
 
     @pytest.mark.parametrize("t", [float("inf"), float("nan"), "0.5", 1j])
     @pytest.mark.parametrize("tag", ["sld", "bkm", "congruence"])
@@ -504,15 +536,17 @@ class TestOrthogonalityResidual:
 
 
 class TestOneDecompositionPerMatrix:
-    """The BKM tail takes log rho_to once, and the congruence geodesic one
-    ``eigh`` of its resolvent for both the cone test and the inverse."""
+    """The BKM tail takes one ``eigh`` of rho_to for both log rho_to and
+    dexp there, and the congruence geodesic one ``eigh`` of its resolvent
+    for both the cone test and the inverse."""
 
     def test_bkm_tail_eig_calls(self, eig_calls):
         rho_from, rho_to = random_density(6, 64), random_density(6, 65)
         eig_calls.clear()
         geometry._geodesic_tail("bkm", rho_from, rho_to)
-        # logm of rho_to, logm of rho_from, then dexp at log rho_to
-        assert eig_calls == [("eigh", (6, 6))] * 3
+        # rho_to, whose spectrum gives log rho_to and dexp there, then logm
+        # of rho_from
+        assert eig_calls == [("eigh", (6, 6))] * 2
 
     def test_congruence_geodesic_eig_calls(self, eig_calls):
         rho1, rho2 = random_density(6, 66), random_density(6, 67)

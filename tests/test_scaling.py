@@ -20,24 +20,7 @@ from opsinkhorn.errors import (
 from opsinkhorn.geometry import ConstraintSet
 
 import oracles
-
-
-def diagonal_choi(a: np.ndarray) -> ChoiMatrix:
-    """Embed a positive m x n matrix as a diagonal Choi matrix: the (j, j)
-    block holds column j of ``a`` on its diagonal."""
-    m, n = a.shape
-    mat = np.zeros((n * m, n * m), dtype=complex)
-    for j in range(n):
-        for i in range(m):
-            mat[j * m + i, j * m + i] = a[i, j]
-    return ChoiMatrix(n=n, m=m, matrix=mat)
-
-
-def choi_diagonal_to_matrix(choi: ChoiMatrix) -> np.ndarray:
-    blocks = choi.blocks()
-    return np.array(
-        [[blocks[j, i, j, i].real for j in range(choi.n)] for i in range(choi.m)]
-    )
+from oracles import choi_diagonal_to_matrix, diagonal_choi
 
 
 def random_positive_matrix(m, n, seed):
@@ -1498,7 +1481,7 @@ class TestBkmProjectionAgainstReference:
         point, _, _ = one_sided("bkm", scaling._start("bkm", choi.matrix, "start"), 3, 2, "first", p)
         kept = [a.copy() for a in point[:3]]
         steps = newton_steps(monkeypatch)
-        states = count_calls(monkeypatch, scaling, "_gibbs_state")
+        states = count_calls(monkeypatch, linalg, "_gibbs_state")
         eigh = count_calls(monkeypatch, linalg, "_eigh")
         again, dual, again_steps = one_sided("bkm", point, 3, 2, "first", p)
         assert steps == [0] == [again_steps] and not dual.any() and not states and not eigh
@@ -1513,7 +1496,7 @@ class TestBkmProjectionAgainstReference:
     @pytest.mark.parametrize("n, m, general", BKM_REFERENCE_CASES)
     def test_one_eigh_per_evaluation_and_one_state(self, n, m, general, monkeypatch):
         choi, p, _ = reference_case(n, m, general, 830)
-        states = count_calls(monkeypatch, scaling, "_gibbs_state")
+        states = count_calls(monkeypatch, linalg, "_gibbs_state")
         start = scaling._start("bkm", choi.matrix, "start")
         # the start is log rho and its spectrum, with no state
         assert start.state is None and start.weights is None and not states
@@ -1964,7 +1947,7 @@ class TestDualSweepRecords:
             return newton(method, evaluate, direction, current, **kwargs)
 
         monkeypatch.setattr(scaling, "_newton", recorded)
-        states = count_calls(monkeypatch, scaling, "_gibbs_state")
+        states = count_calls(monkeypatch, linalg, "_gibbs_state")
         traces = count_calls(monkeypatch, linalg, "partial_trace")
         trace = scaling.alternating_projections(method, choi, scaling.ScalingConfig(target_p=p, target_q=q))
         assert trace.sweeps > 2 and len(starts) == 2 * trace.sweeps
@@ -2410,7 +2393,7 @@ class TestJointLimit:
 
         monkeypatch.setattr(scaling, "_newton", counted)
         eigh = count_calls(monkeypatch, linalg, "_eigh")
-        states = count_calls(monkeypatch, scaling, "_gibbs_state")
+        states = count_calls(monkeypatch, linalg, "_gibbs_state")
         joint = scaling.joint_limit("bkm", choi, cfg)
         assert joint.converged and len(evaluations) >= joint.sweeps > 0
         # the start's one eigh of rho0, then one per evaluation

@@ -34,7 +34,14 @@ and with targets drawn by ``random_density`` from the same generator.  Keys:
   ``geometry.dlog_frechet`` at rho, along a traceless Hermitian direction;
 - ``certificates``: ``orthogonality_residual`` of one step per tag (an
   operator Sinkhorn step onto P, a BKM projection onto P, a Burg
-  projection onto Q, certified in the congruence metric).
+  projection onto Q, certified in the congruence metric);
+- ``divergences``: every tag of ``divergences.DIVERGENCES`` from the
+  input's state rho / tr rho to the product state Q kron P of its
+  targets (``kl`` on their diagonals), then each matrix tag's
+  ``central_difference_quotients`` there along the direction of ``dexp``
+  on one h grid, which leaves the cone at its largest steps;
+- ``geodesics``: ``e_geodesic`` of each tag from that state to Q kron P
+  at t = -0.5, 0.3 and 1.7.
 
 A trace contributes its final, residuals, sweep count, converged flag and
 factors (the duals for ``bkm`` and ``burg``) to its key, and its capacity
@@ -59,7 +66,7 @@ import struct
 
 import numpy as np
 
-from opsinkhorn import channels, geometry, linalg, scaling
+from opsinkhorn import channels, divergences, geometry, linalg, scaling
 from opsinkhorn.geometry import ConstraintSet
 from opsinkhorn.scaling import ScalingConfig
 
@@ -69,8 +76,12 @@ FAMILIES = ("sld", "bkm", "burg", "joint-bkm", "joint-burg", "sld-batch")
 # only the families have work lines: the failing batch raises, and the
 # general-target batch is there for its digest
 KEYS = FAMILIES + (
-    "sld-batch-fail", "sld-batch-general", "dexp", "dlog", "certificates", "iterates", "classical", "capacity"
+    "sld-batch-fail", "sld-batch-general", "dexp", "dlog", "certificates", "iterates", "classical", "capacity",
+    "divergences", "geodesics",
 )
+# the difference quotients' step grid and the geodesic parameters
+HS = (1.0, 2.0**-4, 2.0**-10, 2.0**-20)
+TS = (-0.5, 0.3, 1.7)
 
 
 def _feed(h, obj) -> None:
@@ -133,6 +144,15 @@ def _outputs(choi: channels.ChoiMatrix, p: np.ndarray, q: np.ndarray, rng: np.ra
     yield "dexp", lambda: geometry.dexp_frechet(linalg.logm(rho), direction)
     yield "dlog", lambda: geometry.dlog_frechet(rho, direction)
     yield "certificates", certificates
+    state, product = rho / np.trace(rho).real, np.kron(q, p)
+    yield "divergences", lambda: divergences.divergence("kl", np.diag(state).real, np.diag(product).real)
+    for tag in divergences.DIVERGENCES[1:]:
+        yield "divergences", lambda tag=tag: divergences.divergence(tag, state, product)
+    for tag in divergences.DIVERGENCES[1:]:
+        yield "divergences", lambda tag=tag: divergences.central_difference_quotients(tag, state, product, direction, HS)
+    for tag in geometry.METRICS:
+        for t in TS:
+            yield "geodesics", lambda tag=tag, t=t: geometry.e_geodesic(tag, state, product, t)
 
 
 def _run(thunk):
